@@ -262,7 +262,7 @@ def integral_model(curve: RationalCurve, pt: Optional[CurvePoint] = None):
     if den == 1:
         return curve, pt, 1
     u = 1
-    for p in _small_prime_factors(den):
+    for p in _factorize(den):
         va = _padic_valuation(curve.a.denominator, p)
         vb = _padic_valuation(curve.b.denominator, p)
         e = max(-(-va // 4), -(-vb // 6))
@@ -283,15 +283,113 @@ def _padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def _small_prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+def _factorize(n: int) -> dict:
+    """Prime factorization {p: e} of |n|: trial division, then Brent-Pollard rho.
+
+    Perfect powers are split by their integer root first: rho on p^k walks
+    about sqrt(p) steps before it finds p, some 10^9 for p near 10^18.
+    """
+    n = abs(int(n))
+    out: dict = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d = 17
+    while d * d <= n and d < 1_000_00:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 2
+    if n == 1:
+        return out
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if _is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.extend([root] * k)
+            continue
+        d = _brent_rho(m)
+        stack.extend([d, m // d])
     return out
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> Tuple[int, int]:
+    """(r, k) with r^k = n and k >= 2 smallest, or (n, 1) if n is no perfect power."""
+    for k in range(2, n.bit_length() + 1):
+        r = _integer_root(n, k)
+        if r < 2:
+            break
+        if r**k == n:
+            return r, k
+    return n, 1
+
+
+def _is_probable_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_rho(n: int) -> int:
+    if n % 2 == 0:
+        return 2
+    import random
+
+    rng = random.Random(0xD10F ^ n)
+    while True:
+        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
+        g, r, q = 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g

@@ -6,10 +6,14 @@ hhat(P) ~ (1/2) log H(x(P)) + O(1).
 
 The two canonical-height routes cross-check each other:
 
-  * canonical_height_limit: exact doubling of the projective x-coordinate,
-    hhat = (1/2) lim 4^-k log H(x([2^k]P)).  The gcd appearing at each
-    doubling divides disc^2 (the resultant of the duplication quartics),
-    so reduction costs two mods by a fixed integer instead of a giant gcd.
+  * canonical_height_limit: doubling of the projective x-coordinate,
+    hhat = (1/2) lim 4^-k log H(x([2^k]P)).  The integers grow 4x in size
+    per doubling, so they are never built: a certified ladder carries an
+    interval enclosure of them at a fixed working precision (doubled until
+    every step is decided), plus their residues modulo a power of disc^2.
+    The gcd appearing at each doubling divides disc^2 (the resultant of the
+    duplication quartics), so the residues give it exactly, and the result
+    equals that of the exact integer ladder bit for bit.
 
   * canonical_height_local: archimedean Neron function (unrolled duplication
     series) plus (1/2) log den(x(MP)) / M^2, where M is a multiple pushing
@@ -22,18 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Tuple
 
 import mpmath as mp
-
-try:
-    import gmpy2
-
-    _mpz = gmpy2.mpz
-    _gcd = gmpy2.gcd
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
-    _gcd = math.gcd
+from mpmath import iv, libmp
 
 from . import ec_core
 from .ec_core import CurvePoint, RationalCurve
@@ -41,6 +38,8 @@ from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_PRECISION = 256
 DEFAULT_DIGIT_BUDGET = 60_000_000
+# working precision, in bits, of the first run of the doubling ladder
+_START_PRECISION = 256
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,97 @@ def naive_height(curve: RationalCurve, pt: CurvePoint,
         return HeightValue(+mp.log(h), precision_bits, "naive")
 
 
-def _log_of_int(n) -> float:
-    """float log of a possibly huge positive integer via its top 64 bits."""
-    n = int(n)
+class _Undecided(Exception):
+    """An enclosure at the current working precision cannot decide a step."""
+
+
+def _top_bits(n: int) -> Tuple[int, int]:
+    """(bit length, top 64 bits) of a nonnegative integer."""
     bl = n.bit_length()
+    return bl, n >> max(bl - 64, 0)
+
+
+def _endpoint_top_bits(v, rounding: str) -> Tuple[int, int]:
+    """_top_bits of the mpf tuple v >= 0 rounded to an integer by `rounding`.
+
+    A large endpoint is an integer already (its exponent is >= 0), and its
+    top bits are read off the mantissa without building the integer.
+    """
+    _, man, exp, bc = v
+    if exp >= 0 and bc + exp > 64:
+        return bc + exp, man >> (bc - 64) if bc >= 64 else man << (64 - bc)
+    return _top_bits(libmp.to_int(v, rounding))
+
+
+def _height_bits(p, q) -> Tuple[int, int]:
+    """_top_bits of max(|p|, |q|) for the integers enclosed by intervals p, q.
+
+    Raises _Undecided unless every integer in the enclosure of the maximum
+    has the same bit length and top 64 bits.
+    """
+    (lp, hp), (lq, hq) = libmp.mpi_abs(p._mpi_), libmp.mpi_abs(q._mpi_)
+    lo = lp if libmp.mpf_gt(lp, lq) else lq
+    hi = hp if libmp.mpf_gt(hp, hq) else hq
+    bits = _endpoint_top_bits(lo, libmp.round_ceiling)
+    if bits != _endpoint_top_bits(hi, libmp.round_floor):
+        raise _Undecided
+    return bits
+
+
+def _log_of_top_bits(bl: int, top: int) -> float:
+    """float log of a positive integer from its bit length and top 64 bits."""
     if bl <= 64:
-        return math.log(n)
-    return math.log(n >> (bl - 64)) + (bl - 64) * math.log(2)
+        return math.log(top)
+    return math.log(top) + (bl - 64) * math.log(2)
+
+
+def _double_x(a, b, p, q):
+    """Projective x-coordinate (fp, fq) of [2]P from x(P) = p/q, gcd not removed.
+
+    Written once for Python ints (the residues) and intervals (the enclosures).
+    """
+    q2 = q * q
+    q3 = q2 * q
+    fp = (p * p - a * q2) ** 2 - 8 * b * p * q3
+    fq = 4 * q * (p * p * p + a * p * q2 + b * q3)
+    return fp, fq
+
+
+def _ladder(a: int, b: int, x: Fraction, n_max: int, digit_budget: int):
+    """Estimates (1/2) 4^-k log max(|p_k|, |q_k|) for k = 0..n_max, or None.
+
+    (p_k, q_k) is the reduced projective x-coordinate of [2^k]P on the
+    integral curve y^2 = x^3 + a x + b, where x(P) = x.  None means a
+    doubling hit the identity: P is torsion.  Runs at the working precision
+    iv.prec and raises _Undecided when an enclosure is too wide to decide.
+    """
+    disc = -16 * (4 * a**3 + 27 * b**2)
+    gcd_bound = disc * disc
+    # g_k divides gcd_bound, so after k doublings the modulus is still a
+    # multiple of gcd_bound^(n_max + 1 - k) >= gcd_bound^2
+    modulus = gcd_bound ** (n_max + 1)
+    rp, rq = x.numerator % modulus, x.denominator % modulus
+    p, q = iv.mpf(x.numerator), iv.mpf(x.denominator)
+    estimates = []
+    for k in range(n_max + 1):
+        bl, top = _height_bits(p, q)
+        estimates.append(_log_of_top_bits(bl, top) / 4**k / 2)
+        if k == n_max:
+            return estimates
+        if bl > digit_budget:
+            raise BudgetExceededError(
+                f"x-coordinate exceeded {digit_budget} bits at doubling {k}")
+        fp, fq = _double_x(a, b, p, q)
+        lo, hi = fq._mpi_
+        if lo == hi == libmp.fzero:
+            return None
+        if libmp.mpf_sign(lo) <= 0 <= libmp.mpf_sign(hi):
+            raise _Undecided
+        rfp, rfq = (r % modulus for r in _double_x(a, b, rp, rq))
+        g = math.gcd(rfp, rfq, gcd_bound)
+        modulus //= g
+        rp, rq = rfp // g, rfq // g
+        p, q = fp / g, fq / g
 
 
 def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11,
@@ -84,9 +167,20 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
                            digit_budget: int = DEFAULT_DIGIT_BUDGET) -> HeightValue:
     """hhat by 4-adically accelerated doubling of the naive x-height.
 
-    Runs k = 0..n_max doublings on the exact projective pair (p, q) and
-    returns (1/2) 4^-n_max log max(|p|,|q|), with the error estimated from
-    the last two iterates (the tail is geometric with ratio 1/4).
+    Runs k = 0..n_max doublings of the projective pair (p, q) of x(P) on the
+    integral model and returns (1/2) 4^-n_max log max(|p|,|q|), with the
+    error estimated from the last two iterates (the tail is geometric with
+    ratio 1/4).
+
+    The pair is never built: its bit length grows 4x per doubling, yet each
+    step reads only the bit length and top 64 bits of max(|p|,|q|), and
+    the gcd g with disc^2 that the doubling leaves.  So the ladder carries
+    an interval enclosure of p and q at a fixed working precision, and their
+    exact residues modulo disc^(2(n_max+1)), from which g is exact.  When an
+    enclosure cannot decide a step (the top bits, or the sign of fq), the
+    ladder reruns at twice the precision; at the size of the integers the
+    intervals are exact, so the result always equals the exact ladder's.
+    The point is torsion only when the enclosure of fq is exactly {0}.
     """
     ec_core._require_on_curve(curve, pt)
     if n_max < 4:
@@ -94,28 +188,20 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     if pt.is_identity:
         return HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
     cu, pu, _ = ec_core.integral_model(curve, pt)
-    a, b = _mpz(int(cu.a)), _mpz(int(cu.b))
-    disc = -16 * (4 * int(cu.a) ** 3 + 27 * int(cu.b) ** 2)
-    gcd_bound = _mpz(disc * disc)
-    p, q = _mpz(pu.x.numerator), _mpz(pu.x.denominator)
-    estimates = []
-    for k in range(n_max + 1):
-        h = _log_of_int(max(abs(p), abs(q)))
-        estimates.append(h / 4**k / 2)
-        if k == n_max:
-            break
-        if max(abs(p), abs(q)).bit_length() > digit_budget:
-            raise BudgetExceededError(
-                f"x-coordinate exceeded {digit_budget} bits at doubling {k}")
-        q2 = q * q
-        q3 = q2 * q
-        fp = (p * p - a * q2) ** 2 - 8 * b * p * q3
-        fq = 4 * q * (p * p * p + a * p * q2 + b * q3)
-        if fq == 0:
-            # doubling hit the identity: pt is torsion
-            return HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
-        g = _gcd(_gcd(fp, gcd_bound), _gcd(fq, gcd_bound))
-        p, q = fp // g, fq // g
+    saved_prec = iv.prec
+    iv.prec = _START_PRECISION
+    try:
+        while True:
+            try:
+                estimates = _ladder(int(cu.a), int(cu.b), pu.x, n_max, digit_budget)
+                break
+            except _Undecided:
+                iv.prec *= 2
+    finally:
+        iv.prec = saved_prec
+    if estimates is None:
+        # doubling hit the identity: pt is torsion
+        return HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
     with mp.workprec(precision_bits):
         value = mp.mpf(estimates[-1])
         tail = abs(mp.mpf(estimates[-1]) - mp.mpf(estimates[-2])) / 3
@@ -147,89 +233,6 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
         return +total
 
 
-def _factorize(n: int) -> dict:
-    """Prime factorization: trial division then Brent-Pollard rho."""
-    n = abs(int(n))
-    out: dict = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 17
-    while d * d <= n and d < 1_000_00:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        stack.extend([d, m // d])
-    return out
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    import random
-
-    rng = random.Random(0xD10F ^ n)
-    while True:
-        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
-        g, r, q = 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 def _kernel_multiple(curve_int: RationalCurve, pt: CurvePoint,
                      multiple_cap: int = 4000):
     """Smallest M with den(x(mP)) divisible by p for every bad prime p | disc,
@@ -238,7 +241,7 @@ def _kernel_multiple(curve_int: RationalCurve, pt: CurvePoint,
     Returns (M, x(MP)) or (0, None) when pt turns out to be torsion.
     """
     disc = -16 * (4 * int(curve_int.a) ** 3 + 27 * int(curve_int.b) ** 2)
-    pending = set(_factorize(disc).keys())
+    pending = set(ec_core._factorize(disc))
     orders = {}
     running = pt
     m = 1

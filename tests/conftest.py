@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import settings
 
 from dioph import ec_core
+
+# Property tests draw the same examples on every run, without a deadline and
+# without an example database, so tier-1 stays deterministic and bounded.
+settings.register_profile("dioph", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("dioph")
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -163,3 +164,23 @@ def test_integral_model_scaling():
     cu, pu, u = ec_core.integral_model(cur, pt)
     assert cu.a.denominator == 1 and cu.b.denominator == 1
     assert ec_core.on_curve(cu, pu)
+
+
+def test_integral_model_large_prime_denominator():
+    # a = 1/p^2 with p = 10^18 + 3 prime: trial division up to sqrt(p^2) and
+    # Pollard rho on p^2 both take ~10^9 steps, so the square must be split
+    p = 10**18 + 3
+    cur = RationalCurve(a=Fraction(1, p * p), b=Fraction(1))
+    t0 = time.perf_counter()
+    cu, _, u = ec_core.integral_model(cur)
+    elapsed = time.perf_counter() - t0
+    assert u == p and (cu.a, cu.b) == (Fraction(p * p), Fraction(p**6))
+    assert elapsed < 1.0
+
+
+def test_factorize_prime_powers():
+    p = 10**18 + 3
+    assert ec_core._factorize(-12) == {2: 2, 3: 1}
+    assert ec_core._factorize(110160**2) == {2: 8, 3: 8, 5: 2, 17: 2}
+    assert ec_core._factorize(5 * p**3) == {5: 1, p: 3}
+    assert ec_core._factorize((2**61 - 1) * (2**31 - 1)) == {2**61 - 1: 1, 2**31 - 1: 1}

@@ -4,13 +4,76 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dioph import ec_core, heights
-from dioph.ec_core import CurvePoint
+from dioph.ec_core import CurvePoint, RationalCurve
 from dioph.errors import BudgetExceededError, ValidationError
 
 PREC = 192
 O = CurvePoint.identity()
+
+
+# --- reference: the exact doubling ladder on the full projective pair --------
+
+
+def _log_of_int(n) -> float:
+    n = int(n)
+    bl = n.bit_length()
+    if bl <= 64:
+        return math.log(n)
+    return math.log(n >> (bl - 64)) + (bl - 64) * math.log(2)
+
+
+def _reference_limit(curve, pt, n_max, precision_bits=PREC,
+                     digit_budget=heights.DEFAULT_DIGIT_BUDGET):
+    """canonical_height_limit carried out on exact integers (the oracle)."""
+    if pt.is_identity:
+        return heights.HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
+    cu, pu, _ = ec_core.integral_model(curve, pt)
+    a, b = int(cu.a), int(cu.b)
+    disc = -16 * (4 * a**3 + 27 * b**2)
+    gcd_bound = disc * disc
+    p, q = pu.x.numerator, pu.x.denominator
+    estimates = []
+    for k in range(n_max + 1):
+        h = _log_of_int(max(abs(p), abs(q)))
+        estimates.append(h / 4**k / 2)
+        if k == n_max:
+            break
+        if max(abs(p), abs(q)).bit_length() > digit_budget:
+            raise BudgetExceededError(
+                f"x-coordinate exceeded {digit_budget} bits at doubling {k}")
+        q2 = q * q
+        q3 = q2 * q
+        fp = (p * p - a * q2) ** 2 - 8 * b * p * q3
+        fq = 4 * q * (p * p * p + a * p * q2 + b * q3)
+        if fq == 0:
+            return heights.HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
+        g = math.gcd(math.gcd(fp, gcd_bound), math.gcd(fq, gcd_bound))
+        p, q = fp // g, fq // g
+    with mp.workprec(precision_bits):
+        value = mp.mpf(estimates[-1])
+        tail = abs(mp.mpf(estimates[-1]) - mp.mpf(estimates[-2])) / 3
+        return heights.HeightValue(+value, precision_bits, "limit", tail_estimate=+tail)
+
+
+def _assert_matches_reference(curve, pt, n_max):
+    got = heights.canonical_height_limit(curve, pt, n_max, PREC)
+    ref = _reference_limit(curve, pt, n_max)
+    assert got.value == ref.value
+    assert got.tail_estimate == ref.tail_estimate
+    return got
+
+
+WORKLOAD_CURVES = (
+    (RationalCurve(a=-12, b=-1, label="110160.cd1"), CurvePoint.affine(5, 8)),
+    (RationalCurve(a=0, b=-2, label="x3-2"), CurvePoint.affine(3, 5)),
+    # 37a1 in its short, non-integral model
+    (RationalCurve(a=-1, b=Fraction(1, 4), label="37a1"),
+     CurvePoint.affine(0, Fraction(1, 2))),
+)
 
 
 def test_naive_height_product_formula(curve_110160):
@@ -129,3 +192,77 @@ def test_rational_coefficient_curve():
     base = ec_core.RationalCurve(a=Fraction(-12), b=Fraction(-1))
     hb = heights.canonical_height_local(base, CurvePoint.affine(5, 8), PREC)
     assert abs(h.value - hb.value) < 1e-9
+
+
+@st.composite
+def _curves_with_points(draw):
+    """y^2 = x^3 + a x + b through (u/w^2, v/w^3); b has denominator up to w^6."""
+    w = draw(st.integers(1, 4))
+    x = Fraction(draw(st.integers(-30, 30)), w * w)
+    y = Fraction(draw(st.integers(-30, 30)), w**3)
+    a = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from((1, 4, 16))))
+    b = y * y - x**3 - a * x
+    assume(4 * a**3 + 27 * b**2 != 0)
+    return RationalCurve(a=a, b=b), CurvePoint(x, y)
+
+
+@given(_curves_with_points(), st.integers(4, 7))
+def test_limit_matches_exact_ladder_random(curve_point, n_max):
+    _assert_matches_reference(*curve_point, n_max)
+
+
+@pytest.mark.parametrize("curve, pt", WORKLOAD_CURVES, ids=[c.label for c, _ in WORKLOAD_CURVES])
+def test_limit_matches_exact_ladder_workload_curves(curve, pt):
+    _assert_matches_reference(curve, pt, 9)
+
+
+@pytest.mark.parametrize("curve, pt", [
+    (RationalCurve(a=-1, b=0), CurvePoint.affine(1, 0)),    # 2-torsion
+    (RationalCurve(a=-1, b=0), CurvePoint.affine(0, 0)),    # 2-torsion
+    (RationalCurve(a=0, b=1), CurvePoint.affine(-1, 0)),    # 2-torsion
+    (RationalCurve(a=0, b=1), CurvePoint.affine(0, 1)),     # 3-torsion
+    (RationalCurve(a=0, b=1), CurvePoint.affine(2, 3)),     # 6-torsion
+    (RationalCurve(a=0, b=16), CurvePoint.affine(0, 4)),    # 3-torsion
+])
+def test_limit_matches_exact_ladder_torsion(curve, pt):
+    assert _assert_matches_reference(curve, pt, 6).value == 0
+
+
+def test_limit_matches_exact_ladder_non_integral_37a1():
+    curve, P = WORKLOAD_CURVES[2]
+    for n in (1, 2, 3, -5):
+        _assert_matches_reference(curve, ec_core.scalar_mul(curve, n, P), 7)
+
+
+def test_limit_precision_escalation(monkeypatch):
+    # at 32 bits no enclosure of a large x-coordinate pins its top 64 bits,
+    # so the ladder must rerun at doubled precision until it does
+    precisions = []
+    ladder = heights._ladder
+
+    def spy(*args):
+        precisions.append(mp.iv.prec)
+        return ladder(*args)
+
+    monkeypatch.setattr(heights, "_START_PRECISION", 32)
+    monkeypatch.setattr(heights, "_ladder", spy)
+    before = mp.iv.prec
+    for curve, pt in WORKLOAD_CURVES:
+        precisions.clear()
+        _assert_matches_reference(curve, pt, 9)
+        assert precisions[0] == 32 and len(precisions) > 1
+        assert precisions == [32 * 2**i for i in range(len(precisions))]
+        assert mp.iv.prec == before
+
+
+@pytest.mark.parametrize("curve, pt", WORKLOAD_CURVES[::2], ids=[c.label for c, _ in WORKLOAD_CURVES[::2]])
+@pytest.mark.parametrize("budget", (3, 50, 200, 1000, 20000))
+def test_digit_budget_parity(curve, pt, budget):
+    # same message, so the same doubling, as the exact ladder
+    before = mp.iv.prec
+    with pytest.raises(BudgetExceededError) as ref:
+        _reference_limit(curve, pt, 12, digit_budget=budget)
+    with pytest.raises(BudgetExceededError) as got:
+        heights.canonical_height_limit(curve, pt, 12, PREC, digit_budget=budget)
+    assert str(got.value) == str(ref.value)
+    assert mp.iv.prec == before
