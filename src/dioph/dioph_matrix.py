@@ -128,6 +128,15 @@ def _canon(vec: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
     return tuple((abs(v), 0 if v >= 0 else 1) for v in vec)
 
 
+def _canon_keys(vecs: np.ndarray) -> tuple:
+    """np.lexsort keys for `_canon`'s order over the rows of an integer array."""
+    keys = []
+    for j in range(vecs.shape[1] - 1, -1, -1):
+        keys.append((vecs[:, j] < 0).astype(np.int8))
+        keys.append(np.abs(vecs[:, j]))
+    return tuple(keys)
+
+
 def _parse_gamma(gamma, m: int, prec: int) -> Tuple[mp.mpf, ...]:
     if gamma is None or (isinstance(gamma, (int, float)) and gamma == 0):
         return tuple(mp.mpf(0) for _ in range(m))
@@ -199,11 +208,7 @@ def _chunk_champion(A: RealMatrix, Af: np.ndarray, gf: np.ndarray, grid: np.ndar
     emin = E.min()
     cand = np.nonzero(E <= emin + guard)[0]
     if cand.size > _SHORTLIST_CAP:
-        sign_keys = []
-        for j in range(grid.shape[1] - 1, -1, -1):
-            sign_keys.append((grid[cand, j] < 0).astype(np.int8))
-            sign_keys.append(np.abs(grid[cand, j]))
-        order = np.lexsort(tuple(sign_keys) + (norms[cand], E[cand]))
+        order = np.lexsort(_canon_keys(grid[cand]) + (norms[cand], E[cand]))
         cand = cand[order[:_SHORTLIST_CAP]]
     best = None
     for i in cand:

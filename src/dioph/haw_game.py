@@ -3,9 +3,9 @@
 Alice's data comes from the dual lattice flow: at times t_k where the dual
 shortest vector balances its block norms with length below e^(-theta_sigma
 t_k), she deletes a neighborhood of the scaled hyperplane family nearest
-Bob's center whenever Bob's radius falls in the stage's trigger band.  The
-interval (m = 1) version carries the strategy guarantees; m = 2 state and
-Bob moves exist as a data-model exercise only.
+Bob's center whenever Bob's radius falls in the stage's trigger band.  Only
+the interval game (m = 1) is implemented: `derive_strategy` and `run_game`
+reject any other m.
 
 Stages are thinned to those whose hyperplane spacing exceeds the largest
 possible triggered ball plus deleted widths, which is the effective form of
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class GameState:
     ball_center: np.ndarray
     ball_radius: float
     deleted: List[Tuple[Tuple[float, ...], float, float]]  # (normal, offset, width)
-    history: List[dict]
 
 
 @dataclass
@@ -107,9 +106,10 @@ def derive_strategy(A: RealMatrix, sigma: float, beta: float = DEFAULT_BETA,
     times = np.arange(dt, t_max, dt)
     lam = np.zeros(len(times))
     base_vecs = []
+    carry = lattice_dyn._FlowCarry()
     for i, t in enumerate(times):
         Dt = lattice_dyn.apply_flow(D0, -float(t), m, n)
-        _v, coeffs, length = lattice_dyn.shortest_vector(Dt)
+        _v, coeffs, length = lattice_dyn.shortest_vector(Dt, _carry=carry)
         lam[i] = length
         base_vecs.append(D0.basis @ coeffs)
     stages: List[Stage] = []
@@ -160,10 +160,9 @@ def _nearest_grid(center: float, denom: float) -> Tuple[float, int]:
     return i / denom, i
 
 
-def alice_move(state: GameState, params: StrategyParams,
-               lattice_data: Optional[Sequence[Stage]] = None) -> Deletion:
+def alice_move(state: GameState, params: StrategyParams) -> Deletion:
     """Trigger-band deletion, then the pending-k' cover rule, then a disjoint cut."""
-    stages = list(lattice_data) if lattice_data is not None else params.stages
+    stages = params.stages
     if not stages:
         raise ValidationError("no stage data supplied for Alice")
     rho = state.ball_radius
@@ -269,7 +268,7 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
     rng = np.random.default_rng(seed)
     center0 = float(rng.uniform(0.2, 0.8))
     state = GameState(beta=beta, round=0, ball_center=np.array([center0]),
-                      ball_radius=rho0, deleted=[], history=[])
+                      ball_radius=rho0, deleted=[])
     transcript = [{"round": 0, "center": center0, "radius": rho0}]
     triggered_stages: List[Stage] = []
     stage_by_index = {st.index: st for st in params.stages}
@@ -290,7 +289,6 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
         if abs(new_center - deletion.center) < deletion.halfwidth + new_rho - 1e-12:
             raise CertificateError("ball intersects the deleted neighborhood")
         state.deleted.append(((1.0,), deletion.center, deletion.halfwidth))
-        state.history.append({"deletion": deletion, "center": new_center, "radius": new_rho})
         state.ball_center = np.array([new_center])
         state.ball_radius = new_rho
         state.round = r + 1

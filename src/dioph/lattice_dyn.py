@@ -1,21 +1,24 @@
 """Lattice diagnostics: Lambda_A, the diagonal flow, minima, and flow profiles.
 
 All norms are sup-norms.  Shortest vectors are found by complete enumeration
-over a coefficient box derived from the dual of an LLL-reduced basis; the
-reduction only shrinks the box, completeness comes from the dual bound
-|c_i| <= ||row_i(B^-1)||_1 * radius.
+over the coefficient box |c_i| <= ||row_i(B^-1)||_1 * radius of a basis B.
+That dual bound holds for every basis, so completeness comes from it and not
+from the reduction: LLL only shrinks the box.  Each call reduces its lattice
+once and reuses the reduction on every radius doubling.  Along a flow
+(`flow_profile`, and the dual flow behind `haw_game.derive_strategy`) the
+reduction is carried from sample to sample: g_dt times the last reduced
+basis starts the next LLL, which then only touches it up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dioph_matrix import RealMatrix
+from .dioph_matrix import RealMatrix, _canon_keys
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 
 DEFAULT_MAX_ENUM = 2_000_000
@@ -77,24 +80,27 @@ def polar_lattice(L: LatticeBasis) -> LatticeBasis:
 
 
 def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]:
-    """LLL on columns; returns (reduced columns, integer transform T), reduced = cols @ T."""
+    """LLL on columns; returns (reduced columns, integer transform T), reduced = cols @ T.
+
+    Gram-Schmidt data is updated in place (Cohen, Alg. 2.6.3): a size-reduction
+    step changes only row k of mu, and a swap recomputes columns k-1 onward.
+    """
     B = cols.astype(np.float64).copy()
     d = B.shape[1]
     T = np.eye(d, dtype=np.int64)
+    Bs = np.zeros_like(B)
+    mu = np.zeros((d, d))
+    norms = np.zeros(d)
 
-    def gram_schmidt():
-        Bs = np.zeros_like(B)
-        mu = np.zeros((d, d))
-        norms = np.zeros(d)
-        for i in range(d):
+    def gram_schmidt(start: int) -> None:
+        for i in range(start, d):
             Bs[:, i] = B[:, i]
             for j in range(i):
                 mu[i, j] = 0.0 if norms[j] == 0 else float(B[:, i] @ Bs[:, j]) / norms[j]
                 Bs[:, i] -= mu[i, j] * Bs[:, j]
             norms[i] = float(Bs[:, i] @ Bs[:, i])
-        return mu, norms
 
-    mu, norms = gram_schmidt()
+    gram_schmidt(0)
     k = 1
     iters = 0
     while k < d:
@@ -106,31 +112,79 @@ def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]
             if r != 0:
                 B[:, k] -= r * B[:, j]
                 T[:, k] -= r * T[:, j]
-                mu, norms = gram_schmidt()
+                mu[k, :j] -= r * mu[j, :j]
+                mu[k, j] -= r
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             B[:, [k - 1, k]] = B[:, [k, k - 1]]
             T[:, [k - 1, k]] = T[:, [k, k - 1]]
-            mu, norms = gram_schmidt()
+            gram_schmidt(k - 1)
             k = max(k - 1, 1)
     return B, T
 
 
-def _enumerate_in_radius(L: LatticeBasis, radius: float, max_enum: int):
-    """All (coeffs-in-original-basis, vector) with 0 < sup-norm <= radius."""
-    Bred, T = _lll(L.basis)
+class _FlowCarry:
+    """The last reduction along a diagonal flow, handed on to the next sample.
+
+    The next lattice is g L_prev for a diagonal g, and g times the last
+    reduced basis is a basis of it that is almost reduced, so LLL only
+    touches it up.  The integer transform T is kept as a running product.
+    """
+
+    def __init__(self):
+        self.lattice: Optional[np.ndarray] = None  # basis of the last lattice reduced
+        self.reduced: Optional[np.ndarray] = None
+        self.T: Optional[np.ndarray] = None
+
+    def start(self, L: LatticeBasis) -> Optional[np.ndarray]:
+        """g times the last reduced basis if L = g L_prev, g diagonal; else None."""
+        prev = self.lattice
+        if prev is None:
+            return None
+        rows = np.arange(prev.shape[0])
+        cols = np.abs(prev).argmax(axis=1)
+        g = L.basis[rows, cols] / prev[rows, cols]
+        if not np.allclose(prev * g[:, None], L.basis, rtol=1e-12, atol=0.0):
+            return None
+        return self.reduced * g[:, None]
+
+
+def _reduce(L: LatticeBasis, carry: Optional[_FlowCarry] = None):
+    """One LLL reduction of L: (reduced basis, T, ||row_i(reduced^-1)||_1).
+
+    With a carry, LLL starts from the carried basis when L is a flow of the
+    last lattice, and the carry moves on to L.
+    """
+    start = None if carry is None else carry.start(L)
+    if start is None:
+        Bred, T = _lll(L.basis)
+    else:
+        Bred, T = _lll(start)
+        T = carry.T @ T
+    if carry is not None:
+        carry.lattice, carry.reduced, carry.T = L.basis, Bred, T
     try:
         inv = np.linalg.inv(Bred)
     except np.linalg.LinAlgError as e:
         raise SingularMatrixError("reduced basis not invertible") from e
-    bounds = np.floor(np.abs(inv).sum(axis=1) * radius + 1e-9).astype(np.int64)
+    return Bred, T, np.abs(inv).sum(axis=1)
+
+
+def _enumerate_in_radius(reduced, radius: float, max_enum: int):
+    """All (coeffs-in-original-basis, vector) with 0 < sup-norm <= radius.
+
+    `reduced` is `_reduce`'s result; the box |c_i| <= ||row_i(B^-1)||_1 * radius
+    is complete for any basis B, so the reduction only shrinks it.
+    """
+    Bred, T, inv_l1 = reduced
+    bounds = np.floor(inv_l1 * radius + 1e-9).astype(np.int64)
     total = int(np.prod(2 * bounds.astype(np.float64) + 1))
     if total > max_enum:
         raise BudgetExceededError(
             f"enumeration box of {total} points exceeds budget {max_enum}")
     axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, L.dimension)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, Bred.shape[0])
     vecs = grid.astype(np.float64) @ Bred.T
     norms = np.abs(vecs).max(axis=1)
     keep = (norms <= radius * (1 + 1e-12)) & (np.abs(grid).max(axis=1) > 0)
@@ -139,7 +193,8 @@ def _enumerate_in_radius(L: LatticeBasis, radius: float, max_enum: int):
 
 
 def shortest_vector(L: LatticeBasis, search_radius: Optional[float] = None,
-                    max_enum: int = DEFAULT_MAX_ENUM):
+                    max_enum: int = DEFAULT_MAX_ENUM, *,
+                    _carry: Optional[_FlowCarry] = None):
     """Sup-norm shortest nonzero vector; ties broken by lexicographic coefficients.
 
     Returns (vector, coeffs, length).  The radius auto-doubles until a
@@ -147,8 +202,9 @@ def shortest_vector(L: LatticeBasis, search_radius: Optional[float] = None,
     """
     d = L.dimension
     radius = search_radius if search_radius else L.det_abs ** (1.0 / d) * 1.0000001
+    reduced = _reduce(L, _carry)
     for _ in range(64):
-        coeffs, vecs, norms = _enumerate_in_radius(L, radius, max_enum)
+        coeffs, vecs, norms = _enumerate_in_radius(reduced, radius, max_enum)
         if norms.size:
             best = norms.min()
             cand = np.nonzero(norms <= best * (1 + 1e-12))[0]
@@ -159,36 +215,33 @@ def shortest_vector(L: LatticeBasis, search_radius: Optional[float] = None,
     raise BudgetExceededError("no lattice vector found within doubled radii")
 
 
-def _canon_keys(coeffs: np.ndarray) -> tuple:
-    """np.lexsort keys for the coordinatewise order 0 < 1 < -1 < 2 < -2 ..."""
-    keys = []
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        keys.append((coeffs[:, j] < 0).astype(np.int8))
-        keys.append(np.abs(coeffs[:, j]))
-    return tuple(keys)
-
-
 def _exact_rank(rows: List[Sequence[int]]) -> int:
-    """Rank over Q of integer vectors (exact Gaussian elimination)."""
-    mat = [[Fraction(int(v)) for v in row] for row in rows]
-    rank = 0
+    """Rank over Q of integer vectors (fraction-free Bareiss elimination).
+
+    After each pivot every entry below it is a minor of the matrix, so the
+    division by the previous pivot is exact.
+    """
+    mat = [[int(v) for v in row] for row in rows]
+    rank, prev = 0, 1
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
         piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
+        top = mat[rank]
+        p = top[c]
         for r in range(rank + 1, len(mat)):
-            if mat[r][c] != 0:
-                f = mat[r][c] * inv
-                for cc in range(c, ncols):
-                    mat[r][cc] -= f * mat[rank][cc]
+            row, f = mat[r], mat[r][c]
+            mat[r] = [0] * (c + 1) + [(p * row[cc] - f * top[cc]) // prev
+                                      for cc in range(c + 1, ncols)]
+        prev = p
         rank += 1
     return rank
 
 
-def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM):
+def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM, *,
+                      _carry: Optional[_FlowCarry] = None):
     """Greedy Minkowski minima: lambda_i = min length independent of previous picks.
 
     Returns (lengths, vectors, coeffs).
@@ -197,8 +250,9 @@ def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM)
     if not 1 <= k <= d:
         raise ValidationError("need 1 <= k <= dimension")
     radius = L.det_abs ** (1.0 / d) * 1.0000001
+    reduced = _reduce(L, _carry)
     for _ in range(64):
-        coeffs, vecs, norms = _enumerate_in_radius(L, radius, max_enum)
+        coeffs, vecs, norms = _enumerate_in_radius(reduced, radius, max_enum)
         if norms.size:
             order = np.lexsort(_canon_keys(coeffs) + (norms,))
             chosen: List[int] = []
@@ -231,8 +285,9 @@ def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> flo
     length is at most R cannot miss anything.
     """
     radius = L.det_abs ** (1.0 / L.dimension) * 1.0000001
+    reduced = _reduce(L)
     for _ in range(64):
-        _coeffs, vecs, _norms = _enumerate_in_radius(L, radius, max_enum)
+        _coeffs, vecs, _norms = _enumerate_in_radius(reduced, radius, max_enum)
         if vecs.shape[0]:
             best = float(np.abs(vecs).sum(axis=1).min())
             if best <= radius * (1 + 1e-12):
@@ -311,9 +366,10 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
     times = np.arange(0.0, t_max + dt / 2, dt)
     lam = np.zeros((len(times), k))
     base_vecs = []
+    carry = _FlowCarry()
     for i, t in enumerate(times):
         Lt = apply_flow(L0, float(t), m, n)
-        lengths, _vecs, coeffs = successive_minima(Lt, k, max_enum)
+        lengths, _vecs, coeffs = successive_minima(Lt, k, max_enum, _carry=carry)
         lam[i] = lengths
         base_vecs.append(L0.basis @ coeffs[0])
     lam1 = lam[:, 0]

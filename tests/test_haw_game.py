@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dioph import haw_game
+from dioph import haw_game, lattice_dyn
 from dioph.dioph_matrix import RealMatrix, liouville_number
 from dioph.errors import CertificateError, ValidationError
 
@@ -42,6 +42,14 @@ def test_stage_schedule(strategy):
     # trigger band sits under the spacing so at most one neighborhood can
     # meet any triggered ball
     assert st.spacing > 2 * st.band_hi + 2 * st.halfwidth
+
+
+def test_carried_dual_flow_matches_cold_reduction(liouville_A, monkeypatch):
+    # t_max 38.5 is about the schedule depth (38.4) of a 16-round game
+    carried = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
+    monkeypatch.setattr(lattice_dyn._FlowCarry, "start", lambda self, L: None)
+    cold = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
+    assert carried.stages and carried.stages == cold.stages
 
 
 def test_games_trigger_and_certify(liouville_A, strategy):
@@ -85,7 +93,7 @@ def test_determinism_by_seed(liouville_A, strategy):
 def test_greedy_tangent_to_strip(strategy):
     # target inside the deleted strip: the new ball hugs the strip edge
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([0.5]),
-                               ball_radius=0.1, deleted=[], history=[])
+                               ball_radius=0.1, deleted=[])
     deletion = haw_game.Deletion(kind="trigger", stage=0, center=0.5, halfwidth=0.02)
     rng = np.random.default_rng(0)
     x, rho = haw_game.bob_move(state, deletion, "greedy", rng, target=0.5)
@@ -99,7 +107,7 @@ def test_alice_fallback_disjoint(liouville_A, strategy):
     # radius far above every band and center away from all hyperplane grids:
     # the deletion must avoid Bob's ball entirely
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([0.51]),
-                               ball_radius=3.0, deleted=[], history=[])
+                               ball_radius=3.0, deleted=[])
     d = haw_game.alice_move(state, strategy)
     if d.kind == "disjoint":
         assert abs(d.center - 0.51) > 3.0 + d.halfwidth
@@ -111,7 +119,7 @@ def test_alice_tie_smaller_index(strategy):
     mid = (3 + 0.5) / st.grid_denominator
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([mid]),
                                ball_radius=(st.band_lo + st.band_hi) / 2,
-                               deleted=[], history=[])
+                               deleted=[])
     d = haw_game.alice_move(state, strategy)
     assert d.kind == "trigger" and d.hyperplane_index == 3
 
@@ -172,9 +180,9 @@ def test_cli_exit_3_on_certificate_failure(monkeypatch, tmp_path):
 
 
 def test_m2_data_model_moves():
-    # m = 2 game state and Bob moves exist as a data-model exercise
+    # the data model holds m = 2 states, though no game is played with them
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([0.5, 0.5]),
-                               ball_radius=0.2, deleted=[], history=[])
+                               ball_radius=0.2, deleted=[])
     deletion = haw_game.Deletion(kind="disjoint", stage=None, center=0.9, halfwidth=0.01)
     assert state.ball_center.shape == (2,)
     assert len(state.deleted) == 0

@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dioph import lattice_dyn as ld
 from dioph.dioph_matrix import RealMatrix
@@ -44,6 +47,69 @@ def random_unimodular(rng, d):
     scales = np.exp(rng.uniform(-0.6, 0.6, size=d))
     scales /= scales.prod() ** (1.0 / d)
     return (U * scales[None, :])
+
+
+def _reference_lll(cols, delta=0.75):
+    """LLL that recomputes all of Gram-Schmidt after every step: the oracle
+    for the in-place updates of `ld._lll`."""
+    B = cols.astype(np.float64).copy()
+    d = B.shape[1]
+    T = np.eye(d, dtype=np.int64)
+
+    def gram_schmidt():
+        Bs = np.zeros_like(B)
+        mu = np.zeros((d, d))
+        norms = np.zeros(d)
+        for i in range(d):
+            Bs[:, i] = B[:, i]
+            for j in range(i):
+                mu[i, j] = 0.0 if norms[j] == 0 else float(B[:, i] @ Bs[:, j]) / norms[j]
+                Bs[:, i] -= mu[i, j] * Bs[:, j]
+            norms[i] = float(Bs[:, i] @ Bs[:, i])
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    iters = 0
+    while k < d:
+        iters += 1
+        if iters > 10000:
+            break
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k, j])
+            if r != 0:
+                B[:, k] -= r * B[:, j]
+                T[:, k] -= r * T[:, j]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            T[:, [k - 1, k]] = T[:, [k, k - 1]]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return B, T
+
+
+def _fraction_rank(rows):
+    """Rank over Q by Gaussian elimination in Fractions: the oracle for
+    the fraction-free `ld._exact_rank`."""
+    mat = [[Fraction(int(v)) for v in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][c]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][c] != 0:
+                f = mat[r][c] * inv
+                for cc in range(c, ncols):
+                    mat[r][cc] -= f * mat[rank][cc]
+        rank += 1
+    return rank
 
 
 def test_from_matrix_structure():
@@ -113,6 +179,39 @@ def test_successive_minima_independence():
         lengths, vecs, coeffs = ld.successive_minima(L, 3)
         assert lengths[0] <= lengths[1] <= lengths[2]
         assert ld._exact_rank([c for c in coeffs]) == 3
+
+
+def test_lll_matches_reference():
+    rng = np.random.default_rng(12)
+    bases = []
+    for _ in range(150):
+        d = int(rng.integers(2, 5))
+        bases.append(random_unimodular(rng, d))
+        bases.append(rng.normal(size=(d, d)) * np.exp(rng.uniform(-3, 3, size=d))[:, None])
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3)):
+        L0 = ld.from_matrix(rng.uniform(-1, 1, size=(m, n)))
+        for t in np.linspace(0.0, 12.0, 25):
+            bases.append(ld.apply_flow(L0, float(t), m, n).basis)
+    for B in bases:
+        got, want = ld._lll(B), _reference_lll(B)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.allclose(B @ got[1], got[0], rtol=1e-9, atol=1e-9 * np.abs(B).max())
+
+
+def test_exact_rank_matches_fraction_oracle():
+    rng = np.random.default_rng(5)
+    ranks = set()
+    for _ in range(300):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        # a product of rows x r and r x cols factors has rank <= r
+        M = rng.integers(-9, 10, size=(rows, r)) @ rng.integers(-9, 10, size=(r, cols))
+        if rng.random() < 0.3:
+            M = rng.integers(-(10**12), 10**12, size=(rows, cols))
+        got = ld._exact_rank(M.tolist())
+        assert got == _fraction_rank(M.tolist())
+        ranks.add(got)
+    assert ranks == {0, 1, 2, 3, 4, 5}
 
 
 def test_polar_lattice():
@@ -196,6 +295,47 @@ def test_badly_approximable_vs_liouville_growth():
     L = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
     prof2 = ld.flow_profile(L, 12.0, 0.1, minima_count=1, max_enum=8_000_000)
     assert prof2.delta_values.max() > 2.0
+
+
+# Fractional parts of sqrt(k), k squarefree: {1, sqrt(k1), sqrt(k2)} are
+# independent over Q.  Near-rational entries would make lambda_d grow like
+# e^t and successive_minima walk ~e^(2t) candidates per sample.
+_SQUAREFREE = [k for k in range(2, 200) if all(k % (p * p) for p in range(2, 15))]
+
+
+@given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+       ks=st.lists(st.sampled_from(_SQUAREFREE), min_size=2, max_size=2, unique=True),
+       signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
+       t_max=st.floats(0.5, 6.0), dt=st.sampled_from([0.02, 0.05, 0.1]))
+def test_carried_flow_matches_cold_reduction(shape, ks, signs, t_max, dt):
+    m, n = shape
+    entries = [s * (math.sqrt(k) % 1.0) for s, k in zip(signs, ks)]
+    A = np.array(entries[:m * n]).reshape(m, n)
+    prof = ld.flow_profile(A, t_max, dt)
+    L0 = ld.from_matrix(A)
+    cold = np.array([ld.successive_minima(ld.apply_flow(L0, float(t), m, n), m + n)[0]
+                     for t in prof.times])
+    assert np.allclose(prof.lambdas, cold, rtol=1e-9, atol=0.0)
+    flags = np.zeros(len(prof.times), dtype=bool)
+    flags[ld._local_minima_indices(cold[:, 0])] = True
+    assert np.array_equal(prof.is_minimum, flags)
+
+
+def test_flow_profile_phi_against_fibonacci_oracle():
+    # lambda_1(g_t Lambda_phi) = min over (q, p) = (F_k, F_{k+1}) and (0, 1)
+    # of max(e^t |q phi - p|, e^-t q), with phi the float64 the lattice uses
+    prof = ld.flow_profile(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
+    with mp.workprec(200):
+        phi = mp.mpf(PHI)
+        pairs = [(0, 1)]
+        a, b = 1, 1
+        while a < 10**6:
+            pairs.append((a, b))
+            a, b = b, a + b
+        for t, lam1 in zip(prof.times, prof.lambdas[:, 0]):
+            et = mp.exp(mp.mpf(float(t)))
+            oracle = min(max(et * abs(q * phi - p), q / et) for q, p in pairs)
+            assert abs(lam1 - oracle) <= 1e-6 * oracle, t
 
 
 def test_theta_sigma_formula():
