@@ -36,7 +36,6 @@ class RunConfig:
     seed: int = 0
     out: Optional[str] = None
     format: str = "csv"
-    threads: int = 1
     full_precision: bool = False
     params: dict = field(default_factory=dict)
 
@@ -202,7 +201,7 @@ def _cmd_curve_log(args, cfg: RunConfig) -> int:
 
 def _cmd_dirichlet(args, cfg: RunConfig) -> int:
     A = _load_matrix(args.matrix, cfg.precision_bits)
-    ok, rec = dirichlet_check(A, args.Q, workers=cfg.threads)
+    ok, rec = dirichlet_check(A, args.Q)
     report = {
         "m": A.m, "n": A.n, "Q": args.Q, "ok": ok,
         "q": list(rec.q), "p": list(rec.p),
@@ -221,7 +220,7 @@ def _cmd_exponent(args, cfg: RunConfig) -> int:
         A = RealMatrix.scalar(alpha, cfg.precision_bits)
     else:
         A = _load_matrix(args.matrix, cfg.precision_bits)
-    fit = exponent_estimate(A, args.qmax, window_base=args.base, workers=cfg.threads)
+    fit = exponent_estimate(A, args.qmax, window_base=args.base)
     report = {
         "m": A.m, "n": A.n, "Q_max": args.qmax, "window_base": args.base,
         "estimate": fit.estimate, "observed_max": fit.observed_max,
@@ -372,7 +371,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", type=str, default=None,
                         help="output base path; writes OUT.json and OUT.csv")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--full-precision", action="store_true")
     sub = parser.add_subparsers(dest="command")
 
@@ -463,7 +461,7 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
             raise ValidationError("haw needs --matrix or --liouville")
         cfg = RunConfig(command=args.command_name,
                         precision_bits=args.precision_bits, seed=args.seed,
-                        out=args.out, format=args.format, threads=max(1, args.threads),
+                        out=args.out, format=args.format,
                         full_precision=args.full_precision)
         return args.handler(args, cfg)
     except DiophError as e:

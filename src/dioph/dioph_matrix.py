@@ -1,11 +1,23 @@
-"""Matrix Diophantine approximation by exhaustive enumeration.
+"""Matrix Diophantine approximation by lattice enumeration.
 
-Enumeration is exact in outcome: a float64 pass scans q-boxes in chunks,
-then every candidate within a conservative error band of the float minimum
-is rescored at full precision, and ties are broken deterministically
-(smallest sup-norm, then lexicographically smallest q, then p).  Chunks are
-independent work units with a fixed merge order, so the result is the same
-for any worker count.
+`best_approx` minimizes err(q) over 0 < ||q||_inf <= Q as a closest-vector
+search (a shortest-vector search when gamma = 0) in the lattice with basis
+columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q.  Its points within
+sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
+||q|| <= Q and ||A q + p - gamma|| <= eps.  eps starts at Q^(-n/m), where
+Dirichlet guarantees a homogeneous hit and the lattice has determinant 1, and
+doubles until the best error found is at most eps: then every q that could
+beat it was inside the ball, and once eps >= 1/2 every q is.  The basis is
+LLL-reduced and the ball enumerated by `lattice_dyn._enumerate_in_radius`,
+whose box is complete for any basis, so the reduction only sets the speed.
+
+Outcomes are exact.  Every entry and gamma keep their exact rational value
+next to the mpf: p/q and decimal strings, ints, floats and Fractions as
+given, an mpf as its dyadic value.  A float64 score of each enumerated q
+picks a shortlist that provably holds every optimal q, and the shortlist is
+rescored in integer arithmetic over one common denominator.  Ties break by
+smallest sup-norm, then by q lexicographically in the coordinatewise order
+0, 1, -1, 2, -2, ... (p is a function of q).
 
 Error convention (matches the inhomogeneous problems downstream):
 
@@ -16,7 +28,6 @@ Error convention (matches the inhomogeneous problems downstream):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -29,7 +40,6 @@ from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 DEFAULT_PRECISION = 256
 DEFAULT_MAX_ENUM = 30_000_000
 _CHUNK_ROWS = 1 << 17
-_SHORTLIST_CAP = 256
 
 EntryLike = Union[str, float, int, Fraction, mp.mpf]
 
@@ -43,12 +53,33 @@ def _to_mpf(v: EntryLike, prec: int) -> mp.mpf:
         return mp.mpf(v)
 
 
+def _to_fraction(v: EntryLike, value: mp.mpf) -> Optional[Fraction]:
+    """Exact value of an entry whose working-precision mpf is `value`.
+
+    p/q and decimal strings, ints, floats and Fractions are taken as given,
+    an mpf as its dyadic value at the precision it came with, anything else
+    as the dyadic value of `value`.  None when the entry is not finite.
+    """
+    if not mp.isfinite(value):
+        return None
+    if isinstance(v, (Fraction, int, float)):
+        return Fraction(v)
+    if isinstance(v, str):
+        try:
+            return Fraction(v.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raw = v if isinstance(v, mp.mpf) else value
+    return Fraction(*mp.libmp.to_rational(raw._mpf_))
+
+
 @dataclass(frozen=True)
 class RealMatrix:
     m: int
     n: int
-    entries: Tuple[mp.mpf, ...]  # row-major
+    entries: Tuple[mp.mpf, ...]  # row-major, at working precision
     precision_bits: int = DEFAULT_PRECISION
+    exact: Optional[Tuple[Fraction, ...]] = None  # row-major exact values
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -57,18 +88,25 @@ class RealMatrix:
             raise ValidationError("entry count does not match dimensions")
         if any(not mp.isfinite(e) for e in self.entries):
             raise ValidationError("matrix entries must be finite")
+        if self.exact is None:
+            object.__setattr__(self, "exact", tuple(_to_fraction(e, e) for e in self.entries))
+        elif len(self.exact) != len(self.entries):
+            raise ValidationError("exact entry count does not match dimensions")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[EntryLike]],
                   precision_bits: int = DEFAULT_PRECISION) -> "RealMatrix":
         m = len(rows)
         n = len(rows[0]) if m else 0
-        ent = []
+        ent, exact = [], []
         for row in rows:
             if len(row) != n:
                 raise ValidationError("ragged matrix rows")
-            ent.extend(_to_mpf(v, precision_bits) for v in row)
-        return RealMatrix(m=m, n=n, entries=tuple(ent), precision_bits=precision_bits)
+            for v in row:
+                ent.append(_to_mpf(v, precision_bits))
+                exact.append(_to_fraction(v, ent[-1]))
+        return RealMatrix(m=m, n=n, entries=tuple(ent), precision_bits=precision_bits,
+                          exact=tuple(exact))
 
     @staticmethod
     def scalar(value: EntryLike, precision_bits: int = DEFAULT_PRECISION) -> "RealMatrix":
@@ -137,92 +175,152 @@ def _canon_keys(vecs: np.ndarray) -> tuple:
     return tuple(keys)
 
 
-def _parse_gamma(gamma, m: int, prec: int) -> Tuple[mp.mpf, ...]:
+def _parse_gamma(gamma, m: int, prec: int) -> Tuple[Fraction, ...]:
+    """Exact values of the m coordinates of gamma (None or 0 for the origin)."""
     if gamma is None or (isinstance(gamma, (int, float)) and gamma == 0):
-        return tuple(mp.mpf(0) for _ in range(m))
+        return (Fraction(0),) * m
     if isinstance(gamma, (str, mp.mpf, Fraction)) or not isinstance(gamma, Iterable):
         gamma = [gamma]
-    vals = tuple(_to_mpf(v, prec) for v in gamma)
+    vals = tuple(_to_fraction(v, _to_mpf(v, prec)) for v in gamma)
     if len(vals) != m:
         raise ValidationError(f"gamma must have {m} coordinates")
+    if any(v is None for v in vals):
+        raise ValidationError("gamma must be finite")
     return vals
 
 
-def _exact_error(A: RealMatrix, q: Sequence[int], gamma: Tuple[mp.mpf, ...], prec: int):
-    """Exact (error, p) for one q at working precision."""
-    with mp.workprec(prec + 16):
-        best_p = []
-        worst = mp.mpf(0)
-        for i in range(A.m):
-            r = mp.fsum(A.entry(i, j) * q[j] for j in range(A.n)) - gamma[i]
-            fl = mp.floor(r)
-            frac = r - fl
-            # nearest integer to -r; tie (frac exactly 1/2) -> smaller p
-            if frac > mp.mpf(1) / 2:
-                p_i = -int(fl) - 1
-            elif frac < mp.mpf(1) / 2:
-                p_i = -int(fl)
-            else:
-                p_i = -int(fl) - 1
-            dev = abs(r + p_i)
-            best_p.append(p_i)
-            if dev > worst:
-                worst = dev
-        return +worst, tuple(best_p)
+def _exact_form(A: RealMatrix, gamma: Tuple[Fraction, ...], q_max: int):
+    """(D, N, G) with A = N / D and gamma = G / D over one common denominator D.
 
-
-def _iter_q_chunks(n: int, Q: int, chunk_rows: int, half: bool = False):
-    """Yield integer q-grids (chunk, n) covering [-Q, Q]^n in lex order.
-
-    With half=True only vectors whose first nonzero coordinate is positive
-    are produced (the upper half of the lex order); for gamma = 0 the error
-    is symmetric under q -> -q and every canonical tie-break winner lies in
-    that half.
+    N (m, n) and G (m,) are int64 arrays when D (A q - gamma) fits in int64
+    for every ||q|| <= q_max, and arrays of Python ints otherwise.
     """
-    side = 2 * Q + 1
-    total = side**n
+    vals = A.exact + tuple(gamma)
+    D = math.lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (D // v.denominator) for v in vals]
+    N = [nums[i * A.n:(i + 1) * A.n] for i in range(A.m)]
+    G = nums[A.m * A.n:]
+    bound = max(sum(abs(a) for a in row) * q_max + abs(g) for row, g in zip(N, G)) + 2 * D
+    dtype = np.int64 if bound < 2**62 else object
+    return D, np.array(N, dtype=dtype).reshape(A.m, A.n), np.array(G, dtype=dtype)
+
+
+def _exact_error(form, qs: np.ndarray):
+    """D * err(q) and the nearest p, exactly, for each row q of `qs` (k, n).
+
+    Returns (errs (k,), p (k, m)).  An exact half goes to the smaller p.
+    """
+    D, N, G = form
+    r = qs.astype(N.dtype) @ N.T - G  # D (A q - gamma)
+    fl = r // D
+    rem = r - fl * D  # D * frac(A q - gamma)
+    twice = 2 * rem
+    dev = np.where(twice <= D, rem, D - rem)
+    p = np.where(twice < D, -fl, -fl - 1)
+    return dev.max(axis=1), p
+
+
+def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
+    """err / D correctly rounded to prec bits."""
+    with mp.workprec(prec):
+        return mp.mpf(mp.libmp.from_rational(int(err), D, prec, mp.libmp.round_nearest))
+
+
+def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None, half: bool = False):
+    """Yield integer grids (rows, d) covering the box lo <= c <= hi in lex order.
+
+    `chunk_rows` rows at a time, or the whole box at once when None.  With
+    half=True, for a box symmetric about 0, only vectors whose first nonzero
+    coordinate is positive are produced (the upper half of the lex order); for
+    gamma = 0 the error is symmetric under q -> -q and every canonical
+    tie-break winner lies in that half.
+    """
+    lo = [int(v) for v in lo]
+    sides = [int(h) - l + 1 for l, h in zip(lo, hi)]
+    if min(sides) < 1:
+        return
+    total = math.prod(sides)
+    pows = [math.prod(sides[j + 1:]) for j in range(len(sides))]
     start = (total - 1) // 2 + 1 if half else 0
-    pows = [side**(n - 1 - j) for j in range(n)]
+    step = total if chunk_rows is None else chunk_rows
     while start < total:
-        stop = min(start + chunk_rows, total)
+        stop = min(start + step, total)
         idx = np.arange(start, stop, dtype=np.int64)
-        grid = np.empty((stop - start, n), dtype=np.int64)
-        for j, pw in enumerate(pows):
-            np.subtract((idx // pw) % side, Q, out=grid[:, j])
+        grid = np.empty((stop - start, len(sides)), dtype=np.int64)
+        for j, (pw, side) in enumerate(zip(pows, sides)):
+            np.add((idx // pw) % side, lo[j], out=grid[:, j])
         yield grid
         start = stop
 
 
-def _chunk_champion(A: RealMatrix, Af: np.ndarray, gf: np.ndarray, grid: np.ndarray,
-                    gamma_exact, guard: float, prec: int):
-    """Best record in one chunk: float pass then exact rescoring of a shortlist."""
-    norms = np.abs(grid).max(axis=1)
-    keep = norms > 0
-    if not keep.all():
-        grid = grid[keep]
-        norms = norms[keep]
-    if grid.shape[0] == 0:
-        return None
-    R = grid.astype(np.float64) @ Af.T - gf
-    E = np.abs(R - np.rint(R)).max(axis=1)
-    emin = E.min()
-    cand = np.nonzero(E <= emin + guard)[0]
-    if cand.size > _SHORTLIST_CAP:
-        order = np.lexsort(_canon_keys(grid[cand]) + (norms[cand], E[cand]))
-        cand = cand[order[:_SHORTLIST_CAP]]
-    best = None
-    for i in cand:
-        q = tuple(int(v) for v in grid[i])
-        err, p = _exact_error(A, q, gamma_exact, prec)
-        key = (err, int(norms[i]), _canon(q), _canon(p))
+def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
+    """The reduced lattice of `best_approx` for one eps, as `_enumerate_in_radius` takes it.
+
+    Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q.  LLL runs in
+    float64, but its reduced columns B T are rebuilt from the integer T with
+    each entry rounded once from its exact value: at Q = 1.4e7 the float
+    columns drift far enough to lose points at the edge of the ball.
+    """
+    from .lattice_dyn import _lll, _with_dual_bound  # lattice_dyn imports this module
+
+    D, N, _ = form
+    m, n = Af.shape
+    B = np.zeros((m + n, m + n))
+    B[:m, :m] = np.eye(m) / eps
+    B[:m, m:] = Af / eps
+    B[m:, m:] = np.eye(n) / Q
+    _, T = _lll(B)
+    Tp, Tq = T[:m].astype(object), T[m:].astype(object)
+    top = (Tp * D + N.astype(object) @ Tq) / D  # A Tq + Tp, each entry one rounding
+    return _with_dual_bound(np.vstack([top.astype(np.float64) / eps, T[m:] / Q]), T)
+
+
+def _best_in_ball(form, Af: np.ndarray, gf: np.ndarray, Q: int, eps: float, guard: float):
+    """Best (key, q) over 0 < ||q|| <= Q with ||A q + p - gamma|| <= eps for some p.
+
+    key = (D err(q), ||q||, _canon(q)) ranks in the documented order; None when
+    the ball holds no such q.  Chunks keep a running champion: a float score
+    E(q), within `guard` of err(q), shortlists every q that can tie or beat
+    the best seen, and only the shortlist is rescored exactly.
+    """
+    from .lattice_dyn import _enumerate_in_radius  # lattice_dyn imports this module
+
+    m, n = Af.shape
+    reduced = _ball_lattice(form, Af, Q, eps)
+    target = np.concatenate([gf / eps, np.zeros(n)]) if gf.any() else None
+    best, emin = None, math.inf
+    for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20, None,
+                                                      target, _CHUNK_ROWS):
+        q = coeffs[:, m:]
+        qn = np.abs(q).max(axis=1)
+        keep = (qn > 0) & (qn <= Q)
+        if not keep.any():
+            continue
+        q, qn = q[keep], qn[keep]
+        R = q.astype(np.float64) @ Af.T - gf
+        E = np.abs(R - np.rint(R)).max(axis=1)
+        emin = min(emin, float(E.min()))
+        cand = np.nonzero(E <= emin + 2 * guard)[0]
+        if cand.size == 0:  # an earlier chunk holds something better
+            continue
+        errs, _ = _exact_error(form, q[cand])
+        e0 = errs.min()
+        ties = cand[np.nonzero(errs == e0)[0]]
+        i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
+        key = (int(e0), int(qn[i]), _canon(q[i]))
         if best is None or key < best[0]:
-            best = (key, q, p, err, int(norms[i]))
+            best = (key, q[i].copy())
     return best
 
 
 def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
-                max_enum: int = DEFAULT_MAX_ENUM, workers: int = 1) -> ApproxRecord:
-    """Exhaustive minimizer of ||Aq + p - gamma||_inf over 0 < ||q||_inf <= Q."""
+                max_enum: int = DEFAULT_MAX_ENUM) -> ApproxRecord:
+    """Exact minimizer of ||Aq + p - gamma||_inf over 0 < ||q||_inf <= Q.
+
+    The documented budget is the q-box: (2Q+1)^n above max_enum raises, as a
+    scan of it would need.  The search itself is the lattice enumeration of
+    the module docstring.
+    """
     if Q < 1:
         raise ValidationError("Q must be >= 1")
     count = (2 * Q + 1) ** A.n
@@ -230,29 +328,26 @@ def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
         raise BudgetExceededError(
             f"enumeration of {count} q-vectors exceeds budget {max_enum}; "
             "split the window into smaller Q ranges")
-    prec = A.precision_bits
-    gamma_exact = _parse_gamma(gamma, A.m, prec)
+    gamma_exact = _parse_gamma(gamma, A.m, A.precision_bits)
+    form = _exact_form(A, gamma_exact, Q)
+    D = form[0]
     Af = A.as_array()
     gf = np.array([float(g) for g in gamma_exact], dtype=np.float64)
-    scale = float(np.abs(Af).sum(axis=1).max()) * Q + float(np.abs(gf).max() if gf.size else 0) + 1.0
-    guard = scale * 2.0**-44
-    half = all(g == 0 for g in gamma_exact)
-    chunk_iter = _iter_q_chunks(A.n, Q, _CHUNK_ROWS, half=half)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            champs = list(pool.map(
-                lambda g: _chunk_champion(A, Af, gf, g, gamma_exact, guard, prec),
-                chunk_iter))
-    else:
-        champs = [_chunk_champion(A, Af, gf, g, gamma_exact, guard, prec)
-                  for g in chunk_iter]
-    best = None
-    for ch in champs:  # fixed merge order
-        if ch is not None and (best is None or ch[0] < best[0]):
-            best = ch
-    _, q, p, err, qn = best
-    return ApproxRecord(q=q, p=p, error=err, q_norm=qn,
-                        exponent_sample=_exponent_sample(float(err), qn))
+    scale = float(np.abs(Af).sum(axis=1).max()) * Q + float(np.abs(gf).max()) + 1.0
+    guard = scale * 2.0**-44  # bounds |float score - exact error| for every q in the box
+    eps = float(Q) ** (-A.n / A.m)
+    while True:
+        best = _best_in_ball(form, Af, gf, Q, eps, guard)
+        # every q with err <= eps was in the ball; at eps >= 1/2 every q was
+        if eps >= 0.5 or (best is not None and Fraction(best[0][0], D) <= Fraction(eps)):
+            break
+        eps *= 2
+    (err, qn, _), qv = best
+    _, p = _exact_error(form, qv[None, :])
+    error = _error_mpf(err, D, A.precision_bits)
+    return ApproxRecord(q=tuple(int(v) for v in qv), p=tuple(int(v) for v in p[0]),
+                        error=error, q_norm=qn,
+                        exponent_sample=_exponent_sample(float(error), qn))
 
 
 def dirichlet_check(A: RealMatrix, Q: int, **kw) -> Tuple[bool, ApproxRecord]:
@@ -319,12 +414,13 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
-                      burn_in: int = 2, max_enum: int = DEFAULT_MAX_ENUM,
-                      workers: int = 1) -> ExponentFit:
+                      burn_in: int = 2, max_enum: int = DEFAULT_MAX_ENUM) -> ExponentFit:
     """Windowed homogeneous exponent scan over ||q|| in [B^k, B^(k+1)).
 
     Negative q mirror positive ones when gamma = 0, so for n = 1 only
-    q > 0 is scanned.  An exact rational hit reports the +inf sentinel.
+    q > 0 is scanned, and for n >= 2 the upper half of the q-box.  Each
+    window champion is rescored exactly; an exact rational hit reports the
+    +inf sentinel.
     """
     if window_base <= 1:
         raise ValidationError("window_base must be > 1")
@@ -333,7 +429,7 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
     prec = A.precision_bits
     B = float(window_base)
     k_top = int(math.floor(math.log(Q_max) / math.log(B)))
-    gamma_exact = _parse_gamma(None, A.m, prec)
+    form = _exact_form(A, _parse_gamma(None, A.m, prec), Q_max)
 
     champions = {}  # k -> (sample, q_norm, q tuple, err_float)
     if A.n == 1:
@@ -359,7 +455,7 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
                 f"exponent scan of {count} q-vectors exceeds budget {max_enum}")
         Af = A.as_array()
         gf = np.zeros(A.m)
-        for grid in _iter_q_chunks(A.n, Q_max, _CHUNK_ROWS, half=True):
+        for grid in _iter_box_chunks([-Q_max] * A.n, [Q_max] * A.n, _CHUNK_ROWS, half=True):
             norms = np.abs(grid).max(axis=1)
             keep = norms > 1
             grid2, norms2 = grid[keep], norms[keep]
@@ -386,7 +482,9 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
     exact_hit = None
     for k in sorted(champions):
         sample, qn, qv, efloat = champions[k]
-        err_exact, p_exact = _exact_error(A, qv, gamma_exact, prec)
+        errs, ps = _exact_error(form, np.array([qv], dtype=np.int64))
+        err_exact = _error_mpf(errs[0], form[0], prec)
+        p_exact = tuple(int(v) for v in ps[0])
         if err_exact == 0:
             exact_hit = qv
             sample = math.inf

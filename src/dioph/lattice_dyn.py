@@ -4,7 +4,9 @@ All norms are sup-norms.  Shortest vectors are found by complete enumeration
 over the coefficient box |c_i| <= ||row_i(B^-1)||_1 * radius of a basis B.
 That dual bound holds for every basis, so completeness comes from it and not
 from the reduction: LLL only shrinks the box.  Each call reduces its lattice
-once and reuses the reduction on every radius doubling.  Along a flow
+once and reuses the reduction on every radius doubling.  The same
+enumerator, centred on a target and walked in chunks, is the closest-vector
+search behind `dioph_matrix.best_approx`.  Along a flow
 (`flow_profile`, and the dual flow behind `haw_game.derive_strategy`) the
 reduction is carried from sample to sample: g_dt times the last reduced
 basis starts the next LLL, which then only touches it up.
@@ -18,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dioph_matrix import RealMatrix, _canon_keys
+from .dioph_matrix import RealMatrix, _canon_keys, _iter_box_chunks
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 
 DEFAULT_MAX_ENUM = 2_000_000
@@ -164,6 +166,11 @@ def _reduce(L: LatticeBasis, carry: Optional[_FlowCarry] = None):
         T = carry.T @ T
     if carry is not None:
         carry.lattice, carry.reduced, carry.T = L.basis, Bred, T
+    return _with_dual_bound(Bred, T)
+
+
+def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):
+    """(Bred, T, ||row_i(Bred^-1)||_1): the form `_enumerate_in_radius` takes."""
     try:
         inv = np.linalg.inv(Bred)
     except np.linalg.LinAlgError as e:
@@ -171,40 +178,56 @@ def _reduce(L: LatticeBasis, carry: Optional[_FlowCarry] = None):
     return Bred, T, np.abs(inv).sum(axis=1)
 
 
-def _enumerate_in_radius(reduced, radius: float, max_enum: int):
-    """All (coeffs-in-original-basis, vector) with 0 < sup-norm <= radius.
+def _enumerate_in_radius(reduced, radius: float, max_enum: Optional[int] = None,
+                         target: Optional[np.ndarray] = None,
+                         chunk_rows: Optional[int] = None):
+    """Chunks (coeffs, vecs, norms) of the lattice points v with ||v - target|| <= radius.
 
-    `reduced` is `_reduce`'s result; the box |c_i| <= ||row_i(B^-1)||_1 * radius
-    is complete for any basis B, so the reduction only shrinks it.
+    `reduced` is `_reduce`'s result.  coeffs are in the original basis, vecs
+    are v - target.  Without a target the zero vector is left out.  The box
+    |c_i - (B^-1 target)_i| <= ||row_i(B^-1)||_1 * radius is complete for any
+    basis B, so the reduction only shrinks it; each side is widened by
+    1e-9 (1 + |centre_i|) to cover float error.  The box is walked in lex
+    order, `chunk_rows` points at a time (the whole box in one chunk when
+    None).  A box of more than max_enum points raises.
     """
     Bred, T, inv_l1 = reduced
-    bounds = np.floor(inv_l1 * radius + 1e-9).astype(np.int64)
-    total = int(np.prod(2 * bounds.astype(np.float64) + 1))
-    if total > max_enum:
+    half = inv_l1 * radius
+    center = np.zeros(len(inv_l1)) if target is None else np.linalg.solve(Bred, target)
+    slack = 1e-9 * (1 + np.abs(center))
+    lo = np.ceil(center - half - slack).astype(np.int64)
+    hi = np.floor(center + half + slack).astype(np.int64)
+    total = int(np.prod((hi - lo + 1).astype(np.float64)))
+    if max_enum is not None and total > max_enum:
         raise BudgetExceededError(
             f"enumeration box of {total} points exceeds budget {max_enum}")
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, Bred.shape[0])
-    vecs = grid.astype(np.float64) @ Bred.T
-    norms = np.abs(vecs).max(axis=1)
-    keep = (norms <= radius * (1 + 1e-12)) & (np.abs(grid).max(axis=1) > 0)
-    coeffs = grid[keep] @ T.T  # back to original-basis coefficients
-    return coeffs, vecs[keep], norms[keep]
+    for grid in _iter_box_chunks(lo, hi, chunk_rows):
+        vecs = grid.astype(np.float64) @ Bred.T
+        if target is not None:
+            vecs -= target
+        norms = np.abs(vecs).max(axis=1)
+        keep = norms <= radius * (1 + 1e-12)
+        if target is None:
+            keep &= np.abs(grid).max(axis=1) > 0
+        coeffs = grid[keep] @ T.T  # back to original-basis coefficients
+        yield coeffs, vecs[keep], norms[keep]
 
 
 def shortest_vector(L: LatticeBasis, search_radius: Optional[float] = None,
                     max_enum: int = DEFAULT_MAX_ENUM, *,
                     _carry: Optional[_FlowCarry] = None):
-    """Sup-norm shortest nonzero vector; ties broken by lexicographic coefficients.
+    """Sup-norm shortest nonzero vector.
 
-    Returns (vector, coeffs, length).  The radius auto-doubles until a
+    Returns (vector, coeffs, length).  Ties go to the coefficient vector that
+    comes first lexicographically in the coordinatewise order 0, 1, -1, 2, -2,
+    ... (`dioph_matrix._canon`).  The radius auto-doubles until a
     nonzero vector is inside; Minkowski gives det^(1/d) as a sound start.
     """
     d = L.dimension
     radius = search_radius if search_radius else L.det_abs ** (1.0 / d) * 1.0000001
     reduced = _reduce(L, _carry)
     for _ in range(64):
-        coeffs, vecs, norms = _enumerate_in_radius(reduced, radius, max_enum)
+        coeffs, vecs, norms = next(_enumerate_in_radius(reduced, radius, max_enum))
         if norms.size:
             best = norms.min()
             cand = np.nonzero(norms <= best * (1 + 1e-12))[0]
@@ -252,7 +275,7 @@ def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM,
     radius = L.det_abs ** (1.0 / d) * 1.0000001
     reduced = _reduce(L, _carry)
     for _ in range(64):
-        coeffs, vecs, norms = _enumerate_in_radius(reduced, radius, max_enum)
+        coeffs, vecs, norms = next(_enumerate_in_radius(reduced, radius, max_enum))
         if norms.size:
             order = np.lexsort(_canon_keys(coeffs) + (norms,))
             chosen: List[int] = []
@@ -287,7 +310,7 @@ def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> flo
     radius = L.det_abs ** (1.0 / L.dimension) * 1.0000001
     reduced = _reduce(L)
     for _ in range(64):
-        _coeffs, vecs, _norms = _enumerate_in_radius(reduced, radius, max_enum)
+        _coeffs, vecs, _norms = next(_enumerate_in_radius(reduced, radius, max_enum))
         if vecs.shape[0]:
             best = float(np.abs(vecs).sum(axis=1).min())
             if best <= radius * (1 + 1e-12):

@@ -1,0 +1,279 @@
+"""best_approx by lattice enumeration against the q-box scan and an exact oracle."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dioph import dioph_matrix, lattice_dyn
+from dioph.dioph_matrix import (RealMatrix, _ball_lattice, _canon, _canon_keys,
+                                _exact_error, _exact_form, _iter_box_chunks, best_approx)
+from dioph.errors import ValidationError
+
+PREC = 128
+
+
+# ---------------------------------------------------------------------------
+# reference: the q-box scan best_approx used before the lattice kernel
+
+
+def _reference_exact_error(A, q, gamma, prec):
+    """(error, p) for one q from the mpf entries at prec + 16 bits."""
+    with mp.workprec(prec + 16):
+        best_p = []
+        worst = mp.mpf(0)
+        for i in range(A.m):
+            r = mp.fsum(A.entry(i, j) * q[j] for j in range(A.n)) - gamma[i]
+            fl = mp.floor(r)
+            frac = r - fl
+            p_i = -int(fl) if frac < mp.mpf(1) / 2 else -int(fl) - 1
+            best_p.append(p_i)
+            worst = max(worst, abs(r + p_i))
+        return +worst, tuple(best_p)
+
+
+def _reference_best_approx(A, gamma, Q):
+    """Scan of every q in [-Q, Q]^n (the upper half when gamma = 0).
+
+    A float64 pass, then exact rescoring of every q within 2^-44 * scale of
+    the float minimum, ranked by (error, sup norm, _canon(q), _canon(p)).
+    Unlike the old library scan, the shortlist is not truncated.
+    """
+    m, n = A.m, A.n
+    with mp.workprec(PREC):
+        g = [mp.mpf(0)] * m if gamma is None else [mp.mpf(v) for v in gamma]
+    Af = A.as_array()
+    gf = np.array([float(v) for v in g])
+    scale = float(np.abs(Af).sum(axis=1).max()) * Q + float(np.abs(gf).max()) + 1.0
+    guard = scale * 2.0**-44
+    grid = np.array(list(itertools.product(range(-Q, Q + 1), repeat=n)), dtype=np.int64)
+    if gamma is None:
+        grid = grid[(len(grid) - 1) // 2 + 1:]
+    norms = np.abs(grid).max(axis=1)
+    grid, norms = grid[norms > 0], norms[norms > 0]
+    R = grid.astype(np.float64) @ Af.T - gf
+    E = np.abs(R - np.rint(R)).max(axis=1)
+    best = None
+    for i in np.nonzero(E <= E.min() + guard)[0]:
+        q = tuple(int(v) for v in grid[i])
+        err, p = _reference_exact_error(A, q, g, A.precision_bits)
+        key = (err, int(norms[i]), _canon(q), _canon(p))
+        if best is None or key < best[0]:
+            best = (key, q, p, err)
+    return best[1], best[2], best[3]
+
+
+# ---------------------------------------------------------------------------
+# exact oracle over Fractions, in the documented tie order
+
+
+def _exact_oracle(rows, gamma, Q):
+    """Brute force over 0 < ||q|| <= Q in integers over one common denominator."""
+    A = [[Fraction(v) for v in row] for row in rows]
+    g = [Fraction(0)] * len(A) if gamma is None else [Fraction(v) for v in gamma]
+    D = math.lcm(*(v.denominator for v in itertools.chain(*A, g)))
+    N = [[int(v * D) for v in row] for row in A]
+    G = [int(v * D) for v in g]
+    best_key, best_q = None, None
+    for q in itertools.product(range(-Q, Q + 1), repeat=len(A[0])):
+        if not any(q):
+            continue
+        err = 0
+        for row, gi in zip(N, G):
+            r = (sum(a * b for a, b in zip(row, q)) - gi) % D
+            err = max(err, min(r, D - r))
+        key = (err, max(abs(v) for v in q), _canon(q))
+        if best_key is None or key < best_key:
+            best_key, best_q = key, q
+    p = []
+    for row, gi in zip(N, G):
+        fl, r = divmod(sum(a * b for a, b in zip(row, best_q)) - gi, D)
+        p.append(-fl if 2 * r < D else -fl - 1)
+    return best_q, tuple(p), Fraction(best_key[0], D)
+
+
+def _check_exact(rows, gamma, Q):
+    A = RealMatrix.from_rows(rows, PREC)
+    rec = best_approx(A, gamma, Q)
+    q, p, err = _exact_oracle(rows, gamma, Q)
+    assert (rec.q, rec.p) == (q, p), (rows, gamma, Q)
+    with mp.workprec(PREC):
+        assert rec.error == mp.mpf(err.numerator) / err.denominator
+
+
+# ---------------------------------------------------------------------------
+
+
+# Floats of magnitude >= 1e-9 keep every error exact in PREC bits, so the
+# scan's mpf rescoring is exact too and (q, p, error) must agree exactly.
+_FLOAT = st.floats(-3, 3, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 1e-9)
+_ENTRY = st.one_of(
+    _FLOAT,
+    # near-rational entries: a/b plus nothing, a rounding-level or a small offset
+    st.builds(lambda a, b, d: a / b + d, st.integers(-6, 6), st.integers(1, 7),
+              st.sampled_from([0.0, 1e-15, -1e-12, 1e-9, -3e-7])),
+)
+
+
+@st.composite
+def _float_instances(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    Q = draw(st.integers(1, {1: 40, 2: 10, 3: 4}[n]))
+    rows = [[draw(_ENTRY) for _ in range(n)] for _ in range(m)]
+    gamma = draw(st.one_of(st.none(), st.lists(_FLOAT.filter(lambda x: abs(x) <= 1),
+                                               min_size=m, max_size=m)))
+    return rows, gamma, Q
+
+
+@given(_float_instances())
+def test_kernel_matches_reference_scan(inst):
+    rows, gamma, Q = inst
+    A = RealMatrix.from_rows(rows, PREC)
+    rec = best_approx(A, gamma, Q)
+    q, p, err = _reference_best_approx(A, gamma, Q)
+    assert (rec.q, rec.p, rec.error) == (q, p, err)
+    assert rec.q_norm == max(abs(v) for v in q)
+
+
+def test_rational_matrices_against_exact_oracle():
+    rng = random.Random(2024)
+    for trial in range(60):
+        m = 1 if trial % 2 == 0 else 2
+        Q = rng.randint(1, 25 if m == 1 else 10)
+        rows = [[f"{rng.randint(-13, 13)}/{rng.randint(1, 12)}" for _ in range(2)]
+                for _ in range(m)]
+        gamma = None
+        if trial % 4 >= 2:
+            gamma = [f"{rng.randint(-9, 9)}/{rng.randint(1, 10)}" for _ in range(m)]
+        _check_exact(rows, gamma, Q)
+
+
+def test_roadmap_tie_example():
+    # parsed to mpf, rounding noise used to pick q = (1, -6) or (5, -8) here
+    A = RealMatrix.from_rows([["5/11", "-1/11"]], PREC)
+    rec = best_approx(A, None, 51)
+    assert (rec.q, rec.p, rec.error) == ((2, -1), (-1,), 0)
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    real = lattice_dyn._lll
+
+    def counting(cols, *args, **kw):
+        calls.append(cols.shape)
+        return real(cols, *args, **kw)
+
+    monkeypatch.setattr(lattice_dyn, "_lll", counting)
+    return calls
+
+
+def test_eps_doubling_cases(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    # every q is at distance exactly 1/2: eps doubles from 1/10 up to 1/2
+    rec = best_approx(RealMatrix.from_rows([["0"]], PREC), "1/2", 10)
+    assert (rec.q, rec.p, rec.error) == ((1,), (0,), mp.mpf(1) / 2)
+    assert len(calls) == 4  # eps = 0.1, 0.2, 0.4, 0.8
+    calls.clear()
+    _check_exact([["2", "6"]], ["3/10"], 30)
+    assert len(calls) > 1
+
+
+def test_tie_heavy_inputs_against_exact_oracle():
+    _check_exact([["1/2", "1/2"]], None, 200)
+    _check_exact([["2", "6"]], ["3/10"], 100)
+    _check_exact([["0", "0"]], None, 100)
+    # the old 256-candidate shortlist returned q = (-64, -64) here
+    rec = best_approx(RealMatrix.from_rows([["2", "6"]], PREC), "0.3", 100)
+    assert (rec.q, rec.p) == ((0, 1), (-6,))
+
+
+def test_chunked_enumeration_matches_single_chunk(monkeypatch):
+    cases = [([["1/2", "1/2"]], None, 20), ([["2", "6"]], ["3/10"], 12),
+             ([[0.3141, -1.25], [0.77, 2.5]], [0.1, -0.45], 15),
+             ([[1.618033988749895, 0.4142135623730951, 0.7320508075688772]], None, 6)]
+    whole = [best_approx(RealMatrix.from_rows(r, PREC), g, Q) for r, g, Q in cases]
+    monkeypatch.setattr(dioph_matrix, "_CHUNK_ROWS", 7)
+    for (r, g, Q), rec in zip(cases, whole):
+        small = best_approx(RealMatrix.from_rows(r, PREC), g, Q)
+        assert (small.q, small.p, small.error) == (rec.q, rec.p, rec.error)
+
+
+def test_ball_keeps_its_edge_points():
+    # (p, q) = +-(10328364, -6383280) lies at scaled distance 0.99999926 from 0
+    # in the ball of phi at Q = 1.4e7, eps = 4096/Q; the float LLL columns
+    # (error about 6e-8 here) lost both, the rebuilt columns keep them
+    phi = "1.6180339887498948482045868343656381177203091798057628621354486227"
+    A = RealMatrix.from_rows([[phi]], PREC)
+    Q, eps = 14_000_000, 4096 / 14_000_000
+    for p, q in ((10328364, -6383280), (-10328364, 6383280)):
+        assert abs(A.exact[0] * q + p) <= Fraction(eps) and abs(q) <= Q
+    reduced = _ball_lattice(_exact_form(A, (Fraction(0),), Q), A.as_array(), Q, eps)
+    found = {tuple(c) for chunk in lattice_dyn._enumerate_in_radius(
+        reduced, 1.0 + 2.0**-20, None, None, 1 << 17) for c in chunk[0].tolist()}
+    assert {(10328364, -6383280), (-10328364, 6383280)} <= found
+
+
+def test_iter_box_chunks_lex_order():
+    lo, hi = [-1, 2, 0], [1, 3, 2]
+    expect = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    for rows in (None, 1, 4, 100):
+        got = [tuple(v) for g in _iter_box_chunks(lo, hi, rows) for v in g.tolist()]
+        assert got == expect
+    sym = list(itertools.product(range(-2, 3), repeat=2))
+    half = [tuple(v) for g in _iter_box_chunks([-2, -2], [2, 2], 3, half=True)
+            for v in g.tolist()]
+    assert half == sym[len(sym) // 2 + 1:]
+    assert all(next(v for v in q if v) > 0 for q in half)
+    assert list(_iter_box_chunks([0, 1], [3, 0])) == []
+
+
+def test_exact_error_int64_and_object_agree():
+    A = RealMatrix.from_rows([["5/11", "-7/3"], ["0.125", "-2"]], PREC)
+    gamma = (Fraction(1, 2), Fraction(-3, 7))
+    small, big = _exact_form(A, gamma, 10), _exact_form(A, gamma, 2**70)
+    assert small[1].dtype == np.int64 and big[1].dtype == object
+    qs = np.array(list(itertools.product(range(-10, 11), repeat=2)), dtype=np.int64)
+    e1, p1 = _exact_error(small, qs)
+    e2, p2 = _exact_error(big, qs)
+    assert [int(v) for v in e1] == [int(v) for v in e2]
+    assert p1.tolist() == [[int(v) for v in row] for row in p2]
+    # against Fractions, an exact half going to the smaller p
+    D = small[0]
+    for q, e, p in zip(qs.tolist(), e1.tolist(), p1.tolist()):
+        for i in range(2):
+            r = sum(A.exact[2 * i + j] * q[j] for j in range(2)) - gamma[i]
+            assert abs(r + p[i]) <= Fraction(1, 2)
+            if abs(r + p[i]) == Fraction(1, 2):
+                assert r + p[i] == Fraction(-1, 2)  # p is the smaller of the two
+        assert Fraction(e, D) == max(
+            abs(sum(A.exact[2 * i + j] * q[j] for j in range(2)) - gamma[i] + p[i])
+            for i in range(2))
+
+
+def test_exact_entry_values():
+    with mp.workprec(200):
+        x = mp.mpf(-2) / 3
+    A = RealMatrix.from_rows([["1/3", "-0.1", 7, -0.75, Fraction(-5, 9), x]], PREC)
+    assert A.exact[:5] == (Fraction(1, 3), Fraction(-1, 10), Fraction(7),
+                           Fraction(-3, 4), Fraction(-5, 9))
+    assert A.exact[5] < 0 and abs(A.exact[5] + Fraction(2, 3)) < Fraction(1, 2**190)
+    # a matrix built from mpf entries alone keeps their dyadic values
+    B = RealMatrix(m=1, n=2, entries=(mp.mpf(-0.375), mp.mpf(3)))
+    assert B.exact == (Fraction(-3, 8), Fraction(3))
+    with pytest.raises(ValidationError):
+        RealMatrix.from_rows([[float("inf")]], PREC)
+    with pytest.raises(ValidationError):
+        best_approx(RealMatrix.scalar("1/3", PREC), [float("nan")], 5)
+
+
+def test_canon_keys_match_canon():
+    vecs = np.array(list(itertools.product(range(-2, 3), repeat=2)), dtype=np.int64)
+    order = np.lexsort(_canon_keys(vecs))
+    assert [tuple(v) for v in vecs[order].tolist()] == sorted(map(tuple, vecs.tolist()),
+                                                              key=_canon)

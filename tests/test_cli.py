@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import mpmath as mp
 import pytest
 
 from dioph.cli import parse_and_dispatch
@@ -184,3 +187,26 @@ def test_full_precision_hex_column(tmp_path):
                 "--full-precision"]) == 0
     header = read(out + ".csv").decode().splitlines()[0]
     assert "error_hex" in header
+
+
+def test_python_m_dioph_matches_dispatch(tmp_path):
+    mat = tmp_path / "A.json"
+    mat.write_text(json.dumps({"m": 2, "n": 2, "entries": ["5/11", "-0.3", "1.25", "2/7"]}))
+    args = ["dirichlet", "--matrix", str(mat), "--Q", "30"]
+    direct = str(tmp_path / "direct")
+    with mp.workprec(53):  # a fresh interpreter's mpmath precision, for the threshold
+        assert run(args + ["--out", direct]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    via_m = str(tmp_path / "via_m")
+    done = subprocess.run([sys.executable, "-m", "dioph"] + args + ["--out", via_m],
+                          env=env, cwd=str(tmp_path), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    for ext in (".json", ".csv"):
+        assert read(via_m + ext) == read(direct + ext)
+
+
+def test_threads_flag_removed(tmp_path):
+    mat = tmp_path / "A.json"
+    mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["0.5"]}))
+    assert run(["dirichlet", "--matrix", str(mat), "--Q", "5", "--threads", "2"]) == 1

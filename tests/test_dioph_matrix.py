@@ -78,12 +78,12 @@ def test_oracle_equivalence_random():
         assert abs(float(rec.error) - err_o) < 1e-10, (rows, gamma, Q)
 
 
-def test_determinism_across_workers():
+def test_determinism_repeat_calls():
     rng = np.random.default_rng(3)
     rows = [[float(rng.uniform(-2, 2)) for _ in range(2)] for _ in range(2)]
     A = RealMatrix.from_rows(rows, PREC)
-    r1 = best_approx(A, [0.3, -0.4], 40, workers=1)
-    r2 = best_approx(A, [0.3, -0.4], 40, workers=4)
+    r1 = best_approx(A, [0.3, -0.4], 40)
+    r2 = best_approx(A, [0.3, -0.4], 40)
     assert (r1.q, r1.p, r1.error) == (r2.q, r2.p, r2.error)
 
 
