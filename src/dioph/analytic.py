@@ -94,7 +94,7 @@ def real_period(curve: RationalCurve, precision_bits: int = DEFAULT_PRECISION) -
         om = mp.re(om)
         if not om > 0:
             raise ValidationError("period must be positive")
-    return RealPeriod(omega=+om, precision_bits=precision_bits, route=route)
+        return RealPeriod(omega=+om, precision_bits=precision_bits, route=route)
 
 
 @lru_cache(maxsize=32)
@@ -222,9 +222,3 @@ def d_E(curve: RationalCurve, t1, t2, precision_bits: int = DEFAULT_PRECISION) -
     with mp.workprec(precision_bits + 32):
         r = (mp.mpf(_as_t(t1)) - mp.mpf(_as_t(t2))) % om
         return +min(r, om - r)
-
-
-def circle_distance(delta, omega) -> mp.mpf:
-    """min_p |delta + p*omega| without curve context."""
-    r = mp.mpf(delta) % omega
-    return min(r, omega - r)

@@ -202,10 +202,12 @@ def _cmd_curve_log(args, cfg: RunConfig) -> int:
 def _cmd_dirichlet(args, cfg: RunConfig) -> int:
     A = _load_matrix(args.matrix, cfg.precision_bits)
     ok, rec = dirichlet_check(A, args.Q)
+    with mp.workprec(cfg.precision_bits):
+        threshold = mp.mpf(args.Q) ** (-mp.mpf(A.n) / A.m)
     report = {
         "m": A.m, "n": A.n, "Q": args.Q, "ok": ok,
         "q": list(rec.q), "p": list(rec.p),
-        "error": rec.error, "threshold": mp.mpf(args.Q) ** (-mp.mpf(A.n) / A.m),
+        "error": rec.error, "threshold": threshold,
     }
     header = ["Q", "q", "p", "error", "exponent_sample"]
     rows = [[args.Q, " ".join(map(str, rec.q)), " ".join(map(str, rec.p)),

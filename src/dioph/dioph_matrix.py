@@ -1,23 +1,38 @@
 """Matrix Diophantine approximation by lattice enumeration.
 
-`best_approx` minimizes err(q) over 0 < ||q||_inf <= Q as a closest-vector
-search (a shortest-vector search when gamma = 0) in the lattice with basis
-columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q.  Its points within
+Every search over q in this package, the 1-D circle searches of
+`experiments` and `haw_game` included, is one shell search (`_Shells`) over
+lo <= ||q||_inf <= hi.  It enumerates the lattice with basis columns
+(e_i/eps, 0) for p and (A e_j/eps, e_j/hi) for q, whose points within
 sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
-||q|| <= Q and ||A q + p - gamma|| <= eps.  eps starts at Q^(-n/m), where
-Dirichlet guarantees a homogeneous hit and the lattice has determinant 1, and
-doubles until the best error found is at most eps: then every q that could
-beat it was inside the ball, and once eps >= 1/2 every q is.  The basis is
-LLL-reduced and the ball enumerated by `lattice_dyn._enumerate_in_radius`,
-whose box is complete for any basis, so the reduction only sets the speed.
+||q|| <= hi and ||A q + p - gamma|| <= eps.  The basis is LLL-reduced and
+the ball enumerated by `lattice_dyn._enumerate_in_radius`, whose box is
+complete for any basis, so the reduction only sets the speed; a box of more
+than the search's budget of points raises BudgetExceededError, which is
+where the float LLL gives out (q_max about 1e10 for the golden ratio).
+The search has two modes:
+
+* min: the exact minimiser of err(q) over the shell.  eps starts at
+  hi^(-n/m), where Dirichlet guarantees a homogeneous hit in the ball, and
+  doubles until the best error found is at most eps: then every q that
+  could beat it was inside the ball, and once eps >= 1/2 every q is.
+  `best_approx` is the min search over 1 <= ||q|| <= Q.
+* list: every q of the shell whose exact error is at most a given radius.
+
+A score that falls as err grows at fixed ||q|| (-log err / log ||q||,
+or -||q|| err) is maximised over a shell in two steps (`_shell_argmax`):
+the err-minimiser's score is turned into a bound on the error of every q
+that can match it, and that radius is listed and rescored exactly.  The
+memory of every search is O(1) in q_max.
 
 Outcomes are exact.  Every entry and gamma keep their exact rational value
 next to the mpf: p/q and decimal strings, ints, floats and Fractions as
 given, an mpf as its dyadic value.  A float64 score of each enumerated q
-picks a shortlist that provably holds every optimal q, and the shortlist is
-rescored in integer arithmetic over one common denominator.  Ties break by
-smallest sup-norm, then by q lexicographically in the coordinatewise order
-0, 1, -1, 2, -2, ... (p is a function of q).
+picks a shortlist that provably holds every q the search can return, and
+the shortlist is rescored in integer arithmetic over one common
+denominator.  Ties break by smallest sup-norm, then by q lexicographically
+in the coordinatewise order 0, 1, -1, 2, -2, ... (p is a function of q);
+for n = 1 that is +q before -q.
 
 Error convention (matches the inhomogeneous problems downstream):
 
@@ -226,14 +241,10 @@ def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
         return mp.mpf(mp.libmp.from_rational(int(err), D, prec, mp.libmp.round_nearest))
 
 
-def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None, half: bool = False):
+def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None):
     """Yield integer grids (rows, d) covering the box lo <= c <= hi in lex order.
 
-    `chunk_rows` rows at a time, or the whole box at once when None.  With
-    half=True, for a box symmetric about 0, only vectors whose first nonzero
-    coordinate is positive are produced (the upper half of the lex order); for
-    gamma = 0 the error is symmetric under q -> -q and every canonical
-    tie-break winner lies in that half.
+    `chunk_rows` rows at a time, or the whole box at once when None.
     """
     lo = [int(v) for v in lo]
     sides = [int(h) - l + 1 for l, h in zip(lo, hi)]
@@ -241,7 +252,7 @@ def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None, half: bool = Fals
         return
     total = math.prod(sides)
     pows = [math.prod(sides[j + 1:]) for j in range(len(sides))]
-    start = (total - 1) // 2 + 1 if half else 0
+    start = 0
     step = total if chunk_rows is None else chunk_rows
     while start < total:
         stop = min(start + step, total)
@@ -254,12 +265,13 @@ def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None, half: bool = Fals
 
 
 def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
-    """The reduced lattice of `best_approx` for one eps, as `_enumerate_in_radius` takes it.
+    """The reduced lattice of the shell search for one eps and ||q|| <= Q.
 
-    Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q.  LLL runs in
-    float64, but its reduced columns B T are rebuilt from the integer T with
-    each entry rounded once from its exact value: at Q = 1.4e7 the float
-    columns drift far enough to lose points at the edge of the ball.
+    Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, in the form
+    `_enumerate_in_radius` takes.  LLL runs in float64, but its reduced
+    columns B T are rebuilt from the integer T with each entry rounded once
+    from its exact value: at Q = 1.4e7 the float columns drift far enough to
+    lose points at the edge of the ball.
     """
     from .lattice_dyn import _lll, _with_dual_bound  # lattice_dyn imports this module
 
@@ -275,51 +287,157 @@ def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
     return _with_dual_bound(np.vstack([top.astype(np.float64) / eps, T[m:] / Q]), T)
 
 
-def _best_in_ball(form, Af: np.ndarray, gf: np.ndarray, Q: int, eps: float, guard: float):
-    """Best (key, q) over 0 < ||q|| <= Q with ||A q + p - gamma|| <= eps for some p.
+def _sup_norm(q: Sequence[int]) -> int:
+    return max(abs(int(v)) for v in q)
 
-    key = (D err(q), ||q||, _canon(q)) ranks in the documented order; None when
-    the ball holds no such q.  Chunks keep a running champion: a float score
-    E(q), within `guard` of err(q), shortlists every q that can tie or beat
-    the best seen, and only the shortlist is rescored exactly.
+
+class _Shells:
+    """Exact searches of err(q) over shells lo <= ||q||_inf <= hi for one (A, gamma).
+
+    `min` and `within` are the two modes of the module docstring.  Results
+    are (D err, q, p) with D the common denominator of `_exact_form`, so
+    errors compare exactly as integers.  Shells must lie in ||q|| <= q_max;
+    every enumeration box is held to `max_enum` points.
     """
-    from .lattice_dyn import _enumerate_in_radius  # lattice_dyn imports this module
 
-    m, n = Af.shape
-    reduced = _ball_lattice(form, Af, Q, eps)
-    target = np.concatenate([gf / eps, np.zeros(n)]) if gf.any() else None
-    best, emin = None, math.inf
-    for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20, None,
-                                                      target, _CHUNK_ROWS):
-        q = coeffs[:, m:]
-        qn = np.abs(q).max(axis=1)
-        keep = (qn > 0) & (qn <= Q)
-        if not keep.any():
-            continue
-        q, qn = q[keep], qn[keep]
-        R = q.astype(np.float64) @ Af.T - gf
-        E = np.abs(R - np.rint(R)).max(axis=1)
-        emin = min(emin, float(E.min()))
-        cand = np.nonzero(E <= emin + 2 * guard)[0]
-        if cand.size == 0:  # an earlier chunk holds something better
-            continue
-        errs, _ = _exact_error(form, q[cand])
-        e0 = errs.min()
-        ties = cand[np.nonzero(errs == e0)[0]]
-        i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
-        key = (int(e0), int(qn[i]), _canon(q[i]))
-        if best is None or key < best[0]:
-            best = (key, q[i].copy())
+    def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1,
+                 max_enum: int = DEFAULT_MAX_ENUM):
+        gamma_exact = _parse_gamma(gamma, A.m, A.precision_bits)
+        self.form = _exact_form(A, gamma_exact, q_max)
+        self.D = self.form[0]
+        self.m, self.n = A.m, A.n
+        self.prec = A.precision_bits
+        self.max_enum = max_enum
+        self._Af = A.as_array()
+        self._gf = np.array([float(g) for g in gamma_exact], dtype=np.float64)
+
+    def error(self, err: int) -> mp.mpf:
+        """err / D correctly rounded to the working precision."""
+        return _error_mpf(err, self.D, self.prec)
+
+    def _guard(self, hi: int) -> float:
+        """Bounds |float score - exact error| for every q with ||q|| <= hi."""
+        scale = float(np.abs(self._Af).sum(axis=1).max()) * hi + float(np.abs(self._gf).max()) + 1.0
+        return scale * 2.0**-44
+
+    def _chunks(self, lo: int, hi: int, eps: float):
+        """(q, ||q||, float score E) for the ball points of one eps with lo <= ||q|| <= hi."""
+        from .lattice_dyn import _enumerate_in_radius  # lattice_dyn imports this module
+
+        m, n = self.m, self.n
+        reduced = _ball_lattice(self.form, self._Af, hi, eps)
+        target = np.concatenate([self._gf / eps, np.zeros(n)]) if self._gf.any() else None
+        for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20, self.max_enum,
+                                                          target, _CHUNK_ROWS):
+            q = coeffs[:, m:]
+            qn = np.abs(q).max(axis=1)
+            keep = (qn >= lo) & (qn <= hi)
+            if keep.any():
+                q = q[keep]
+                R = q.astype(np.float64) @ self._Af.T - self._gf
+                yield q, qn[keep], np.abs(R - np.rint(R)).max(axis=1)
+
+    def _triple(self, err, q) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        _, p = _exact_error(self.form, np.array([q], dtype=np.int64))
+        return int(err), tuple(int(v) for v in q), tuple(int(v) for v in p[0])
+
+    def min(self, lo: int, hi: int):
+        """The exact minimiser (D err, q, p) over lo <= ||q|| <= hi, None for an empty shell.
+
+        Chunks keep a running champion: a float score E(q), within `guard` of
+        err(q), shortlists every q that can tie or beat the best seen, and
+        only the shortlist is rescored exactly.
+        """
+        lo = max(int(lo), 1)
+        if lo > hi:
+            return None
+        guard = self._guard(hi)
+        eps = float(hi) ** (-self.n / self.m)
+        while True:
+            best, emin = None, math.inf
+            for q, qn, E in self._chunks(lo, hi, eps):
+                emin = min(emin, float(E.min()))
+                cand = np.nonzero(E <= emin + 2 * guard)[0]
+                if cand.size == 0:  # an earlier chunk holds something better
+                    continue
+                errs, _ = _exact_error(self.form, q[cand])
+                e0 = errs.min()
+                ties = cand[np.nonzero(errs == e0)[0]]
+                i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
+                key = (int(e0), int(qn[i]), _canon(q[i]))
+                if best is None or key < best[0]:
+                    best = (key, q[i].copy())
+            # every q with err <= eps was in the ball; at eps >= 1/2 every q was
+            if eps >= 0.5 or (best is not None and Fraction(best[0][0], self.D) <= Fraction(eps)):
+                return self._triple(best[0][0], best[1])
+            eps *= 2
+
+    def within(self, lo: int, hi: int, radius: Fraction):
+        """Every (D err, q, p) with lo <= ||q|| <= hi and err(q) <= radius, by (||q||, _canon(q))."""
+        lo = max(int(lo), 1)
+        if lo > hi:
+            return []
+        radius = min(radius, Fraction(1, 2))  # no error exceeds 1/2
+        # radius 0 lists exact hits: any positive eps finds them
+        eps = max(float(radius), float(hi) ** (-self.n / self.m) / 1024)
+        bound = float(radius) + 2 * self._guard(hi)
+        found = {}
+        for q, _qn, E in self._chunks(lo, hi, eps):
+            cand = np.nonzero(E <= bound)[0]
+            if cand.size == 0:
+                continue
+            errs, ps = _exact_error(self.form, q[cand])
+            for i, err, p in zip(cand.tolist(), errs.tolist(), ps.tolist()):
+                # a q shows up once per p in the ball; its nearest p is among them
+                if err * radius.denominator <= radius.numerator * self.D:
+                    found[tuple(int(v) for v in q[i])] = (int(err), tuple(int(v) for v in p))
+        return [(err, q, p) for q, (err, p) in
+                sorted(found.items(), key=lambda kv: (_sup_norm(kv[0]), _canon(kv[0])))]
+
+
+def _shell_argmax(shells: _Shells, lo: int, hi: int, score, radius_for):
+    """Exact argmax (score, D err, q, p) of score(||q||, D err) over lo <= ||q|| <= hi.
+
+    Ties go to the smaller ||q||, then to `_canon(q)` (+q before -q).  score
+    must not grow with err at fixed ||q||, and radius_for(s, lo) must bound
+    err(q) for every q of the shell scoring at least s (1/2 or more lists
+    the whole shell).  Two steps: the err-minimiser's score s* gives the
+    radius, which is listed and rescored.  None for an empty shell.
+    """
+    found = shells.min(lo, hi)
+    if found is None:
+        return None
+    err, q, p = found
+    best = (score(_sup_norm(q), err), err, q, p)
+    for err, q, p in shells.within(lo, hi, radius_for(best[0], max(int(lo), 1))):
+        cand = (score(_sup_norm(q), err), err, q, p)
+        if _champion_rank(cand) < _champion_rank(best):
+            best = cand
     return best
+
+
+def _champion_rank(champ) -> tuple:
+    """Sort key of a (score, D err, q, p) champion: higher score, smaller ||q||, `_canon(q)`."""
+    return (-champ[0], _sup_norm(champ[2]), _canon(champ[2]))
+
+
+def _radius_above(x: mp.mpf) -> Fraction:
+    """x >= 0 widened by 2^-20 as an exact Fraction (1/2, all of a shell, for +inf).
+
+    The widening covers the rounding of the score the radius came from.
+    """
+    if not mp.isfinite(x):
+        return Fraction(1, 2)
+    return Fraction(*mp.libmp.to_rational(x._mpf_)) * (1 + Fraction(1, 2**20))
 
 
 def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
                 max_enum: int = DEFAULT_MAX_ENUM) -> ApproxRecord:
     """Exact minimizer of ||Aq + p - gamma||_inf over 0 < ||q||_inf <= Q.
 
-    The documented budget is the q-box: (2Q+1)^n above max_enum raises, as a
-    scan of it would need.  The search itself is the lattice enumeration of
-    the module docstring.
+    The min mode of the shell search over 1 <= ||q|| <= Q.  The documented
+    budget is the q-box: (2Q+1)^n above max_enum raises, as a scan of it
+    would need; every enumeration box is held to max_enum points as well.
     """
     if Q < 1:
         raise ValidationError("Q must be >= 1")
@@ -328,25 +446,11 @@ def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
         raise BudgetExceededError(
             f"enumeration of {count} q-vectors exceeds budget {max_enum}; "
             "split the window into smaller Q ranges")
-    gamma_exact = _parse_gamma(gamma, A.m, A.precision_bits)
-    form = _exact_form(A, gamma_exact, Q)
-    D = form[0]
-    Af = A.as_array()
-    gf = np.array([float(g) for g in gamma_exact], dtype=np.float64)
-    scale = float(np.abs(Af).sum(axis=1).max()) * Q + float(np.abs(gf).max()) + 1.0
-    guard = scale * 2.0**-44  # bounds |float score - exact error| for every q in the box
-    eps = float(Q) ** (-A.n / A.m)
-    while True:
-        best = _best_in_ball(form, Af, gf, Q, eps, guard)
-        # every q with err <= eps was in the ball; at eps >= 1/2 every q was
-        if eps >= 0.5 or (best is not None and Fraction(best[0][0], D) <= Fraction(eps)):
-            break
-        eps *= 2
-    (err, qn, _), qv = best
-    _, p = _exact_error(form, qv[None, :])
-    error = _error_mpf(err, D, A.precision_bits)
-    return ApproxRecord(q=tuple(int(v) for v in qv), p=tuple(int(v) for v in p[0]),
-                        error=error, q_norm=qn,
+    shells = _Shells(A, gamma, Q, max_enum)
+    err, q, p = shells.min(1, Q)
+    error = shells.error(err)
+    qn = _sup_norm(q)
+    return ApproxRecord(q=q, p=p, error=error, q_norm=qn,
                         exponent_sample=_exponent_sample(float(error), qn))
 
 
@@ -413,83 +517,74 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
 
 
+def _windows(base: float, q_max: int):
+    """(k, lo, hi) for each k with base^k <= q_max: the integers of [base^k, base^(k+1)) up to q_max.
+
+    In exact integer arithmetic (base^k = num^k / den^k), so a power of the
+    base opens its own window; lo > hi when the window holds no integer.
+    """
+    num, den = float(base).as_integer_ratio()
+    pk, dk, k = 1, 1, 0
+    while pk <= q_max * dk:
+        pn, dn = pk * num, dk * den
+        yield k, -(-pk // dk), min(-(-pn // dn) - 1, q_max)
+        pk, dk, k = pn, dn, k + 1
+
+
 def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
                       burn_in: int = 2, max_enum: int = DEFAULT_MAX_ENUM) -> ExponentFit:
-    """Windowed homogeneous exponent scan over ||q|| in [B^k, B^(k+1)).
+    """Windowed homogeneous exponent over the shells ||q|| in [B^k, B^(k+1)).
 
-    Negative q mirror positive ones when gamma = 0, so for n = 1 only
-    q > 0 is scanned, and for n >= 2 the upper half of the q-box.  Each
-    window champion is rescored exactly; an exact rational hit reports the
-    +inf sentinel.
+    Each window champion maximises -log err(q) / log ||q|| exactly, ties to
+    the smaller ||q|| and then `_canon(q)`: one `_shell_argmax` per window.
+    For n >= 2 the windows start at ||q|| = 2 and (2 Q_max + 1)^n above
+    max_enum raises, as the q-box scan this replaced did; for n = 1 window 0
+    keeps q = 1 with sample -inf.  An exact rational hit reports the +inf
+    sentinel.
     """
     if window_base <= 1:
         raise ValidationError("window_base must be > 1")
     if Q_max < window_base**2:
         raise ValidationError("Q_max must be at least window_base^2")
+    if A.n >= 2 and (2 * Q_max + 1) ** A.n > max_enum:
+        raise BudgetExceededError(
+            f"exponent scan of {(2 * Q_max + 1) ** A.n} q-vectors exceeds budget {max_enum}")
     prec = A.precision_bits
     B = float(window_base)
-    k_top = int(math.floor(math.log(Q_max) / math.log(B)))
-    form = _exact_form(A, _parse_gamma(None, A.m, prec), Q_max)
+    shells = _Shells(A, None, Q_max, max_enum)
 
-    champions = {}  # k -> (sample, q_norm, q tuple, err_float)
-    if A.n == 1:
-        Af = A.as_array()
-        q = np.arange(1, Q_max + 1, dtype=np.float64)
-        R = np.outer(q, Af[:, 0])
-        E = np.abs(R - np.rint(R)).max(axis=1)
-        ks = np.floor(np.log(q) / math.log(B)).astype(np.int64)
-        with np.errstate(divide="ignore"):
-            S = np.where(E > 0, -np.log(np.maximum(E, 1e-300)) / np.log(q), np.inf)
-        S[0] = -np.inf  # q = 1 has log-norm 0
-        for k in range(k_top + 1):
-            mask = ks == k
-            if not mask.any():
-                continue
-            idx = np.nonzero(mask)[0]
-            j = idx[np.argmax(S[idx])]
-            champions[k] = (float(S[j]), int(q[j]), (int(q[j]),), float(E[j]))
-    else:
-        count = (2 * Q_max + 1) ** A.n
-        if count > max_enum:
-            raise BudgetExceededError(
-                f"exponent scan of {count} q-vectors exceeds budget {max_enum}")
-        Af = A.as_array()
-        gf = np.zeros(A.m)
-        for grid in _iter_box_chunks([-Q_max] * A.n, [Q_max] * A.n, _CHUNK_ROWS, half=True):
-            norms = np.abs(grid).max(axis=1)
-            keep = norms > 1
-            grid2, norms2 = grid[keep], norms[keep]
-            if grid2.shape[0] == 0:
-                continue
-            R = grid2.astype(np.float64) @ Af.T - gf
-            E = np.abs(R - np.rint(R)).max(axis=1)
-            with np.errstate(divide="ignore"):
-                S = np.where(E > 0, -np.log(np.maximum(E, 1e-300)) / np.log(norms2), np.inf)
-            ks = np.floor(np.log(norms2) / math.log(B)).astype(np.int64)
-            for k in range(k_top + 1):
-                mask = ks == k
-                if not mask.any():
-                    continue
-                idx = np.nonzero(mask)[0]
-                j = idx[np.argmax(S[idx])]
-                cand = (float(S[j]), int(norms2[j]), tuple(int(v) for v in grid2[j]), float(E[j]))
-                if k not in champions or cand[0] > champions[k][0]:
-                    champions[k] = cand
+    def score(qn: int, err: int):
+        if err == 0:
+            return mp.inf
+        if qn <= 1:
+            return -mp.inf
+        with mp.workprec(prec):
+            return -mp.log(shells.error(err)) / mp.log(qn)
+
+    def radius_for(s, lo: int) -> Fraction:
+        # q = 1 scores -inf: when it wins (s = -inf) the radius covers the window
+        with mp.workprec(prec):
+            return _radius_above(mp.mpf(max(lo, 2)) ** (-s))
+
+    champions = {}  # k -> (D err, q, p)
+    for k, lo, hi in _windows(B, Q_max):
+        best = _shell_argmax(shells, max(lo, 1 if A.n == 1 else 2), hi, score, radius_for)
+        if best is not None:
+            champions[k] = best[1:]
 
     window_maxima: List[Tuple[int, float]] = []
     detail_rows: List[dict] = []
     xs, ys, samples = [], [], []
     exact_hit = None
     for k in sorted(champions):
-        sample, qn, qv, efloat = champions[k]
-        errs, ps = _exact_error(form, np.array([qv], dtype=np.int64))
-        err_exact = _error_mpf(errs[0], form[0], prec)
-        p_exact = tuple(int(v) for v in ps[0])
-        if err_exact == 0:
+        err, qv, p_exact = champions[k]
+        qn = _sup_norm(qv)
+        err_exact = shells.error(err)
+        if err == 0:
             exact_hit = qv
             sample = math.inf
         else:
-            sample = _exponent_sample(float(err_exact), qn) if qn > 1 else sample
+            sample = _exponent_sample(float(err_exact), qn) if qn > 1 else -math.inf
         q_window = int(math.floor(B ** (k + 1)))
         window_maxima.append((q_window, sample))
         detail_rows.append({"Q_window": q_window, "q": qv, "p": p_exact,

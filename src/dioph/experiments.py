@@ -5,25 +5,37 @@ multiples [q]Q of a rank-1 generator to the circle problem
 min_p |gamma - q theta + p omega|, tabulates per-window champions with
 hhat([q]Q) = q^2 hhat(Q) by construction, and fits the point exponent
 sigma(P) with the shared windowed-limsup estimator.
+
+Every circle search is the shell search of `dioph_matrix` on the 1 x 1
+matrix alpha = theta / omega with target gamma / omega, both kept at their
+exact dyadic values: one shell per window for the champions, dyadic shells
+|q| in [2^j, 2^(j+1)) listed at radius 2^-j / 4 for the Minkowski
+witnesses, and shell minima of |q| d for the running constant.  So every
+reported d, product and error is exact at working precision, the cost is
+O(log q_max) small lattice searches, and memory is O(1) in q_max; q_max is
+limited by the enumeration budget (`CIRCLE_MAX_ENUM`), not by memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 import numpy as np
 
 from . import analytic, ec_core, heights
-from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _ls_slope,
-                           _to_mpf, best_approx, build_A_from_HJ)
+from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank, _ls_slope,
+                           _radius_above, _Shells, _shell_argmax, _to_mpf, _windows,
+                           best_approx, build_A_from_HJ)
 from .ec_core import CurvePoint, RationalCurve
 from .errors import (CertificateError, DegenerateTargetError, SingularMatrixError,
                      ValidationError)
 
 DEFAULT_PRECISION = 256
+CIRCLE_MAX_ENUM = 1 << 22  # points per enumeration box of a circle search
 
 
 @dataclass
@@ -60,12 +72,31 @@ class WeakDirichletReport:
     period_route: str = ""
 
 
+def _witnesses(shells: _Shells, q_max: int) -> List[Tuple[int, int, int]]:
+    """(q, p, D err) for every 0 < |q| <= q_max with |q| err(q) < 1/4, by (|q|, q > 0).
+
+    One list search per dyadic shell |q| in [2^j, 2^(j+1)), at radius 2^-j / 4.
+    """
+    D, out, j = shells.D, [], 0
+    while 2**j <= q_max:
+        for err, q, p in shells.within(2**j, min(2 ** (j + 1) - 1, q_max),
+                                       Fraction(1, 2 ** (j + 2))):
+            if 4 * abs(q[0]) * err < D:
+                out.append((q[0], p[0], err))
+        j += 1
+    out.sort(key=lambda t: (abs(t[0]), t[0] > 0))
+    return out
+
+
 def minkowski_solutions(alpha, gamma, q_max: int,
                         precision_bits: int = DEFAULT_PRECISION) -> List[Tuple[int, int, float]]:
     """All (q, p) with |q| <= q_max and |q| |q alpha + p - gamma| < 1/4, by |q|.
 
-    gamma must not be congruent to a*alpha + b for small integers; exact
-    or near hits below the search resolution raise DegenerateTargetError.
+    alpha and gamma keep their exact values (p/q and decimal strings as
+    given, an mpf as its dyadic value), and each product is that exact value
+    rounded to a float.  gamma must not be congruent to a*alpha + b for small
+    integers; exact or near hits below the search resolution raise
+    DegenerateTargetError.
     """
     if q_max < 1:
         raise ValidationError("q_max must be >= 1")
@@ -84,18 +115,10 @@ def minkowski_solutions(alpha, gamma, q_max: int,
             r = qq * a_mp
             if abs(r - mp.nint(r)) < tol:
                 raise DegenerateTargetError("alpha rational at working resolution")
-        af, gf = float(a_mp), float(g_mp)
-    q = np.arange(1, q_max + 1, dtype=np.float64)
-    sols = []
-    for sgn in (1, -1):
-        r = sgn * q * af - gf
-        p = -np.rint(r)
-        err = np.abs(r + p)
-        mask = q * err < 0.25
-        for qi, pi, prod in zip(q[mask], p[mask], (q * err)[mask]):
-            sols.append((sgn * int(qi), int(pi), float(prod)))
-    sols.sort(key=lambda t: (abs(t[0]), t[0] > 0))
-    return sols
+    shells = _Shells(RealMatrix.from_rows([[alpha]], precision_bits), gamma, q_max,
+                     CIRCLE_MAX_ENUM)
+    return [(q, p, float(shells.error(abs(q) * err)))
+            for q, p, err in _witnesses(shells, q_max)]
 
 
 def _effective_generator(curve: RationalCurve) -> Tuple[CurvePoint, bool]:
@@ -107,8 +130,13 @@ def _effective_generator(curve: RationalCurve) -> Tuple[CurvePoint, bool]:
     return ec_core.scalar_mul(curve, 2, gen), True
 
 
+def _orbit_distance(shells: _Shells, q_max: int) -> Fraction:
+    """Exact min over 0 < |q| <= q_max of dist(q alpha - gamma, Z): one min search."""
+    return Fraction(shells.min(1, q_max)[0], shells.D)
+
+
 def _resolve_target_log(config: CurveExperimentConfig, omega: mp.mpf,
-                        alpha_f: float, rng: np.random.Generator) -> mp.mpf:
+                        alpha: RealMatrix, rng: np.random.Generator) -> mp.mpf:
     """Target's elliptic log; seeded random draws re-sample degenerate hits."""
     prec = config.precision_bits
     tp = config.target_P
@@ -120,24 +148,49 @@ def _resolve_target_log(config: CurveExperimentConfig, omega: mp.mpf,
         if t == 0:
             raise DegenerateTargetError("target t reduces to 0 mod omega")
         return t
-    res = 1.0 / config.q_max**2
-    q = np.arange(0, config.q_max + 1, dtype=np.float64)
+    res = Fraction(1, config.q_max**2)
     for _ in range(64):
-        u = float(rng.uniform(0.02, 0.98))
-        g = u  # normalized gamma/omega
-        r = np.concatenate([q * alpha_f - g, -q * alpha_f - g])
-        dist = np.abs(r - np.rint(r))
-        if float(dist.min()) >= res:
+        u = float(rng.uniform(0.02, 0.98))  # normalized gamma/omega; q = 0 is >= 0.02 away
+        if _orbit_distance(_Shells(alpha, u, config.q_max, CIRCLE_MAX_ENUM), config.q_max) >= res:
             with mp.workprec(prec + 16):
                 return +(mp.mpf(u) * omega)
     raise DegenerateTargetError("could not sample a non-orbit target")
 
 
+def _min_product(shells: _Shells, lo: int, hi: int) -> int:
+    """D min |q| err(q) over lo <= |q| <= hi: every q with |q| err <= M has err <= M / lo."""
+    return -_shell_argmax(shells, lo, hi, lambda qn, err: -qn * err,
+                          lambda s, lo_: Fraction(-s, lo_ * shells.D))[0]
+
+
+def _running_products(shells: _Shells, points: Sequence[int]) -> dict:
+    """D M(x), M(x) = min over 0 < |q| <= x of |q| err(q), exactly, at each x of `points`.
+
+    The range is cut at every point and at every 2^j - 1, so each piece
+    [lo, hi] has hi < 2 lo and lists O(1) points in `_min_product`.
+    """
+    top = max(points)
+    cuts = sorted(set(points) | {2**j - 1 for j in range(1, top.bit_length() + 1)} - {0})
+    out, best, lo = {}, None, 1
+    for hi in (c for c in cuts if c <= top):
+        piece = _min_product(shells, lo, hi)
+        best = piece if best is None else min(best, piece)
+        out[hi] = best
+        lo = hi + 1
+    return out
+
+
 def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletReport:
-    """Scan q = 1..q_max over both signs of the generator orbit against the target."""
+    """Circle searches over 0 < |q| <= q_max, both signs of the generator orbit, against the target.
+
+    Champions maximise -log d / log hhat([q]Q) over each window [B^k, B^(k+1))
+    exactly, ties to the smaller |q| and then +q; d is min_p |gamma - q theta
+    + p omega| at working precision and each record's p is that p.
+    """
     prec = config.precision_bits
     curve = config.curve
-    if config.q_max < 16:
+    q_max = config.q_max
+    if q_max < 16:
         raise ValidationError("q_max too small for windowed fits")
     gen, substituted = _effective_generator(curve)
     period = analytic.real_period(curve, prec)
@@ -147,85 +200,95 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
     rng = np.random.default_rng(config.seed)
     with mp.workprec(prec + 16):
         alpha = +(theta / omega)
-    alpha_f = float(alpha)
-    gamma = _resolve_target_log(config, omega, alpha_f, rng)
+    alpha_m = RealMatrix(m=1, n=1, entries=(alpha,), precision_bits=prec)
+    gamma = _resolve_target_log(config, omega, alpha_m, rng)
     with mp.workprec(prec + 16):
-        g_norm = float(gamma / omega)
-    om_f = float(omega)
+        g_norm = +(gamma / omega)
+    shells = _Shells(alpha_m, g_norm, q_max, CIRCLE_MAX_ENUM)
+    if _orbit_distance(shells, q_max) < Fraction(1, q_max**2):
+        raise DegenerateTargetError("target lies in the orbit at search resolution")
     hq_f = float(hhat_Q)
 
-    q = np.arange(1, config.q_max + 1, dtype=np.float64)
-    # normalized circle distances for [q]Q and [-q]Q
-    dists = []
-    for sgn in (1.0, -1.0):
-        r = g_norm - sgn * q * alpha_f
-        dists.append(np.abs(r - np.rint(r)))
-    d_norm = np.minimum(dists[0], dists[1])  # best of the two signs per |q|
-    if float(d_norm.min()) < 1.0 / config.q_max**2:
-        raise DegenerateTargetError("target lies in the orbit at search resolution")
-    sign_choice = np.where(dists[0] <= dists[1], 1, -1)
-    d = d_norm * om_f
-    hh = hq_f * q * q  # hhat([q]Q) = q^2 hhat(Q) by construction
-    with np.errstate(divide="ignore", invalid="ignore"):
-        samples = -np.log(d) / np.log(hh)
+    def d_of(err: int) -> mp.mpf:  # the circle distance, omega times the normalized one
+        with mp.workprec(prec):
+            return shells.error(err) * omega
 
-    # running min of d * sqrt(hhat)
-    prod = d * np.sqrt(hh)
-    run_min = np.minimum.accumulate(prod)
-    at100 = float(run_min[min(99, len(run_min) - 1)])
-    final = float(run_min[-1])
+    def score(qn: int, err: int):
+        with mp.workprec(prec):
+            return -mp.log(d_of(err)) / mp.log(hhat_Q * qn * qn)
+
+    def radius_for(s, lo: int) -> Fraction:
+        # d <= hhat([lo]Q)^(-s) for every q scoring >= s > 0, as hhat([lo]Q) > 1
+        if not s > 0:
+            return Fraction(1, 2)
+        with mp.workprec(prec):
+            return _radius_above((hhat_Q * lo * lo) ** (-s) / omega)
+
+    # Below q_c, hhat([q]Q) <= 1 and the sample grows with d: there, as the
+    # reports always did, each |q| takes its better sign and then competes.
+    q_c = 1
+    with mp.workprec(prec):
+        while hhat_Q * q_c * q_c <= 1:
+            q_c += 1
+
+    def champion(lo: int, hi: int):
+        cands = []
+        for qn in range(lo, min(hi, q_c - 1) + 1):
+            err, q, p = shells.min(qn, qn)
+            cands.append((score(qn, err), err, q, p))
+        if max(lo, q_c) <= hi:
+            cands.append(_shell_argmax(shells, max(lo, q_c), hi, score, radius_for))
+        return min(cands, key=_champion_rank) if cands else None
 
     # per-window champions in |q|
     B = float(config.windows_base)
-    ks = np.floor(np.log(q) / math.log(B)).astype(np.int64)
+    champions = []
+    for _k, lo, hi in _windows(B, q_max):
+        best = champion(lo, hi)
+        if best is not None:
+            champions.append(best)
+    # running min of d sqrt(hhat([q]Q)) = |q| d_norm omega sqrt(hhat(Q))
+    at = _running_products(shells, [abs(c[2][0]) for c in champions] + [min(100, q_max), q_max])
+    with mp.workprec(prec):
+        c_unit = omega * mp.sqrt(hhat_Q)
+        running = {x: float(shells.error(v) * c_unit) for x, v in at.items()}
+
     records: List[ApproxRecord] = []
     running_at_records: List[float] = []
     xs, ys, fit_samples = [], [], []
-    x0_seen = False
-    for k in range(int(ks.max()) + 1):
-        idx = np.nonzero(ks == k)[0]
-        if idx.size == 0:
-            continue
-        j = idx[np.argmax(samples[idx])]
-        qs = int(sign_choice[j] * q[j])
-        # exact integer p for the chosen sign
-        r_val = g_norm - sign_choice[j] * q[j] * alpha_f
-        p_val = int(-np.rint(r_val))
-        rec = ApproxRecord(q=(qs,), p=(p_val,), error=mp.mpf(float(d[j])),
-                           q_norm=int(q[j]), exponent_sample=float(samples[j]),
-                           height_proxy=float(hh[j]))
-        records.append(rec)
-        running_at_records.append(float(run_min[j]))
-        if hh[j] > math.e and d[j] > 0:  # burn-in: window maxima with hhat > e
-            xs.append(math.log(hh[j]))
-            ys.append(-math.log(d[j]))
-            fit_samples.append(float(samples[j]))
-            x0_seen = True
+    for s, err, q, p in champions:
+        qn = abs(q[0])
+        d = d_of(err)
+        hh = hq_f * float(qn) * float(qn)  # hhat([q]Q) = q^2 hhat(Q) by construction
+        records.append(ApproxRecord(q=q, p=(-p[0],), error=d, q_norm=qn,
+                                    exponent_sample=float(s), height_proxy=hh))
+        running_at_records.append(running[qn])
+        if hh > math.e and d > 0:  # burn-in: window maxima with hhat > e
+            xs.append(math.log(hh))
+            ys.append(float(-mp.log(d)))
+            fit_samples.append(float(s))
     # sigma is the slope of -log d against log hhat along the window champions;
     # a raw running max of the samples overstates the limsup by the constant C
     # at every desk scale, so the fit regresses the champions instead.
     window_maxima = [(int(r.q_norm), r.exponent_sample) for r in records]
-    estimate = _ls_slope(xs, ys) if x0_seen else math.nan
+    estimate = _ls_slope(xs, ys) if xs else math.nan
     fit = ExponentFit(estimate=estimate, window_maxima=window_maxima,
                       method="window_regression",
                       observed_max=max(fit_samples) if fit_samples else math.nan)
 
     # Minkowski witnesses in normalized units: |q| * dist(q alpha - gamma', Z) < 1/4
-    witnesses = []
-    for sgn_i, darr in ((1, dists[0]), (-1, dists[1])):
-        mask = q * darr < 0.25
-        for qi, di in zip(q[mask], darr[mask]):
-            r_val = g_norm - sgn_i * qi * alpha_f
-            witnesses.append((sgn_i * int(qi), int(-np.rint(r_val)), float(qi * di)))
-    witnesses.sort(key=lambda t: (abs(t[0]), t[0] > 0))
+    witnesses = [(q, -p, float(shells.error(abs(q) * err)))
+                 for q, p, err in _witnesses(shells, q_max)]
     # chain check: for witnesses, d * sqrt(hhat([q]Q)) <= (omega/4) sqrt(hhat(Q)) (1 + 1e-6)
+    om_f = float(omega)
     chain_ok = all(
         (w[2] * om_f) * math.sqrt(hq_f) <= (om_f / 4) * math.sqrt(hq_f) * (1 + 1e-6)
         for w in witnesses)
 
+    final, at100 = running[q_max], running[min(100, q_max)]
     report = WeakDirichletReport(
         curve_label=curve.label, omega=omega, theta=theta, alpha=alpha, gamma=gamma,
-        hhat_Q=hhat_Q, substituted_generator=substituted, q_max=config.q_max,
+        hhat_Q=hhat_Q, substituted_generator=substituted, q_max=q_max,
         seed=config.seed, precision_bits=prec, records=records,
         running_C=running_at_records, running_C_final=final, running_C_at_100=at100,
         sigma_fit=fit, minkowski_witnesses=witnesses[:64], minkowski_count=len(witnesses),

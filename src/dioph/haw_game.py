@@ -10,7 +10,8 @@ reject any other m.
 Stages are thinned to those whose hyperplane spacing exceeds the largest
 possible triggered ball plus deleted widths, which is the effective form of
 the "k sufficiently large" hypothesis; each finite game then yields a
-brute-force certificate per triggered stage.
+certificate per triggered stage: the exact minimum of the circle error
+below Q_k, found by `best_approx`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import lattice_dyn
-from .dioph_matrix import RealMatrix
+from .dioph_matrix import RealMatrix, best_approx
 from .errors import BudgetExceededError, CertificateError, ValidationError
 
 DEFAULT_BETA = 0.3
@@ -229,8 +230,13 @@ def bob_move(state: GameState, deletion: Deletion, policy: str, rng: np.random.G
     raise ValidationError(f"unknown bob policy: {policy}")
 
 
-def _certificate(alpha: float, gamma: float, stage: Stage) -> dict:
-    """Brute force: every 0 < |q| < Q_k must leave error above the stage threshold."""
+def _certificate(A: RealMatrix, gamma: float, stage: Stage) -> dict:
+    """Every 0 < |q| < Q_k must leave min_p |q alpha + p - gamma| above the stage threshold.
+
+    One `best_approx` over |q| <= ceil(Q_k) - 1 gives the exact minimum for
+    the exact alpha of A and the float gamma; `checked` counts the 2 top
+    values of q the certificate covers.
+    """
     Qk = stage.Q
     top = int(math.ceil(Qk)) - 1
     if top > CERT_MAX_Q:
@@ -238,13 +244,7 @@ def _certificate(alpha: float, gamma: float, stage: Stage) -> dict:
     if top < 1:
         return {"stage": stage.index, "t": stage.t, "Q": Qk, "checked": 0,
                 "min_error": math.inf, "threshold": stage.threshold, "pass": True}
-    q = np.arange(1, top + 1, dtype=np.float64)
-    errs = []
-    for sgn in (1.0, -1.0):
-        r = sgn * q * alpha - gamma
-        errs.append(np.abs(r - np.rint(r)))
-    err = np.concatenate(errs)
-    min_err = float(err.min())
+    min_err = float(best_approx(A, gamma, top, max_enum=2 * CERT_MAX_Q + 1).error)
     ok = min_err > stage.threshold
     return {"stage": stage.index, "t": stage.t, "Q": Qk, "checked": 2 * top,
             "min_error": min_err, "threshold": stage.threshold, "pass": bool(ok)}
@@ -302,8 +302,7 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
     for _normal, offset, width in state.deleted:
         if abs(gamma - offset) < width - 1e-12:
             raise CertificateError("outcome lies in a deleted neighborhood")
-    alpha = float(A.entry(0, 0))
-    certs = [_certificate(alpha, gamma, st) for st in triggered_stages]
+    certs = [_certificate(A, gamma, st) for st in triggered_stages]
     all_pass = all(cd["pass"] for cd in certs)
     return HawOutcome(gamma=gamma, triggered=certs, transcript=transcript,
                       all_certificates_pass=all_pass, params=params)

@@ -5,8 +5,9 @@ over the coefficient box |c_i| <= ||row_i(B^-1)||_1 * radius of a basis B.
 That dual bound holds for every basis, so completeness comes from it and not
 from the reduction: LLL only shrinks the box.  Each call reduces its lattice
 once and reuses the reduction on every radius doubling.  The same
-enumerator, centred on a target and walked in chunks, is the closest-vector
-search behind `dioph_matrix.best_approx`.  Along a flow
+enumerator, centred on a target and walked in chunks, is the shell search
+of `dioph_matrix` behind `best_approx`, the exponent windows and the circle
+searches of `experiments` and `haw_game`.  Along a flow
 (`flow_profile`, and the dual flow behind `haw_game.derive_strategy`) the
 reduction is carried from sample to sample: g_dt times the last reduced
 basis starts the next LLL, which then only touches it up.
@@ -195,13 +196,13 @@ def _enumerate_in_radius(reduced, radius: float, max_enum: Optional[int] = None,
     half = inv_l1 * radius
     center = np.zeros(len(inv_l1)) if target is None else np.linalg.solve(Bred, target)
     slack = 1e-9 * (1 + np.abs(center))
-    lo = np.ceil(center - half - slack).astype(np.int64)
-    hi = np.floor(center + half + slack).astype(np.int64)
-    total = int(np.prod((hi - lo + 1).astype(np.float64)))
-    if max_enum is not None and total > max_enum:
+    lo = np.ceil(center - half - slack)
+    hi = np.floor(center + half + slack)
+    total = float(np.prod(hi - lo + 1))  # in floats: an unreduced basis can overflow int64
+    if max_enum is not None and not total <= max_enum:
         raise BudgetExceededError(
-            f"enumeration box of {total} points exceeds budget {max_enum}")
-    for grid in _iter_box_chunks(lo, hi, chunk_rows):
+            f"enumeration box of {total:.0f} points exceeds budget {max_enum}")
+    for grid in _iter_box_chunks(lo.astype(np.int64), hi.astype(np.int64), chunk_rows):
         vecs = grid.astype(np.float64) @ Bred.T
         if target is not None:
             vecs -= target

@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from dioph import analytic, ec_core
+from dioph.dioph_matrix import RealMatrix, _shell_argmax, _Shells
 from dioph.ec_core import CurvePoint
 from dioph.errors import ComponentError, PoleProximityError
 
@@ -151,10 +152,11 @@ def test_d_E_metric_properties(curve_110160):
 
 
 def test_generator_alpha_nondegenerate(curve_110160):
-    # numeric proxy for theta/omega irrational: min_{q<=1e4} q^2 dist(q alpha, Z) > 0
+    # numeric proxy for theta/omega irrational: the exact min over q <= 1e4 of
+    # q^2 dist(q alpha, Z) is > 0, by the shell search of dioph_matrix
     om = analytic.real_period(curve_110160, PREC).omega
     th = analytic.elliptic_log(curve_110160, CurvePoint.affine(5, 8), PREC).t
-    alpha = th / om
-    best = min(int(q) ** 2 * float(analytic.circle_distance(q * alpha, mp.mpf(1)))
-               for q in range(1, 10001))
-    assert best > 0
+    shells = _Shells(RealMatrix(m=1, n=1, entries=(th / om,), precision_bits=PREC), None, 10**4)
+    best = _shell_argmax(shells, 1, 10**4, lambda qn, err: -qn * qn * err,
+                         lambda s, lo: Fraction(-s, lo * lo * shells.D))
+    assert -best[0] > 0

@@ -225,11 +225,6 @@ def test_iter_box_chunks_lex_order():
     for rows in (None, 1, 4, 100):
         got = [tuple(v) for g in _iter_box_chunks(lo, hi, rows) for v in g.tolist()]
         assert got == expect
-    sym = list(itertools.product(range(-2, 3), repeat=2))
-    half = [tuple(v) for g in _iter_box_chunks([-2, -2], [2, 2], 3, half=True)
-            for v in g.tolist()]
-    assert half == sym[len(sym) // 2 + 1:]
-    assert all(next(v for v in q if v) > 0 for q in half)
     assert list(_iter_box_chunks([0, 1], [3, 0])) == []
 
 
