@@ -12,9 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 
 RationalLike = Union[Fraction, int, str]
+
+# Steps of Pollard rho per factor: enough for prime factors up to about
+# 10^12, and about a second of pure-Python work.
+RHO_STEP_BUDGET = 1 << 20
 
 
 def parse_rational(v: RationalLike) -> Fraction:
@@ -365,15 +369,28 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
+    """A nontrivial factor of the composite n by Brent's variant of Pollard rho.
+
+    Rho takes about sqrt(p) steps to find a prime factor p, so two prime
+    factors above about 10^12 exhaust the RHO_STEP_BUDGET steps of the map
+    y -> y^2 + c, which raises BudgetExceededError instead of running for
+    hours.
+    """
     if n % 2 == 0:
         return 2
     import random
 
     rng = random.Random(0xD10F ^ n)
+    steps = 0
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r steps to move x, then r more for y
+            if steps > RHO_STEP_BUDGET:
+                raise BudgetExceededError(
+                    f"Pollard rho found no factor of a {n.bit_length()}-bit number "
+                    f"within {RHO_STEP_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -7,6 +7,13 @@ Bob's center whenever Bob's radius falls in the stage's trigger band.  Only
 the interval game (m = 1) is implemented: `derive_strategy` and `run_game`
 reject any other m.
 
+The dual flow g_(-t) on the polar of Lambda_A is the primal flow of -A^T
+with the two blocks swapped (`_dual_flow`), so it runs on the one sweep of
+`lattice_dyn`: its shortest vectors are scored exactly from their integer
+coefficients, and the schedule holds out to the depth of long games (t about
+38 for 16 rounds), where float64 bases of this lattice give out.  Deletions
+are recorded once, in the game's transcript.
+
 Stages are thinned to those whose hyperplane spacing exceeds the largest
 possible triggered ball plus deleted widths, which is the effective form of
 the "k sufficiently large" hypothesis; each finite game then yields a
@@ -66,7 +73,6 @@ class GameState:
     round: int
     ball_center: np.ndarray
     ball_radius: float
-    deleted: List[Tuple[Tuple[float, ...], float, float]]  # (normal, offset, width)
 
 
 @dataclass
@@ -87,6 +93,22 @@ class HawOutcome:
     params: StrategyParams
 
 
+def _dual_flow(A: RealMatrix, times: np.ndarray) -> "lattice_dyn._Sweep":
+    """Shortest vectors of the dual flow g_(-t) Lambda_A^* at the sample times.
+
+    The polar basis of Lambda_A sends (p, q) to (p, q - A^T p), and g_(-t)
+    scales it to (e^(-t/m) p, e^(t/n) (q - A^T p)).  With the blocks swapped
+    that is g_t on Lambda_(-A^T), so the dual flow is the primal sweep of -A^T,
+    and its u, w are ||q - A^T p|| and ||p||.
+    """
+    m, n = A.m, A.n
+    order = [i * n + j for j in range(n) for i in range(m)]  # row-major A^T
+    dual = RealMatrix(m=n, n=m, entries=tuple(-A.entries[i] for i in order),
+                      precision_bits=A.precision_bits,
+                      exact=tuple(-A.exact[i] for i in order))
+    return lattice_dyn._flow_sweep(dual, times, 1, lattice_dyn.DEFAULT_MAX_ENUM)
+
+
 def derive_strategy(A: RealMatrix, sigma: float, beta: float = DEFAULT_BETA,
                     c: float = DEFAULT_C, t_max: float = 30.0, dt: float = 0.05) -> StrategyParams:
     """Stage schedule from the dual flow of Lambda_A (m = 1 intervals)."""
@@ -102,24 +124,13 @@ def derive_strategy(A: RealMatrix, sigma: float, beta: float = DEFAULT_BETA,
     th_m = lattice_dyn.theta_sigma(mu, m, n)
     eps_mu = n / m - 1 / mu
 
-    L0 = lattice_dyn.from_matrix(A)
-    D0 = lattice_dyn.polar_lattice(L0)
     times = np.arange(dt, t_max, dt)
-    lam = np.zeros(len(times))
-    base_vecs = []
-    carry = lattice_dyn._FlowCarry()
-    for i, t in enumerate(times):
-        Dt = lattice_dyn.apply_flow(D0, -float(t), m, n)
-        _v, coeffs, length = lattice_dyn.shortest_vector(Dt, _carry=carry)
-        lam[i] = length
-        base_vecs.append(D0.basis @ coeffs)
+    sweep = _dual_flow(A, times)
     stages: List[Stage] = []
     dropped: List[dict] = []
     gap_needed = 2 * abs(math.log(beta)) / (1 / m - th_m)
-    for i in lattice_dyn._local_minima_indices(lam):
-        v0 = base_vecs[i]
-        u = float(np.abs(v0[:m]).max())
-        w = float(np.abs(v0[m:]).max())
+    for i in lattice_dyn._local_minima_indices(sweep.lambdas[:, 0]):
+        u, w = float(sweep.w[i]), float(sweep.u[i])  # ||p|| and ||q - A^T p||
         if u <= 0 or w <= 0:
             continue
         # dual flow contracts the first block: balance of e^(-t/m)u = e^(t/n)w
@@ -268,7 +279,7 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
     rng = np.random.default_rng(seed)
     center0 = float(rng.uniform(0.2, 0.8))
     state = GameState(beta=beta, round=0, ball_center=np.array([center0]),
-                      ball_radius=rho0, deleted=[])
+                      ball_radius=rho0)
     transcript = [{"round": 0, "center": center0, "radius": rho0}]
     triggered_stages: List[Stage] = []
     stage_by_index = {st.index: st for st in params.stages}
@@ -288,7 +299,6 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
             raise CertificateError("ball escaped its predecessor")
         if abs(new_center - deletion.center) < deletion.halfwidth + new_rho - 1e-12:
             raise CertificateError("ball intersects the deleted neighborhood")
-        state.deleted.append(((1.0,), deletion.center, deletion.halfwidth))
         state.ball_center = np.array([new_center])
         state.ball_radius = new_rho
         state.round = r + 1
@@ -299,8 +309,8 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
         })
     gamma = float(state.ball_center[0])
     # outcome must avoid every deleted neighborhood
-    for _normal, offset, width in state.deleted:
-        if abs(gamma - offset) < width - 1e-12:
+    for row in transcript[1:]:
+        if abs(gamma - row["deletion_center"]) < row["deletion_halfwidth"] - 1e-12:
             raise CertificateError("outcome lies in a deleted neighborhood")
     certs = [_certificate(A, gamma, st) for st in triggered_stages]
     all_pass = all(cd["pass"] for cd in certs)

@@ -3,28 +3,53 @@
 All norms are sup-norms.  Shortest vectors are found by complete enumeration
 over the coefficient box |c_i| <= ||row_i(B^-1)||_1 * radius of a basis B.
 That dual bound holds for every basis, so completeness comes from it and not
-from the reduction: LLL only shrinks the box.  Each call reduces its lattice
-once and reuses the reduction on every radius doubling.  The same
-enumerator, centred on a target and walked in chunks, is the shell search
-of `dioph_matrix` behind `best_approx`, the exponent windows and the circle
-searches of `experiments` and `haw_game`.  Along a flow
-(`flow_profile`, and the dual flow behind `haw_game.derive_strategy`) the
-reduction is carried from sample to sample: g_dt times the last reduced
-basis starts the next LLL, which then only touches it up.
+from the reduction: LLL only shrinks the box.  The same enumerator, centred
+on a target and walked in chunks, is the shell search of `dioph_matrix`
+behind `best_approx`, the exponent windows and the circle searches of
+`experiments` and `haw_game`.
+
+Minima are picked from a scored candidate set by one rule (`_minima`):
+lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
+ties in the documented order (`dioph_matrix._canon`).  Only the half of the
+set with a positive first coefficient is kept, since -v never wins a tie
+against v.  The independence test is a float Gram-Schmidt over the shortest
+candidates of all samples at once, k numpy steps in all, and each chosen set
+is confirmed by an exact rank.  `successive_minima` and `shortest_vector`
+are one sample of it, over the float norms of one reduced lattice.
+
+Along the flow (`flow_profile`, and the dual flow behind
+`haw_game.derive_strategy`) a vector (A q + p, q) has length
+max(e^(t/m) u, e^(-t/n) w), u = ||A q + p||, w = ||q||, so log lambda_i(t)
+is a lower envelope of tents.  `_flow_sweep` cuts the samples into windows
+of span `SWEEP_SPAN`.  The integer transform T of the reduction is carried
+from window to window in Python ints; at each window's end the basis
+g_t B0 T is rebuilt from the exact entries at working precision, rounded
+once per entry, and LLL touches it up.  One enumeration per window holds
+every vector that can be a minimum anywhere in the window.  Each candidate
+is scored once, u and w exactly from its integer coefficients, and its
+lengths at all the window's samples are one numpy expression.  No sample is
+reduced or enumerated on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+import mpmath as mp
 import numpy as np
 
-from .dioph_matrix import RealMatrix, _canon_keys, _iter_box_chunks
+from .dioph_matrix import RealMatrix, _canon_keys, _exact_form, _iter_box_chunks
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 
 DEFAULT_MAX_ENUM = 2_000_000
+# t-span of one window of `_flow_sweep`.  Longer windows mean fewer
+# reductions but a ball of e^(d span / m) times the volume.  Timed on a
+# 2-core VM over the benchmark's four flow profiles and eight dual flows:
+# 0.31-0.33 s for spans 0.75-1.25, 0.43 s at 0.5, 0.47 s at 1.5.
+SWEEP_SPAN = 1.0
 
 
 @dataclass(frozen=True)
@@ -127,47 +152,9 @@ def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]
     return B, T
 
 
-class _FlowCarry:
-    """The last reduction along a diagonal flow, handed on to the next sample.
-
-    The next lattice is g L_prev for a diagonal g, and g times the last
-    reduced basis is a basis of it that is almost reduced, so LLL only
-    touches it up.  The integer transform T is kept as a running product.
-    """
-
-    def __init__(self):
-        self.lattice: Optional[np.ndarray] = None  # basis of the last lattice reduced
-        self.reduced: Optional[np.ndarray] = None
-        self.T: Optional[np.ndarray] = None
-
-    def start(self, L: LatticeBasis) -> Optional[np.ndarray]:
-        """g times the last reduced basis if L = g L_prev, g diagonal; else None."""
-        prev = self.lattice
-        if prev is None:
-            return None
-        rows = np.arange(prev.shape[0])
-        cols = np.abs(prev).argmax(axis=1)
-        g = L.basis[rows, cols] / prev[rows, cols]
-        if not np.allclose(prev * g[:, None], L.basis, rtol=1e-12, atol=0.0):
-            return None
-        return self.reduced * g[:, None]
-
-
-def _reduce(L: LatticeBasis, carry: Optional[_FlowCarry] = None):
-    """One LLL reduction of L: (reduced basis, T, ||row_i(reduced^-1)||_1).
-
-    With a carry, LLL starts from the carried basis when L is a flow of the
-    last lattice, and the carry moves on to L.
-    """
-    start = None if carry is None else carry.start(L)
-    if start is None:
-        Bred, T = _lll(L.basis)
-    else:
-        Bred, T = _lll(start)
-        T = carry.T @ T
-    if carry is not None:
-        carry.lattice, carry.reduced, carry.T = L.basis, Bred, T
-    return _with_dual_bound(Bred, T)
+def _reduce(L: LatticeBasis):
+    """One LLL reduction of L: (reduced basis, T, ||row_i(reduced^-1)||_1)."""
+    return _with_dual_bound(*_lll(L.basis))
 
 
 def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):
@@ -214,29 +201,138 @@ def _enumerate_in_radius(reduced, radius: float, max_enum: Optional[int] = None,
         yield coeffs, vecs[keep], norms[keep]
 
 
+def _int_matmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """X @ T.T for integer arrays: int64 when no entry can overflow, Python ints otherwise."""
+    bound = int(np.abs(X).max(initial=0)) * max(abs(int(v)) for v in T.flat) * T.shape[1]
+    if bound < 2**62:
+        return X.astype(np.int64) @ np.asarray(T, dtype=np.int64).T
+    return X.astype(object) @ np.asarray(T, dtype=object).T
+
+
+def _canonical(coeffs: np.ndarray) -> np.ndarray:
+    """Rows whose first nonzero entry is positive, as indices in `_canon` order.
+
+    Of v and -v only that one can win a tie, and -v is never independent of
+    v, so this half of a candidate set decides every minimum.
+    """
+    first = (coeffs != 0).argmax(axis=1)
+    keep = np.nonzero(coeffs[np.arange(len(coeffs)), first] > 0)[0]
+    return keep[np.lexsort(_canon_keys(coeffs[keep]))]
+
+
+def _independent(X: np.ndarray, k: int):
+    """Greedy independence over each column of X (P, S, d): (positions (S, k), found (S,)).
+
+    Step j takes, in every column at once, the first row whose residual
+    against the rows taken so far is nonzero (relative 1e-9), then projects
+    that direction out of all residuals: k numpy steps for all columns.
+    """
+    P, S, _ = X.shape
+    cols = np.arange(S)
+    R = X.copy()
+    tol = 1e-9 * (1 + np.sqrt((X * X).sum(axis=2)))
+    pos = np.zeros((S, k), dtype=np.int64)
+    found = np.ones(S, dtype=bool)
+    for j in range(k):
+        rn = np.sqrt((R * R).sum(axis=2))
+        ok = rn > tol
+        p = ok.argmax(axis=0)
+        found &= ok[p, cols]
+        pos[:, j] = p
+        direction = R[p, cols] / np.where(found, rn[p, cols], 1.0)[:, None]
+        R -= np.einsum("ps,sd->psd", np.einsum("psd,sd->ps", R, direction), direction)
+    return pos, found
+
+
+def _exact_greedy(order: np.ndarray, grid: np.ndarray, k: int) -> Optional[List[int]]:
+    """Greedy minima along `order` with every independence test exact."""
+    chosen: List[int] = []
+    for i in order.tolist():
+        if _exact_rank([grid[j] for j in chosen] + [grid[i]]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == k:
+                return chosen
+    return None
+
+
+def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """Greedy successive minima at each sample: (S, k) candidate indices, or None.
+
+    lengths (C, S) holds each candidate's length at each sample and grid
+    (C, d) its integer coordinates in any basis; candidates come in `_canon`
+    order, so (length, index) is the documented tie order.  lambda_i takes the
+    first candidate independent of lambda_1..lambda_(i-1).  The test runs on
+    the shortest P candidates of every sample, P growing only while some
+    sample needs more, and each chosen set is confirmed by an exact rank.
+    None when some sample has fewer than k independent candidates.
+    """
+    C, S = lengths.shape
+    if k == 1:
+        return lengths.argmin(axis=0)[:, None]  # the first of equal minima
+    cols = np.arange(S)
+    coords = grid.astype(np.float64)
+    P = min(C, 8 * k)
+    while True:
+        if P < C:
+            part = np.argpartition(lengths, P, axis=0)
+            head, edge = part[:P], lengths[part[P], cols]
+            head = np.take_along_axis(head, np.lexsort((head, lengths[head, cols]), axis=0),
+                                      axis=0)
+        else:
+            head, edge = np.argsort(lengths, axis=0, kind="stable"), np.full(S, np.inf)
+        pos, found = _independent(coords[head], k)
+        rows = head[pos, cols[:, None]]
+        # every candidate as short as lambda_k must be in the head
+        if np.all(found & (lengths[rows[:, -1], cols] < edge)):
+            break
+        if P == C:
+            return None
+        P = min(C, 16 * P)
+    for chosen in np.unique(rows, axis=0):
+        if _exact_rank(grid[chosen]) < k:  # the float test was fooled: redo these exactly
+            for s in np.nonzero((rows == chosen).all(axis=1))[0]:
+                redo = _exact_greedy(np.lexsort((np.arange(C), lengths[:, s])), grid, k)
+                if redo is None:
+                    return None
+                rows[s] = redo
+    return rows
+
+
+def _lattice_minima(L: LatticeBasis, k: int, max_enum: int, radius: Optional[float] = None):
+    """(lengths, vecs, coeffs) of the first k greedy minima of one lattice.
+
+    One sample of `_minima` over the float norms.  The reduced basis has k
+    independent columns, so the k-th shortest bounds lambda_k and is the
+    default radius; the radius doubles while the ball holds fewer than k
+    independent vectors.
+    """
+    Bred, T = _lll(L.basis)
+    if radius is None:
+        radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
+    own = _with_dual_bound(Bred, np.eye(L.dimension, dtype=np.int64))  # coordinates in Bred
+    for _ in range(64):
+        grid, vecs, norms = next(_enumerate_in_radius(own, radius, max_enum))
+        idx = _canonical(grid @ T.T)
+        rows = _minima(norms[idx][:, None], grid[idx], k) if idx.size else None
+        if rows is not None:
+            pick = idx[rows[0]]
+            return [float(v) for v in norms[pick]], vecs[pick].copy(), grid[pick] @ T.T
+        radius *= 2
+    raise BudgetExceededError("successive minima search exceeded radius doublings")
+
+
 def shortest_vector(L: LatticeBasis, search_radius: Optional[float] = None,
-                    max_enum: int = DEFAULT_MAX_ENUM, *,
-                    _carry: Optional[_FlowCarry] = None):
+                    max_enum: int = DEFAULT_MAX_ENUM):
     """Sup-norm shortest nonzero vector.
 
     Returns (vector, coeffs, length).  Ties go to the coefficient vector that
     comes first lexicographically in the coordinatewise order 0, 1, -1, 2, -2,
-    ... (`dioph_matrix._canon`).  The radius auto-doubles until a
-    nonzero vector is inside; Minkowski gives det^(1/d) as a sound start.
+    ... (`dioph_matrix._canon`).  The search starts at `search_radius`, or
+    at the shortest reduced basis column, and doubles until a nonzero vector
+    is inside.
     """
-    d = L.dimension
-    radius = search_radius if search_radius else L.det_abs ** (1.0 / d) * 1.0000001
-    reduced = _reduce(L, _carry)
-    for _ in range(64):
-        coeffs, vecs, norms = next(_enumerate_in_radius(reduced, radius, max_enum))
-        if norms.size:
-            best = norms.min()
-            cand = np.nonzero(norms <= best * (1 + 1e-12))[0]
-            order = np.lexsort(_canon_keys(coeffs[cand]))
-            i = cand[order[0]]
-            return vecs[i].copy(), coeffs[i].copy(), float(norms[i])
-        radius *= 2
-    raise BudgetExceededError("no lattice vector found within doubled radii")
+    lengths, vecs, coeffs = _lattice_minima(L, 1, max_enum, search_radius or None)
+    return vecs[0], coeffs[0], lengths[0]
 
 
 def _exact_rank(rows: List[Sequence[int]]) -> int:
@@ -264,41 +360,14 @@ def _exact_rank(rows: List[Sequence[int]]) -> int:
     return rank
 
 
-def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM, *,
-                      _carry: Optional[_FlowCarry] = None):
+def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM):
     """Greedy Minkowski minima: lambda_i = min length independent of previous picks.
 
     Returns (lengths, vectors, coeffs).
     """
-    d = L.dimension
-    if not 1 <= k <= d:
+    if not 1 <= k <= L.dimension:
         raise ValidationError("need 1 <= k <= dimension")
-    radius = L.det_abs ** (1.0 / d) * 1.0000001
-    reduced = _reduce(L, _carry)
-    for _ in range(64):
-        coeffs, vecs, norms = next(_enumerate_in_radius(reduced, radius, max_enum))
-        if norms.size:
-            order = np.lexsort(_canon_keys(coeffs) + (norms,))
-            chosen: List[int] = []
-            # float orthogonal-residual prescreen; exact rank only to confirm
-            basis_q = np.zeros((k, d))
-            nq = 0
-            for i in order:
-                c = coeffs[i].astype(np.float64)
-                r = c - basis_q[:nq].T @ (basis_q[:nq] @ c)
-                rn = float(np.linalg.norm(r))
-                if rn <= 1e-9 * (1 + float(np.linalg.norm(c))):
-                    continue
-                if chosen and _exact_rank([coeffs[j] for j in chosen] + [coeffs[i]]) <= len(chosen):
-                    continue
-                chosen.append(i)
-                basis_q[nq] = r / rn
-                nq += 1
-                if len(chosen) == k:
-                    lengths = [float(norms[i]) for i in chosen]
-                    return lengths, vecs[chosen].copy(), coeffs[chosen].copy()
-        radius *= 2
-    raise BudgetExceededError("successive minima search exceeded radius doublings")
+    return _lattice_minima(L, k, max_enum)
 
 
 def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> float:
@@ -368,6 +437,122 @@ def _balance_time(base_vec: np.ndarray, m: int, n: int) -> Optional[float]:
     return math.log(w / u) * m * n / (m + n)
 
 
+def _as_real_matrix(A: Union[RealMatrix, np.ndarray]) -> RealMatrix:
+    if isinstance(A, RealMatrix):
+        return A
+    arr = np.asarray(A, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValidationError("A must be a 2-d array")
+    return RealMatrix.from_rows(arr.tolist())
+
+
+@dataclass
+class _Sweep:
+    lambdas: np.ndarray  # (S, k) successive minima at each sample
+    coeffs: np.ndarray  # (S, m + n) coefficients (p, q) of the lambda_1 vector
+    u: np.ndarray  # (S,) ||A q + p|| of that vector, rounded once
+    w: np.ndarray  # (S,) ||q|| of that vector
+
+
+def _exact_uw(D: int, N: np.ndarray, coeffs: np.ndarray):
+    """u = ||A q + p|| and w = ||q|| of each row (p, q) of coeffs, each rounded once.
+
+    A = N / D, with N an (m, n) array of Python ints (`_exact_form`).
+    """
+    m = N.shape[0]
+    p, q = coeffs[:, :m], coeffs[:, m:]
+    bound = (int(np.abs(N).sum(axis=1).max()) * max(int(np.abs(q).max(initial=0)), 1)
+             + D * int(np.abs(p).max(initial=0)))
+    if coeffs.dtype == object or bound >= 2**53:
+        r = q.astype(object) @ N.T + D * p.astype(object)
+        u = (np.abs(r).max(axis=1) / D).astype(np.float64)  # int / int rounds once
+    else:
+        u = np.abs(q @ N.T.astype(np.int64) + D * p).max(axis=1) / D  # below 2^53: one rounding
+    return u, np.abs(q).max(axis=1).astype(np.float64)
+
+
+def _flowed_basis(D: int, N: np.ndarray, T: np.ndarray, t: float, prec: int) -> np.ndarray:
+    """g_t B0 T for the unimodular basis B0 of Lambda_A, A = N / D, and integer T.
+
+    Each entry is formed at working precision from the exact entries of A
+    and rounded once to float, however large T has grown.
+    """
+    m, n = N.shape
+    top = D * T[:m] + N @ T[m:]  # D (T_p + A T_q)
+    with mp.workprec(prec):
+        up = mp.exp(mp.mpf(t) / m) / D
+        down = mp.exp(-mp.mpf(t) / n)
+        rows = [[float(up * int(x)) for x in row] for row in top]
+        rows += [[float(down * int(x)) for x in row] for row in T[m:]]
+    return np.array(rows, dtype=np.float64)
+
+
+def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
+    """lambda_1..lambda_k of g_t Lambda_A at increasing sample times, one enumeration per window.
+
+    Along g_t a lattice vector (A q + p, q) has length
+    max(e^(t/m) u, e^(-t/n) w) with u = ||A q + p|| and w = ||q||.  The
+    samples are cut into windows of span `SWEEP_SPAN`.  For a window
+    [t0, t1] the transform T, kept in Python ints, gives the basis at t1
+    (`_flowed_basis`), and LLL touches it up.  If M bounds lambda_k(t0),
+    lambda_k(t) <= M e^((t - t0)/m) on the window, and every vector that
+    short at some t there has length <= R = M e^((t1 - t0)/m) at t1.  So one
+    enumeration of radius R at t1 holds every candidate of the window.  Each
+    candidate is scored once, u and w exactly, and its lengths at all the
+    window's samples are one numpy expression; `_minima` picks the minima.
+    M comes from the last window's minima, or from the reduced basis.  The
+    window is checked afterwards, lambda_k(t) e^((t1 - t)/m) <= R at every
+    sample, and enumerated again at twice the radius if it fails.
+    """
+    m, n = A.m, A.n
+    d = m + n
+    S = len(times)
+    D, N, _ = _exact_form(A, (Fraction(0),) * m, 1)
+    N = N.astype(object)
+    T = np.eye(d, dtype=np.int64).astype(object)
+    lam = np.empty((S, k))
+    first = np.empty((S, d), dtype=object)
+    u1, w1 = np.empty(S), np.empty(S)
+    carried = None  # (u, w) of the k minima at the last sample
+    i0 = 0
+    while i0 < S:
+        i1 = int(np.searchsorted(times, times[i0] + SWEEP_SPAN, side="right"))
+        ts = np.asarray(times[i0:i1], dtype=np.float64)
+        t0, t1 = float(ts[0]), float(ts[-1])
+        Bred, Tl = _lll(_flowed_basis(D, N, T, t1, A.precision_bits))
+        T = T @ Tl.astype(object)
+        own = _with_dual_bound(Bred, np.eye(d, dtype=np.int64))  # coordinates in Bred
+        # lambda_k(t0) <= the k-th shortest basis column at t0 (the columns are independent)
+        at_t0 = np.maximum(np.abs(Bred[:m]).max(axis=0) * math.exp(-(t1 - t0) / m),
+                           np.abs(Bred[m:]).max(axis=0) * math.exp((t1 - t0) / n))
+        M = np.sort(at_t0)[k - 1] * (1 + 1e-9)
+        if carried is not None:
+            M = min(M, float(np.maximum(math.exp(t0 / m) * carried[0],
+                                        math.exp(-t0 / n) * carried[1]).max()) * (1 + 1e-12))
+        R = M * math.exp((t1 - t0) / m)
+        grow, shrink = np.exp(ts / m), np.exp(-ts / n)
+        cols = np.arange(len(ts))
+        while True:
+            grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), max_enum))
+            coeffs = _int_matmul(grid, T)
+            idx = _canonical(coeffs)
+            if idx.size:
+                grid, coeffs = grid[idx], coeffs[idx]
+                u, w = _exact_uw(D, N, coeffs)
+                lengths = np.maximum(np.outer(u, grow), np.outer(w, shrink))
+                rows = _minima(lengths, grid, k)
+                if rows is not None and np.all(
+                        lengths[rows[:, -1], cols] * np.exp((t1 - ts) / m) <= R):
+                    break
+            R *= 2
+        lam[i0:i1] = lengths[rows, cols[:, None]]
+        first[i0:i1] = coeffs[rows[:, 0]]
+        u1[i0:i1], w1[i0:i1] = u[rows[:, 0]], w[rows[:, 0]]
+        carried = (u[rows[-1]], w[rows[-1]])
+        i0 = i1
+    return _Sweep(lambdas=lam, coeffs=first, u=u1, w=w1)
+
+
 def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
                  sigma: Optional[float] = None, max_enum: int = DEFAULT_MAX_ENUM,
                  minima_count: Optional[int] = None) -> FlowProfile:
@@ -378,24 +563,17 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
     contracting block norms agree; the same refinement serves the weighted
     profile e^(r(t)) lambda_1 since the linear weight shifts no vertex.
     """
-    if isinstance(A, RealMatrix):
-        m, n = A.m, A.n
-    else:
-        m, n = np.asarray(A).shape
+    A = _as_real_matrix(A)
+    m, n = A.m, A.n
     if dt <= 0 or t_max <= 0:
         raise ValidationError("need positive dt and t_max")
-    L0 = from_matrix(A)
     d = m + n
     k = d if minima_count is None else max(1, min(d, minima_count))
     times = np.arange(0.0, t_max + dt / 2, dt)
-    lam = np.zeros((len(times), k))
-    base_vecs = []
-    carry = _FlowCarry()
-    for i, t in enumerate(times):
-        Lt = apply_flow(L0, float(t), m, n)
-        lengths, _vecs, coeffs = successive_minima(Lt, k, max_enum, _carry=carry)
-        lam[i] = lengths
-        base_vecs.append(L0.basis @ coeffs[0])
+    sweep = _flow_sweep(A, times, k, max_enum)
+    lam = sweep.lambdas
+    L0 = from_matrix(A)
+    base_vecs = [L0.basis @ c.astype(np.float64) for c in sweep.coeffs]
     lam1 = lam[:, 0]
     delta = -np.log(lam1)
     idxs = _local_minima_indices(lam1)

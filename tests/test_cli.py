@@ -57,6 +57,16 @@ def test_curve_height_and_log(curve_file_110160, tmp_path):
     assert 0 < float(doc2["theta"]) < float(doc2["omega"])
 
 
+def test_curve_height_exits_2_when_factoring_runs_out(tmp_path):
+    # a = -b = 1/(p1 p2) with (1, 1) on the curve; p1, p2 prime near 10^15
+    # are beyond the Pollard rho step budget of the integral model
+    den = (10**15 + 37) * (10**15 + 91)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"label": "big", "a": f"1/{den}", "b": f"-1/{den}"}))
+    assert run(["curve", "height", "--curve", str(path), "--point", "1,1",
+                "--out", str(tmp_path / "h")]) == 2
+
+
 def test_dirichlet_and_exponent(tmp_path):
     mat = tmp_path / "phi.json"
     mat.write_text(json.dumps({"m": 1, "n": 1,

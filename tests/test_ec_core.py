@@ -6,7 +6,7 @@ import pytest
 
 from dioph import ec_core
 from dioph.ec_core import CurvePoint, RationalCurve
-from dioph.errors import ValidationError
+from dioph.errors import BudgetExceededError, ValidationError
 
 O = CurvePoint.identity()
 
@@ -184,3 +184,13 @@ def test_factorize_prime_powers():
     assert ec_core._factorize(110160**2) == {2: 8, 3: 8, 5: 2, 17: 2}
     assert ec_core._factorize(5 * p**3) == {5: 1, p: 3}
     assert ec_core._factorize((2**61 - 1) * (2**31 - 1)) == {2**61 - 1: 1, 2**31 - 1: 1}
+
+
+def test_integral_model_two_large_primes_fails_fast():
+    # rho needs ~sqrt(10^15) steps for either factor: the step budget raises
+    p1, p2 = 10**15 + 37, 10**15 + 91
+    cur = RationalCurve(a=Fraction(1, p1 * p2), b=Fraction(0))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        ec_core.integral_model(cur)
+    assert time.perf_counter() - t0 < 2.0

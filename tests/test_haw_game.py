@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -44,12 +46,49 @@ def test_stage_schedule(strategy):
     assert st.spacing > 2 * st.band_hi + 2 * st.halfwidth
 
 
-def test_carried_dual_flow_matches_cold_reduction(liouville_A, monkeypatch):
-    # t_max 38.5 is about the schedule depth (38.4) of a 16-round game
-    carried = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
-    monkeypatch.setattr(lattice_dyn._FlowCarry, "start", lambda self, L: None)
-    cold = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
-    assert carried.stages and carried.stages == cold.stages
+def _convergents(x):
+    """(p, q) of every convergent of the rational x > 0."""
+    out, (p0, q0, p1, q1) = [], (0, 1, 1, 0)
+    while True:
+        a = x.numerator // x.denominator
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        out.append((p1, q1))
+        if x == a:
+            return out
+        x = 1 / (x - a)
+
+
+def test_dual_flow_matches_convergent_oracle(liouville_A, monkeypatch):
+    # The dual flow at time t is the lattice of -alpha flowed by g_t, whose
+    # shortest vector is (1, 0) or a convergent (p, q) of alpha: its length is
+    # max(e^t |q alpha - p|, e^-t q).  t_max 38.5 is about the schedule depth
+    # (38.4) of a 16-round game; float64 bases lose this lattice from t = 17.
+    alpha = liouville_A.exact[0]
+    assert alpha == sum(Fraction(1, 2**e) for e in (2, 6, 30, 150))
+    conv = _convergents(alpha)
+    times = np.arange(0.05, 38.5, 0.05)
+    sweep = haw_game._dual_flow(liouville_A, times)
+    oracle_u, oracle_w, oracle_lam = [], [], []
+    with mp.workprec(600):
+        a = mp.mpf(alpha.numerator) / alpha.denominator
+        for t in times:
+            et = mp.exp(mp.mpf(float(t)))
+            lam, p, q = min([(et, 1, 0)] + [(max(et * abs(q * a - p), q / et), p, q)
+                                             for p, q in conv])
+            oracle_lam.append(lam)
+            oracle_u.append(float(abs(q * a - p)))
+            oracle_w.append(float(q))
+        for t, got, want in zip(times, sweep.lambdas[:, 0], oracle_lam):
+            assert abs(got - want) <= 1e-12 * want, t
+    # the schedule derived from the oracle's vectors is the sweep's
+    swept = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
+    oracle = lattice_dyn._Sweep(lambdas=np.array([[float(v)] for v in oracle_lam]),
+                                coeffs=None, u=np.array(oracle_u), w=np.array(oracle_w))
+    monkeypatch.setattr(haw_game, "_dual_flow", lambda A, times: oracle)
+    from_oracle = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
+    assert swept.stages == from_oracle.stages
+    assert swept.dropped_stages == from_oracle.dropped_stages
+    assert [st.t for st in swept.stages] == pytest.approx([15 * math.log(2)], abs=1e-12)
 
 
 def test_games_trigger_and_certify(liouville_A, strategy):
@@ -93,7 +132,7 @@ def test_determinism_by_seed(liouville_A, strategy):
 def test_greedy_tangent_to_strip(strategy):
     # target inside the deleted strip: the new ball hugs the strip edge
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([0.5]),
-                               ball_radius=0.1, deleted=[])
+                               ball_radius=0.1)
     deletion = haw_game.Deletion(kind="trigger", stage=0, center=0.5, halfwidth=0.02)
     rng = np.random.default_rng(0)
     x, rho = haw_game.bob_move(state, deletion, "greedy", rng, target=0.5)
@@ -107,7 +146,7 @@ def test_alice_fallback_disjoint(liouville_A, strategy):
     # radius far above every band and center away from all hyperplane grids:
     # the deletion must avoid Bob's ball entirely
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([0.51]),
-                               ball_radius=3.0, deleted=[])
+                               ball_radius=3.0)
     d = haw_game.alice_move(state, strategy)
     if d.kind == "disjoint":
         assert abs(d.center - 0.51) > 3.0 + d.halfwidth
@@ -118,8 +157,7 @@ def test_alice_tie_smaller_index(strategy):
     # center exactly between grid points i/denom and (i+1)/denom
     mid = (3 + 0.5) / st.grid_denominator
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([mid]),
-                               ball_radius=(st.band_lo + st.band_hi) / 2,
-                               deleted=[])
+                               ball_radius=(st.band_lo + st.band_hi) / 2)
     d = haw_game.alice_move(state, strategy)
     assert d.kind == "trigger" and d.hyperplane_index == 3
 
@@ -179,13 +217,15 @@ def test_cli_exit_3_on_certificate_failure(monkeypatch, tmp_path):
     assert code == 3
 
 
-def test_m2_data_model_moves():
+def test_m2_data_model_moves(liouville_A, strategy):
     # the data model holds m = 2 states, though no game is played with them
     state = haw_game.GameState(beta=0.3, round=0, ball_center=np.array([0.5, 0.5]),
-                               ball_radius=0.2, deleted=[])
+                               ball_radius=0.2)
     deletion = haw_game.Deletion(kind="disjoint", stage=None, center=0.9, halfwidth=0.01)
     assert state.ball_center.shape == (2,)
-    assert len(state.deleted) == 0
+    # deletions live in the transcript: a game of no rounds has none
+    out = haw_game.run_game(liouville_A, sigma=3.0, rounds=0, seed=0, params=strategy)
+    assert [set(row) for row in out.transcript] == [{"round", "center", "radius"}]
 
 
 def test_validation_errors(liouville_A):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -214,6 +215,51 @@ def test_exact_rank_matches_fraction_oracle():
     assert ranks == {0, 1, 2, 3, 4, 5}
 
 
+def test_minima_matches_loop_reference():
+    # the vectorized greedy of `ld._minima` against one Python step per
+    # candidate in (length, index) order, with Fraction ranks
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for trial in range(150):
+        d = int(rng.integers(2, 5))
+        C, S = int(rng.integers(1, 300)), int(rng.integers(1, 6))
+        k = int(rng.integers(1, d + 1))
+        # few base directions and their multiples: many dependent candidates
+        base = rng.integers(-3, 4, size=(int(rng.integers(1, d + 1)), d))
+        grid = rng.integers(-3, 4, size=(C, base.shape[0])) @ base
+        grid[np.abs(grid).max(axis=1) == 0, 0] = 1
+        # five lengths only: ties straddle the edge of the searched prefix
+        lengths = rng.integers(1, 6, size=(C, S)) / 2.0
+        got = ld._minima(lengths, grid, k)
+        want = []
+        for s in range(S):
+            chosen = []
+            for i in sorted(range(C), key=lambda i: (lengths[i, s], i)):
+                if _fraction_rank(grid[chosen + [i]].tolist()) > len(chosen):
+                    chosen.append(i)
+                if len(chosen) == k:
+                    break
+            want.append(chosen if len(chosen) == k else None)
+        if any(w is None for w in want):
+            assert got is None, trial
+            outcomes.add("none")
+        else:
+            assert got.tolist() == want, trial
+            outcomes.add(k)
+    assert outcomes == {"none", 1, 2, 3, 4}
+
+
+def test_minima_exact_rank_overrides_float_test(monkeypatch):
+    # a float test that takes two dependent candidates is caught by the exact
+    # rank, and that sample is redone with exact tests throughout
+    grid = np.array([[1, 0], [2, 0], [0, 1]])
+    lengths = np.array([[1.0], [2.0], [3.0]])
+    assert ld._minima(lengths, grid, 2).tolist() == [[0, 2]]
+    monkeypatch.setattr(ld, "_independent",
+                        lambda X, k: (np.array([[0, 1]]), np.array([True])))
+    assert ld._minima(lengths, grid, 2).tolist() == [[0, 2]]
+
+
 def test_polar_lattice():
     for d in (2, 3):
         L = ld.LatticeBasis.from_columns(np.eye(d))
@@ -299,7 +345,7 @@ def test_badly_approximable_vs_liouville_growth():
 
 # Fractional parts of sqrt(k), k squarefree: {1, sqrt(k1), sqrt(k2)} are
 # independent over Q.  Near-rational entries would make lambda_d grow like
-# e^t and successive_minima walk ~e^(2t) candidates per sample.
+# e^t and the reference successive_minima enumerate ~e^(2t) points per sample.
 _SQUAREFREE = [k for k in range(2, 200) if all(k % (p * p) for p in range(2, 15))]
 
 
@@ -308,6 +354,8 @@ _SQUAREFREE = [k for k in range(2, 200) if all(k % (p * p) for p in range(2, 15)
        signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
        t_max=st.floats(0.5, 6.0), dt=st.sampled_from([0.02, 0.05, 0.1]))
 def test_carried_flow_matches_cold_reduction(shape, ks, signs, t_max, dt):
+    # the windowed sweep behind flow_profile against one cold reduction and
+    # enumeration of each flowed lattice
     m, n = shape
     entries = [s * (math.sqrt(k) % 1.0) for s, k in zip(signs, ks)]
     A = np.array(entries[:m * n]).reshape(m, n)
@@ -323,10 +371,11 @@ def test_carried_flow_matches_cold_reduction(shape, ks, signs, t_max, dt):
 
 def test_flow_profile_phi_against_fibonacci_oracle():
     # lambda_1(g_t Lambda_phi) = min over (q, p) = (F_k, F_{k+1}) and (0, 1)
-    # of max(e^t |q phi - p|, e^-t q), with phi the float64 the lattice uses
-    prof = ld.flow_profile(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
+    # of max(e^t |q phi - p|, e^-t q), with phi the exact entry of A
+    A = RealMatrix.scalar(PHI_STR, 64)
+    prof = ld.flow_profile(A, 10.0, 0.02)
     with mp.workprec(200):
-        phi = mp.mpf(PHI)
+        phi = mp.mpf(A.exact[0].numerator) / A.exact[0].denominator
         pairs = [(0, 1)]
         a, b = 1, 1
         while a < 10**6:
@@ -335,7 +384,18 @@ def test_flow_profile_phi_against_fibonacci_oracle():
         for t, lam1 in zip(prof.times, prof.lambdas[:, 0]):
             et = mp.exp(mp.mpf(float(t)))
             oracle = min(max(et * abs(q * phi - p), q / et) for q, p in pairs)
-            assert abs(lam1 - oracle) <= 1e-6 * oracle, t
+            assert abs(lam1 - oracle) <= 1e-12 * oracle, t
+
+
+def test_successive_minima_many_dependent_candidates():
+    # A = 2 at t = 6: lambda_1 = e^-6 from (p, q) = (2, -1), and the ~1.6e5
+    # multiples of it shorter than lambda_2 = e^6 are all dependent
+    L = ld.apply_flow(ld.from_matrix(np.array([[2.0]])), 6.0, 1, 1)
+    t0 = time.perf_counter()
+    lengths, _vecs, coeffs = ld.successive_minima(L, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert lengths[1] / lengths[0] == pytest.approx(math.exp(12), rel=1e-9)
+    assert [int(v) for v in coeffs[0]] == [2, -1]  # +v before -v
 
 
 def test_theta_sigma_formula():
