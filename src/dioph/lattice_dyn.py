@@ -487,6 +487,45 @@ def _flowed_basis(D: int, N: np.ndarray, T: np.ndarray, t: float, prec: int) -> 
     return np.array(rows, dtype=np.float64)
 
 
+def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
+            carried, max_enum: int, prec: int):
+    """The minima of one window of `_flow_sweep` at its sample times ts.
+
+    Returns (T, lengths, rows, coeffs, u, w): the transform reduced at ts[-1],
+    the (C, S) lengths of the scored candidates, the (S, k) rows `_minima`
+    picked, and the candidates' coefficients and exact u, w.
+    """
+    m, n = N.shape
+    d = m + n
+    t0, t1 = float(ts[0]), float(ts[-1])
+    Bred, Tl = _lll(_flowed_basis(D, N, T, t1, prec))
+    T = T @ Tl.astype(object)
+    own = _with_dual_bound(Bred, np.eye(d, dtype=np.int64))  # coordinates in Bred
+    # lambda_k(t0) <= the k-th shortest basis column at t0 (the columns are independent)
+    at_t0 = np.maximum(np.abs(Bred[:m]).max(axis=0) * math.exp(-(t1 - t0) / m),
+                       np.abs(Bred[m:]).max(axis=0) * math.exp((t1 - t0) / n))
+    M = np.sort(at_t0)[k - 1] * (1 + 1e-9)
+    if carried is not None:
+        M = min(M, float(np.maximum(math.exp(t0 / m) * carried[0],
+                                    math.exp(-t0 / n) * carried[1]).max()) * (1 + 1e-12))
+    R = M * math.exp((t1 - t0) / m)
+    grow, shrink = np.exp(ts / m), np.exp(-ts / n)
+    cols = np.arange(len(ts))
+    while True:
+        grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), max_enum))
+        coeffs = _int_matmul(grid, T)
+        idx = _canonical(coeffs)
+        if idx.size:
+            grid, coeffs = grid[idx], coeffs[idx]
+            u, w = _exact_uw(D, N, coeffs)
+            lengths = np.maximum(np.outer(u, grow), np.outer(w, shrink))
+            rows = _minima(lengths, grid, k)
+            if rows is not None and np.all(
+                    lengths[rows[:, -1], cols] * np.exp((t1 - ts) / m) <= R):
+                return T, lengths, rows, coeffs, u, w
+        R *= 2
+
+
 def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
     """lambda_1..lambda_k of g_t Lambda_A at increasing sample times, one enumeration per window.
 
@@ -502,50 +541,32 @@ def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Swe
     window's samples are one numpy expression; `_minima` picks the minima.
     M comes from the last window's minima, or from the reduced basis.  The
     window is checked afterwards, lambda_k(t) e^((t1 - t)/m) <= R at every
-    sample, and enumerated again at twice the radius if it fails.
+    sample, and enumerated again at twice the radius if it fails.  A window
+    whose ball outgrows max_enum points is halved, down to one sample.
     """
     m, n = A.m, A.n
-    d = m + n
     S = len(times)
     D, N, _ = _exact_form(A, (Fraction(0),) * m, 1)
     N = N.astype(object)
-    T = np.eye(d, dtype=np.int64).astype(object)
+    T = np.eye(m + n, dtype=np.int64).astype(object)
     lam = np.empty((S, k))
-    first = np.empty((S, d), dtype=object)
+    first = np.empty((S, m + n), dtype=object)
     u1, w1 = np.empty(S), np.empty(S)
     carried = None  # (u, w) of the k minima at the last sample
     i0 = 0
     while i0 < S:
         i1 = int(np.searchsorted(times, times[i0] + SWEEP_SPAN, side="right"))
-        ts = np.asarray(times[i0:i1], dtype=np.float64)
-        t0, t1 = float(ts[0]), float(ts[-1])
-        Bred, Tl = _lll(_flowed_basis(D, N, T, t1, A.precision_bits))
-        T = T @ Tl.astype(object)
-        own = _with_dual_bound(Bred, np.eye(d, dtype=np.int64))  # coordinates in Bred
-        # lambda_k(t0) <= the k-th shortest basis column at t0 (the columns are independent)
-        at_t0 = np.maximum(np.abs(Bred[:m]).max(axis=0) * math.exp(-(t1 - t0) / m),
-                           np.abs(Bred[m:]).max(axis=0) * math.exp((t1 - t0) / n))
-        M = np.sort(at_t0)[k - 1] * (1 + 1e-9)
-        if carried is not None:
-            M = min(M, float(np.maximum(math.exp(t0 / m) * carried[0],
-                                        math.exp(-t0 / n) * carried[1]).max()) * (1 + 1e-12))
-        R = M * math.exp((t1 - t0) / m)
-        grow, shrink = np.exp(ts / m), np.exp(-ts / n)
-        cols = np.arange(len(ts))
         while True:
-            grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), max_enum))
-            coeffs = _int_matmul(grid, T)
-            idx = _canonical(coeffs)
-            if idx.size:
-                grid, coeffs = grid[idx], coeffs[idx]
-                u, w = _exact_uw(D, N, coeffs)
-                lengths = np.maximum(np.outer(u, grow), np.outer(w, shrink))
-                rows = _minima(lengths, grid, k)
-                if rows is not None and np.all(
-                        lengths[rows[:, -1], cols] * np.exp((t1 - ts) / m) <= R):
-                    break
-            R *= 2
-        lam[i0:i1] = lengths[rows, cols[:, None]]
+            ts = np.asarray(times[i0:i1], dtype=np.float64)
+            try:
+                T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried, max_enum,
+                                                         A.precision_bits)
+                break
+            except BudgetExceededError:
+                if i1 - i0 == 1:
+                    raise
+                i1 = i0 + (i1 - i0) // 2
+        lam[i0:i1] = lengths[rows, np.arange(len(ts))[:, None]]
         first[i0:i1] = coeffs[rows[:, 0]]
         u1[i0:i1], w1[i0:i1] = u[rows[:, 0]], w[rows[:, 0]]
         carried = (u[rows[-1]], w[rows[-1]])

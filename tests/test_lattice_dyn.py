@@ -343,6 +343,28 @@ def test_badly_approximable_vs_liouville_growth():
     assert prof2.delta_values.max() > 2.0
 
 
+def test_flow_sweep_halves_windows_over_budget(monkeypatch):
+    # near-rational entries make each window's ball long and thin: with a
+    # budget below the largest window's box, that window is halved and the
+    # minima are unchanged
+    from dioph.dioph_matrix import liouville_number
+    A = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
+    boxes = []
+    enumerate_in_radius = ld._enumerate_in_radius
+
+    def spy(reduced, radius, *args):
+        boxes.append(float(np.prod(2 * np.floor(reduced[2] * radius) + 1)))
+        return enumerate_in_radius(reduced, radius, *args)
+
+    monkeypatch.setattr(ld, "_enumerate_in_radius", spy)
+    whole = ld.flow_profile(A, 9.0, 0.1)
+    windows, budget = len(boxes), int(0.99 * max(boxes))
+    boxes.clear()
+    split = ld.flow_profile(A, 9.0, 0.1, max_enum=budget)
+    assert len(boxes) > windows
+    assert np.array_equal(split.lambdas, whole.lambdas)
+
+
 # Fractional parts of sqrt(k), k squarefree: {1, sqrt(k1), sqrt(k2)} are
 # independent over Q.  Near-rational entries would make lambda_d grow like
 # e^t and the reference successive_minima enumerate ~e^(2t) points per sample.
