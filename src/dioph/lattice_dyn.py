@@ -534,8 +534,8 @@ def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Swe
     samples are cut into windows of span `SWEEP_SPAN`.  For a window
     [t0, t1] the transform T, kept in Python ints, gives the basis at t1
     (`_flowed_basis`), and LLL touches it up.  If M bounds lambda_k(t0),
-    lambda_k(t) <= M e^((t - t0)/m) on the window, and every vector that
-    short at some t there has length <= R = M e^((t1 - t0)/m) at t1.  So one
+    lambda_k(t) <= M e^((t - t0)/m) on the window, and every vector that is
+    that short at some t there has length <= R = M e^((t1 - t0)/m) at t1.  So one
     enumeration of radius R at t1 holds every candidate of the window.  Each
     candidate is scored once, u and w exactly, and its lengths at all the
     window's samples are one numpy expression; `_minima` picks the minima.
