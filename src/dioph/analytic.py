@@ -76,25 +76,26 @@ def _curve_roots(curve: RationalCurve, prec: int):
     return _roots_cached(_frac_str(curve.a), _frac_str(curve.b), prec)
 
 
-def largest_real_root(curve: RationalCurve, precision_bits: int = DEFAULT_PRECISION) -> mp.mpf:
-    return _curve_roots(curve, precision_bits)[0]
-
-
 def real_period(curve: RationalCurve, precision_bits: int = DEFAULT_PRECISION) -> RealPeriod:
     """Generator omega of the kernel of exp_E, omega = int_{e*}^inf dx/sqrt(x^3+ax+b).
 
     Evaluated as 2*R_F(0, e1-e2, e1-e3).  exp_E(omega/2) is the 2-torsion
     point (e1, 0), so the kernel really is Z*omega.
     """
-    e1, e2, e3, route = _curve_roots(curve, precision_bits)
-    with mp.workprec(precision_bits + 32):
+    return _period_cached(_frac_str(curve.a), _frac_str(curve.b), precision_bits)
+
+
+@lru_cache(maxsize=64)
+def _period_cached(a_str: str, b_str: str, prec: int) -> RealPeriod:
+    e1, e2, e3, route = _roots_cached(a_str, b_str, prec)
+    with mp.workprec(prec + 32):
         om = 2 * mp.elliprf(0, e1 - e2, e1 - e3)
-        if abs(mp.im(om)) > mp.ldexp(1, -precision_bits // 2):
+        if abs(mp.im(om)) > mp.ldexp(1, -prec // 2):
             raise ValidationError("period computation lost reality")
         om = mp.re(om)
         if not om > 0:
             raise ValidationError("period must be positive")
-        return RealPeriod(omega=+om, precision_bits=precision_bits, route=route)
+        return RealPeriod(omega=+om, precision_bits=prec, route=route)
 
 
 @lru_cache(maxsize=32)

@@ -149,10 +149,13 @@ def add(curve: RationalCurve, p1: CurvePoint, p2: CurvePoint, *, _checked: bool 
 def scalar_mul(curve: RationalCurve, n: int, pt: CurvePoint) -> CurvePoint:
     """n*pt by double-and-add; n may be negative or zero."""
     _require_on_curve(curve, pt)
-    if n == 0 or pt.is_identity:
-        return CurvePoint.identity()
     if n < 0:
         n, pt = -n, negate(pt)
+    return _multiply(curve, n, pt)
+
+
+def _multiply(curve: RationalCurve, n: int, pt: CurvePoint) -> CurvePoint:
+    """n*pt for n >= 0 by double-and-add, pt trusted to lie on the curve."""
     result = CurvePoint.identity()
     base = pt
     while n:
@@ -183,37 +186,6 @@ def on_identity_component(curve: RationalCurve, pt: CurvePoint) -> bool:
         return True
     x = pt.x
     return x > 0 and 3 * x * x + curve.a > 0
-
-
-def largest_real_root_bounds(curve: RationalCurve, bits: int = 64) -> Tuple[Fraction, Fraction]:
-    """Rational interval [lo, hi] isolating the largest real root, width <= 2^-bits.
-
-    Exact sign checks plus bisection; used by callers that want a certified
-    rational bracket rather than a floating approximation.
-    """
-    a, b = curve.a, curve.b
-    hi = Fraction(max(2, 1 + math.isqrt(int(4 * (abs(a) + abs(b))) + 1)))
-    while _fx(curve, hi) <= 0:
-        hi *= 2
-    if curve.discriminant > 0:
-        # start just right of the positive critical point sqrt(-a/3)
-        lo = Fraction(math.isqrt(int(-a * 3)) , 3)
-        while not (3 * lo * lo + a > 0):
-            lo += Fraction(1, 16)
-    else:
-        lo = -hi
-    while _fx(curve, lo) > 0:
-        lo = (lo + hi) / 2 if _fx(curve, (lo + hi) / 2) <= 0 else lo - 1
-        if lo < -hi:
-            raise ValidationError("root isolation failed")
-    target = Fraction(1, 2**bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if _fx(curve, mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ DEFAULT_MAX_ENUM = 2_000_000
 # 2-core VM over the benchmark's four flow profiles and eight dual flows:
 # 0.31-0.33 s for spans 0.75-1.25, 0.43 s at 0.5, 0.47 s at 1.5.
 SWEEP_SPAN = 1.0
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,14 @@ def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]
 
     Gram-Schmidt data is updated in place (Cohen, Alg. 2.6.3): a size-reduction
     step changes only row k of mu, and a swap recomputes columns k-1 onward.
+    T stays in int64: a step that would take an entry out of it raises
+    BudgetExceededError.  `t_bound` bounds |T| and proves the common step
+    safe; when it cannot, the step is done in Python ints and the bound reset.
     """
     B = cols.astype(np.float64).copy()
     d = B.shape[1]
     T = np.eye(d, dtype=np.int64)
+    t_bound = 1
     Bs = np.zeros_like(B)
     mu = np.zeros((d, d))
     norms = np.zeros(d)
@@ -138,8 +143,17 @@ def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]
         for j in range(k - 1, -1, -1):
             r = round(mu[k, j])
             if r != 0:
+                if (abs(r) + 1) * t_bound > _INT64_MAX:
+                    col = [int(x) - r * int(y) for x, y in zip(T[:, k], T[:, j])]
+                    if max(map(abs, col)) > _INT64_MAX:
+                        raise BudgetExceededError(
+                            f"LLL transform leaves int64 (size-reduction multiplier {r:.3g})")
+                    T[:, k] = col
+                    t_bound = int(np.abs(T).max())
+                else:
+                    T[:, k] -= r * T[:, j]
+                    t_bound *= abs(r) + 1
                 B[:, k] -= r * B[:, j]
-                T[:, k] -= r * T[:, j]
                 mu[k, :j] -= r * mu[j, :j]
                 mu[k, j] -= r
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:

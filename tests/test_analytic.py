@@ -59,11 +59,28 @@ def test_period_precision_contract(curve_110160):
     assert abs(om128 - om256) < mp.mpf(2) ** (-120)
 
 
+def test_period_cache_matches_uncached(curve_110160, curve_mordell, curve_lemniscatic):
+    uncached = analytic._period_cached.__wrapped__
+    for cur in (curve_110160, curve_mordell, curve_lemniscatic):
+        for prec in (64, 128, 256):
+            key = (f"{cur.a.numerator}/{cur.a.denominator}",
+                   f"{cur.b.numerator}/{cur.b.denominator}", prec)
+            assert analytic.real_period(cur, prec) == uncached(*key)
+    # keyed by (a, b, precision) alone: label and generator do not enter
+    twin = ec_core.RationalCurve(
+        a=curve_110160.a, b=curve_110160.b, label="twin",
+        generator_hint=ec_core.scalar_mul(curve_110160, 2, curve_110160.generator_hint))
+    assert analytic.real_period(twin, 128) == analytic.real_period(curve_110160, 128)
+    om128 = analytic.real_period(curve_110160, 128).omega
+    om256 = analytic.real_period(curve_110160, 256).omega
+    assert om128 != om256 and abs(om128 - om256) < mp.mpf(2) ** (-120)
+
+
 def test_exp_half_period_is_two_torsion(curve_110160, curve_mordell):
     for cur in (curve_110160, curve_mordell):
         om = analytic.real_period(cur, PREC).omega
         x, y = analytic.exp_E(cur, om / 2, PREC)
-        e1 = analytic.largest_real_root(cur, PREC)
+        e1 = analytic._curve_roots(cur, PREC)[0]
         assert abs(y) < TOL
         assert abs(x - e1) < TOL
 

@@ -218,3 +218,19 @@ def test_threads_flag_removed(tmp_path):
     mat = tmp_path / "A.json"
     mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["0.5"]}))
     assert run(["dirichlet", "--matrix", str(mat), "--Q", "5", "--threads", "2"]) == 1
+
+
+def test_lll_transform_overflow_exits_2(tmp_path):
+    # an integer-like entry of 1e30 needs a size-reduction multiplier beyond
+    # int64: a budget error (exit 2), not an OverflowError traceback
+    mat = tmp_path / "big.json"
+    mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["1e30"]}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for args in (["flow", "--matrix", str(mat), "--tmax", "2", "--dt", "0.5"],
+                 ["dirichlet", "--matrix", str(mat), "--Q", "10"]):
+        done = subprocess.run([sys.executable, "-m", "dioph"] + args
+                              + ["--out", str(tmp_path / args[0])],
+                              env=env, cwd=str(tmp_path), capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr and "int64" in done.stderr

@@ -128,16 +128,6 @@ def test_identity_component_closed_under_add(curve_110160):
             assert ec_core.on_identity_component(curve_110160, s)
 
 
-def test_largest_real_root_bounds(curve_lemniscatic, curve_110160):
-    lo, hi = ec_core.largest_real_root_bounds(curve_lemniscatic, bits=40)
-    assert lo <= 1 <= hi and hi - lo <= Fraction(1, 2**40)
-    lo, hi = ec_core.largest_real_root_bounds(curve_110160, bits=40)
-    assert hi - lo <= Fraction(1, 2**40)
-    # f(lo) <= 0 < f(hi) brackets the root
-    f = lambda x: x**3 + curve_110160.a * x + curve_110160.b
-    assert f(lo) <= 0 < f(hi)
-
-
 def test_from_ainvs_37a():
     # [0, 0, 1, -1, 0]: y^2 + y = x^3 - x, completing the square and cube
     cur = ec_core.from_ainvs(0, 0, 1, -1, 0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dioph import ec_core, heights
@@ -266,3 +266,98 @@ def test_digit_budget_parity(curve, pt, budget):
         heights.canonical_height_limit(curve, pt, 12, PREC, digit_budget=budget)
     assert str(got.value) == str(ref.value)
     assert mp.iv.prec == before
+
+
+# --- reference: the kernel multiple rebuilt from P by the group law ----------
+
+
+def _reference_kernel_multiple(curve_int, pt, multiple_cap=4000):
+    """_kernel_multiple with MP computed afresh as scalar_mul(M, P) (the oracle)."""
+    disc = -16 * (4 * int(curve_int.a) ** 3 + 27 * int(curve_int.b) ** 2)
+    pending = set(ec_core._factorize(disc))
+    orders = {}
+    running = pt
+    m = 1
+    while pending:
+        if running.is_identity:
+            return 0, None
+        for p in list(pending):
+            if running.x.denominator % p == 0:
+                orders[p] = m
+                pending.discard(p)
+        if not pending:
+            break
+        m += 1
+        if m > multiple_cap:
+            raise BudgetExceededError(
+                f"kernel-of-reduction order exceeds {multiple_cap} at primes {sorted(pending)}")
+        running = ec_core.add(curve_int, running, pt)
+    M = math.lcm(*orders.values())
+    Q = ec_core.scalar_mul(curve_int, M, pt)
+    if Q.is_identity:
+        return 0, None
+    return M, (Q.x.numerator, Q.x.denominator)
+
+
+@st.composite
+def _small_curves_with_points(draw):
+    """Like _curves_with_points, smaller, so most kernel multiples stay small;
+    the point is [n]P on the integral model for n = 1, 2 or 3."""
+    w = draw(st.integers(1, 2))
+    x = Fraction(draw(st.integers(-3, 3)), w * w)
+    y = Fraction(draw(st.integers(-3, 3)), w**3)
+    a = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 4, 16))))
+    b = y * y - x**3 - a * x
+    assume(4 * a**3 + 27 * b**2 != 0)
+    cu, pu, _ = ec_core.integral_model(RationalCurve(a=a, b=b), CurvePoint(x, y))
+    return cu, ec_core.scalar_mul(cu, draw(st.integers(1, 3)), pu)
+
+
+@settings(max_examples=200)  # about one draw in seven has all its orders <= 8
+@given(_small_curves_with_points())
+def test_kernel_multiple_matches_scalar_mul_random(curve_point):
+    # orders above 8 raise in both; below it M <= lcm(1..8) = 840
+    try:
+        ref = _reference_kernel_multiple(*curve_point, multiple_cap=8)
+    except BudgetExceededError as e:
+        with pytest.raises(BudgetExceededError) as got:
+            heights._kernel_multiple(*curve_point, multiple_cap=8)
+        assert str(got.value) == str(e)
+        return
+    assert heights._kernel_multiple(*curve_point, multiple_cap=8) == ref
+
+
+@pytest.mark.parametrize("a, b, pt, n, M, odd, doublings", [
+    (0, -2, (3, 5), 2, 3, 1, 0),        # k = M/m = 1: the search's last point is MP
+    (-12, -1, (5, 8), 1, 36, 1, 1),     # k = 2
+    (-3, 7, (-1, 3), 1, 36, 1, 2),      # k = 4
+    (-16, 16, (0, 4), 1, 190, 5, 0),    # k = 5 (37a1, integral model)
+    (0, -28, (4, 6), 1, 42, 3, 1),      # k = 6
+    (-12, -1, (5, 8), 7, 36, 1, 1),     # [7]P: x(252 P) has a 171,650-bit denominator
+])
+def test_kernel_multiple_paths(monkeypatch, a, b, pt, n, M, odd, doublings):
+    curve = RationalCurve(a=a, b=b)
+    P = ec_core.scalar_mul(curve, n, CurvePoint.affine(*pt))
+    odds, calls = [], []
+    multiply, double_x = ec_core._multiply, heights._double_x
+    monkeypatch.setattr(ec_core, "_multiply", lambda c, k, q: odds.append(k) or multiply(c, k, q))
+    monkeypatch.setattr(heights, "_double_x", lambda *args: calls.append(1) or double_x(*args))
+    got = heights._kernel_multiple(curve, P)
+    monkeypatch.undo()
+    assert (got[0], odds, len(calls)) == (M, [odd], doublings)
+    assert got == _reference_kernel_multiple(curve, P)
+    assert math.gcd(*got[1]) == 1 and got[1][1] > 0
+
+
+@pytest.mark.parametrize("a, b, pt", [
+    (-1, 0, (1, 0)),    # 2-torsion
+    (-1, 0, (0, 0)),    # 2-torsion
+    (0, 1, (-1, 0)),    # 2-torsion
+    (0, 1, (0, 1)),     # 3-torsion
+    (0, 16, (0, 4)),    # 3-torsion
+])
+def test_kernel_multiple_torsion(a, b, pt):
+    curve = RationalCurve(a=a, b=b)
+    P = CurvePoint.affine(*pt)
+    assert heights._kernel_multiple(curve, P) == (0, None)
+    assert _reference_kernel_multiple(curve, P) == (0, None)

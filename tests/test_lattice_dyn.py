@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from dioph import lattice_dyn as ld
 from dioph.dioph_matrix import RealMatrix
-from dioph.errors import ValidationError
+from dioph.errors import BudgetExceededError, ValidationError
 
 from conftest import PHI_STR
 
@@ -197,6 +197,21 @@ def test_lll_matches_reference():
         got, want = ld._lll(B), _reference_lll(B)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.allclose(B @ got[1], got[0], rtol=1e-9, atol=1e-9 * np.abs(B).max())
+
+
+@pytest.mark.parametrize("X, Z", [(2**40, 2**23 - 1), (2**40, 2**23)])
+def test_lll_transform_stays_in_int64(X, Z):
+    # columns e0, (X, 1, 0), (0, Z, 1) reduce to e0, e1, e2 with T[0, 2] = X Z.
+    # 2^63 - 2^40 fits int64 though the running bound (X + 1)(Z + 1) on |T|
+    # does not, so that step is done exactly; 2^63 would wrap in int64
+    cols = np.array([[1.0, X, 0.0], [0.0, 1.0, Z], [0.0, 0.0, 1.0]])
+    if X * Z > np.iinfo(np.int64).max:
+        with pytest.raises(BudgetExceededError):
+            ld._lll(cols)
+        return
+    B, T = ld._lll(cols)
+    assert T.dtype == np.int64 and int(T[0, 2]) == X * Z
+    assert np.array_equal(B, np.eye(3)) and np.array_equal(cols @ T.astype(np.float64), B)
 
 
 def test_exact_rank_matches_fraction_oracle():
