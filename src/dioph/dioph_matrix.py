@@ -462,15 +462,6 @@ def dirichlet_check(A: RealMatrix, Q: int, **kw) -> Tuple[bool, ApproxRecord]:
         return bool(rec.error < thresh), rec
 
 
-def vwa_solver(A: RealMatrix, gamma, Q: int, epsilon: float = 0.1, c: float = 1.0,
-               **kw) -> Tuple[ApproxRecord, bool]:
-    """Best inhomogeneous record and whether err < c * Q^(-n/m + epsilon)."""
-    rec = best_approx(A, gamma, Q, **kw)
-    with mp.workprec(A.precision_bits):
-        thresh = mp.mpf(c) * mp.mpf(Q) ** (-mp.mpf(A.n) / A.m + mp.mpf(epsilon))
-        return rec, bool(rec.error < thresh)
-
-
 # ---------------------------------------------------------------------------
 # exponent estimation
 

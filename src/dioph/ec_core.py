@@ -217,17 +217,6 @@ def curve_from_json(doc: Union[str, dict]) -> RationalCurve:
     )
 
 
-def curve_to_json(curve: RationalCurve) -> dict:
-    doc = {"a": str(curve.a), "b": str(curve.b)}
-    if curve.label is not None:
-        doc["label"] = curve.label
-    if curve.rank_hint is not None:
-        doc["rank"] = curve.rank_hint
-    if curve.generator_hint is not None:
-        doc["generator"] = [str(curve.generator_hint.x), str(curve.generator_hint.y)]
-    return doc
-
-
 def integral_model(curve: RationalCurve, pt: Optional[CurvePoint] = None):
     """Rescale (a, b) -> (a*u^4, b*u^6) with minimal integer u making both integral.
 

@@ -298,11 +298,6 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
     return report
 
 
-def sigma_point_estimate(config: CurveExperimentConfig) -> ExponentFit:
-    """Windowed-limsup fit of sigma(P); the observed maximum is reported, not asserted."""
-    return weak_dirichlet_experiment(config).sigma_fit
-
-
 def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
                      Q_schedule: Sequence[int] = (10, 20, 50, 100, 200),
                      seed: int = 0, precision_bits: int = DEFAULT_PRECISION,

@@ -19,10 +19,12 @@ The two canonical-height routes cross-check each other:
     series) plus (1/2) log den(x(MP)) / M^2, where M is a multiple pushing
     the point into the kernel of reduction at every bad prime.  There the
     non-archimedean local heights are pure denominator contributions, so no
-    reduction-type analysis is needed.  The search for M ends holding mP
-    for the largest order m, and MP is finished from it: the odd part of
-    M/m by the group law, its powers of two by exact x-only doublings with
-    the same disc^2 gcd as the ladder.
+    reduction-type analysis is needed.  The order at a bad prime p depends
+    only on P p-adically, so once torsion is decided exactly, each order
+    comes from a walk of mP on residues modulo a power of p, rerun at twice
+    the digits when they run out.  MP is then built from P: the odd part of
+    M by the group law, its powers of two by exact x-only doublings with the
+    same disc^2 gcd as the ladder.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ DEFAULT_PRECISION = 256
 DEFAULT_DIGIT_BUDGET = 60_000_000
 # working precision, in bits, of the first run of the doubling ladder
 _START_PRECISION = 256
+# p-adic digits of the first run of each kernel-of-reduction walk
+_START_DIGITS = 16
+# Mazur: a point of E(Q) of finite order has order at most 12
+_MAX_TORSION_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def naive_height(curve: RationalCurve, pt: CurvePoint,
 
 
 class _Undecided(Exception):
-    """An enclosure at the current working precision cannot decide a step."""
+    """The current working precision cannot decide a step."""
 
 
 def _top_bits(n: int) -> Tuple[int, int]:
@@ -236,6 +242,100 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
         return +total
 
 
+def _walk_order(a: int, x: Fraction, y: Fraction, p: int, multiple_cap: int,
+                digits: int) -> Optional[int]:
+    """Least m in 2..multiple_cap with p | den x(mP), or None if there is none.
+
+    P = (x, y) is p-integral on the integral curve y^2 = x^3 + a x + b and
+    not torsion.  The walk (m+1)P = mP + P runs on the residues of x(mP) and
+    y(mP) modulo p^e, where e, their absolute precision, starts at `digits`.
+    Dividing by a slope denominator of valuation v leaves e - v digits.  A
+    slope of negative valuation is exactly p | den x((m+1)P), so it ends the
+    walk.  Raises _Undecided when a denominator is 0 modulo p^e.
+    """
+    pe = p**digits
+    x1 = x.numerator * pow(x.denominator, -1, pe) % pe
+    y1 = y.numerator * pow(y.denominator, -1, pe) % pe
+    xm, ym = x1, y1
+    for m in range(1, multiple_cap):
+        if m == 1:
+            num, den = 3 * x1 * x1 + a, 2 * y1
+        else:
+            num, den = ym - y1, xm - x1
+        den %= pe
+        if den == 0:
+            raise _Undecided
+        pv = 1
+        while den % p == 0:
+            den //= p
+            pv *= p
+        if num % pv:
+            return m + 1
+        pe //= pv
+        lam = num // pv * pow(den, -1, pe) % pe
+        xm = (lam * lam - xm - x1) % pe
+        ym = (lam * (x1 - xm) - y1) % pe
+    return None
+
+
+def _order_error(multiple_cap: int, primes) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"kernel-of-reduction order exceeds {multiple_cap} at primes {sorted(primes)}")
+
+
+def _kernel_orders(curve_int: RationalCurve, pt: CurvePoint,
+                   multiple_cap: int = 4000) -> Optional[dict]:
+    """{p: least m >= 1 with p | den x(mP)} over the primes p | disc, or None
+    when pt is torsion.
+
+    Torsion is decided first, exactly.  A torsion point of the integral
+    model is integral (Nagell-Lutz) and of order at most 12 (Mazur), so kP
+    is walked by the group law while it stays integral, for k up to
+    min(12, multiple_cap): O means torsion, a non-integral multiple means
+    not.  Then each bad prime has its own walk on p-adic residues
+    (`_walk_order`), rerun at twice the digits until every step is
+    decided.  For m >= 2, x(mP) != x(P), since pt is not torsion, so every
+    denominator of the walk is nonzero and the reruns end.
+
+    Raises BudgetExceededError when an order exceeds multiple_cap, as does
+    a torsion point of larger order: the primes named are those whose
+    order the walk of exact multiples mP, m <= multiple_cap, would not find.
+    """
+    a = int(curve_int.a)
+    primes = sorted(ec_core._factorize(int(curve_int.discriminant)))
+    running = pt
+    for _ in range(max(1, min(_MAX_TORSION_ORDER, multiple_cap))):
+        if running.is_identity:
+            return None
+        if running.x.denominator != 1:
+            break
+        running = ec_core.add(curve_int, running, pt, _checked=True)
+    else:
+        # no O among the integral multiples: past 12, pt is not torsion;
+        # within the cap, no prime divides a denominator
+        if multiple_cap <= _MAX_TORSION_ORDER:
+            raise _order_error(multiple_cap, primes)
+    orders, pending = {}, []
+    for p in primes:
+        if pt.x.denominator % p == 0:
+            orders[p] = 1
+            continue
+        digits = _START_DIGITS
+        while True:
+            try:
+                order = _walk_order(a, pt.x, pt.y, p, multiple_cap, digits)
+                break
+            except _Undecided:
+                digits *= 2
+        if order is None:
+            pending.append(p)
+        else:
+            orders[p] = order
+    if pending:
+        raise _order_error(multiple_cap, pending)
+    return orders
+
+
 def _kernel_multiple(curve_int: RationalCurve, pt: CurvePoint,
                      multiple_cap: int = 4000):
     """Smallest M with den(x(mP)) divisible by p for every bad prime p | disc,
@@ -244,44 +344,26 @@ def _kernel_multiple(curve_int: RationalCurve, pt: CurvePoint,
     Returns (M, (p, q)) with x(MP) = p/q in lowest terms, q > 0, or (0, None)
     when pt turns out to be torsion.
 
-    The search walks mP for m = 1, 2, ... by the group law and stops at the
-    largest order m it needs, holding mP.  M, the lcm of the orders, is a
-    multiple of m, so MP is finished from mP rather than rebuilt from P:
-    with M/m = 2^s o, o odd, the odd part o by the group law, then s exact
-    doublings of x alone (`_double_x`), each divided by its gcd with
-    disc^2, which is the whole gcd (the resultant fact `_ladder` rests on).
-    It gives the same p/q as the Fraction doubling at a fraction of the
-    cost: 0.013 s against 0.42 s from 126P to 252P on 110160.cd1.
+    M is the lcm of the orders `_kernel_orders` finds on p-adic residues.
+    x(MP) has about M^2 times the bits of x(P), so an estimate of them is
+    held to DEFAULT_DIGIT_BUDGET before MP is built.  With M = 2^s o, o odd,
+    oP comes by the group law, then s exact doublings of x alone
+    (`_double_x`), each divided by its gcd with disc^2, which is the whole
+    gcd (the resultant fact `_ladder` rests on).
     """
-    a, b = int(curve_int.a), int(curve_int.b)
-    disc = -16 * (4 * a**3 + 27 * b**2)
-    pending = set(ec_core._factorize(disc))
-    orders = {}
-    running = pt
-    m = 1
-    while pending:
-        if running.is_identity:
-            return 0, None  # torsion point
-        den = running.x.denominator
-        for p in list(pending):
-            if den % p == 0:
-                orders[p] = m
-                pending.discard(p)
-        if not pending:
-            break
-        m += 1
-        if m > multiple_cap:
-            raise BudgetExceededError(
-                f"kernel-of-reduction order exceeds {multiple_cap} at primes {sorted(pending)}")
-        running = ec_core.add(curve_int, running, pt, _checked=True)
-    # pt is not torsion, so MP is affine: a torsion point of an integral
-    # model is integral (Nagell-Lutz), no bad prime (and 2 always divides
-    # disc) divides its denominator, and the search above ends at O
+    orders = _kernel_orders(curve_int, pt, multiple_cap)
+    if orders is None:
+        return 0, None
     M = math.lcm(*orders.values())
-    k = M // m
-    s = (k & -k).bit_length() - 1
-    odd = ec_core._multiply(curve_int, k >> s, running)
-    gcd_bound = disc * disc
+    bits = M * M * max(max(abs(pt.x.numerator), pt.x.denominator).bit_length(), 8)
+    if bits > DEFAULT_DIGIT_BUDGET:
+        raise BudgetExceededError(
+            f"x(MP) at M = {M} would have about {bits} bits, "
+            f"over the {DEFAULT_DIGIT_BUDGET}-bit budget")
+    a, b = int(curve_int.a), int(curve_int.b)
+    gcd_bound = int(curve_int.discriminant) ** 2
+    s = (M & -M).bit_length() - 1
+    odd = ec_core._multiply(curve_int, M >> s, pt)
     p, q = odd.x.numerator, odd.x.denominator
     for _ in range(s):
         fp, fq = _double_x(a, b, p, q)
@@ -308,14 +390,3 @@ def canonical_height_local(curve: RationalCurve, pt: CurvePoint,
         value = (lam + nonarch) / M**2
         return HeightValue(+value, precision_bits, "local_decomposition")
 
-
-def height_pairing_check(curve: RationalCurve, p1: CurvePoint, p2: CurvePoint,
-                         precision_bits: int = DEFAULT_PRECISION) -> mp.mpf:
-    """Parallelogram defect hhat(P+Q) + hhat(P-Q) - 2 hhat(P) - 2 hhat(Q)."""
-    ec_core._require_on_curve(curve, p1)
-    ec_core._require_on_curve(curve, p2)
-    s = ec_core.add(curve, p1, p2)
-    d = ec_core.add(curve, p1, ec_core.negate(p2))
-    h = lambda q: canonical_height_local(curve, q, precision_bits).value
-    with mp.workprec(precision_bits):
-        return +(h(s) + h(d) - 2 * h(p1) - 2 * h(p2))

@@ -7,7 +7,7 @@ import pytest
 
 from dioph.dioph_matrix import (RealMatrix, best_approx, build_A_from_HJ,
                                 dirichlet_check, exponent_estimate,
-                                liouville_number, vwa_solver)
+                                liouville_number)
 from dioph.errors import BudgetExceededError, SingularMatrixError, ValidationError
 
 from conftest import PHI_STR
@@ -115,12 +115,14 @@ def test_dirichlet_check_examples():
 
 
 def test_vwa_solver():
+    # err < c Q^(-n/m + epsilon) with c = 1, epsilon = 0.1: badly
+    # approximable A still admits Dirichlet-quality solutions
     A = RealMatrix.scalar(PHI_STR, PREC)
-    rec, ok = vwa_solver(A, "1/3", 1000, epsilon=0.1, c=1.0)
-    assert ok  # badly approximable A still admits Dirichlet-quality solutions
+    rec = best_approx(A, "1/3", 1000)
+    with mp.workprec(PREC):
+        assert rec.error < mp.mpf(1000) ** mp.mpf("-0.9")
     B = RealMatrix.from_rows([["1/2"]], PREC)
-    rec, ok = vwa_solver(B, None, 10)
-    assert ok and rec.error == 0
+    assert best_approx(B, None, 10).error == 0
 
 
 def test_exponent_phi_band():

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -138,9 +139,9 @@ def test_from_ainvs_37a():
 
 
 def test_curve_json_roundtrip(curve_110160):
-    doc = ec_core.curve_to_json(curve_110160)
-    cur2 = ec_core.curve_from_json(doc)
-    assert cur2 == curve_110160
+    doc = {"label": "110160.cd1", "a": "-12", "b": "-1", "generator": ["5", "8"], "rank": 1}
+    assert ec_core.curve_from_json(doc) == curve_110160
+    assert ec_core.curve_from_json(json.dumps(doc)) == curve_110160
     with pytest.raises(ValidationError):
         ec_core.curve_from_json({"a": "1"})
     with pytest.raises(ValidationError):

@@ -139,7 +139,7 @@ def test_sigma_point_estimate_golden_offset(curve_110160):
     phi_frac = mp.mpf(PHI_STR) - 1
     cfg = experiments.CurveExperimentConfig(curve=curve_110160,
                                             target_P=om * phi_frac, q_max=10**5)
-    fit = experiments.sigma_point_estimate(cfg)
+    fit = experiments.weak_dirichlet_experiment(cfg).sigma_fit
     assert 0.45 <= fit.estimate <= 0.8
     assert fit.observed_max is not None  # upper direction reported, never asserted
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dioph import haw_game, lattice_dyn
-from dioph.dioph_matrix import RealMatrix, liouville_number
+from dioph.dioph_matrix import RealMatrix, best_approx, liouville_number
 from dioph.errors import CertificateError, ValidationError
 
 PREC = 256
@@ -182,17 +182,18 @@ def test_corrupted_strategy_fails_certificate(liouville_A, strategy):
 
 def test_vwa_solver_agrees_with_game_certificate(liouville_A, strategy):
     # the game outcome admits no solution below the stage threshold, so the
-    # solver with the calibrated constant must report "not solvable"
-    from dioph.dioph_matrix import vwa_solver
+    # best record with the calibrated constant must miss c Q^(-n/m + epsilon)
     out = haw_game.run_game(liouville_A, sigma=3.0, rounds=12, seed=0, params=strategy)
     assert out.triggered
     cert = out.triggered[0]
     st = strategy.stages[cert["stage"]]
     Qk = int(math.floor(st.Q))
     c_eff = strategy.c ** (1 + 1 / strategy.mu)
-    rec, ok = vwa_solver(liouville_A, out.gamma, Qk,
-                         epsilon=strategy.epsilon_mu, c=c_eff)
-    assert not ok
+    rec = best_approx(liouville_A, out.gamma, Qk)
+    with mp.workprec(liouville_A.precision_bits):
+        threshold = (mp.mpf(c_eff) * mp.mpf(Qk)
+                     ** (-mp.mpf(liouville_A.n) / liouville_A.m + mp.mpf(strategy.epsilon_mu)))
+        assert not rec.error < threshold
     assert float(rec.error) == pytest.approx(cert["min_error"], rel=1e-9)
 
 

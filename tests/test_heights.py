@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -138,17 +139,26 @@ def test_quadraticity_range(curve_110160, curve_mordell):
             assert abs(hn - n * n * h1) < 1e-6 * n * n
 
 
+def _parallelogram_defect(curve, p1, p2):
+    """hhat(P+Q) + hhat(P-Q) - 2 hhat(P) - 2 hhat(Q), by the local route."""
+    h = lambda q: heights.canonical_height_local(curve, q, PREC).value
+    s = ec_core.add(curve, p1, p2)
+    d = ec_core.add(curve, p1, ec_core.negate(p2))
+    with mp.workprec(PREC):
+        return +(h(s) + h(d) - 2 * h(p1) - 2 * h(p2))
+
+
 def test_parallelogram_defect(curve_110160):
     P = CurvePoint.affine(5, 8)
-    assert abs(heights.height_pairing_check(curve_110160, P, O, PREC)) < 1e-8
-    assert abs(heights.height_pairing_check(curve_110160, P, P, PREC)) < 1e-8
+    assert abs(_parallelogram_defect(curve_110160, P, O)) < 1e-8
+    assert abs(_parallelogram_defect(curve_110160, P, P)) < 1e-8
     rnd = random.Random(17)
     for _ in range(50):
         a = rnd.choice([-3, -2, -1, 1, 2, 3])
         b = rnd.choice([-3, -2, -1, 1, 2, 3])
         A = ec_core.scalar_mul(curve_110160, a, P)
         B = ec_core.scalar_mul(curve_110160, b, P)
-        assert abs(heights.height_pairing_check(curve_110160, A, B, PREC)) < 1e-6
+        assert abs(_parallelogram_defect(curve_110160, A, B)) < 1e-6
 
 
 def test_naive_vs_canonical_bounded(curve_110160):
@@ -268,19 +278,20 @@ def test_digit_budget_parity(curve, pt, budget):
     assert mp.iv.prec == before
 
 
-# --- reference: the kernel multiple rebuilt from P by the group law ----------
+# --- reference: the kernel multiple by a walk of exact multiples -------------
 
 
-def _reference_kernel_multiple(curve_int, pt, multiple_cap=4000):
-    """_kernel_multiple with MP computed afresh as scalar_mul(M, P) (the oracle)."""
-    disc = -16 * (4 * int(curve_int.a) ** 3 + 27 * int(curve_int.b) ** 2)
-    pending = set(ec_core._factorize(disc))
+def _reference_orders(curve_int, pt, multiple_cap=4000):
+    """{p: least m with p | den x(mP)} over the primes p | disc, by walking
+    mP = P, 2P, ... with the Fraction group law, or None when the walk
+    reaches O first (the oracle)."""
+    pending = set(ec_core._factorize(int(curve_int.discriminant)))
     orders = {}
     running = pt
     m = 1
     while pending:
         if running.is_identity:
-            return 0, None
+            return None
         for p in list(pending):
             if running.x.denominator % p == 0:
                 orders[p] = m
@@ -292,11 +303,31 @@ def _reference_kernel_multiple(curve_int, pt, multiple_cap=4000):
             raise BudgetExceededError(
                 f"kernel-of-reduction order exceeds {multiple_cap} at primes {sorted(pending)}")
         running = ec_core.add(curve_int, running, pt)
-    M = math.lcm(*orders.values())
-    Q = ec_core.scalar_mul(curve_int, M, pt)
-    if Q.is_identity:
+    return orders
+
+
+def _reference_kernel_multiple(curve_int, pt, multiple_cap=4000):
+    """_kernel_multiple from the orders of the exact walk, with MP computed
+    afresh as scalar_mul(M, P) (the oracle)."""
+    orders = _reference_orders(curve_int, pt, multiple_cap)
+    if orders is None:
         return 0, None
+    M = math.lcm(*orders.values())
+    bits = M * M * max(max(abs(pt.x.numerator), pt.x.denominator).bit_length(), 8)
+    if bits > heights.DEFAULT_DIGIT_BUDGET:
+        raise BudgetExceededError(
+            f"x(MP) at M = {M} would have about {bits} bits, "
+            f"over the {heights.DEFAULT_DIGIT_BUDGET}-bit budget")
+    Q = ec_core.scalar_mul(curve_int, M, pt)
     return M, (Q.x.numerator, Q.x.denominator)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the BudgetExceededError it raises."""
+    try:
+        return fn(*args)
+    except BudgetExceededError as e:
+        return f"BudgetExceededError: {e}"
 
 
 @st.composite
@@ -317,25 +348,116 @@ def _small_curves_with_points(draw):
 @given(_small_curves_with_points())
 def test_kernel_multiple_matches_scalar_mul_random(curve_point):
     # orders above 8 raise in both; below it M <= lcm(1..8) = 840
-    try:
-        ref = _reference_kernel_multiple(*curve_point, multiple_cap=8)
-    except BudgetExceededError as e:
-        with pytest.raises(BudgetExceededError) as got:
-            heights._kernel_multiple(*curve_point, multiple_cap=8)
-        assert str(got.value) == str(e)
-        return
-    assert heights._kernel_multiple(*curve_point, multiple_cap=8) == ref
+    assert (_outcome(heights._kernel_orders, *curve_point, 8)
+            == _outcome(_reference_orders, *curve_point, 8))
+    assert (_outcome(heights._kernel_multiple, *curve_point, 8)
+            == _outcome(_reference_kernel_multiple, *curve_point, 8))
+
+
+@given(_curves_with_points(), st.integers(0, 30))
+def test_kernel_orders_match_exact_walk_random(curve_point, multiple_cap):
+    # caps from 0 up cover torsion points above and below the cap
+    cu, pu, _ = ec_core.integral_model(*curve_point)
+    assert (_outcome(heights._kernel_orders, cu, pu, multiple_cap)
+            == _outcome(_reference_orders, cu, pu, multiple_cap))
+
+
+# Points reducing to the singular point of the curve mod p, where the walk
+# at p loses digits: each needs more than the starting digits at p.
+SINGULAR_REDUCTION = [
+    (-16, 64, (4, 8), 2),
+    (5, 214, (3, 16), 2),
+    (-16, 16, (0, 4), 2),                   # 37a1, integral model
+    (-3, 83, (1, 9), 3),
+    (-52, 754, (3, 25), 5),                 # M = 780
+    (-27, 976562554, (3, 31250), 5),        # orders at 79 and 157 exceed the cap
+]
+
+
+@pytest.mark.parametrize("a, b, pt, p", SINGULAR_REDUCTION)
+def test_kernel_orders_singular_reduction(monkeypatch, a, b, pt, p):
+    curve, P = RationalCurve(a=a, b=b), CurvePoint.affine(*pt)
+    assert curve.discriminant % p == 0 and P.y % p == 0 and (3 * P.x**2 + a) % p == 0
+    runs = []
+    walk = heights._walk_order
+    monkeypatch.setattr(heights, "_walk_order",
+                        lambda *args: runs.append(args[3::2]) or walk(*args))
+    orders = _outcome(heights._kernel_orders, curve, P, 60)
+    assert (p, 2 * heights._START_DIGITS) in runs
+    assert orders == _outcome(_reference_orders, curve, P, 60)
+    if isinstance(orders, dict) and math.lcm(*orders.values()) <= 200:
+        assert heights._kernel_multiple(curve, P) == _reference_kernel_multiple(curve, P)
+
+
+def test_kernel_orders_digit_escalation(monkeypatch):
+    # from one p-adic digit the walks run out of digits and rerun at twice
+    # as many until every step is decided; the results do not change
+    runs = {}
+    walk = heights._walk_order
+
+    def spy(a, x, y, p, multiple_cap, digits):
+        runs.setdefault(p, []).append(digits)
+        return walk(a, x, y, p, multiple_cap, digits)
+
+    monkeypatch.setattr(heights, "_START_DIGITS", 1)
+    monkeypatch.setattr(heights, "_walk_order", spy)
+    cases = [ec_core.integral_model(curve, pt)[:2] for curve, pt in WORKLOAD_CURVES]
+    cases += [(RationalCurve(a=a, b=b), CurvePoint.affine(*pt))
+              for a, b, pt, _ in SINGULAR_REDUCTION[:4]]
+    for curve, P in cases:
+        runs.clear()
+        assert heights._kernel_multiple(curve, P) == _reference_kernel_multiple(curve, P)
+        assert any(len(digits) > 1 for digits in runs.values())
+        for digits in runs.values():
+            assert digits == [2**i for i in range(len(digits))]
+
+
+@pytest.mark.parametrize("a, b, pt, order", [
+    (-36315, 12799350, (75, 3240), 10),
+    (-33339627, 73697852646, (3027, -22680), 12),
+])
+@pytest.mark.parametrize("multiple_cap", (0, 1, 8, 9, 11, 12, 4000))
+def test_kernel_multiple_torsion_cap_parity(a, b, pt, order, multiple_cap):
+    # below the torsion order both raise with every bad prime named
+    curve, P = RationalCurve(a=a, b=b), CurvePoint.affine(*pt)
+    got = _outcome(heights._kernel_multiple, curve, P, multiple_cap)
+    assert got == _outcome(_reference_kernel_multiple, curve, P, multiple_cap)
+    assert (got == (0, None)) == (multiple_cap >= order)
+
+
+def test_kernel_multiple_budget_on_M(monkeypatch):
+    # orders 2, 10, 12 and 38 give M = 1140, and x(MP) a 2.48M-bit
+    # denominator; the orders alone come from short p-adic walks
+    curve, P = RationalCurve(a=-1, b=28), CurvePoint.affine(-3, 2)
+    start = time.perf_counter()
+    orders = heights._kernel_orders(curve, P)
+    assert time.perf_counter() - start < 0.1
+    assert orders == {2: 2, 11: 10, 13: 12, 37: 38} == _reference_orders(curve, P)
+    assert math.lcm(*orders.values()) == 1140
+    # the estimate, 1140^2 * 8 = 10,396,800 bits, is over a 10M-bit budget
+    built = []
+    monkeypatch.setattr(ec_core, "_multiply", lambda *args: built.append(args))
+    monkeypatch.setattr(heights, "_double_x", lambda *args: built.append(args))
+    monkeypatch.setattr(heights, "DEFAULT_DIGIT_BUDGET", 10_000_000)
+    with pytest.raises(BudgetExceededError, match="M = 1140 would have about 10396800 bits"):
+        heights._kernel_multiple(curve, P)
+    with pytest.raises(BudgetExceededError):
+        heights.canonical_height_local(curve, P)
+    assert built == []
 
 
 @pytest.mark.parametrize("a, b, pt, n, M, odd, doublings", [
-    (0, -2, (3, 5), 2, 3, 1, 0),        # k = M/m = 1: the search's last point is MP
-    (-12, -1, (5, 8), 1, 36, 1, 1),     # k = 2
-    (-3, 7, (-1, 3), 1, 36, 1, 2),      # k = 4
-    (-16, 16, (0, 4), 1, 190, 5, 0),    # k = 5 (37a1, integral model)
-    (0, -28, (4, 6), 1, 42, 3, 1),      # k = 6
-    (-12, -1, (5, 8), 7, 36, 1, 1),     # [7]P: x(252 P) has a 171,650-bit denominator
+    (0, -2, (3, 5), 2, 3, 3, 0),        # M odd: no doubling
+    (-12, -1, (5, 8), 1, 36, 9, 2),
+    (-3, 7, (-1, 3), 1, 36, 9, 2),
+    (-16, 16, (0, 4), 1, 190, 95, 1),   # 37a1, integral model
+    (0, -28, (4, 6), 1, 42, 21, 1),
+    (-12, -1, (5, 8), 7, 36, 9, 2),     # [7]P: x(252 P) has a 171,650-bit denominator
+    (-2, 0, ("9/4", "21/8"), 1, 1, 1, 0),   # M = 1: the one bad prime, 2, divides den x(P)
 ])
 def test_kernel_multiple_paths(monkeypatch, a, b, pt, n, M, odd, doublings):
+    # MP is built from P: the odd part of M by the group law, then v2(M)
+    # x-only doublings
     curve = RationalCurve(a=a, b=b)
     P = ec_core.scalar_mul(curve, n, CurvePoint.affine(*pt))
     odds, calls = [], []
