@@ -1,10 +1,17 @@
-"""Command-line front door: ingestion, dispatch, and report emission.
+"""Command-line front door: one command table, one parser, one emit path.
 
 Subcommands: curve verify | curve height | curve log | dirichlet | exponent |
-flow | haw | minkowski | weakdirichlet | probe.  Every run writes a JSON
-summary (schema "dioph-report/1"); record-style commands also write a CSV
-with 17-significant-digit decimals.  Outputs carry no timestamps, so a rerun
-with the same config and seed is byte-identical.
+flow | haw | minkowski | weakdirichlet | probe.  ``_COMMANDS`` maps each
+name to its argument list and to a function of the parsed arguments that
+returns (report, CSV header or None, CSV rows).  One loop builds the parser
+from the table, with the "curve ..." names under the ``curve`` group.  One
+dispatch path checks the precision, replaces the input paths by the curve or
+matrices they hold (``--liouville`` wins over ``--matrix``), runs the command
+and writes its report.
+
+Every run writes a JSON summary (schema "dioph-report/1"); record-style
+commands also write a CSV with 17-significant-digit decimals.  Outputs carry
+no timestamps, so a rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success, 1 validation error, 2 budget error, 3 certificate or
 assertion failure.
@@ -17,44 +24,26 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import mpmath as mp
 
-from . import analytic, ec_core, experiments, haw_game, heights, lattice_dyn
-from .dioph_matrix import RealMatrix, dirichlet_check, exponent_estimate, liouville_number
-from .errors import DiophError, ValidationError
+from . import analytic, dioph_matrix, ec_core, experiments, haw_game, heights, lattice_dyn
+from .errors import CertificateError, DiophError, ValidationError
 
 SCHEMA = "dioph-report/1"
 
-
-@dataclass
-class RunConfig:
-    command: str
-    precision_bits: int = 256
-    seed: int = 0
-    out: Optional[str] = None
-    format: str = "csv"
-    full_precision: bool = False
-    params: dict = field(default_factory=dict)
+# CSV columns that hold exact integers: --full-precision adds no hex column for them
+_EXACT_COLUMNS = ("q", "p", "is_minimum")
 
 
 def _dec(x) -> str:
-    """17-significant-digit decimal, locale-independent."""
+    """17-significant-digit decimal, locale-independent; float inf and nan as 'inf', 'nan'."""
     if isinstance(x, mp.mpf):
         return mp.nstr(x, 17)
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
         return f"{x:.17g}"
     return str(x)
-
-
-def _hexcol(x) -> str:
-    return float(x).hex()
 
 
 def _load_json_file(path: str) -> dict:
@@ -67,23 +56,11 @@ def _load_json_file(path: str) -> dict:
         raise ValidationError(f"invalid JSON in {path}: {e}") from e
 
 
-def _load_matrix(path: str, precision_bits: int) -> RealMatrix:
-    return RealMatrix.from_json(_load_json_file(path), precision_bits)
-
-
-def _load_curve(path: str) -> ec_core.RationalCurve:
-    return ec_core.curve_from_json(_load_json_file(path))
-
-
 def _jsonable(x):
     if isinstance(x, mp.mpf):
         return mp.nstr(x, 30)
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
+        return x if math.isfinite(x) else _dec(x)
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -91,41 +68,46 @@ def _jsonable(x):
     return x
 
 
-def emit_report(report: dict, config: RunConfig,
+def emit_report(report: dict, args: argparse.Namespace,
                 csv_header: Optional[List[str]] = None,
                 csv_rows: Optional[List[List]] = None) -> List[str]:
-    """Write the JSON summary (always) and the CSV (when format is csv)."""
-    written: List[str] = []
+    """Write the JSON summary (always) and the CSV (when format is csv); return the paths."""
     summary = {
         "schema": SCHEMA,
-        "command": config.command,
-        "precision_bits": config.precision_bits,
-        "seed": config.seed,
+        "command": args.command_name,
+        "precision_bits": args.precision_bits,
+        "seed": args.seed,
     }
     summary.update(_jsonable(report))
-    if config.out:
-        json_path = config.out + ".json"
-        with open(json_path, "w", encoding="utf-8", newline="") as f:
-            f.write(json.dumps(summary, sort_keys=True, indent=2))
-            f.write("\n")
-        written.append(json_path)
-        if config.format == "csv" and csv_header is not None:
-            csv_path = config.out + ".csv"
-            header = list(csv_header)
-            if config.full_precision:
-                header = header + [h + "_hex" for h in header if h not in ("q", "p", "is_minimum")]
-            with open(csv_path, "w", encoding="utf-8", newline="") as f:
-                f.write(",".join(header) + "\n")
-                for row in csv_rows or []:
-                    cells = [_dec(v) if not isinstance(v, (str, int)) else str(v) for v in row]
-                    if config.full_precision:
-                        cells += [_hexcol(v) for h, v in zip(csv_header, row)
-                                  if h not in ("q", "p", "is_minimum")]
-                    f.write(",".join(cells) + "\n")
-            written.append(csv_path)
-    else:
+    if not args.out:
         print(json.dumps(summary, sort_keys=True, indent=2))
-    return written
+        return []
+    json_path = args.out + ".json"
+    with open(json_path, "w", encoding="utf-8", newline="") as f:
+        f.write(json.dumps(summary, sort_keys=True, indent=2))
+        f.write("\n")
+    if args.format != "csv" or csv_header is None:
+        return [json_path]
+    csv_path = args.out + ".csv"
+    header = list(csv_header)
+    if args.full_precision:
+        header += [h + "_hex" for h in csv_header if h not in _EXACT_COLUMNS]
+    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in csv_rows or []:
+            cells = [_dec(v) for v in row]
+            if args.full_precision:
+                cells += [float(v).hex() for h, v in zip(csv_header, row)
+                          if h not in _EXACT_COLUMNS]
+            f.write(",".join(cells) + "\n")
+    return [json_path, csv_path]
+
+
+def _affine(text: str, usage: str) -> ec_core.CurvePoint:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValidationError(usage)
+    return ec_core.CurvePoint.affine(parts[0], parts[1])
 
 
 def _parse_point(curve, text: Optional[str]):
@@ -133,18 +115,29 @@ def _parse_point(curve, text: Optional[str]):
         if curve.generator_hint is None:
             raise ValidationError("no point given and the curve has no generator")
         return curve.generator_hint
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("point must be 'x,y' with exact rationals")
-    return ec_core.CurvePoint.affine(parts[0], parts[1])
+    return _affine(text, "point must be 'x,y' with exact rationals")
+
+
+def _parse_target(text: Optional[str], precision_bits: int):
+    if text is None or text == "random":
+        return None
+    if text.startswith("t:"):
+        with mp.workprec(precision_bits):
+            return mp.mpf(text[2:])
+    return _affine(text, "target must be 'x,y', 't:VALUE', or 'random'")
+
+
+def _joined(values) -> str:
+    return " ".join(map(str, values))
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# commands: each takes the parsed arguments, with args.curve, args.matrix,
+# args.H and args.J already loaded, and returns (report, CSV header, CSV rows)
 
 
-def _cmd_curve_verify(args, cfg: RunConfig) -> int:
-    curve = _load_curve(args.curve)
+def _curve_verify(args):
+    curve = args.curve
     pt = curve.generator_hint if args.point is None else _parse_point(curve, args.point)
     report = {
         "label": curve.label,
@@ -159,17 +152,15 @@ def _cmd_curve_verify(args, cfg: RunConfig) -> int:
         if not ok:
             raise ValidationError(f"point {pt} is not on the curve")
         report["on_identity_component"] = ec_core.on_identity_component(curve, pt)
-    emit_report(report, cfg)
-    return 0
+    return report, None, []
 
 
-def _cmd_curve_height(args, cfg: RunConfig) -> int:
-    curve = _load_curve(args.curve)
+def _curve_height(args):
+    curve, prec = args.curve, args.precision_bits
     pt = _parse_point(curve, args.point)
-    naive = heights.naive_height(curve, pt, cfg.precision_bits)
-    local = heights.canonical_height_local(curve, pt, cfg.precision_bits)
-    limit = heights.canonical_height_limit(curve, pt, n_max=args.nmax,
-                                           precision_bits=cfg.precision_bits)
+    naive = heights.naive_height(curve, pt, prec)
+    local = heights.canonical_height_local(curve, pt, prec)
+    limit = heights.canonical_height_limit(curve, pt, n_max=args.nmax, precision_bits=prec)
     report = {
         "label": curve.label, "point": str(pt),
         "naive_log_height": naive.value,
@@ -179,67 +170,54 @@ def _cmd_curve_height(args, cfg: RunConfig) -> int:
         "methods_difference": abs(local.value - limit.value),
         "height_convention": "x-height/2, natural log",
     }
-    emit_report(report, cfg)
-    return 0
+    return report, None, []
 
 
-def _cmd_curve_log(args, cfg: RunConfig) -> int:
-    curve = _load_curve(args.curve)
+def _curve_log(args):
+    curve, prec = args.curve, args.precision_bits
     pt = _parse_point(curve, args.point)
-    period = analytic.real_period(curve, cfg.precision_bits)
-    lg = analytic.elliptic_log(curve, pt, cfg.precision_bits)
-    with mp.workprec(cfg.precision_bits):
+    period = analytic.real_period(curve, prec)
+    lg = analytic.elliptic_log(curve, pt, prec)
+    with mp.workprec(prec):
         alpha = lg.t / period.omega
     report = {
         "label": curve.label, "point": str(pt),
         "omega": period.omega, "theta": lg.t, "alpha": alpha,
         "period_route": period.route,
     }
-    emit_report(report, cfg)
-    return 0
+    return report, None, []
 
 
-def _cmd_dirichlet(args, cfg: RunConfig) -> int:
-    A = _load_matrix(args.matrix, cfg.precision_bits)
-    ok, rec = dirichlet_check(A, args.Q)
-    with mp.workprec(cfg.precision_bits):
+def _dirichlet(args):
+    A = args.matrix
+    ok, rec = dioph_matrix.dirichlet_check(A, args.Q)
+    with mp.workprec(args.precision_bits):
         threshold = mp.mpf(args.Q) ** (-mp.mpf(A.n) / A.m)
     report = {
         "m": A.m, "n": A.n, "Q": args.Q, "ok": ok,
         "q": list(rec.q), "p": list(rec.p),
         "error": rec.error, "threshold": threshold,
     }
-    header = ["Q", "q", "p", "error", "exponent_sample"]
-    rows = [[args.Q, " ".join(map(str, rec.q)), " ".join(map(str, rec.p)),
-             float(rec.error), rec.exponent_sample]]
-    emit_report(report, cfg, header, rows)
-    return 0
+    rows = [[args.Q, _joined(rec.q), _joined(rec.p), float(rec.error), rec.exponent_sample]]
+    return report, ["Q", "q", "p", "error", "exponent_sample"], rows
 
 
-def _cmd_exponent(args, cfg: RunConfig) -> int:
-    if args.liouville:
-        alpha = liouville_number(precision_bits=cfg.precision_bits)
-        A = RealMatrix.scalar(alpha, cfg.precision_bits)
-    else:
-        A = _load_matrix(args.matrix, cfg.precision_bits)
-    fit = exponent_estimate(A, args.qmax, window_base=args.base)
+def _exponent(args):
+    A = args.matrix
+    fit = dioph_matrix.exponent_estimate(A, args.qmax, window_base=args.base)
     report = {
         "m": A.m, "n": A.n, "Q_max": args.qmax, "window_base": args.base,
         "estimate": fit.estimate, "observed_max": fit.observed_max,
         "method": fit.method, "exact_hit": list(fit.exact_hit) if fit.exact_hit else None,
         "windows": [{"Q_window": w, "best_sample": s} for w, s in fit.window_maxima],
     }
-    header = ["Q_window", "q", "p", "error", "exponent_sample"]
-    rows = [[c["Q_window"], " ".join(map(str, c["q"])), " ".join(map(str, c["p"])),
-             c["error"], c["exponent_sample"]] for c in fit.champions]
-    emit_report(report, cfg, header, rows)
-    return 0
+    rows = [[c["Q_window"], _joined(c["q"]), _joined(c["p"]), c["error"], c["exponent_sample"]]
+            for c in fit.champions]
+    return report, ["Q_window", "q", "p", "error", "exponent_sample"], rows
 
 
-def _cmd_flow(args, cfg: RunConfig) -> int:
-    A = _load_matrix(args.matrix, cfg.precision_bits)
-    prof = lattice_dyn.flow_profile(A, args.tmax, args.dt, sigma=args.sigma)
-    d = prof.lambdas.shape[1]
+def _flow(args):
+    prof = lattice_dyn.flow_profile(args.matrix, args.tmax, args.dt, sigma=args.sigma)
     report = {
         "m": prof.m, "n": prof.n, "t_max": args.tmax, "dt": args.dt,
         "sigma": args.sigma, "r_slope": prof.r_slope,
@@ -247,24 +225,16 @@ def _cmd_flow(args, cfg: RunConfig) -> int:
         "weighted_minima_times": prof.weighted_minima_times,
         "segment_slopes": lattice_dyn.segment_slopes(prof),
     }
+    d = prof.lambdas.shape[1]
     header = ["t", "delta"] + [f"lambda_{i+1}" for i in range(d)] + ["is_minimum"]
-    rows = []
-    for i, t in enumerate(prof.times):
-        rows.append([float(t), float(prof.delta_values[i])]
-                    + [float(v) for v in prof.lambdas[i]]
-                    + [int(prof.is_minimum[i])])
-    emit_report(report, cfg, header, rows)
-    return 0
+    rows = [[float(t), float(prof.delta_values[i])] + [float(v) for v in prof.lambdas[i]]
+            + [int(prof.is_minimum[i])] for i, t in enumerate(prof.times)]
+    return report, header, rows
 
 
-def _cmd_haw(args, cfg: RunConfig) -> int:
-    if args.liouville:
-        alpha = liouville_number(precision_bits=cfg.precision_bits)
-        A = RealMatrix.scalar(alpha, cfg.precision_bits)
-    else:
-        A = _load_matrix(args.matrix, cfg.precision_bits)
-    outcome = haw_game.run_game(A, sigma=args.sigma, rounds=args.rounds,
-                                bob_policy=args.bob, seed=cfg.seed,
+def _haw(args):
+    outcome = haw_game.run_game(args.matrix, sigma=args.sigma, rounds=args.rounds,
+                                bob_policy=args.bob, seed=args.seed,
                                 beta=args.beta, c=args.c, rho0=args.rho0,
                                 target=args.target)
     report = {
@@ -279,40 +249,23 @@ def _cmd_haw(args, cfg: RunConfig) -> int:
         "certificates": outcome.triggered,
         "all_certificates_pass": outcome.all_certificates_pass,
     }
-    emit_report(report, cfg)
-    if not outcome.all_certificates_pass:
-        raise haw_game.CertificateError("a triggered-stage certificate failed")
-    return 0
+    return report, None, []
 
 
-def _cmd_minkowski(args, cfg: RunConfig) -> int:
+def _minkowski(args):
     sols = experiments.minkowski_solutions(args.alpha, args.gamma, args.qmax,
-                                           cfg.precision_bits)
+                                           args.precision_bits)
     report = {"alpha": args.alpha, "gamma": args.gamma, "q_max": args.qmax,
               "count": len(sols),
               "solutions": [{"q": q, "p": p, "product": prod} for q, p, prod in sols[:64]]}
-    header = ["q", "p", "product"]
-    rows = [[q, p, prod] for q, p, prod in sols]
-    emit_report(report, cfg, header, rows)
-    return 0
+    return report, ["q", "p", "product"], [[q, p, prod] for q, p, prod in sols]
 
 
-def _parse_target(text: Optional[str]):
-    if text is None or text == "random":
-        return None
-    if text.startswith("t:"):
-        return mp.mpf(text[2:])
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("target must be 'x,y', 't:VALUE', or 'random'")
-    return ec_core.CurvePoint.affine(parts[0], parts[1])
-
-
-def _cmd_weakdirichlet(args, cfg: RunConfig) -> int:
-    curve = _load_curve(args.curve)
+def _weakdirichlet(args):
     config = experiments.CurveExperimentConfig(
-        curve=curve, target_P=_parse_target(args.target), q_max=args.qmax,
-        precision_bits=cfg.precision_bits, windows_base=args.base, seed=cfg.seed)
+        curve=args.curve, target_P=_parse_target(args.target, args.precision_bits),
+        q_max=args.qmax, precision_bits=args.precision_bits, windows_base=args.base,
+        seed=args.seed)
     rep = experiments.weak_dirichlet_experiment(config)
     report = {
         "label": rep.curve_label, "omega": rep.omega, "theta": rep.theta,
@@ -328,34 +281,77 @@ def _cmd_weakdirichlet(args, cfg: RunConfig) -> int:
         "minkowski_count": rep.minkowski_count,
         "chain_check_ok": rep.chain_check_ok,
     }
-    header = ["q", "d", "h_hat", "product", "exponent_sample"]
-    rows = []
-    for rec in rep.records:
-        d = float(rec.error)
-        rows.append([rec.q[0], d, rec.height_proxy,
-                     d * math.sqrt(rec.height_proxy), rec.exponent_sample])
-    emit_report(report, cfg, header, rows)
-    return 0
+    rows = [[rec.q[0], float(rec.error), rec.height_proxy,
+             float(rec.error) * math.sqrt(rec.height_proxy), rec.exponent_sample]
+            for rec in rep.records]
+    return report, ["q", "d", "h_hat", "product", "exponent_sample"], rows
 
 
-def _cmd_probe(args, cfg: RunConfig) -> int:
-    H = _load_matrix(args.H, cfg.precision_bits)
-    J = _load_matrix(args.J, cfg.precision_bits)
+def _probe(args):
     schedule = [int(v) for v in args.schedule.split(",")] if args.schedule else \
         sorted({max(2, args.qmax // (2**k)) for k in range(5)} | {args.qmax})
-    rep = experiments.conjecture_probe(H, J, xi_samples=args.xi_samples,
-                                       Q_schedule=schedule, seed=cfg.seed,
-                                       precision_bits=cfg.precision_bits)
-    header = ["xi_index", "Q", "error", "exponent_sample"]
-    rows = []
-    for i, tgt in enumerate(rep["targets"]):
-        for ptd in tgt["points"]:
-            rows.append([i, ptd["Q"], ptd["error"], ptd["exponent"]])
-    emit_report(rep, cfg, header, rows)
-    return 0
+    rep = experiments.conjecture_probe(args.H, args.J, xi_samples=args.xi_samples,
+                                       Q_schedule=schedule, seed=args.seed,
+                                       precision_bits=args.precision_bits)
+    rows = [[i, ptd["Q"], ptd["error"], ptd["exponent"]]
+            for i, tgt in enumerate(rep["targets"]) for ptd in tgt["points"]]
+    return rep, ["xi_index", "Q", "error", "exponent_sample"], rows
 
 
 # ---------------------------------------------------------------------------
+# the command table: name -> (arguments, command); the order is the help order
+
+_CURVE = [("--curve", {"required": True}), ("--point", {"default": None})]
+_MATRIX = [("--matrix", {"required": True})]
+
+_COMMANDS = {
+    "curve verify": (_CURVE, _curve_verify),
+    "curve height": (_CURVE + [("--nmax", {"type": int, "default": 11})], _curve_height),
+    "curve log": (_CURVE, _curve_log),
+    "dirichlet": (_MATRIX + [("--Q", {"type": int, "required": True})], _dirichlet),
+    "exponent": ([
+        ("--matrix", {"default": None}),
+        ("--liouville", {"action": "store_true",
+                         "help": "use the built-in Liouville-type constant"}),
+        ("--qmax", {"type": int, "required": True}),
+        ("--base", {"type": float, "default": 2.0}),
+    ], _exponent),
+    "flow": (_MATRIX + [
+        ("--tmax", {"type": float, "required": True}),
+        ("--dt", {"type": float, "required": True}),
+        ("--sigma", {"type": float, "default": None}),
+    ], _flow),
+    "haw": ([
+        ("--matrix", {"default": None}),
+        ("--liouville", {"action": "store_true"}),
+        ("--sigma", {"type": float, "required": True}),
+        ("--rounds", {"type": int, "required": True}),
+        ("--bob", {"choices": ["random", "greedy"], "default": "random"}),
+        ("--beta", {"type": float, "default": haw_game.DEFAULT_BETA}),
+        ("--c", {"type": float, "default": haw_game.DEFAULT_C}),
+        ("--rho0", {"type": float, "default": 0.05}),
+        ("--target", {"type": float, "default": None}),
+    ], _haw),
+    "minkowski": ([
+        ("--alpha", {"required": True}),
+        ("--gamma", {"required": True}),
+        ("--qmax", {"type": int, "required": True}),
+    ], _minkowski),
+    "weakdirichlet": ([
+        ("--curve", {"required": True}),
+        ("--target", {"default": "random"}),
+        ("--qmax", {"type": int, "required": True}),
+        ("--base", {"type": float, "default": 2.0}),
+    ], _weakdirichlet),
+    "probe": ([
+        ("--H", {"required": True}),
+        ("--J", {"required": True}),
+        ("--xi-samples", {"type": int, "default": 3}),
+        ("--qmax", {"type": int, "default": 200}),
+        ("--schedule", {"default": None,
+                        "help": "comma-separated Q schedule; default derives from qmax"}),
+    ], _probe),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,103 +371,53 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--full-precision", action="store_true")
     sub = parser.add_subparsers(dest="command")
-
-    curve = sub.add_parser("curve", parents=[], help="curve utilities")
-    csub = curve.add_subparsers(dest="curve_command")
-    p = csub.add_parser("verify", parents=[common])
-    p.add_argument("--curve", required=True)
-    p.add_argument("--point", default=None)
-    p.set_defaults(handler=_cmd_curve_verify, command_name="curve verify")
-    p = csub.add_parser("height", parents=[common])
-    p.add_argument("--curve", required=True)
-    p.add_argument("--point", default=None)
-    p.add_argument("--nmax", type=int, default=11)
-    p.set_defaults(handler=_cmd_curve_height, command_name="curve height")
-    p = csub.add_parser("log", parents=[common])
-    p.add_argument("--curve", required=True)
-    p.add_argument("--point", default=None)
-    p.set_defaults(handler=_cmd_curve_log, command_name="curve log")
-
-    p = sub.add_parser("dirichlet", parents=[common])
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--Q", type=int, required=True)
-    p.set_defaults(handler=_cmd_dirichlet, command_name="dirichlet")
-
-    p = sub.add_parser("exponent", parents=[common])
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--liouville", action="store_true",
-                   help="use the built-in Liouville-type constant")
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--base", type=float, default=2.0)
-    p.set_defaults(handler=_cmd_exponent, command_name="exponent")
-
-    p = sub.add_parser("flow", parents=[common])
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=None)
-    p.set_defaults(handler=_cmd_flow, command_name="flow")
-
-    p = sub.add_parser("haw", parents=[common])
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--liouville", action="store_true")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--bob", choices=["random", "greedy"], default="random")
-    p.add_argument("--beta", type=float, default=haw_game.DEFAULT_BETA)
-    p.add_argument("--c", type=float, default=haw_game.DEFAULT_C)
-    p.add_argument("--rho0", type=float, default=0.05)
-    p.add_argument("--target", type=float, default=None)
-    p.set_defaults(handler=_cmd_haw, command_name="haw")
-
-    p = sub.add_parser("minkowski", parents=[common])
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--qmax", type=int, required=True)
-    p.set_defaults(handler=_cmd_minkowski, command_name="minkowski")
-
-    p = sub.add_parser("weakdirichlet", parents=[common])
-    p.add_argument("--curve", required=True)
-    p.add_argument("--target", default="random")
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--base", type=float, default=2.0)
-    p.set_defaults(handler=_cmd_weakdirichlet, command_name="weakdirichlet")
-
-    p = sub.add_parser("probe", parents=[common])
-    p.add_argument("--H", required=True)
-    p.add_argument("--J", required=True)
-    p.add_argument("--xi-samples", type=int, default=3)
-    p.add_argument("--qmax", type=int, default=200)
-    p.add_argument("--schedule", default=None,
-                   help="comma-separated Q schedule; default derives from qmax")
-    p.set_defaults(handler=_cmd_probe, command_name="probe")
+    curve = sub.add_parser("curve", help="curve utilities").add_subparsers(dest="curve_command")
+    for name, (arguments, _) in _COMMANDS.items():
+        *group, leaf = name.split()
+        p = (curve if group else sub).add_parser(leaf, parents=[common])
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(command_name=name)
     return parser
+
+
+def _load_inputs(args: argparse.Namespace) -> None:
+    """Replace the input paths in args by the curve and matrices they hold."""
+    prec = args.precision_bits
+    if getattr(args, "liouville", False):
+        alpha = dioph_matrix.liouville_number(precision_bits=prec)
+        args.matrix = dioph_matrix.RealMatrix.scalar(alpha, prec)
+    elif hasattr(args, "liouville") and not args.matrix:
+        raise ValidationError(f"{args.command_name} needs --matrix or --liouville")
+    for name in ("matrix", "H", "J"):
+        path = getattr(args, name, None)
+        if isinstance(path, str):
+            setattr(args, name, dioph_matrix.RealMatrix.from_json(_load_json_file(path), prec))
+    if hasattr(args, "curve"):
+        args.curve = ec_core.curve_from_json(_load_json_file(args.curve))
 
 
 def parse_and_dispatch(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
-        if not getattr(args, "handler", None):
+        if not hasattr(args, "command_name"):
             parser.print_usage(sys.stderr)
             return 1
-        if getattr(args, "precision_bits", 256) < 64:
+        if args.precision_bits < 64:
             raise ValidationError("precision_bits must be >= 64")
-        if args.command_name == "exponent" and not args.liouville and not args.matrix:
-            raise ValidationError("exponent needs --matrix or --liouville")
-        if args.command_name == "haw" and not args.liouville and not args.matrix:
-            raise ValidationError("haw needs --matrix or --liouville")
-        cfg = RunConfig(command=args.command_name,
-                        precision_bits=args.precision_bits, seed=args.seed,
-                        out=args.out, format=args.format,
-                        full_precision=args.full_precision)
-        return args.handler(args, cfg)
+        _load_inputs(args)
+        report, csv_header, csv_rows = _COMMANDS[args.command_name][1](args)
+        emit_report(report, args, csv_header, csv_rows)
+        # a game whose certificate failed still writes its report first
+        if report.get("all_certificates_pass") is False:
+            raise CertificateError("a triggered-stage certificate failed")
+        return 0
     except DiophError as e:
         print(f"dioph: error: {e}", file=sys.stderr)
         return e.exit_code
     except SystemExit as e:  # argparse --help and friends
-        code = e.code if isinstance(e.code, int) else 0
-        return code
+        return e.code if isinstance(e.code, int) else 0
 
 
 def main() -> None:

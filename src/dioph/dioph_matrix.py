@@ -144,9 +144,6 @@ class RealMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([float(e) for e in self.entries], dtype=np.float64).reshape(self.m, self.n)
 
-    def row(self, i: int) -> Tuple[mp.mpf, ...]:
-        return self.entries[i * self.n:(i + 1) * self.n]
-
 
 @dataclass(frozen=True)
 class ApproxRecord:

@@ -27,9 +27,9 @@ import mpmath as mp
 import numpy as np
 
 from . import analytic, ec_core, heights
-from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank, _ls_slope,
-                           _radius_above, _Shells, _shell_argmax, _to_mpf, _windows,
-                           best_approx, build_A_from_HJ)
+from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank,
+                           _exponent_sample, _ls_slope, _radius_above, _Shells,
+                           _shell_argmax, _to_mpf, _windows, best_approx, build_A_from_HJ)
 from .ec_core import CurvePoint, RationalCurve
 from .errors import (CertificateError, DegenerateTargetError, SingularMatrixError,
                      ValidationError)
@@ -336,7 +336,7 @@ def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
         for Q in Q_schedule:
             rec = best_approx(A, gam, Q, max_enum=max_enum)
             err = float(rec.error)
-            u = math.inf if err == 0 else -math.log(err) / math.log(Q) if Q > 1 else math.nan
+            u = _exponent_sample(err, Q)
             points.append({"Q": Q, "error": err, "exponent": u})
             us.append(u)
         finite = [u for u in us[1:] if math.isfinite(u)]

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from dioph.cli import parse_and_dispatch
@@ -214,6 +217,21 @@ def test_python_m_dioph_matches_dispatch(tmp_path):
         assert read(via_m + ext) == read(direct + ext)
 
 
+def test_weakdirichlet_t_target_keeps_working_precision(curve_file_110160, tmp_path):
+    # a fresh interpreter runs mpmath at 53 bits; the t:VALUE target must be
+    # read at --precision-bits, so its 30th digit survives into the report
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = str(tmp_path / "t")
+    done = subprocess.run([sys.executable, "-m", "dioph", "weakdirichlet",
+                           "--curve", curve_file_110160,
+                           "--target", "t:0.50000000000000000000000000001",
+                           "--qmax", "2000", "--out", out],
+                          env=env, cwd=str(tmp_path), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(read(out + ".json"))["gamma"] == "0.50000000000000000000000000001"
+
+
 def test_threads_flag_removed(tmp_path):
     mat = tmp_path / "A.json"
     mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["0.5"]}))
@@ -234,3 +252,140 @@ def test_lll_transform_overflow_exits_2(tmp_path):
                               env=env, cwd=str(tmp_path), capture_output=True, text=True)
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr and "int64" in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden reports: the exact bytes every command writes, recorded by
+# run_golden_case; a deliberate change of output re-records the files it touches
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+GOLDEN_INPUTS = {
+    "curve.json": {"label": "110160.cd1", "a": "-12", "b": "-1",
+                   "generator": ["5", "8"], "rank": 1},
+    "phi.json": {"m": 1, "n": 1, "entries": ["1.6180339887498948482045868343656381177"]},
+    "A22.json": {"m": 2, "n": 2, "entries": ["5/11", "-0.3", "1.25", "2/7"]},
+    "H.json": {"m": 1, "n": 1, "entries": ["0.9223"]},
+    "J.json": {"m": 1, "n": 1, "entries": ["1.3975"]},
+    # 2^-2 + 2^-6 + 2^-30 + 2^-150, the built-in Liouville-type constant, exactly
+    "L.json": {"m": 1, "n": 1, "entries": [
+        "379112669704248589191023083538829205882011649/"
+        "1427247692705959881058285969449495136382746624"]},
+}
+
+SQRT2 = "1.41421356237309504880168872420969808"
+
+# (name, argv, exit code); {IN} is the input directory, {OUT} the output base
+GOLDEN_CASES = [
+    ("curve-verify", ["curve", "verify", "--curve", "{IN}/curve.json", "--out", "{OUT}"], 0),
+    ("curve-height", ["curve", "height", "--curve", "{IN}/curve.json", "--nmax", "6",
+                      "--out", "{OUT}"], 0),
+    ("curve-log", ["curve", "log", "--curve", "{IN}/curve.json", "--point", "5,-8",
+                   "--precision-bits", "128", "--out", "{OUT}"], 0),
+    ("dirichlet", ["dirichlet", "--matrix", "{IN}/A22.json", "--Q", "30", "--out", "{OUT}"], 0),
+    ("exponent", ["exponent", "--matrix", "{IN}/phi.json", "--qmax", "1000", "--base", "3",
+                  "--out", "{OUT}"], 0),
+    ("exponent-liouville", ["exponent", "--liouville", "--qmax", "1000", "--out", "{OUT}"], 0),
+    ("flow", ["flow", "--matrix", "{IN}/phi.json", "--tmax", "2", "--dt", "0.25",
+              "--sigma", "1.5", "--out", "{OUT}"], 0),
+    ("haw", ["haw", "--liouville", "--sigma", "3", "--rounds", "4", "--seed", "1",
+             "--out", "{OUT}"], 0),
+    ("haw-matrix", ["haw", "--matrix", "{IN}/L.json", "--sigma", "3", "--rounds", "4",
+                    "--bob", "greedy", "--seed", "5", "--out", "{OUT}"], 0),
+    ("minkowski", ["minkowski", "--alpha", SQRT2, "--gamma", "0.3", "--qmax", "200",
+                   "--out", "{OUT}"], 0),
+    ("weakdirichlet", ["weakdirichlet", "--curve", "{IN}/curve.json", "--qmax", "500",
+                       "--seed", "2", "--out", "{OUT}"], 0),
+    ("probe", ["probe", "--H", "{IN}/H.json", "--J", "{IN}/J.json", "--xi-samples", "2",
+               "--qmax", "50", "--out", "{OUT}"], 0),
+    ("probe-schedule", ["probe", "--H", "{IN}/H.json", "--J", "{IN}/J.json",
+                        "--schedule", "5,20", "--seed", "4", "--out", "{OUT}"], 0),
+    ("dirichlet-full-precision", ["dirichlet", "--matrix", "{IN}/A22.json", "--Q", "30",
+                                  "--full-precision", "--out", "{OUT}"], 0),
+    ("flow-full-precision", ["flow", "--matrix", "{IN}/phi.json", "--tmax", "1", "--dt", "0.5",
+                             "--full-precision", "--out", "{OUT}"], 0),
+    ("minkowski-format-json", ["minkowski", "--alpha", SQRT2, "--gamma", "1/3",
+                               "--qmax", "100", "--format", "json", "--out", "{OUT}"], 0),
+    ("curve-verify-stdout", ["curve", "verify", "--curve", "{IN}/curve.json"], 0),
+    ("dirichlet-stdout", ["dirichlet", "--matrix", "{IN}/phi.json", "--Q", "100"], 0),
+    ("exponent-help", ["exponent", "--help"], 0),
+    ("haw-help", ["haw", "--help"], 0),
+    ("probe-help", ["probe", "--help"], 0),
+    ("curve-height-help", ["curve", "height", "--help"], 0),
+    ("curve-help", ["curve", "--help"], 0),
+    # --liouville wins over --matrix, whose file is then never read
+    ("exponent-liouville-wins", ["exponent", "--liouville", "--matrix", "{IN}/missing.json",
+                                 "--qmax", "1000", "--out", "{OUT}"], 0),
+    ("no-subcommand", [], 1),
+    ("unknown-command", ["frobnicate"], 1),
+    ("unknown-curve-command", ["curve", "frobnicate"], 1),
+    ("missing-argument", ["dirichlet", "--matrix", "{IN}/phi.json"], 1),
+    ("bare-curve", ["curve"], 1),
+    ("missing-file", ["curve", "verify", "--curve", "{IN}/missing.json"], 1),
+    ("low-precision", ["curve", "verify", "--curve", "{IN}/curve.json",
+                       "--precision-bits", "32"], 1),
+    # precision is checked before the source
+    ("exponent-low-precision", ["exponent", "--qmax", "100", "--precision-bits", "32"], 1),
+    ("exponent-no-source", ["exponent", "--qmax", "100"], 1),
+    ("haw-no-source", ["haw", "--sigma", "3", "--rounds", "4"], 1),
+    ("haw-missing-matrix", ["haw", "--matrix", "{IN}/missing.json", "--sigma", "3",
+                            "--rounds", "4"], 1),
+    ("haw-no-stages", ["haw", "--matrix", "{IN}/phi.json", "--sigma", "3", "--rounds", "4",
+                       "--out", "{OUT}"], 1),
+    ("bad-int", ["dirichlet", "--matrix", "{IN}/phi.json", "--Q", "x"], 1),
+    ("bad-choice", ["haw", "--liouville", "--sigma", "3", "--rounds", "4", "--bob", "lazy"], 1),
+    ("off-curve", ["curve", "height", "--curve", "{IN}/curve.json", "--point", "1,2/3"], 1),
+]
+
+
+# cases whose text argparse writes (help, usage, its own errors): recorded on
+# Python 3.11; other versions of argparse may word and wrap them differently
+ARGPARSE_TEXT = {"exponent-help", "haw-help", "probe-help", "curve-height-help", "curve-help",
+                 "no-subcommand", "bare-curve", "unknown-command", "unknown-curve-command",
+                 "missing-argument", "bad-int", "bad-choice"}
+
+
+def run_golden_case(argv, in_dir, out_dir):
+    """Run one case; return its exit code and {file suffix: bytes} of what it wrote.
+
+    Paths into the input directory are written as {IN} in stdout and stderr.
+    Runs at mpmath's default 53 bits, the ambient precision of ``python -m dioph``.
+    """
+    base = os.path.join(out_dir, "case")
+    argv = [a.replace("{IN}", in_dir).replace("{OUT}", base) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mp.workprec(53), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = parse_and_dispatch(argv)
+    got = {}
+    for name in sorted(os.listdir(out_dir)):
+        got[name[len("case"):]] = read(os.path.join(out_dir, name))
+    for suffix, stream in ((".stdout", out), (".stderr", err)):
+        if stream.getvalue():
+            got[suffix] = stream.getvalue().replace(in_dir, "{IN}").encode()
+    return code, got
+
+
+def write_golden_inputs(in_dir):
+    for name, doc in GOLDEN_INPUTS.items():
+        with open(os.path.join(in_dir, name), "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_reports(name, argv, code, tmp_path, monkeypatch):
+    monkeypatch.delenv("DIOPH_PRECISION_BITS", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to this width
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    out_dir.mkdir()
+    write_golden_inputs(str(in_dir))
+    got_code, got = run_golden_case(argv, str(in_dir), str(out_dir))
+    assert got_code == code
+    if name in ARGPARSE_TEXT and sys.version_info[:2] != (3, 11):
+        pytest.skip("argparse text is recorded on Python 3.11")
+    expected = {f[len(name):]: read(os.path.join(GOLDEN_DIR, f))
+                for f in sorted(os.listdir(GOLDEN_DIR)) if f.rsplit(".", 1)[0] == name}
+    assert expected, f"no golden files for {name}"
+    assert sorted(got) == sorted(expected)
+    for suffix in expected:
+        assert got[suffix] == expected[suffix], name + suffix
