@@ -20,6 +20,7 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -161,13 +162,15 @@ def _curve_height(args):
     naive = heights.naive_height(curve, pt, prec)
     local = heights.canonical_height_local(curve, pt, prec)
     limit = heights.canonical_height_limit(curve, pt, n_max=args.nmax, precision_bits=prec)
+    with mp.workprec(prec):
+        difference = abs(local.value - limit.value)
     report = {
         "label": curve.label, "point": str(pt),
         "naive_log_height": naive.value,
         "hhat_local": local.value,
         "hhat_limit": limit.value,
         "limit_tail_estimate": limit.tail_estimate,
-        "methods_difference": abs(local.value - limit.value),
+        "methods_difference": difference,
         "height_convention": "x-height/2, natural log",
     }
     return report, None, []
@@ -359,10 +362,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.lru_cache(maxsize=None)
+def _build_parser(env_prec: Optional[str]) -> _Parser:
+    """The parser, with env_prec (DIOPH_PRECISION_BITS) as the --precision-bits default.
+
+    Built once per value: the environment variable is its only input.
+    """
     parser = _Parser(prog="dioph", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    env_prec = os.environ.get("DIOPH_PRECISION_BITS")
     common.add_argument("--precision-bits", type=int,
                         default=int(env_prec) if env_prec else 256)
     common.add_argument("--seed", type=int, default=0)
@@ -398,7 +405,7 @@ def _load_inputs(args: argparse.Namespace) -> None:
 
 
 def parse_and_dispatch(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("DIOPH_PRECISION_BITS"))
     try:
         args = parser.parse_args(list(argv))
         if not hasattr(args, "command_name"):

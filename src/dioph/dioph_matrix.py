@@ -5,12 +5,13 @@ Every search over q in this package, the 1-D circle searches of
 lo <= ||q||_inf <= hi.  It enumerates the lattice with basis columns
 (e_i/eps, 0) for p and (A e_j/eps, e_j/hi) for q, whose points within
 sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
-||q|| <= hi and ||A q + p - gamma|| <= eps.  The basis is LLL-reduced and
+||q|| <= hi and ||A q + p - gamma|| <= eps.  The basis is reduced
+(`_ball_lattice`: exact Lagrange-Gauss for 1 x 1, float64 LLL otherwise) and
 the ball enumerated by `lattice_dyn._enumerate_in_radius`, whose box is
 complete for any basis, so the reduction only sets the speed; a box of more
-than the search's budget of points raises BudgetExceededError, which is
-where the float LLL gives out (q_max about 1e10 for the golden ratio).
-The search has two modes:
+than the search's budget of points raises BudgetExceededError.  A 1 x 1
+search with a target meets that budget from q_max about 1e13, where the
+float slack around the box centre grows past it.  The search has two modes:
 
 * min: the exact minimiser of err(q) over the shell.  eps starts at
   hi^(-n/m), where Dirichlet guarantees a homogeneous hit in the ball, and
@@ -261,24 +262,57 @@ def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None):
         start = stop
 
 
+def _gauss_reduce(u: Tuple[int, int], v: Tuple[int, int]) -> List[List[int]]:
+    """Lagrange-Gauss reduction of the integer columns u, v: the transform T.
+
+    Exact in Python ints.  The reduced columns are (u v) T, the first a
+    shortest vector of the lattice, with |b1| <= |b2| and 2 |<b1, b2>| <= |b1|^2.
+    """
+    tu, tv = (1, 0), (0, 1)  # u and v in the input basis
+    nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
+    if nu > nv:
+        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
+    while True:
+        r = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)  # nearest integer to <u,v>/|u|^2
+        if r:
+            v = (v[0] - r * u[0], v[1] - r * u[1])
+            tv = (tv[0] - r * tu[0], tv[1] - r * tu[1])
+            nv = v[0] * v[0] + v[1] * v[1]
+        if nv >= nu:
+            return [[tu[0], tv[0]], [tu[1], tv[1]]]
+        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
+
+
 def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
     """The reduced lattice of the shell search for one eps and ||q|| <= Q.
 
     Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, in the form
-    `_enumerate_in_radius` takes.  LLL runs in float64, but its reduced
-    columns B T are rebuilt from the integer T with each entry rounded once
-    from its exact value: at Q = 1.4e7 the float columns drift far enough to
-    lose points at the edge of the ball.
+    `_enumerate_in_radius` takes.  For m = n = 1 the two columns, times
+    D a Q with A = N/D and eps = a/b exactly, are the integer vectors
+    (D b Q, 0) and (N b Q, D a), reduced exactly by `_gauss_reduce`.  For
+    m + n >= 3 LLL runs in float64.  Either way the reduced columns B T are
+    rebuilt from the integer T with each entry rounded once from its exact
+    value: at Q = 1.4e7 the float columns drift far enough to lose points at
+    the edge of the ball.  An entry of T beyond int64, which the enumerator
+    needs, raises BudgetExceededError, as in `_lll`.
     """
-    from .lattice_dyn import _lll, _with_dual_bound  # lattice_dyn imports this module
+    from .lattice_dyn import _INT64_MAX, _lll, _with_dual_bound  # lattice_dyn imports this module
 
     D, N, _ = form
     m, n = Af.shape
-    B = np.zeros((m + n, m + n))
-    B[:m, :m] = np.eye(m) / eps
-    B[:m, m:] = Af / eps
-    B[m:, m:] = np.eye(n) / Q
-    _, T = _lll(B)
+    if m == n == 1:
+        a, b = eps.as_integer_ratio()
+        T = _gauss_reduce((D * b * Q, 0), (int(N[0, 0]) * b * Q, D * a))
+        big = max(abs(v) for row in T for v in row)
+        if big > _INT64_MAX:
+            raise BudgetExceededError(f"Gauss-reduced transform leaves int64 (entry {big:.3g})")
+        T = np.array(T, dtype=np.int64)
+    else:
+        B = np.zeros((m + n, m + n))
+        B[:m, :m] = np.eye(m) / eps
+        B[:m, m:] = Af / eps
+        B[m:, m:] = np.eye(n) / Q
+        _, T = _lll(B)
     Tp, Tq = T[:m].astype(object), T[m:].astype(object)
     top = (Tp * D + N.astype(object) @ Tq) / D  # A Tq + Tp, each entry one rounding
     return _with_dual_bound(np.vstack([top.astype(np.float64) / eps, T[m:] / Q]), T)

@@ -8,16 +8,22 @@ sigma(P) with the shared windowed-limsup estimator.
 
 Every circle search is the shell search of `dioph_matrix` on the 1 x 1
 matrix alpha = theta / omega with target gamma / omega, both kept at their
-exact dyadic values: one shell per window for the champions, dyadic shells
-|q| in [2^j, 2^(j+1)) listed at radius 2^-j / 4 for the Minkowski
-witnesses, and shell minima of |q| d for the running constant.  So every
-reported d, product and error is exact at working precision, the cost is
-O(log q_max) small lattice searches, and memory is O(1) in q_max; q_max is
-limited by the enumeration budget (`CIRCLE_MAX_ENUM`), not by memory.
+exact dyadic values: one shell per window for the champions, and dyadic
+shells |q| in [2^j, 2^(j+1)) listed at radius 2^-j / 4 for the Minkowski
+witnesses.  The running constant M(x) = min over 0 < |q| <= x of |q| d is
+read off that witness list: the list holds every q with |q| d < 1/4, so
+from the first witness's |q| on the minimiser is a witness.  Only points x
+below the first witness take shell minima of |q| d.  So every reported d,
+product and error is exact at working precision, the cost is O(log q_max)
+small lattice searches, each reduced exactly by Lagrange-Gauss, and memory
+is O(1) in q_max; q_max is limited by the enumeration budget
+(`CIRCLE_MAX_ENUM`), not by memory.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,6 +186,26 @@ def _running_products(shells: _Shells, points: Sequence[int]) -> dict:
     return out
 
 
+def _running_from_witnesses(shells: _Shells, witnesses: List[Tuple[int, int, int]],
+                            points: Sequence[int]) -> dict:
+    """`_running_products` at `points`, read off the complete witness list where it can be.
+
+    Every q with |q| err(q) < 1/4 is a witness, so from the first witness's
+    |q| on M(x) < 1/4 and its minimiser is a witness: M(x) is the least
+    |q| D err over the witnesses with |q| <= x.  Only the points below the
+    first witness run the shell searches of `_running_products`.
+    """
+    first = abs(witnesses[0][0]) if witnesses else math.inf
+    below = [x for x in points if x < first]
+    out = _running_products(shells, below) if below else {}
+    sizes = [abs(q) for q, _, _ in witnesses]  # sorted
+    prefix = list(itertools.accumulate((abs(q) * err for q, _, err in witnesses), min))
+    for x in points:
+        if x >= first:
+            out[x] = prefix[bisect.bisect_right(sizes, x) - 1]
+    return out
+
+
 def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletReport:
     """Circle searches over 0 < |q| <= q_max, both signs of the generator orbit, against the target.
 
@@ -248,7 +274,9 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
         if best is not None:
             champions.append(best)
     # running min of d sqrt(hhat([q]Q)) = |q| d_norm omega sqrt(hhat(Q))
-    at = _running_products(shells, [abs(c[2][0]) for c in champions] + [min(100, q_max), q_max])
+    found = _witnesses(shells, q_max)
+    at = _running_from_witnesses(
+        shells, found, [abs(c[2][0]) for c in champions] + [min(100, q_max), q_max])
     with mp.workprec(prec):
         c_unit = omega * mp.sqrt(hhat_Q)
         running = {x: float(shells.error(v) * c_unit) for x, v in at.items()}
@@ -277,8 +305,7 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
                       observed_max=max(fit_samples) if fit_samples else math.nan)
 
     # Minkowski witnesses in normalized units: |q| * dist(q alpha - gamma', Z) < 1/4
-    witnesses = [(q, -p, float(shells.error(abs(q) * err)))
-                 for q, p, err in _witnesses(shells, q_max)]
+    witnesses = [(q, -p, float(shells.error(abs(q) * err))) for q, p, err in found]
     # chain check: for witnesses, d * sqrt(hhat([q]Q)) <= (omega/4) sqrt(hhat(Q)) (1 + 1e-6)
     om_f = float(omega)
     chain_ok = all(

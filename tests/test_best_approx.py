@@ -162,14 +162,14 @@ def test_roadmap_tie_example():
 
 
 def _count_reductions(monkeypatch):
+    """Count the lattice reductions: exact Gauss for 1 x 1, float LLL otherwise."""
     calls = []
-    real = lattice_dyn._lll
+    for module, name in ((lattice_dyn, "_lll"), (dioph_matrix, "_gauss_reduce")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
 
-    def counting(cols, *args, **kw):
-        calls.append(cols.shape)
-        return real(cols, *args, **kw)
-
-    monkeypatch.setattr(lattice_dyn, "_lll", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -178,10 +178,10 @@ def test_eps_doubling_cases(monkeypatch):
     # every q is at distance exactly 1/2: eps doubles from 1/10 up to 1/2
     rec = best_approx(RealMatrix.from_rows([["0"]], PREC), "1/2", 10)
     assert (rec.q, rec.p, rec.error) == ((1,), (0,), mp.mpf(1) / 2)
-    assert len(calls) == 4  # eps = 0.1, 0.2, 0.4, 0.8
+    assert calls == ["_gauss_reduce"] * 4  # eps = 0.1, 0.2, 0.4, 0.8
     calls.clear()
     _check_exact([["2", "6"]], ["3/10"], 30)
-    assert len(calls) > 1
+    assert len(calls) > 1 and set(calls) == {"_lll"}
 
 
 def test_tie_heavy_inputs_against_exact_oracle():
@@ -202,6 +202,40 @@ def test_chunked_enumeration_matches_single_chunk(monkeypatch):
     for (r, g, Q), rec in zip(cases, whole):
         small = best_approx(RealMatrix.from_rows(r, PREC), g, Q)
         assert (small.q, small.p, small.error) == (rec.q, rec.p, rec.error)
+
+
+def _last_convergent(x: Fraction, Q: int):
+    """(p_k, q_k): the last continued-fraction convergent of x with q_k <= Q.
+
+    Computed from the exact rational x, independently of any lattice (Cassels,
+    *An Introduction to Diophantine Approximation*, ch. I).
+    """
+    (p0, q0), (p1, q1) = (0, 1), (1, 0)  # p_(k-2)/q_(k-2), p_(k-1)/q_(k-1)
+    while True:
+        a = math.floor(x)
+        p, q = a * p1 + p0, a * q1 + q0
+        if q > Q:
+            return p1, q1
+        (p0, q0), (p1, q1) = (p1, q1), (p, q)
+        if x == a:
+            return p1, q1
+        x = 1 / (x - a)
+
+
+@pytest.mark.parametrize("alpha", [
+    "1.41421356237309504880168872420969807856967187537694807317667973799",
+    "1.6180339887498948482045868343656381177203091798057628621354486227",
+    "0.318309886183790671537767526745028724068919291480912897495334"])
+@pytest.mark.parametrize("Q", [10**10, 10**11, 10**12, 10**15])
+def test_homogeneous_best_approx_is_the_last_convergent(alpha, Q):
+    # q <= Q < q_(k+1) has |q alpha - p| > |q_k alpha - p_k| unless q = q_k, and +q wins the tie
+    x = Fraction(alpha)
+    p_k, q_k = _last_convergent(x, Q)
+    # the q-box budget admits Q; the exact 2-D reduction keeps each enumeration box tiny
+    rec = best_approx(RealMatrix.from_rows([[alpha]], PREC), None, Q, max_enum=2 * Q + 1)
+    err = abs(q_k * x - p_k)
+    assert (rec.q, rec.p) == ((q_k,), (-p_k,))
+    assert rec.error == dioph_matrix._error_mpf(err.numerator, err.denominator, PREC)
 
 
 def test_ball_keeps_its_edge_points():

@@ -191,6 +191,32 @@ def test_env_precision_override(curve_file_110160, tmp_path, monkeypatch):
     assert doc["precision_bits"] == 128
 
 
+def test_env_precision_read_after_first_call(curve_file_110160, tmp_path, monkeypatch):
+    # the parser is built once per DIOPH_PRECISION_BITS value: a value set
+    # after a first call must still become the --precision-bits default
+    monkeypatch.delenv("DIOPH_PRECISION_BITS", raising=False)
+    for env, bits in ((None, 256), ("96", 96), ("160", 160), (None, 256)):
+        if env is None:
+            monkeypatch.delenv("DIOPH_PRECISION_BITS", raising=False)
+        else:
+            monkeypatch.setenv("DIOPH_PRECISION_BITS", env)
+        out = str(tmp_path / f"p{bits}")
+        assert run(["curve", "verify", "--curve", curve_file_110160, "--out", out]) == 0
+        assert json.loads(read(out + ".json"))["precision_bits"] == bits
+
+
+def test_curve_height_bytes_independent_of_ambient_precision(curve_file_110160, tmp_path):
+    # methods_difference is computed at --precision-bits, not at the caller's precision
+    got = []
+    for ambient in (53, 320):
+        out = str(tmp_path / f"h{ambient}")
+        with mp.workprec(ambient):
+            assert run(["curve", "height", "--curve", curve_file_110160, "--nmax", "6",
+                        "--out", out]) == 0
+        got.append(read(out + ".json"))
+    assert got[0] == got[1]
+
+
 def test_full_precision_hex_column(tmp_path):
     mat = tmp_path / "phi.json"
     mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["1.618033988749894848"]}))

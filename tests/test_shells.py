@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dioph import experiments, haw_game
+from dioph import dioph_matrix, experiments, haw_game
 from dioph.cli import parse_and_dispatch
 from dioph.dioph_matrix import (RealMatrix, _Shells, exponent_estimate,
                                 liouville_number)
@@ -75,9 +75,7 @@ def _shell_instances(draw):
     return rows, gamma, lo, hi, draw(st.integers(0, 10**6))
 
 
-@given(_shell_instances())
-def test_shell_search_matches_exact_brute_force(inst):
-    rows, gamma, lo, hi, pick = inst
+def _check_against_brute_force(rows, gamma, lo, hi, pick):
     shells = _Shells(RealMatrix.from_rows(rows, PREC), gamma, hi)
     D, table = _brute_shell(rows, gamma, lo, hi)
     assert shells.D == D
@@ -91,6 +89,49 @@ def test_shell_search_matches_exact_brute_force(inst):
     assert shells.within(lo, hi, radius) == listed
     exact = sorted((t for t in table if t[0] == 0), key=lambda t: _order(t[1]))
     assert shells.within(lo, hi, Fraction(0)) == exact
+
+
+@given(_shell_instances())
+def test_shell_search_matches_exact_brute_force(inst):
+    _check_against_brute_force(*inst)
+
+
+@given(_ENTRY, st.one_of(st.none(), st.lists(_ENTRY, min_size=1, max_size=1)),
+       st.integers(1, 300), st.integers(0, 10**6), st.integers(0, 12))
+def test_gauss_reduction_of_circle_lattices(alpha, gamma, hi, pick, doublings):
+    # the scaled integer columns of `_ball_lattice` at one eps of a min search
+    x = Fraction(alpha)
+    eps = min(float(hi) ** -1 * 2**doublings, 1.0)
+    a, b = eps.as_integer_ratio()
+    u, v = (x.denominator * b * hi, 0), (x.numerator * b * hi, x.denominator * a)
+    T = dioph_matrix._gauss_reduce(u, v)
+    assert T[0][0] * T[1][1] - T[0][1] * T[1][0] in (1, -1)
+    b1, b2 = ([u[i] * T[0][j] + v[i] * T[1][j] for i in range(2)] for j in range(2))
+    n1, n2, dot = (sum(s * t for s, t in zip(*w)) for w in ((b1, b1), (b2, b2), (b1, b2)))
+    assert n1 <= n2 and 2 * abs(dot) <= n1
+    # both search modes on the reduced lattice
+    _check_against_brute_force([[alpha]], gamma, 1 + pick % hi, hi, pick)
+
+
+@given(_ENTRY, st.one_of(_ENTRY, st.just("1/2")), st.integers(1, 400), st.integers(0, 10**6))
+def test_running_constant_from_witnesses(alpha, gamma, q_max, pick):
+    shells = _Shells(RealMatrix.from_rows([[alpha]], PREC), gamma, q_max)
+    found = experiments._witnesses(shells, q_max)
+    # points at, just below and above the first witnesses, and two drawn ones
+    points = {1, q_max, 1 + pick % q_max, 1 + (pick // 7) % q_max}
+    points |= {min(max(abs(q) + d, 1), q_max) for q, _, _ in found[:3] for d in (-1, 0, 1)}
+    points = sorted(points)
+    got = experiments._running_from_witnesses(shells, found, points)
+    want = experiments._running_products(shells, points)
+    assert {x: got[x] for x in points} == {x: want[x] for x in points}
+
+
+def test_running_constant_without_witnesses():
+    # err(q) = 1/2 for every q: no witness, and M(x) = 1/2 (at q = 1) comes from the shells alone
+    shells = _Shells(RealMatrix.from_rows([["0"]], PREC), "1/2", 50)
+    assert experiments._witnesses(shells, 50) == []
+    got = experiments._running_from_witnesses(shells, [], [1, 7, 50])
+    assert [Fraction(got[x], shells.D) for x in (1, 7, 50)] == [Fraction(1, 2)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +276,15 @@ def test_enumeration_budget_fails_fast(tmp_path):
     t0 = time.time()
     assert len(experiments.minkowski_solutions(SQRT2, "3/10", 10**9)) >= 5
     assert time.time() - t0 < 2
+    # the exact 2-D reduction reaches q_max = 10^12; every witness holds exactly
+    sols = experiments.minkowski_solutions(SQRT2, "3/10", 10**12)
+    alpha, gamma = Fraction(SQRT2), Fraction(3, 10)
+    assert len(sols) >= 5 and max(abs(q) for q, _, _ in sols) > 10**11
+    assert all(abs(q) * abs(q * alpha + p - gamma) < Fraction(1, 4) for q, p, _ in sols)
     t0 = time.time()
     with pytest.raises(BudgetExceededError):
-        experiments.minkowski_solutions(SQRT2, "3/10", 10**12)
+        experiments.minkowski_solutions(SQRT2, "3/10", 10**15)
     assert time.time() - t0 < 2
     code = parse_and_dispatch(["minkowski", "--alpha", SQRT2, "--gamma", "3/10",
-                               "--qmax", str(10**12), "--out", str(tmp_path / "m")])
+                               "--qmax", str(10**15), "--out", str(tmp_path / "m")])
     assert code == 2
