@@ -2,13 +2,19 @@
 
 The exponential map is z -> (wp(z), wp'(z)/2) for the Weierstrass wp of the
 curve lattice (g2 = -4a, g3 = -4b), restricted to the real line.  Its kernel
-is Z*omega; omega is evaluated with Carlson's quadratically convergent R_F
-duplication, which also inverts the map:
+is Z*omega.  Every archimedean number comes from Gauss's arithmetic-geometric
+mean, which converges quadratically (Cohen, GTM 138, 7.4.7-7.4.8):
 
-    elliptic_log(x, y) = R_F(x - e1, x - e2, x - e3), reflected when y > 0.
+    omega = pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2)),
 
-Both formulas hold verbatim for one-real-root curves, where e2, e3 form a
-complex conjugate pair and R_F returns a real value.
+and elliptic_log(x, y) carries s = sqrt(x - e1) through the same AGM steps
+(Gauss-Landen), ending in atan(a_N / s_N) / a_N; it is reflected when y > 0.
+A second AGM gives the imaginary half-period and so the real nome q of the
+lattice, which heights uses for the archimedean local height.  All of it is
+computed once per (a, b, precision) in one cached lattice record.
+
+On one-real-root curves e2, e3 form a complex conjugate pair, so the first
+AGM step is real and is taken in closed form from beta = sqrt(3 e1^2 + a).
 """
 
 from __future__ import annotations
@@ -53,49 +59,112 @@ def _as_t(value) -> mp.mpf:
     return mp.mpf(value)
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """Period lattice of y^2 = x^3 + a x + b at one precision, built once.
+
+    e1 is the real root on the identity component; on the one-real-root
+    route e2 and e3 are the complex conjugate pair.  omega = pi / AGM(ga, gb)
+    for the real Gauss pair (ga, gb), which also starts every Landen
+    elliptic log.  q = exp(2 pi i tau) is the real nome of the lattice
+    Z omega + Z omega tau, negative on the one-real-root route.
+    """
+
+    e1: mp.mpf
+    e2: Union[mp.mpf, mp.mpc]
+    e3: Union[mp.mpf, mp.mpc]
+    route: str  # 'three-real-roots' | 'one-real-root'
+    omega: mp.mpf
+    q: mp.mpf
+    ga: mp.mpf
+    gb: mp.mpf
+
+
 @lru_cache(maxsize=64)
-def _roots_cached(a_str: str, b_str: str, prec: int):
+def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
+    a_q, b_q = Fraction(a_str), Fraction(b_str)
+    # the sign of the exact discriminant -16(4a^3 + 27b^2) decides the route
+    three_roots = 4 * a_q**3 + 27 * b_q**2 < 0
     with mp.workprec(prec + 48):
         a, b = mp.mpf(a_str), mp.mpf(b_str)
         roots = mp.polyroots([mp.mpf(1), mp.mpf(0), a, b], maxsteps=200, extraprec=64)
-        real = sorted((r.real for r in roots if abs(r.imag) < mp.mpf(2) ** (-prec // 2)),
-                      reverse=True)
-        if len(real) == 3:
-            e1, e2, e3 = real
-            return (e1, e2, e3, "three-real-roots")
-        e1 = max((r.real for r in roots if abs(r.imag) < mp.ldexp(1, -8)))
-        others = [r for r in roots if abs(r.real - e1) > mp.ldexp(1, -8) or abs(r.imag) > mp.ldexp(1, -8)]
-        return (e1, others[0], others[1], "one-real-root")
+        if three_roots:
+            e1, e2, e3 = sorted((mp.re(r) for r in roots), reverse=True)
+            if not e1 > e2 > e3:
+                raise ValidationError("period computation lost reality")
+            ga, gb = mp.sqrt(e1 - e3), mp.sqrt(e1 - e2)
+            omega2 = mp.pi / mp.agm(ga, mp.sqrt(e2 - e3))
+            sign = 1
+        else:
+            # e1 is the root nearest the real axis; e2 takes Im > 0
+            e1, e2, e3 = sorted(roots, key=lambda r: (abs(mp.im(r)), -mp.im(r)))
+            e1 = mp.re(e1)
+            beta = mp.sqrt(3 * e1 * e1 + a)
+            # (2 beta)^2 - (3 e1)^2 = 4 Im(e2)^2 > 0, so both Gauss pairs are real
+            if not (beta > 0 and 2 * beta > 3 * abs(e1)):
+                raise ValidationError("period computation lost reality")
+            # one AGM step of (sqrt(e1 - e3), sqrt(e1 - e2)), a conjugate pair
+            ga, gb = mp.sqrt(2 * beta + 3 * e1) / 2, mp.sqrt(beta)
+            omega2 = mp.pi / mp.agm(2 * gb, mp.sqrt(2 * beta - 3 * e1))
+            sign = -1
+        omega = mp.pi / mp.agm(ga, gb)
+        q = sign * mp.exp(-2 * mp.pi * omega2 / omega)
+    with mp.workprec(prec + 32):
+        omega = +omega
+    return _Lattice(e1=e1, e2=e2, e3=e3, route="three-real-roots" if three_roots
+                    else "one-real-root", omega=omega, q=q, ga=ga, gb=gb)
 
 
 def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _curve_roots(curve: RationalCurve, prec: int):
-    return _roots_cached(_frac_str(curve.a), _frac_str(curve.b), prec)
+def _lattice(curve: RationalCurve, prec: int) -> _Lattice:
+    return _lattice_cached(_frac_str(curve.a), _frac_str(curve.b), prec)
 
 
 def real_period(curve: RationalCurve, precision_bits: int = DEFAULT_PRECISION) -> RealPeriod:
-    """Generator omega of the kernel of exp_E, omega = int_{e*}^inf dx/sqrt(x^3+ax+b).
+    """Generator omega of the kernel of exp_E, omega = int_{e1}^inf dx/sqrt(x^3+ax+b).
 
-    Evaluated as 2*R_F(0, e1-e2, e1-e3).  exp_E(omega/2) is the 2-torsion
-    point (e1, 0), so the kernel really is Z*omega.
+    Evaluated as pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2)).  exp_E(omega/2) is
+    the 2-torsion point (e1, 0), so the kernel really is Z*omega.
     """
-    return _period_cached(_frac_str(curve.a), _frac_str(curve.b), precision_bits)
+    lat = _lattice(curve, precision_bits)
+    return RealPeriod(omega=lat.omega, precision_bits=precision_bits, route=lat.route)
 
 
-@lru_cache(maxsize=64)
-def _period_cached(a_str: str, b_str: str, prec: int) -> RealPeriod:
-    e1, e2, e3, route = _roots_cached(a_str, b_str, prec)
-    with mp.workprec(prec + 32):
-        om = 2 * mp.elliprf(0, e1 - e2, e1 - e3)
-        if abs(mp.im(om)) > mp.ldexp(1, -prec // 2):
-            raise ValidationError("period computation lost reality")
-        om = mp.re(om)
-        if not om > 0:
-            raise ValidationError("period must be positive")
-        return RealPeriod(omega=+om, precision_bits=prec, route=route)
+def _landen_log(lat: _Lattice, s2) -> mp.mpf:
+    """z in (0, omega/2] with wp(z) = e1 + s2, for s2 >= 0, by Gauss-Landen steps.
+
+    With a^2 = e1 - e3 and b^2 = e1 - e2,
+        z = int_s^inf dw / sqrt((w^2 + a^2)(w^2 + b^2)),
+    which the step (a, b, s^2) -> ((a+b)/2, sqrt(ab), (s^2 - ab + r)/2),
+    r = sqrt((s^2 + a^2)(s^2 + b^2)), leaves unchanged: it is the Gauss
+    map of the curve followed by halving.  Once a = b, z = atan(a/s)/a.
+    Where s^2 < ab the new s^2 is taken as 2 s^2 a'^2 / (r + ab - s^2),
+    the same number without cancellation.
+    """
+    a, b = lat.ga, lat.gb
+    if lat.route == "one-real-root":
+        # the complex first step: ab = beta = gb^2 and r = |x - e3|
+        ab = b * b
+        s2 = _landen_s2(s2, ab, abs(lat.e1 + s2 - lat.e3), a)
+    tol = mp.ldexp(a, 8 - mp.mp.prec)
+    while abs(a - b) > tol:
+        r = mp.sqrt((s2 + a * a) * (s2 + b * b))
+        ab = a * b
+        a = (a + b) / 2
+        s2 = _landen_s2(s2, ab, r, a)
+        b = mp.sqrt(ab)
+    return mp.atan2(a, mp.sqrt(s2)) / a
+
+
+def _landen_s2(s2, ab, r, a_next):
+    """s^2 after one Gauss-Landen step; see _landen_log."""
+    d = s2 - ab
+    if d >= 0:
+        return (d + r) / 2
+    return 2 * s2 * a_next * a_next / (r - d)
 
 
 @lru_cache(maxsize=32)
@@ -204,14 +273,17 @@ def elliptic_log(curve: RationalCurve, pt: PointLike,
         x, y = pt
         with mp.workprec(prec + 48):
             x, y = mp.mpf(x), mp.mpf(y)
-    e1, e2, e3, _route = _curve_roots(curve, prec)
+    lat = _lattice(curve, prec)
     with mp.workprec(prec + 48):
-        if x < e1 - mp.ldexp(1, -prec // 4):
+        s2 = x - lat.e1
+        if s2 < -mp.ldexp(1, -prec // 4):
             raise ComponentError("x below the largest real root: not on identity component")
-        u = mp.elliprf(x - e1, x - e2, x - e3)
-        if abs(mp.im(mp.mpc(u))) > mp.ldexp(1, -prec // 2):
-            raise ValidationError("elliptic log lost reality")
-        u = mp.re(u)
+        if s2 < 0:
+            # x within rounding of e1; beyond 2^-prec the log would turn complex
+            if s2 < -mp.ldexp(1, -prec):
+                raise ValidationError("elliptic log lost reality")
+            s2 = mp.mpf(0)
+        u = _landen_log(lat, s2)
         t = om - u if y > 0 else u
         t = t % om
         return EllipticLogValue(t=+t, omega=om, precision_bits=prec)

@@ -15,9 +15,9 @@ The two canonical-height routes cross-check each other:
     duplication quartics), so the residues give it exactly, and the result
     equals that of the exact integer ladder bit for bit.
 
-  * canonical_height_local: archimedean Neron function (unrolled duplication
-    series) plus (1/2) log den(x(MP)) / M^2, where M is a multiple pushing
-    the point into the kernel of reduction at every bad prime.  There the
+  * canonical_height_local: archimedean Neron function plus (1/2) log
+    den(x(MP)) / M^2, where M is a multiple pushing the point into the
+    kernel of reduction at every bad prime.  There the
     non-archimedean local heights are pure denominator contributions, so no
     reduction-type analysis is needed.  The order at a bad prime p depends
     only on P p-adically, so once torsion is decided exactly, each order
@@ -25,6 +25,13 @@ The two canonical-height routes cross-check each other:
     the digits when they run out.  MP is then built from P: the odd part of
     M by the group law, its powers of two by exact x-only doublings with the
     same disc^2 gcd as the ladder.
+
+    The archimedean Neron function is Silverman's q-product in the real nome
+    q of the period lattice, evaluated at theta = 2 pi z / omega for the
+    Gauss-Landen elliptic log z of x(MP), which converges quadratically.  It
+    is normalized by (1/12) log|Delta| so that lam(2P) = 4 lam(P) - log|2y(P)|
+    and lam(P) ~ (1/2) log|x(P)| at O.  A point on the egg, where the elliptic
+    log is not real, takes one step of that duplication relation first.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Optional, Tuple
 import mpmath as mp
 from mpmath import iv, libmp
 
-from . import ec_core
+from . import analytic, ec_core
 from .ec_core import CurvePoint, RationalCurve
 from .errors import BudgetExceededError, ValidationError
 
@@ -218,28 +225,43 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
 
 
 def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.mpf:
-    """Archimedean Neron function with hhat normalization.
+    """Archimedean Neron function with hhat normalization, by the q-product.
 
-    lam(P) = sum_{n<N} 4^-(n+1) log|2 y_n| + 4^-N (1/2) log+ |x_N|, from the
-    duplication relation lam(2P) = 4 lam(P) - log|2y(P)|.  Doubling expands
-    rounding error by ~4 per step, which the 4^-n weights cancel, so the sum
-    is stable as long as N stays well under the working precision.
+    lam(P) = (1/12) log|Delta/q| - log|2 sin(theta/2)|
+             - log prod_{n>=1} (1 - 2 q^n cos(theta) + q^2n),
+    with theta = 2 pi z / omega for the elliptic log z of x(P) and the real
+    nome q of the lattice (Silverman, Advanced Topics, VI.3.4, plus the
+    (1/12) log|Delta| that makes lam(2P) = 4 lam(P) - log|2y(P)|).  A point
+    on the egg first doubles onto the identity component by that relation;
+    lam depends on x alone, so the sign of y never enters.
     """
-    N = max(48, prec // 2 + 16)
-    with mp.workprec(prec + 64):
-        a = mp.mpf(curve_int.a.numerator)
-        b = mp.mpf(curve_int.b.numerator)
+    lat = analytic._lattice(curve_int, prec)
+    with mp.workprec(prec + 48):
         x = mp.mpf(x0)
-        total = mp.mpf(0)
-        w = mp.mpf(1)
-        for _ in range(N):
-            w /= 4
-            f = x**3 + a * x + b
-            f = abs(f)  # roundoff can graze zero near 2-torsion x-values
-            total += w * mp.log(4 * f) / 2
-            x = ((x * x - a) ** 2 - 8 * b * x) / (4 * f)
-        total += w * mp.log(max(mp.mpf(1), abs(x))) / 2
-        return +total
+        s2 = x - lat.e1
+        egg = lat.route == "three-real-roots" and x < (lat.e1 + lat.e2) / 2
+        if egg:
+            # 4 y^2 and x(2P) - e1 = ((x - e1)^2 - (e1 - e2)(e1 - e3))^2 / (4 y^2),
+            # from the roots: the forms in a and b cancel when e1 and e2 are close.
+            # Roundoff can graze zero at (e2, 0) and (e3, 0).
+            four_y2 = abs(4 * s2 * (x - lat.e2) * (x - lat.e3))
+            log_2y = mp.log(four_y2) / 2
+            s2 = (s2 * s2 - (lat.e1 - lat.e2) * (lat.e1 - lat.e3)) ** 2 / four_y2
+        z = analytic._landen_log(lat, max(s2, mp.mpf(0)))
+        cos2, sin2 = (v * v for v in mp.cos_sin(mp.pi * z / lat.omega))
+        # each factor as (1 - |q|^n)^2 + 4 |q|^n (sin or cos)^2(theta/2):
+        # a sum of nonnegative terms whatever the sign of q^n
+        qa = abs(lat.q)
+        tol = mp.ldexp(1, -mp.mp.prec)
+        prod, qn, n = mp.mpf(1), qa, 1
+        while qn >= tol:
+            trig = cos2 if lat.q < 0 and n % 2 else sin2
+            prod *= (1 - qn) ** 2 + 4 * qn * trig
+            qn *= qa
+            n += 1
+        disc = abs(mp.mpf(int(curve_int.discriminant)))
+        lam = mp.log(disc / qa) / 12 - mp.log(4 * sin2 * prod * prod) / 2
+        return +((lam + log_2y) / 4) if egg else +lam
 
 
 def _walk_order(a: int, x: Fraction, y: Fraction, p: int, multiple_cap: int,

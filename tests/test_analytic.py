@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from dioph import analytic, ec_core
+from dioph.cli import parse_and_dispatch
 from dioph.dioph_matrix import RealMatrix, _shell_argmax, _Shells
 from dioph.ec_core import CurvePoint
 from dioph.errors import ComponentError, PoleProximityError
@@ -17,7 +19,9 @@ def quad_period_oracle(curve, dps=40):
     """Independent quadrature of int_{e*}^inf dx / sqrt(x^3 + a x + b).
 
     The substitution x = e1 + u^2 removes the endpoint singularity so the
-    tanh-sinh rule converges cleanly.
+    tanh-sinh rule converges cleanly.  The integrand peaks at x = -e1/2, the
+    real part of the other two roots; that point is a breakpoint too, since
+    the peak is as narrow as their imaginary part.
     """
     with mp.workdps(dps):
         a = mp.mpf(curve.a.numerator) / curve.a.denominator
@@ -26,7 +30,8 @@ def quad_period_oracle(curve, dps=40):
         e1 = max(r.real for r in roots if abs(r.imag) < 1e-12)
         # f(e1 + u^2) / u^2 expanded (f(e1) = 0): 3 e1^2 + a + 3 e1 u^2 + u^4
         g = lambda u: 2 / mp.sqrt(3 * e1**2 + a + 3 * e1 * u**2 + u**4)
-        return mp.quad(g, [0, 1, 10, mp.inf])
+        peak = [mp.sqrt(-3 * e1 / 2)] if e1 < 0 else []
+        return mp.quad(g, sorted([0, 1, 10] + peak) + [mp.inf])
 
 
 def test_period_lemniscatic_against_quadrature(curve_lemniscatic):
@@ -42,6 +47,25 @@ def test_period_one_component_against_quadrature(curve_j0, curve_mordell):
         per = analytic.real_period(cur, PREC)
         assert per.route == "one-real-root"
         assert abs(per.omega - quad_period_oracle(cur)) < 1e-25
+
+
+def test_period_near_degenerate_one_root_curve(tmp_path):
+    # (x + 2)((x - 1)^2 + 2^-20): the complex pair 1 +- 2^-10 i is within
+    # 2^-8 of the real axis, so only the exact discriminant tells the route
+    cur = ec_core.RationalCurve(a=Fraction(-3145727, 1048576), b=Fraction(1048577, 524288))
+    assert cur.discriminant < 0
+    per = analytic.real_period(cur, PREC)
+    assert per.route == "one-real-root"
+    assert abs(per.omega - quad_period_oracle(cur)) < 1e-25
+    t = analytic.elliptic_log(cur, CurvePoint.affine(-2, 0), PREC)
+    assert abs(t.t - per.omega / 2) < TOL
+    doc = {"label": "near-node", "a": "-3145727/1048576", "b": "1048577/524288"}
+    path = tmp_path / "near-node.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "log"
+    assert parse_and_dispatch(["curve", "log", "--curve", str(path), "--point=-2,0",
+                               "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "log.json").read_text())["period_route"] == "one-real-root"
 
 
 def test_period_scaling_consistency(curve_110160):
@@ -60,12 +84,15 @@ def test_period_precision_contract(curve_110160):
 
 
 def test_period_cache_matches_uncached(curve_110160, curve_mordell, curve_lemniscatic):
-    uncached = analytic._period_cached.__wrapped__
+    uncached = analytic._lattice_cached.__wrapped__
     for cur in (curve_110160, curve_mordell, curve_lemniscatic):
         for prec in (64, 128, 256):
             key = (f"{cur.a.numerator}/{cur.a.denominator}",
                    f"{cur.b.numerator}/{cur.b.denominator}", prec)
-            assert analytic.real_period(cur, prec) == uncached(*key)
+            fresh = uncached(*key)
+            assert analytic._lattice(cur, prec) == fresh
+            per = analytic.real_period(cur, prec)
+            assert (per.omega, per.route, per.precision_bits) == (fresh.omega, fresh.route, prec)
     # keyed by (a, b, precision) alone: label and generator do not enter
     twin = ec_core.RationalCurve(
         a=curve_110160.a, b=curve_110160.b, label="twin",
@@ -80,7 +107,7 @@ def test_exp_half_period_is_two_torsion(curve_110160, curve_mordell):
     for cur in (curve_110160, curve_mordell):
         om = analytic.real_period(cur, PREC).omega
         x, y = analytic.exp_E(cur, om / 2, PREC)
-        e1 = analytic._curve_roots(cur, PREC)[0]
+        e1 = analytic._lattice(cur, PREC).e1
         assert abs(y) < TOL
         assert abs(x - e1) < TOL
 
