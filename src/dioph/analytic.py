@@ -2,19 +2,25 @@
 
 The exponential map is z -> (wp(z), wp'(z)/2) for the Weierstrass wp of the
 curve lattice (g2 = -4a, g3 = -4b), restricted to the real line.  Its kernel
-is Z*omega.  Every archimedean number comes from Gauss's arithmetic-geometric
-mean, which converges quadratically (Cohen, GTM 138, 7.4.7-7.4.8):
+is Z*omega.  Every archimedean number comes from one chain of Gauss's
+arithmetic-geometric mean, (a_0, b_0) = (sqrt(e1 - e3), sqrt(e1 - e2)),
+a_{k+1} = (a_k + b_k)/2, b_{k+1} = sqrt(a_k b_k), which converges
+quadratically to a_N (Cohen, GTM 138, 7.4.7-7.4.8):
 
-    omega = pi / AGM(sqrt(e1 - e3), sqrt(e1 - e2)),
+    omega = pi / a_N.
 
-and elliptic_log(x, y) carries s = sqrt(x - e1) through the same AGM steps
+elliptic_log(x, y) carries s^2 = x - e1 forward along the chain
 (Gauss-Landen), ending in atan(a_N / s_N) / a_N; it is reflected when y > 0.
-A second AGM gives the imaginary half-period and so the real nome q of the
-lattice, which heights uses for the archimedean local height.  All of it is
-computed once per (a, b, precision) in one cached lattice record.
+exp_E walks the same steps backwards from s_N = a_N cot(a_N z), each step
+rational and free of cancellation, and reads x = e1 + s^2 and y off the
+roots (Cremona and Thongjunthug, J. Number Theory 133, 2013).  A second AGM
+gives the imaginary half-period and so the real nome q of the lattice, which
+heights uses for the archimedean local height.  All of it is computed once
+per (a, b, precision) in one cached lattice record.
 
 On one-real-root curves e2, e3 form a complex conjugate pair, so the first
-AGM step is real and is taken in closed form from beta = sqrt(3 e1^2 + a).
+AGM step is real and is taken in closed form from beta = sqrt(3 e1^2 + a);
+the chain starts after it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Tuple, Union
 import mpmath as mp
 
 from .ec_core import CurvePoint, RationalCurve, on_curve, on_identity_component
-from .errors import BudgetExceededError, ComponentError, PoleProximityError, ValidationError
+from .errors import ComponentError, PoleProximityError, ValidationError
 
 DEFAULT_PRECISION = 256
 
@@ -64,10 +70,11 @@ class _Lattice:
     """Period lattice of y^2 = x^3 + a x + b at one precision, built once.
 
     e1 is the real root on the identity component; on the one-real-root
-    route e2 and e3 are the complex conjugate pair.  omega = pi / AGM(ga, gb)
-    for the real Gauss pair (ga, gb), which also starts every Landen
-    elliptic log.  q = exp(2 pi i tau) is the real nome of the lattice
-    Z omega + Z omega tau, negative on the one-real-root route.
+    route e2 and e3 are the complex conjugate pair.  chain holds the Gauss
+    AGM pairs (a_k, b_k) from the real pair (ga, gb) = chain[0] to the last
+    a_N, and omega = pi / a_N; every Landen walk runs along it.
+    q = exp(2 pi i tau) is the real nome of the lattice Z omega + Z omega tau,
+    negative on the one-real-root route.
     """
 
     e1: mp.mpf
@@ -76,8 +83,21 @@ class _Lattice:
     route: str  # 'three-real-roots' | 'one-real-root'
     omega: mp.mpf
     q: mp.mpf
-    ga: mp.mpf
-    gb: mp.mpf
+    chain: Tuple[Tuple[mp.mpf, mp.mpf], ...]
+
+
+def _agm_chain(a, b) -> Tuple[Tuple[mp.mpf, mp.mpf], ...]:
+    """Gauss AGM pairs from (a, b) until |a_N - b_N| <= 2^(8 - prec) a_N.
+
+    The bound is relative to the current term, not to a: when a << b the
+    limit is far above a, and a bound scaled by a would sit below one ulp
+    of the limit and never be met.
+    """
+    chain = [(a, b)]
+    while abs(a - b) > mp.ldexp(a, 8 - mp.mp.prec):
+        a, b = (a + b) / 2, mp.sqrt(a * b)
+        chain.append((a, b))
+    return tuple(chain)
 
 
 @lru_cache(maxsize=64)
@@ -107,12 +127,13 @@ def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
             ga, gb = mp.sqrt(2 * beta + 3 * e1) / 2, mp.sqrt(beta)
             omega2 = mp.pi / mp.agm(2 * gb, mp.sqrt(2 * beta - 3 * e1))
             sign = -1
-        omega = mp.pi / mp.agm(ga, gb)
+        chain = _agm_chain(ga, gb)
+        omega = mp.pi / chain[-1][0]
         q = sign * mp.exp(-2 * mp.pi * omega2 / omega)
     with mp.workprec(prec + 32):
         omega = +omega
     return _Lattice(e1=e1, e2=e2, e3=e3, route="three-real-roots" if three_roots
-                    else "one-real-root", omega=omega, q=q, ga=ga, gb=gb)
+                    else "one-real-root", omega=omega, q=q, chain=chain)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -142,20 +163,18 @@ def _landen_log(lat: _Lattice, s2) -> mp.mpf:
     r = sqrt((s^2 + a^2)(s^2 + b^2)), leaves unchanged: it is the Gauss
     map of the curve followed by halving.  Once a = b, z = atan(a/s)/a.
     Where s^2 < ab the new s^2 is taken as 2 s^2 a'^2 / (r + ab - s^2),
-    the same number without cancellation.
+    the same number without cancellation.  The pairs (a, b) come from
+    lat.chain, so each step takes one square root.
     """
-    a, b = lat.ga, lat.gb
+    chain = lat.chain
     if lat.route == "one-real-root":
         # the complex first step: ab = beta = gb^2 and r = |x - e3|
-        ab = b * b
-        s2 = _landen_s2(s2, ab, abs(lat.e1 + s2 - lat.e3), a)
-    tol = mp.ldexp(a, 8 - mp.mp.prec)
-    while abs(a - b) > tol:
+        ga, gb = chain[0]
+        s2 = _landen_s2(s2, gb * gb, abs(lat.e1 + s2 - lat.e3), ga)
+    for (a, b), (a_next, _) in zip(chain, chain[1:]):
         r = mp.sqrt((s2 + a * a) * (s2 + b * b))
-        ab = a * b
-        a = (a + b) / 2
-        s2 = _landen_s2(s2, ab, r, a)
-        b = mp.sqrt(ab)
+        s2 = _landen_s2(s2, a * b, r, a_next)
+    a = chain[-1][0]
     return mp.atan2(a, mp.sqrt(s2)) / a
 
 
@@ -167,83 +186,44 @@ def _landen_s2(s2, ab, r, a_next):
     return 2 * s2 * a_next * a_next / (r - d)
 
 
-@lru_cache(maxsize=32)
-def _wp_series_coeffs(a_str: str, b_str: str, prec: int, nterms: int):
-    """Laurent coefficients of wp: wp(z) = z^-2 + sum_{k>=2} c_k z^{2k-2}."""
-    with mp.workprec(prec + 48):
-        a, b = mp.mpf(a_str), mp.mpf(b_str)
-        c = [mp.mpf(0), mp.mpf(0), -a / 5, -b / 7]
-        for k in range(4, nterms):
-            s = mp.fsum(c[m] * c[k - m] for m in range(2, k - 1))
-            c.append(3 * s / ((2 * k + 1) * (k - 3)))
-        return tuple(c)
-
-
-def _wp_and_derivative(curve: RationalCurve, z: mp.mpf, prec: int):
-    """Series evaluation of (wp(z), wp'(z)); None if not converged at this z."""
-    nterms = max(48, prec // 3)
-    c = _wp_series_coeffs(_frac_str(curve.a), _frac_str(curve.b), prec, nterms)
-    z2 = z * z
-    eps = mp.ldexp(1, -prec - 16)
-    wp = 1 / z2
-    wpp = -2 / (z2 * z)
-    zpow = mp.mpf(1)  # z^{2k-2} built incrementally from k=2
-    scale = max(abs(wp), mp.mpf(1))
-    prev = mp.inf
-    small_streak = 0
-    for k in range(2, nterms):
-        zpow = zpow * z2 if k > 2 else z2
-        term = c[k] * zpow
-        wp += term
-        wpp += (2 * k - 2) * c[k] * zpow / z
-        mag = abs(term)
-        if mag < eps * scale:
-            # a = 0 or b = 0 curves have stride-3 zero coefficients, so one
-            # small term proves nothing; four in a row bound the tail
-            small_streak += 1
-            if small_streak >= 4 and k >= 6:
-                return wp, wpp
-        else:
-            small_streak = 0
-        if k > 8 and mag > prev * 4:
-            return None  # diverging: caller halves z
-        prev = mag if mag > 0 else prev
-    return None
-
-
 def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
     """Numeric point on the identity component at elliptic-log coordinate t.
 
-    Returns an (x, y) pair of mpf.  Raises PoleProximityError when t is
-    within 2^(-precision/4) of 0 mod omega; callers treat that as identity.
+    Returns an (x, y) pair of mpf, with y <= 0 on (0, omega/2].  Raises
+    PoleProximityError when t is within 2^(-precision/4) of 0 mod omega;
+    callers treat that as identity.
+
+    For z = t reduced into (0, omega/2], the Landen walk of _landen_log runs
+    backwards from s_N = a_N cot(a_N z).  Solving one forward step for the
+    old s^2 gives
+        s_k^2 = s_{k+1}^2 (s_{k+1}^2 + a_k b_k) / (s_{k+1}^2 + a_{k+1}^2),
+    a ratio of sums of positive terms; on the one-real-root route the
+    complex first step is undone the same way with beta = gb^2 for a_k b_k
+    and ga^2 for a_{k+1}^2.  Then x = e1 + s^2 and
+    y = -sqrt(s^2 (x - e2)(x - e3)), which is -s |x - e3| when e2, e3 are
+    conjugate.
     """
     prec = precision_bits
-    om = real_period(curve, prec).omega
+    lat = _lattice(curve, prec)
+    om = lat.omega
     with mp.workprec(prec + 48):
         tr = mp.mpf(_as_t(t)) % om
         if min(tr, om - tr) < mp.ldexp(1, -prec // 4):
             raise PoleProximityError(f"t = {mp.nstr(tr, 10)} too close to the lattice")
         flip = tr > om / 2
         z = om - tr if flip else tr
-        a = mp.mpf(curve.a.numerator) / curve.a.denominator
-        # halve into the series radius, then double the point back
-        j = 0
-        while z > om / 16 and j < 8:
-            z /= 2
-            j += 1
-        val = _wp_and_derivative(curve, z, prec)
-        while val is None:
-            z /= 2
-            j += 1
-            if j > prec:
-                raise BudgetExceededError("wp series failed to converge")
-            val = _wp_and_derivative(curve, z, prec)
-        x, y = val[0], val[1] / 2
-        for _ in range(j):
-            lam = (3 * x * x + a) / (2 * y)
-            x2 = lam * lam - 2 * x
-            y2 = lam * (x - x2) - y
-            x, y = x2, y2
+        chain = lat.chain
+        a_n = chain[-1][0]
+        s2 = (a_n * mp.cot(a_n * z)) ** 2
+        for (a, b), (a_next, _) in reversed(tuple(zip(chain, chain[1:]))):
+            s2 = s2 * (s2 + a * b) / (s2 + a_next * a_next)
+        if lat.route == "one-real-root":
+            ga, gb = chain[0]
+            s2 = s2 * (s2 + gb * gb) / (s2 + ga * ga)
+            y = -mp.sqrt(s2) * abs(lat.e1 + s2 - lat.e3)
+        else:
+            y = -mp.sqrt(s2 * (s2 + lat.e1 - lat.e3) * (s2 + lat.e1 - lat.e2))
+        x = lat.e1 + s2
         if flip:
             y = -y
         return +x, +y

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -49,6 +52,9 @@ def test_period_one_component_against_quadrature(curve_j0, curve_mordell):
         assert abs(per.omega - quad_period_oracle(cur)) < 1e-25
 
 
+NEAR_NODE_DOC = {"label": "near-node", "a": "-3145727/1048576", "b": "1048577/524288"}
+
+
 def test_period_near_degenerate_one_root_curve(tmp_path):
     # (x + 2)((x - 1)^2 + 2^-20): the complex pair 1 +- 2^-10 i is within
     # 2^-8 of the real axis, so only the exact discriminant tells the route
@@ -59,9 +65,8 @@ def test_period_near_degenerate_one_root_curve(tmp_path):
     assert abs(per.omega - quad_period_oracle(cur)) < 1e-25
     t = analytic.elliptic_log(cur, CurvePoint.affine(-2, 0), PREC)
     assert abs(t.t - per.omega / 2) < TOL
-    doc = {"label": "near-node", "a": "-3145727/1048576", "b": "1048577/524288"}
     path = tmp_path / "near-node.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NEAR_NODE_DOC))
     out = tmp_path / "log"
     assert parse_and_dispatch(["curve", "log", "--curve", str(path), "--point=-2,0",
                                "--out", str(out)]) == 0
@@ -75,6 +80,24 @@ def test_period_scaling_consistency(curve_110160):
     cur2 = ec_core.RationalCurve(a=curve_110160.a * u**4, b=curve_110160.b * u**6)
     om2 = analytic.real_period(cur2, PREC).omega
     assert abs(om1 - u * om2) < TOL
+
+
+@pytest.mark.parametrize("bits", (64, 200))
+def test_near_degenerate_curve_log_ends(bits, tmp_path):
+    # on the near-node curve the first Gauss term is about 2^-10 of the AGM limit;
+    # a stopping bound scaled by that term once fell below one ulp of the
+    # limit at these precisions, and the loop never ended
+    path = tmp_path / "near-node.json"
+    path.write_text(json.dumps(NEAR_NODE_DOC))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = str(tmp_path / "log")
+    done = subprocess.run([sys.executable, "-m", "dioph", "curve", "log", "--curve", str(path),
+                           "--point=-2,0", "--precision-bits", str(bits), "--out", out],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=str(tmp_path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "log.json").read_text())
+    assert report["period_route"] == "one-real-root" and report["alpha"] == "0.5"
 
 
 def test_period_precision_contract(curve_110160):
