@@ -240,7 +240,52 @@ def integral_model(curve: RationalCurve, pt: Optional[CurvePoint] = None):
     return cu, pu, u
 
 
+def _kraus(p: int, c4: int, c6: int) -> bool:
+    """Kraus's condition at p = 2 or 3 for (c4, c6) to come from an integral model.
+
+    At 3: v_3(c6) != 2.  At 2: c6 = -1 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.
+    Every other prime imposes nothing.
+    """
+    if p == 3:
+        return c6 % 9 != 0 or c6 % 27 == 0
+    return c6 % 4 == 3 or (c4 % 16 == 0 and c6 % 32 in (0, 8))
+
+
+def minimal_model(a: int, b: int) -> Tuple[Tuple[int, int, int, int, int], int]:
+    """Global minimal model of y^2 = x^3 + a x + b, for integers a and b.
+
+    Laska-Kraus-Connell (Cohen, GTM 138, Algorithm 7.1.3): from c4 = -48a and
+    c6 = -864b, u is the largest integer such that c4' = c4/u^4 and
+    c6' = c6/u^6 are the invariants of an integral model.  A prime p >= 5 can
+    divide u only if p^4 | a and p^6 | b; at 2 and 3 the largest power that
+    fits the valuations is lowered until Kraus's condition holds (`_kraus`).
+    The model is then read off b2 = -c6' mod 12 in [-5, 6], with a1 and a3
+    in {0, 1}.
+
+    Returns ([a1, a2, a3, a4, a6], u).  A point (x, y) of the short model is
+    (x', y') = (x/u^2 - b2/12, y/u^3 - (a1 x' + a3)/2) on the minimal one, and
+    the discriminants satisfy Delta = u^12 Delta'.
+    """
+    a, b = int(a), int(b)
+    c4, c6 = -48 * a, -864 * b
+    disc = -16 * (4 * a**3 + 27 * b**2)
+    u = 1
+    for p in sorted({2, 3} | set(_factorize(math.gcd(a, b)))):
+        d = min(_padic_valuation(c, p) // k for c, k in ((c4, 4), (c6, 6), (disc, 12)) if c)
+        while d > 0 and p in (2, 3) and not _kraus(p, c4 // p**(4 * d), c6 // p**(6 * d)):
+            d -= 1
+        u *= p**d
+        c4, c6 = c4 // p**(4 * d), c6 // p**(6 * d)
+    b2 = (-c6) % 12
+    b2 -= 12 if b2 > 6 else 0
+    b4 = (b2 * b2 - c4) // 24
+    b6 = (-b2**3 + 36 * b2 * b4 - c6) // 216
+    a1, a3 = b2 % 2, b6 % 2
+    return (a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4), u
+
+
 def _padic_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero integer n."""
     v = 0
     while n % p == 0:
         n //= p

@@ -15,20 +15,21 @@ The two canonical-height routes cross-check each other:
     duplication quartics), so the residues give it exactly, and the result
     equals that of the exact integer ladder bit for bit.
 
-  * canonical_height_local: archimedean Neron function plus (1/2) log
-    den(x(MP)) / M^2, where M is a multiple pushing the point into the
-    kernel of reduction at every bad prime.  There the
-    non-archimedean local heights are pure denominator contributions, so no
-    reduction-type analysis is needed.  The order at a bad prime p depends
-    only on P p-adically, so once torsion is decided exactly, each order
-    comes from a walk of mP on residues modulo a power of p, rerun at twice
-    the digits when they run out.  MP is then built from P: the odd part of
-    M by the group law, its powers of two by exact x-only doublings with the
-    same disc^2 gcd as the ladder.
+  * canonical_height_local: the decomposition into local heights at P
+    itself, hhat(P) = lam_inf(P) + sum_p lam_p(P) (Silverman, "Computing
+    heights on elliptic curves", Math. Comp. 51, 1988; Cohen, GTM 138,
+    Algorithms 7.1.3 and 7.5.7).  A prime of good reduction gives
+    (1/2) max(0, v_p(den x(P))) log p.  A prime p | Delta gives a rational
+    multiple of log p read off v_p of c4, Delta, psi2(P) and psi3(P) on the
+    global minimal model, by reduction type.  lam_inf carries the (1/12)
+    log|Delta| of the integral short model, so no lam_p carries a (1/12)
+    log|Delta|_p term (they cancel by the product formula); the minimal
+    model has discriminant Delta / u^12, and that scaling enters once, as
+    -log u.  Torsion is decided exactly first.
 
     The archimedean Neron function is Silverman's q-product in the real nome
     q of the period lattice, evaluated at theta = 2 pi z / omega for the
-    Gauss-Landen elliptic log z of x(MP), which converges quadratically.  It
+    Gauss-Landen elliptic log z of x(P), which converges quadratically.  It
     is normalized by (1/12) log|Delta| so that lam(2P) = 4 lam(P) - log|2y(P)|
     and lam(P) ~ (1/2) log|x(P)| at O.  A point on the egg, where the elliptic
     log is not real, takes one step of that duplication relation first.
@@ -36,6 +37,7 @@ The two canonical-height routes cross-check each other:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,8 +54,6 @@ DEFAULT_PRECISION = 256
 DEFAULT_DIGIT_BUDGET = 60_000_000
 # working precision, in bits, of the first run of the doubling ladder
 _START_PRECISION = 256
-# p-adic digits of the first run of each kernel-of-reduction walk
-_START_DIGITS = 16
 # Mazur: a point of E(Q) of finite order has order at most 12
 _MAX_TORSION_ORDER = 12
 
@@ -141,7 +141,7 @@ def _double_x(a, b, p, q):
     return fp, fq
 
 
-def _ladder(a: int, b: int, x: Fraction, n_max: int, digit_budget: int):
+def _ladder(a: int, b: int, x: Fraction, n_max: int):
     """Estimates (1/2) 4^-k log max(|p_k|, |q_k|) for k = 0..n_max, or None.
 
     (p_k, q_k) is the reduced projective x-coordinate of [2^k]P on the
@@ -162,9 +162,6 @@ def _ladder(a: int, b: int, x: Fraction, n_max: int, digit_budget: int):
         estimates.append(_log_of_top_bits(bl, top) / 4**k / 2)
         if k == n_max:
             return estimates
-        if bl > digit_budget:
-            raise BudgetExceededError(
-                f"x-coordinate exceeded {digit_budget} bits at doubling {k}")
         fp, fq = _double_x(a, b, p, q)
         lo, hi = fq._mpi_
         if lo == hi == libmp.fzero:
@@ -197,6 +194,11 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     ladder reruns at twice the precision; at the size of the integers the
     intervals are exact, so the result always equals the exact ladder's.
     The point is torsion only when the enclosure of fq is exactly {0}.
+
+    digit_budget bounds that working precision, in bits: a run that would
+    need more raises BudgetExceededError.  Once the precision reaches the
+    bit length of the integers every step is decided, so the budget bounds
+    the work the ladder really does.
     """
     ec_core._require_on_curve(curve, pt)
     if n_max < 4:
@@ -208,8 +210,12 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     iv.prec = _START_PRECISION
     try:
         while True:
+            if iv.prec > digit_budget:
+                raise BudgetExceededError(
+                    f"ladder working precision {iv.prec} bits exceeds the "
+                    f"{digit_budget}-bit budget")
             try:
-                estimates = _ladder(int(cu.a), int(cu.b), pu.x, n_max, digit_budget)
+                estimates = _ladder(int(cu.a), int(cu.b), pu.x, n_max)
                 break
             except _Undecided:
                 iv.prec *= 2
@@ -234,6 +240,14 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
     (1/12) log|Delta| that makes lam(2P) = 4 lam(P) - log|2y(P)|).  A point
     on the egg first doubles onto the identity component by that relation;
     lam depends on x alone, so the sign of y never enters.
+
+    The product is summed as Jacobi's theta_1, with the triangular exponents
+    of q, over Euler's pentagonal series for prod (1 - q^n): by the triple
+    product identity,
+        sum_{n>=0} (-1)^n q^(n(n+1)/2) sin((2n+1) theta/2)
+            = sin(theta/2) prod_{n>=1} (1 - q^n)(1 - 2 q^n cos(theta) + q^2n),
+    an identity of power series in q that holds for q < 0 too.  Both series
+    need O(sqrt(prec)) terms where the product needs O(prec).
     """
     lat = analytic._lattice(curve_int, prec)
     with mp.workprec(prec + 48):
@@ -248,167 +262,129 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
             log_2y = mp.log(four_y2) / 2
             s2 = (s2 * s2 - (lat.e1 - lat.e2) * (lat.e1 - lat.e3)) ** 2 / four_y2
         z = analytic._landen_log(lat, max(s2, mp.mpf(0)))
-        cos2, sin2 = (v * v for v in mp.cos_sin(mp.pi * z / lat.omega))
-        # each factor as (1 - |q|^n)^2 + 4 |q|^n (sin or cos)^2(theta/2):
-        # a sum of nonnegative terms whatever the sign of q^n
-        qa = abs(lat.q)
+        c, s = mp.cos_sin(mp.pi * z / lat.omega)
+        q = lat.q
         tol = mp.ldexp(1, -mp.mp.prec)
-        prod, qn, n = mp.mpf(1), qa, 1
-        while qn >= tol:
-            trig = cos2 if lat.q < 0 and n % 2 else sin2
-            prod *= (1 - qn) ** 2 + 4 * qn * trig
-            qn *= qa
+        # theta_1 over sin(theta/2): sum_n (-1)^n q^(n(n+1)/2) U_2n(c), with
+        # V_n = U_2n(c) = sin((2n+1) theta/2) / sin(theta/2) by
+        # V_(n+1) = (4c^2 - 2) V_n - V_(n-1), so |V_n| <= 2n + 1
+        d = 4 * c * c - 2
+        theta1, v_prev, v, qn, qt, n = mp.mpf(1), mp.mpf(1), d + 1, q, q, 1
+        while abs(qt) * (2 * n + 1) >= tol:
+            theta1 += -qt * v if n % 2 else qt * v
+            v_prev, v = v, d * v - v_prev
+            qn *= q
+            qt *= qn
             n += 1
+        # prod_(n>=1) (1 - q^n) by Euler's pentagonal series
+        euler, qk, step, q3, k = mp.mpf(1), q, q, q**3, 1
+        while abs(qk) >= tol:
+            pair = qk * (1 + q**k)
+            euler += -pair if k % 2 else pair
+            step *= q3
+            qk *= step
+            k += 1
         disc = abs(mp.mpf(int(curve_int.discriminant)))
-        lam = mp.log(disc / qa) / 12 - mp.log(4 * sin2 * prod * prod) / 2
+        lam = mp.log(disc / abs(q)) / 12 - mp.log(abs(2 * s * theta1 / euler))
         return +((lam + log_2y) / 4) if egg else +lam
 
 
-def _walk_order(a: int, x: Fraction, y: Fraction, p: int, multiple_cap: int,
-                digits: int) -> Optional[int]:
-    """Least m in 2..multiple_cap with p | den x(mP), or None if there is none.
+def _valuation(q, p: int):
+    """v_p of a nonzero rational q, or math.inf at q = 0."""
+    if q == 0:
+        return math.inf
+    q = Fraction(q)
+    return ec_core._padic_valuation(q.numerator, p) - ec_core._padic_valuation(q.denominator, p)
 
-    P = (x, y) is p-integral on the integral curve y^2 = x^3 + a x + b and
-    not torsion.  The walk (m+1)P = mP + P runs on the residues of x(mP) and
-    y(mP) modulo p^e, where e, their absolute precision, starts at `digits`.
-    Dividing by a slope denominator of valuation v leaves e - v digits.  A
-    slope of negative valuation is exactly p | den x((m+1)P), so it ends the
-    walk.  Raises _Undecided when a denominator is 0 modulo p^e.
+
+@functools.lru_cache(maxsize=64)
+def _reduction_data(a: int, b: int):
+    """The global minimal model of the integral short model y^2 = x^3 + a x + b.
+
+    Returns (ainvs, u, c4, primes): the model [a1, a2, a3, a4, a6] and the
+    scaling u of `ec_core.minimal_model`, c4 of the minimal model, and
+    ((p, v_p(Delta')), ...) over the primes p of the short model's discriminant,
+    Delta' being the minimal discriminant.  Every other prime is one of good
+    reduction where the short model is already minimal.
     """
-    pe = p**digits
-    x1 = x.numerator * pow(x.denominator, -1, pe) % pe
-    y1 = y.numerator * pow(y.denominator, -1, pe) % pe
-    xm, ym = x1, y1
-    for m in range(1, multiple_cap):
-        if m == 1:
-            num, den = 3 * x1 * x1 + a, 2 * y1
-        else:
-            num, den = ym - y1, xm - x1
-        den %= pe
-        if den == 0:
-            raise _Undecided
-        pv = 1
-        while den % p == 0:
-            den //= p
-            pv *= p
-        if num % pv:
-            return m + 1
-        pe //= pv
-        lam = num // pv * pow(den, -1, pe) % pe
-        xm = (lam * lam - xm - x1) % pe
-        ym = (lam * (x1 - xm) - y1) % pe
-    return None
+    ainvs, u = ec_core.minimal_model(a, b)
+    disc = -16 * (4 * a**3 + 27 * b**2)
+    primes = sorted(ec_core._factorize(disc))
+    return ainvs, u, -48 * a // u**4, tuple((p, _valuation(disc // u**12, p)) for p in primes)
 
 
-def _order_error(multiple_cap: int, primes) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"kernel-of-reduction order exceeds {multiple_cap} at primes {sorted(primes)}")
+def _lambda_p(ainvs, c4: int, p: int, N: int, x: Fraction, y: Fraction) -> Fraction:
+    """lambda_p(P) / log p on a model minimal at p, with N = v_p(Delta).
 
-
-def _kernel_orders(curve_int: RationalCurve, pt: CurvePoint,
-                   multiple_cap: int = 4000) -> Optional[dict]:
-    """{p: least m >= 1 with p | den x(mP)} over the primes p | disc, or None
-    when pt is torsion.
-
-    Torsion is decided first, exactly.  A torsion point of the integral
-    model is integral (Nagell-Lutz) and of order at most 12 (Mazur), so kP
-    is walked by the group law while it stays integral, for k up to
-    min(12, multiple_cap): O means torsion, a non-integral multiple means
-    not.  Then each bad prime has its own walk on p-adic residues
-    (`_walk_order`), rerun at twice the digits until every step is
-    decided.  For m >= 2, x(mP) != x(P), since pt is not torsion, so every
-    denominator of the walk is nonzero and the reruns end.
-
-    Raises BudgetExceededError when an order exceeds multiple_cap, as does
-    a torsion point of larger order: the primes named are those whose
-    order the walk of exact multiples mP, m <= multiple_cap, would not find.
+    Cohen, GTM 138, Algorithm 7.5.7 (Silverman, Math. Comp. 51, 1988, Thm 5.2),
+    halved for hhat ~ (1/2) log H(x), and without the (1/12) log|Delta|_p term,
+    which lambda_infinity carries: P reducing to a non-singular point gives
+    (1/2) max(0, -v(x)); multiplicative reduction -n(N - n)/(2N) with
+    n = min(v(psi2), N/2); additive reduction -v(psi2)/3 when
+    v(psi3) >= 3 v(psi2), else -v(psi3)/8.  A non-torsion point has psi2 and
+    psi3 nonzero.
     """
-    a = int(curve_int.a)
-    primes = sorted(ec_core._factorize(int(curve_int.discriminant)))
+    a1, a2, a3, a4, a6 = ainvs
+    psi2 = _valuation(2 * y + a1 * x + a3, p)
+    if psi2 <= 0 or _valuation(3 * x * x + 2 * a2 * x + a4 - a1 * y, p) <= 0:
+        return Fraction(max(0, -_valuation(x, p)), 2)
+    if c4 % p:
+        n = min(Fraction(psi2), Fraction(N, 2))
+        return -n * (N - n) / (2 * N)
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    psi3 = _valuation(3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8, p)
+    return Fraction(-psi2, 3) if psi3 >= 3 * psi2 else Fraction(-psi3, 8)
+
+
+def _is_torsion(curve_int: RationalCurve, pt: CurvePoint) -> bool:
+    """Exact torsion test on an integral short model.
+
+    A torsion point there is integral (Nagell-Lutz) and of order at most 12
+    (Mazur), so kP is walked by the group law while it stays integral, for
+    k <= 12: O means torsion, a non-integral multiple means not.
+    """
     running = pt
-    for _ in range(max(1, min(_MAX_TORSION_ORDER, multiple_cap))):
+    for _ in range(_MAX_TORSION_ORDER):
         if running.is_identity:
-            return None
+            return True
         if running.x.denominator != 1:
-            break
+            return False
         running = ec_core.add(curve_int, running, pt, _checked=True)
-    else:
-        # no O among the integral multiples: past 12, pt is not torsion;
-        # within the cap, no prime divides a denominator
-        if multiple_cap <= _MAX_TORSION_ORDER:
-            raise _order_error(multiple_cap, primes)
-    orders, pending = {}, []
-    for p in primes:
-        if pt.x.denominator % p == 0:
-            orders[p] = 1
-            continue
-        digits = _START_DIGITS
-        while True:
-            try:
-                order = _walk_order(a, pt.x, pt.y, p, multiple_cap, digits)
-                break
-            except _Undecided:
-                digits *= 2
-        if order is None:
-            pending.append(p)
-        else:
-            orders[p] = order
-    if pending:
-        raise _order_error(multiple_cap, pending)
-    return orders
-
-
-def _kernel_multiple(curve_int: RationalCurve, pt: CurvePoint,
-                     multiple_cap: int = 4000):
-    """Smallest M with den(x(mP)) divisible by p for every bad prime p | disc,
-    i.e. MP lies in the kernel of reduction at all bad primes.
-
-    Returns (M, (p, q)) with x(MP) = p/q in lowest terms, q > 0, or (0, None)
-    when pt turns out to be torsion.
-
-    M is the lcm of the orders `_kernel_orders` finds on p-adic residues.
-    x(MP) has about M^2 times the bits of x(P), so an estimate of them is
-    held to DEFAULT_DIGIT_BUDGET before MP is built.  With M = 2^s o, o odd,
-    oP comes by the group law, then s exact doublings of x alone
-    (`_double_x`), each divided by its gcd with disc^2, which is the whole
-    gcd (the resultant fact `_ladder` rests on).
-    """
-    orders = _kernel_orders(curve_int, pt, multiple_cap)
-    if orders is None:
-        return 0, None
-    M = math.lcm(*orders.values())
-    bits = M * M * max(max(abs(pt.x.numerator), pt.x.denominator).bit_length(), 8)
-    if bits > DEFAULT_DIGIT_BUDGET:
-        raise BudgetExceededError(
-            f"x(MP) at M = {M} would have about {bits} bits, "
-            f"over the {DEFAULT_DIGIT_BUDGET}-bit budget")
-    a, b = int(curve_int.a), int(curve_int.b)
-    gcd_bound = int(curve_int.discriminant) ** 2
-    s = (M & -M).bit_length() - 1
-    odd = ec_core._multiply(curve_int, M >> s, pt)
-    p, q = odd.x.numerator, odd.x.denominator
-    for _ in range(s):
-        fp, fq = _double_x(a, b, p, q)
-        g = math.gcd(fp % gcd_bound, fq % gcd_bound, gcd_bound)
-        p, q = fp // g, fq // g
-    return M, (p, q)
+    return False
 
 
 def canonical_height_local(curve: RationalCurve, pt: CurvePoint,
                            precision_bits: int = DEFAULT_PRECISION) -> HeightValue:
-    """hhat by archimedean + non-archimedean local decomposition."""
+    """hhat(P) = lambda_inf(P) + sum_p lambda_p(P), evaluated at P itself.
+
+    lambda_inf is `_lambda_archimedean` at x(P) on the integral short model,
+    which carries (1/12) log|Delta| of that model.  A prime p not dividing
+    Delta gives (1/2) v_p(den x(P)) log p.  Each p | Delta gives `_lambda_p`
+    on the global minimal model (`ec_core.minimal_model`); the scaling u to
+    that model, with Delta = u^12 Delta', enters once, as -log u, in place of
+    the (1/12) log|Delta|_p terms, which cancel by the product formula.
+    References: Silverman, "Computing heights on elliptic curves" (Math. Comp.
+    51, 1988); Cohen, GTM 138, Algorithms 7.1.3 and 7.5.7.  A torsion point,
+    decided exactly first (`_is_torsion`), has height 0.
+    """
     ec_core._require_on_curve(curve, pt)
     if pt.is_identity:
         return HeightValue(mp.mpf(0), precision_bits, "local_decomposition")
     cu, pu, _ = ec_core.integral_model(curve, pt)
-    M, xq = _kernel_multiple(cu, pu)
-    if M == 0:
+    if _is_torsion(cu, pu):
         return HeightValue(mp.mpf(0), precision_bits, "local_decomposition")
-    p, q = xq
+    ainvs, u, c4, primes = _reduction_data(int(cu.a), int(cu.b))
+    a1, a2, a3 = ainvs[:3]
+    x = pu.x / (u * u) - Fraction(a1 * a1 + 4 * a2, 12)
+    y = pu.y / u**3 - (a1 * x + a3) / 2
+    den = pu.x.denominator
     with mp.workprec(precision_bits + 64):
-        x_mpf = mp.mpf(p) / mp.mpf(q)
-        lam = _lambda_archimedean(cu, x_mpf, precision_bits)
-        nonarch = mp.log(q) / 2
-        value = (lam + nonarch) / M**2
+        value = _lambda_archimedean(cu, mp.mpf(pu.x.numerator) / den, precision_bits)
+        for p, N in primes:
+            lam = _lambda_p(ainvs, c4, p, N, x, y)
+            value += mp.mpf(lam.numerator) / lam.denominator * mp.log(p)
+            while den % p == 0:
+                den //= p
+        value += mp.log(den) / 2 - mp.log(u)
         return HeightValue(+value, precision_bits, "local_decomposition")
-

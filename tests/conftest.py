@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +12,12 @@ from dioph import ec_core
 # without an example database, so tier-1 stays deterministic and bounded.
 settings.register_profile("dioph", derandomize=True, deadline=None,
                           max_examples=60, database=None)
-settings.load_profile("dioph")
+# DIOPH_HYPOTHESIS_PROFILE=deep draws 400 examples per property, still
+# derandomized: a deeper run of the same tests, outside tier-1
+settings.register_profile("dioph-deep", derandomize=True, deadline=None,
+                          max_examples=400, database=None)
+settings.load_profile("dioph-deep" if os.environ.get("DIOPH_HYPOTHESIS_PROFILE") == "deep"
+                      else "dioph")
 
 
 @pytest.fixture(autouse=True)

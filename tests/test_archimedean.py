@@ -13,12 +13,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dioph import analytic, ec_core, heights
 from dioph.ec_core import CurvePoint, RationalCurve
-from dioph.errors import BudgetExceededError
+
+from test_heights import _reference_kernel_multiple
 
 PRECISIONS = (128, 256, 512)
 
@@ -170,8 +171,8 @@ def _near_e1(curve, prec):
 
 
 def _x_of_MP_10P(curve, prec):
-    """x(M [10]P) for P = (5, 8) on 110160.cd1, the point the local route uses."""
-    M, (p, q) = heights._kernel_multiple(curve, ec_core.scalar_mul(curve, 10, CurvePoint.affine(5, 8)))
+    """x(M [10]P) for P = (5, 8) on 110160.cd1, from the test-only x(MP) oracle."""
+    M, (p, q) = _reference_kernel_multiple(curve, ec_core.scalar_mul(curve, 10, CurvePoint.affine(5, 8)))
     assert M > 0 and max(abs(p), q).bit_length() > 80_000
     with mp.workprec(prec + 64):
         return mp.mpf(p) / q
@@ -260,27 +261,12 @@ def _integral_curves_through(draw):
     return RationalCurve(a=a, b=b), CurvePoint.affine(x0, y0)
 
 
-def _cheap_local_route(curve, pt, n):
-    """Keep draws whose kernel multiple M makes x(M [n]P) small to build."""
-    try:
-        orders = heights._kernel_orders(curve, pt, multiple_cap=12)
-    except BudgetExceededError:
-        return False
-    return orders is not None and math.lcm(*orders.values()) * n <= 48
-
-
-# most draws have a kernel multiple too large to build x(MP) quickly
-_FILTERED = settings(max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
-
-
 def test_hhat_quadratic_on_random_curves():
     routes = set()
 
-    @_FILTERED
     @given(_integral_curves_through(), st.integers(2, 4))
     def check(curve_point, n):
         curve, P = curve_point
-        assume(_cheap_local_route(curve, P, n))
         routes.add(analytic.real_period(curve, PREC).route)
         h1 = heights.canonical_height_local(curve, P, PREC).value
         hn = heights.canonical_height_local(curve, ec_core.scalar_mul(curve, n, P), PREC).value
@@ -349,13 +335,11 @@ def test_agm_chain_ends_and_exp_inverts_log():
 def test_hhat_invariant_under_non_minimal_model():
     routes = set()
 
-    @_FILTERED
     @given(_integral_curves_through(), st.sampled_from((2, 3, 6)))
     def check(curve_point, u):
         curve, P = curve_point
         scaled = RationalCurve(a=curve.a * u**4, b=curve.b * u**6)
         Pu = CurvePoint(P.x * u * u, P.y * u**3)
-        assume(_cheap_local_route(curve, P, 1) and _cheap_local_route(scaled, Pu, 1))
         routes.add(analytic.real_period(curve, PREC).route)
         h = heights.canonical_height_local(curve, P, PREC).value
         hu = heights.canonical_height_local(scaled, Pu, PREC).value

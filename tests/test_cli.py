@@ -289,6 +289,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_INPUTS = {
     "curve.json": {"label": "110160.cd1", "a": "-12", "b": "-1",
                    "generator": ["5", "8"], "rank": 1},
+    "x28.json": {"label": "x3-x+28", "a": "-1", "b": "28"},
     "phi.json": {"m": 1, "n": 1, "entries": ["1.6180339887498948482045868343656381177"]},
     "A22.json": {"m": 2, "n": 2, "entries": ["5/11", "-0.3", "1.25", "2/7"]},
     "H.json": {"m": 1, "n": 1, "entries": ["0.9223"]},
@@ -306,6 +307,9 @@ GOLDEN_CASES = [
     ("curve-verify", ["curve", "verify", "--curve", "{IN}/curve.json", "--out", "{OUT}"], 0),
     ("curve-height", ["curve", "height", "--curve", "{IN}/curve.json", "--nmax", "6",
                       "--out", "{OUT}"], 0),
+    # kernel-of-reduction orders 2, 10, 12 and 38 at the bad primes: M = 1140
+    ("curve-height-x28", ["curve", "height", "--curve", "{IN}/x28.json", "--point=-3,2",
+                          "--out", "{OUT}"], 0),
     ("curve-log", ["curve", "log", "--curve", "{IN}/curve.json", "--point", "5,-8",
                    "--precision-bits", "128", "--out", "{OUT}"], 0),
     ("dirichlet", ["dirichlet", "--matrix", "{IN}/A22.json", "--Q", "30", "--out", "{OUT}"], 0),

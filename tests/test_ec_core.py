@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dioph import ec_core
 from dioph.ec_core import CurvePoint, RationalCurve
@@ -136,6 +138,44 @@ def test_from_ainvs_37a():
     assert (cu.a, cu.b) == (Fraction(-16), Fraction(16))
     # image of (0, 0): x' = u^2 * (0 + b2/12), b2 = 0
     assert ec_core.on_curve(cu, CurvePoint.affine(0, 4))
+
+
+def _invariants(ainvs):
+    """(c4, c6, Delta) of the model [a1, a2, a3, a4, a6]."""
+    a1, a2, a3, a4, a6 = ainvs
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    return c4, c6, -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def test_minimal_model_known_curves():
+    # 37a1 from its short model, u = 2; 11a1, whose short model has
+    # denominators 3 and 108, u = 6
+    for ainvs, u in (((0, 0, 1, -1, 0), 2), ((0, -1, 1, -10, -20), 6)):
+        cu, _, _ = ec_core.integral_model(ec_core.from_ainvs(*ainvs))
+        assert ec_core.minimal_model(cu.a, cu.b) == (ainvs, u)
+
+
+@pytest.mark.parametrize("u", (2, 3, 5, 6))
+def test_minimal_model_recovers_scaling(u):
+    # y^2 = x^3 - 12x - 1 (110160.cd1) is minimal; 37a1's integral model is
+    # its minimal model scaled by 2
+    assert ec_core.minimal_model(-12 * u**4, -u**6) == ((0, 0, 0, -12, -1), u)
+    assert ec_core.minimal_model(-16 * u**4, 16 * u**6) == ((0, 0, 1, -1, 0), 2 * u)
+
+
+@given(st.integers(-500, 500), st.integers(-500, 500), st.sampled_from((1, 2, 3, 4, 5, 6, 9, 10, 12, 35)))
+def test_minimal_model_invariants(a, b, s):
+    # the model is integral with c4 = u^4 c4', c6 = u^6 c6', Delta = u^12 Delta',
+    # and scaling the short model by s multiplies u by s
+    assume(4 * a**3 + 27 * b * b != 0)
+    ainvs, u = ec_core.minimal_model(a, b)
+    assert all(isinstance(c, int) for c in ainvs) and ainvs[0] in (0, 1) and ainvs[2] in (0, 1)
+    c4, c6, disc = _invariants(ainvs)
+    assert (-48 * a, -864 * b, -16 * (4 * a**3 + 27 * b * b)) == (u**4 * c4, u**6 * c6, u**12 * disc)
+    assert ec_core.minimal_model(a * s**4, b * s**6) == (ainvs, u * s)
 
 
 def test_curve_json_roundtrip(curve_110160):

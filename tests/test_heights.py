@@ -27,9 +27,18 @@ def _log_of_int(n) -> float:
     return math.log(n >> (bl - 64)) + (bl - 64) * math.log(2)
 
 
-def _reference_limit(curve, pt, n_max, precision_bits=PREC,
-                     digit_budget=heights.DEFAULT_DIGIT_BUDGET):
-    """canonical_height_limit carried out on exact integers (the oracle)."""
+def _reference_double_x(a, b, p, q):
+    """Projective x-coordinate of [2]P from x(P) = p/q on y^2 = x^3 + a x + b."""
+    q2 = q * q
+    q3 = q2 * q
+    return (p * p - a * q2) ** 2 - 8 * b * p * q3, 4 * q * (p * p * p + a * p * q2 + b * q3)
+
+
+def _reference_limit(curve, pt, n_max, precision_bits=PREC):
+    """canonical_height_limit carried out on exact integers (the oracle).
+
+    Exact integers need no working precision, so no budget applies.
+    """
     if pt.is_identity:
         return heights.HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
     cu, pu, _ = ec_core.integral_model(curve, pt)
@@ -43,13 +52,7 @@ def _reference_limit(curve, pt, n_max, precision_bits=PREC,
         estimates.append(h / 4**k / 2)
         if k == n_max:
             break
-        if max(abs(p), abs(q)).bit_length() > digit_budget:
-            raise BudgetExceededError(
-                f"x-coordinate exceeded {digit_budget} bits at doubling {k}")
-        q2 = q * q
-        q3 = q2 * q
-        fp = (p * p - a * q2) ** 2 - 8 * b * p * q3
-        fq = 4 * q * (p * p * p + a * p * q2 + b * q3)
+        fp, fq = _reference_double_x(a, b, p, q)
         if fq == 0:
             return heights.HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
         g = math.gcd(math.gcd(fp, gcd_bound), math.gcd(fq, gcd_bound))
@@ -175,10 +178,23 @@ def test_naive_vs_canonical_bounded(curve_110160):
 
 
 def test_digit_budget_error(curve_110160):
-    with pytest.raises(BudgetExceededError):
+    # the budget bounds the ladder's working precision, which starts at 256 bits
+    with pytest.raises(BudgetExceededError,
+                       match="working precision 256 bits exceeds the 200-bit budget"):
         heights.canonical_height_limit(curve_110160, CurvePoint.affine(5, 8),
                                        n_max=12, precision_bits=PREC,
-                                       digit_budget=10_000)
+                                       digit_budget=200)
+
+
+@pytest.mark.parametrize("n_max", (14, 20, 26, 32))
+def test_limit_reach_at_default_budget(curve_110160, n_max):
+    # the pair the ladder encloses has about 4^n_max * 3 bits, far past the
+    # default budget, while the enclosure itself stays at 256 bits; the error
+    # against the local route falls by 4 per doubling down to the float log
+    P = CurvePoint.affine(5, 8)
+    lim = heights.canonical_height_limit(curve_110160, P, n_max, PREC)
+    loc = heights.canonical_height_local(curve_110160, P, PREC)
+    assert abs(lim.value - loc.value) < max(1e-9 * 4.0 ** (14 - n_max), 1e-14)
 
 
 def test_height_model_invariance(curve_110160):
@@ -267,18 +283,33 @@ def test_limit_precision_escalation(monkeypatch):
 
 @pytest.mark.parametrize("curve, pt", WORKLOAD_CURVES[::2], ids=[c.label for c, _ in WORKLOAD_CURVES[::2]])
 @pytest.mark.parametrize("budget", (3, 50, 200, 1000, 20000))
-def test_digit_budget_parity(curve, pt, budget):
-    # same message, so the same doubling, as the exact ladder
+def test_digit_budget_parity(monkeypatch, curve, pt, budget):
+    # from 32 bits the ladder reruns at 64 and 128: a budget below one of
+    # those raises, naming the first precision over it, and a budget that
+    # holds them all gives the exact ladder's value
+    precisions = []
+    ladder = heights._ladder
+    monkeypatch.setattr(heights, "_START_PRECISION", 32)
+    monkeypatch.setattr(heights, "_ladder",
+                        lambda *args: precisions.append(mp.iv.prec) or ladder(*args))
     before = mp.iv.prec
-    with pytest.raises(BudgetExceededError) as ref:
-        _reference_limit(curve, pt, 12, digit_budget=budget)
-    with pytest.raises(BudgetExceededError) as got:
-        heights.canonical_height_limit(curve, pt, 12, PREC, digit_budget=budget)
-    assert str(got.value) == str(ref.value)
+    heights.canonical_height_limit(curve, pt, 9, PREC)
+    needed = list(precisions)
+    precisions.clear()
+    assert needed == [32, 64, 128]
+    over = [p for p in needed if p > budget]
+    if over:
+        with pytest.raises(BudgetExceededError,
+                           match=f"precision {over[0]} bits exceeds the {budget}-bit budget"):
+            heights.canonical_height_limit(curve, pt, 9, PREC, digit_budget=budget)
+        assert precisions == [p for p in needed if p <= budget]
+    else:
+        got = heights.canonical_height_limit(curve, pt, 9, PREC, digit_budget=budget)
+        assert got.value == _reference_limit(curve, pt, 9).value
     assert mp.iv.prec == before
 
 
-# --- reference: the kernel multiple by a walk of exact multiples -------------
+# --- reference: the local route at a kernel multiple M ----------------------
 
 
 def _reference_orders(curve_int, pt, multiple_cap=4000):
@@ -307,8 +338,14 @@ def _reference_orders(curve_int, pt, multiple_cap=4000):
 
 
 def _reference_kernel_multiple(curve_int, pt, multiple_cap=4000):
-    """_kernel_multiple from the orders of the exact walk, with MP computed
-    afresh as scalar_mul(M, P) (the oracle)."""
+    """(M, (p, q)) with M the lcm of the orders of the exact walk and
+    x(MP) = p/q in lowest terms, or (0, None) for a torsion point (the oracle).
+
+    With M = 2^s o, o odd, oP comes by scalar_mul, then s doublings of x
+    alone, each divided by its gcd with disc^2, which is the whole gcd (the
+    resultant fact of the doubling ladder).  x(MP) has about M^2 times the
+    bits of x(P); an estimate over DEFAULT_DIGIT_BUDGET raises.
+    """
     orders = _reference_orders(curve_int, pt, multiple_cap)
     if orders is None:
         return 0, None
@@ -318,8 +355,39 @@ def _reference_kernel_multiple(curve_int, pt, multiple_cap=4000):
         raise BudgetExceededError(
             f"x(MP) at M = {M} would have about {bits} bits, "
             f"over the {heights.DEFAULT_DIGIT_BUDGET}-bit budget")
-    Q = ec_core.scalar_mul(curve_int, M, pt)
-    return M, (Q.x.numerator, Q.x.denominator)
+    a, b = int(curve_int.a), int(curve_int.b)
+    gcd_bound = int(curve_int.discriminant) ** 2
+    s = (M & -M).bit_length() - 1
+    Q = ec_core.scalar_mul(curve_int, M >> s, pt)
+    p, q = Q.x.numerator, Q.x.denominator
+    for _ in range(s):
+        fp, fq = _reference_double_x(a, b, p, q)
+        g = math.gcd(fp % gcd_bound, fq % gcd_bound, gcd_bound)
+        p, q = fp // g, fq // g
+    return M, (p, q)
+
+
+def _reference_local(curve, pt, precision_bits=PREC):
+    """hhat = (lam_inf(x(MP)) + (1/2) log den x(MP)) / M^2 (the oracle).
+
+    In the kernel of reduction at every bad prime, MP's local heights are
+    pure denominator terms, so no reduction type and no minimal model enter.
+    """
+    cu, pu, _ = ec_core.integral_model(curve, pt)
+    M, xq = _reference_kernel_multiple(cu, pu)
+    if M == 0:
+        return mp.mpf(0)
+    p, q = xq
+    with mp.workprec(precision_bits + 64):
+        lam = heights._lambda_archimedean(cu, mp.mpf(p) / q, precision_bits)
+        return +((lam + mp.log(q) / 2) / M**2)
+
+
+def _assert_local_matches_reference(curve, pt, prec=PREC):
+    got = heights.canonical_height_local(curve, pt, prec).value
+    ref = _reference_local(curve, pt, prec)
+    assert abs(got - ref) <= mp.ldexp(abs(ref), 16 - prec)
+    return got
 
 
 def _outcome(fn, *args):
@@ -328,6 +396,52 @@ def _outcome(fn, *args):
         return fn(*args)
     except BudgetExceededError as e:
         return f"BudgetExceededError: {e}"
+
+
+@pytest.mark.parametrize("curve, pt", [
+    (RationalCurve(a=-12, b=-1), CurvePoint.affine(5, 8)),
+    (RationalCurve(a=0, b=-2), CurvePoint.affine(3, 5)),
+])
+def test_local_matches_x_of_MP_multiples(curve, pt):
+    for n in range(1, 11):
+        _assert_local_matches_reference(curve, ec_core.scalar_mul(curve, n, pt))
+
+
+@pytest.mark.parametrize("curve, pt", [
+    (RationalCurve(a=-1, b=Fraction(1, 4)), CurvePoint.affine(0, Fraction(1, 2))),
+    (RationalCurve(a=-16, b=16), CurvePoint.affine(0, 4)),
+], ids=["short", "integral"])
+def test_local_matches_x_of_MP_37a1(curve, pt):
+    for n in (1, 2, 3, -5):
+        _assert_local_matches_reference(curve, ec_core.scalar_mul(curve, n, pt))
+
+
+# Each curve exercises one branch of the local height at a bad prime p: on
+# the global minimal model, P reduces to the singular point when v(psi2) > 0
+# and v(dF/dx) > 0.  u is the scaling of the short model onto that model.
+REDUCTION_CASES = {
+    "split multiplicative at 11, v(psi2) = 1": (-48, 612, (4, 22)),
+    "non-split multiplicative at 11, v(psi2) = 1; u = 3": (-243, 86751, (-9, 297)),
+    "multiplicative at 2 on a1 = 1; u = 2": (-19, 46, (2, 4)),
+    "additive at 2 and 3, non-singular point": (-24, -44, (-3, 1)),
+    "additive at 2 and 3, singular point": (-6, -4, (4, 6)),
+    "additive at 7": (-49, 49, (11, 29)),
+    "additive at 5, singular point": (-15, 50, (10, 30)),
+    "not minimal at 2: u = 2": (688, -3712, (8, 48)),
+    "not minimal at 2 and 3: u = 6": (-15552, -5552064, (216, 1080)),
+    "not minimal at 3, singular point: u = 3": (-972, 47385, (63, 486)),
+    "not minimal at 5, singular point: u = 5": (-9375, 32421875, (-250, 4375)),
+    "good reduction at 5 once minimal: u = 5": (-28125, 5062500, (0, 2250)),
+    "good reduction at 2 once minimal, a1 = 1: u = 2": (-3, 62, (2, 8)),
+}
+
+
+@pytest.mark.parametrize("case", list(REDUCTION_CASES))
+def test_local_matches_x_of_MP_reduction_types(case):
+    a, b, pt = REDUCTION_CASES[case]
+    curve = RationalCurve(a=a, b=b)
+    for n in (1, 2):
+        _assert_local_matches_reference(curve, ec_core.scalar_mul(curve, n, CurvePoint.affine(*pt)))
 
 
 @st.composite
@@ -347,69 +461,46 @@ def _small_curves_with_points(draw):
 @settings(max_examples=200)  # about one draw in seven has all its orders <= 8
 @given(_small_curves_with_points())
 def test_kernel_multiple_matches_scalar_mul_random(curve_point):
-    # orders above 8 raise in both; below it M <= lcm(1..8) = 840
-    assert (_outcome(heights._kernel_orders, *curve_point, 8)
-            == _outcome(_reference_orders, *curve_point, 8))
-    assert (_outcome(heights._kernel_multiple, *curve_point, 8)
-            == _outcome(_reference_kernel_multiple, *curve_point, 8))
+    # where the x(MP) oracle is cheap, M <= lcm(1..8) = 840, the local route
+    # at P agrees with it; elsewhere it still returns a positive height
+    curve, P = curve_point
+    if isinstance(_outcome(_reference_orders, curve, P, 8), str):
+        assert heights.canonical_height_local(curve, P, PREC).value > 0
+    else:
+        _assert_local_matches_reference(curve, P)
 
 
 @given(_curves_with_points(), st.integers(0, 30))
 def test_kernel_orders_match_exact_walk_random(curve_point, multiple_cap):
-    # caps from 0 up cover torsion points above and below the cap
+    # the exact torsion test: the walk of multiples reaches O (the point is
+    # torsion) exactly when the local route returns 0, at every cap from 12
     cu, pu, _ = ec_core.integral_model(*curve_point)
-    assert (_outcome(heights._kernel_orders, cu, pu, multiple_cap)
-            == _outcome(_reference_orders, cu, pu, multiple_cap))
+    torsion = _outcome(_reference_orders, cu, pu, max(multiple_cap, 12)) is None
+    assert torsion == (heights.canonical_height_local(cu, pu, PREC).value == 0)
 
 
-# Points reducing to the singular point of the curve mod p, where the walk
-# at p loses digits: each needs more than the starting digits at p.
+# Points reducing to the singular point of the curve mod p.
 SINGULAR_REDUCTION = [
     (-16, 64, (4, 8), 2),
     (5, 214, (3, 16), 2),
     (-16, 16, (0, 4), 2),                   # 37a1, integral model
     (-3, 83, (1, 9), 3),
     (-52, 754, (3, 25), 5),                 # M = 780
-    (-27, 976562554, (3, 31250), 5),        # orders at 79 and 157 exceed the cap
+    (-27, 976562554, (3, 31250), 5),        # orders at 79 and 157 exceed 60
 ]
 
 
 @pytest.mark.parametrize("a, b, pt, p", SINGULAR_REDUCTION)
-def test_kernel_orders_singular_reduction(monkeypatch, a, b, pt, p):
+def test_kernel_orders_singular_reduction(a, b, pt, p):
+    # against the x(MP) oracle where M <= 200, else against the limit route
     curve, P = RationalCurve(a=a, b=b), CurvePoint.affine(*pt)
     assert curve.discriminant % p == 0 and P.y % p == 0 and (3 * P.x**2 + a) % p == 0
-    runs = []
-    walk = heights._walk_order
-    monkeypatch.setattr(heights, "_walk_order",
-                        lambda *args: runs.append(args[3::2]) or walk(*args))
-    orders = _outcome(heights._kernel_orders, curve, P, 60)
-    assert (p, 2 * heights._START_DIGITS) in runs
-    assert orders == _outcome(_reference_orders, curve, P, 60)
+    orders = _outcome(_reference_orders, curve, P, 60)
     if isinstance(orders, dict) and math.lcm(*orders.values()) <= 200:
-        assert heights._kernel_multiple(curve, P) == _reference_kernel_multiple(curve, P)
-
-
-def test_kernel_orders_digit_escalation(monkeypatch):
-    # from one p-adic digit the walks run out of digits and rerun at twice
-    # as many until every step is decided; the results do not change
-    runs = {}
-    walk = heights._walk_order
-
-    def spy(a, x, y, p, multiple_cap, digits):
-        runs.setdefault(p, []).append(digits)
-        return walk(a, x, y, p, multiple_cap, digits)
-
-    monkeypatch.setattr(heights, "_START_DIGITS", 1)
-    monkeypatch.setattr(heights, "_walk_order", spy)
-    cases = [ec_core.integral_model(curve, pt)[:2] for curve, pt in WORKLOAD_CURVES]
-    cases += [(RationalCurve(a=a, b=b), CurvePoint.affine(*pt))
-              for a, b, pt, _ in SINGULAR_REDUCTION[:4]]
-    for curve, P in cases:
-        runs.clear()
-        assert heights._kernel_multiple(curve, P) == _reference_kernel_multiple(curve, P)
-        assert any(len(digits) > 1 for digits in runs.values())
-        for digits in runs.values():
-            assert digits == [2**i for i in range(len(digits))]
+        _assert_local_matches_reference(curve, P)
+    else:
+        got = heights.canonical_height_local(curve, P, PREC).value
+        assert abs(got - heights.canonical_height_limit(curve, P, 20, PREC).value) < 1e-10
 
 
 @pytest.mark.parametrize("a, b, pt, order", [
@@ -418,32 +509,37 @@ def test_kernel_orders_digit_escalation(monkeypatch):
 ])
 @pytest.mark.parametrize("multiple_cap", (0, 1, 8, 9, 11, 12, 4000))
 def test_kernel_multiple_torsion_cap_parity(a, b, pt, order, multiple_cap):
-    # below the torsion order both raise with every bad prime named
+    # torsion of order 10 and 12: the oracle's walk raises below the order
+    # and reaches O at it, and the local route, which has no cap, returns 0
     curve, P = RationalCurve(a=a, b=b), CurvePoint.affine(*pt)
-    got = _outcome(heights._kernel_multiple, curve, P, multiple_cap)
-    assert got == _outcome(_reference_kernel_multiple, curve, P, multiple_cap)
-    assert (got == (0, None)) == (multiple_cap >= order)
+    ref = _outcome(_reference_kernel_multiple, curve, P, multiple_cap)
+    assert (ref == (0, None)) == (multiple_cap >= order)
+    assert heights.canonical_height_local(curve, P, PREC).value == 0
 
 
-def test_kernel_multiple_budget_on_M(monkeypatch):
-    # orders 2, 10, 12 and 38 give M = 1140, and x(MP) a 2.48M-bit
-    # denominator; the orders alone come from short p-adic walks
+def test_kernel_multiple_budget_on_M():
+    # orders 2, 10, 12 and 38 give M = 1140 and x(MP) a 2.48M-bit
+    # denominator, which the oracle builds in seconds; the local route
+    # evaluates at P
     curve, P = RationalCurve(a=-1, b=28), CurvePoint.affine(-3, 2)
+    assert _reference_orders(curve, P) == {2: 2, 11: 10, 13: 12, 37: 38}
     start = time.perf_counter()
-    orders = heights._kernel_orders(curve, P)
+    heights.canonical_height_local(curve, P, PREC)
     assert time.perf_counter() - start < 0.1
-    assert orders == {2: 2, 11: 10, 13: 12, 37: 38} == _reference_orders(curve, P)
-    assert math.lcm(*orders.values()) == 1140
-    # the estimate, 1140^2 * 8 = 10,396,800 bits, is over a 10M-bit budget
-    built = []
-    monkeypatch.setattr(ec_core, "_multiply", lambda *args: built.append(args))
-    monkeypatch.setattr(heights, "_double_x", lambda *args: built.append(args))
-    monkeypatch.setattr(heights, "DEFAULT_DIGIT_BUDGET", 10_000_000)
-    with pytest.raises(BudgetExceededError, match="M = 1140 would have about 10396800 bits"):
-        heights._kernel_multiple(curve, P)
-    with pytest.raises(BudgetExceededError):
-        heights.canonical_height_local(curve, P)
-    assert built == []
+    _assert_local_matches_reference(curve, P)
+
+
+def test_local_reach_past_old_budget():
+    # M = 2964: the x(MP) estimate, 2964^2 * 8 bits, is over the default
+    # budget, where the route through x(MP) exited 2
+    curve, P = RationalCurve(a=-12, b=90), CurvePoint.affine(-5, 5)
+    assert _reference_orders(curve, P) == {2: 2, 3: 3, 37: 19, 53: 52}
+    with pytest.raises(BudgetExceededError, match="M = 2964"):
+        _reference_kernel_multiple(curve, P)
+    h = heights.canonical_height_local(curve, P, PREC).value
+    assert abs(h - heights.canonical_height_limit(curve, P, 20, PREC).value) < 1e-10
+    h2 = heights.canonical_height_local(curve, ec_core.scalar_mul(curve, 2, P), PREC).value
+    assert abs(h2 - 4 * h) <= mp.ldexp(h2, 16 - PREC)
 
 
 @pytest.mark.parametrize("a, b, pt, n, M, odd, doublings", [
@@ -455,20 +551,19 @@ def test_kernel_multiple_budget_on_M(monkeypatch):
     (-12, -1, (5, 8), 7, 36, 9, 2),     # [7]P: x(252 P) has a 171,650-bit denominator
     (-2, 0, ("9/4", "21/8"), 1, 1, 1, 0),   # M = 1: the one bad prime, 2, divides den x(P)
 ])
-def test_kernel_multiple_paths(monkeypatch, a, b, pt, n, M, odd, doublings):
-    # MP is built from P: the odd part of M by the group law, then v2(M)
-    # x-only doublings
+def test_kernel_multiple_paths(a, b, pt, n, M, odd, doublings):
+    # the oracle builds oP by the group law and then doubles x alone, in
+    # lowest terms, as scalar_mul does in full where that is quick (n = 1);
+    # the local route at [n]P agrees with it
     curve = RationalCurve(a=a, b=b)
     P = ec_core.scalar_mul(curve, n, CurvePoint.affine(*pt))
-    odds, calls = [], []
-    multiply, double_x = ec_core._multiply, heights._double_x
-    monkeypatch.setattr(ec_core, "_multiply", lambda c, k, q: odds.append(k) or multiply(c, k, q))
-    monkeypatch.setattr(heights, "_double_x", lambda *args: calls.append(1) or double_x(*args))
-    got = heights._kernel_multiple(curve, P)
-    monkeypatch.undo()
-    assert (got[0], odds, len(calls)) == (M, [odd], doublings)
-    assert got == _reference_kernel_multiple(curve, P)
+    got = _reference_kernel_multiple(curve, P)
+    assert got[0] == M == odd << doublings
     assert math.gcd(*got[1]) == 1 and got[1][1] > 0
+    if n == 1:
+        Q = ec_core.scalar_mul(curve, M, P)
+        assert got[1] == (Q.x.numerator, Q.x.denominator)
+    _assert_local_matches_reference(curve, P)
 
 
 @pytest.mark.parametrize("a, b, pt", [
@@ -481,5 +576,5 @@ def test_kernel_multiple_paths(monkeypatch, a, b, pt, n, M, odd, doublings):
 def test_kernel_multiple_torsion(a, b, pt):
     curve = RationalCurve(a=a, b=b)
     P = CurvePoint.affine(*pt)
-    assert heights._kernel_multiple(curve, P) == (0, None)
+    assert heights.canonical_height_local(curve, P, PREC).value == 0
     assert _reference_kernel_multiple(curve, P) == (0, None)
