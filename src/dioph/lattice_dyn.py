@@ -8,6 +8,12 @@ on a target and walked in chunks, is the shell search of `dioph_matrix`
 behind `best_approx`, the exponent windows and the circle searches of
 `experiments` and `haw_game`.
 
+The reduction (`_lll`) is float64 LLL at delta = 3/4 after Cohen, GTM 138,
+Alg. 2.6.3: it keeps mu and the squared Gram-Schmidt norms only, so a swap
+is O(d) scalar updates.  Its integer transform is held in Python ints and
+checked against int64 once, on exit; a reduction stops after 10000
+iterations.
+
 Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
 ties in the documented order (`dioph_matrix._canon`).  Only the half of the
@@ -108,62 +114,72 @@ def polar_lattice(L: LatticeBasis) -> LatticeBasis:
     return LatticeBasis.from_columns(inv.T)
 
 
+def _gram_schmidt(B: List[List[float]]):
+    """(mu rows, squared norms) of the Gram-Schmidt vectors b*_i of the columns B.
+
+    mu[i][j] = <b_i, b*_j> / ||b*_j||^2 for j < i, and 0 where b*_j = 0.
+    """
+    d = len(B)
+    mu, norms, Bs = [[0.0] * d for _ in B], [0.0] * d, []
+    for i, v in enumerate(B):
+        for j, w in enumerate(Bs):
+            if norms[j]:
+                mu[i][j] = c = sum(map(float.__mul__, B[i], w)) / norms[j]
+                v = [x - c * y for x, y in zip(v, w)]
+        Bs.append(v)
+        norms[i] = sum(map(float.__mul__, v, v))
+    return mu, norms
+
+
 def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]:
     """LLL on columns; returns (reduced columns, integer transform T), reduced = cols @ T.
 
-    Gram-Schmidt data is updated in place (Cohen, Alg. 2.6.3): a size-reduction
-    step changes only row k of mu, and a swap recomputes columns k-1 onward.
-    T stays in int64: a step that would take an entry out of it raises
-    BudgetExceededError.  `t_bound` bounds |T| and proves the common step
-    safe; when it cannot, the step is done in Python ints and the bound reset.
+    Cohen, GTM 138, Alg. 2.6.3: only mu and the squared Gram-Schmidt norms
+    N_i are kept.  Size reduction changes row k of mu; a swap of columns k-1
+    and k updates N_(k-1), N_k and O(d) entries of mu in place.  If N_k = 0
+    (dependent columns, or an underflow) the swap recomputes Gram-Schmidt.
+    Columns are Python lists, of floats for the basis and of ints for T, so
+    T is checked once, on exit: an entry beyond int64 raises
+    BudgetExceededError.  After 10000 iterations (ill-conditioned input) the
+    current basis is returned.
     """
-    B = cols.astype(np.float64).copy()
-    d = B.shape[1]
-    T = np.eye(d, dtype=np.int64)
-    t_bound = 1
-    Bs = np.zeros_like(B)
-    mu = np.zeros((d, d))
-    norms = np.zeros(d)
-
-    def gram_schmidt(start: int) -> None:
-        for i in range(start, d):
-            Bs[:, i] = B[:, i]
-            for j in range(i):
-                mu[i, j] = 0.0 if norms[j] == 0 else float(B[:, i] @ Bs[:, j]) / norms[j]
-                Bs[:, i] -= mu[i, j] * Bs[:, j]
-            norms[i] = float(Bs[:, i] @ Bs[:, i])
-
-    gram_schmidt(0)
-    k = 1
-    iters = 0
-    while k < d:
+    B = np.asarray(cols, dtype=np.float64).T.tolist()
+    d = len(B)
+    T = np.eye(d, dtype=np.int64).tolist()
+    mu, norms = _gram_schmidt(B)
+    k, iters = 1, 0
+    while k < d and iters < 10000:
         iters += 1
-        if iters > 10000:
-            break  # ill-conditioned input: fall back to current basis
+        row = mu[k]
         for j in range(k - 1, -1, -1):
-            r = round(mu[k, j])
-            if r != 0:
-                if (abs(r) + 1) * t_bound > _INT64_MAX:
-                    col = [int(x) - r * int(y) for x, y in zip(T[:, k], T[:, j])]
-                    if max(map(abs, col)) > _INT64_MAX:
-                        raise BudgetExceededError(
-                            f"LLL transform leaves int64 (size-reduction multiplier {r:.3g})")
-                    T[:, k] = col
-                    t_bound = int(np.abs(T).max())
-                else:
-                    T[:, k] -= r * T[:, j]
-                    t_bound *= abs(r) + 1
-                B[:, k] -= r * B[:, j]
-                mu[k, :j] -= r * mu[j, :j]
-                mu[k, j] -= r
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            r = round(row[j])
+            if r:
+                T[k] = [x - r * y for x, y in zip(T[k], T[j])]
+                B[k] = [x - r * y for x, y in zip(B[k], B[j])]
+                row[:j] = [x - r * y for x, y in zip(row, mu[j][:j])]
+                row[j] -= r
+        c = row[k - 1]
+        if norms[k] >= (delta - c * c) * norms[k - 1]:
             k += 1
+            continue
+        B[k - 1], B[k] = B[k], B[k - 1]
+        T[k - 1], T[k] = T[k], T[k - 1]
+        if norms[k] == 0:
+            mu, norms = _gram_schmidt(B)
         else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            T[:, [k - 1, k]] = T[:, [k, k - 1]]
-            gram_schmidt(k - 1)
-            k = max(k - 1, 1)
-    return B, T
+            nb = norms[k] + c * c * norms[k - 1]
+            mu[k - 1], mu[k] = row, mu[k - 1]  # their entries left of column k-1 trade places
+            mu[k][k - 1] = e = c * norms[k - 1] / nb
+            norms[k - 1], norms[k] = nb, norms[k - 1] * norms[k] / nb
+            for r_i in mu[k + 1:]:
+                t = r_i[k]
+                r_i[k] = r_i[k - 1] - c * t
+                r_i[k - 1] = t + e * r_i[k]
+        k = max(k - 1, 1)
+    big = max(abs(x) for col in T for x in col)
+    if big > _INT64_MAX:
+        raise BudgetExceededError(f"LLL transform leaves int64 (an entry of {big.bit_length()} bits)")
+    return np.array(B).T.copy(), np.array(T, dtype=np.int64).T.copy()
 
 
 def _reduce(L: LatticeBasis):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dioph import lattice_dyn as ld
 from dioph.dioph_matrix import RealMatrix
@@ -193,10 +193,145 @@ def test_lll_matches_reference():
         L0 = ld.from_matrix(rng.uniform(-1, 1, size=(m, n)))
         for t in np.linspace(0.0, 12.0, 25):
             bases.append(ld.apply_flow(L0, float(t), m, n).basis)
+    # d = 5 and 6, where a swap's O(d) update of mu runs longest between
+    # recomputations in the reference
+    for _ in range(100):
+        d = int(rng.integers(5, 7))
+        bases.append(random_unimodular(rng, d))
+        bases.append(rng.normal(size=(d, d)) * np.exp(rng.uniform(-3, 3, size=d))[:, None])
+    for m, n in ((2, 3), (3, 2), (3, 3), (1, 4)):
+        L0 = ld.from_matrix(rng.uniform(-1, 1, size=(m, n)))
+        for t in np.linspace(0.0, 12.0, 25):
+            bases.append(ld.apply_flow(L0, float(t), m, n).basis)
     for B in bases:
         got, want = ld._lll(B), _reference_lll(B)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.allclose(B @ got[1], got[0], rtol=1e-9, atol=1e-9 * np.abs(B).max())
+
+
+@pytest.mark.parametrize("cols, T", [
+    ([[1, 2], [2, 4]], [[-2, 1], [1, 0]]),
+    ([[1, 0, 1], [0, 0, 1], [0, 0, 1]], [[0, 1, -1], [1, 0, 0], [0, 0, 1]]),
+    ([[0, 1], [0, 1]], [[1, 0], [0, 1]]),
+])
+def test_lll_dependent_columns(cols, T):
+    # a column with b*_k = 0 depends on the ones before it; the swap's update
+    # would divide by zero, so Gram-Schmidt is recomputed there instead
+    cols = np.array(cols, dtype=np.float64)
+    B, got = ld._lll(cols)
+    assert got.dtype == np.int64 and got.tolist() == T
+    assert np.array_equal(B, cols @ np.array(T, dtype=np.float64))
+    want = _reference_lll(cols)
+    assert np.array_equal(B, want[0]) and np.array_equal(got, want[1])
+
+
+def _fraction_det(rows):
+    """Exact determinant of a square matrix of ints or floats (Gaussian
+    elimination in Fractions)."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        piv = next((r for r in range(c, len(mat)) if mat[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for r in range(c + 1, len(mat)):
+            f = mat[r][c] / mat[c][c]
+            for cc in range(c, len(mat)):
+                mat[r][cc] -= f * mat[c][cc]
+    return det
+
+
+def _fraction_gram_schmidt(cols):
+    """(mu, squared norms) of the columns, exactly, from their float values."""
+    b = [[Fraction(float(x)) for x in col] for col in cols.T]
+    bs, norms = [], []
+    mu = [[Fraction(0)] * len(b) for _ in b]
+    for i, v in enumerate(b):
+        for j in range(i):
+            mu[i][j] = sum(x * y for x, y in zip(b[i], bs[j])) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, bs[j])]
+        bs.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+@st.composite
+def _scaled_bases(draw):
+    """(columns, spread): entries in [-1, 1], column j scaled by 2^e_j, spread = max e - min e.
+
+    Nonzero entries are at least 2^-20 in size: float Gram-Schmidt has no
+    answer where squared norms underflow (entries near 1e-270).
+    """
+    d = draw(st.integers(2, 6))
+    entry = st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) >= 2.0**-20)
+    cols = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d))).reshape(d, d)
+    exps = draw(st.lists(st.integers(0, 30), min_size=d, max_size=d))
+    return cols * np.exp2(exps)[None, :], max(exps) - min(exps)
+
+
+@given(_scaled_bases())
+def test_lll_properties(basis):
+    cols, spread = basis
+    assume(_fraction_det(cols.tolist()) != 0)
+    B, T = ld._lll(cols)
+    d = len(cols)
+    assert T.dtype == np.int64 and abs(_fraction_det(T.tolist())) == 1
+    # B is cols @ T up to the rounding of the column operations that built it:
+    # row i of every column passes through combinations of row i of cols
+    exact = [[sum(Fraction(float(cols[i, l])) * int(T[l, j]) for l in range(d))
+              for j in range(d)] for i in range(d)]
+    scale = np.abs(cols).max(axis=1) * float(np.abs(T).sum(axis=0).max())
+    for i, j in itertools.product(range(d), repeat=2):
+        assert abs(Fraction(float(B[i, j])) - exact[i][j]) <= 2.0**-40 * scale[i]
+    if spread <= 20:
+        # size-reduced and Lovasz-reduced, up to the float error of mu and norms
+        mu, norms = _fraction_gram_schmidt(B)
+        tol = Fraction(1, 2**20)
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) + tol for i in range(d) for j in range(i))
+        for k in range(1, d):
+            assert norms[k] >= (Fraction(3, 4) - tol - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+# (rows, Q) with rational entries: exact ties, and errors of 0 at small q
+_RATIONAL_CASES = [([["5/11", "-1/11"]], 51), ([["3/7"]], 100), ([["2/9", "5/12"]], 40),
+                   ([["1/3"], ["2/5"]], 200), ([["1/4", "2/7"], ["3/5", "-1/6"]], 20),
+                   ([["1/6", "1/10"]], 30), ([["1/2", "1/3", "1/5"]], 12)]
+
+
+def test_reports_match_reference_reduction(monkeypatch):
+    # the searches use a reduction only to shrink a box that is complete for
+    # any basis, so their records are those of the reference reduction
+    from dioph.dioph_matrix import best_approx
+    from dioph.experiments import conjecture_probe
+    rng = np.random.default_rng(9)
+    cases = []
+    for m, n in itertools.product((1, 2, 3), repeat=2):
+        rows = rng.uniform(-3, 3, size=(m, n)).tolist()
+        Q = {1: 100, 2: 50, 3: 20}[n]
+        cases += [(rows, None, Q), (rows, rng.uniform(-1, 1, size=m).tolist(), Q)]
+    cases += [(rows, None, Q) for rows, Q in _RATIONAL_CASES]
+    H = RealMatrix.from_rows(rng.uniform(-3, 3, size=(2, 3)).tolist(), 128)
+    J = RealMatrix.from_rows(rng.uniform(-3, 3, size=(2, 2)).tolist(), 128)
+
+    def reports():
+        recs = [repr(best_approx(RealMatrix.from_rows(rows, 128), gamma, Q))
+                for rows, gamma, Q in cases]
+        return recs, repr(conjecture_probe(H, J, xi_samples=3, Q_schedule=(10, 20, 50, 100)))
+
+    fast = reports()
+    calls = []
+
+    def reference(cols):
+        calls.append(len(cols))
+        return _reference_lll(cols)
+
+    monkeypatch.setattr(ld, "_lll", reference)
+    assert reports() == fast
+    assert set(calls) == {3, 4, 5, 6}  # the d >= 3 shells, the probe's at d = 5
 
 
 @pytest.mark.parametrize("X, Z", [(2**40, 2**23 - 1), (2**40, 2**23)])
