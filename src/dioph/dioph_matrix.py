@@ -7,11 +7,8 @@ lo <= ||q||_inf <= hi.  It enumerates the lattice with basis columns
 sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
 ||q|| <= hi and ||A q + p - gamma|| <= eps.  The basis is reduced
 (`_ball_lattice`: exact Lagrange-Gauss for 1 x 1, float64 LLL otherwise) and
-the ball enumerated by `lattice_dyn._enumerate_in_radius`, whose box is
-complete for any basis, so the reduction only sets the speed; a box of more
-than the search's budget of points raises BudgetExceededError.  A 1 x 1
-search with a target meets that budget from q_max about 1e13, where the
-float slack around the box centre grows past it.  The search has two modes:
+the ball enumerated; both come from `reduction`, whose module docstring
+describes the kernel and its budget.  The search has two modes:
 
 * min: the exact minimiser of err(q) over the shell.  eps starts at
   hi^(-n/m), where Dirichlet guarantees a homogeneous hit in the ball, and
@@ -52,6 +49,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
+from .reduction import (_INT64_MAX, _enumerate_in_radius, _gauss_reduce, _int64_transform, _lll,
+                        _with_dual_bound)
 
 DEFAULT_PRECISION = 256
 DEFAULT_MAX_ENUM = 30_000_000
@@ -239,50 +238,6 @@ def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
         return mp.mpf(mp.libmp.from_rational(int(err), D, prec, mp.libmp.round_nearest))
 
 
-def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None):
-    """Yield integer grids (rows, d) covering the box lo <= c <= hi in lex order.
-
-    `chunk_rows` rows at a time, or the whole box at once when None.
-    """
-    lo = [int(v) for v in lo]
-    sides = [int(h) - l + 1 for l, h in zip(lo, hi)]
-    if min(sides) < 1:
-        return
-    total = math.prod(sides)
-    pows = [math.prod(sides[j + 1:]) for j in range(len(sides))]
-    start = 0
-    step = total if chunk_rows is None else chunk_rows
-    while start < total:
-        stop = min(start + step, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        grid = np.empty((stop - start, len(sides)), dtype=np.int64)
-        for j, (pw, side) in enumerate(zip(pows, sides)):
-            np.add((idx // pw) % side, lo[j], out=grid[:, j])
-        yield grid
-        start = stop
-
-
-def _gauss_reduce(u: Tuple[int, int], v: Tuple[int, int]) -> List[List[int]]:
-    """Lagrange-Gauss reduction of the integer columns u, v: the transform T.
-
-    Exact in Python ints.  The reduced columns are (u v) T, the first a
-    shortest vector of the lattice, with |b1| <= |b2| and 2 |<b1, b2>| <= |b1|^2.
-    """
-    tu, tv = (1, 0), (0, 1)  # u and v in the input basis
-    nu, nv = u[0] * u[0] + u[1] * u[1], v[0] * v[0] + v[1] * v[1]
-    if nu > nv:
-        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
-    while True:
-        r = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)  # nearest integer to <u,v>/|u|^2
-        if r:
-            v = (v[0] - r * u[0], v[1] - r * u[1])
-            tv = (tv[0] - r * tu[0], tv[1] - r * tu[1])
-            nv = v[0] * v[0] + v[1] * v[1]
-        if nv >= nu:
-            return [[tu[0], tv[0]], [tu[1], tv[1]]]
-        u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
-
-
 def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
     """The reduced lattice of the shell search for one eps and ||q|| <= Q.
 
@@ -293,20 +248,14 @@ def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
     m + n >= 3 LLL runs in float64.  Either way the reduced columns B T are
     rebuilt from the integer T with each entry rounded once from its exact
     value: at Q = 1.4e7 the float columns drift far enough to lose points at
-    the edge of the ball.  An entry of T beyond int64, which the enumerator
-    needs, raises BudgetExceededError, as in `_lll`.
+    the edge of the ball.
     """
-    from .lattice_dyn import _INT64_MAX, _lll, _with_dual_bound  # lattice_dyn imports this module
-
     D, N, _ = form
     m, n = Af.shape
     if m == n == 1:
         a, b = eps.as_integer_ratio()
-        T = _gauss_reduce((D * b * Q, 0), (int(N[0, 0]) * b * Q, D * a))
-        big = max(abs(v) for row in T for v in row)
-        if big > _INT64_MAX:
-            raise BudgetExceededError(f"Gauss-reduced transform leaves int64 (entry {big:.3g})")
-        T = np.array(T, dtype=np.int64)
+        T = _int64_transform(_gauss_reduce((D * b * Q, 0), (int(N[0, 0]) * b * Q, D * a)),
+                             "Gauss-reduced")
     else:
         B = np.zeros((m + n, m + n))
         B[:m, :m] = np.eye(m) / eps
@@ -327,12 +276,15 @@ class _Shells:
 
     `min` and `within` are the two modes of the module docstring.  Results
     are (D err, q, p) with D the common denominator of `_exact_form`, so
-    errors compare exactly as integers.  Shells must lie in ||q|| <= q_max;
-    every enumeration box is held to `max_enum` points.
+    errors compare exactly as integers.  Shells lie in ||q|| <= q_max, and
+    q_max must fit int64, as every q is an enumerator coefficient; every
+    enumeration box is held to `max_enum` points.
     """
 
     def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1,
                  max_enum: int = DEFAULT_MAX_ENUM):
+        if q_max > _INT64_MAX:
+            raise BudgetExceededError(f"q_max of {int(q_max).bit_length()} bits leaves int64")
         gamma_exact = _parse_gamma(gamma, A.m, A.precision_bits)
         self.form = _exact_form(A, gamma_exact, q_max)
         self.D = self.form[0]
@@ -353,8 +305,6 @@ class _Shells:
 
     def _chunks(self, lo: int, hi: int, eps: float):
         """(q, ||q||, float score E) for the ball points of one eps with lo <= ||q|| <= hi."""
-        from .lattice_dyn import _enumerate_in_radius  # lattice_dyn imports this module
-
         m, n = self.m, self.n
         reduced = _ball_lattice(self.form, self._Af, hi, eps)
         target = np.concatenate([self._gf / eps, np.zeros(n)]) if self._gf.any() else None
@@ -466,17 +416,12 @@ def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
                 max_enum: int = DEFAULT_MAX_ENUM) -> ApproxRecord:
     """Exact minimizer of ||Aq + p - gamma||_inf over 0 < ||q||_inf <= Q.
 
-    The min mode of the shell search over 1 <= ||q|| <= Q.  The documented
-    budget is the q-box: (2Q+1)^n above max_enum raises, as a scan of it
-    would need; every enumeration box is held to max_enum points as well.
+    The min mode of the shell search over 1 <= ||q|| <= Q.  The budget is
+    per enumeration box: a box of more than max_enum points raises
+    BudgetExceededError, and so does Q above int64.
     """
     if Q < 1:
         raise ValidationError("Q must be >= 1")
-    count = (2 * Q + 1) ** A.n
-    if count > max_enum:
-        raise BudgetExceededError(
-            f"enumeration of {count} q-vectors exceeds budget {max_enum}; "
-            "split the window into smaller Q ranges")
     shells = _Shells(A, gamma, Q, max_enum)
     err, q, p = shells.min(1, Q)
     error = shells.error(err)
@@ -559,18 +504,14 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
 
     Each window champion maximises -log err(q) / log ||q|| exactly, ties to
     the smaller ||q|| and then `_canon(q)`: one `_shell_argmax` per window.
-    For n >= 2 the windows start at ||q|| = 2 and (2 Q_max + 1)^n above
-    max_enum raises, as the q-box scan this replaced did; for n = 1 window 0
-    keeps q = 1 with sample -inf.  An exact rational hit reports the +inf
-    sentinel.
+    For n >= 2 the windows start at ||q|| = 2; for n = 1 window 0 keeps
+    q = 1 with sample -inf.  An exact rational hit reports the +inf
+    sentinel.  The budget is that of `best_approx`.
     """
     if window_base <= 1:
         raise ValidationError("window_base must be > 1")
     if Q_max < window_base**2:
         raise ValidationError("Q_max must be at least window_base^2")
-    if A.n >= 2 and (2 * Q_max + 1) ** A.n > max_enum:
-        raise BudgetExceededError(
-            f"exponent scan of {(2 * Q_max + 1) ** A.n} q-vectors exceeds budget {max_enum}")
     prec = A.precision_bits
     B = float(window_base)
     shells = _Shells(A, None, Q_max, max_enum)

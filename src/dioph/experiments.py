@@ -327,8 +327,7 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
 
 def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
                      Q_schedule: Sequence[int] = (10, 20, 50, 100, 200),
-                     seed: int = 0, precision_bits: int = DEFAULT_PRECISION,
-                     max_enum: int = 80_000_000) -> dict:
+                     seed: int = 0, precision_bits: int = DEFAULT_PRECISION) -> dict:
     """Uniform inhomogeneous exponents of A = J^-1 H across sampled targets.
 
     Reports, per sampled xi, the best errors over the Q schedule, the fitted
@@ -345,7 +344,7 @@ def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
     floor = r / g
     prec = precision_bits
     # degenerate (rational-entry) guard: an exact hit at modest Q
-    probe = best_approx(A, None, min(64, Q_schedule[-1]), max_enum=max_enum)
+    probe = best_approx(A, None, min(64, Q_schedule[-1]))
     degenerate = probe.error == 0
     out = {"g": g, "r": r, "floor": floor, "degenerate": bool(degenerate), "targets": []}
     with mp.workprec(prec + 32):
@@ -361,7 +360,7 @@ def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
         points = []
         us = []
         for Q in Q_schedule:
-            rec = best_approx(A, gam, Q, max_enum=max_enum)
+            rec = best_approx(A, gam, Q)
             err = float(rec.error)
             u = _exponent_sample(err, Q)
             points.append({"Q": Q, "error": err, "exponent": u})

@@ -255,7 +255,7 @@ def _certificate(A: RealMatrix, gamma: float, stage: Stage) -> dict:
     if top < 1:
         return {"stage": stage.index, "t": stage.t, "Q": Qk, "checked": 0,
                 "min_error": math.inf, "threshold": stage.threshold, "pass": True}
-    min_err = float(best_approx(A, gamma, top, max_enum=2 * CERT_MAX_Q + 1).error)
+    min_err = float(best_approx(A, gamma, top).error)
     ok = min_err > stage.threshold
     return {"stage": stage.index, "t": stage.t, "Q": Qk, "checked": 2 * top,
             "min_error": min_err, "threshold": stage.threshold, "pass": bool(ok)}

@@ -1,18 +1,8 @@
 """Lattice diagnostics: Lambda_A, the diagonal flow, minima, and flow profiles.
 
-All norms are sup-norms.  Shortest vectors are found by complete enumeration
-over the coefficient box |c_i| <= ||row_i(B^-1)||_1 * radius of a basis B.
-That dual bound holds for every basis, so completeness comes from it and not
-from the reduction: LLL only shrinks the box.  The same enumerator, centred
-on a target and walked in chunks, is the shell search of `dioph_matrix`
-behind `best_approx`, the exponent windows and the circle searches of
-`experiments` and `haw_game`.
-
-The reduction (`_lll`) is float64 LLL at delta = 3/4 after Cohen, GTM 138,
-Alg. 2.6.3: it keeps mu and the squared Gram-Schmidt norms only, so a swap
-is O(d) scalar updates.  Its integer transform is held in Python ints and
-checked against int64 once, on exit; a reduction stops after 10000
-iterations.
+All norms are sup-norms.  Shortest vectors and minima are found by complete
+enumeration of an LLL-reduced basis; the reduction and the enumerator are
+those of `reduction`, whose module docstring describes them.
 
 Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
@@ -40,15 +30,17 @@ reduced or enumerated on its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import mpmath as mp
 import numpy as np
 
-from .dioph_matrix import RealMatrix, _canon_keys, _exact_form, _iter_box_chunks
+from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
+from .reduction import _enumerate_in_radius, _gram_schmidt, _lll, _with_dual_bound
 
 DEFAULT_MAX_ENUM = 2_000_000
 # t-span of one window of `_flow_sweep`.  Longer windows mean fewer
@@ -56,7 +48,6 @@ DEFAULT_MAX_ENUM = 2_000_000
 # 2-core VM over the benchmark's four flow profiles and eight dual flows:
 # 0.31-0.33 s for spans 0.75-1.25, 0.43 s at 0.5, 0.47 s at 1.5.
 SWEEP_SPAN = 1.0
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -74,6 +65,8 @@ class LatticeBasis:
         det = float(abs(np.linalg.det(cols)))
         if det < 1e-300:
             raise SingularMatrixError("basis is numerically singular")
+        if min(_gram_schmidt(cols.T.tolist())[1]) < sys.float_info.min:
+            raise SingularMatrixError("a squared Gram-Schmidt norm underflows: LLL cannot reduce it")
         return LatticeBasis(basis=cols, det_abs=det)
 
     @property
@@ -81,16 +74,12 @@ class LatticeBasis:
         return self.basis.shape[0]
 
 
-def from_matrix(A: Union[RealMatrix, np.ndarray], m: Optional[int] = None,
-                n: Optional[int] = None) -> LatticeBasis:
+def from_matrix(A: Union[RealMatrix, np.ndarray]) -> LatticeBasis:
     """Unimodular lattice with identity blocks and A in the upper right."""
-    if isinstance(A, RealMatrix):
-        arr, m, n = A.as_array(), A.m, A.n
-    else:
-        arr = np.asarray(A, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError("A must be a 2-d array")
-        m, n = arr.shape
+    arr = A.as_array() if isinstance(A, RealMatrix) else np.asarray(A, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValidationError("A must be a 2-d array")
+    m, n = arr.shape
     d = m + n
     B = np.eye(d)
     B[:m, m:] = arr
@@ -112,123 +101,6 @@ def polar_lattice(L: LatticeBasis) -> LatticeBasis:
     except np.linalg.LinAlgError as e:
         raise SingularMatrixError("basis not invertible") from e
     return LatticeBasis.from_columns(inv.T)
-
-
-def _gram_schmidt(B: List[List[float]]):
-    """(mu rows, squared norms) of the Gram-Schmidt vectors b*_i of the columns B.
-
-    mu[i][j] = <b_i, b*_j> / ||b*_j||^2 for j < i, and 0 where b*_j = 0.
-    """
-    d = len(B)
-    mu, norms, Bs = [[0.0] * d for _ in B], [0.0] * d, []
-    for i, v in enumerate(B):
-        for j, w in enumerate(Bs):
-            if norms[j]:
-                mu[i][j] = c = sum(map(float.__mul__, B[i], w)) / norms[j]
-                v = [x - c * y for x, y in zip(v, w)]
-        Bs.append(v)
-        norms[i] = sum(map(float.__mul__, v, v))
-    return mu, norms
-
-
-def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]:
-    """LLL on columns; returns (reduced columns, integer transform T), reduced = cols @ T.
-
-    Cohen, GTM 138, Alg. 2.6.3: only mu and the squared Gram-Schmidt norms
-    N_i are kept.  Size reduction changes row k of mu; a swap of columns k-1
-    and k updates N_(k-1), N_k and O(d) entries of mu in place.  If N_k = 0
-    (dependent columns, or an underflow) the swap recomputes Gram-Schmidt.
-    Columns are Python lists, of floats for the basis and of ints for T, so
-    T is checked once, on exit: an entry beyond int64 raises
-    BudgetExceededError.  After 10000 iterations (ill-conditioned input) the
-    current basis is returned.
-    """
-    B = np.asarray(cols, dtype=np.float64).T.tolist()
-    d = len(B)
-    T = np.eye(d, dtype=np.int64).tolist()
-    mu, norms = _gram_schmidt(B)
-    k, iters = 1, 0
-    while k < d and iters < 10000:
-        iters += 1
-        row = mu[k]
-        for j in range(k - 1, -1, -1):
-            r = round(row[j])
-            if r:
-                T[k] = [x - r * y for x, y in zip(T[k], T[j])]
-                B[k] = [x - r * y for x, y in zip(B[k], B[j])]
-                row[:j] = [x - r * y for x, y in zip(row, mu[j][:j])]
-                row[j] -= r
-        c = row[k - 1]
-        if norms[k] >= (delta - c * c) * norms[k - 1]:
-            k += 1
-            continue
-        B[k - 1], B[k] = B[k], B[k - 1]
-        T[k - 1], T[k] = T[k], T[k - 1]
-        if norms[k] == 0:
-            mu, norms = _gram_schmidt(B)
-        else:
-            nb = norms[k] + c * c * norms[k - 1]
-            mu[k - 1], mu[k] = row, mu[k - 1]  # their entries left of column k-1 trade places
-            mu[k][k - 1] = e = c * norms[k - 1] / nb
-            norms[k - 1], norms[k] = nb, norms[k - 1] * norms[k] / nb
-            for r_i in mu[k + 1:]:
-                t = r_i[k]
-                r_i[k] = r_i[k - 1] - c * t
-                r_i[k - 1] = t + e * r_i[k]
-        k = max(k - 1, 1)
-    big = max(abs(x) for col in T for x in col)
-    if big > _INT64_MAX:
-        raise BudgetExceededError(f"LLL transform leaves int64 (an entry of {big.bit_length()} bits)")
-    return np.array(B).T.copy(), np.array(T, dtype=np.int64).T.copy()
-
-
-def _reduce(L: LatticeBasis):
-    """One LLL reduction of L: (reduced basis, T, ||row_i(reduced^-1)||_1)."""
-    return _with_dual_bound(*_lll(L.basis))
-
-
-def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):
-    """(Bred, T, ||row_i(Bred^-1)||_1): the form `_enumerate_in_radius` takes."""
-    try:
-        inv = np.linalg.inv(Bred)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError("reduced basis not invertible") from e
-    return Bred, T, np.abs(inv).sum(axis=1)
-
-
-def _enumerate_in_radius(reduced, radius: float, max_enum: Optional[int] = None,
-                         target: Optional[np.ndarray] = None,
-                         chunk_rows: Optional[int] = None):
-    """Chunks (coeffs, vecs, norms) of the lattice points v with ||v - target|| <= radius.
-
-    `reduced` is `_reduce`'s result.  coeffs are in the original basis, vecs
-    are v - target.  Without a target the zero vector is left out.  The box
-    |c_i - (B^-1 target)_i| <= ||row_i(B^-1)||_1 * radius is complete for any
-    basis B, so the reduction only shrinks it; each side is widened by
-    1e-9 (1 + |centre_i|) to cover float error.  The box is walked in lex
-    order, `chunk_rows` points at a time (the whole box in one chunk when
-    None).  A box of more than max_enum points raises.
-    """
-    Bred, T, inv_l1 = reduced
-    half = inv_l1 * radius
-    center = np.zeros(len(inv_l1)) if target is None else np.linalg.solve(Bred, target)
-    slack = 1e-9 * (1 + np.abs(center))
-    lo = np.ceil(center - half - slack)
-    hi = np.floor(center + half + slack)
-    total = float(np.prod(hi - lo + 1))  # in floats: an unreduced basis can overflow int64
-    if max_enum is not None and not total <= max_enum:
-        raise BudgetExceededError(
-            f"enumeration box of {total:.0f} points exceeds budget {max_enum}")
-    for grid in _iter_box_chunks(lo.astype(np.int64), hi.astype(np.int64), chunk_rows):
-        vecs = grid.astype(np.float64) @ Bred.T
-        if target is not None:
-            vecs -= target
-        norms = np.abs(vecs).max(axis=1)
-        keep = norms <= radius * (1 + 1e-12)
-        if target is None:
-            keep &= np.abs(grid).max(axis=1) > 0
-        coeffs = grid[keep] @ T.T  # back to original-basis coefficients
-        yield coeffs, vecs[keep], norms[keep]
 
 
 def _int_matmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -328,17 +200,16 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     return rows
 
 
-def _lattice_minima(L: LatticeBasis, k: int, max_enum: int, radius: Optional[float] = None):
+def _lattice_minima(L: LatticeBasis, k: int, max_enum: int):
     """(lengths, vecs, coeffs) of the first k greedy minima of one lattice.
 
     One sample of `_minima` over the float norms.  The reduced basis has k
     independent columns, so the k-th shortest bounds lambda_k and is the
-    default radius; the radius doubles while the ball holds fewer than k
+    first radius; the radius doubles while the ball holds fewer than k
     independent vectors.
     """
     Bred, T = _lll(L.basis)
-    if radius is None:
-        radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
+    radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
     own = _with_dual_bound(Bred, np.eye(L.dimension, dtype=np.int64))  # coordinates in Bred
     for _ in range(64):
         grid, vecs, norms = next(_enumerate_in_radius(own, radius, max_enum))
@@ -351,17 +222,15 @@ def _lattice_minima(L: LatticeBasis, k: int, max_enum: int, radius: Optional[flo
     raise BudgetExceededError("successive minima search exceeded radius doublings")
 
 
-def shortest_vector(L: LatticeBasis, search_radius: Optional[float] = None,
-                    max_enum: int = DEFAULT_MAX_ENUM):
+def shortest_vector(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM):
     """Sup-norm shortest nonzero vector.
 
     Returns (vector, coeffs, length).  Ties go to the coefficient vector that
     comes first lexicographically in the coordinatewise order 0, 1, -1, 2, -2,
-    ... (`dioph_matrix._canon`).  The search starts at `search_radius`, or
-    at the shortest reduced basis column, and doubles until a nonzero vector
-    is inside.
+    ... (`dioph_matrix._canon`).  The search starts at the shortest reduced
+    basis column and doubles until a nonzero vector is inside.
     """
-    lengths, vecs, coeffs = _lattice_minima(L, 1, max_enum, search_radius or None)
+    lengths, vecs, coeffs = _lattice_minima(L, 1, max_enum)
     return vecs[0], coeffs[0], lengths[0]
 
 
@@ -408,7 +277,7 @@ def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> flo
     length is at most R cannot miss anything.
     """
     radius = L.det_abs ** (1.0 / L.dimension) * 1.0000001
-    reduced = _reduce(L)
+    reduced = _with_dual_bound(*_lll(L.basis))
     for _ in range(64):
         _coeffs, vecs, _norms = next(_enumerate_in_radius(reduced, radius, max_enum))
         if vecs.shape[0]:

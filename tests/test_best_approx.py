@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dioph import dioph_matrix, lattice_dyn
+from dioph import dioph_matrix, reduction
 from dioph.dioph_matrix import (RealMatrix, _ball_lattice, _canon, _canon_keys,
-                                _exact_error, _exact_form, _iter_box_chunks, best_approx)
+                                _exact_error, _exact_form, best_approx)
+from dioph.reduction import _iter_box_chunks
 from dioph.errors import ValidationError
 
 PREC = 128
@@ -164,12 +165,12 @@ def test_roadmap_tie_example():
 def _count_reductions(monkeypatch):
     """Count the lattice reductions: exact Gauss for 1 x 1, float LLL otherwise."""
     calls = []
-    for module, name in ((lattice_dyn, "_lll"), (dioph_matrix, "_gauss_reduce")):
-        def counting(*args, _real=getattr(module, name), _name=name, **kw):
+    for name in ("_lll", "_gauss_reduce"):
+        def counting(*args, _real=getattr(dioph_matrix, name), _name=name, **kw):
             calls.append(_name)
             return _real(*args, **kw)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(dioph_matrix, name, counting)
     return calls
 
 
@@ -231,10 +232,22 @@ def test_homogeneous_best_approx_is_the_last_convergent(alpha, Q):
     # q <= Q < q_(k+1) has |q alpha - p| > |q_k alpha - p_k| unless q = q_k, and +q wins the tie
     x = Fraction(alpha)
     p_k, q_k = _last_convergent(x, Q)
-    # the q-box budget admits Q; the exact 2-D reduction keeps each enumeration box tiny
-    rec = best_approx(RealMatrix.from_rows([[alpha]], PREC), None, Q, max_enum=2 * Q + 1)
+    # at the default budget: the exact 2-D reduction keeps each enumeration box tiny
+    rec = best_approx(RealMatrix.from_rows([[alpha]], PREC), None, Q)
     err = abs(q_k * x - p_k)
     assert (rec.q, rec.p) == ((q_k,), (-p_k,))
+    assert rec.error == dioph_matrix._error_mpf(err.numerator, err.denominator, PREC)
+
+
+def test_surd_pair_meets_dirichlet_past_the_old_q_box():
+    # (2Q+1)^2 = 4e10 q-vectors, far beyond the default budget of 3e7; the
+    # per-box budget is the only one, and each box here is small
+    x = (Fraction("1.41421356237309504880168872420969807856967187537694807317667973799"),
+         Fraction("1.73205080756887729352744634150587236694280525381038062805580697945"))
+    Q = 10**5
+    rec = best_approx(RealMatrix.from_rows([[str(v) for v in x]], PREC), None, Q)
+    err = abs(x[0] * rec.q[0] + x[1] * rec.q[1] + rec.p[0])
+    assert 0 < rec.q_norm <= Q and err <= Fraction(1, Q**2)
     assert rec.error == dioph_matrix._error_mpf(err.numerator, err.denominator, PREC)
 
 
@@ -248,7 +261,7 @@ def test_ball_keeps_its_edge_points():
     for p, q in ((10328364, -6383280), (-10328364, 6383280)):
         assert abs(A.exact[0] * q + p) <= Fraction(eps) and abs(q) <= Q
     reduced = _ball_lattice(_exact_form(A, (Fraction(0),), Q), A.as_array(), Q, eps)
-    found = {tuple(c) for chunk in lattice_dyn._enumerate_in_radius(
+    found = {tuple(c) for chunk in reduction._enumerate_in_radius(
         reduced, 1.0 + 2.0**-20, None, None, 1 << 17) for c in chunk[0].tolist()}
     assert {(10328364, -6383280), (-10328364, 6383280)} <= found
 

@@ -280,6 +280,23 @@ def test_lll_transform_overflow_exits_2(tmp_path):
         assert "Traceback" not in done.stderr and "int64" in done.stderr
 
 
+def test_q_beyond_int64_exits_2(tmp_path):
+    # every q is an int64 coefficient of the enumerator: a budget error, not
+    # an OverflowError from float(Q)
+    mat = tmp_path / "phi.json"
+    mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["1.6180339887498948482045868"]}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for args in (["dirichlet", "--Q", str(10**400)], ["exponent", "--qmax", str(10**400)]):
+        done = subprocess.run([sys.executable, "-m", "dioph"] + args
+                              + ["--matrix", str(mat), "--out", str(tmp_path / args[0])],
+                              env=env, cwd=str(tmp_path), capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dioph: error:"), done.stderr
+
+
 # ---------------------------------------------------------------------------
 # golden reports: the exact bytes every command writes, recorded by
 # run_golden_case; a deliberate change of output re-records the files it touches

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from dioph import dioph_matrix, reduction
 from dioph import lattice_dyn as ld
 from dioph.dioph_matrix import RealMatrix
-from dioph.errors import BudgetExceededError, ValidationError
+from dioph.errors import BudgetExceededError, SingularMatrixError, ValidationError
 
 from conftest import PHI_STR
 
@@ -52,7 +53,7 @@ def random_unimodular(rng, d):
 
 def _reference_lll(cols, delta=0.75):
     """LLL that recomputes all of Gram-Schmidt after every step: the oracle
-    for the in-place updates of `ld._lll`."""
+    for the in-place updates of `reduction._lll`."""
     B = cols.astype(np.float64).copy()
     d = B.shape[1]
     T = np.eye(d, dtype=np.int64)
@@ -120,6 +121,18 @@ def test_from_matrix_structure():
     assert abs(L.det_abs - 1.0) < 1e-12
     Z = ld.from_matrix(np.zeros((2, 1)))
     assert np.allclose(Z.basis, np.eye(3))
+
+
+@pytest.mark.parametrize("rows", [[[0.0, 1.0], [7.9e-274, 1.0]],
+                                  [[0.0, 7.9e-274], [2.27e6, 0.469]]])
+def test_from_columns_rejects_underflowing_gram_schmidt(rows):
+    # |det| is 7.9e-274 and 1.8e-267, both accepted by the determinant test,
+    # but a squared Gram-Schmidt norm is 0.0 in floats and LLL has no answer
+    cols = np.array(rows)
+    assert float(abs(np.linalg.det(cols))) >= 1e-300
+    assert min(reduction._gram_schmidt(cols.T.tolist())[1]) == 0.0
+    with pytest.raises(SingularMatrixError):
+        ld.LatticeBasis.from_columns(cols)
 
 
 def test_apply_flow():
@@ -204,7 +217,7 @@ def test_lll_matches_reference():
         for t in np.linspace(0.0, 12.0, 25):
             bases.append(ld.apply_flow(L0, float(t), m, n).basis)
     for B in bases:
-        got, want = ld._lll(B), _reference_lll(B)
+        got, want = reduction._lll(B), _reference_lll(B)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.allclose(B @ got[1], got[0], rtol=1e-9, atol=1e-9 * np.abs(B).max())
 
@@ -218,7 +231,7 @@ def test_lll_dependent_columns(cols, T):
     # a column with b*_k = 0 depends on the ones before it; the swap's update
     # would divide by zero, so Gram-Schmidt is recomputed there instead
     cols = np.array(cols, dtype=np.float64)
-    B, got = ld._lll(cols)
+    B, got = reduction._lll(cols)
     assert got.dtype == np.int64 and got.tolist() == T
     assert np.array_equal(B, cols @ np.array(T, dtype=np.float64))
     want = _reference_lll(cols)
@@ -277,7 +290,7 @@ def _scaled_bases(draw):
 def test_lll_properties(basis):
     cols, spread = basis
     assume(_fraction_det(cols.tolist()) != 0)
-    B, T = ld._lll(cols)
+    B, T = reduction._lll(cols)
     d = len(cols)
     assert T.dtype == np.int64 and abs(_fraction_det(T.tolist())) == 1
     # B is cols @ T up to the rounding of the column operations that built it:
@@ -329,7 +342,8 @@ def test_reports_match_reference_reduction(monkeypatch):
         calls.append(len(cols))
         return _reference_lll(cols)
 
-    monkeypatch.setattr(ld, "_lll", reference)
+    for module in (dioph_matrix, ld):
+        monkeypatch.setattr(module, "_lll", reference)
     assert reports() == fast
     assert set(calls) == {3, 4, 5, 6}  # the d >= 3 shells, the probe's at d = 5
 
@@ -342,9 +356,9 @@ def test_lll_transform_stays_in_int64(X, Z):
     cols = np.array([[1.0, X, 0.0], [0.0, 1.0, Z], [0.0, 0.0, 1.0]])
     if X * Z > np.iinfo(np.int64).max:
         with pytest.raises(BudgetExceededError):
-            ld._lll(cols)
+            reduction._lll(cols)
         return
-    B, T = ld._lll(cols)
+    B, T = reduction._lll(cols)
     assert T.dtype == np.int64 and int(T[0, 2]) == X * Z
     assert np.array_equal(B, np.eye(3)) and np.array_equal(cols @ T.astype(np.float64), B)
 
@@ -500,7 +514,7 @@ def test_flow_sweep_halves_windows_over_budget(monkeypatch):
     from dioph.dioph_matrix import liouville_number
     A = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
     boxes = []
-    enumerate_in_radius = ld._enumerate_in_radius
+    enumerate_in_radius = reduction._enumerate_in_radius
 
     def spy(reduced, radius, *args):
         boxes.append(float(np.prod(2 * np.floor(reduced[2] * radius) + 1)))

@@ -1,0 +1,75 @@
+"""The shape of the lattice kernel: `dioph.reduction` is a leaf module.
+
+`dioph_matrix` and `lattice_dyn` both take their reduction and enumeration
+from it, and no module of the package imports another inside a function.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+from dioph.dioph_matrix import RealMatrix, best_approx
+from dioph.errors import BudgetExceededError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+PACKAGE = os.path.join(SRC, "dioph")
+
+
+def _tree(name):
+    with open(os.path.join(PACKAGE, name)) as fh:
+        return ast.parse(fh.read(), name)
+
+
+def _package_imports(node):
+    """Names of the dioph modules one import statement brings in."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return [node.module] if node.module else [a.name for a in node.names]
+        if node.module and (node.module == "dioph" or node.module.startswith("dioph.")):
+            return [node.module]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "dioph"]
+    return []
+
+
+@pytest.mark.parametrize("module", ["dioph.reduction", "dioph.dioph_matrix", "dioph.lattice_dyn"])
+def test_each_kernel_module_imports_first(module):
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr
+
+
+def test_no_function_level_package_imports():
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        for fn in ast.walk(_tree(name)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [m for node in ast.walk(fn) for m in _package_imports(node)]
+                assert not inner, f"{name}:{fn.name} imports {inner}"
+
+
+def test_reduction_imports_only_errors():
+    tree = _tree("reduction.py")
+    imported = [m for node in ast.walk(tree) for m in _package_imports(node)]
+    assert imported == ["errors"]
+    public = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)
+              and not n.name.startswith("_")]
+    assert public == []
+
+
+def test_transform_past_the_float_range_is_a_budget_error():
+    # the 1 x 1 Gauss branch: A = 10^400 makes T hold 10^400, beyond int64
+    # and beyond the largest float, and the message gives its size in bits
+    A = RealMatrix.from_rows([["1e400"]], 128)
+    with pytest.raises(BudgetExceededError, match="int64 \\(an entry of 1329 bits\\)"):
+        best_approx(A, None, 10)
+
+
+def test_q_max_past_int64_is_a_budget_error():
+    A = RealMatrix.from_rows([["1.6180339887498948482045868343656381177"]], 128)
+    with pytest.raises(BudgetExceededError, match="q_max of 1329 bits"):
+        best_approx(A, None, 10**400)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dioph import dioph_matrix, experiments, haw_game
+from dioph import experiments, haw_game, reduction
 from dioph.cli import parse_and_dispatch
 from dioph.dioph_matrix import (RealMatrix, _Shells, exponent_estimate,
                                 liouville_number)
@@ -104,7 +104,7 @@ def test_gauss_reduction_of_circle_lattices(alpha, gamma, hi, pick, doublings):
     eps = min(float(hi) ** -1 * 2**doublings, 1.0)
     a, b = eps.as_integer_ratio()
     u, v = (x.denominator * b * hi, 0), (x.numerator * b * hi, x.denominator * a)
-    T = dioph_matrix._gauss_reduce(u, v)
+    T = reduction._gauss_reduce(u, v)
     assert T[0][0] * T[1][1] - T[0][1] * T[1][0] in (1, -1)
     b1, b2 = ([u[i] * T[0][j] + v[i] * T[1][j] for i in range(2)] for j in range(2))
     n1, n2, dot = (sum(s * t for s, t in zip(*w)) for w in ((b1, b1), (b2, b2), (b1, b2)))
