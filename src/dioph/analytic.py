@@ -123,9 +123,14 @@ def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
             # (2 beta)^2 - (3 e1)^2 = 4 Im(e2)^2 > 0, so both Gauss pairs are real
             if not (beta > 0 and 2 * beta > 3 * abs(e1)):
                 raise ValidationError("period computation lost reality")
+            # 2 beta + 3 |e1| is free of cancellation; near a node the other
+            # of 2 beta +- 3 e1 is not, so it comes from their product
+            far = 2 * beta + 3 * abs(e1)
+            near = 4 * mp.im(e2) ** 2 / far
+            plus, minus = (far, near) if e1 >= 0 else (near, far)  # 2 beta + 3 e1, 2 beta - 3 e1
             # one AGM step of (sqrt(e1 - e3), sqrt(e1 - e2)), a conjugate pair
-            ga, gb = mp.sqrt(2 * beta + 3 * e1) / 2, mp.sqrt(beta)
-            omega2 = mp.pi / mp.agm(2 * gb, mp.sqrt(2 * beta - 3 * e1))
+            ga, gb = mp.sqrt(plus) / 2, mp.sqrt(beta)
+            omega2 = mp.pi / mp.agm(2 * gb, mp.sqrt(minus))
             sign = -1
         chain = _agm_chain(ga, gb)
         omega = mp.pi / chain[-1][0]

@@ -11,8 +11,10 @@ The dual flow g_(-t) on the polar of Lambda_A is the primal flow of -A^T
 with the two blocks swapped (`_dual_flow`), so it runs on the one sweep of
 `lattice_dyn`: its shortest vectors are scored exactly from their integer
 coefficients, and the schedule holds out to the depth of long games (t about
-38 for 16 rounds), where float64 bases of this lattice give out.  Deletions
-are recorded once, in the game's transcript.
+38 for 16 rounds), where float64 bases of this lattice give out.  For a
+1 x 1 A those vectors are (1, 0) and the convergents of A, read off its
+exact continued fraction, with no lattice reduction or enumeration.
+Deletions are recorded once, in the game's transcript.
 
 Stages are thinned to those whose hyperplane spacing exceeds the largest
 possible triggered ball plus deleted widths, which is the effective form of

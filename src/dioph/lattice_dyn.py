@@ -16,15 +16,20 @@ are one sample of it, over the float norms of one reduced lattice.
 Along the flow (`flow_profile`, and the dual flow behind
 `haw_game.derive_strategy`) a vector (A q + p, q) has length
 max(e^(t/m) u, e^(-t/n) w), u = ||A q + p||, w = ||q||, so log lambda_i(t)
-is a lower envelope of tents.  `_flow_sweep` cuts the samples into windows
-of span `SWEEP_SPAN`.  The integer transform T of the reduction is carried
-from window to window in Python ints; at each window's end the basis
-g_t B0 T is rebuilt from the exact entries at working precision, rounded
-once per entry, and LLL touches it up.  One enumeration per window holds
-every vector that can be a minimum anywhere in the window.  Each candidate
-is scored once, u and w exactly from its integer coefficients, and its
-lengths at all the window's samples are one numpy expression.  No sample is
-reduced or enumerated on its own.
+is a lower envelope of tents.  `_flow_sweep` scores one candidate set per
+stretch of samples: each candidate once, u and w exactly from its integer
+coefficients, and its lengths at all the samples are one numpy expression,
+from which `_minima` picks.  No sample is reduced or enumerated on its own.
+For m = n = 1 the candidates are read off the exact continued fraction of A
+(`_cf_sweep`): (1, 0), the convergents of -A with their second-nearest p,
+and for lambda_2 the intermediate fractions at each sample's balance index,
+one set for all samples, with no reduction or enumeration.  For m + n >= 3
+(`_windowed_sweep`) the samples are cut into windows of span `SWEEP_SPAN`.
+The integer transform T of the reduction is carried from window to window
+in Python ints; at each window's end the basis g_t B0 T is rebuilt from the
+exact entries at working precision, rounded once per entry, and LLL touches
+it up.  One enumeration per window holds every vector that can be a minimum
+anywhere in the window.
 """
 
 from __future__ import annotations
@@ -40,13 +45,15 @@ import numpy as np
 
 from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import _enumerate_in_radius, _gram_schmidt, _lll, _with_dual_bound
+from .reduction import _enumerate_in_radius, _finite, _gram_schmidt, _lll, _with_dual_bound
 
 DEFAULT_MAX_ENUM = 2_000_000
-# t-span of one window of `_flow_sweep`.  Longer windows mean fewer
-# reductions but a ball of e^(d span / m) times the volume.  Timed on a
-# 2-core VM over the benchmark's four flow profiles and eight dual flows:
-# 0.31-0.33 s for spans 0.75-1.25, 0.43 s at 0.5, 0.47 s at 1.5.
+# t-span of one window of `_windowed_sweep` (m + n >= 3).  Longer windows
+# mean fewer reductions but a ball of e^(d span / m) times the volume.
+# Timed on a 2-core VM when every flow was windowed, over the benchmark's
+# four flow profiles and eight dual flows: 0.31-0.33 s for spans 0.75-1.25,
+# 0.43 s at 0.5, 0.47 s at 1.5.  The 1 x 1 profile and the dual flows have
+# no windows now; the three m + n >= 3 profiles were most of that time.
 SWEEP_SPAN = 1.0
 
 
@@ -361,7 +368,7 @@ def _exact_uw(D: int, N: np.ndarray, coeffs: np.ndarray):
     m = N.shape[0]
     p, q = coeffs[:, :m], coeffs[:, m:]
     bound = (int(np.abs(N).sum(axis=1).max()) * max(int(np.abs(q).max(initial=0)), 1)
-             + D * int(np.abs(p).max(initial=0)))
+             + D * max(int(np.abs(p).max(initial=0)), 1))  # D itself must stay below 2^53
     if coeffs.dtype == object or bound >= 2**53:
         r = q.astype(object) @ N.T + D * p.astype(object)
         u = (np.abs(r).max(axis=1) / D).astype(np.float64)  # int / int rounds once
@@ -426,7 +433,175 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
 
 
 def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
-    """lambda_1..lambda_k of g_t Lambda_A at increasing sample times, one enumeration per window.
+    """lambda_1..lambda_k of g_t Lambda_A at increasing sample times t >= 0.
+
+    1 x 1 matrices read their minima off the continued fraction of A
+    (`_cf_sweep`); every other shape is swept window by window
+    (`_windowed_sweep`), and only there does max_enum apply.  A matrix
+    entry beyond the float64 range raises BudgetExceededError.
+    """
+    _finite(A.as_array(), "matrix")
+    if A.m == A.n == 1:
+        D, N, _ = _exact_form(A, (Fraction(0),), 1)
+        return _cf_sweep(D, int(N[0, 0]), np.asarray(times, dtype=np.float64), k)
+    return _windowed_sweep(A, times, k, max_enum)
+
+
+def _convergents(num: int, den: int, bound: float):
+    """Partial quotients a_j and convergents (p_j, q_j) of num/den, den > 0.
+
+    Returns (quotients, vectors) with vectors[0] = (0, 1) = v_(-2),
+    vectors[1] = (1, 0) = v_(-1) and vectors[j + 2] = v_j = a_j v_(j-1) +
+    v_(j-2), up to the first two with q_j > bound or to the last.
+    """
+    quotients, vectors = [], [(0, 1), (1, 0)]
+    beyond = 0
+    while den and beyond < 2:
+        a, (num, den) = num // den, (den, num % den)
+        (p0, q0), (p1, q1) = vectors[-2:]
+        vectors.append((a * p1 + p0, a * q1 + q0))
+        quotients.append(a)
+        beyond += vectors[-1][1] > bound
+    return quotients, vectors
+
+
+def _sign_canon(v) -> tuple:
+    """v or -v, whichever has a positive first nonzero entry."""
+    return v if v[0] > 0 or (v[0] == 0 and v[1] > 0) else (-v[0], -v[1])
+
+
+def _cf_sweep(D: int, a: int, times: np.ndarray, k: int) -> _Sweep:
+    """`_flow_sweep` for A = a / D, from the continued fraction of -A.
+
+    A vector with coefficients (p, q) has u = |A q + p| and w = |q|.  By
+    Lagrange's best-approximation theorem (Cassels, ch. I) the shortest
+    vector at every t is (1, 0) or a convergent v_j of -A; lambda_1 <= 1
+    (covolume 1) bounds its q by e^t, so the convergents run to the first
+    two with q > e^(t_max).  Each v_j -+ (1, 0), the second-nearest p at q_j,
+    covers the ties of equal length at small t.  For k = 2, lambda_2 at a
+    sample whose shortest vector is v_j is one of the intermediate fractions
+    v_(j-1) + i v_j, 0 <= i <= a_(j+1) (`_intermediates`), or one of the
+    candidates above: apart from multiples of v_j, these are the only
+    lattice points that v_j alone dominates.
+
+    All samples share one candidate set.  It is scored as the windows score
+    theirs (`_canonical`, `_exact_uw`, one length expression, `_minima`), so
+    each sample picks the vectors the windows pick, ties included.
+    Candidates with q > 2 (|A| + 1) e^(2 t_max) are left out: (1, 0) and
+    (0, 1) are shorter at every sample.
+    """
+    t_max = float(times.max(initial=0.0))
+    quotients, V = _convergents(-a, D, math.exp(t_max))
+    cap = 2 * (abs(a) // D + 1) * math.ceil(math.exp(2 * t_max)) if t_max < 350 else math.inf
+    V = [v for v in V if v[1] <= cap]
+    # sign-canonical candidate -> index in V of the convergent it comes from;
+    # the convergents go first, so that (0, 1) maps to v_j when it is one
+    source = {}
+    near = [((p + d, q), idx) for idx, (p, q) in enumerate(V[2:], 2) for d in (-1, 1)]
+    for v, idx in [(v, idx) for idx, v in reversed(list(enumerate(V)))] + near:
+        source.setdefault(_sign_canon(v), idx)
+    grow, shrink = np.exp(times), np.exp(-times)
+
+    def score(cands):
+        coeffs = np.array(cands, dtype=object).reshape(-1, 2)
+        coeffs = coeffs[_canonical(coeffs)]
+        u, w = _exact_uw(D, np.array([[a]], dtype=object), coeffs)
+        return coeffs, u, w, np.maximum(np.outer(u, grow), np.outer(w, shrink))
+
+    coeffs, u, w, lengths = score(list(source))
+    if k == 1:
+        rows = _minima(lengths, coeffs, 1)
+    else:
+        at = np.array([source[(int(p), int(q))] for p, q in coeffs])[lengths.argmin(axis=0)]
+        extra, base = _intermediates(D, a, V, quotients, at, grow, shrink)
+        coeffs, u, w, lengths = score(list(source) + [v for v in extra - source.keys()
+                                                      if abs(v[1]) <= cap])
+        rows = _local_minima(coeffs, lengths, V, at, base, k)
+    lam = lengths[rows, np.arange(len(times))[:, None]]
+    return _Sweep(lambdas=lam, coeffs=coeffs[rows[:, 0]], u=u[rows[:, 0]], w=w[rows[:, 0]])
+
+
+def _intermediates(D: int, a: int, V, quotients, at: np.ndarray, grow: np.ndarray,
+                   shrink: np.ndarray):
+    """The intermediate fractions v_(j-1) + i v_j near balance at each sample.
+
+    v_j = V[at[s]] is the shortest vector at sample s.  Along i the length
+    max(e^t u, e^-t w) of v_(j-1) + i v_j is least at the balance index
+    i* = (e^t u_(j-1) - e^-t q_(j-1)) / (e^t u_j + e^-t q_j), and i runs
+    over floor(i*) - 1 .. ceil(i*) + 1, clipped to [0, a_(j+1)].  i* is
+    taken in float where its error is far below 1 (and the range widened
+    by one each side), else exactly from the float e^(+-t) the lengths use.
+    Returns the set of sign-canonical candidates and, per sample, the base
+    of its local basis for `_local_minima`: floor(i*) clipped and rounded
+    down to a multiple of 16, 0 at (1, 0) and (0, 1).
+    """
+    Us = [abs(a * q + D * p) for p, q in V]  # D u of each convergent
+    uV = np.array([U / D for U in Us])
+    qV = np.array([float(q) for _, q in V])
+    # a_(j+1) for v_j = V[idx], or no bound after the last convergent
+    tops = [quotients[idx - 1] if idx - 1 < len(quotients) else math.inf for idx in range(len(V))]
+    base = [0] * len(at)
+    spans = set()  # (index of v_j, least i, greatest i)
+    ss = np.nonzero(at >= 2)[0]
+    j1 = at[ss]
+    g, h = grow[ss], shrink[ss]
+    est = (g * uV[j1 - 1] - h * qV[j1 - 1]) / (g * uV[j1] + h * qV[j1])
+    spread = (g * uV[j1 - 1] + h * qV[j1 - 1]) / (g * uV[j1] + h * qV[j1])
+    in_float = np.maximum(np.abs(est), spread) < 2**40
+    fl = np.floor(np.where(in_float, est, 0)).astype(np.int64)
+    spans.update(zip(j1[in_float].tolist(), (fl[in_float] - 2).tolist(),
+                     (fl[in_float] + 3).tolist()))
+    for s, idx, f in zip(ss[in_float].tolist(), j1[in_float].tolist(), fl[in_float].tolist()):
+        base[s] = (min(max(f, 0), tops[idx]) >> 4) << 4
+    for s, idx in zip(ss[~in_float].tolist(), j1[~in_float].tolist()):
+        gn, gd = float(grow[s]).as_integer_ratio()
+        hn, hd = float(shrink[s]).as_integer_ratio()
+        num = gn * hd * Us[idx - 1] - hn * gd * D * V[idx - 1][1]
+        den = gn * hd * Us[idx] + hn * gd * D * V[idx][1]
+        spans.add((idx, num // den - 1, -(-num // den) + 1))
+        base[s] = (min(max(num // den, 0), tops[idx]) >> 4) << 4
+    extra = set()
+    for idx, lo, hi in spans:
+        (p0, q0), (p1, q1) = V[idx - 1], V[idx]
+        extra.update(_sign_canon((p0 + i * p1, q0 + i * q1))
+                     for i in range(max(lo, 0), min(hi, tops[idx]) + 1))
+    return extra, base
+
+
+def _local_minima(coeffs: np.ndarray, lengths: np.ndarray, V, at: np.ndarray, base, k: int):
+    """`_minima` over the samples, in groups that share a well-conditioned basis.
+
+    `_minima`'s float independence test needs integer coordinates in which
+    lambda_1 and lambda_2 are far from parallel; the coefficients (p, q)
+    themselves grow like e^t.  A sample with shortest vector v_j = V[at] and
+    base c > 0 uses the basis (v_(j-1) + c v_j, v_j): both minima then have
+    coordinates below 20.  The others are grouped by the bit length of q_j
+    over 8, with the basis (v_(B-1), v_B) of the least convergent B >= 0 of
+    the group, where their minima have coordinates below 2^14.
+    """
+    bits = [q.bit_length() // 8 for _, q in V]
+    groups = {}
+    for s, (idx, c) in enumerate(zip(at.tolist(), base)):
+        groups.setdefault((idx, c) if c else (None, bits[idx]), []).append(s)
+    rows = np.empty((lengths.shape[1], k), dtype=np.int64)
+    P, Q = coeffs[:, 0], coeffs[:, 1]
+    for (idx, c), members in groups.items():
+        if idx is None:  # not (v_(-2), v_(-1)), the identity: p grows like |A| q there
+            idx = max(2, int(at[members].min()))
+        (p0, q0), (p1, q1) = V[idx - 1], V[idx]
+        e = (p0 + c * p1, q0 + c * q1)
+        sign = e[0] * q1 - e[1] * p1  # det(e, v_j) = +-1
+        grid = np.stack([sign * (P * q1 - Q * p1), sign * (e[0] * Q - e[1] * P)], axis=1)
+        picked = _minima(lengths[:, members], grid, k)
+        if picked is None:
+            raise BudgetExceededError(f"continued-fraction candidates hold fewer than {k} "
+                                      "independent vectors")
+        rows[members] = picked
+    return rows
+
+
+def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
+    """`_flow_sweep` for any shape, one reduction and enumeration per window.
 
     Along g_t a lattice vector (A q + p, q) has length
     max(e^(t/m) u, e^(-t/n) w) with u = ||A q + p|| and w = ||q||.  The
@@ -482,6 +657,8 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
     exact balance time of the winning vector, where its expanding and
     contracting block norms agree; the same refinement serves the weighted
     profile e^(r(t)) lambda_1 since the linear weight shifts no vertex.
+    max_enum bounds each window's enumeration when m + n >= 3; a 1 x 1
+    profile enumerates nothing and ignores it.
     """
     A = _as_real_matrix(A)
     m, n = A.m, A.n

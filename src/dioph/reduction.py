@@ -6,7 +6,8 @@ That dual bound holds for every basis, so completeness comes from it and not
 from the reduction, which only shrinks the box: float64 LLL (`_lll`, Cohen,
 GTM 138, Alg. 2.6.3, O(d) updates per swap) or exact Lagrange-Gauss for two
 integer columns (`_gauss_reduce`).  A box of more than the caller's budget
-of points, or a transform entry beyond int64, raises BudgetExceededError.
+of points, a transform entry beyond int64, or a float basis or matrix entry
+beyond float64 (`_finite`) raises BudgetExceededError.
 The float slack of the box grows with the target's centre, so a 1 x 1 shell
 search with a target meets a budget of 2^22 points from q_max about 1e13.
 
@@ -36,6 +37,13 @@ def _int64_transform(T: List[List[int]], name: str) -> np.ndarray:
     return np.array(T, dtype=np.int64)
 
 
+def _finite(X: np.ndarray, what: str) -> np.ndarray:
+    """X, or BudgetExceededError when an entry is beyond the float64 range (inf or nan)."""
+    if not np.isfinite(X).all():
+        raise BudgetExceededError(f"{what} entry beyond the float64 range")
+    return X
+
+
 def _gram_schmidt(B: List[List[float]]):
     """(mu rows, squared norms) of the Gram-Schmidt vectors b*_i of the columns B.
 
@@ -63,9 +71,10 @@ def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]
     Columns are Python lists, of floats for the basis and of ints for T, so
     T is checked once, on exit: an entry beyond int64 raises
     BudgetExceededError.  After 10000 iterations (ill-conditioned input) the
-    current basis is returned.
+    current basis is returned.  A basis entry beyond the float64 range
+    raises BudgetExceededError.
     """
-    B = np.asarray(cols, dtype=np.float64).T.tolist()
+    B = _finite(np.asarray(cols, dtype=np.float64), "basis").T.tolist()
     d = len(B)
     T = np.eye(d, dtype=np.int64).tolist()
     mu, norms = _gram_schmidt(B)

@@ -165,6 +165,21 @@ NEAR_ONE = RationalCurve(a=Fraction(-3145727, 1048576), b=Fraction(1048577, 5242
                          label="near-node one root")
 
 
+def _one_root_node(c, sign):
+    """(x + 2 sign c)((x - sign c)^2 + 1), with e1 = -2 sign c exactly.
+
+    2 beta + 3 sign e1 cancels as c grows: sign 1 puts the cancellation in
+    the first AGM step's ga, sign -1 (the mirror) in omega2's
+    sqrt(2 beta - 3 e1).
+    """
+    return RationalCurve(a=1 - 3 * c * c, b=sign * 2 * c * (c * c + 1),
+                         label=f"one-root node c = 2^{c.bit_length() - 1}"
+                               + (" mirror" if sign < 0 else ""))
+
+
+ONE_ROOT_NODES = {(c, sign): _one_root_node(c, sign) for c in (2**20, 2**40) for sign in (1, -1)}
+
+
 def _near_e1(curve, prec):
     with mp.workprec(prec + 64):
         return reference_roots(curve, prec + 16)[0] + mp.ldexp(1, -100)
@@ -192,8 +207,23 @@ CASES = {
 }
 
 
+def _rational_x(x: Fraction):
+    def at(prec):
+        with mp.workprec(prec + 64):
+            return _mpf(x)
+    return at
+
+
+for (_c, _sign), _curve in ONE_ROOT_NODES.items():
+    for _name, _dx in (("1/7", Fraction(1, 7)), ("3c", Fraction(3 * _c)),
+                       ("100c^2", Fraction(100 * _c * _c))):
+        CASES[f"{_curve.label} x = e1 + {_name}"] = (_curve, _rational_x(-2 * _sign * _c + _dx),
+                                                      True)
+
+
 @pytest.mark.parametrize("prec", PRECISIONS)
-@pytest.mark.parametrize("curve", (C110160, MORDELL, C37A1, C28, NEAR), ids=lambda c: c.label)
+@pytest.mark.parametrize("curve", (C110160, MORDELL, C37A1, C28, NEAR, *ONE_ROOT_NODES.values()),
+                         ids=lambda c: c.label)
 def test_period_matches_carlson_reference(curve, prec):
     assert _close(analytic.real_period(curve, prec).omega, reference_period(curve, prec), prec)
 

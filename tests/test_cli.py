@@ -264,20 +264,51 @@ def test_threads_flag_removed(tmp_path):
     assert run(["dirichlet", "--matrix", str(mat), "--Q", "5", "--threads", "2"]) == 1
 
 
-def test_lll_transform_overflow_exits_2(tmp_path):
-    # an integer-like entry of 1e30 needs a size-reduction multiplier beyond
-    # int64: a budget error (exit 2), not an OverflowError traceback
-    mat = tmp_path / "big.json"
-    mat.write_text(json.dumps({"m": 1, "n": 1, "entries": ["1e30"]}))
+def _dioph(args, cwd):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for args in (["flow", "--matrix", str(mat), "--tmax", "2", "--dt", "0.5"],
-                 ["dirichlet", "--matrix", str(mat), "--Q", "10"]):
-        done = subprocess.run([sys.executable, "-m", "dioph"] + args
-                              + ["--out", str(tmp_path / args[0])],
-                              env=env, cwd=str(tmp_path), capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "dioph"] + args, env=env, cwd=str(cwd),
+                          capture_output=True, text=True)
+
+
+def _matrix_file(tmp_path, name, m, n, entries):
+    path = tmp_path / name
+    path.write_text(json.dumps({"m": m, "n": n, "entries": entries}))
+    return str(path)
+
+
+def test_lll_transform_overflow_exits_2(tmp_path):
+    # an integer-like entry of 1e30 needs a size-reduction multiplier beyond
+    # int64: a budget error (exit 2), not an OverflowError traceback.  The
+    # 1 x 1 flow reads its minima off the continued fraction, with no LLL,
+    # and runs; the 1 x 2 flow still reduces in float.
+    one = _matrix_file(tmp_path, "big.json", 1, 1, ["1e30"])
+    wide = _matrix_file(tmp_path, "wide.json", 1, 2, ["1e30", "0.5"])
+    for args in (["flow", "--matrix", wide, "--tmax", "2", "--dt", "0.5"],
+                 ["dirichlet", "--matrix", one, "--Q", "10"]):
+        done = _dioph(args + ["--out", str(tmp_path / args[0])], tmp_path)
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr and "int64" in done.stderr
+    done = _dioph(["flow", "--matrix", one, "--tmax", "2", "--dt", "0.5", "--out",
+                   str(tmp_path / "one")], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_entries_beyond_the_float_range_exit_2(tmp_path):
+    # 1e400 is a finite mpf but has no float64 view: one budget error line
+    # (exit 2), not an OverflowError traceback from LLL or a float conversion
+    wide = _matrix_file(tmp_path, "wide.json", 1, 2, ["1e400", "0.5"])
+    one = _matrix_file(tmp_path, "one.json", 1, 1, ["1e400"])
+    cases = (["dirichlet", "--matrix", wide, "--Q", "10"],
+             ["flow", "--matrix", wide, "--tmax", "2", "--dt", "0.5"],
+             ["flow", "--matrix", one, "--tmax", "2", "--dt", "0.5"],
+             ["haw", "--matrix", one, "--sigma", "3", "--rounds", "4"])
+    for args in cases:
+        done = _dioph(args + ["--out", str(tmp_path / args[0])], tmp_path)
+        assert done.returncode == 2, (args, done.stderr)
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("dioph: error:"), done.stderr
+        assert "float64 range" in lines[0]
 
 
 def test_q_beyond_int64_exits_2(tmp_path):

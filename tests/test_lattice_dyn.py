@@ -508,11 +508,11 @@ def test_badly_approximable_vs_liouville_growth():
 
 
 def test_flow_sweep_halves_windows_over_budget(monkeypatch):
-    # near-rational entries make each window's ball long and thin: with a
+    # a near-rational entry makes each window's ball long and thin: with a
     # budget below the largest window's box, that window is halved and the
-    # minima are unchanged
+    # minima are unchanged (m + n = 3: 1 x 1 sweeps have no windows)
     from dioph.dioph_matrix import liouville_number
-    A = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
+    A = RealMatrix.from_rows([[liouville_number(precision_bits=128), "0.41421356237309515"]], 128)
     boxes = []
     enumerate_in_radius = reduction._enumerate_in_radius
 
@@ -527,6 +527,100 @@ def test_flow_sweep_halves_windows_over_budget(monkeypatch):
     split = ld.flow_profile(A, 9.0, 0.1, max_enum=budget)
     assert len(boxes) > windows
     assert np.array_equal(split.lambdas, whole.lambdas)
+
+
+def _same_sweep(a, b):
+    return (np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.u, b.u)
+            and np.array_equal(a.w, b.w)
+            and [[int(v) for v in row] for row in a.coeffs]
+            == [[int(v) for v in row] for row in b.coeffs])
+
+
+def _liouville_dual():
+    from dioph.dioph_matrix import liouville_number
+    alpha = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
+    return RealMatrix(m=1, n=1, entries=(-alpha.entries[0],), precision_bits=128,
+                      exact=(-alpha.exact[0],))
+
+
+@st.composite
+def _one_by_one(draw):
+    """(A, t_max) for a 1 x 1 sweep: surds, floats, small rationals, the Liouville dual.
+
+    t_max stays where the windowed oracle fits its default budget: lambda_2 /
+    lambda_1 grows like e^(2t) on rationals and floats near them, and on the
+    Liouville dual from t = 10 a windowed k = 2 sweep takes seconds (and
+    exceeds its budget past t = 25), so k = 2 stops at t = 8.
+    """
+    kind = draw(st.sampled_from(("surd", "float", "rational", "liouville")))
+    if kind == "float":  # a dyadic rational whose continued fraction ends near q = 2^52
+        # (the windowed oracle overflows int64 on subnormal entries)
+        return RealMatrix.scalar(draw(st.floats(-4.0, 4.0, allow_subnormal=False)), 64), 4.0
+    if kind == "surd":
+        k = draw(st.sampled_from(_SQUAREFREE))
+        sign = draw(st.sampled_from((1, -1)))
+        shift = draw(st.one_of(st.integers(-2, 2), st.integers(-10**12, 10**12)))
+        return RealMatrix.scalar(repr(sign * (math.sqrt(k) % 1.0) + shift), 64), 10.0
+    if kind == "rational":
+        num = draw(st.integers(-12, 12))
+        den = draw(st.integers(1, 12))
+        return RealMatrix.scalar(Fraction(num, den), 64), 5.0
+    return _liouville_dual(), 38.5
+
+
+@given(case=_one_by_one(), k=st.sampled_from([1, 2]), frac=st.floats(0.1, 1.0),
+       dt=st.sampled_from([0.02, 0.05, 0.1]), start_at_dt=st.booleans())
+def test_continued_fraction_sweep_matches_windowed(case, k, frac, dt, start_at_dt):
+    # the continued-fraction sweep of 1 x 1 matrices against the windowed
+    # sweep it replaced, bit for bit: lambda_1..lambda_k, the lambda_1
+    # coefficients and their exact u and w
+    A, t_cap = case
+    t_max = t_cap * frac if k == 1 else min(t_cap * frac, 8.0)
+    times = np.arange(dt if start_at_dt else 0.0, t_max + dt / 2, dt)
+    got = ld._flow_sweep(A, times, k, ld.DEFAULT_MAX_ENUM)
+    want = ld._windowed_sweep(A, times, k, ld.DEFAULT_MAX_ENUM)
+    assert _same_sweep(got, want)
+
+
+def test_continued_fraction_sweep_on_fixed_cases():
+    # the Liouville dual to the depth of a 16-round game for k = 1; phi to
+    # t = 16, where its coefficients (p, q) pass 10^6 and lambda_1, lambda_2
+    # are nearly parallel in them; every rational in [-2, 2] with
+    # denominator <= 4, and entries far from 0, whose p are about |A| q, for
+    # k = 1 and 2
+    dual = _liouville_dual()
+    times = np.arange(0.05, 38.5, 0.05)
+    assert _same_sweep(ld._flow_sweep(dual, times, 1, ld.DEFAULT_MAX_ENUM),
+                       ld._windowed_sweep(dual, times, 1, ld.DEFAULT_MAX_ENUM))
+    phi, times = RealMatrix.scalar(PHI_STR, 64), np.arange(0.0, 16.0, 0.05)
+    assert _same_sweep(ld._flow_sweep(phi, times, 2, ld.DEFAULT_MAX_ENUM),
+                       ld._windowed_sweep(phi, times, 2, ld.DEFAULT_MAX_ENUM))
+    times = np.arange(0.0, 4.0, 0.05)
+    rationals = {Fraction(p, q) for q in range(1, 5) for p in range(-2 * q, 2 * q + 1)}
+    for r in sorted(rationals) + ["12345678.9", "-3e12", "1e15"]:
+        A = RealMatrix.scalar(r, 64)
+        for k in (1, 2):
+            assert _same_sweep(ld._flow_sweep(A, times, k, ld.DEFAULT_MAX_ENUM),
+                               ld._windowed_sweep(A, times, k, ld.DEFAULT_MAX_ENUM)), (r, k)
+
+
+def test_one_by_one_sweeps_reduce_and_enumerate_nothing(monkeypatch):
+    # flow profiles and the HAW dual flow of 1 x 1 matrices read their minima
+    # off the continued fraction: no LLL, no enumeration, and no window
+    from dioph import haw_game
+    from dioph.dioph_matrix import liouville_number
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lattice kernel was called")
+
+    monkeypatch.setattr(ld, "_lll", forbidden)
+    monkeypatch.setattr(ld, "_enumerate_in_radius", forbidden)
+    ld.flow_profile(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
+    ld.flow_profile(RealMatrix.scalar("355/113", 64), 6.0, 0.05)
+    haw_game.derive_strategy(RealMatrix.scalar(liouville_number(precision_bits=128), 128),
+                             sigma=3.0, t_max=38.5, dt=0.05)
+    with pytest.raises(AssertionError, match="kernel"):  # the spies do see m + n = 3
+        ld.flow_profile(RealMatrix.from_rows([["0.5", "0.25"]], 64), 1.0, 0.1)
 
 
 # Fractional parts of sqrt(k), k squarefree: {1, sqrt(k1), sqrt(k2)} are
