@@ -2,13 +2,21 @@
 
 Every search over q in this package, the 1-D circle searches of
 `experiments` and `haw_game` included, is one shell search (`_Shells`) over
-lo <= ||q||_inf <= hi.  It enumerates the lattice with basis columns
+lo <= ||q||_inf <= hi.  It searches the lattice with basis columns
 (e_i/eps, 0) for p and (A e_j/eps, e_j/hi) for q, whose points within
 sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
-||q|| <= hi and ||A q + p - gamma|| <= eps.  The basis is reduced
-(`_ball_lattice`: exact Lagrange-Gauss for 1 x 1, float64 LLL otherwise) and
-the ball enumerated; both come from `reduction`, whose module docstring
-describes the kernel and its budget.  The search has two modes:
+||q|| <= hi and ||A q + p - gamma|| <= eps.  Both kernels come from
+`reduction`, whose module docstring describes them and their budgets:
+
+* m = n = 1, the circle problem: the two columns scaled to integers are
+  Gauss-reduced exactly, and the ball is solved line by line in Python
+  ints (`_circle_runs`), with no float anywhere.
+* m + n >= 3: the basis is LLL-reduced in float64 (`_ball_lattice`) and the
+  ball enumerated (`_enumerate_in_radius`).  A float64 score of each
+  enumerated q picks a shortlist that provably holds every q the search
+  can return, and only the shortlist is rescored exactly.
+
+The search has two modes:
 
 * min: the exact minimiser of err(q) over the shell.  eps starts at
   hi^(-n/m), where Dirichlet guarantees a homogeneous hit in the ball, and
@@ -20,17 +28,17 @@ describes the kernel and its budget.  The search has two modes:
 A score that falls as err grows at fixed ||q|| (-log err / log ||q||,
 or -||q|| err) is maximised over a shell in two steps (`_shell_argmax`):
 the err-minimiser's score is turned into a bound on the error of every q
-that can match it, and that radius is listed and rescored exactly.  The
-memory of every search is O(1) in q_max.
+that can match it, and that radius is listed and rescored exactly.  A log
+score (`_LogScore`) ranks the list in float with a stated error bound
+first, and only the candidates the floats cannot rank are scored at
+working precision.  The memory of every search is O(1) in q_max.
 
 Outcomes are exact.  Every entry and gamma keep their exact rational value
 next to the mpf: p/q and decimal strings, ints, floats and Fractions as
-given, an mpf as its dyadic value.  A float64 score of each enumerated q
-picks a shortlist that provably holds every q the search can return, and
-the shortlist is rescored in integer arithmetic over one common
-denominator.  Ties break by smallest sup-norm, then by q lexicographically
-in the coordinatewise order 0, 1, -1, 2, -2, ... (p is a function of q);
-for n = 1 that is +q before -q.
+given, an mpf as its dyadic value, and errors are compared in integer
+arithmetic over one common denominator.  Ties break by smallest sup-norm,
+then by q lexicographically in the coordinatewise order 0, 1, -1, 2, -2,
+... (p is a function of q); for n = 1 that is +q before -q.
 
 Error convention (matches the inhomogeneous problems downstream):
 
@@ -49,8 +57,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_INT64_MAX, _enumerate_in_radius, _gauss_reduce, _int64_transform, _lll,
-                        _with_dual_bound)
+from .reduction import _INT64_MAX, _circle_runs, _enumerate_in_radius, _lll, _with_dual_bound
 
 DEFAULT_PRECISION = 256
 DEFAULT_MAX_ENUM = 30_000_000
@@ -239,29 +246,21 @@ def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
 
 
 def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
-    """The reduced lattice of the shell search for one eps and ||q|| <= Q.
+    """The LLL-reduced lattice of the shell search for one eps and ||q|| <= Q, m + n >= 3.
 
     Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, in the form
-    `_enumerate_in_radius` takes.  For m = n = 1 the two columns, times
-    D a Q with A = N/D and eps = a/b exactly, are the integer vectors
-    (D b Q, 0) and (N b Q, D a), reduced exactly by `_gauss_reduce`.  For
-    m + n >= 3 LLL runs in float64.  Either way the reduced columns B T are
-    rebuilt from the integer T with each entry rounded once from its exact
-    value: at Q = 1.4e7 the float columns drift far enough to lose points at
-    the edge of the ball.
+    `_enumerate_in_radius` takes.  LLL runs in float64; the reduced columns
+    B T are then rebuilt from the integer T with each entry rounded once
+    from its exact value: at Q = 1.4e7 the float columns drift far enough
+    to lose points at the edge of the ball.
     """
     D, N, _ = form
     m, n = Af.shape
-    if m == n == 1:
-        a, b = eps.as_integer_ratio()
-        T = _int64_transform(_gauss_reduce((D * b * Q, 0), (int(N[0, 0]) * b * Q, D * a)),
-                             "Gauss-reduced")
-    else:
-        B = np.zeros((m + n, m + n))
-        B[:m, :m] = np.eye(m) / eps
-        B[:m, m:] = Af / eps
-        B[m:, m:] = np.eye(n) / Q
-        _, T = _lll(B)
+    B = np.zeros((m + n, m + n))
+    B[:m, :m] = np.eye(m) / eps
+    B[:m, m:] = Af / eps
+    B[m:, m:] = np.eye(n) / Q
+    _, T = _lll(B)
     Tp, Tq = T[:m].astype(object), T[m:].astype(object)
     top = (Tp * D + N.astype(object) @ Tq) / D  # A Tq + Tp, each entry one rounding
     return _with_dual_bound(np.vstack([top.astype(np.float64) / eps, T[m:] / Q]), T)
@@ -277,8 +276,10 @@ class _Shells:
     `min` and `within` are the two modes of the module docstring.  Results
     are (D err, q, p) with D the common denominator of `_exact_form`, so
     errors compare exactly as integers.  Shells lie in ||q|| <= q_max, and
-    q_max must fit int64, as every q is an enumerator coefficient; every
-    enumeration box is held to `max_enum` points.
+    q_max must fit int64.  For m = n = 1 every ball is searched exactly in
+    Python ints (`reduction._circle_runs`), walking at most `max_enum`
+    lines and listing at most `max_enum` points; otherwise it is enumerated
+    by `_enumerate_in_radius`, every box held to `max_enum` points.
     """
 
     def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1,
@@ -291,12 +292,19 @@ class _Shells:
         self.m, self.n = A.m, A.n
         self.prec = A.precision_bits
         self.max_enum = max_enum
+        self._circle = A.m == A.n == 1
         self._Af = A.as_array()
         self._gf = np.array([float(g) for g in gamma_exact], dtype=np.float64)
 
     def error(self, err: int) -> mp.mpf:
         """err / D correctly rounded to the working precision."""
         return _error_mpf(err, self.D, self.prec)
+
+    def _runs(self, lo: int, hi: int, eps: float, radius: Fraction):
+        """`_circle_runs` of the 1 x 1 form: the (p, q) of the shell with err <= radius."""
+        D, N, G = self.form
+        return _circle_runs(D, int(N[0, 0]), int(G[0]), eps, radius.numerator,
+                            radius.denominator, lo, hi, self.max_enum)
 
     def _guard(self, hi: int) -> float:
         """Bounds |float score - exact error| for every q with ||q|| <= hi."""
@@ -322,45 +330,87 @@ class _Shells:
         _, p = _exact_error(self.form, np.array([q], dtype=np.int64))
         return int(err), tuple(int(v) for v in q), tuple(int(v) for v in p[0])
 
-    def min(self, lo: int, hi: int):
-        """The exact minimiser (D err, q, p) over lo <= ||q|| <= hi, None for an empty shell.
+    def _circle_best(self, lo: int, hi: int, eps: float):
+        """(D err, q, p) least in (D err, |q|, q < 0) over the 1 x 1 ball of eps, or None.
 
-        Chunks keep a running champion: a float score E(q), within `guard` of
-        err(q), shortlists every q that can tie or beat the best seen, and
+        On a run X = X0 + t dX and q = q0 + t dq are linear in t, so |X| is
+        least at the integers next to its root or at an end of the run, and
+        where dX = 0 the same holds for |q|: O(1) candidates per run.  The
+        least |X| over the ball is D err(q) of its q, whose nearest p lies
+        in the ball too; at X = D/2 that p is the smaller one, p - 1.
+        """
+        best = None
+        for p0, q0, X0, dp, dq, dX, u, v in self._runs(lo, hi, eps, Fraction(eps)):
+            root = (-X0 // dX) if dX else (-q0 // dq)
+            for t in {u, v, root, root + 1}:
+                if u <= t <= v:
+                    q, X = q0 + t * dq, X0 + t * dX
+                    key = (abs(X), abs(q), q < 0)
+                    if best is None or key < best[0]:
+                        best = (key, q, p0 + t * dp - (2 * X == self.D))
+        return None if best is None else (best[0][0], (best[1],), (best[2],))
+
+    def _box_best(self, lo: int, hi: int, eps: float):
+        """(D err, q, p) least in (D err, ||q||, _canon(q)) over the ball of eps, or None.
+
+        Chunks keep a running champion: a float score E(q), within `guard`
+        of err(q), shortlists every q that can tie or beat the best seen, and
         only the shortlist is rescored exactly.
         """
+        guard = self._guard(hi)
+        best, emin = None, math.inf
+        for q, qn, E in self._chunks(lo, hi, eps):
+            emin = min(emin, float(E.min()))
+            cand = np.nonzero(E <= emin + 2 * guard)[0]
+            if cand.size == 0:  # an earlier chunk holds something better
+                continue
+            errs, _ = _exact_error(self.form, q[cand])
+            e0 = errs.min()
+            ties = cand[np.nonzero(errs == e0)[0]]
+            i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
+            key = (int(e0), int(qn[i]), _canon(q[i]))
+            if best is None or key < best[0]:
+                best = (key, q[i].copy())
+        return None if best is None else self._triple(best[0][0], best[1])
+
+    def min(self, lo: int, hi: int):
+        """The exact minimiser (D err, q, p) over lo <= ||q|| <= hi, None for an empty shell."""
         lo = max(int(lo), 1)
         if lo > hi:
             return None
-        guard = self._guard(hi)
+        search = self._circle_best if self._circle else self._box_best
         eps = float(hi) ** (-self.n / self.m)
         while True:
-            best, emin = None, math.inf
-            for q, qn, E in self._chunks(lo, hi, eps):
-                emin = min(emin, float(E.min()))
-                cand = np.nonzero(E <= emin + 2 * guard)[0]
-                if cand.size == 0:  # an earlier chunk holds something better
-                    continue
-                errs, _ = _exact_error(self.form, q[cand])
-                e0 = errs.min()
-                ties = cand[np.nonzero(errs == e0)[0]]
-                i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
-                key = (int(e0), int(qn[i]), _canon(q[i]))
-                if best is None or key < best[0]:
-                    best = (key, q[i].copy())
+            best = search(lo, hi, eps)
             # every q with err <= eps was in the ball; at eps >= 1/2 every q was
-            if eps >= 0.5 or (best is not None and Fraction(best[0][0], self.D) <= Fraction(eps)):
-                return self._triple(best[0][0], best[1])
+            if eps >= 0.5 or (best is not None and Fraction(best[0], self.D) <= Fraction(eps)):
+                return best
             eps *= 2
 
-    def within(self, lo: int, hi: int, radius: Fraction):
-        """Every (D err, q, p) with lo <= ||q|| <= hi and err(q) <= radius, by (||q||, _canon(q))."""
-        lo = max(int(lo), 1)
-        if lo > hi:
-            return []
-        radius = min(radius, Fraction(1, 2))  # no error exceeds 1/2
-        # radius 0 lists exact hits: any positive eps finds them
-        eps = max(float(radius), float(hi) ** (-self.n / self.m) / 1024)
+    def _circle_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
+        """{q: (D err, p)} over the 1 x 1 points of the shell with err <= radius <= 1/2.
+
+        The runs are counted before any point is listed.  X = D/2 is
+        skipped: its q is listed at X = -D/2, with the smaller p.
+        """
+        runs = []
+        total = 0
+        for run in self._runs(lo, hi, eps, radius):
+            total += run[-1] - run[-2] + 1
+            if total > self.max_enum:
+                raise BudgetExceededError(
+                    f"shell search of more than {self.max_enum} points exceeds budget")
+            runs.append(run)
+        found = {}
+        for p0, q0, X0, dp, dq, dX, u, v in runs:
+            for t in range(u, v + 1):
+                X = X0 + t * dX
+                if 2 * X != self.D:
+                    found[(q0 + t * dq,)] = (abs(X), (p0 + t * dp,))
+        return found
+
+    def _box_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
+        """{q: (D err, p)} over the ball points of the shell with err <= radius."""
         bound = float(radius) + 2 * self._guard(hi)
         found = {}
         for q, _qn, E in self._chunks(lo, hi, eps):
@@ -372,6 +422,17 @@ class _Shells:
                 # a q shows up once per p in the ball; its nearest p is among them
                 if err * radius.denominator <= radius.numerator * self.D:
                     found[tuple(int(v) for v in q[i])] = (int(err), tuple(int(v) for v in p))
+        return found
+
+    def within(self, lo: int, hi: int, radius: Fraction):
+        """Every (D err, q, p) with lo <= ||q|| <= hi and err(q) <= radius, by (||q||, _canon(q))."""
+        lo = max(int(lo), 1)
+        if lo > hi:
+            return []
+        radius = min(radius, Fraction(1, 2))  # no error exceeds 1/2
+        # radius 0 lists exact hits: any positive eps finds them
+        eps = max(float(radius), float(hi) ** (-self.n / self.m) / 1024)
+        found = (self._circle_within if self._circle else self._box_within)(lo, hi, eps, radius)
         return [(err, q, p) for q, (err, p) in
                 sorted(found.items(), key=lambda kv: (_sup_norm(kv[0]), _canon(kv[0])))]
 
@@ -383,18 +444,28 @@ def _shell_argmax(shells: _Shells, lo: int, hi: int, score, radius_for):
     must not grow with err at fixed ||q||, and radius_for(s, lo) must bound
     err(q) for every q of the shell scoring at least s (1/2 or more lists
     the whole shell).  Two steps: the err-minimiser's score s* gives the
-    radius, which is listed and rescored.  None for an empty shell.
+    radius, which is listed and rescored.  For a `_LogScore` s* is the lower
+    end of its float estimate, and only the listed q whose float interval
+    reaches the highest lower end are scored at working precision.  None
+    for an empty shell.
     """
     found = shells.min(lo, hi)
     if found is None:
         return None
-    err, q, p = found
-    best = (score(_sup_norm(q), err), err, q, p)
-    for err, q, p in shells.within(lo, hi, radius_for(best[0], max(int(lo), 1))):
-        cand = (score(_sup_norm(q), err), err, q, p)
-        if _champion_rank(cand) < _champion_rank(best):
-            best = cand
-    return best
+    err, q, _ = found
+    fast = isinstance(score, _LogScore)
+    if fast:
+        v, bound = score.estimate(_sup_norm(q), err)
+        s = v - bound
+    else:
+        s = score(_sup_norm(q), err)
+    listed = shells.within(lo, hi, radius_for(s, max(int(lo), 1)))
+    if fast:
+        est = [score.estimate(_sup_norm(q), err) for err, q, _ in listed]
+        floor = max(v - bound for v, bound in est)
+        listed = [c for c, (v, bound) in zip(listed, est) if v + bound >= floor]
+    return min(((score(_sup_norm(q), err), err, q, p) for err, q, p in listed),
+               key=_champion_rank)
 
 
 def _champion_rank(champ) -> tuple:
@@ -410,6 +481,79 @@ def _radius_above(x: mp.mpf) -> Fraction:
     if not mp.isfinite(x):
         return Fraction(1, 2)
     return Fraction(*mp.libmp.to_rational(x._mpf_)) * (1 + Fraction(1, 2**20))
+
+
+# A float log of an int or a float is within a few units in the last place,
+# so a short sum of them is within _FLOAT_SLACK (1 + the sum of their sizes).
+_FLOAT_SLACK = 2.0**-40
+
+
+class _LogScore:
+    """The champion score -log(c err) / log(h ||q||^k), err = D err / D, of one shell search.
+
+    Called, it gives the score at working precision: +inf for an exact hit
+    and -inf where h ||q||^k = 1 (q = 1 of the homogeneous exponent).
+    `estimate` gives it in float with a bound on the distance between the
+    two, so `_shell_argmax` needs working precision only where the floats
+    cannot rank, and `radius_for` bounds err from float logs widened
+    upward.
+    """
+
+    def __init__(self, shells: _Shells, c: EntryLike = 1, h: EntryLike = 1, k: int = 1):
+        self.shells, self.c, self.h, self.k = shells, c, h, k
+        with mp.workprec(shells.prec):
+            self._log_c, self._log_h = float(mp.log(c)), float(mp.log(h))
+        self._log_D = math.log(shells.D)
+
+    def __call__(self, qn: int, err: int):
+        if err == 0:
+            return mp.inf
+        with mp.workprec(self.shells.prec):
+            hq = self.h
+            for _ in range(self.k):
+                hq = hq * qn
+            den = mp.log(hq)
+            if den == 0:
+                return -mp.inf
+            return -mp.log(self.c * self.shells.error(err)) / den
+
+    def estimate(self, qn: int, err: int) -> Tuple[float, float]:
+        """(float score, bound on its distance from the working-precision score).
+
+        The bound is inf where the float denominator cannot be told from 0.
+        """
+        if err == 0:
+            return math.inf, 0.0
+        log_err, log_q = math.log(err), math.log(qn)
+        num = log_err - self._log_D + self._log_c
+        den = self._log_h + self.k * log_q
+        d_num = _FLOAT_SLACK * (1 + abs(log_err) + self._log_D + abs(self._log_c))
+        d_den = _FLOAT_SLACK * (1 + abs(self._log_h) + self.k * log_q)
+        if abs(den) <= 2 * d_den:
+            return 0.0, math.inf
+        v = -num / den
+        return v, (d_num + abs(v) * d_den) / (abs(den) - d_den) + _FLOAT_SLACK * abs(v)
+
+    def radius_for(self, s: float, lo: int) -> Fraction:
+        """A bound on err(q) over ||q|| >= lo and scores >= s, on shells where h ||q||^k >= 1.
+
+        err <= (h lo^k)^(-s) / c for s > 0: the exponent is evaluated in
+        float, widened by its error bound, and split into a power of two
+        and a mantissa, so nothing under- or overflows.
+        """
+        if not s > 0:
+            return Fraction(1, 2)
+        if s == math.inf:
+            return Fraction(0)
+        log_lo = math.log(lo)
+        x = -s * (self._log_h + self.k * log_lo) - self._log_c
+        x += _FLOAT_SLACK * (1 + s * (1 + abs(self._log_h) + self.k * log_lo) + abs(self._log_c))
+        if x >= -math.log(2):
+            return Fraction(1, 2)
+        e2 = x / math.log(2)
+        e2 += _FLOAT_SLACK * (1 + abs(e2))
+        n = math.floor(e2)
+        return _radius_above(mp.ldexp(mp.mpf(2.0 ** (e2 - n) * (1 + _FLOAT_SLACK)), n))
 
 
 def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
@@ -512,26 +656,13 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
         raise ValidationError("window_base must be > 1")
     if Q_max < window_base**2:
         raise ValidationError("Q_max must be at least window_base^2")
-    prec = A.precision_bits
     B = float(window_base)
     shells = _Shells(A, None, Q_max, max_enum)
 
-    def score(qn: int, err: int):
-        if err == 0:
-            return mp.inf
-        if qn <= 1:
-            return -mp.inf
-        with mp.workprec(prec):
-            return -mp.log(shells.error(err)) / mp.log(qn)
-
-    def radius_for(s, lo: int) -> Fraction:
-        # q = 1 scores -inf: when it wins (s = -inf) the radius covers the window
-        with mp.workprec(prec):
-            return _radius_above(mp.mpf(max(lo, 2)) ** (-s))
-
+    score = _LogScore(shells)
     champions = {}  # k -> (D err, q, p)
     for k, lo, hi in _windows(B, Q_max):
-        best = _shell_argmax(shells, max(lo, 1 if A.n == 1 else 2), hi, score, radius_for)
+        best = _shell_argmax(shells, max(lo, 1 if A.n == 1 else 2), hi, score, score.radius_for)
         if best is not None:
             champions[k] = best[1:]
 

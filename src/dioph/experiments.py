@@ -15,9 +15,10 @@ read off that witness list: the list holds every q with |q| d < 1/4, so
 from the first witness's |q| on the minimiser is a witness.  Only points x
 below the first witness take shell minima of |q| d.  So every reported d,
 product and error is exact at working precision, the cost is O(log q_max)
-small lattice searches, each reduced exactly by Lagrange-Gauss, and memory
-is O(1) in q_max; q_max is limited by the enumeration budget
-(`CIRCLE_MAX_ENUM`), not by memory.
+small lattice searches, each solved exactly in integers on a Lagrange-Gauss
+basis with no float centre or margin, and memory is O(1) in q_max; q_max
+is limited by int64 and by the search budget (`CIRCLE_MAX_ENUM`), not by
+memory: `minkowski` and `weakdirichlet` run at q_max = 1e15.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ import numpy as np
 
 from . import analytic, ec_core, heights
 from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank,
-                           _exponent_sample, _ls_slope, _radius_above, _Shells,
-                           _shell_argmax, _to_mpf, _windows, best_approx, build_A_from_HJ)
+                           _exponent_sample, _LogScore, _ls_slope, _Shells, _shell_argmax,
+                           _to_mpf, _windows, best_approx, build_A_from_HJ)
 from .ec_core import CurvePoint, RationalCurve
 from .errors import (CertificateError, DegenerateTargetError, SingularMatrixError,
                      ValidationError)
 
 DEFAULT_PRECISION = 256
-CIRCLE_MAX_ENUM = 1 << 22  # points per enumeration box of a circle search
+CIRCLE_MAX_ENUM = 1 << 22  # lines walked and points listed per circle search
 
 
 @dataclass
@@ -239,16 +240,7 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
         with mp.workprec(prec):
             return shells.error(err) * omega
 
-    def score(qn: int, err: int):
-        with mp.workprec(prec):
-            return -mp.log(d_of(err)) / mp.log(hhat_Q * qn * qn)
-
-    def radius_for(s, lo: int) -> Fraction:
-        # d <= hhat([lo]Q)^(-s) for every q scoring >= s > 0, as hhat([lo]Q) > 1
-        if not s > 0:
-            return Fraction(1, 2)
-        with mp.workprec(prec):
-            return _radius_above((hhat_Q * lo * lo) ** (-s) / omega)
+    score = _LogScore(shells, omega, hhat_Q, 2)  # -log d / log hhat([q]Q)
 
     # Below q_c, hhat([q]Q) <= 1 and the sample grows with d: there, as the
     # reports always did, each |q| takes its better sign and then competes.
@@ -263,7 +255,7 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
             err, q, p = shells.min(qn, qn)
             cands.append((score(qn, err), err, q, p))
         if max(lo, q_c) <= hi:
-            cands.append(_shell_argmax(shells, max(lo, q_c), hi, score, radius_for))
+            cands.append(_shell_argmax(shells, max(lo, q_c), hi, score, score.radius_for))
         return min(cands, key=_champion_rank) if cands else None
 
     # per-window champions in |q|

@@ -213,14 +213,17 @@ def _lattice_minima(L: LatticeBasis, k: int, max_enum: int):
     One sample of `_minima` over the float norms.  The reduced basis has k
     independent columns, so the k-th shortest bounds lambda_k and is the
     first radius; the radius doubles while the ball holds fewer than k
-    independent vectors.
+    independent vectors.  Only primitive vectors are candidates: a multiple
+    c v, |c| >= 2, is independent of the picks exactly when v is, and v is
+    shorter, so c v is never a greedy minimum.
     """
     Bred, T = _lll(L.basis)
     radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
     own = _with_dual_bound(Bred, np.eye(L.dimension, dtype=np.int64))  # coordinates in Bred
     for _ in range(64):
         grid, vecs, norms = next(_enumerate_in_radius(own, radius, max_enum))
-        idx = _canonical(grid @ T.T)
+        prim = np.nonzero(np.gcd.reduce(grid, axis=1) == 1)[0]
+        idx = prim[_canonical(grid[prim] @ T.T)]
         rows = _minima(norms[idx][:, None], grid[idx], k) if idx.size else None
         if rows is not None:
             pick = idx[rows[0]]

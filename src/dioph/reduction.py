@@ -4,12 +4,14 @@ All norms are sup-norms.  `_enumerate_in_radius` walks the coefficient box
 |c_i - (B^-1 t)_i| <= ||row_i(B^-1)||_1 * r of a basis B around a target t.
 That dual bound holds for every basis, so completeness comes from it and not
 from the reduction, which only shrinks the box: float64 LLL (`_lll`, Cohen,
-GTM 138, Alg. 2.6.3, O(d) updates per swap) or exact Lagrange-Gauss for two
-integer columns (`_gauss_reduce`).  A box of more than the caller's budget
-of points, a transform entry beyond int64, or a float basis or matrix entry
-beyond float64 (`_finite`) raises BudgetExceededError.
-The float slack of the box grows with the target's centre, so a 1 x 1 shell
-search with a target meets a budget of 2^22 points from q_max about 1e13.
+GTM 138, Alg. 2.6.3, O(d) updates per swap).  A box of more than the
+caller's budget of points, a transform entry beyond int64, or a float basis
+or matrix entry beyond float64 (`_finite`) raises BudgetExceededError.
+
+Two integer columns have their own kernel, exact in Python ints:
+`_circle_runs` reduces them by Lagrange-Gauss (`_gauss_reduce`) and solves
+each line of the reduced basis for its run of points by floor division, so
+a 1 x 1 search has no box, no float centre and no float margin.
 
 The callers are `lattice_dyn` (shortest vectors, minima, flow windows) and
 the shell search of `dioph_matrix` (`best_approx`, the exponent windows and
@@ -129,6 +131,60 @@ def _gauss_reduce(u: Tuple[int, int], v: Tuple[int, int]) -> List[List[int]]:
         if nv >= nu:
             return [[tu[0], tv[0]], [tu[1], tv[1]]]
         u, v, tu, tv, nu, nv = v, u, tv, tu, nv, nu
+
+
+def _solve(k: int, lo: int, hi: int) -> Optional[Tuple[int, int]]:
+    """(first, last): the integers t with lo <= k t <= hi; None: every t (k = 0, lo <= 0 <= hi)."""
+    if k > 0:
+        return -(-lo // k), hi // k
+    if k < 0:
+        return -(-hi // k), lo // k
+    return None if lo <= 0 <= hi else (1, 0)
+
+
+def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, hi: int,
+                 max_enum: int):
+    """The integer points (p, q) with rd |X| <= D rn, X = D p + N q - G, and lo <= |q| <= hi.
+
+    Yields runs (p0, q0, X0, dp, dq, dX, first, last): the points
+    (p0 + t dp, q0 + t dq), first <= t <= last, with X = X0 + t dX.  The
+    basis is the Gauss-reduced transform T of the columns (D b hi, 0) and
+    (N b hi, D a), eps = a/b, the ball |X| <= D eps, |q| <= hi scaled to
+    integers.  In T's coordinates c the region is a parallelogram around
+    the centre T^-1 (G/D, 0), and c_j ranges over an exact interval; the
+    coefficient with fewer values is walked and, for each value, the other
+    is solved from both constraints by floor division.  Each value gives
+    at most two runs, split by the cut |q| >= lo.  More than max_enum
+    values to walk raise BudgetExceededError, and so does T beyond int64.
+    """
+    a, b = eps.as_integer_ratio()
+    T = _int64_transform(_gauss_reduce((D * b * hi, 0), (N * b * hi, D * a)),
+                         "Gauss-reduced").tolist()
+    cols = [(T[0][j], T[1][j], D * T[0][j] + N * T[1][j]) for j in (0, 1)]  # (p, q, X + G)
+    sign = T[0][0] * T[1][1] - T[0][1] * T[1][0]  # det T = +-1
+    spans = []
+    for w, s in ((0, sign), (1, -sign)):
+        # c_w = s (q_o (X + G) - x_o q) / D over |X| <= D rn / rd, |q| <= hi, o the other column
+        _, qo, xo = cols[1 - w]
+        mid, half, den = s * qo * G * rd, abs(qo) * D * rn + abs(xo) * hi * rd, D * rd
+        first, last = -(-(mid - half) // den), (mid + half) // den
+        spans.append((last - first, w, first, last))
+    count, w, first, last = min(spans)
+    if count + 1 > max_enum:
+        raise BudgetExceededError(f"shell search of {count + 1} lines exceeds budget {max_enum}")
+    (pw, qw, xw), (dp, dq, dX) = cols[w], cols[1 - w]
+    for c in range(first, last + 1):
+        p0, q0, X0 = c * pw, c * qw, c * xw - G
+        box = _solve(dq, -hi - q0, hi - q0)
+        near = _solve(rd * dX, -D * rn - rd * X0, D * rn - rd * X0)
+        ends = [r for r in (box, near) if r is not None]  # det T != 0: one of them bounds t
+        t0, t1 = max(r[0] for r in ends), min(r[1] for r in ends)
+        cut = _solve(dq, 1 - lo - q0, lo - 1 - q0)  # the t with |q| < lo
+        if cut is None:
+            continue
+        for u, v in ((t0, min(t1, cut[0] - 1)), (max(t0, cut[1] + 1), t1)):
+            if u <= v:
+                yield p0, q0, X0, dp, dq, dX, u, v
 
 
 def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):

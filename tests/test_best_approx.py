@@ -12,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dioph import dioph_matrix, reduction
-from dioph.dioph_matrix import (RealMatrix, _ball_lattice, _canon, _canon_keys,
-                                _exact_error, _exact_form, best_approx)
+from dioph.dioph_matrix import (RealMatrix, _canon, _canon_keys, _exact_error, _exact_form,
+                                best_approx)
 from dioph.reduction import _iter_box_chunks
 from dioph.errors import ValidationError
 
@@ -165,12 +165,12 @@ def test_roadmap_tie_example():
 def _count_reductions(monkeypatch):
     """Count the lattice reductions: exact Gauss for 1 x 1, float LLL otherwise."""
     calls = []
-    for name in ("_lll", "_gauss_reduce"):
-        def counting(*args, _real=getattr(dioph_matrix, name), _name=name, **kw):
+    for module, name in ((dioph_matrix, "_lll"), (reduction, "_gauss_reduce")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kw):
             calls.append(_name)
             return _real(*args, **kw)
 
-        monkeypatch.setattr(dioph_matrix, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -253,16 +253,19 @@ def test_surd_pair_meets_dirichlet_past_the_old_q_box():
 
 def test_ball_keeps_its_edge_points():
     # (p, q) = +-(10328364, -6383280) lies at scaled distance 0.99999926 from 0
-    # in the ball of phi at Q = 1.4e7, eps = 4096/Q; the float LLL columns
-    # (error about 6e-8 here) lost both, the rebuilt columns keep them
+    # in the ball of phi at Q = 1.4e7, eps = 4096/Q; float LLL columns
+    # (error about 6e-8 here) lost both, the exact 1 x 1 runs keep them
     phi = "1.6180339887498948482045868343656381177203091798057628621354486227"
     A = RealMatrix.from_rows([[phi]], PREC)
     Q, eps = 14_000_000, 4096 / 14_000_000
     for p, q in ((10328364, -6383280), (-10328364, 6383280)):
         assert abs(A.exact[0] * q + p) <= Fraction(eps) and abs(q) <= Q
-    reduced = _ball_lattice(_exact_form(A, (Fraction(0),), Q), A.as_array(), Q, eps)
-    found = {tuple(c) for chunk in reduction._enumerate_in_radius(
-        reduced, 1.0 + 2.0**-20, None, None, 1 << 17) for c in chunk[0].tolist()}
+    D, N, G = _exact_form(A, (Fraction(0),), Q)
+    a, b = eps.as_integer_ratio()
+    found = {(p0 + t * dp, q0 + t * dq)
+             for p0, q0, _X0, dp, dq, _dX, u, v in reduction._circle_runs(
+                 D, int(N[0, 0]), int(G[0]), eps, a, b, 1, Q, 1 << 22)
+             for t in range(u, v + 1)}
     assert {(10328364, -6383280), (-10328364, 6383280)} <= found
 
 

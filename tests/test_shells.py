@@ -8,6 +8,7 @@ at twice the working precision, for q_max <= 2 * 10^4.
 """
 
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -15,10 +16,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dioph import experiments, haw_game, reduction
+from dioph import dioph_matrix, experiments, haw_game, reduction
 from dioph.cli import parse_and_dispatch
 from dioph.dioph_matrix import (RealMatrix, _Shells, exponent_estimate,
                                 liouville_number)
@@ -111,6 +112,74 @@ def test_gauss_reduction_of_circle_lattices(alpha, gamma, hi, pick, doublings):
     assert n1 <= n2 and 2 * abs(dot) <= n1
     # both search modes on the reduced lattice
     _check_against_brute_force([[alpha]], gamma, 1 + pick % hi, hi, pick)
+
+
+@st.composite
+def _skewed_circles(draw):
+    """alpha = a/b + -2^-k (or a/b: ties), gamma None, a half-integer over 2b or near the orbit."""
+    a, b = draw(st.integers(-13, 13)), draw(st.integers(1, 12))
+    alpha = Fraction(a, b)
+    k = draw(st.one_of(st.none(), st.integers(4, 80)))
+    if k is not None:
+        alpha += draw(st.sampled_from([1, -1])) * Fraction(1, 2**k)
+    hi = draw(st.integers(1, 5000))
+    lo = draw(st.integers(1, hi))
+    kind = draw(st.sampled_from(["none", "half", "orbit"]))
+    if kind == "none":
+        gamma = None
+    elif kind == "half":
+        gamma = [f"{2 * draw(st.integers(-b, b)) + 1}/{2 * b}"]
+    else:  # j alpha + i, nudged by 0 or +-2^-e: exact hits and near-ties
+        j, i = draw(st.integers(-hi, hi)), draw(st.integers(-3, 3))
+        e = draw(st.integers(1, 90))
+        gamma = [str(j * alpha + i + draw(st.sampled_from([0, 1, -1])) * Fraction(1, 2**e))]
+    return [[str(alpha)]], gamma, lo, hi, draw(st.integers(0, 10**6))
+
+
+@given(_skewed_circles())
+@example(([["-0.000002"]], ["0.000005"], 1, 3, 0))  # the least |X| of a run at ceil(root)
+@example(([["-1/2"]], ["1/2"], 2, 2, 1))  # X = D/2: the nearest p is the smaller one
+def test_circle_kernel_on_skewed_lattices(inst):
+    rows, gamma, lo, hi, pick = inst
+    _check_against_brute_force(rows, gamma, lo, hi, pick)
+    # radius 1/2 lists the whole shell, each q once with its nearest p
+    shells = _Shells(RealMatrix.from_rows(rows, PREC), gamma, hi)
+    _, table = _brute_shell(rows, gamma, lo, hi)
+    assert shells.within(lo, hi, Fraction(1, 2)) == sorted(table, key=lambda t: _order(t[1]))
+
+
+@given(st.integers(1, 2**40), st.integers(1, 2**200), st.integers(0, 400),
+       st.sampled_from([(1, 1, 1), ("6.0983", "0.0511", 2), ("0.37", "3.5", 2)]))
+def test_log_score_estimate_and_radius_bounds(qn, err, bits, chk):
+    c, h, k = chk
+    D = 2 * err + (1 << bits)  # err <= D / 2
+    shells = _Shells(RealMatrix.from_rows([[f"1/{D}"]], 256), None, 1)
+    score = dioph_matrix._LogScore(shells, mp.mpf(c), mp.mpf(h), k)
+    exact = score(qn, err)
+    v, bound = score.estimate(qn, err)
+    assert bound == math.inf or abs(mp.mpf(v) - exact) <= bound
+    if mp.mpf(h) * qn**k > 1 and exact > 0:
+        # every q with ||q|| >= qn scoring >= exact has err <= radius, and so does this one
+        radius = score.radius_for(v - bound, qn)
+        assert Fraction(err, D) <= radius
+        with mp.workprec(512):
+            assert mp.mpf(radius.numerator) / radius.denominator >= \
+                (mp.mpf(h) * qn**k) ** (-exact) / mp.mpf(c)
+
+
+def test_float_ties_are_ranked_at_working_precision():
+    # err(1000) = 1/3 + 2^-220 and err(-1000) = 1/3 - 2^-220 have one float
+    # score; -1000 wins at working precision, +1000 would win a tie
+    shells = _Shells(RealMatrix.from_rows([["1/3"]], 256), [-Fraction(1, 2**220)], 1000)
+    score = dioph_matrix._LogScore(shells)
+    listed = shells.within(1000, 1000, Fraction(1, 2))
+    (e_pos, q_pos, _), (e_neg, q_neg, _) = listed
+    assert (q_pos, q_neg) == ((1000,), (-1000,))
+    assert score.estimate(1000, e_pos)[0] == score.estimate(1000, e_neg)[0]
+    assert score(1000, e_neg) > score(1000, e_pos)
+    every = min(((score(1000, e), e, q, p) for e, q, p in listed), key=dioph_matrix._champion_rank)
+    best = dioph_matrix._shell_argmax(shells, 1000, 1000, score, score.radius_for)
+    assert best == every and best[2] == (-1000,)
 
 
 @given(_ENTRY, st.one_of(_ENTRY, st.just("1/2")), st.integers(1, 400), st.integers(0, 10**6))
@@ -272,19 +341,48 @@ def test_circle_searches_hold_no_q_max_arrays(curve_110160):
     assert _peak_mb(lambda: experiments.weak_dirichlet_experiment(cfg)) < 16
 
 
+def _witnesses_hold(sols, alpha, gamma, q_max):
+    """Every (q, p) has |q| <= q_max and |q| |q alpha + p - gamma| < 1/4, in Fractions."""
+    alpha, gamma = Fraction(alpha), Fraction(gamma)
+    return all(0 < abs(q) <= q_max and abs(q) * abs(q * alpha + p - gamma) < Fraction(1, 4)
+               for q, p in sols)
+
+
 def test_enumeration_budget_fails_fast(tmp_path):
+    # the exact 1 x 1 kernel has no float centre, so the witnesses reach q_max = 10^15
+    for q_max in (10**9, 10**12, 10**13, 10**15):
+        t0 = time.time()
+        sols = experiments.minkowski_solutions(SQRT2, "3/10", q_max)
+        assert time.time() - t0 < 2
+        assert len(sols) >= 5 and max(abs(q) for q, _, _ in sols) > q_max // 10
+        assert _witnesses_hold([(q, p) for q, p, _ in sols], SQRT2, "3/10", q_max)
+    out = tmp_path / "m"
+    assert parse_and_dispatch(["minkowski", "--alpha", SQRT2, "--gamma", "3/10",
+                               "--qmax", str(10**15), "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["count"] == len(sols) == len(doc["solutions"])
+    assert _witnesses_hold([(s["q"], s["p"]) for s in doc["solutions"]], SQRT2, "3/10", 10**15)
+    # a radius-1/2 listing of a shell of 2^23 points still exceeds the budget, at once
+    shells = _Shells(RealMatrix.from_rows([[SQRT2]], PREC), "3/10", 2**22,
+                     experiments.CIRCLE_MAX_ENUM)
     t0 = time.time()
-    assert len(experiments.minkowski_solutions(SQRT2, "3/10", 10**9)) >= 5
+    with pytest.raises(BudgetExceededError, match="exceeds budget"):
+        shells.within(1, 2**22, Fraction(1, 2))
     assert time.time() - t0 < 2
-    # the exact 2-D reduction reaches q_max = 10^12; every witness holds exactly
-    sols = experiments.minkowski_solutions(SQRT2, "3/10", 10**12)
-    alpha, gamma = Fraction(SQRT2), Fraction(3, 10)
-    assert len(sols) >= 5 and max(abs(q) for q, _, _ in sols) > 10**11
-    assert all(abs(q) * abs(q * alpha + p - gamma) < Fraction(1, 4) for q, p, _ in sols)
-    t0 = time.time()
-    with pytest.raises(BudgetExceededError):
-        experiments.minkowski_solutions(SQRT2, "3/10", 10**15)
-    assert time.time() - t0 < 2
-    code = parse_and_dispatch(["minkowski", "--alpha", SQRT2, "--gamma", "3/10",
-                               "--qmax", str(10**15), "--out", str(tmp_path / "m")])
-    assert code == 2
+
+
+def test_weak_dirichlet_reaches_1e13(curve_110160, curve_file_110160, tmp_path):
+    q_max = 10**13
+    rep = experiments.weak_dirichlet_experiment(experiments.CurveExperimentConfig(
+        curve=curve_110160, q_max=q_max, seed=0))
+    assert len(rep.records) == q_max.bit_length() and rep.minkowski_count >= 20
+    with mp.workprec(rep.precision_bits + 16):
+        g_norm = +(rep.gamma / rep.omega)  # the target the circle search was given
+    with mp.workprec(2 * rep.precision_bits):
+        for r in rep.records:  # each d is |gamma - q theta + p omega| at working precision
+            d = abs(g_norm - r.q[0] * rep.alpha + r.p[0]) * rep.omega
+            assert abs(r.error - d) <= d * mp.mpf(2) ** (8 - rep.precision_bits)
+    alpha, gamma = (Fraction(*mp.libmp.to_rational(x._mpf_)) for x in (rep.alpha, g_norm))
+    assert _witnesses_hold([(q, -p) for q, p, _ in rep.minkowski_witnesses], alpha, gamma, q_max)
+    assert parse_and_dispatch(["weakdirichlet", "--curve", curve_file_110160, "--qmax", str(q_max),
+                               "--seed", "0", "--out", str(tmp_path / "w")]) == 0
