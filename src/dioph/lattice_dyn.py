@@ -26,10 +26,12 @@ and for lambda_2 the intermediate fractions at each sample's balance index,
 one set for all samples, with no reduction or enumeration.  For m + n >= 3
 (`_windowed_sweep`) the samples are cut into windows of span `SWEEP_SPAN`.
 The integer transform T of the reduction is carried from window to window
-in Python ints; at each window's end the basis g_t B0 T is rebuilt from the
-exact entries at working precision, rounded once per entry, and LLL touches
-it up.  One enumeration per window holds every vector that can be a minimum
-anywhere in the window.
+in Python ints; each basis g_t B0 T is rebuilt from the exact entries at
+working precision, rounded once per entry, and LLL touches it up.  The
+basis at a window's end bounds lambda_k at each of its samples, and so the
+(u, w) box of every vector that can be a minimum anywhere in the window.
+That box is a sup-norm cube at one time, the window's balance time, and one
+enumeration there holds every candidate of the window.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ from .reduction import _enumerate_in_radius, _finite, _gram_schmidt, _lll, _with
 
 DEFAULT_MAX_ENUM = 2_000_000
 # t-span of one window of `_windowed_sweep` (m + n >= 3).  Longer windows
-# mean fewer reductions but a ball of e^(d span / m) times the volume.
-# Timed on a 2-core VM when every flow was windowed, over the benchmark's
-# four flow profiles and eight dual flows: 0.31-0.33 s for spans 0.75-1.25,
-# 0.43 s at 0.5, 0.47 s at 1.5.  The 1 x 1 profile and the dual flows have
-# no windows now; the three m + n >= 3 profiles were most of that time.
+# mean fewer reductions but a box of about e^span times the volume of one
+# sample's.  Timed on a 2-core VM over the benchmark's three m + n >= 3
+# profiles (t <= 10, dt = 0.02), median of 7 runs: 0.105 s at span 0.5,
+# 0.094 s at 0.75, 0.068-0.076 s for spans 1-2, 0.106 s at 3, 2.5 s at 5.
 SWEEP_SPAN = 1.0
 
 
@@ -171,33 +172,34 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     (C, d) its integer coordinates in any basis; candidates come in `_canon`
     order, so (length, index) is the documented tie order.  lambda_i takes the
     first candidate independent of lambda_1..lambda_(i-1).  The test runs on
-    the shortest P candidates of every sample, P growing only while some
-    sample needs more, and each chosen set is confirmed by an exact rank.
+    the shortest P candidates of each sample, P growing only for the samples
+    that need more, and each chosen set is confirmed by an exact rank.
     None when some sample has fewer than k independent candidates.
     """
     C, S = lengths.shape
     if k == 1:
         return lengths.argmin(axis=0)[:, None]  # the first of equal minima
-    cols = np.arange(S)
     coords = grid.astype(np.float64)
-    P = min(C, 8 * k)
-    while True:
+    rows = np.empty((S, k), dtype=np.int64)
+    todo, P = np.arange(S), min(C, 8 * k)
+    while todo.size:
+        sub, cols = lengths[:, todo], np.arange(todo.size)
         if P < C:
-            part = np.argpartition(lengths, P, axis=0)
-            head, edge = part[:P], lengths[part[P], cols]
-            head = np.take_along_axis(head, np.lexsort((head, lengths[head, cols]), axis=0),
-                                      axis=0)
+            head = np.argpartition(sub, P, axis=0)
+            head, edge = head[:P], sub[head[P], cols]
+            head = np.take_along_axis(head, np.lexsort((head, sub[head, cols]), axis=0), axis=0)
         else:
-            head, edge = np.argsort(lengths, axis=0, kind="stable"), np.full(S, np.inf)
+            head, edge = np.argsort(sub, axis=0, kind="stable"), np.full(todo.size, np.inf)
         pos, found = _independent(coords[head], k)
-        rows = head[pos, cols[:, None]]
+        picked = head[pos, cols[:, None]]
         # every candidate as short as lambda_k must be in the head
-        if np.all(found & (lengths[rows[:, -1], cols] < edge)):
-            break
-        if P == C:
+        done = found & (sub[picked[:, -1], cols] < edge)
+        if P == C and not done.all():
             return None
-        P = min(C, 16 * P)
-    for chosen in np.unique(rows, axis=0):
+        rows[todo[done]] = picked[done]
+        todo, P = todo[~done], min(C, 16 * P)
+    # each distinct set once, as a list: a tuple would index grid one axis per entry
+    for chosen in map(list, {tuple(r) for r in rows.tolist()}):
         if _exact_rank(grid[chosen]) < k:  # the float test was fooled: redo these exactly
             for s in np.nonzero((rows == chosen).all(axis=1))[0]:
                 redo = _exact_greedy(np.lexsort((np.arange(C), lengths[:, s])), grid, k)
@@ -400,25 +402,30 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
             carried, max_enum: int, prec: int):
     """The minima of one window of `_flow_sweep` at its sample times ts.
 
-    Returns (T, lengths, rows, coeffs, u, w): the transform reduced at ts[-1],
-    the (C, S) lengths of the scored candidates, the (S, k) rows `_minima`
-    picked, and the candidates' coefficients and exact u, w.
+    Returns (T, lengths, rows, coeffs, u, w): the transform reduced at the
+    window's balance time tau, the (C, S) lengths of the scored candidates,
+    the (S, k) rows `_minima` picked, and the candidates' coefficients and
+    exact u, w.
     """
     m, n = N.shape
-    d = m + n
-    t0, t1 = float(ts[0]), float(ts[-1])
-    Bred, Tl = _lll(_flowed_basis(D, N, T, t1, prec))
-    T = T @ Tl.astype(object)
-    own = _with_dual_bound(Bred, np.eye(d, dtype=np.int64))  # coordinates in Bred
-    # lambda_k(t0) <= the k-th shortest basis column at t0 (the columns are independent)
-    at_t0 = np.maximum(np.abs(Bred[:m]).max(axis=0) * math.exp(-(t1 - t0) / m),
-                       np.abs(Bred[m:]).max(axis=0) * math.exp((t1 - t0) / n))
-    M = np.sort(at_t0)[k - 1] * (1 + 1e-9)
-    if carried is not None:
-        M = min(M, float(np.maximum(math.exp(t0 / m) * carried[0],
-                                    math.exp(-t0 / n) * carried[1]).max()) * (1 + 1e-12))
-    R = M * math.exp((t1 - t0) / m)
     grow, shrink = np.exp(ts / m), np.exp(-ts / n)
+    _, Tl = _lll(_flowed_basis(D, N, T, float(ts[-1]), prec))
+    T = T @ Tl.astype(object)
+    # lambda_k(t_s) <= the k-th shortest column of that basis at t_s (they are
+    # independent), and <= the longest of the k minima carried from the last window
+    bu, bw = _exact_uw(D, N, T.T)
+    bound = np.sort(np.maximum(np.outer(bu, grow), np.outer(bw, shrink)), axis=0)[k - 1]
+    if carried is not None:
+        bound = np.minimum(bound, np.maximum(np.outer(carried[0], grow),
+                                             np.outer(carried[1], shrink)).max(axis=0))
+    bound *= 1 + 1e-9
+    u_max, w_max = float((bound / grow).max()), float((bound / shrink).max())
+    tau = m * n / (m + n) * math.log(w_max / u_max)
+    R = math.exp(tau / m) * u_max
+    Bred, Tl = _lll(_flowed_basis(D, N, T, tau, prec))
+    T = T @ Tl.astype(object)
+    own = _with_dual_bound(Bred, np.eye(m + n, dtype=np.int64))  # coordinates in Bred
+    reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
         grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), max_enum))
@@ -429,8 +436,7 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
             u, w = _exact_uw(D, N, coeffs)
             lengths = np.maximum(np.outer(u, grow), np.outer(w, shrink))
             rows = _minima(lengths, grid, k)
-            if rows is not None and np.all(
-                    lengths[rows[:, -1], cols] * np.exp((t1 - ts) / m) <= R):
+            if rows is not None and np.all(lengths[rows[:, -1], cols] * reach <= R):
                 return T, lengths, rows, coeffs, u, w
         R *= 2
 
@@ -604,20 +610,25 @@ def _local_minima(coeffs: np.ndarray, lengths: np.ndarray, V, at: np.ndarray, ba
 
 
 def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
-    """`_flow_sweep` for any shape, one reduction and enumeration per window.
+    """`_flow_sweep` for any shape, one enumeration per window.
 
     Along g_t a lattice vector (A q + p, q) has length
     max(e^(t/m) u, e^(-t/n) w) with u = ||A q + p|| and w = ||q||.  The
-    samples are cut into windows of span `SWEEP_SPAN`.  For a window
-    [t0, t1] the transform T, kept in Python ints, gives the basis at t1
-    (`_flowed_basis`), and LLL touches it up.  If M bounds lambda_k(t0),
-    lambda_k(t) <= M e^((t - t0)/m) on the window, and every vector that is
-    that short at some t there has length <= R = M e^((t1 - t0)/m) at t1.  So one
-    enumeration of radius R at t1 holds every candidate of the window.  Each
-    candidate is scored once, u and w exactly, and its lengths at all the
-    window's samples are one numpy expression; `_minima` picks the minima.
-    M comes from the last window's minima, or from the reduced basis.  The
-    window is checked afterwards, lambda_k(t) e^((t1 - t)/m) <= R at every
+    samples are cut into windows of span `SWEEP_SPAN`.  In a window the
+    transform T, kept in Python ints, gives the basis at its last sample
+    (`_flowed_basis`), and LLL touches it up.  At each sample t_s the k-th
+    shortest of its columns, and the longest of the k minima carried from
+    the last window, bound lambda_k(t_s) by B_s, with u and w exact.  A
+    vector that short at t_s has u <= B_s e^(-t_s/m) and w <= B_s e^(t_s/n).
+    With u_max and w_max the largest of these over the window, the box
+    u <= u_max, w <= w_max is the sup-norm ball of radius R = e^(tau/m) u_max
+    at tau = mn/(m + n) log(w_max/u_max), the time that makes R least.  So
+    the basis is rebuilt and reduced again at tau, and one enumeration of
+    radius R there holds every candidate of the window; T is carried on from
+    tau.  Each candidate is scored once, u and w exactly, and its lengths at
+    all the window's samples are one numpy expression; `_minima` picks the
+    minima.  The window is checked afterwards,
+    lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
     sample, and enumerated again at twice the radius if it fails.  A window
     whose ball outgrows max_enum points is halved, down to one sample.
     """

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dioph import dioph_matrix, reduction
 from dioph import lattice_dyn as ld
@@ -379,6 +379,21 @@ def test_exact_rank_matches_fraction_oracle():
     assert ranks == {0, 1, 2, 3, 4, 5}
 
 
+def _loop_minima(lengths, grid, k):
+    """Greedy minima with one Python step per candidate in (length, index)
+    order and Fraction ranks: None at a sample with fewer than k independent."""
+    want = []
+    for s in range(lengths.shape[1]):
+        chosen = []
+        for i in sorted(range(len(grid)), key=lambda i: (lengths[i, s], i)):
+            if _fraction_rank(grid[chosen + [i]].tolist()) > len(chosen):
+                chosen.append(i)
+            if len(chosen) == k:
+                break
+        want.append(chosen if len(chosen) == k else None)
+    return want
+
+
 def test_minima_matches_loop_reference():
     # the vectorized greedy of `ld._minima` against one Python step per
     # candidate in (length, index) order, with Fraction ranks
@@ -395,15 +410,7 @@ def test_minima_matches_loop_reference():
         # five lengths only: ties straddle the edge of the searched prefix
         lengths = rng.integers(1, 6, size=(C, S)) / 2.0
         got = ld._minima(lengths, grid, k)
-        want = []
-        for s in range(S):
-            chosen = []
-            for i in sorted(range(C), key=lambda i: (lengths[i, s], i)):
-                if _fraction_rank(grid[chosen + [i]].tolist()) > len(chosen):
-                    chosen.append(i)
-                if len(chosen) == k:
-                    break
-            want.append(chosen if len(chosen) == k else None)
+        want = _loop_minima(lengths, grid, k)
         if any(w is None for w in want):
             assert got is None, trial
             outcomes.add("none")
@@ -411,6 +418,25 @@ def test_minima_matches_loop_reference():
             assert got.tolist() == want, trial
             outcomes.add(k)
     assert outcomes == {"none", 1, 2, 3, 4}
+    # one sample among up to 50 whose shortest candidates are hundreds of
+    # multiples of one vector: only its head grows past the first 8 k
+    for trial in range(30):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(2, d + 1))
+        many, C = int(rng.integers(100, 700)), int(rng.integers(800, 1500))
+        S = int(rng.integers(2, 51))
+        grid = rng.integers(-3, 4, size=(C, d))
+        grid[:many] = rng.integers(1, 40, size=(many, 1)) * rng.integers(-3, 4, size=d)
+        grid[np.abs(grid).max(axis=1) == 0, 0] = 1
+        lengths = rng.integers(4, 12, size=(C, S)) / 2.0
+        hard = int(rng.integers(0, S))
+        lengths[:many, hard] = rng.integers(1, 4, size=many) / 2.0
+        got = ld._minima(lengths, grid, k)
+        want = _loop_minima(lengths, grid, k)
+        assert all(w is not None for w in want)
+        assert got.tolist() == want, trial
+        # the hard sample's lambda_2 lies beyond all the multiples
+        assert max(want[hard]) >= many > 8 * k
 
 
 def test_minima_exact_rank_overrides_float_test(monkeypatch):
@@ -529,6 +555,30 @@ def test_flow_sweep_halves_windows_over_budget(monkeypatch):
     assert np.array_equal(split.lambdas, whole.lambdas)
 
 
+def test_flow_windows_enumerate_once_in_the_balanced_box(monkeypatch):
+    # the benchmark's 1 x 3 surd profile to t = 10: one enumeration per
+    # window, at its balance time, and 23,602 box points over the ten windows
+    A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772",
+                               "0.2360679774997898"]], 256)
+    boxes, windows = [], []
+    enumerate_in_radius, window = reduction._enumerate_in_radius, ld._window
+
+    def spy(reduced, radius, *args):
+        boxes.append(float(np.prod(2 * np.floor(reduced[2] * radius) + 1)))
+        return enumerate_in_radius(reduced, radius, *args)
+
+    def count(*args):
+        windows.append(len(args[3]))  # the window's sample times
+        return window(*args)
+
+    monkeypatch.setattr(ld, "_enumerate_in_radius", spy)
+    monkeypatch.setattr(ld, "_window", count)
+    ld.flow_profile(A, 10.0, 0.02)
+    assert len(windows) == 10 and sum(windows) == 501  # no window was halved
+    assert len(boxes) == len(windows)
+    assert sum(boxes) <= 40_000, sum(boxes)
+
+
 def _same_sweep(a, b):
     return (np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.u, b.u)
             and np.array_equal(a.w, b.w)
@@ -629,14 +679,20 @@ def test_one_by_one_sweeps_reduce_and_enumerate_nothing(monkeypatch):
 _SQUAREFREE = [k for k in range(2, 200) if all(k % (p * p) for p in range(2, 15))]
 
 
-@given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
-       ks=st.lists(st.sampled_from(_SQUAREFREE), min_size=2, max_size=2, unique=True),
-       signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
+@given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+       ks=st.lists(st.sampled_from(_SQUAREFREE), min_size=4, max_size=4, unique=True),
+       signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=4, max_size=4),
        t_max=st.floats(0.5, 6.0), dt=st.sampled_from([0.02, 0.05, 0.1]))
+@example(shape=(1, 3), ks=[2, 3, 5, 7], signs=[1.0, -1.0, 1.0, -1.0], t_max=3.0, dt=0.02)
+@example(shape=(2, 2), ks=[3, 11, 6, 19], signs=[-1.0, 1.0, 1.0, 1.0], t_max=3.0, dt=0.05)
+@example(shape=(3, 1), ks=[13, 2, 17, 10], signs=[1.0, 1.0, -1.0, 1.0], t_max=3.0, dt=0.05)
 def test_carried_flow_matches_cold_reduction(shape, ks, signs, t_max, dt):
     # the windowed sweep behind flow_profile against one cold reduction and
-    # enumeration of each flowed lattice
+    # enumeration of each flowed lattice; d = 4 stops at t = 3, where the
+    # cold oracle's balls are still small
     m, n = shape
+    if m + n == 4:
+        t_max = min(t_max, 3.0)
     entries = [s * (math.sqrt(k) % 1.0) for s, k in zip(signs, ks)]
     A = np.array(entries[:m * n]).reshape(m, n)
     prof = ld.flow_profile(A, t_max, dt)
