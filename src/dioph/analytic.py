@@ -21,10 +21,27 @@ per (a, b, precision) in one cached lattice record.
 On one-real-root curves e2, e3 form a complex conjugate pair, so the first
 AGM step is real and is taken in closed form from beta = sqrt(3 e1^2 + a);
 the chain starts after it.
+
+The kernel runs on Python ints, not on mpf: every number of the chain and
+of the walks is an integer n standing for n / 2^S.  The roots are exact:
+the cubic, scaled to integer coefficients, has its real roots isolated by
+bisection on its monotone pieces and refined by Newton in integers, and the
+conjugate pair of the one-root route follows from e1 and the exact
+discriminant.  The guard bits come from the root separation: every root
+difference is at least sqrt|D| / (2R)^2 for a root bound R (Mahler's
+argument for a cubic), and the smallest AGM constant is about (sep/R)^2 of
+the largest, so the lattice scale S carries prec + 52 bits plus twice
+log2(R / sep).  A walk rescales its constants by 2^k so that its s^2 keeps
+as many bits as the largest constant; both walks are homogeneous of degree
+one in (a^2, b^2, s^2), so that is exact.  mpf enters only at the ends:
+parsing, cot, atan2 and the returned values.  As the real nome q nears +-1
+the q-series of the archimedean local height cancel, and the chain, q and
+the roots' mpf values carry about 6 / |log q| more bits for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,11 +87,18 @@ class _Lattice:
     """Period lattice of y^2 = x^3 + a x + b at one precision, built once.
 
     e1 is the real root on the identity component; on the one-real-root
-    route e2 and e3 are the complex conjugate pair.  chain holds the Gauss
-    AGM pairs (a_k, b_k) from the real pair (ga, gb) = chain[0] to the last
-    a_N, and omega = pi / a_N; every Landen walk runs along it.
-    q = exp(2 pi i tau) is the real nome of the lattice Z omega + Z omega tau,
-    negative on the one-real-root route.
+    route e2 and e3 are the complex conjugate pair.  q = exp(2 pi i tau) is
+    the real nome of the lattice Z omega + Z omega tau, negative on the
+    one-real-root route.  e1, e2, e3, q and a_end carry prec + 48 + q_guard
+    bits, for the q-series of the archimedean local height.
+
+    The integer fields stand for their value times 2^scale.  (ga2, gb2) is
+    the first Gauss pair squared, (e1 - e3, e1 - e2) or, after the complex
+    step, (ga^2, beta); steps holds (a_k^2, b_k^2, a_k b_k, a_(k+1)^2) for
+    each AGM step after it, and a_end = a_N, with omega = pi / a_N.
+    On the one-real-root route e1x3 = 3 e1 and v4 = 4 Im(e2)^2 give
+    |x - e3| of the complex step.  top is the bit length of the largest
+    constant; every walk rescales so that its s^2 has as many bits.
     """
 
     e1: mp.mpf
@@ -83,62 +107,203 @@ class _Lattice:
     route: str  # 'three-real-roots' | 'one-real-root'
     omega: mp.mpf
     q: mp.mpf
-    chain: Tuple[Tuple[mp.mpf, mp.mpf], ...]
+    q_guard: int
+    a_end: mp.mpf
+    scale: int
+    top: int
+    ga2: int
+    gb2: int
+    steps: Tuple[Tuple[int, int, int, int], ...]
+    e1x3: int
+    v4: int
 
 
-def _agm_chain(a, b) -> Tuple[Tuple[mp.mpf, mp.mpf], ...]:
-    """Gauss AGM pairs from (a, b) until |a_N - b_N| <= 2^(8 - prec) a_N.
+def _div_round(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer, for d > 0."""
+    return (2 * n + d) // (2 * d)
 
-    The bound is relative to the current term, not to a: when a << b the
-    limit is far above a, and a bound scaled by a would sit below one ulp
-    of the limit and never be met.
+
+def _mpf_at(n: int, scale: int) -> mp.mpf:
+    """The mpf n / 2^scale, rounded to the working precision."""
+    return mp.ldexp(mp.mpf(n), -scale)
+
+
+def _shift(n: int, k: int) -> int:
+    return n << k if k >= 0 else n >> -k
+
+
+def _agm_squares(a2: int, b2: int, bits):
+    """Gauss AGM on squares at one integer scale, until |a - b| <= 2^(8 - bits) a.
+
+    Returns (steps, a_N^2), steps holding (a_k^2, b_k^2, a_k b_k, a_(k+1)^2).
+    Since a^2 - b^2 ~ 2a (a - b), the bound reads |a^2 - b^2| <= 2^(9 - bits) a^2.
+    It is relative to the current term, not to a_0: when a_0 << b_0 the
+    limit is far above a_0, and a bound scaled by a_0 would never be met.
+    bits is capped 16 bits below the length of a^2, where the rounding of
+    the integers lies, so math.inf runs the AGM to the last bit they carry.
     """
-    chain = [(a, b)]
-    while abs(a - b) > mp.ldexp(a, 8 - mp.mp.prec):
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-        chain.append((a, b))
-    return tuple(chain)
+    steps = []
+    ab = math.isqrt(a2 * b2)
+    while abs(a2 - b2) > a2 >> max(0, min(bits, a2.bit_length() - 16) - 9):
+        a2_next = (a2 + 2 * ab + b2 + 2) >> 2
+        steps.append((a2, b2, ab, a2_next))
+        a2, b2 = a2_next, ab
+        ab = math.isqrt(a2 * b2)
+    return tuple(steps), a2
+
+
+def _cubic_real_roots(A: int, B: int, count: int, p: int, r: int):
+    """floor(X 2^p) for the real roots X of X^3 + A X + B, in decreasing order.
+
+    The cubic is monotone on (-inf, -c], [-c, c] and [c, inf), c = sqrt(-A/3);
+    integer points inside each piece bracket its root by exact signs.  A root
+    within 2^-p of +-c is missed, and then fewer than count roots come back.
+    R = 2^(r + p) bounds every |X| 2^p.
+    """
+    Ap, Bp = A << 2 * p, B << 3 * p
+
+    def g(y):
+        return (y * y + Ap) * y + Bp
+
+    R = 1 << (r + p)
+    if Ap >= 0:
+        pieces = [(-R, R, 1)]
+    else:
+        c = math.isqrt(-Ap // 3)  # c <= sqrt(-Ap/3) < c + 1
+        pieces = [(c + 1, R, 1), (-c, c, -1), (-R, -c - 1, 1)]
+    roots = []
+    for lo, hi, sign in pieces:
+        # sign * g increases on [lo, hi]: a root lies in [lo, hi) iff
+        # sign * g(lo) <= 0 < sign * g(hi)
+        if not sign * g(lo) <= 0 < sign * g(hi):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if sign * g(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(lo)
+    return roots if len(roots) == count else None
+
+
+def _newton_root(A: int, B: int, y: int, p: int, p_end: int, ls: int) -> int:
+    """Refine y ~ X 2^p, within one unit of a simple root X, to the scale 2^p_end.
+
+    Near X, Newton maps an error e to about |F''/2F'| e^2, and
+    |F''/2F'| = |3X / ((X - X')(X - X''))| <= 2 / sep because
+    3X = (X - X') + (X - X''); sep >= 2^-ls is the root separation.  So from
+    scale p the next scale 2p - ls - 6 is again within a unit.  The result
+    is certified by exact signs two units either side.
+    """
+    while True:
+        Ap, Bp = A << 2 * p, B << 3 * p
+        y -= ((y * y + Ap) * y + Bp) // (3 * y * y + Ap)
+        if p == p_end:
+            break
+        p_next = min(p_end, 2 * p - ls - 6)
+        y <<= p_next - p
+        p = p_next
+    below, above = ((y + e) ** 2 * (y + e) + Ap * (y + e) + Bp for e in (-2, 2))
+    if (below < 0) == (above < 0):
+        raise ValidationError("cubic root refinement failed")
+    return y
+
+
+def _lattice_roots(a_q: Fraction, b_q: Fraction, three_roots: bool, prec: int):
+    """(scale, roots): the real roots, decreasing, as integers over 2^scale.
+
+    x^3 + a x + b has the roots X/d of X^3 + A X + B, d the common
+    denominator.  Fujiwara's bound puts every |X| below R = 2^r, so every
+    difference is at most 2R and |D| = prod (X_i - X_j)^2 makes the smallest
+    at least sep = sqrt|D| / (2R)^2 >= 2^-ls.  The scale carries prec + 52
+    bits of the largest AGM constant plus 2 log2(R / sep) guard bits.
+    """
+    d = math.lcm(a_q.denominator, b_q.denominator)
+    A, B = int(a_q * d**2), int(b_q * d**3)
+    r = 1 + max(-(-abs(A).bit_length() // 2), -(-abs(B).bit_length() // 3))
+    ls = 2 * r + 2 - (abs(4 * A**3 + 27 * B**2).bit_length() - 1) // 2
+    guard = max(0, r + ls)
+    scale = max(0, prec + 52 + 2 * guard - r + d.bit_length())
+    count = 3 if three_roots else 1
+    p = max(0, ls + 8)
+    roots = None
+    for p_iso in range(p, p + 257, 8):
+        roots = _cubic_real_roots(A, B, count, p_iso, r)
+        if roots is not None:
+            break
+    if roots is None:
+        raise ValidationError("real roots of the cubic were not isolated")
+    p_end = max(p_iso, scale + d.bit_length() + 2)
+    unit = d << (p_end - scale)
+    return scale, [_div_round(_newton_root(A, B, y, p_iso, p_end, ls), unit) for y in roots]
 
 
 @lru_cache(maxsize=64)
 def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
     a_q, b_q = Fraction(a_str), Fraction(b_str)
     # the sign of the exact discriminant -16(4a^3 + 27b^2) decides the route
-    three_roots = 4 * a_q**3 + 27 * b_q**2 < 0
-    with mp.workprec(prec + 48):
-        a, b = mp.mpf(a_str), mp.mpf(b_str)
-        roots = mp.polyroots([mp.mpf(1), mp.mpf(0), a, b], maxsteps=200, extraprec=64)
+    disc = 4 * a_q**3 + 27 * b_q**2
+    three_roots = disc < 0
+    S, roots = _lattice_roots(a_q, b_q, three_roots, prec)
+    E1 = roots[0]
+    e1x3 = v4 = 0
+    if three_roots:
+        E1, E2, E3 = roots
+        if not E1 > E2 > E3:
+            raise ValidationError("period computation lost reality")
+        ga2, gb2 = E1 - E3, E1 - E2
+        dual = (E1 - E3, E2 - E3)
+        sign = 1
+    else:
+        # beta^2 = |e1 - e2|^2 = 3 e1^2 + a = (3 e1 / 2)^2 + Im(e2)^2 loses
+        # under a bit to cancellation.  Im(e2)^2 = beta^2 - (3 e1 / 2)^2 would
+        # lose them all near a node, so it comes from the discriminant:
+        # prod (e_i - e_j)^2 = -4 Im(e2)^2 beta^4 = -(4a^3 + 27b^2)
+        beta2 = _div_round(3 * E1 * E1 * a_q.denominator + (a_q.numerator << 2 * S),
+                           a_q.denominator << S)
+        if beta2 <= 0:
+            raise ValidationError("period computation lost reality")
+        beta = math.isqrt(beta2 << S)
+        v4 = _div_round(disc.numerator << 3 * S, disc.denominator * beta2 * beta2)
+        # 2 beta + 3 |e1| is free of cancellation; near a node the other of
+        # 2 beta +- 3 e1 is not, so it comes from their product 4 Im(e2)^2
+        e1x3 = 3 * E1
+        far = 2 * beta + abs(e1x3)
+        near = _div_round(v4 << S, far)
+        if near <= 0:
+            raise ValidationError("period computation lost reality")
+        plus, minus = (far, near) if E1 >= 0 else (near, far)  # 2 beta + 3 e1, 2 beta - 3 e1
+        # one AGM step of (sqrt(e1 - e3), sqrt(e1 - e2)), a conjugate pair:
+        # (ga, gb) = (sqrt(2 beta + 3 e1) / 2, sqrt(beta))
+        ga2, gb2 = (plus + 2) >> 2, beta
+        dual = (4 * beta, minus)
+        sign = -1
+    _, dual_end = _agm_squares(*dual, math.inf)
+    # -log|q| = 2 pi omega' / omega = 2 pi a_N / a'_N for the limit a'_N of
+    # the complementary AGM.  The q-series of heights lose about 6 / tau bits
+    # as |q| = exp(-tau) -> 1: they cancel to prod (1 - q^n)^3 ~
+    # exp(-pi^2 / (2 tau)).  So the chain, q and the roots carry that many
+    # bits more than prec + 48.
+    tau = 2 * math.pi * math.sqrt(_agm_squares(ga2, gb2, 32)[1] / dual_end)
+    q_guard = math.ceil(6 / tau)
+    steps, a2_end = _agm_squares(ga2, gb2, prec + 48 + q_guard)
+    with mp.workprec(prec + 48 + q_guard):
+        e1 = _mpf_at(E1, S)
         if three_roots:
-            e1, e2, e3 = sorted((mp.re(r) for r in roots), reverse=True)
-            if not e1 > e2 > e3:
-                raise ValidationError("period computation lost reality")
-            ga, gb = mp.sqrt(e1 - e3), mp.sqrt(e1 - e2)
-            omega2 = mp.pi / mp.agm(ga, mp.sqrt(e2 - e3))
-            sign = 1
+            e2, e3 = _mpf_at(E2, S), _mpf_at(E3, S)
         else:
-            # e1 is the root nearest the real axis; e2 takes Im > 0
-            e1, e2, e3 = sorted(roots, key=lambda r: (abs(mp.im(r)), -mp.im(r)))
-            e1 = mp.re(e1)
-            beta = mp.sqrt(3 * e1 * e1 + a)
-            # (2 beta)^2 - (3 e1)^2 = 4 Im(e2)^2 > 0, so both Gauss pairs are real
-            if not (beta > 0 and 2 * beta > 3 * abs(e1)):
-                raise ValidationError("period computation lost reality")
-            # 2 beta + 3 |e1| is free of cancellation; near a node the other
-            # of 2 beta +- 3 e1 is not, so it comes from their product
-            far = 2 * beta + 3 * abs(e1)
-            near = 4 * mp.im(e2) ** 2 / far
-            plus, minus = (far, near) if e1 >= 0 else (near, far)  # 2 beta + 3 e1, 2 beta - 3 e1
-            # one AGM step of (sqrt(e1 - e3), sqrt(e1 - e2)), a conjugate pair
-            ga, gb = mp.sqrt(plus) / 2, mp.sqrt(beta)
-            omega2 = mp.pi / mp.agm(2 * gb, mp.sqrt(minus))
-            sign = -1
-        chain = _agm_chain(ga, gb)
-        omega = mp.pi / chain[-1][0]
-        q = sign * mp.exp(-2 * mp.pi * omega2 / omega)
+            im = mp.sqrt(_mpf_at(v4, S)) / 2
+            e2, e3 = mp.mpc(-e1 / 2, im), mp.mpc(-e1 / 2, -im)
+        a_end = mp.sqrt(_mpf_at(a2_end, S))
+        omega = mp.pi / a_end
+        q = sign * mp.exp(-2 * mp.pi * mp.sqrt(mp.mpf(a2_end) / dual_end))
     with mp.workprec(prec + 32):
         omega = +omega
     return _Lattice(e1=e1, e2=e2, e3=e3, route="three-real-roots" if three_roots
-                    else "one-real-root", omega=omega, q=q, chain=chain)
+                    else "one-real-root", omega=omega, q=q, q_guard=q_guard, a_end=a_end, scale=S,
+                    top=max(ga2, gb2).bit_length(), ga2=ga2, gb2=gb2, steps=steps,
+                    e1x3=e1x3, v4=v4)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -159,7 +324,36 @@ def real_period(curve: RationalCurve, precision_bits: int = DEFAULT_PRECISION) -
     return RealPeriod(omega=lat.omega, precision_bits=precision_bits, route=lat.route)
 
 
-def _landen_log(lat: _Lattice, s2) -> mp.mpf:
+def _walk_scale(lat: _Lattice, s2: mp.mpf):
+    """(k, n): s2 = n / 2^(scale + k), with n as many bits long as lat.top."""
+    if not s2:
+        return 0, 0
+    _, man, exp, bc = s2._mpf_
+    return lat.top - lat.scale - exp - bc, _shift(man, lat.top - bc)
+
+
+def _landen_walk(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
+    """s_N at the end of the Gauss-Landen walk from s^2 = s2 >= 0; see _landen_log.
+
+    The walk runs on the integers of lat, rescaled by 2^k so that s2 keeps
+    lat.top bits however small or large it is; each step takes one isqrt.
+    """
+    k, s = _walk_scale(lat, s2)
+    if lat.route == "one-real-root":
+        # 2r = 2|x - e3| = sqrt((2 s^2 + 3 e1)^2 + 4 Im(e2)^2)
+        t = 2 * s + _shift(lat.e1x3, k)
+        r2 = math.isqrt(t * t + _shift(lat.v4, lat.scale + 2 * k))
+        d = s - _shift(lat.gb2, k)
+        s = (2 * d + r2) >> 2 if d >= 0 else 4 * s * _shift(lat.ga2, k) // (r2 - 2 * d)
+    for a2, b2, ab, a2_next in lat.steps:
+        a2, b2, ab = _shift(a2, k), _shift(b2, k), _shift(ab, k)
+        r = math.isqrt((s + a2) * (s + b2))
+        d = s - ab
+        s = (d + r) >> 1 if d >= 0 else 2 * s * _shift(a2_next, k) // (r - d)
+    return mp.sqrt(_mpf_at(s, lat.scale + k))
+
+
+def _landen_log(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
     """z in (0, omega/2] with wp(z) = e1 + s2, for s2 >= 0, by Gauss-Landen steps.
 
     With a^2 = e1 - e3 and b^2 = e1 - e2,
@@ -168,27 +362,12 @@ def _landen_log(lat: _Lattice, s2) -> mp.mpf:
     r = sqrt((s^2 + a^2)(s^2 + b^2)), leaves unchanged: it is the Gauss
     map of the curve followed by halving.  Once a = b, z = atan(a/s)/a.
     Where s^2 < ab the new s^2 is taken as 2 s^2 a'^2 / (r + ab - s^2),
-    the same number without cancellation.  The pairs (a, b) come from
-    lat.chain, so each step takes one square root.
+    the same number without cancellation.  On the one-real-root route the
+    complex first step has ab = beta and r = |x - e3|.  The steps run on
+    integers (_landen_walk); only the final atan2 is an mpf.
     """
-    chain = lat.chain
-    if lat.route == "one-real-root":
-        # the complex first step: ab = beta = gb^2 and r = |x - e3|
-        ga, gb = chain[0]
-        s2 = _landen_s2(s2, gb * gb, abs(lat.e1 + s2 - lat.e3), ga)
-    for (a, b), (a_next, _) in zip(chain, chain[1:]):
-        r = mp.sqrt((s2 + a * a) * (s2 + b * b))
-        s2 = _landen_s2(s2, a * b, r, a_next)
-    a = chain[-1][0]
-    return mp.atan2(a, mp.sqrt(s2)) / a
-
-
-def _landen_s2(s2, ab, r, a_next):
-    """s^2 after one Gauss-Landen step; see _landen_log."""
-    d = s2 - ab
-    if d >= 0:
-        return (d + r) / 2
-    return 2 * s2 * a_next * a_next / (r - d)
+    a = lat.a_end
+    return mp.atan2(a, _landen_walk(lat, s2)) / a
 
 
 def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
@@ -206,7 +385,9 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
     complex first step is undone the same way with beta = gb^2 for a_k b_k
     and ga^2 for a_{k+1}^2.  Then x = e1 + s^2 and
     y = -sqrt(s^2 (x - e2)(x - e3)), which is -s |x - e3| when e2, e3 are
-    conjugate.
+    conjugate.  The walk runs on the integers of the lattice, rescaled by
+    s_N^2 as in _landen_log: near 2-torsion s^2 is tiny, and y keeps its
+    relative precision.
     """
     prec = precision_bits
     lat = _lattice(curve, prec)
@@ -217,18 +398,21 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
             raise PoleProximityError(f"t = {mp.nstr(tr, 10)} too close to the lattice")
         flip = tr > om / 2
         z = om - tr if flip else tr
-        chain = lat.chain
-        a_n = chain[-1][0]
-        s2 = (a_n * mp.cot(a_n * z)) ** 2
-        for (a, b), (a_next, _) in reversed(tuple(zip(chain, chain[1:]))):
-            s2 = s2 * (s2 + a * b) / (s2 + a_next * a_next)
+        a_n = lat.a_end
+        k, s = _walk_scale(lat, (a_n * mp.cot(a_n * z)) ** 2)
+        for a2, b2, ab, a2_next in reversed(lat.steps):
+            s = s * (s + _shift(ab, k)) // (s + _shift(a2_next, k))
+        S = lat.scale + k
         if lat.route == "one-real-root":
-            ga, gb = chain[0]
-            s2 = s2 * (s2 + gb * gb) / (s2 + ga * ga)
-            y = -mp.sqrt(s2) * abs(lat.e1 + s2 - lat.e3)
+            s = s * (s + _shift(lat.gb2, k)) // (s + _shift(lat.ga2, k))
+            # y^2 = s^2 |x - e3|^2 = s^2 ((2 s^2 + 3 e1)^2 + 4 Im(e2)^2) / 4
+            t2 = 2 * s + _shift(lat.e1x3, k)
+            y2 = s * (t2 * t2 + _shift(lat.v4, S + k))
+            y = -mp.sqrt(_mpf_at(y2, 3 * S + 2))
         else:
-            y = -mp.sqrt(s2 * (s2 + lat.e1 - lat.e3) * (s2 + lat.e1 - lat.e2))
-        x = lat.e1 + s2
+            y2 = s * (s + _shift(lat.ga2, k)) * (s + _shift(lat.gb2, k))
+            y = -mp.sqrt(_mpf_at(y2, 3 * S))
+        x = lat.e1 + _mpf_at(s, S)
         if flip:
             y = -y
         return +x, +y

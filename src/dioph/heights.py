@@ -247,10 +247,14 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
         sum_{n>=0} (-1)^n q^(n(n+1)/2) sin((2n+1) theta/2)
             = sin(theta/2) prod_{n>=1} (1 - q^n)(1 - 2 q^n cos(theta) + q^2n),
     an identity of power series in q that holds for q < 0 too.  Both series
-    need O(sqrt(prec)) terms where the product needs O(prec).
+    need O(sqrt(prec)) terms where the product needs O(prec), and both run
+    on integers (_theta_euler).  theta/2 is the end angle atan2(a_N, s_N)
+    of the Landen walk, so cos(theta/2) and sin(theta/2) need no mpf
+    trigonometry.
     """
     lat = analytic._lattice(curve_int, prec)
-    with mp.workprec(prec + 48):
+    # near |q| = 1 the series cancel, and theta and q need q_guard more bits
+    with mp.workprec(prec + 48 + lat.q_guard):
         x = mp.mpf(x0)
         s2 = x - lat.e1
         egg = lat.route == "three-real-roots" and x < (lat.e1 + lat.e2) / 2
@@ -261,32 +265,51 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
             four_y2 = abs(4 * s2 * (x - lat.e2) * (x - lat.e3))
             log_2y = mp.log(four_y2) / 2
             s2 = (s2 * s2 - (lat.e1 - lat.e2) * (lat.e1 - lat.e3)) ** 2 / four_y2
-        z = analytic._landen_log(lat, max(s2, mp.mpf(0)))
-        c, s = mp.cos_sin(mp.pi * z / lat.omega)
-        q = lat.q
-        tol = mp.ldexp(1, -mp.mp.prec)
-        # theta_1 over sin(theta/2): sum_n (-1)^n q^(n(n+1)/2) U_2n(c), with
-        # V_n = U_2n(c) = sin((2n+1) theta/2) / sin(theta/2) by
-        # V_(n+1) = (4c^2 - 2) V_n - V_(n-1), so |V_n| <= 2n + 1
-        d = 4 * c * c - 2
-        theta1, v_prev, v, qn, qt, n = mp.mpf(1), mp.mpf(1), d + 1, q, q, 1
-        while abs(qt) * (2 * n + 1) >= tol:
-            theta1 += -qt * v if n % 2 else qt * v
-            v_prev, v = v, d * v - v_prev
-            qn *= q
-            qt *= qn
-            n += 1
-        # prod_(n>=1) (1 - q^n) by Euler's pentagonal series
-        euler, qk, step, q3, k = mp.mpf(1), q, q, q**3, 1
-        while abs(qk) >= tol:
-            pair = qk * (1 + q**k)
-            euler += -pair if k % 2 else pair
-            step *= q3
-            qk *= step
-            k += 1
+        # theta/2 = pi z / omega = atan2(a_N, s_N) at the end of the Landen
+        # walk, as omega = pi / a_N: its cosine and sine are algebraic
+        a = lat.a_end
+        s_n = analytic._landen_walk(lat, max(s2, mp.mpf(0)))
+        h = mp.hypot(a, s_n)
+        theta1, euler = _theta_euler(lat.q, s_n / h)
+        s = a / h
         disc = abs(mp.mpf(int(curve_int.discriminant)))
-        lam = mp.log(disc / abs(q)) / 12 - mp.log(abs(2 * s * theta1 / euler))
+        lam = mp.log(disc / abs(lat.q)) / 12 - mp.log(abs(2 * s * theta1 / euler))
         return +((lam + log_2y) / 4) if egg else +lam
+
+
+def _theta_euler(q: mp.mpf, c: mp.mpf):
+    """(theta_1 / sin(theta/2), prod_(n>=1) (1 - q^n)) at c = cos(theta/2).
+
+    Both series are summed in integers over 2^F, F = working precision + 16,
+    to 2^-(working precision).  theta_1 over sin(theta/2) is
+    sum_n (-1)^n q^(n(n+1)/2) U_2n(c), with V_n = U_2n(c) =
+    sin((2n+1) theta/2) / sin(theta/2) by V_(n+1) = (4c^2 - 2) V_n - V_(n-1),
+    so |V_n| <= 2n + 1; the product is Euler's pentagonal series.
+    """
+    F = mp.mp.prec + 16
+    tol = 1 << 16  # 2^-(working precision), over 2^F
+    one = 1 << F
+    Q = int(mp.ldexp(q, F))
+    D = int(mp.ldexp(4 * c * c - 2, F))
+    theta1, v_prev, v, qn, qt, n = one, one, D + one, Q, Q, 1
+    while abs(qt) * (2 * n + 1) >= tol:
+        term = qt * v >> F
+        theta1 += -term if n % 2 else term
+        v_prev, v = v, (D * v >> F) - v_prev
+        qn = qn * Q >> F
+        qt = qt * qn >> F
+        n += 1
+    # prod_(n>=1) (1 - q^n) = 1 + sum_k (-1)^k q^(k(3k-1)/2) (1 + q^k)
+    euler, qk, qpow, step, k = one, Q, Q, Q, 1
+    q3 = Q * Q * Q >> 2 * F
+    while abs(qk) >= tol:
+        pair = qk * (one + qpow) >> F
+        euler += -pair if k % 2 else pair
+        step = step * q3 >> F
+        qk = qk * step >> F
+        qpow = qpow * Q >> F
+        k += 1
+    return mp.ldexp(theta1, -F), mp.ldexp(euler, -F)
 
 
 def _valuation(q, p: int):

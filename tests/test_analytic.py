@@ -100,6 +100,23 @@ def test_near_degenerate_curve_log_ends(bits, tmp_path):
     assert report["period_route"] == "one-real-root" and report["alpha"] == "0.5"
 
 
+def test_near_node_three_root_curve_log_exits_0(tmp_path):
+    # (x + 2)(x - 1 - d)(x - 1 + d), d = 2^-70: a root finder at a fixed
+    # precision could not separate 1 +- d, and the command ended in a traceback
+    d = Fraction(1, 2**70)
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps({"label": "node 2^-70", "a": str(-3 - d * d), "b": str(2 - 2 * d * d)}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-m", "dioph", "curve", "log", "--curve", str(path),
+                           f"--point={1 + d},0", "--out", str(tmp_path / "log")],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=str(tmp_path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "log.json").read_text())
+    # (1 + d, 0) is the 2-torsion point on the identity component
+    assert report["period_route"] == "three-real-roots" and report["alpha"] == "0.5"
+
+
 def test_period_precision_contract(curve_110160):
     om128 = analytic.real_period(curve_110160, 128).omega
     om256 = analytic.real_period(curve_110160, 256).omega

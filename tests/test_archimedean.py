@@ -4,12 +4,16 @@ The references are the slower forms the library used before: Carlson's R_F
 duplication (mpmath's elliprf) for the real period and the elliptic log, the
 Laurent series of wp with halving and doubling for the exponential map, and
 the 4^-n weighted duplication series for the archimedean Neron function.
-They find their own roots and share no code with the kernels under test.
-Agreement is asked to 2^-(prec - 8), relative.
+They find their own roots and share no code with the kernels under test;
+the near-node family needs no root finder, its roots being exact.  The
+integer Landen walks and the integer q-series are also checked against
+their mpf forms at a higher precision.  Agreement is asked to
+2^-(prec - 8), relative.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 
 from dioph import analytic, ec_core, heights
 from dioph.ec_core import CurvePoint, RationalCurve
+from dioph.errors import PoleProximityError
 
 from test_heights import _reference_kernel_multiple
 
@@ -53,13 +58,15 @@ def reference_log(curve, x, prec):
         return +mp.re(mp.elliprf(x - e1, x - e2, x - e3))
 
 
-def _reference_wp_coeffs(a, b, nterms):
-    """Laurent coefficients of wp: wp(z) = z^-2 + sum_{k>=2} c_k z^{2k-2}."""
-    c = [mp.mpf(0), mp.mpf(0), -a / 5, -b / 7]
-    for k in range(4, nterms):
-        s = mp.fsum(c[m] * c[k - m] for m in range(2, k - 1))
-        c.append(3 * s / ((2 * k + 1) * (k - 3)))
-    return c
+@lru_cache(maxsize=32)
+def _reference_wp_coeffs(a, b, nterms, bits):
+    """Laurent coefficients of wp: wp(z) = z^-2 + sum_{k>=2} c_k z^{2k-2}, at bits."""
+    with mp.workprec(bits):
+        c = [mp.mpf(0), mp.mpf(0), -a / 5, -b / 7]
+        for k in range(4, nterms):
+            s = mp.fsum(c[m] * c[k - m] for m in range(2, k - 1))
+            c.append(3 * s / ((2 * k + 1) * (k - 3)))
+    return tuple(c)
 
 
 def _reference_wp_series(c, z, prec):
@@ -102,7 +109,7 @@ def reference_exp(curve, t, om, prec):
     """
     with mp.workprec(prec + 48):
         a, b = _mpf(curve.a), _mpf(curve.b)
-        c = _reference_wp_coeffs(a, b, max(48, prec // 3))
+        c = _reference_wp_coeffs(a, b, max(48, prec // 3), mp.mp.prec)
         tr = mp.mpf(t) % om
         flip = tr > om / 2
         z = om - tr if flip else tr
@@ -202,6 +209,7 @@ CASES = {
     "egg (0,4) on 37a1": (C37A1, lambda prec: mp.mpf(0), False),
     "2^-100 above e1": (C110160, lambda prec: _near_e1(C110160, prec), True),
     "x(MP), [10]P on 110160.cd1": (C110160, lambda prec: _x_of_MP_10P(C110160, prec), True),
+    "x = 2^1000 on x3-2": (MORDELL, lambda prec: mp.ldexp(1, 1000), True),
     "near-node x = 1030": (NEAR, lambda prec: mp.mpf(1030), True),
     "near-node egg x = 1023.99": (NEAR, lambda prec: mp.mpf(102399) / 100, False),
 }
@@ -249,6 +257,41 @@ def test_lambda_matches_duplication_reference(case, prec):
                   reference_lambda(curve, x, prec), prec)
 
 
+def _reference_theta_euler(q, c):
+    """The theta_1 and Euler series of heights._theta_euler, summed in mpf."""
+    tol = mp.ldexp(1, -mp.mp.prec)
+    d = 4 * c * c - 2
+    theta1, v_prev, v, qn, qt, n = mp.mpf(1), mp.mpf(1), d + 1, q, q, 1
+    while abs(qt) * (2 * n + 1) >= tol:
+        theta1 += -qt * v if n % 2 else qt * v
+        v_prev, v = v, d * v - v_prev
+        qn *= q
+        qt *= qn
+        n += 1
+    euler, qk, step, k = mp.mpf(1), q, q, 1
+    while abs(qk) >= tol:
+        euler += -qk * (1 + q**k) if k % 2 else qk * (1 + q**k)
+        step *= q**3
+        qk *= step
+        k += 1
+    return theta1, euler
+
+
+@pytest.mark.parametrize("q", ("0.0017", "-0.0043", "0.61", "-0.852", "0.95", "-0.95"))
+@pytest.mark.parametrize("c", ("0.1", "0.7", "0.99995"))
+def test_theta_euler_matches_mpf_series(q, c):
+    # both sums are taken to 2^-(working precision) absolute: near |q| = 1
+    # they cancel far below their terms, so the comparison is absolute
+    prec = 256
+    with mp.workprec(prec):
+        q, c = mp.mpf(q), mp.mpf(c)
+        got = heights._theta_euler(q, c)
+    with mp.workprec(4 * prec):
+        ref = _reference_theta_euler(q, c)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= mp.ldexp(1, 8 - prec)
+
+
 @pytest.mark.parametrize("prec", PRECISIONS)
 @pytest.mark.parametrize("curve", (C110160, MORDELL, C37A1_SHORT, C28, C37A1, NEAR_ONE, NEAR),
                          ids=lambda c: c.label)
@@ -269,6 +312,105 @@ def test_exp_matches_series_reference(curve, prec):
     xr, yr = reference_exp(curve, half, om, prec)
     assert _close(x, xr, prec) and -mp.ldexp(1, 8 - prec) <= y <= 0
     assert abs(yr) <= mp.ldexp(1, 8 - prec)
+
+
+# --- the near-node family (x + 2)(x - 1 - delta)(x - 1 + delta) --------------
+# Its roots 1 +- delta and -2 are exact, so the oracle needs no root finder:
+# Carlson's R_F at 4 prec bits on the exact root differences.
+
+NODE_KS = (50, 70, 90, 120, 150)
+
+
+def _node_curve(k):
+    d = Fraction(1, 2**k)
+    return RationalCurve(a=-3 - d * d, b=2 - 2 * d * d, label=f"node delta = 2^-{k}")
+
+
+def _node_roots(k):
+    """(e1, e2, e3) = (1 + delta, 1 - delta, -2), exact at the working precision."""
+    d = mp.ldexp(1, -k)
+    return 1 + d, 1 - d, mp.mpf(-2)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("k", NODE_KS)
+def test_node_period_matches_exact_roots(k, prec):
+    with mp.workprec(4 * prec):
+        e1, e2, e3 = _node_roots(k)
+        ref = 2 * mp.elliprf(0, e1 - e2, e1 - e3)
+    per = analytic.real_period(_node_curve(k), prec)
+    assert per.route == "three-real-roots" and _close(per.omega, ref, prec)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("k", NODE_KS)
+def test_node_log_and_exp_match_exact_roots(k, prec):
+    curve = _node_curve(k)
+    for x_of_delta in (lambda d: mp.mpf(3), lambda d: 1 + 2 * d):  # far out, and delta above e1
+        with mp.workprec(4 * prec):
+            e1, e2, e3 = _node_roots(k)
+            x = x_of_delta(e1 - 1)
+            z = mp.elliprf(x - e1, x - e2, x - e3)
+            y = -mp.sqrt((x - e1) * (x - e2) * (x - e3))
+        assert _close(analytic.elliptic_log(curve, (x, y), prec).t, z, prec)
+        xe, ye = analytic.exp_E(curve, z, prec)
+        assert _close(xe, x, prec) and _close(ye, y, prec)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+@pytest.mark.parametrize("k", NODE_KS)
+def test_node_lambda_matches_duplication_reference(k, prec):
+    # the integral model, scaled by u = 2^k: roots 4^k (1 +- 2^-k) and -2 4^k
+    u2 = 4**k
+    curve = RationalCurve(a=-3 * u2 * u2 - u2, b=2 * u2**3 - 2 * u2 * u2)
+    for x in (3 * u2, u2 + 2 * 2**k):
+        with mp.workprec(prec + 64):
+            x = mp.mpf(x)
+        assert _close(heights._lambda_archimedean(curve, x, prec),
+                      reference_lambda(curve, x, 4 * prec), prec)
+
+
+# --- exp_E next to 2-torsion and next to the pole ------------------------------
+
+
+@pytest.mark.parametrize("prec", (128, 256))
+@pytest.mark.parametrize("curve", (C110160, MORDELL, NEAR), ids=lambda c: c.label)
+def test_exp_near_two_torsion_and_pole(curve, prec):
+    """t = omega/2 - 2^-k and t = 2^-k against the series reference at 4 prec.
+
+    exp_E reduces t at prec + 48 bits, so omega/2 - z carries an absolute
+    error of about 2^-(prec + 48), and y, which vanishes linearly there, is
+    good to about 2^-(prec + 48 - k) relative.  The round trip goes through
+    x rounded to prec + 48 bits, and x - e1 = O(2^-2k) keeps 2k fewer bits,
+    so t comes back to about 2^(min(k, (prec + 48)/2) - prec - 48).  Next to
+    the pole the point is large and the relative errors stay at the
+    working precision, up to the 2^-(prec/4) guard.
+    """
+    om = analytic.real_period(curve, prec).omega
+    for k in list(range(20, prec, 10)) + [prec]:
+        with mp.workprec(4 * prec):
+            t = om / 2 - mp.ldexp(1, -k)
+        x, y = analytic.exp_E(curve, t, prec)
+        xr, yr = reference_exp(curve, t, om, 4 * prec)
+        back = analytic.elliptic_log(curve, (x, y), prec).t
+        with mp.workprec(4 * prec):
+            assert abs(x - xr) <= mp.ldexp(abs(xr), -prec - 40), k
+            assert abs(y - yr) <= mp.ldexp(abs(yr), k - prec - 44), k
+            assert abs(back - t) <= mp.ldexp(1, min(k, (prec + 48) // 2) - prec - 44), k
+    for k in range(20, prec + 1, 10):
+        with mp.workprec(4 * prec):
+            t = mp.ldexp(1, -k)
+        if k > prec // 4:
+            with pytest.raises(PoleProximityError):
+                analytic.exp_E(curve, t, prec)
+            continue
+        x, y = analytic.exp_E(curve, t, prec)
+        xr, yr = reference_exp(curve, t, om, 4 * prec)
+        back = analytic.elliptic_log(curve, (x, y), prec).t
+        with mp.workprec(4 * prec):
+            assert abs(x - xr) <= mp.ldexp(abs(xr), -prec - 40), k
+            assert abs(y - yr) <= mp.ldexp(abs(yr), -prec - 40), k
+            assert abs(back - t) <= mp.ldexp(t, -prec - 40), k
 
 
 # --- property tests on random integral curves, both period routes -----------
@@ -347,9 +489,9 @@ def test_agm_chain_ends_and_exp_inverts_log():
         lat = analytic._lattice_cached.__wrapped__(analytic._frac_str(curve.a),
                                                    analytic._frac_str(curve.b), prec)
         routes.add(lat.route)
-        ga, gb = lat.chain[0]
+        log_ratio = float(mp.log(mp.mpf(lat.ga2) / lat.gb2)) / 2  # log(ga / gb)
         # quadratic convergence once a ~ b; about log2 |log(ga/gb)| steps to get there
-        assert len(lat.chain) <= math.log2(prec) + math.log2(1 + abs(float(mp.log(ga / gb)))) + 6
+        assert len(lat.steps) + 1 <= math.log2(prec) + math.log2(1 + abs(log_ratio)) + 6
         with mp.workprec(prec + 64):
             x = lat.e1 + mp.ldexp(1 + abs(lat.e1), k)
             y = mp.sqrt(x**3 + _mpf(curve.a) * x + _mpf(curve.b))
@@ -374,6 +516,92 @@ def test_hhat_invariant_under_non_minimal_model():
         h = heights.canonical_height_local(curve, P, PREC).value
         hu = heights.canonical_height_local(scaled, Pu, PREC).value
         assert abs(h - hu) <= TOL * max(h, 1)
+
+    check()
+    assert routes == {"three-real-roots", "one-real-root"}
+
+
+def _reference_walk(curve, prec):
+    """The Gauss chain of the kernel in mpf at prec bits, from reference roots.
+
+    Returns (e1, e2, e3, one_root, chain) with chain the pairs (a_k, b_k); the
+    one-real-root route starts after the closed-form complex step, as the
+    kernel does.
+    """
+    e1, e2, e3 = reference_roots(curve, prec)
+    one_root = curve.discriminant < 0
+    with mp.workprec(prec + 48):
+        if one_root:
+            beta = mp.sqrt(3 * e1 * e1 + _mpf(curve.a))
+            far = 2 * beta + 3 * abs(e1)
+            near = 4 * mp.im(e2) ** 2 / far
+            ga, gb = mp.sqrt(far if e1 >= 0 else near) / 2, mp.sqrt(beta)
+        else:
+            ga, gb = mp.sqrt(e1 - e3), mp.sqrt(e1 - e2)
+        chain = [(ga, gb)]
+        while abs(chain[-1][0] - chain[-1][1]) > mp.ldexp(chain[-1][0], -prec - 40):
+            a, b = chain[-1]
+            chain.append(((a + b) / 2, mp.sqrt(a * b)))
+    return e1, e2, e3, one_root, chain
+
+
+def _reference_landen_s2(s2, ab, r, a_next):
+    d = s2 - ab
+    return (d + r) / 2 if d >= 0 else 2 * s2 * a_next * a_next / (r - d)
+
+
+def _reference_log(walk, s2, prec):
+    """The forward Gauss-Landen walk in mpf: z with wp(z) = e1 + s2."""
+    e1, _, e3, one_root, chain = walk
+    with mp.workprec(prec + 48):
+        if one_root:
+            ga, gb = chain[0]
+            s2 = _reference_landen_s2(s2, gb * gb, abs(e1 + s2 - e3), ga)
+        for (a, b), (a_next, _) in zip(chain, chain[1:]):
+            r = mp.sqrt((s2 + a * a) * (s2 + b * b))
+            s2 = _reference_landen_s2(s2, a * b, r, a_next)
+        a = chain[-1][0]
+        return mp.atan2(a, mp.sqrt(s2)) / a
+
+
+def _reference_exp_s2(walk, z, prec):
+    """The backward walk in mpf: x(z) - e1 from s_N = a_N cot(a_N z)."""
+    e1, _, e3, one_root, chain = walk
+    with mp.workprec(prec + 48):
+        a_n = chain[-1][0]
+        s2 = (a_n * mp.cot(a_n * z)) ** 2
+        for (a, b), (a_next, _) in reversed(list(zip(chain, chain[1:]))):
+            s2 = s2 * (s2 + a * b) / (s2 + a_next * a_next)
+        if one_root:
+            ga, gb = chain[0]
+            s2 = s2 * (s2 + gb * gb) / (s2 + ga * ga)
+        return s2
+
+
+def test_int_walks_match_mpf_reference_walk():
+    """The integer Landen walks against the mpf walk at twice the precision."""
+    routes = set()
+
+    @given(_lattice_curves(), st.integers(64, 400), st.integers(-40, 40), st.integers(1, 49))
+    def check(curve, prec, k, u):
+        lat = analytic._lattice(curve, prec)
+        routes.add(lat.route)
+        walk = _reference_walk(curve, 2 * prec)
+        with mp.workprec(prec + 48):
+            s2 = mp.ldexp(1 + abs(lat.e1), k)
+            z = analytic._landen_log(lat, s2)
+        assert abs(z - _reference_log(walk, s2, 2 * prec)) <= mp.ldexp(z, 8 - prec)
+        # away from 2-torsion, so that x - e1 is not all rounding
+        om = lat.omega
+        with mp.workprec(prec + 48):
+            t = om * u / 100
+        x, y = analytic.exp_E(curve, t, prec)
+        with mp.workprec(2 * prec + 48):
+            s2r = _reference_exp_s2(walk, t, 2 * prec)
+            assert abs(x - lat.e1 - s2r) <= mp.ldexp(s2r + abs(lat.e1), 8 - prec)
+            e1, e2, e3 = walk[:3]
+            yr = -mp.sqrt(abs(s2r * (e1 + s2r - e2) * (e1 + s2r - e3)))
+            assert abs(y - yr) <= mp.ldexp(abs(yr), 8 - prec)
 
     check()
     assert routes == {"three-real-roots", "one-real-root"}
