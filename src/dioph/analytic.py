@@ -241,6 +241,14 @@ def _lattice_roots(a_q: Fraction, b_q: Fraction, three_roots: bool, prec: int):
 
 @lru_cache(maxsize=64)
 def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
+    """The lattice record of y^2 = x^3 + a x + b at prec bits.
+
+    The roots come exact from _lattice_roots, as integers over 2^scale
+    with the guard bits of the root separation.  The Gauss chain and the
+    complementary AGM run on their squares with math.isqrt, from
+    (e1 - e3, e1 - e2), or on the one-root route from the closed-form
+    complex step.  The mpf fields are read off the integers at the end.
+    """
     a_q, b_q = Fraction(a_str), Fraction(b_str)
     # the sign of the exact discriminant -16(4a^3 + 27b^2) decides the route
     disc = 4 * a_q**3 + 27 * b_q**2
