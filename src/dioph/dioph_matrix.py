@@ -57,7 +57,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import _INT64_MAX, _circle_runs, _enumerate_in_radius, _lll, _with_dual_bound
+from .reduction import (_INT64_MAX, _circle_runs, _enumerate_in_radius, _int_dtype, _lll,
+                        _with_dual_bound)
 
 DEFAULT_PRECISION = 256
 DEFAULT_MAX_ENUM = 30_000_000
@@ -220,7 +221,7 @@ def _exact_form(A: RealMatrix, gamma: Tuple[Fraction, ...], q_max: int):
     N = [nums[i * A.n:(i + 1) * A.n] for i in range(A.m)]
     G = nums[A.m * A.n:]
     bound = max(sum(abs(a) for a in row) * q_max + abs(g) for row, g in zip(N, G)) + 2 * D
-    dtype = np.int64 if bound < 2**62 else object
+    dtype = _int_dtype(bound)
     return D, np.array(N, dtype=dtype).reshape(A.m, A.n), np.array(G, dtype=dtype)
 
 
@@ -643,7 +644,7 @@ def _windows(base: float, q_max: int):
 
 
 def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
-                      burn_in: int = 2, max_enum: int = DEFAULT_MAX_ENUM) -> ExponentFit:
+                      max_enum: int = DEFAULT_MAX_ENUM) -> ExponentFit:
     """Windowed homogeneous exponent over the shells ||q|| in [B^k, B^(k+1)).
 
     Each window champion maximises -log err(q) / log ||q|| exactly, ties to
@@ -683,7 +684,7 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
         window_maxima.append((q_window, sample))
         detail_rows.append({"Q_window": q_window, "q": qv, "p": p_exact,
                             "error": float(err_exact), "exponent_sample": sample})
-        if k >= burn_in:
+        if k >= 2:  # windows 0 and 1 are burn-in
             if err_exact == 0:
                 continue
             xs.append(math.log(qn))

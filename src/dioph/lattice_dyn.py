@@ -8,10 +8,12 @@ Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
 ties in the documented order (`dioph_matrix._canon`).  Only the half of the
 set with a positive first coefficient is kept, since -v never wins a tie
-against v.  The independence test is a float Gram-Schmidt over the shortest
-candidates of all samples at once, k numpy steps in all, and each chosen set
-is confirmed by an exact rank.  `successive_minima` and `shortest_vector`
-are one sample of it, over the float norms of one reduced lattice.
+against v.  Independence is decided exactly in integers: step j keeps the
+exterior product W of the j picks, and a candidate c is independent of them
+exactly when c ^ W != 0.  The test runs over the shortest candidates of all
+samples at once, k numpy steps in all.  `successive_minima` and
+`shortest_vector` are one sample of it, over the float norms of one reduced
+lattice.
 
 Along the flow (`flow_profile`, and the dual flow behind
 `haw_game.derive_strategy`) a vector (A q + p, q) has length
@@ -36,18 +38,21 @@ enumeration there holds every candidate of the window.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import mpmath as mp
 import numpy as np
 
 from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import _enumerate_in_radius, _finite, _gram_schmidt, _lll, _with_dual_bound
+from .reduction import (_enumerate_in_radius, _finite, _gram_schmidt, _int_dtype, _lll,
+                        _with_dual_bound)
 
 DEFAULT_MAX_ENUM = 2_000_000
 # t-span of one window of `_windowed_sweep` (m + n >= 3).  Longer windows
@@ -113,10 +118,9 @@ def polar_lattice(L: LatticeBasis) -> LatticeBasis:
 
 def _int_matmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """X @ T.T for integer arrays: int64 when no entry can overflow, Python ints otherwise."""
-    bound = int(np.abs(X).max(initial=0)) * max(abs(int(v)) for v in T.flat) * T.shape[1]
-    if bound < 2**62:
-        return X.astype(np.int64) @ np.asarray(T, dtype=np.int64).T
-    return X.astype(object) @ np.asarray(T, dtype=object).T
+    dtype = _int_dtype(int(np.abs(X).max(initial=0)) * max(abs(int(v)) for v in T.flat)
+                       * T.shape[1])
+    return X.astype(dtype) @ np.asarray(T, dtype=dtype).T
 
 
 def _canonical(coeffs: np.ndarray) -> np.ndarray:
@@ -130,39 +134,52 @@ def _canonical(coeffs: np.ndarray) -> np.ndarray:
     return keep[np.lexsort(_canon_keys(coeffs[keep]))]
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge_index(d: int, j: int):
+    """Index arrays of c ^ W for c in Z^d and W in its j-th exterior power.
+
+    Coordinates are indexed by subsets of range(d) in `itertools.combinations`
+    order.  Coordinate J of c ^ W, |J| = j + 1, is sum_r (-1)^r c[J_r]
+    W[J - J_r]: returns the (n_J, j + 1) arrays of J_r and of the index of
+    J - J_r.
+    """
+    index = {J: i for i, J in enumerate(itertools.combinations(range(d), j))}
+    subsets = list(itertools.combinations(range(d), j + 1))
+    rest = [[index[J[:r] + J[r + 1:]] for r in range(j + 1)] for J in subsets]
+    return np.array(subsets), np.array(rest)
+
+
 def _independent(X: np.ndarray, k: int):
     """Greedy independence over each column of X (P, S, d): (positions (S, k), found (S,)).
 
-    Step j takes, in every column at once, the first row whose residual
-    against the rows taken so far is nonzero (relative 1e-9), then projects
-    that direction out of all residuals: k numpy steps for all columns.
+    Step j keeps, in every column at once, the exterior product W of the j
+    rows taken so far, and takes the first row c with c ^ W != 0, exactly in
+    integers: k numpy steps for all columns.  An entry of W is a j-minor, so
+    by Hadamard every partial sum is below k d^((k - 1)/2) max|X|^k, which
+    picks int64 or Python ints.
     """
-    P, S, _ = X.shape
+    P, S, d = X.shape
+    big = max(int(X.max(initial=0)), -int(X.min(initial=0)))
+    X = X.astype(_int_dtype(k * (math.isqrt(d ** (k - 1)) + 1) * big ** k), copy=False)
     cols = np.arange(S)
-    R = X.copy()
-    tol = 1e-9 * (1 + np.sqrt((X * X).sum(axis=2)))
+    W = np.ones((S, 1), dtype=X.dtype)
     pos = np.zeros((S, k), dtype=np.int64)
     found = np.ones(S, dtype=bool)
     for j in range(k):
-        rn = np.sqrt((R * R).sum(axis=2))
-        ok = rn > tol
+        subsets, rest = _wedge_index(d, j)
+        signed = W[:, rest] * (-1) ** np.arange(j + 1)  # (S, n_J, j + 1)
+        wedge = X[:, :, subsets[:, 0]]
+        wedge *= signed[:, :, 0]
+        for r in range(1, j + 1):  # in place: two (P, S, n_J) arrays at most
+            term = X[:, :, subsets[:, r]]
+            term *= signed[:, :, r]
+            wedge += term
+        ok = (wedge != 0).any(axis=2)
         p = ok.argmax(axis=0)
         found &= ok[p, cols]
         pos[:, j] = p
-        direction = R[p, cols] / np.where(found, rn[p, cols], 1.0)[:, None]
-        R -= np.einsum("ps,sd->psd", np.einsum("psd,sd->ps", R, direction), direction)
+        W = wedge[p, cols]
     return pos, found
-
-
-def _exact_greedy(order: np.ndarray, grid: np.ndarray, k: int) -> Optional[List[int]]:
-    """Greedy minima along `order` with every independence test exact."""
-    chosen: List[int] = []
-    for i in order.tolist():
-        if _exact_rank([grid[j] for j in chosen] + [grid[i]]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == k:
-                return chosen
-    return None
 
 
 def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarray]:
@@ -172,14 +189,13 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     (C, d) its integer coordinates in any basis; candidates come in `_canon`
     order, so (length, index) is the documented tie order.  lambda_i takes the
     first candidate independent of lambda_1..lambda_(i-1).  The test runs on
-    the shortest P candidates of each sample, P growing only for the samples
-    that need more, and each chosen set is confirmed by an exact rank.
-    None when some sample has fewer than k independent candidates.
+    the shortest P candidates of each sample (`_independent`, exact), P
+    growing only for the samples that need more.  None when some sample has
+    fewer than k independent candidates.
     """
     C, S = lengths.shape
     if k == 1:
         return lengths.argmin(axis=0)[:, None]  # the first of equal minima
-    coords = grid.astype(np.float64)
     rows = np.empty((S, k), dtype=np.int64)
     todo, P = np.arange(S), min(C, 8 * k)
     while todo.size:
@@ -190,7 +206,7 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
             head = np.take_along_axis(head, np.lexsort((head, sub[head, cols]), axis=0), axis=0)
         else:
             head, edge = np.argsort(sub, axis=0, kind="stable"), np.full(todo.size, np.inf)
-        pos, found = _independent(coords[head], k)
+        pos, found = _independent(grid[head], k)
         picked = head[pos, cols[:, None]]
         # every candidate as short as lambda_k must be in the head
         done = found & (sub[picked[:, -1], cols] < edge)
@@ -198,14 +214,6 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
             return None
         rows[todo[done]] = picked[done]
         todo, P = todo[~done], min(C, 16 * P)
-    # each distinct set once, as a list: a tuple would index grid one axis per entry
-    for chosen in map(list, {tuple(r) for r in rows.tolist()}):
-        if _exact_rank(grid[chosen]) < k:  # the float test was fooled: redo these exactly
-            for s in np.nonzero((rows == chosen).all(axis=1))[0]:
-                redo = _exact_greedy(np.lexsort((np.arange(C), lengths[:, s])), grid, k)
-                if redo is None:
-                    return None
-                rows[s] = redo
     return rows
 
 
@@ -244,31 +252,6 @@ def shortest_vector(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM):
     """
     lengths, vecs, coeffs = _lattice_minima(L, 1, max_enum)
     return vecs[0], coeffs[0], lengths[0]
-
-
-def _exact_rank(rows: List[Sequence[int]]) -> int:
-    """Rank over Q of integer vectors (fraction-free Bareiss elimination).
-
-    After each pivot every entry below it is a minor of the matrix, so the
-    division by the previous pivot is exact.
-    """
-    mat = [[int(v) for v in row] for row in rows]
-    rank, prev = 0, 1
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        p = top[c]
-        for r in range(rank + 1, len(mat)):
-            row, f = mat[r], mat[r][c]
-            mat[r] = [0] * (c + 1) + [(p * row[cc] - f * top[cc]) // prev
-                                      for cc in range(c + 1, ncols)]
-        prev = p
-        rank += 1
-    return rank
 
 
 def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM):
@@ -495,7 +478,8 @@ def _cf_sweep(D: int, a: int, times: np.ndarray, k: int) -> _Sweep:
 
     All samples share one candidate set.  It is scored as the windows score
     theirs (`_canonical`, `_exact_uw`, one length expression, `_minima`), so
-    each sample picks the vectors the windows pick, ties included.
+    each sample picks the vectors the windows pick, ties included; `_minima`
+    tests independence exactly on the coefficients (p, q) themselves.
     Candidates with q > 2 (|A| + 1) e^(2 t_max) are left out: (1, 0) and
     (0, 1) are shorter at every sample.
     """
@@ -518,14 +502,15 @@ def _cf_sweep(D: int, a: int, times: np.ndarray, k: int) -> _Sweep:
         return coeffs, u, w, np.maximum(np.outer(u, grow), np.outer(w, shrink))
 
     coeffs, u, w, lengths = score(list(source))
-    if k == 1:
-        rows = _minima(lengths, coeffs, 1)
-    else:
+    if k == 2:
         at = np.array([source[(int(p), int(q))] for p, q in coeffs])[lengths.argmin(axis=0)]
-        extra, base = _intermediates(D, a, V, quotients, at, grow, shrink)
+        extra = _intermediates(D, a, V, quotients, at, grow, shrink)
         coeffs, u, w, lengths = score(list(source) + [v for v in extra - source.keys()
                                                       if abs(v[1]) <= cap])
-        rows = _local_minima(coeffs, lengths, V, at, base, k)
+    rows = _minima(lengths, coeffs, k)
+    if rows is None:
+        raise BudgetExceededError(f"continued-fraction candidates hold fewer than {k} "
+                                  "independent vectors")
     lam = lengths[rows, np.arange(len(times))[:, None]]
     return _Sweep(lambdas=lam, coeffs=coeffs[rows[:, 0]], u=u[rows[:, 0]], w=w[rows[:, 0]])
 
@@ -540,16 +525,13 @@ def _intermediates(D: int, a: int, V, quotients, at: np.ndarray, grow: np.ndarra
     over floor(i*) - 1 .. ceil(i*) + 1, clipped to [0, a_(j+1)].  i* is
     taken in float where its error is far below 1 (and the range widened
     by one each side), else exactly from the float e^(+-t) the lengths use.
-    Returns the set of sign-canonical candidates and, per sample, the base
-    of its local basis for `_local_minima`: floor(i*) clipped and rounded
-    down to a multiple of 16, 0 at (1, 0) and (0, 1).
+    Returns the set of sign-canonical candidates.
     """
     Us = [abs(a * q + D * p) for p, q in V]  # D u of each convergent
     uV = np.array([U / D for U in Us])
     qV = np.array([float(q) for _, q in V])
     # a_(j+1) for v_j = V[idx], or no bound after the last convergent
     tops = [quotients[idx - 1] if idx - 1 < len(quotients) else math.inf for idx in range(len(V))]
-    base = [0] * len(at)
     spans = set()  # (index of v_j, least i, greatest i)
     ss = np.nonzero(at >= 2)[0]
     j1 = at[ss]
@@ -560,53 +542,18 @@ def _intermediates(D: int, a: int, V, quotients, at: np.ndarray, grow: np.ndarra
     fl = np.floor(np.where(in_float, est, 0)).astype(np.int64)
     spans.update(zip(j1[in_float].tolist(), (fl[in_float] - 2).tolist(),
                      (fl[in_float] + 3).tolist()))
-    for s, idx, f in zip(ss[in_float].tolist(), j1[in_float].tolist(), fl[in_float].tolist()):
-        base[s] = (min(max(f, 0), tops[idx]) >> 4) << 4
     for s, idx in zip(ss[~in_float].tolist(), j1[~in_float].tolist()):
         gn, gd = float(grow[s]).as_integer_ratio()
         hn, hd = float(shrink[s]).as_integer_ratio()
         num = gn * hd * Us[idx - 1] - hn * gd * D * V[idx - 1][1]
         den = gn * hd * Us[idx] + hn * gd * D * V[idx][1]
         spans.add((idx, num // den - 1, -(-num // den) + 1))
-        base[s] = (min(max(num // den, 0), tops[idx]) >> 4) << 4
     extra = set()
     for idx, lo, hi in spans:
         (p0, q0), (p1, q1) = V[idx - 1], V[idx]
         extra.update(_sign_canon((p0 + i * p1, q0 + i * q1))
                      for i in range(max(lo, 0), min(hi, tops[idx]) + 1))
-    return extra, base
-
-
-def _local_minima(coeffs: np.ndarray, lengths: np.ndarray, V, at: np.ndarray, base, k: int):
-    """`_minima` over the samples, in groups that share a well-conditioned basis.
-
-    `_minima`'s float independence test needs integer coordinates in which
-    lambda_1 and lambda_2 are far from parallel; the coefficients (p, q)
-    themselves grow like e^t.  A sample with shortest vector v_j = V[at] and
-    base c > 0 uses the basis (v_(j-1) + c v_j, v_j): both minima then have
-    coordinates below 20.  The others are grouped by the bit length of q_j
-    over 8, with the basis (v_(B-1), v_B) of the least convergent B >= 0 of
-    the group, where their minima have coordinates below 2^14.
-    """
-    bits = [q.bit_length() // 8 for _, q in V]
-    groups = {}
-    for s, (idx, c) in enumerate(zip(at.tolist(), base)):
-        groups.setdefault((idx, c) if c else (None, bits[idx]), []).append(s)
-    rows = np.empty((lengths.shape[1], k), dtype=np.int64)
-    P, Q = coeffs[:, 0], coeffs[:, 1]
-    for (idx, c), members in groups.items():
-        if idx is None:  # not (v_(-2), v_(-1)), the identity: p grows like |A| q there
-            idx = max(2, int(at[members].min()))
-        (p0, q0), (p1, q1) = V[idx - 1], V[idx]
-        e = (p0 + c * p1, q0 + c * q1)
-        sign = e[0] * q1 - e[1] * p1  # det(e, v_j) = +-1
-        grid = np.stack([sign * (P * q1 - Q * p1), sign * (e[0] * Q - e[1] * P)], axis=1)
-        picked = _minima(lengths[:, members], grid, k)
-        if picked is None:
-            raise BudgetExceededError(f"continued-fraction candidates hold fewer than {k} "
-                                      "independent vectors")
-        rows[members] = picked
-    return rows
+    return extra
 
 
 def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
@@ -663,8 +610,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> 
 
 
 def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
-                 sigma: Optional[float] = None, max_enum: int = DEFAULT_MAX_ENUM,
-                 minima_count: Optional[int] = None) -> FlowProfile:
+                 sigma: Optional[float] = None, max_enum: int = DEFAULT_MAX_ENUM) -> FlowProfile:
     """Sample Delta(t) = -log lambda_1(g_t Lambda_A) and flag its local maxima.
 
     Flagged times (local minima of the shortest length) are refined to the
@@ -678,10 +624,8 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
     m, n = A.m, A.n
     if dt <= 0 or t_max <= 0:
         raise ValidationError("need positive dt and t_max")
-    d = m + n
-    k = d if minima_count is None else max(1, min(d, minima_count))
     times = np.arange(0.0, t_max + dt / 2, dt)
-    sweep = _flow_sweep(A, times, k, max_enum)
+    sweep = _flow_sweep(A, times, m + n, max_enum)
     lam = sweep.lambdas
     L0 = from_matrix(A)
     base_vecs = [L0.basis @ c.astype(np.float64) for c in sweep.coeffs]
@@ -711,8 +655,11 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
                        weighted_minima_times=weighted_minima, minima_vectors=vectors)
 
 
-def segment_slopes(profile: FlowProfile, min_samples: int = 3) -> List[float]:
-    """Least-squares slopes of Delta between consecutive piecewise-linear vertices."""
+def segment_slopes(profile: FlowProfile) -> List[float]:
+    """Least-squares slopes of Delta between consecutive piecewise-linear vertices.
+
+    A piece needs at least three interior samples to get a slope.
+    """
     delta, times = profile.delta_values, profile.times
     verts = {0, len(times) - 1}
     for i in range(1, len(times) - 1):
@@ -724,7 +671,7 @@ def segment_slopes(profile: FlowProfile, min_samples: int = 3) -> List[float]:
     for a, b in zip(vs[:-1], vs[1:]):
         # interior samples only: the vertex samples straddle two linear pieces
         lo, hi = a + 1, b
-        if hi - lo >= min_samples:
+        if hi - lo >= 3:
             t, y = times[lo:hi], delta[lo:hi]
             slope = float(np.polyfit(t, y, 1)[0])
             slopes.append(slope)

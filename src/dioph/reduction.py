@@ -30,6 +30,14 @@ from .errors import BudgetExceededError, SingularMatrixError
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def _int_dtype(bound: int):
+    """The dtype of exact integer arithmetic whose partial sums stay below `bound`.
+
+    int64 when bound < 2^62, Python ints (object) otherwise.
+    """
+    return np.int64 if bound < 2**62 else object
+
+
 def _int64_transform(T: List[List[int]], name: str) -> np.ndarray:
     """The integer transform T (nested lists) as an int64 array; raises beyond int64."""
     big = max(abs(x) for row in T for x in row)
@@ -63,18 +71,18 @@ def _gram_schmidt(B: List[List[float]]):
     return mu, norms
 
 
-def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]:
+def _lll(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """LLL on columns; returns (reduced columns, integer transform T), reduced = cols @ T.
 
-    Cohen, GTM 138, Alg. 2.6.3: only mu and the squared Gram-Schmidt norms
-    N_i are kept.  Size reduction changes row k of mu; a swap of columns k-1
-    and k updates N_(k-1), N_k and O(d) entries of mu in place.  If N_k = 0
-    (dependent columns, or an underflow) the swap recomputes Gram-Schmidt.
-    Columns are Python lists, of floats for the basis and of ints for T, so
-    T is checked once, on exit: an entry beyond int64 raises
-    BudgetExceededError.  After 10000 iterations (ill-conditioned input) the
-    current basis is returned.  A basis entry beyond the float64 range
-    raises BudgetExceededError.
+    Cohen, GTM 138, Alg. 2.6.3, Lovasz constant 3/4: only mu and the squared
+    Gram-Schmidt norms N_i are kept.  Size reduction changes row k of mu; a
+    swap of columns k-1 and k updates N_(k-1), N_k and O(d) entries of mu in
+    place.  If N_k = 0 (dependent columns, or an underflow) the swap
+    recomputes Gram-Schmidt.  Columns are Python lists, of floats for the
+    basis and of ints for T, so T is checked once, on exit: an entry beyond
+    int64 raises BudgetExceededError.  After 10000 iterations
+    (ill-conditioned input) the current basis is returned.  A basis entry
+    beyond the float64 range raises BudgetExceededError.
     """
     B = _finite(np.asarray(cols, dtype=np.float64), "basis").T.tolist()
     d = len(B)
@@ -92,7 +100,7 @@ def _lll(cols: np.ndarray, delta: float = 0.75) -> Tuple[np.ndarray, np.ndarray]
                 row[:j] = [x - r * y for x, y in zip(row, mu[j][:j])]
                 row[j] -= r
         c = row[k - 1]
-        if norms[k] >= (delta - c * c) * norms[k - 1]:
+        if norms[k] >= (0.75 - c * c) * norms[k - 1]:
             k += 1
             continue
         B[k - 1], B[k] = B[k], B[k - 1]

@@ -95,7 +95,7 @@ def _reference_lll(cols, delta=0.75):
 
 def _fraction_rank(rows):
     """Rank over Q by Gaussian elimination in Fractions: the oracle for
-    the fraction-free `ld._exact_rank`."""
+    the exact independence test of `ld._minima`."""
     mat = [[Fraction(int(v)) for v in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -192,7 +192,7 @@ def test_successive_minima_independence():
         L = ld.LatticeBasis.from_columns(B)
         lengths, vecs, coeffs = ld.successive_minima(L, 3)
         assert lengths[0] <= lengths[1] <= lengths[2]
-        assert ld._exact_rank([c for c in coeffs]) == 3
+        assert _fraction_rank(coeffs.tolist()) == 3
 
 
 def test_lll_matches_reference():
@@ -363,22 +363,6 @@ def test_lll_transform_stays_in_int64(X, Z):
     assert np.array_equal(B, np.eye(3)) and np.array_equal(cols @ T.astype(np.float64), B)
 
 
-def test_exact_rank_matches_fraction_oracle():
-    rng = np.random.default_rng(5)
-    ranks = set()
-    for _ in range(300):
-        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        r = int(rng.integers(0, min(rows, cols) + 1))
-        # a product of rows x r and r x cols factors has rank <= r
-        M = rng.integers(-9, 10, size=(rows, r)) @ rng.integers(-9, 10, size=(r, cols))
-        if rng.random() < 0.3:
-            M = rng.integers(-(10**12), 10**12, size=(rows, cols))
-        got = ld._exact_rank(M.tolist())
-        assert got == _fraction_rank(M.tolist())
-        ranks.add(got)
-    assert ranks == {0, 1, 2, 3, 4, 5}
-
-
 def _loop_minima(lengths, grid, k):
     """Greedy minima with one Python step per candidate in (length, index)
     order and Fraction ranks: None at a sample with fewer than k independent."""
@@ -439,15 +423,48 @@ def test_minima_matches_loop_reference():
         assert max(want[hard]) >= many > 8 * k
 
 
-def test_minima_exact_rank_overrides_float_test(monkeypatch):
-    # a float test that takes two dependent candidates is caught by the exact
-    # rank, and that sample is redone with exact tests throughout
-    grid = np.array([[1, 0], [2, 0], [0, 1]])
+def test_minima_near_parallel_rows():
+    # (10^10, 1) is independent of (1, 0): its residual 1 is far below a
+    # relative float tolerance, and the exact test still takes it
+    grid = np.array([[1, 0], [10**10, 1], [0, 1]])
     lengths = np.array([[1.0], [2.0], [3.0]])
-    assert ld._minima(lengths, grid, 2).tolist() == [[0, 2]]
-    monkeypatch.setattr(ld, "_independent",
-                        lambda X, k: (np.array([[0, 1]]), np.array([True])))
-    assert ld._minima(lengths, grid, 2).tolist() == [[0, 2]]
+    assert ld._minima(lengths, grid, 2).tolist() == [[0, 1]]
+
+
+@st.composite
+def _near_parallel_minima(draw):
+    """(lengths, grid, k): pairs of rows v and N v + e, N up to 2^40, among small rows.
+
+    With e small the pair is nearly parallel, and e = 0 makes it dependent.
+    Large N (from about 2^29 at k = 2) puts the partial-sum bound of the
+    wedge test past int64, so both of `ld._independent`'s integer branches run.
+    """
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(2, d))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        v, N, e = draw(vec), draw(st.integers(1, 2**40)), draw(vec)
+        rows += [v, [N * x + y for x, y in zip(v, e)]]
+    rows = [r for r in rows + draw(st.lists(vec, max_size=6)) if any(r)]
+    assume(rows)
+    S = draw(st.integers(1, 4))
+    halves = st.lists(st.integers(1, 6), min_size=S, max_size=S)
+    lengths = draw(st.lists(halves, min_size=len(rows), max_size=len(rows)))
+    return np.array(lengths) / 2.0, np.array(rows), k
+
+
+@given(case=_near_parallel_minima())
+def test_minima_near_parallel_matches_loop_reference(case):
+    # the exact wedge test of `ld._minima` against Fraction ranks, on rows a
+    # float Gram-Schmidt with a relative tolerance takes for dependent
+    lengths, grid, k = case
+    want = _loop_minima(lengths, grid, k)
+    got = ld._minima(lengths, grid, k)
+    if any(w is None for w in want):
+        assert got is None
+    else:
+        assert got.tolist() == want
 
 
 def test_polar_lattice():
@@ -526,10 +543,10 @@ def test_badly_approximable_vs_liouville_growth():
     # Dani correspondence sanity: Delta bounded for phi, growing for Liouville
     from dioph.dioph_matrix import liouville_number
     A = RealMatrix.scalar(PHI_STR, 64)
-    prof = ld.flow_profile(A, 12.0, 0.05, minima_count=1)
+    prof = ld.flow_profile(A, 12.0, 0.05)
     assert prof.delta_values.max() < 1.0
     L = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
-    prof2 = ld.flow_profile(L, 12.0, 0.1, minima_count=1, max_enum=8_000_000)
+    prof2 = ld.flow_profile(L, 12.0, 0.1, max_enum=8_000_000)
     assert prof2.delta_values.max() > 2.0
 
 
