@@ -382,7 +382,8 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
     """Numeric point on the identity component at elliptic-log coordinate t.
 
     Returns an (x, y) pair of mpf, with y <= 0 on (0, omega/2].  Raises
-    PoleProximityError when t is within 2^(-precision/4) of 0 mod omega;
+    PoleProximityError when t is within 2^(-precision/4) omega of 0 mod
+    omega, a guard relative to the period so that it scales with the curve;
     callers treat that as identity.
 
     For z = t reduced into (0, omega/2], the Landen walk of _landen_log runs
@@ -402,7 +403,7 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
     om = lat.omega
     with mp.workprec(prec + 48):
         tr = mp.mpf(_as_t(t)) % om
-        if min(tr, om - tr) < mp.ldexp(1, -prec // 4):
+        if min(tr, om - tr) < mp.ldexp(om, -prec // 4):
             raise PoleProximityError(f"t = {mp.nstr(tr, 10)} too close to the lattice")
         flip = tr > om / 2
         z = om - tr if flip else tr

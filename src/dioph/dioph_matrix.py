@@ -6,15 +6,18 @@ lo <= ||q||_inf <= hi.  It searches the lattice with basis columns
 (e_i/eps, 0) for p and (A e_j/eps, e_j/hi) for q, whose points within
 sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
 ||q|| <= hi and ||A q + p - gamma|| <= eps.  Both kernels come from
-`reduction`, whose module docstring describes them and their budgets:
+`reduction`, whose module docstring describes them:
 
 * m = n = 1, the circle problem: the two columns scaled to integers are
   Gauss-reduced exactly, and the ball is solved line by line in Python
-  ints (`_circle_runs`), with no float anywhere.
+  ints (`_circle_runs`), with no float anywhere.  Its budget is the
+  kernel's own, `reduction.CIRCLE_MAX_ENUM` lines walked and points listed
+  per search.
 * m + n >= 3: the basis is LLL-reduced in float64 (`_ball_lattice`) and the
   ball enumerated (`_enumerate_in_radius`).  A float64 score of each
   enumerated q picks a shortlist that provably holds every q the search
-  can return, and only the shortlist is rescored exactly.
+  can return, and only the shortlist is rescored exactly.  The budget is
+  `DEFAULT_MAX_ENUM` points per enumeration box, walked in chunks.
 
 The search has two modes:
 
@@ -57,10 +60,12 @@ import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_INT64_MAX, _circle_runs, _enumerate_in_radius, _int_dtype, _lll,
-                        _with_dual_bound)
+from .reduction import (_INT64_MAX, _circle_points, _circle_runs, _enumerate_in_radius,
+                        _int_dtype, _lll, _with_dual_bound)
 
 DEFAULT_PRECISION = 256
+# points per enumeration box of an m + n >= 3 shell search; the box is walked
+# `_CHUNK_ROWS` points at a time, so this bounds time, not memory
 DEFAULT_MAX_ENUM = 30_000_000
 _CHUNK_ROWS = 1 << 17
 
@@ -278,13 +283,12 @@ class _Shells:
     are (D err, q, p) with D the common denominator of `_exact_form`, so
     errors compare exactly as integers.  Shells lie in ||q|| <= q_max, and
     q_max must fit int64.  For m = n = 1 every ball is searched exactly in
-    Python ints (`reduction._circle_runs`), walking at most `max_enum`
-    lines and listing at most `max_enum` points; otherwise it is enumerated
-    by `_enumerate_in_radius`, every box held to `max_enum` points.
+    Python ints (`reduction._circle_runs`) within its kernel's budget;
+    otherwise it is enumerated by `_enumerate_in_radius`, every box held to
+    `DEFAULT_MAX_ENUM` points.
     """
 
-    def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1,
-                 max_enum: int = DEFAULT_MAX_ENUM):
+    def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1):
         if q_max > _INT64_MAX:
             raise BudgetExceededError(f"q_max of {int(q_max).bit_length()} bits leaves int64")
         gamma_exact = _parse_gamma(gamma, A.m, A.precision_bits)
@@ -292,7 +296,6 @@ class _Shells:
         self.D = self.form[0]
         self.m, self.n = A.m, A.n
         self.prec = A.precision_bits
-        self.max_enum = max_enum
         self._circle = A.m == A.n == 1
         self._Af = A.as_array()
         self._gf = np.array([float(g) for g in gamma_exact], dtype=np.float64)
@@ -301,11 +304,11 @@ class _Shells:
         """err / D correctly rounded to the working precision."""
         return _error_mpf(err, self.D, self.prec)
 
-    def _runs(self, lo: int, hi: int, eps: float, radius: Fraction):
-        """`_circle_runs` of the 1 x 1 form: the (p, q) of the shell with err <= radius."""
+    def _on_circle(self, kernel, lo: int, hi: int, eps: float, radius: Fraction):
+        """`kernel` (`_circle_runs` or `_circle_points`) on the 1 x 1 shell's err <= radius."""
         D, N, G = self.form
-        return _circle_runs(D, int(N[0, 0]), int(G[0]), eps, radius.numerator,
-                            radius.denominator, lo, hi, self.max_enum)
+        return kernel(D, int(N[0, 0]), int(G[0]), eps, radius.numerator, radius.denominator,
+                      lo, hi)
 
     def _guard(self, hi: int) -> float:
         """Bounds |float score - exact error| for every q with ||q|| <= hi."""
@@ -317,8 +320,8 @@ class _Shells:
         m, n = self.m, self.n
         reduced = _ball_lattice(self.form, self._Af, hi, eps)
         target = np.concatenate([self._gf / eps, np.zeros(n)]) if self._gf.any() else None
-        for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20, self.max_enum,
-                                                          target, _CHUNK_ROWS):
+        for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20,
+                                                          DEFAULT_MAX_ENUM, target, _CHUNK_ROWS):
             q = coeffs[:, m:]
             qn = np.abs(q).max(axis=1)
             keep = (qn >= lo) & (qn <= hi)
@@ -341,7 +344,8 @@ class _Shells:
         in the ball too; at X = D/2 that p is the smaller one, p - 1.
         """
         best = None
-        for p0, q0, X0, dp, dq, dX, u, v in self._runs(lo, hi, eps, Fraction(eps)):
+        for p0, q0, X0, dp, dq, dX, u, v in self._on_circle(_circle_runs, lo, hi, eps,
+                                                            Fraction(eps)):
             root = (-X0 // dX) if dX else (-q0 // dq)
             for t in {u, v, root, root + 1}:
                 if u <= t <= v:
@@ -388,28 +392,6 @@ class _Shells:
                 return best
             eps *= 2
 
-    def _circle_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
-        """{q: (D err, p)} over the 1 x 1 points of the shell with err <= radius <= 1/2.
-
-        The runs are counted before any point is listed.  X = D/2 is
-        skipped: its q is listed at X = -D/2, with the smaller p.
-        """
-        runs = []
-        total = 0
-        for run in self._runs(lo, hi, eps, radius):
-            total += run[-1] - run[-2] + 1
-            if total > self.max_enum:
-                raise BudgetExceededError(
-                    f"shell search of more than {self.max_enum} points exceeds budget")
-            runs.append(run)
-        found = {}
-        for p0, q0, X0, dp, dq, dX, u, v in runs:
-            for t in range(u, v + 1):
-                X = X0 + t * dX
-                if 2 * X != self.D:
-                    found[(q0 + t * dq,)] = (abs(X), (p0 + t * dp,))
-        return found
-
     def _box_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
         """{q: (D err, p)} over the ball points of the shell with err <= radius."""
         bound = float(radius) + 2 * self._guard(hi)
@@ -433,7 +415,8 @@ class _Shells:
         radius = min(radius, Fraction(1, 2))  # no error exceeds 1/2
         # radius 0 lists exact hits: any positive eps finds them
         eps = max(float(radius), float(hi) ** (-self.n / self.m) / 1024)
-        found = (self._circle_within if self._circle else self._box_within)(lo, hi, eps, radius)
+        found = (self._on_circle(_circle_points, lo, hi, eps, radius) if self._circle
+                 else self._box_within(lo, hi, eps, radius))
         return [(err, q, p) for q, (err, p) in
                 sorted(found.items(), key=lambda kv: (_sup_norm(kv[0]), _canon(kv[0])))]
 
@@ -557,17 +540,16 @@ class _LogScore:
         return _radius_above(mp.ldexp(mp.mpf(2.0 ** (e2 - n) * (1 + _FLOAT_SLACK)), n))
 
 
-def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
-                max_enum: int = DEFAULT_MAX_ENUM) -> ApproxRecord:
+def best_approx(A: RealMatrix, gamma=None, Q: int = 1) -> ApproxRecord:
     """Exact minimizer of ||Aq + p - gamma||_inf over 0 < ||q||_inf <= Q.
 
-    The min mode of the shell search over 1 <= ||q|| <= Q.  The budget is
-    per enumeration box: a box of more than max_enum points raises
-    BudgetExceededError, and so does Q above int64.
+    The min mode of the shell search over 1 <= ||q|| <= Q.  A search over
+    its kernel's budget raises BudgetExceededError, and so does Q above
+    int64.
     """
     if Q < 1:
         raise ValidationError("Q must be >= 1")
-    shells = _Shells(A, gamma, Q, max_enum)
+    shells = _Shells(A, gamma, Q)
     err, q, p = shells.min(1, Q)
     error = shells.error(err)
     qn = _sup_norm(q)
@@ -575,9 +557,9 @@ def best_approx(A: RealMatrix, gamma=None, Q: int = 1,
                         exponent_sample=_exponent_sample(float(error), qn))
 
 
-def dirichlet_check(A: RealMatrix, Q: int, **kw) -> Tuple[bool, ApproxRecord]:
+def dirichlet_check(A: RealMatrix, Q: int) -> Tuple[bool, ApproxRecord]:
     """Best record plus the unconditional test err < Q^(-n/m)."""
-    rec = best_approx(A, None, Q, **kw)
+    rec = best_approx(A, None, Q)
     with mp.workprec(A.precision_bits):
         thresh = mp.mpf(Q) ** (-mp.mpf(A.n) / A.m)
         return bool(rec.error < thresh), rec
@@ -643,8 +625,7 @@ def _windows(base: float, q_max: int):
         pk, dk, k = pn, dn, k + 1
 
 
-def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
-                      max_enum: int = DEFAULT_MAX_ENUM) -> ExponentFit:
+def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0) -> ExponentFit:
     """Windowed homogeneous exponent over the shells ||q|| in [B^k, B^(k+1)).
 
     Each window champion maximises -log err(q) / log ||q|| exactly, ties to
@@ -658,7 +639,7 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0,
     if Q_max < window_base**2:
         raise ValidationError("Q_max must be at least window_base^2")
     B = float(window_base)
-    shells = _Shells(A, None, Q_max, max_enum)
+    shells = _Shells(A, None, Q_max)
 
     score = _LogScore(shells)
     champions = {}  # k -> (D err, q, p)

@@ -17,8 +17,9 @@ below the first witness take shell minima of |q| d.  So every reported d,
 product and error is exact at working precision, the cost is O(log q_max)
 small lattice searches, each solved exactly in integers on a Lagrange-Gauss
 basis with no float centre or margin, and memory is O(1) in q_max; q_max
-is limited by int64 and by the search budget (`CIRCLE_MAX_ENUM`), not by
-memory: `minkowski` and `weakdirichlet` run at q_max = 1e15.
+is limited by int64 and by the budget of the 1 x 1 kernel
+(`reduction.CIRCLE_MAX_ENUM`, lines walked and points listed per search),
+not by memory: `minkowski` and `weakdirichlet` run at q_max = 1e15.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (CertificateError, DegenerateTargetError, SingularMatrixErro
                      ValidationError)
 
 DEFAULT_PRECISION = 256
-CIRCLE_MAX_ENUM = 1 << 22  # lines walked and points listed per circle search
 
 
 @dataclass
@@ -80,9 +80,10 @@ class WeakDirichletReport:
 
 
 def _witnesses(shells: _Shells, q_max: int) -> List[Tuple[int, int, int]]:
-    """(q, p, D err) for every 0 < |q| <= q_max with |q| err(q) < 1/4, by (|q|, q > 0).
+    """(q, p, D err) for every 0 < |q| <= q_max with |q| err(q) < 1/4, by (|q|, +q first).
 
-    One list search per dyadic shell |q| in [2^j, 2^(j+1)), at radius 2^-j / 4.
+    One list search per dyadic shell |q| in [2^j, 2^(j+1)), at radius 2^-j / 4,
+    in increasing |q|; each shell comes out in that order from `within`.
     """
     D, out, j = shells.D, [], 0
     while 2**j <= q_max:
@@ -91,7 +92,6 @@ def _witnesses(shells: _Shells, q_max: int) -> List[Tuple[int, int, int]]:
             if 4 * abs(q[0]) * err < D:
                 out.append((q[0], p[0], err))
         j += 1
-    out.sort(key=lambda t: (abs(t[0]), t[0] > 0))
     return out
 
 
@@ -122,8 +122,7 @@ def minkowski_solutions(alpha, gamma, q_max: int,
             r = qq * a_mp
             if abs(r - mp.nint(r)) < tol:
                 raise DegenerateTargetError("alpha rational at working resolution")
-    shells = _Shells(RealMatrix.from_rows([[alpha]], precision_bits), gamma, q_max,
-                     CIRCLE_MAX_ENUM)
+    shells = _Shells(RealMatrix.from_rows([[alpha]], precision_bits), gamma, q_max)
     return [(q, p, float(shells.error(abs(q) * err)))
             for q, p, err in _witnesses(shells, q_max)]
 
@@ -158,7 +157,7 @@ def _resolve_target_log(config: CurveExperimentConfig, omega: mp.mpf,
     res = Fraction(1, config.q_max**2)
     for _ in range(64):
         u = float(rng.uniform(0.02, 0.98))  # normalized gamma/omega; q = 0 is >= 0.02 away
-        if _orbit_distance(_Shells(alpha, u, config.q_max, CIRCLE_MAX_ENUM), config.q_max) >= res:
+        if _orbit_distance(_Shells(alpha, u, config.q_max), config.q_max) >= res:
             with mp.workprec(prec + 16):
                 return +(mp.mpf(u) * omega)
     raise DegenerateTargetError("could not sample a non-orbit target")
@@ -231,7 +230,7 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
     gamma = _resolve_target_log(config, omega, alpha_m, rng)
     with mp.workprec(prec + 16):
         g_norm = +(gamma / omega)
-    shells = _Shells(alpha_m, g_norm, q_max, CIRCLE_MAX_ENUM)
+    shells = _Shells(alpha_m, g_norm, q_max)
     if _orbit_distance(shells, q_max) < Fraction(1, q_max**2):
         raise DegenerateTargetError("target lies in the orbit at search resolution")
     hq_f = float(hhat_Q)

@@ -51,6 +51,7 @@ from .ec_core import CurvePoint, RationalCurve
 from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_PRECISION = 256
+# bits of working precision the doubling ladder may rise to
 DEFAULT_DIGIT_BUDGET = 60_000_000
 # working precision, in bits, of the first run of the doubling ladder
 _START_PRECISION = 256
@@ -176,8 +177,7 @@ def _ladder(a: int, b: int, x: Fraction, n_max: int):
 
 
 def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11,
-                           precision_bits: int = DEFAULT_PRECISION,
-                           digit_budget: int = DEFAULT_DIGIT_BUDGET) -> HeightValue:
+                           precision_bits: int = DEFAULT_PRECISION) -> HeightValue:
     """hhat by 4-adically accelerated doubling of the naive x-height.
 
     Runs k = 0..n_max doublings of the projective pair (p, q) of x(P) on the
@@ -195,10 +195,10 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     intervals are exact, so the result always equals the exact ladder's.
     The point is torsion only when the enclosure of fq is exactly {0}.
 
-    digit_budget bounds that working precision, in bits: a run that would
-    need more raises BudgetExceededError.  Once the precision reaches the
-    bit length of the integers every step is decided, so the budget bounds
-    the work the ladder really does.
+    `DEFAULT_DIGIT_BUDGET` bounds that working precision, in bits: a run
+    that would need more raises BudgetExceededError.  Once the precision
+    reaches the bit length of the integers every step is decided, so the
+    budget bounds the work the ladder really does.
     """
     ec_core._require_on_curve(curve, pt)
     if n_max < 4:
@@ -210,10 +210,10 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     iv.prec = _START_PRECISION
     try:
         while True:
-            if iv.prec > digit_budget:
+            if iv.prec > DEFAULT_DIGIT_BUDGET:
                 raise BudgetExceededError(
                     f"ladder working precision {iv.prec} bits exceeds the "
-                    f"{digit_budget}-bit budget")
+                    f"{DEFAULT_DIGIT_BUDGET}-bit budget")
             try:
                 estimates = _ladder(int(cu.a), int(cu.b), pu.x, n_max)
                 break

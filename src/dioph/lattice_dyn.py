@@ -54,6 +54,8 @@ from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 from .reduction import (_enumerate_in_radius, _finite, _gram_schmidt, _int_dtype, _lll,
                         _with_dual_bound)
 
+# points per enumeration box of a minima search or flow window; the box is
+# held in memory whole, and a flow window whose box is over budget is halved
 DEFAULT_MAX_ENUM = 2_000_000
 # t-span of one window of `_windowed_sweep` (m + n >= 3).  Longer windows
 # mean fewer reductions but a box of about e^span times the volume of one
@@ -217,7 +219,7 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     return rows
 
 
-def _lattice_minima(L: LatticeBasis, k: int, max_enum: int):
+def _lattice_minima(L: LatticeBasis, k: int):
     """(lengths, vecs, coeffs) of the first k greedy minima of one lattice.
 
     One sample of `_minima` over the float norms.  The reduced basis has k
@@ -231,7 +233,7 @@ def _lattice_minima(L: LatticeBasis, k: int, max_enum: int):
     radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
     own = _with_dual_bound(Bred, np.eye(L.dimension, dtype=np.int64))  # coordinates in Bred
     for _ in range(64):
-        grid, vecs, norms = next(_enumerate_in_radius(own, radius, max_enum))
+        grid, vecs, norms = next(_enumerate_in_radius(own, radius, DEFAULT_MAX_ENUM))
         prim = np.nonzero(np.gcd.reduce(grid, axis=1) == 1)[0]
         idx = prim[_canonical(grid[prim] @ T.T)]
         rows = _minima(norms[idx][:, None], grid[idx], k) if idx.size else None
@@ -242,7 +244,7 @@ def _lattice_minima(L: LatticeBasis, k: int, max_enum: int):
     raise BudgetExceededError("successive minima search exceeded radius doublings")
 
 
-def shortest_vector(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM):
+def shortest_vector(L: LatticeBasis):
     """Sup-norm shortest nonzero vector.
 
     Returns (vector, coeffs, length).  Ties go to the coefficient vector that
@@ -250,21 +252,21 @@ def shortest_vector(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM):
     ... (`dioph_matrix._canon`).  The search starts at the shortest reduced
     basis column and doubles until a nonzero vector is inside.
     """
-    lengths, vecs, coeffs = _lattice_minima(L, 1, max_enum)
+    lengths, vecs, coeffs = _lattice_minima(L, 1)
     return vecs[0], coeffs[0], lengths[0]
 
 
-def successive_minima(L: LatticeBasis, k: int, max_enum: int = DEFAULT_MAX_ENUM):
+def successive_minima(L: LatticeBasis, k: int):
     """Greedy Minkowski minima: lambda_i = min length independent of previous picks.
 
     Returns (lengths, vectors, coeffs).
     """
     if not 1 <= k <= L.dimension:
         raise ValidationError("need 1 <= k <= dimension")
-    return _lattice_minima(L, k, max_enum)
+    return _lattice_minima(L, k)
 
 
-def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> float:
+def shortest_vector_l1(L: LatticeBasis) -> float:
     """Shortest nonzero vector in the l1 gauge (the polar of the sup ball).
 
     Complete because the l1 ball of radius R sits inside the sup ball of
@@ -274,7 +276,7 @@ def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> flo
     radius = L.det_abs ** (1.0 / L.dimension) * 1.0000001
     reduced = _with_dual_bound(*_lll(L.basis))
     for _ in range(64):
-        _coeffs, vecs, _norms = next(_enumerate_in_radius(reduced, radius, max_enum))
+        _coeffs, vecs, _norms = next(_enumerate_in_radius(reduced, radius, DEFAULT_MAX_ENUM))
         if vecs.shape[0]:
             best = float(np.abs(vecs).sum(axis=1).min())
             if best <= radius * (1 + 1e-12):
@@ -283,15 +285,15 @@ def shortest_vector_l1(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> flo
     raise BudgetExceededError("l1 shortest vector search exceeded radius doublings")
 
 
-def mahler_duality_check(L: LatticeBasis, max_enum: int = DEFAULT_MAX_ENUM) -> float:
+def mahler_duality_check(L: LatticeBasis) -> float:
     """lambda_d(L) in sup norm times lambda_1(L*) in the polar (l1) gauge.
 
     The pairing bound |<v, w>| <= ||v||_inf ||w||_1 pins the product >= 1;
     measuring the dual in the sup norm instead admits products down to 1/d.
     """
     d = L.dimension
-    lengths, _, _ = successive_minima(L, d, max_enum)
-    lam1_dual = shortest_vector_l1(polar_lattice(L), max_enum=max_enum)
+    lengths, _, _ = successive_minima(L, d)
+    lam1_dual = shortest_vector_l1(polar_lattice(L))
     return lengths[-1] * lam1_dual
 
 
@@ -312,7 +314,6 @@ class FlowProfile:
     n: int
     r_slope: Optional[float] = None
     weighted_minima_times: List[float] = field(default_factory=list)
-    minima_vectors: List[np.ndarray] = field(default_factory=list)  # base-frame components
 
 
 def _local_minima_indices(vals: np.ndarray) -> List[int]:
@@ -323,11 +324,8 @@ def _local_minima_indices(vals: np.ndarray) -> List[int]:
     return out
 
 
-def _balance_time(base_vec: np.ndarray, m: int, n: int) -> Optional[float]:
-    u = np.abs(base_vec[:m]).max()
-    w = np.abs(base_vec[m:]).max()
-    if u <= 0 or w <= 0:
-        return None
+def balance_time(u: float, w: float, m: int, n: int) -> float:
+    """log(w/u) mn/(m + n), u, w > 0: the t where e^(t/m) u = e^(-t/n) w along g_t."""
     return math.log(w / u) * m * n / (m + n)
 
 
@@ -381,8 +379,8 @@ def _flowed_basis(D: int, N: np.ndarray, T: np.ndarray, t: float, prec: int) -> 
     return np.array(rows, dtype=np.float64)
 
 
-def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
-            carried, max_enum: int, prec: int):
+def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carried,
+            prec: int):
     """The minima of one window of `_flow_sweep` at its sample times ts.
 
     Returns (T, lengths, rows, coeffs, u, w): the transform reduced at the
@@ -411,7 +409,7 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
     reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
-        grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), max_enum))
+        grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), DEFAULT_MAX_ENUM))
         coeffs = _int_matmul(grid, T)
         idx = _canonical(coeffs)
         if idx.size:
@@ -424,19 +422,19 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int,
         R *= 2
 
 
-def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
+def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     """lambda_1..lambda_k of g_t Lambda_A at increasing sample times t >= 0.
 
     1 x 1 matrices read their minima off the continued fraction of A
     (`_cf_sweep`); every other shape is swept window by window
-    (`_windowed_sweep`), and only there does max_enum apply.  A matrix
-    entry beyond the float64 range raises BudgetExceededError.
+    (`_windowed_sweep`).  A matrix entry beyond the float64 range raises
+    BudgetExceededError.
     """
     _finite(A.as_array(), "matrix")
     if A.m == A.n == 1:
         D, N, _ = _exact_form(A, (Fraction(0),), 1)
         return _cf_sweep(D, int(N[0, 0]), np.asarray(times, dtype=np.float64), k)
-    return _windowed_sweep(A, times, k, max_enum)
+    return _windowed_sweep(A, times, k)
 
 
 def _convergents(num: int, den: int, bound: float):
@@ -556,7 +554,7 @@ def _intermediates(D: int, a: int, V, quotients, at: np.ndarray, grow: np.ndarra
     return extra
 
 
-def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> _Sweep:
+def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     """`_flow_sweep` for any shape, one enumeration per window.
 
     Along g_t a lattice vector (A q + p, q) has length
@@ -577,7 +575,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> 
     minima.  The window is checked afterwards,
     lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
     sample, and enumerated again at twice the radius if it fails.  A window
-    whose ball outgrows max_enum points is halved, down to one sample.
+    whose box outgrows `DEFAULT_MAX_ENUM` points is halved, to one sample.
     """
     m, n = A.m, A.n
     S = len(times)
@@ -594,7 +592,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> 
         while True:
             ts = np.asarray(times[i0:i1], dtype=np.float64)
             try:
-                T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried, max_enum,
+                T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried,
                                                          A.precision_bits)
                 break
             except BudgetExceededError:
@@ -610,49 +608,39 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int, max_enum: int) -> 
 
 
 def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
-                 sigma: Optional[float] = None, max_enum: int = DEFAULT_MAX_ENUM) -> FlowProfile:
+                 sigma: Optional[float] = None) -> FlowProfile:
     """Sample Delta(t) = -log lambda_1(g_t Lambda_A) and flag its local maxima.
 
     Flagged times (local minima of the shortest length) are refined to the
-    exact balance time of the winning vector, where its expanding and
-    contracting block norms agree; the same refinement serves the weighted
-    profile e^(r(t)) lambda_1 since the linear weight shifts no vertex.
-    max_enum bounds each window's enumeration when m + n >= 3; a 1 x 1
-    profile enumerates nothing and ignores it.
+    balance time of the winning vector, from its exact u and w, where its
+    expanding and contracting block norms agree; the same refinement serves
+    the weighted profile e^(r(t)) lambda_1 since the linear weight shifts no
+    vertex.  A balance time more than dt from its sample is not used.
     """
     A = _as_real_matrix(A)
     m, n = A.m, A.n
     if dt <= 0 or t_max <= 0:
         raise ValidationError("need positive dt and t_max")
     times = np.arange(0.0, t_max + dt / 2, dt)
-    sweep = _flow_sweep(A, times, m + n, max_enum)
-    lam = sweep.lambdas
-    L0 = from_matrix(A)
-    base_vecs = [L0.basis @ c.astype(np.float64) for c in sweep.coeffs]
-    lam1 = lam[:, 0]
-    delta = -np.log(lam1)
-    idxs = _local_minima_indices(lam1)
-    minima_times, kept, vectors = [], [], []
-    for i in idxs:
-        bt = _balance_time(base_vecs[i], m, n)
-        t_ref = bt if bt is not None and abs(bt - times[i]) <= dt else float(times[i])
-        minima_times.append(float(t_ref))
-        kept.append(i)
-        vectors.append(base_vecs[i])
+    sweep = _flow_sweep(A, times, m + n)
+    lam1 = sweep.lambdas[:, 0]
+
+    def vertex(i: int) -> float:
+        u, w = float(sweep.u[i]), float(sweep.w[i])
+        bt = balance_time(u, w, m, n) if u > 0 and w > 0 else math.inf
+        return bt if abs(bt - times[i]) <= dt else float(times[i])
+
+    kept = _local_minima_indices(lam1)
     flags = np.zeros(len(times), dtype=bool)
     flags[kept] = True
     slope = theta_sigma(sigma, m, n) if sigma is not None else None
     weighted_minima = []
     if sigma is not None:
-        weighted = np.exp(slope * times) * lam1
-        for i in _local_minima_indices(weighted):
-            bt = _balance_time(base_vecs[i], m, n)
-            weighted_minima.append(float(bt) if bt is not None and abs(bt - times[i]) <= dt
-                                   else float(times[i]))
-    return FlowProfile(times=times, delta_values=delta, lambdas=lam,
-                       minima_times=minima_times, minima_indices=kept,
+        weighted_minima = [vertex(i) for i in _local_minima_indices(np.exp(slope * times) * lam1)]
+    return FlowProfile(times=times, delta_values=-np.log(lam1), lambdas=sweep.lambdas,
+                       minima_times=[vertex(i) for i in kept], minima_indices=kept,
                        is_minimum=flags, m=m, n=n, r_slope=slope,
-                       weighted_minima_times=weighted_minima, minima_vectors=vectors)
+                       weighted_minima_times=weighted_minima)
 
 
 def segment_slopes(profile: FlowProfile) -> List[float]:

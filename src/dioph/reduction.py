@@ -4,14 +4,16 @@ All norms are sup-norms.  `_enumerate_in_radius` walks the coefficient box
 |c_i - (B^-1 t)_i| <= ||row_i(B^-1)||_1 * r of a basis B around a target t.
 That dual bound holds for every basis, so completeness comes from it and not
 from the reduction, which only shrinks the box: float64 LLL (`_lll`, Cohen,
-GTM 138, Alg. 2.6.3, O(d) updates per swap).  A box of more than the
-caller's budget of points, a transform entry beyond int64, or a float basis
-or matrix entry beyond float64 (`_finite`) raises BudgetExceededError.
+GTM 138, Alg. 2.6.3, O(d) updates per swap).  A box over the budget its
+caller passes (`lattice_dyn.DEFAULT_MAX_ENUM` or `dioph_matrix`'s), a
+transform entry beyond int64, or a float basis or matrix entry beyond
+float64 (`_finite`) raises BudgetExceededError.
 
 Two integer columns have their own kernel, exact in Python ints:
 `_circle_runs` reduces them by Lagrange-Gauss (`_gauss_reduce`) and solves
 each line of the reduced basis for its run of points by floor division, so
-a 1 x 1 search has no box, no float centre and no float margin.
+a 1 x 1 search has no box, no float centre and no float margin.  Its
+budget, `CIRCLE_MAX_ENUM`, holds the lines walked and the points listed.
 
 The callers are `lattice_dyn` (shortest vectors, minima, flow windows) and
 the shell search of `dioph_matrix` (`best_approx`, the exponent windows and
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import BudgetExceededError, SingularMatrixError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+CIRCLE_MAX_ENUM = 1 << 22  # lines walked, and points listed, by one 1 x 1 search
 
 
 def _int_dtype(bound: int):
@@ -150,8 +153,7 @@ def _solve(k: int, lo: int, hi: int) -> Optional[Tuple[int, int]]:
     return None if lo <= 0 <= hi else (1, 0)
 
 
-def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, hi: int,
-                 max_enum: int):
+def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, hi: int):
     """The integer points (p, q) with rd |X| <= D rn, X = D p + N q - G, and lo <= |q| <= hi.
 
     Yields runs (p0, q0, X0, dp, dq, dX, first, last): the points
@@ -162,8 +164,9 @@ def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, 
     the centre T^-1 (G/D, 0), and c_j ranges over an exact interval; the
     coefficient with fewer values is walked and, for each value, the other
     is solved from both constraints by floor division.  Each value gives
-    at most two runs, split by the cut |q| >= lo.  More than max_enum
-    values to walk raise BudgetExceededError, and so does T beyond int64.
+    at most two runs, split by the cut |q| >= lo.  More than
+    `CIRCLE_MAX_ENUM` values to walk raise BudgetExceededError, and so does
+    T beyond int64.
     """
     a, b = eps.as_integer_ratio()
     T = _int64_transform(_gauss_reduce((D * b * hi, 0), (N * b * hi, D * a)),
@@ -178,8 +181,9 @@ def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, 
         first, last = -(-(mid - half) // den), (mid + half) // den
         spans.append((last - first, w, first, last))
     count, w, first, last = min(spans)
-    if count + 1 > max_enum:
-        raise BudgetExceededError(f"shell search of {count + 1} lines exceeds budget {max_enum}")
+    if count + 1 > CIRCLE_MAX_ENUM:
+        raise BudgetExceededError(
+            f"shell search of {count + 1} lines exceeds budget {CIRCLE_MAX_ENUM}")
     (pw, qw, xw), (dp, dq, dX) = cols[w], cols[1 - w]
     for c in range(first, last + 1):
         p0, q0, X0 = c * pw, c * qw, c * xw - G
@@ -193,6 +197,26 @@ def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, 
         for u, v in ((t0, min(t1, cut[0] - 1)), (max(t0, cut[1] + 1), t1)):
             if u <= v:
                 yield p0, q0, X0, dp, dq, dX, u, v
+
+
+def _circle_points(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int,
+                   hi: int) -> dict:
+    """{(q,): (|X|, (p,))} over the points of `_circle_runs`.
+
+    X = D/2 is left out: its q is listed at X = -D/2, with the smaller p.
+    The runs are counted before any point is listed: more than
+    `CIRCLE_MAX_ENUM` points raise BudgetExceededError.
+    """
+    runs, total = [], 0
+    for run in _circle_runs(D, N, G, eps, rn, rd, lo, hi):
+        total += run[-1] - run[-2] + 1
+        if total > CIRCLE_MAX_ENUM:
+            raise BudgetExceededError(
+                f"shell search of more than {CIRCLE_MAX_ENUM} points exceeds budget")
+        runs.append(run)
+    return {(q0 + t * dq,): (abs(X0 + t * dX), (p0 + t * dp,))
+            for p0, q0, X0, dp, dq, dX, u, v in runs for t in range(u, v + 1)
+            if 2 * (X0 + t * dX) != D}
 
 
 def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):
@@ -227,7 +251,7 @@ def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None):
         start = stop
 
 
-def _enumerate_in_radius(reduced, radius: float, max_enum: Optional[int] = None,
+def _enumerate_in_radius(reduced, radius: float, max_enum: int,
                          target: Optional[np.ndarray] = None,
                          chunk_rows: Optional[int] = None):
     """Chunks (coeffs, vecs, norms) of the lattice points v with ||v - target|| <= radius.
@@ -247,7 +271,7 @@ def _enumerate_in_radius(reduced, radius: float, max_enum: Optional[int] = None,
     lo = np.ceil(center - half - slack)
     hi = np.floor(center + half + slack)
     total = float(np.prod(hi - lo + 1))  # in floats: an unreduced basis can overflow int64
-    if max_enum is not None and not total <= max_enum:
+    if not total <= max_enum:
         raise BudgetExceededError(
             f"enumeration box of {total:.0f} points exceeds budget {max_enum}")
     for grid in _iter_box_chunks(lo.astype(np.int64), hi.astype(np.int64), chunk_rows):

@@ -299,7 +299,7 @@ def test_exp_matches_series_reference(curve, prec):
     om = analytic.real_period(curve, prec).omega
     with mp.workprec(prec + 64):
         half = om / 2
-        guard = mp.ldexp(1, -(prec // 4)) * (1 + mp.ldexp(1, -8))  # just past the pole guard
+        guard = mp.ldexp(om, -(prec // 4)) * (1 + mp.ldexp(1, -8))  # just past the pole guard
         ts = [om * mp.mpf(u) / 1000 for u in (37, 231, 618, 904)] + [guard, om - guard]
         signs = [t < half for t in ts]
     for t, below_half in zip(ts, signs):
@@ -411,6 +411,26 @@ def test_exp_near_two_torsion_and_pole(curve, prec):
             assert abs(x - xr) <= mp.ldexp(abs(xr), -prec - 40), k
             assert abs(y - yr) <= mp.ldexp(abs(yr), -prec - 40), k
             assert abs(back - t) <= mp.ldexp(t, -prec - 40), k
+
+
+@pytest.mark.parametrize("curve, prec", (
+    (RationalCurve(a=10**50, b=-10**70, label="omega 1.2e-12"), 64),
+    (RationalCurve(a=-3 * 2**400, b=2**601 + 1, label="omega 1.9e-28"), 256),
+), ids=lambda v: getattr(v, "label", v))
+def test_exp_pole_guard_scales_with_omega(curve, prec):
+    """On curves whose real period is far below 2^-(prec/4), t = omega/3 is a
+    point and comes back through elliptic_log; t = 2^-k omega, k > prec/4,
+    still raises."""
+    om = analytic.real_period(curve, prec).omega
+    with mp.workprec(prec + 64):
+        t = om / 3
+    x, y = analytic.exp_E(curve, t, prec)
+    back = analytic.elliptic_log(curve, (x, y), prec).t
+    with mp.workprec(prec + 64):
+        assert abs(back - t) <= mp.ldexp(om, -prec // 2)
+    for k in (prec // 4 + 1, prec):
+        with pytest.raises(PoleProximityError):
+            analytic.exp_E(curve, mp.ldexp(om, -k), prec)
 
 
 # --- property tests on random integral curves, both period routes -----------

@@ -264,7 +264,7 @@ def test_ball_keeps_its_edge_points():
     a, b = eps.as_integer_ratio()
     found = {(p0 + t * dp, q0 + t * dq)
              for p0, q0, _X0, dp, dq, _dX, u, v in reduction._circle_runs(
-                 D, int(N[0, 0]), int(G[0]), eps, a, b, 1, Q, 1 << 22)
+                 D, int(N[0, 0]), int(G[0]), eps, a, b, 1, Q)
              for t in range(u, v + 1)}
     assert {(10328364, -6383280), (-10328364, 6383280)} <= found
 

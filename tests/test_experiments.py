@@ -28,6 +28,17 @@ def test_minkowski_phi_example():
     assert qs == sorted(qs)
 
 
+def test_witness_twins_come_plus_first():
+    # gamma = 1/2: q and -q (with 1 - p) give the same product, so every
+    # witness has a twin, and ties go +q before -q as everywhere else
+    sols = experiments.minkowski_solutions(PHI_STR, "1/2", 10**6, PREC)
+    qs = [q for q, _, _ in sols]
+    assert len(qs) >= 10 and qs == sorted(qs, key=lambda q: (abs(q), q < 0))
+    assert all(q > 0 for q in qs[::2]) and qs[1::2] == [-q for q in qs[::2]]
+    assert [pr for _, _, pr in sols[::2]] == [pr for _, _, pr in sols[1::2]]
+    assert [p for _, p, _ in sols[1::2]] == [1 - p for _, p, _ in sols[::2]]
+
+
 def test_minkowski_degenerate_gamma_guard():
     phi = mp.mpf(PHI_STR)
     with pytest.raises(DegenerateTargetError):

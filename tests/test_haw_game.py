@@ -81,11 +81,11 @@ def test_dual_flow_matches_convergent_oracle(liouville_A, monkeypatch):
         for t, got, want in zip(times, sweep.lambdas[:, 0], oracle_lam):
             assert abs(got - want) <= 1e-12 * want, t
     # the schedule derived from the oracle's vectors is the sweep's
-    swept = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
+    swept = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5)
     oracle = lattice_dyn._Sweep(lambdas=np.array([[float(v)] for v in oracle_lam]),
                                 coeffs=None, u=np.array(oracle_u), w=np.array(oracle_w))
     monkeypatch.setattr(haw_game, "_dual_flow", lambda A, times: oracle)
-    from_oracle = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5, dt=0.05)
+    from_oracle = haw_game.derive_strategy(liouville_A, sigma=3.0, t_max=38.5)
     assert swept.stages == from_oracle.stages
     assert swept.dropped_stages == from_oracle.dropped_stages
     assert [st.t for st in swept.stages] == pytest.approx([15 * math.log(2)], abs=1e-12)

@@ -177,13 +177,13 @@ def test_naive_vs_canonical_bounded(curve_110160):
     assert math.isfinite(bound)
 
 
-def test_digit_budget_error(curve_110160):
+def test_digit_budget_error(monkeypatch, curve_110160):
     # the budget bounds the ladder's working precision, which starts at 256 bits
+    monkeypatch.setattr(heights, "DEFAULT_DIGIT_BUDGET", 200)
     with pytest.raises(BudgetExceededError,
                        match="working precision 256 bits exceeds the 200-bit budget"):
         heights.canonical_height_limit(curve_110160, CurvePoint.affine(5, 8),
-                                       n_max=12, precision_bits=PREC,
-                                       digit_budget=200)
+                                       n_max=12, precision_bits=PREC)
 
 
 @pytest.mark.parametrize("n_max", (14, 20, 26, 32))
@@ -297,14 +297,15 @@ def test_digit_budget_parity(monkeypatch, curve, pt, budget):
     needed = list(precisions)
     precisions.clear()
     assert needed == [32, 64, 128]
+    monkeypatch.setattr(heights, "DEFAULT_DIGIT_BUDGET", budget)
     over = [p for p in needed if p > budget]
     if over:
         with pytest.raises(BudgetExceededError,
                            match=f"precision {over[0]} bits exceeds the {budget}-bit budget"):
-            heights.canonical_height_limit(curve, pt, 9, PREC, digit_budget=budget)
+            heights.canonical_height_limit(curve, pt, 9, PREC)
         assert precisions == [p for p in needed if p <= budget]
     else:
-        got = heights.canonical_height_limit(curve, pt, 9, PREC, digit_budget=budget)
+        got = heights.canonical_height_limit(curve, pt, 9, PREC)
         assert got.value == _reference_limit(curve, pt, 9).value
     assert mp.iv.prec == before
 

@@ -546,7 +546,7 @@ def test_badly_approximable_vs_liouville_growth():
     prof = ld.flow_profile(A, 12.0, 0.05)
     assert prof.delta_values.max() < 1.0
     L = RealMatrix.scalar(liouville_number(precision_bits=128), 128)
-    prof2 = ld.flow_profile(L, 12.0, 0.1, max_enum=8_000_000)
+    prof2 = ld.flow_profile(L, 12.0, 0.1)
     assert prof2.delta_values.max() > 2.0
 
 
@@ -567,7 +567,8 @@ def test_flow_sweep_halves_windows_over_budget(monkeypatch):
     whole = ld.flow_profile(A, 9.0, 0.1)
     windows, budget = len(boxes), int(0.99 * max(boxes))
     boxes.clear()
-    split = ld.flow_profile(A, 9.0, 0.1, max_enum=budget)
+    monkeypatch.setattr(ld, "DEFAULT_MAX_ENUM", budget)
+    split = ld.flow_profile(A, 9.0, 0.1)
     assert len(boxes) > windows
     assert np.array_equal(split.lambdas, whole.lambdas)
 
@@ -644,8 +645,8 @@ def test_continued_fraction_sweep_matches_windowed(case, k, frac, dt, start_at_d
     A, t_cap = case
     t_max = t_cap * frac if k == 1 else min(t_cap * frac, 8.0)
     times = np.arange(dt if start_at_dt else 0.0, t_max + dt / 2, dt)
-    got = ld._flow_sweep(A, times, k, ld.DEFAULT_MAX_ENUM)
-    want = ld._windowed_sweep(A, times, k, ld.DEFAULT_MAX_ENUM)
+    got = ld._flow_sweep(A, times, k)
+    want = ld._windowed_sweep(A, times, k)
     assert _same_sweep(got, want)
 
 
@@ -657,18 +658,18 @@ def test_continued_fraction_sweep_on_fixed_cases():
     # k = 1 and 2
     dual = _liouville_dual()
     times = np.arange(0.05, 38.5, 0.05)
-    assert _same_sweep(ld._flow_sweep(dual, times, 1, ld.DEFAULT_MAX_ENUM),
-                       ld._windowed_sweep(dual, times, 1, ld.DEFAULT_MAX_ENUM))
+    assert _same_sweep(ld._flow_sweep(dual, times, 1),
+                       ld._windowed_sweep(dual, times, 1))
     phi, times = RealMatrix.scalar(PHI_STR, 64), np.arange(0.0, 16.0, 0.05)
-    assert _same_sweep(ld._flow_sweep(phi, times, 2, ld.DEFAULT_MAX_ENUM),
-                       ld._windowed_sweep(phi, times, 2, ld.DEFAULT_MAX_ENUM))
+    assert _same_sweep(ld._flow_sweep(phi, times, 2),
+                       ld._windowed_sweep(phi, times, 2))
     times = np.arange(0.0, 4.0, 0.05)
     rationals = {Fraction(p, q) for q in range(1, 5) for p in range(-2 * q, 2 * q + 1)}
     for r in sorted(rationals) + ["12345678.9", "-3e12", "1e15"]:
         A = RealMatrix.scalar(r, 64)
         for k in (1, 2):
-            assert _same_sweep(ld._flow_sweep(A, times, k, ld.DEFAULT_MAX_ENUM),
-                               ld._windowed_sweep(A, times, k, ld.DEFAULT_MAX_ENUM)), (r, k)
+            assert _same_sweep(ld._flow_sweep(A, times, k),
+                               ld._windowed_sweep(A, times, k)), (r, k)
 
 
 def test_one_by_one_sweeps_reduce_and_enumerate_nothing(monkeypatch):
@@ -685,7 +686,7 @@ def test_one_by_one_sweeps_reduce_and_enumerate_nothing(monkeypatch):
     ld.flow_profile(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
     ld.flow_profile(RealMatrix.scalar("355/113", 64), 6.0, 0.05)
     haw_game.derive_strategy(RealMatrix.scalar(liouville_number(precision_bits=128), 128),
-                             sigma=3.0, t_max=38.5, dt=0.05)
+                             sigma=3.0, t_max=38.5)
     with pytest.raises(AssertionError, match="kernel"):  # the spies do see m + n = 3
         ld.flow_profile(RealMatrix.from_rows([["0.5", "0.25"]], 64), 1.0, 0.1)
 
@@ -720,6 +721,50 @@ def test_carried_flow_matches_cold_reduction(shape, ks, signs, t_max, dt):
     flags = np.zeros(len(prof.times), dtype=bool)
     flags[ld._local_minima_indices(cold[:, 0])] = True
     assert np.array_equal(prof.is_minimum, flags)
+
+
+def _balance_oracle(A, p, q):
+    """log(||q|| / ||A q + p||) mn/(m + n) at 400 bits, from the exact entries of A."""
+    m, n = A.m, A.n
+    rows = [A.exact[i * n:(i + 1) * n] for i in range(m)]
+    u = max(abs(sum(a * int(qj) for a, qj in zip(row, q)) + int(pi)) for row, pi in zip(rows, p))
+    w = max(abs(int(qj)) for qj in q)
+    with mp.workprec(400):
+        return mp.log(mp.mpf(w) * u.denominator / u.numerator) * m * n / (m + n)
+
+
+def _assert_exact_vertices(A, t_max, dt):
+    """Each flagged time, plain and weighted, is the balance time of the sweep's
+    lambda_1 vector (p, q) to a few units in the last place of `_balance_oracle`,
+    or its own sample where that balance time lies more than dt away."""
+    m, n = A.m, A.n
+    prof = ld.flow_profile(A, t_max, dt, sigma=m / n + 1.0)
+    coeffs = ld._flow_sweep(A, prof.times, m + n).coeffs
+    weighted = ld._local_minima_indices(np.exp(prof.r_slope * prof.times) * prof.lambdas[:, 0])
+    assert len(weighted) == len(prof.weighted_minima_times)
+    for idxs, got in ((prof.minima_indices, prof.minima_times),
+                      (weighted, prof.weighted_minima_times)):
+        for i, t in zip(idxs, got):
+            want = _balance_oracle(A, coeffs[i][:m], coeffs[i][m:])
+            if abs(want - prof.times[i]) <= dt * (1 - 1e-9):
+                assert abs(t - want) <= 1e-15 * (1 + abs(want)), (i, t, want)
+            elif abs(want - prof.times[i]) > dt * (1 + 1e-9):
+                assert t == prof.times[i]
+
+
+def test_flow_vertices_are_exact_balance_times_on_phi():
+    # the benchmark's flow-phi profile: float base vectors put these times
+    # up to 1.3e-8 away from the oracle
+    _assert_exact_vertices(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
+
+
+@given(shape=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+       ks=st.lists(st.sampled_from(_SQUAREFREE), min_size=2, max_size=2, unique=True),
+       t_max=st.floats(1.0, 6.0), dt=st.sampled_from([0.02, 0.05, 0.1]))
+def test_flow_vertices_are_exact_balance_times(shape, ks, t_max, dt):
+    m, n = shape
+    entries = np.array([math.sqrt(k) % 1.0 for k in ks][:m * n]).reshape(m, n)
+    _assert_exact_vertices(RealMatrix.from_rows(entries.tolist()), t_max, dt)
 
 
 def test_flow_profile_phi_against_fibonacci_oracle():

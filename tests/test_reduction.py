@@ -2,15 +2,20 @@
 
 `dioph_matrix` and `lattice_dyn` both take their reduction and enumeration
 from it, and no module of the package imports another inside a function.
+Each budget is a module constant that the kernel spending it reads when it
+runs; no public function takes one per call.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import pytest
 
+from dioph import (analytic, cli, dioph_matrix, ec_core, experiments, haw_game, heights,
+                   lattice_dyn)
 from dioph.dioph_matrix import RealMatrix, best_approx
 from dioph.errors import BudgetExceededError
 
@@ -73,3 +78,20 @@ def test_q_max_past_int64_is_a_budget_error():
     A = RealMatrix.from_rows([["1.6180339887498948482045868343656381177"]], 128)
     with pytest.raises(BudgetExceededError, match="q_max of 1329 bits"):
         best_approx(A, None, 10**400)
+
+
+def test_budgets_are_module_constants():
+    layers = (ec_core, heights, analytic, dioph_matrix, lattice_dyn, haw_game, experiments, cli)
+    fns = [(f"{mod.__name__}.{name}", fn) for mod in layers for name, fn in vars(mod).items()
+           if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+           and not name.startswith("_")]
+    fns.append(("_Shells.__init__", dioph_matrix._Shells.__init__))
+    for label, fn in fns:
+        assert not {"max_enum", "digit_budget"} & inspect.signature(fn).parameters.keys(), label
+    for fn in (haw_game.run_game, haw_game.derive_strategy):
+        assert "dt" not in inspect.signature(fn).parameters
+    defined = [(name, target.id) for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")
+               for node in ast.walk(_tree(name)) if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)
+               and target.id in ("CIRCLE_MAX_ENUM", "CERT_MAX_Q")]
+    assert defined == [("reduction.py", "CIRCLE_MAX_ENUM")]

@@ -363,8 +363,7 @@ def test_enumeration_budget_fails_fast(tmp_path):
     assert doc["count"] == len(sols) == len(doc["solutions"])
     assert _witnesses_hold([(s["q"], s["p"]) for s in doc["solutions"]], SQRT2, "3/10", 10**15)
     # a radius-1/2 listing of a shell of 2^23 points still exceeds the budget, at once
-    shells = _Shells(RealMatrix.from_rows([[SQRT2]], PREC), "3/10", 2**22,
-                     experiments.CIRCLE_MAX_ENUM)
+    shells = _Shells(RealMatrix.from_rows([[SQRT2]], PREC), "3/10", 2**22)
     t0 = time.time()
     with pytest.raises(BudgetExceededError, match="exceeds budget"):
         shells.within(1, 2**22, Fraction(1, 2))
