@@ -33,10 +33,18 @@ argument for a cubic), and the smallest AGM constant is about (sep/R)^2 of
 the largest, so the lattice scale S carries prec + 52 bits plus twice
 log2(R / sep).  A walk rescales its constants by 2^k so that its s^2 keeps
 as many bits as the largest constant; both walks are homogeneous of degree
-one in (a^2, b^2, s^2), so that is exact.  mpf enters only at the ends:
-parsing, cot, atan2 and the returned values.  As the real nome q nears +-1
-the q-series of the archimedean local height cancel, and the chain, q and
-the roots' mpf values carry about 6 / |log q| more bits for them.
+one in (a^2, b^2, s^2), so that is exact.  The ends of the walks are
+integers too, in relative precision (a mantissa and an exponent, not one
+fixed scale): exp_E starts from cos and sin of phi = a_N z by a Taylor
+series with angle halving, on the complement pi/2 - phi past pi/4 (pi from
+libmp.pi_fixed), and elliptic_log ends in atan2(a_N, s_N) from the exact
+ratio a_N^2 / s_N^2 of the walk's integers, by argument halving and a
+Taylor series; x - e1 is taken in integers from x as an exact rational.
+mpf enters only at the boundaries: t reduced mod omega and phi = a_N z,
+the lattice's mpf fields, and the returned values.  As the real nome q
+nears +-1 the q-series of the archimedean local height cancel, and the
+chain, q and the roots' mpf values carry about 6 / |log q| more bits for
+them.
 """
 
 from __future__ import annotations
@@ -48,11 +56,14 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 import mpmath as mp
+from mpmath import libmp
 
 from .ec_core import CurvePoint, RationalCurve, on_curve, on_identity_component
 from .errors import ComponentError, PoleProximityError, ValidationError
 
 DEFAULT_PRECISION = 256
+# guard bits of the integer trigonometric kernels over the working precision
+_TRIG_GUARD = 20
 
 PointLike = Union[CurvePoint, Tuple, None]
 
@@ -95,10 +106,11 @@ class _Lattice:
     The integer fields stand for their value times 2^scale.  (ga2, gb2) is
     the first Gauss pair squared, (e1 - e3, e1 - e2) or, after the complex
     step, (ga^2, beta); steps holds (a_k^2, b_k^2, a_k b_k, a_(k+1)^2) for
-    each AGM step after it, and a_end = a_N, with omega = pi / a_N.
-    On the one-real-root route e1x3 = 3 e1 and v4 = 4 Im(e2)^2 give
-    |x - e3| of the complex step.  top is the bit length of the largest
-    constant; every walk rescales so that its s^2 has as many bits.
+    each AGM step after it, and a_end = a_N, with omega = pi / a_N; a2_end
+    = a_N^2 and e1_int = e1 are integers too.  On the one-real-root route
+    e1x3 = 3 e1 and v4 = 4 Im(e2)^2 give |x - e3| of the complex step.  top
+    is the bit length of the largest constant; every walk rescales so that
+    its s^2 has as many bits.
     """
 
     e1: mp.mpf
@@ -116,6 +128,8 @@ class _Lattice:
     steps: Tuple[Tuple[int, int, int, int], ...]
     e1x3: int
     v4: int
+    a2_end: int
+    e1_int: int
 
 
 def _div_round(n: int, d: int) -> int:
@@ -311,7 +325,7 @@ def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
     return _Lattice(e1=e1, e2=e2, e3=e3, route="three-real-roots" if three_roots
                     else "one-real-root", omega=omega, q=q, q_guard=q_guard, a_end=a_end, scale=S,
                     top=max(ga2, gb2).bit_length(), ga2=ga2, gb2=gb2, steps=steps,
-                    e1x3=e1x3, v4=v4)
+                    e1x3=e1x3, v4=v4, a2_end=a2_end, e1_int=E1)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -332,6 +346,102 @@ def real_period(curve: RationalCurve, precision_bits: int = DEFAULT_PRECISION) -
     return RealPeriod(omega=lat.omega, precision_bits=precision_bits, route=lat.route)
 
 
+def _ratio(n: int, d: int, t: int) -> int:
+    """floor(n 2^t / d) for d > 0."""
+    return (n << t) // d if t >= 0 else n // (d << -t)
+
+
+def _halving_depth(w: int) -> int:
+    """h such that the series of _cos_sinc and _atan run below 2^-h at w bits."""
+    return math.isqrt(w) // 2 + 1
+
+
+def _cos_sinc(m: int, e: int, w: int) -> Tuple[int, int]:
+    """(C, G) over 2^w with cos x = C / 2^w and sin x = x G / 2^w, x = m 2^e.
+
+    For 0 < x <= 1.  x is halved r times to y < 2^-h, where the Taylor
+    series of cos y and sinc y = sin y / y need about w / 2h terms, and
+    doubled back by cos 2y = 1 - 2 y^2 sinc(y)^2 and sinc 2y = sinc(y)
+    cos(y).  Both stay near 1, so the fixed scale 2^w is relative for them,
+    and sin x = x sinc x keeps the relative precision of x however small it
+    is.  y^2 is read off m at every level, not doubled up from the smallest.
+    """
+    one = 1 << w
+    r = max(0, m.bit_length() + e + _halving_depth(w))
+    mm = m * m
+    y2 = _shift(mm, 2 * (e - r) + w)
+    cos = sinc = u = one
+    j = 0
+    while True:
+        u = (u // (2 * j + 1)) * y2 >> w  # y^(2j+2) / (2j+1)!
+        j += 1
+        u //= 2 * j  # y^2j / (2j)!
+        if not u:
+            break
+        v = u // (2 * j + 1)
+        if j & 1:
+            cos, sinc = cos - u, sinc - v
+        else:
+            cos, sinc = cos + u, sinc + v
+    for i in range(r):
+        cos, sinc = one - (y2 * sinc * sinc >> (2 * w - 1)), sinc * cos >> w
+        y2 = _shift(mm, 2 * (e - r + i + 1) + w)
+    return cos, sinc
+
+
+def _cos_sin(m: int, e: int, w: int) -> Tuple[int, int, int, int]:
+    """(c, ce, s, se) with cos x = c 2^ce and sin x = s 2^se, for x = m 2^e.
+
+    For 0 < x <= pi/2 (rounding may put x a little past pi/2; cos x is then
+    negative), both to about 2^-w relative.  Past pi/4 the kernel runs on
+    the complement psi = pi/2 - x, taken in integers with pi from
+    libmp.pi_fixed at as many bits as psi needs to keep w of its own, and
+    cos x = sin psi, sin x = cos psi.
+    """
+    if m.bit_length() + e >= 0:  # x >= 1/2: past pi/4?
+        F = max(w, -e) + 8
+        while True:
+            x = _shift(m, e + F)
+            psi = (libmp.pi_fixed(F + 8) >> 9) - x  # (pi/2 - x) 2^F, to a unit
+            if abs(psi) > x or abs(psi).bit_length() >= w + 2:
+                break
+            F += w + 10 - abs(psi).bit_length()
+        if abs(psi) <= x:
+            cos, sinc = _cos_sinc(abs(psi), -F, w)
+            return psi * sinc, -F - w, cos, -w
+    cos, sinc = _cos_sinc(m, e, w)
+    return cos, -w, m * sinc, e - w
+
+
+def _atan(m: int, e: int, w: int) -> Tuple[int, int]:
+    """(n, f) with atan x = n 2^f to about 2^-w relative, for x = m 2^e in (0, 1].
+
+    Above 2^-h, x is reduced r times by atan x = 2 atan(x / (1 + sqrt(1 +
+    x^2))), each step at least halving it, in fixed point at 2^(w + h)
+    with one isqrt; then atan y = y sum_j (-1)^j y^2j / (2j + 1), which
+    needs about w / 2h terms.  Below 2^-h the series takes x as it is, so a
+    tiny x keeps its relative precision.
+    """
+    h = _halving_depth(w)
+    wh = w + h
+    one = 1 << wh
+    r = 0
+    if m.bit_length() + e > -h:
+        m, e = _shift(m, e + wh), -wh
+        while m >> (wh - h):
+            m = (m << wh) // (one + math.isqrt((one << wh) + m * m))
+            r += 1
+    y2 = _shift(m * m, 2 * e + wh)
+    total = term = one
+    j = 0
+    while term:
+        j += 1
+        term = term * y2 >> wh
+        t = term // (2 * j + 1)
+        total += -t if j & 1 else t
+    return m * total, e + r - wh
+
+
 def _walk_scale(lat: _Lattice, s2: mp.mpf):
     """(k, n): s2 = n / 2^(scale + k), with n as many bits long as lat.top."""
     if not s2:
@@ -340,13 +450,32 @@ def _walk_scale(lat: _Lattice, s2: mp.mpf):
     return lat.top - lat.scale - exp - bc, _shift(man, lat.top - bc)
 
 
-def _landen_walk(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
-    """s_N at the end of the Gauss-Landen walk from s^2 = s2 >= 0; see _landen_log.
+def _x_walk_start(lat: _Lattice, n: int, d: int, prec: int):
+    """_walk_scale of x - e1 for the exact x = n / d, d > 0, in integers.
 
-    The walk runs on the integers of lat, rescaled by 2^k so that s2 keeps
-    lat.top bits however small or large it is; each step takes one isqrt.
+    x below e1 by more than 2^-(prec/4) is off the identity component; below
+    it by at most 2^-prec it is e1 to rounding, and the log turns complex
+    in between.
     """
-    k, s = _walk_scale(lat, s2)
+    S = lat.scale
+    num = (n << S) - lat.e1_int * d  # (x - e1) d 2^S
+    if num <= 0:
+        if -num > d << (S + (-prec // 4)):
+            raise ComponentError("x below the largest real root: not on identity component")
+        if -num > d << (S - prec):
+            raise ValidationError("elliptic log lost reality")
+        return 0, 0
+    k = lat.top - num.bit_length() + d.bit_length()
+    return k, _ratio(num, d, k)
+
+
+def _landen_walk(lat: _Lattice, k: int, s: int):
+    """(k, s_N^2) at the end of the Gauss-Landen walk from (k, s^2); see _landen_log.
+
+    s^2 and s_N^2 are integers over 2^(lat.scale + k), rescaled by 2^k so
+    that s^2 keeps lat.top bits however small or large it is; each step
+    takes one isqrt.
+    """
     if lat.route == "one-real-root":
         # 2r = 2|x - e3| = sqrt((2 s^2 + 3 e1)^2 + 4 Im(e2)^2)
         t = 2 * s + _shift(lat.e1x3, k)
@@ -358,7 +487,34 @@ def _landen_walk(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
         r = math.isqrt((s + a2) * (s + b2))
         d = s - ab
         s = (d + r) >> 1 if d >= 0 else 2 * s * _shift(a2_next, k) // (r - d)
-    return mp.sqrt(_mpf_at(s, lat.scale + k))
+    return k, s
+
+
+def _atan_sqrt(n: int, d: int, t: int, w: int) -> Tuple[int, int]:
+    """(m, f) with atan(rho) = m 2^f in (0, pi/2], rho^2 = n 2^t / d, n > 0, d >= 0.
+
+    rho^2 is exact, so the angle is atan(rho) when rho < 1, relative to rho
+    however small, and pi/2 - atan(1 / rho) otherwise; d = 0 gives pi/2.
+    """
+    if not d:
+        return libmp.pi_fixed(w), -w - 1
+    if _ratio(n, d, t) < 1:  # rho < 1
+        L = w - (n.bit_length() + t - d.bit_length()) // 2 + 1
+        return _atan(math.isqrt(_ratio(n, d, t + 2 * L)), -L, w)
+    L = w - (d.bit_length() - n.bit_length() - t) // 2 + 1
+    m, f = _atan(math.isqrt(_ratio(d, n, 2 * L - t)), -L, w)
+    return (libmp.pi_fixed(w + 8) >> 9) - _shift(m, f + w), -w
+
+
+def _walk_log(lat: _Lattice, k: int, s: int) -> mp.mpf:
+    """z in (0, omega/2] from the start (k, s) of a Landen walk.
+
+    z = atan2(a_N, s_N) / a_N, the angle from rho^2 = a_N^2 / s_N^2 =
+    a2_end 2^k / s_N^2 in the walk's own integers.
+    """
+    k, s = _landen_walk(lat, k, s)
+    n, f = _atan_sqrt(lat.a2_end, s, k, mp.mp.prec + _TRIG_GUARD)
+    return _mpf_at(n, -f) / lat.a_end
 
 
 def _landen_log(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
@@ -372,10 +528,19 @@ def _landen_log(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
     Where s^2 < ab the new s^2 is taken as 2 s^2 a'^2 / (r + ab - s^2),
     the same number without cancellation.  On the one-real-root route the
     complex first step has ab = beta and r = |x - e3|.  The steps run on
-    integers (_landen_walk); only the final atan2 is an mpf.
+    integers (_landen_walk), and so does the end angle atan2(a_N, s_N)
+    (_atan_sqrt); only the division by a_N is an mpf.
     """
-    a = lat.a_end
-    return mp.atan2(a, _landen_walk(lat, s2)) / a
+    return _walk_log(lat, *_walk_scale(lat, s2))
+
+
+def _cot2_walk_start(lat: _Lattice, phi: mp.mpf, w: int):
+    """(k, n): s_N^2 = a_N^2 cot^2 phi = n / 2^(scale + k), n of about lat.top bits."""
+    _, man, exp, _ = phi._mpf_
+    c, ce, s, se = _cos_sin(man, exp, w)
+    num, den = lat.a2_end * c * c, s * s
+    t = lat.top + den.bit_length() - num.bit_length()
+    return t - 2 * (ce - se), _ratio(num, den, t)
 
 
 def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
@@ -387,8 +552,11 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
     callers treat that as identity.
 
     For z = t reduced into (0, omega/2], the Landen walk of _landen_log runs
-    backwards from s_N = a_N cot(a_N z).  Solving one forward step for the
-    old s^2 gives
+    backwards from s_N = a_N cot(phi), phi = a_N z in (0, pi/2], with cos
+    phi and sin phi from the integer kernel _cos_sin: relative to sin phi
+    next to the pole, and past pi/4 on the complement pi/2 - phi, so that
+    cos phi keeps its relative precision next to 2-torsion.  Solving one
+    forward step for the old s^2 gives
         s_k^2 = s_{k+1}^2 (s_{k+1}^2 + a_k b_k) / (s_{k+1}^2 + a_{k+1}^2),
     a ratio of sums of positive terms; on the one-real-root route the
     complex first step is undone the same way with beta = gb^2 for a_k b_k
@@ -407,8 +575,7 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
             raise PoleProximityError(f"t = {mp.nstr(tr, 10)} too close to the lattice")
         flip = tr > om / 2
         z = om - tr if flip else tr
-        a_n = lat.a_end
-        k, s = _walk_scale(lat, (a_n * mp.cot(a_n * z)) ** 2)
+        k, s = _cot2_walk_start(lat, lat.a_end * z, prec + 48 + _TRIG_GUARD)
         for a2, b2, ab, a2_next in reversed(lat.steps):
             s = s * (s + _shift(ab, k)) // (s + _shift(a2_next, k))
         S = lat.scale + k
@@ -421,10 +588,19 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
         else:
             y2 = s * (s + _shift(lat.ga2, k)) * (s + _shift(lat.gb2, k))
             y = -mp.sqrt(_mpf_at(y2, 3 * S))
-        x = lat.e1 + _mpf_at(s, S)
+        x = _mpf_at(_shift(lat.e1_int, k) + s, S)
         if flip:
             y = -y
         return +x, +y
+
+
+def _exact(v: mp.mpf) -> Tuple[int, int]:
+    """(n, d) with v = n / d exactly, d a power of 2."""
+    sign, man, exp, _ = v._mpf_
+    if not man and v:
+        raise ValidationError(f"coordinate {v} is not finite")
+    n = -man if sign else man
+    return (n << exp, 1) if exp >= 0 else (n, 1 << -exp)
 
 
 def elliptic_log(curve: RationalCurve, pt: PointLike,
@@ -432,7 +608,9 @@ def elliptic_log(curve: RationalCurve, pt: PointLike,
     """Unique t in [0, omega) with exp_E(t) = pt.
 
     Accepts an exact CurvePoint on the identity component, a numeric
-    (x, y) pair, or None / the identity point (t = 0).
+    (x, y) pair, or None / the identity point (t = 0).  x - e1, the start
+    of the Landen walk, is taken in integers from x as an exact rational
+    (a numeric x is one once rounded to prec + 48 bits).
     """
     prec = precision_bits
     period = real_period(curve, prec)
@@ -444,25 +622,19 @@ def elliptic_log(curve: RationalCurve, pt: PointLike,
             raise ValidationError(f"point {pt} is not on the curve")
         if not on_identity_component(curve, pt):
             raise ComponentError(f"point {pt} lies on the non-identity component")
-        with mp.workprec(prec + 48):
-            x = mp.mpf(pt.x.numerator) / pt.x.denominator
-            y = mp.mpf(pt.y.numerator) / pt.y.denominator
+        n, d = pt.x.numerator, pt.x.denominator
+        upper = pt.y > 0
     else:
         x, y = pt
         with mp.workprec(prec + 48):
             x, y = mp.mpf(x), mp.mpf(y)
+        n, d = _exact(x)
+        upper = y > 0
     lat = _lattice(curve, prec)
+    k, s = _x_walk_start(lat, n, d, prec)
     with mp.workprec(prec + 48):
-        s2 = x - lat.e1
-        if s2 < -mp.ldexp(1, -prec // 4):
-            raise ComponentError("x below the largest real root: not on identity component")
-        if s2 < 0:
-            # x within rounding of e1; beyond 2^-prec the log would turn complex
-            if s2 < -mp.ldexp(1, -prec):
-                raise ValidationError("elliptic log lost reality")
-            s2 = mp.mpf(0)
-        u = _landen_log(lat, s2)
-        t = om - u if y > 0 else u
+        u = _walk_log(lat, k, s)
+        t = om - u if upper else u
         t = t % om
         return EllipticLogValue(t=+t, omega=om, precision_bits=prec)
 

@@ -358,32 +358,45 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ValidationError on bad input.  A command's arguments wait in
+    _pending and are added when argparse hands the command line to it, so
+    a run builds the arguments of the one command it names."""
+
+    _pending = ()
+
     def error(self, message):
         raise ValidationError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        pending, self._pending = self._pending, ()
+        for flag, kwargs in pending:
+            self.add_argument(flag, **kwargs)
+        return super().parse_known_args(args, namespace)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser(env_prec: Optional[str]) -> _Parser:
     """The parser, with env_prec (DIOPH_PRECISION_BITS) as the --precision-bits default.
 
-    Built once per value: the environment variable is its only input.
+    Built once per value: the environment variable is its only input.  Every
+    command name is registered, so usage and help list them all; each
+    command's arguments are added on its first parse.
     """
     parser = _Parser(prog="dioph", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision-bits", type=int,
-                        default=int(env_prec) if env_prec else 256)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", type=str, default=None,
-                        help="output base path; writes OUT.json and OUT.csv")
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--full-precision", action="store_true")
+    common = [
+        ("--precision-bits", {"type": int, "default": int(env_prec) if env_prec else 256}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--out", {"type": str, "default": None,
+                   "help": "output base path; writes OUT.json and OUT.csv"}),
+        ("--format", {"choices": ["csv", "json"], "default": "csv"}),
+        ("--full-precision", {"action": "store_true"}),
+    ]
     sub = parser.add_subparsers(dest="command")
     curve = sub.add_parser("curve", help="curve utilities").add_subparsers(dest="curve_command")
     for name, (arguments, _) in _COMMANDS.items():
         *group, leaf = name.split()
-        p = (curve if group else sub).add_parser(leaf, parents=[common])
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
+        p = (curve if group else sub).add_parser(leaf)
+        p._pending = common + arguments
         p.set_defaults(command_name=name)
     return parser
 

@@ -9,9 +9,10 @@ The two canonical-height routes cross-check each other:
   * canonical_height_limit: doubling of the projective x-coordinate,
     hhat = (1/2) lim 4^-k log H(x([2^k]P)).  The integers grow 4x in size
     per doubling, so they are never built: a certified ladder carries an
-    interval enclosure of them at a fixed working precision (doubled until
-    every step is decided), plus their residues modulo a power of disc^2.
-    The gcd appearing at each doubling divides disc^2 (the resultant of the
+    enclosure [lo, hi] 2^e of them in integers, rounded outward to a fixed
+    working precision after every operation (doubled until every step is
+    decided), plus their residues modulo a power of disc^2.  The gcd
+    appearing at each doubling divides disc^2 (the resultant of the
     duplication quartics), so the residues give it exactly, and the result
     equals that of the exact integer ladder bit for bit.
 
@@ -44,7 +45,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath as mp
-from mpmath import iv, libmp
 
 from . import analytic, ec_core
 from .ec_core import CurvePoint, RationalCurve
@@ -96,29 +96,151 @@ def _top_bits(n: int) -> Tuple[int, int]:
     return bl, n >> max(bl - 64, 0)
 
 
-def _endpoint_top_bits(v, rounding: str) -> Tuple[int, int]:
-    """_top_bits of the mpf tuple v >= 0 rounded to an integer by `rounding`.
+def _outward(lo: int, hi: int, e: int, prec: int) -> "_Enclosure":
+    """[lo, hi] 2^e with lo rounded down and hi up to prec-bit mantissas.
 
-    A large endpoint is an integer already (its exponent is >= 0), and its
-    top bits are read off the mantissa without building the integer.
+    Each endpoint is rounded on its own, as mpmath's interval arithmetic
+    does, and both are then written over the smaller of their exponents.
     """
-    _, man, exp, bc = v
-    if exp >= 0 and bc + exp > 64:
-        return bc + exp, man >> (bc - 64) if bc >= 64 else man << (64 - bc)
-    return _top_bits(libmp.to_int(v, rounding))
+    sl = abs(lo).bit_length() - prec
+    sh = abs(hi).bit_length() - prec
+    if sl > 0:
+        lo >>= sl
+        if sh > 0:
+            hi = -((-hi) >> sh)
+            if sl > sh:
+                lo <<= sl - sh
+            elif sh > sl:
+                hi <<= sh - sl
+            return _Enclosure(lo, hi, e + min(sl, sh), prec)
+        return _Enclosure(lo << sl, hi, e, prec)
+    if sh > 0:
+        return _Enclosure(lo, -((-hi) >> sh) << sh, e, prec)
+    return _Enclosure(lo, hi, e, prec)
 
 
-def _height_bits(p, q) -> Tuple[int, int]:
-    """_top_bits of max(|p|, |q|) for the integers enclosed by intervals p, q.
+def _div_floor(n: int, d: int, prec: int) -> Tuple[int, int]:
+    """(m, f) with m = floor(n 2^f / d) of at least prec bits, for d > 0.
+
+    Floors compose, so m 2^-f rounded down to prec bits is n / d rounded down.
+    """
+    f = max(0, prec + d.bit_length() - abs(n).bit_length() + 1)
+    return (n << f) // d, f
+
+
+class _Enclosure:
+    """The reals [lo, hi] 2^e, lo <= hi integers, at a working precision prec.
+
+    Every operation rounds its exact result outward to prec-bit endpoints,
+    endpoint by endpoint, exactly as mpmath's iv.mpf does at iv.prec, so an
+    enclosure decides the same steps as iv at the same precision.  Python
+    int operands are enclosed first, also rounded outward (mpmath's
+    conversion of an int).  Only what _double_x and the ladder use is here.
+    """
+
+    __slots__ = ("lo", "hi", "e", "prec")
+
+    def __init__(self, lo: int, hi: int, e: int, prec: int):
+        self.lo, self.hi, self.e, self.prec = lo, hi, e, prec
+
+    def _enclose(self, other) -> "_Enclosure":
+        if isinstance(other, _Enclosure):
+            return other
+        return _outward(other, other, 0, self.prec)
+
+    def _add(self, o: "_Enclosure", sign: int) -> "_Enclosure":
+        olo, ohi = (o.lo, o.hi) if sign > 0 else (-o.hi, -o.lo)
+        # an exact 0 leaves the other term as it is, however far off its exponent
+        if not (o.lo or o.hi):
+            return self
+        if not (self.lo or self.hi):
+            return _Enclosure(olo, ohi, o.e, self.prec)
+        d = self.e - o.e
+        if d >= 0:
+            return _outward((self.lo << d) + olo, (self.hi << d) + ohi, o.e, self.prec)
+        return _outward(self.lo + (olo << -d), self.hi + (ohi << -d), self.e, self.prec)
+
+    def __add__(self, other):
+        return self._add(self._enclose(other), 1)
+
+    def __sub__(self, other):
+        return self._add(self._enclose(other), -1)
+
+    def __mul__(self, other):
+        o = self._enclose(other)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if a >= 0 and c >= 0:
+            lo, hi = a * c, b * d
+        elif b <= 0 and d <= 0:
+            lo, hi = b * d, a * c
+        else:
+            products = (a * c, a * d, b * c, b * d)
+            lo, hi = min(products), max(products)
+        return _outward(lo, hi, self.e + o.e, self.prec)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n != 2:
+            raise ValueError("only squares are enclosed")
+        a, b = self.lo, self.hi
+        if a >= 0:
+            lo, hi = a * a, b * b
+        elif b <= 0:
+            lo, hi = b * b, a * a
+        else:
+            lo, hi = 0, max(-a, b) ** 2
+        return _outward(lo, hi, 2 * self.e, self.prec)
+
+    def __truediv__(self, other):
+        o = self._enclose(other)
+        if o.lo <= 0:
+            raise ValueError("only positive divisors are enclosed")
+        a, b = self.lo, self.hi
+        if a == b == 0:
+            return self
+        # lo / (the divisor end that makes it smallest), hi likewise
+        lo, f = _div_floor(a, o.hi if a >= 0 else o.lo, self.prec)
+        hi, g = _div_floor(-b, o.lo if b >= 0 else o.hi, self.prec)
+        hi = -hi
+        m = max(f, g)
+        return _outward(lo << (m - f), hi << (m - g), self.e - o.e - m, self.prec)
+
+    def top_bits(self, upper: bool) -> Tuple[int, int]:
+        """_top_bits of hi rounded down (upper) or of lo rounded up, for lo >= 0.
+
+        A large endpoint is an integer already (e >= 0), and its top bits
+        are read off the mantissa without building the integer.
+        """
+        n, e = (self.hi if upper else self.lo), self.e
+        if e < 0:
+            return _top_bits(n >> -e if upper else -((-n) >> -e))
+        bl = n.bit_length()
+        if not n or bl + e <= 64:
+            return _top_bits(n << e)
+        return bl + e, n >> (bl - 64) if bl >= 64 else n << (64 - bl)
+
+    def magnitude(self) -> "_Enclosure":
+        """The enclosure of the absolute values, unrounded (mpmath's mpi_abs)."""
+        a, b = self.lo, self.hi
+        if a >= 0:
+            return self
+        if b <= 0:
+            return _Enclosure(-b, -a, self.e, self.prec)
+        return _Enclosure(0, max(-a, b), self.e, self.prec)
+
+
+def _height_bits(p: _Enclosure, q: _Enclosure) -> Tuple[int, int]:
+    """_top_bits of max(|p|, |q|) for the integers enclosed by p and q.
 
     Raises _Undecided unless every integer in the enclosure of the maximum
-    has the same bit length and top 64 bits.
+    has the same bit length and top 64 bits.  Rounding to an integer keeps
+    order, so the maximum's endpoints round to the maxima of the rounded
+    endpoints, and (bit length, top bits) orders as the integers do.
     """
-    (lp, hp), (lq, hq) = libmp.mpi_abs(p._mpi_), libmp.mpi_abs(q._mpi_)
-    lo = lp if libmp.mpf_gt(lp, lq) else lq
-    hi = hp if libmp.mpf_gt(hp, hq) else hq
-    bits = _endpoint_top_bits(lo, libmp.round_ceiling)
-    if bits != _endpoint_top_bits(hi, libmp.round_floor):
+    p, q = p.magnitude(), q.magnitude()
+    bits = max(p.top_bits(False), q.top_bits(False))
+    if bits != max(p.top_bits(True), q.top_bits(True)):
         raise _Undecided
     return bits
 
@@ -133,7 +255,7 @@ def _log_of_top_bits(bl: int, top: int) -> float:
 def _double_x(a, b, p, q):
     """Projective x-coordinate (fp, fq) of [2]P from x(P) = p/q, gcd not removed.
 
-    Written once for Python ints (the residues) and intervals (the enclosures).
+    Written once for Python ints (the residues) and enclosures.
     """
     q2 = q * q
     q3 = q2 * q
@@ -142,21 +264,21 @@ def _double_x(a, b, p, q):
     return fp, fq
 
 
-def _ladder(a: int, b: int, x: Fraction, n_max: int):
+def _ladder(a: int, b: int, x: Fraction, n_max: int, prec: int):
     """Estimates (1/2) 4^-k log max(|p_k|, |q_k|) for k = 0..n_max, or None.
 
     (p_k, q_k) is the reduced projective x-coordinate of [2^k]P on the
     integral curve y^2 = x^3 + a x + b, where x(P) = x.  None means a
     doubling hit the identity: P is torsion.  Runs at the working precision
-    iv.prec and raises _Undecided when an enclosure is too wide to decide.
+    prec and raises _Undecided when an enclosure is too wide to decide.
     """
     disc = -16 * (4 * a**3 + 27 * b**2)
     gcd_bound = disc * disc
-    # g_k divides gcd_bound, so after k doublings the modulus is still a
-    # multiple of gcd_bound^(n_max + 1 - k) >= gcd_bound^2
-    modulus = gcd_bound ** (n_max + 1)
+    # the gcd of doubling k is read modulo gcd_bound, which it divides; the
+    # residues before doubling k are taken modulo gcd_bound^(n_max - k)
+    modulus = gcd_bound ** n_max
     rp, rq = x.numerator % modulus, x.denominator % modulus
-    p, q = iv.mpf(x.numerator), iv.mpf(x.denominator)
+    p, q = (_outward(n, n, 0, prec) for n in (x.numerator, x.denominator))
     estimates = []
     for k in range(n_max + 1):
         bl, top = _height_bits(p, q)
@@ -164,15 +286,15 @@ def _ladder(a: int, b: int, x: Fraction, n_max: int):
         if k == n_max:
             return estimates
         fp, fq = _double_x(a, b, p, q)
-        lo, hi = fq._mpi_
-        if lo == hi == libmp.fzero:
+        if fq.lo == fq.hi == 0:
             return None
-        if libmp.mpf_sign(lo) <= 0 <= libmp.mpf_sign(hi):
+        if fq.lo <= 0 <= fq.hi:
             raise _Undecided
         rfp, rfq = (r % modulus for r in _double_x(a, b, rp, rq))
         g = math.gcd(rfp, rfq, gcd_bound)
-        modulus //= g
-        rp, rq = rfp // g, rfq // g
+        # fp / g is known modulo modulus / g, a multiple of the next modulus
+        modulus //= gcd_bound
+        rp, rq = rfp // g % modulus, rfq // g % modulus
         p, q = fp / g, fq / g
 
 
@@ -188,12 +310,14 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     The pair is never built: its bit length grows 4x per doubling, yet each
     step reads only the bit length and top 64 bits of max(|p|,|q|), and
     the gcd g with disc^2 that the doubling leaves.  So the ladder carries
-    an interval enclosure of p and q at a fixed working precision, and their
-    exact residues modulo disc^(2(n_max+1)), from which g is exact.  When an
-    enclosure cannot decide a step (the top bits, or the sign of fq), the
+    integer enclosures of p and q (_Enclosure), rounded outward to a working
+    precision that is an argument of _ladder, and their exact residues
+    modulo disc^(2(n_max-k)) before doubling k, from which g is exact.  When
+    an enclosure cannot decide a step (the top bits, or the sign of fq), the
     ladder reruns at twice the precision; at the size of the integers the
-    intervals are exact, so the result always equals the exact ladder's.
-    The point is torsion only when the enclosure of fq is exactly {0}.
+    enclosures are exact, so the result always equals the exact ladder's.
+    The point is torsion only when the enclosure of fq is exactly {0}.  No
+    global precision is read or set.
 
     `DEFAULT_DIGIT_BUDGET` bounds that working precision, in bits: a run
     that would need more raises BudgetExceededError.  Once the precision
@@ -206,21 +330,17 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     if pt.is_identity:
         return HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
     cu, pu, _ = ec_core.integral_model(curve, pt)
-    saved_prec = iv.prec
-    iv.prec = _START_PRECISION
-    try:
-        while True:
-            if iv.prec > DEFAULT_DIGIT_BUDGET:
-                raise BudgetExceededError(
-                    f"ladder working precision {iv.prec} bits exceeds the "
-                    f"{DEFAULT_DIGIT_BUDGET}-bit budget")
-            try:
-                estimates = _ladder(int(cu.a), int(cu.b), pu.x, n_max)
-                break
-            except _Undecided:
-                iv.prec *= 2
-    finally:
-        iv.prec = saved_prec
+    prec = _START_PRECISION
+    while True:
+        if prec > DEFAULT_DIGIT_BUDGET:
+            raise BudgetExceededError(
+                f"ladder working precision {prec} bits exceeds the "
+                f"{DEFAULT_DIGIT_BUDGET}-bit budget")
+        try:
+            estimates = _ladder(int(cu.a), int(cu.b), pu.x, n_max, prec)
+            break
+        except _Undecided:
+            prec *= 2
     if estimates is None:
         # doubling hit the identity: pt is torsion
         return HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
@@ -268,7 +388,8 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
         # theta/2 = pi z / omega = atan2(a_N, s_N) at the end of the Landen
         # walk, as omega = pi / a_N: its cosine and sine are algebraic
         a = lat.a_end
-        s_n = analytic._landen_walk(lat, max(s2, mp.mpf(0)))
+        k, s_end = analytic._landen_walk(lat, *analytic._walk_scale(lat, max(s2, mp.mpf(0))))
+        s_n = mp.sqrt(analytic._mpf_at(s_end, lat.scale + k))
         h = mp.hypot(a, s_n)
         theta1, euler = _theta_euler(lat.q, s_n / h)
         s = a / h

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dioph import analytic, ec_core, heights
+from dioph import analytic, cli, ec_core, heights
 from dioph.ec_core import CurvePoint, RationalCurve
 from dioph.errors import PoleProximityError
 
-from test_heights import _reference_kernel_multiple
+from test_heights import WORKLOAD_CURVES, _reference_kernel_multiple
 
 PRECISIONS = (128, 256, 512)
 
@@ -431,6 +431,71 @@ def test_exp_pole_guard_scales_with_omega(curve, prec):
     for k in (prec // 4 + 1, prec):
         with pytest.raises(PoleProximityError):
             analytic.exp_E(curve, mp.ldexp(om, -k), prec)
+
+
+# --- the integer trigonometry at the ends of the Landen walks -------------------
+
+
+def _relative_bits(got, ref):
+    """-log2 of the relative error of got against ref != 0."""
+    err = abs(got - ref)
+    return mp.inf if not err else -mp.log(err / abs(ref), 2)
+
+
+@given(st.sampled_from(PRECISIONS), st.data())
+def test_int_trig_kernels_match_mpmath(prec, data):
+    """_cos_sin and _atan_sqrt at w = prec against mpmath at 2 prec, to 2^-(prec - 8).
+
+    phi = a_N z is an mpf of prec + 48 bits, as exp_E makes it, from the pole
+    guard 2^-(prec/4) up to pi/2, and next to pi/2 (2-torsion) down to its
+    last bit, where rounding may put it past pi/2.  The atan ratio rho^2 =
+    n 2^t / d spans 2^-600 <= rho <= 2^600.
+    """
+    with mp.workprec(prec + 48):
+        if data.draw(st.booleans(), label="next to pi/2"):
+            gap = data.draw(st.integers(2, prec + 48), label="gap bits")
+            phi = mp.pi / 2 - mp.ldexp(data.draw(st.floats(-1, 1), label="gap"), -gap)
+        else:
+            k = data.draw(st.integers(0, prec // 4 - 1), label="halvings")
+            phi = mp.ldexp(mp.pi / 2 * data.draw(st.floats(0.5, 1), label="fraction"), -k)
+    assert phi >= mp.ldexp(1, -prec // 4)
+    _, man, exp, _ = phi._mpf_
+    c, ce, s, se = analytic._cos_sin(man, exp, prec)
+    n = data.draw(st.integers(1, 2**prec), label="n")
+    d = data.draw(st.integers(1, 2**prec), label="d")
+    t = data.draw(st.integers(-1200, 1200), label="t")
+    m, f = analytic._atan_sqrt(n, d, t, prec)
+    with mp.workprec(2 * prec):
+        assert _relative_bits(mp.ldexp(c, ce), mp.cos(phi)) >= prec - 8
+        assert _relative_bits(mp.ldexp(s, se), mp.sin(phi)) >= prec - 8
+        rho = mp.sqrt(mp.ldexp(mp.mpf(n) / d, t))
+        assert _relative_bits(mp.ldexp(m, f), mp.atan(rho)) >= prec - 8
+    assert analytic._atan_sqrt(n, 0, t, prec) == (mp.libmp.pi_fixed(prec), -prec - 1)
+
+
+def test_heights_path_without_mpf_trigonometry_or_intervals(monkeypatch, tmp_path):
+    """exp_E, elliptic_log, `dioph curve log` and canonical_height_limit on the
+    workload curves call neither mpmath's atan, atan2 and cot nor its
+    interval arithmetic."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath trigonometry or intervals on the heights path")
+
+    for name in ("atan", "atan2", "cot"):
+        monkeypatch.setattr(mp, name, refuse)
+    monkeypatch.setattr(mp.iv, "mpf", refuse)
+    for i, (curve, pt) in enumerate(WORKLOAD_CURVES):
+        P = ec_core.scalar_mul(curve, 2, pt)  # on the identity component
+        om = analytic.real_period(curve).omega
+        for u in ("0.001", "0.3", "0.4999", "0.5", "0.77"):
+            x, y = analytic.exp_E(curve, mp.mpf(u) * om)
+            analytic.elliptic_log(curve, (x, y))
+        analytic.elliptic_log(curve, P)
+        heights.canonical_height_limit(curve, pt, 11)
+        path = tmp_path / f"curve{i}.json"
+        path.write_text(f'{{"a": "{curve.a}", "b": "{curve.b}"}}', encoding="utf-8")
+        argv = ["curve", "log", "--curve", str(path), "--point", f"{P.x},{P.y}",
+                "--out", str(tmp_path / f"log{i}")]
+        assert cli.parse_and_dispatch(argv) == 0
 
 
 # --- property tests on random integral curves, both period routes -----------

@@ -260,15 +260,45 @@ def test_limit_matches_exact_ladder_non_integral_37a1():
         _assert_matches_reference(curve, ec_core.scalar_mul(curve, n, P), 7)
 
 
+_ENDS = st.lists(st.integers(-2**300, 2**300), min_size=2, max_size=2).map(sorted)
+
+
+@given(st.sampled_from((8, 32, 53, 128)), _ENDS, _ENDS, st.integers(-99, 99),
+       st.integers(-99, 99), st.integers(1, 2**70))
+def test_enclosures_round_as_mpmath_intervals(prec, p, q, a, b, g):
+    """The ladder's integer enclosures give mpmath's iv endpoints at the same
+    precision, bit for bit, through every operation of a doubling and its
+    division by g, so they decide the same steps.  The endpoints are drawn
+    apart, so the enclosures straddle 0 and their ends differ in size."""
+    def endpoints(v):
+        return v._mpi_ if hasattr(v, "_mpi_") else tuple(
+            mp.libmp.from_man_exp(n, v.e) for n in (v.lo, v.hi))
+
+    saved = mp.iv.prec
+    mp.iv.prec = prec
+    try:
+        ours = [heights._outward(*p, 0, prec), heights._outward(*q, 0, prec)]
+        theirs = [mp.iv.mpf(p), mp.iv.mpf(q)]
+        for side in (ours, theirs):
+            P, Q = side
+            side += [*heights._double_x(a, b, P, Q), *heights._double_x(a, b, P - Q, P + Q)]
+            side += [v / g for v in side[2:]] + [(P - Q) * (Q - P) ** 2]
+    finally:
+        mp.iv.prec = saved
+    for mine, ref in zip(ours, theirs):
+        got, want = endpoints(mine), endpoints(ref)
+        assert all(mp.libmp.mpf_eq(x, y) for x, y in zip(got, want))
+
+
 def test_limit_precision_escalation(monkeypatch):
     # at 32 bits no enclosure of a large x-coordinate pins its top 64 bits,
     # so the ladder must rerun at doubled precision until it does
     precisions = []
     ladder = heights._ladder
 
-    def spy(*args):
-        precisions.append(mp.iv.prec)
-        return ladder(*args)
+    def spy(a, b, x, n_max, prec):
+        precisions.append(prec)
+        return ladder(a, b, x, n_max, prec)
 
     monkeypatch.setattr(heights, "_START_PRECISION", 32)
     monkeypatch.setattr(heights, "_ladder", spy)
@@ -291,7 +321,8 @@ def test_digit_budget_parity(monkeypatch, curve, pt, budget):
     ladder = heights._ladder
     monkeypatch.setattr(heights, "_START_PRECISION", 32)
     monkeypatch.setattr(heights, "_ladder",
-                        lambda *args: precisions.append(mp.iv.prec) or ladder(*args))
+                        lambda a, b, x, n_max, prec: precisions.append(prec)
+                        or ladder(a, b, x, n_max, prec))
     before = mp.iv.prec
     heights.canonical_height_limit(curve, pt, 9, PREC)
     needed = list(precisions)
