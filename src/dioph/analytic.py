@@ -351,6 +351,11 @@ def _ratio(n: int, d: int, t: int) -> int:
     return (n << t) // d if t >= 0 else n // (d << -t)
 
 
+def _above(n: int, d: int, e: int) -> bool:
+    """n / d > 2^e, for d > 0."""
+    return n > d << e if e >= 0 else n << -e > d
+
+
 def _halving_depth(w: int) -> int:
     """h such that the series of _cos_sinc and _atan run below 2^-h at w bits."""
     return math.isqrt(w) // 2 + 1
@@ -460,9 +465,9 @@ def _x_walk_start(lat: _Lattice, n: int, d: int, prec: int):
     S = lat.scale
     num = (n << S) - lat.e1_int * d  # (x - e1) d 2^S
     if num <= 0:
-        if -num > d << (S + (-prec // 4)):
+        if _above(-num, d, S + (-prec // 4)):
             raise ComponentError("x below the largest real root: not on identity component")
-        if -num > d << (S - prec):
+        if _above(-num, d, S - prec):
             raise ValidationError("elliptic log lost reality")
         return 0, 0
     k = lat.top - num.bit_length() + d.bit_length()

@@ -358,9 +358,12 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ValidationError on bad input.  A command's arguments wait in
-    _pending and are added when argparse hands the command line to it, so
-    a run builds the arguments of the one command it names."""
+    """Raises ValidationError on bad input; adds a command's arguments when parsed.
+
+    A command's arguments wait in _pending until argparse hands the command
+    line to its parser, so a run builds the arguments of the one command it
+    names.
+    """
 
     _pending = ()
 

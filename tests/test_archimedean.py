@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from dioph import analytic, cli, ec_core, heights
 from dioph.ec_core import CurvePoint, RationalCurve
-from dioph.errors import PoleProximityError
+from dioph.errors import ComponentError, PoleProximityError, ValidationError
 
 from test_heights import WORKLOAD_CURVES, _reference_kernel_multiple
 
@@ -431,6 +431,22 @@ def test_exp_pole_guard_scales_with_omega(curve, prec):
     for k in (prec // 4 + 1, prec):
         with pytest.raises(PoleProximityError):
             analytic.exp_E(curve, mp.ldexp(om, -k), prec)
+
+
+def test_log_below_e1_on_a_coarse_lattice_scale():
+    """On a curve with roots near 1e20 the lattice scale is below prec, and
+    x - e1 is still compared with 2^-prec and 2^-(prec/4) exactly: x below
+    e1 by 2^-(prec/2) raises ValidationError, by 2^(1 - prec/4)
+    ComponentError."""
+    curve = RationalCurve(a=10**50, b=-10**70)
+    for prec in (64, 256):
+        lat = analytic._lattice(curve, prec)
+        assert lat.scale < prec
+        e1 = mp.ldexp(lat.e1_int, -lat.scale)
+        with pytest.raises(ValidationError, match="lost reality"):
+            analytic.elliptic_log(curve, (e1 - mp.ldexp(1, -prec // 2), 0), prec)
+        with pytest.raises(ComponentError):
+            analytic.elliptic_log(curve, (e1 - mp.ldexp(1, 1 - prec // 4), 0), prec)
 
 
 # --- the integer trigonometry at the ends of the Landen walks -------------------
