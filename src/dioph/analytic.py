@@ -351,11 +351,6 @@ def _ratio(n: int, d: int, t: int) -> int:
     return (n << t) // d if t >= 0 else n // (d << -t)
 
 
-def _above(n: int, d: int, e: int) -> bool:
-    """n / d > 2^e, for d > 0."""
-    return n > d << e if e >= 0 else n << -e > d
-
-
 def _halving_depth(w: int) -> int:
     """h such that the series of _cos_sinc and _atan run below 2^-h at w bits.
 
@@ -460,19 +455,23 @@ def _walk_scale(lat: _Lattice, s2: mp.mpf):
     return lat.top - lat.scale - exp - bc, _shift(man, lat.top - bc)
 
 
-def _x_walk_start(lat: _Lattice, n: int, d: int, prec: int):
-    """_walk_scale of x - e1 for the exact x = n / d, d > 0, in integers.
+def _x_walk_start(lat: _Lattice, n: int, d: int, prec: int, rounded: bool):
+    """_walk_scale of x - e1 for x = n / d, d > 0, in integers.
 
-    x below e1 by more than 2^-(prec/4) is off the identity component; below
-    it by at most 2^-prec it is e1 to rounding, and the log turns complex
-    in between.
+    x is e1 to rounding when it lies below e1 by at most the slack: 2^-prec,
+    one unit 2^-scale of e1, and, when x was rounded to prec + 48 bits,
+    |x| 2^-(prec + 47).  The slack scales with the roots, so 2-torsion on a
+    curve with large roots comes back as e1.  Below e1 by more than the
+    slack plus 2^-(prec/4), x is off the identity component; in between,
+    the log turns complex.
     """
     S = lat.scale
     num = (n << S) - lat.e1_int * d  # (x - e1) d 2^S
     if num <= 0:
-        if _above(-num, d, S + (-prec // 4)):
+        slack = d + _shift(d, S - prec) + (_shift(abs(n), S - prec - 47) if rounded else 0)
+        if -num > slack + _shift(d, S + (-prec // 4)):
             raise ComponentError("x below the largest real root: not on identity component")
-        if _above(-num, d, S - prec):
+        if -num > slack:
             raise ValidationError("elliptic log lost reality")
         return 0, 0
     k = lat.top - num.bit_length() + d.bit_length()
@@ -620,7 +619,8 @@ def elliptic_log(curve: RationalCurve, pt: PointLike,
     Accepts an exact CurvePoint on the identity component, a numeric
     (x, y) pair, or None / the identity point (t = 0).  x - e1, the start
     of the Landen walk, is taken in integers from x as an exact rational
-    (a numeric x is one once rounded to prec + 48 bits).
+    (a numeric x is one once rounded to prec + 48 bits); x within rounding
+    of e1 is e1 (_x_walk_start).
     """
     prec = precision_bits
     lat = _lattice(curve, prec)
@@ -633,14 +633,14 @@ def elliptic_log(curve: RationalCurve, pt: PointLike,
         if not on_identity_component(curve, pt):
             raise ComponentError(f"point {pt} lies on the non-identity component")
         n, d = pt.x.numerator, pt.x.denominator
-        upper = pt.y > 0
+        upper, rounded = pt.y > 0, False
     else:
         x, y = pt
         with mp.workprec(prec + 48):
             x, y = mp.mpf(x), mp.mpf(y)
         n, d = _exact(x)
-        upper = y > 0
-    k, s = _x_walk_start(lat, n, d, prec)
+        upper, rounded = y > 0, True
+    k, s = _x_walk_start(lat, n, d, prec, rounded)
     with mp.workprec(prec + 48):
         u = _walk_log(lat, k, s)
         t = om - u if upper else u

@@ -449,6 +449,25 @@ def test_log_below_e1_on_a_coarse_lattice_scale():
             analytic.elliptic_log(curve, (e1 - mp.ldexp(1, 1 - prec // 4), 0), prec)
 
 
+@pytest.mark.parametrize("a, b, prec", (
+    (-487854104816158536491965707822, -134441369496306274374997182483441187055589472, 256),
+    (-311442448639714905730499776235, 329506207182215642964309507318246292072533757, 512),
+))
+def test_round_trip_next_to_two_torsion_with_large_roots(a, b, prec):
+    """With e1 near +-8e14, x rounded to prec + 48 bits is off by more than
+    2^-prec, and next to 2-torsion it may land below e1: within that rounding
+    it is e1, and t comes back to about half the working precision."""
+    curve = RationalCurve(a=a, b=b)
+    om = analytic.real_period(curve, prec).omega
+    for k in (0, 40, prec // 2, prec):
+        with mp.workprec(prec + 48):
+            t = om / 2 - (mp.ldexp(om, -k) if k else 0)
+        x, y = analytic.exp_E(curve, t, prec)
+        back = analytic.elliptic_log(curve, (x, y), prec).t
+        with mp.workprec(4 * prec):
+            assert abs(back - t) <= mp.ldexp(om, 8 - (prec + 48) // 2), k
+
+
 # --- the integer trigonometry at the ends of the Landen walks -------------------
 
 
