@@ -230,8 +230,9 @@ def _flow(args):
     }
     d = prof.lambdas.shape[1]
     header = ["t", "delta"] + [f"lambda_{i+1}" for i in range(d)] + ["is_minimum"]
-    rows = [[float(t), float(prof.delta_values[i])] + [float(v) for v in prof.lambdas[i]]
-            + [int(prof.is_minimum[i])] for i, t in enumerate(prof.times)]
+    rows = [[t, delta] + lams + [int(flag)] for t, delta, lams, flag in zip(
+        prof.times.tolist(), prof.delta_values.tolist(), prof.lambdas.tolist(),
+        prof.is_minimum.tolist())]
     return report, header, rows
 
 
@@ -358,23 +359,33 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ValidationError on bad input; adds a command's arguments when parsed.
-
-    A command's arguments wait in _pending until argparse hands the command
-    line to its parser, so a run builds the arguments of the one command it
-    names.
-    """
-
-    _pending = ()
+    """Raises ValidationError on bad input."""
 
     def error(self, message):
         raise ValidationError(message)
 
-    def parse_known_args(self, args=None, namespace=None):
-        pending, self._pending = self._pending, ()
-        for flag, kwargs in pending:
-            self.add_argument(flag, **kwargs)
-        return super().parse_known_args(args, namespace)
+
+class _Commands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built only when argparse dispatches to them.
+
+    `add_command` lists a name with its command name and arguments, so
+    usage, help and choice errors see every command; `__call__` builds the
+    parser of the one command named, on its first dispatch.
+    """
+
+    def add_command(self, leaf: str, name: str, arguments) -> None:
+        self._name_parser_map[leaf] = (name, arguments)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        entry = self._name_parser_map.get(values[0])
+        if isinstance(entry, tuple):
+            name, arguments = entry
+            sub = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
+            for flag, kwargs in arguments:
+                sub.add_argument(flag, **kwargs)
+            sub.set_defaults(command_name=name)
+            self._name_parser_map[values[0]] = sub
+        super().__call__(parser, namespace, values, option_string)
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,8 +393,9 @@ def _build_parser(env_prec: Optional[str]) -> _Parser:
     """The parser, with env_prec (DIOPH_PRECISION_BITS) as the --precision-bits default.
 
     Built once per value: the environment variable is its only input.  Every
-    command name is registered, so usage and help list them all; each
-    command's arguments are added on its first parse.
+    command name is registered, so usage and help list them all; only the
+    root and the ``curve`` group are built here, and each command's parser
+    on its first dispatch (`_Commands`).
     """
     parser = _Parser(prog="dioph", description=__doc__)
     common = [
@@ -394,13 +406,12 @@ def _build_parser(env_prec: Optional[str]) -> _Parser:
         ("--format", {"choices": ["csv", "json"], "default": "csv"}),
         ("--full-precision", {"action": "store_true"}),
     ]
-    sub = parser.add_subparsers(dest="command")
-    curve = sub.add_parser("curve", help="curve utilities").add_subparsers(dest="curve_command")
+    sub = parser.add_subparsers(dest="command", action=_Commands)
+    curve = sub.add_parser("curve", help="curve utilities").add_subparsers(
+        dest="curve_command", action=_Commands)
     for name, (arguments, _) in _COMMANDS.items():
         *group, leaf = name.split()
-        p = (curve if group else sub).add_parser(leaf)
-        p._pending = common + arguments
-        p.set_defaults(command_name=name)
+        (curve if group else sub).add_command(leaf, name, common + arguments)
     return parser
 
 

@@ -20,6 +20,11 @@ basis with no float centre or margin, and memory is O(1) in q_max; q_max
 is limited by int64 and by the budget of the 1 x 1 kernel
 (`reduction.CIRCLE_MAX_ENUM`, lines walked and points listed per search),
 not by memory: `minkowski` and `weakdirichlet` run at q_max = 1e15.
+
+Seeded targets (a random t for `weak_dirichlet_experiment`, the xi of
+`conjecture_probe`) are drawn from `pcg64._Generator(seed)`, the stream of
+`numpy.random.default_rng(seed)` in Python ints: the draws, and so the
+reports, are numpy's, and no run imports `numpy.random`.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
-import numpy as np
 
-from . import analytic, ec_core, heights
+from . import analytic, ec_core, heights, pcg64
 from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank,
                            _exponent_sample, _LogScore, _ls_slope, _Shells, _shell_argmax,
                            _to_mpf, _windows, best_approx, build_A_from_HJ)
@@ -142,7 +146,7 @@ def _orbit_distance(shells: _Shells, q_max: int) -> Fraction:
 
 
 def _resolve_target_log(config: CurveExperimentConfig, omega: mp.mpf,
-                        alpha: RealMatrix, rng: np.random.Generator) -> mp.mpf:
+                        alpha: RealMatrix, rng: pcg64._Generator) -> mp.mpf:
     """Target's elliptic log; seeded random draws re-sample degenerate hits."""
     prec = config.precision_bits
     tp = config.target_P
@@ -223,7 +227,7 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
     omega = period.omega
     theta = analytic.elliptic_log(curve, gen, prec).t
     hhat_Q = heights.canonical_height_local(curve, gen, prec).value
-    rng = np.random.default_rng(config.seed)
+    rng = pcg64._Generator(config.seed)
     with mp.workprec(prec + 16):
         alpha = +(theta / omega)
     alpha_m = RealMatrix(m=1, n=1, entries=(alpha,), precision_bits=prec)
@@ -331,7 +335,7 @@ def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
     if not Q_schedule or any(Q < 1 for Q in Q_schedule):
         raise ValidationError("Q_schedule must contain positive integers")
     Q_schedule = sorted(int(Q) for Q in Q_schedule)
-    rng = np.random.default_rng(seed)
+    rng = pcg64._Generator(seed)
     floor = r / g
     prec = precision_bits
     # degenerate (rational-entry) guard: an exact hit at modest Q

@@ -22,17 +22,22 @@ the "k sufficiently large" hypothesis; each finite game then yields a
 certificate per triggered stage: the exact minimum of the circle error
 below Q_k, found by `best_approx` within the budget of its 1 x 1 kernel
 (`reduction.CIRCLE_MAX_ENUM`).  The dual flow is sampled every `DT` in t.
+
+A seeded game draws Bob's first center and his random moves from
+`pcg64._Generator(seed)`, the stream of `numpy.random.default_rng(seed)`
+in Python ints, so games replay numpy's draws without importing
+`numpy.random`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from . import lattice_dyn
+from . import lattice_dyn, pcg64
 from .dioph_matrix import RealMatrix, best_approx
 from .errors import CertificateError, ValidationError
 
@@ -213,7 +218,15 @@ def _legal_intervals(center: float, rho: float, deletion: Deletion, rho_new: flo
     return pieces
 
 
-def bob_move(state: GameState, deletion: Deletion, policy: str, rng: np.random.Generator,
+class _Draws(Protocol):
+    """Any object with random() and integers(n), such as `pcg64._Generator`: Bob's draws."""
+
+    def random(self) -> float: ...
+
+    def integers(self, n: int) -> int: ...
+
+
+def bob_move(state: GameState, deletion: Deletion, policy: str, rng: _Draws,
              target: Optional[float] = None) -> Tuple[float, float]:
     """New (center, radius) under 'random' or 'greedy-toward-target'."""
     rho = state.ball_radius
@@ -277,7 +290,7 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
         rho_min = rho0 * beta ** (rounds + 2)
         t_need = max(10.0, math.log(max(2 * c / (beta * rho_min), 2.0)) / (1 / 1 - th_m) + 2)
         params = derive_strategy(A, sigma, beta=beta, c=c, t_max=t_need)
-    rng = np.random.default_rng(seed)
+    rng = pcg64._Generator(seed)
     center0 = float(rng.uniform(0.2, 0.8))
     state = GameState(beta=beta, round=0, ball_center=np.array([center0]),
                       ball_radius=rho0)

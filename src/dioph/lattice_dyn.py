@@ -11,7 +11,8 @@ set with a positive first coefficient is kept, since -v never wins a tie
 against v.  Independence is decided exactly in integers: step j keeps the
 exterior product W of the j picks, and a candidate c is independent of them
 exactly when c ^ W != 0.  The test runs over the shortest candidates of all
-samples at once, k numpy steps in all.  `successive_minima` and
+samples at once, k steps in all, each a block of rows at a time for the
+samples still searching.  `successive_minima` and
 `shortest_vector` are one sample of it, over the float norms of one reduced
 lattice.
 
@@ -63,6 +64,10 @@ DEFAULT_MAX_ENUM = 2_000_000
 # profiles (t <= 10, dt = 0.02), median of 7 runs: 0.105 s at span 0.5,
 # 0.094 s at 0.75, 0.068-0.076 s for spans 1-2, 0.106 s at 3, 2.5 s at 5.
 SWEEP_SPAN = 1.0
+# head rows `_independent` tests at a time: a column stops at the block
+# holding its first independent row, so a few dependent-heavy samples no
+# longer make every sample hold wedges for the whole head
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -151,36 +156,50 @@ def _wedge_index(d: int, j: int):
     return np.array(subsets), np.array(rest)
 
 
-def _independent(X: np.ndarray, k: int):
-    """Greedy independence over each column of X (P, S, d): (positions (S, k), found (S,)).
+def _independent(grid: np.ndarray, head: np.ndarray, k: int):
+    """Greedy independence down each column of head (P, S): (positions (S, k), found (S,)).
 
-    Step j keeps, in every column at once, the exterior product W of the j
-    rows taken so far, and takes the first row c with c ^ W != 0, exactly in
-    integers: k numpy steps for all columns.  An entry of W is a j-minor, so
-    by Hadamard every partial sum is below k d^((k - 1)/2) max|X|^k, which
-    picks int64 or Python ints.
+    Column s of head lists rows of grid (C, d), shortest first.  Step j
+    keeps, in every column at once, the exterior product W of the j rows
+    taken so far, and takes the first row c with c ^ W != 0, exactly in
+    integers.  The rows are tested `_BLOCK` at a time and only for the
+    columns still searching, so a column stops at its first such row and
+    no step holds wedges for the whole head.  An entry of W is a j-minor,
+    so by Hadamard every partial sum is below k d^((k - 1)/2) max|c|^k
+    over the head's rows, which picks int64 or Python ints.
     """
-    P, S, d = X.shape
-    big = max(int(X.max(initial=0)), -int(X.min(initial=0)))
-    X = X.astype(_int_dtype(k * (math.isqrt(d ** (k - 1)) + 1) * big ** k), copy=False)
-    cols = np.arange(S)
-    W = np.ones((S, 1), dtype=X.dtype)
+    P, S = head.shape
+    d = grid.shape[1]
+    used = np.zeros(len(grid), dtype=bool)
+    used[head] = True
+    rows = grid[used]
+    big = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    dtype = _int_dtype(k * (math.isqrt(d ** (k - 1)) + 1) * big ** k)
+    W = np.ones((S, 1), dtype=dtype)
     pos = np.zeros((S, k), dtype=np.int64)
     found = np.ones(S, dtype=bool)
     for j in range(k):
         subsets, rest = _wedge_index(d, j)
         signed = W[:, rest] * (-1) ** np.arange(j + 1)  # (S, n_J, j + 1)
-        wedge = X[:, :, subsets[:, 0]]
-        wedge *= signed[:, :, 0]
-        for r in range(1, j + 1):  # in place: two (P, S, n_J) arrays at most
-            term = X[:, :, subsets[:, r]]
-            term *= signed[:, :, r]
-            wedge += term
-        ok = (wedge != 0).any(axis=2)
-        p = ok.argmax(axis=0)
-        found &= ok[p, cols]
-        pos[:, j] = p
-        W = wedge[p, cols]
+        W = np.zeros((S, len(subsets)), dtype=dtype)  # a column that finds nothing keeps 0
+        todo = np.flatnonzero(found)
+        for start in range(0, P, _BLOCK):
+            if not todo.size:
+                break
+            X = grid[head[start:start + _BLOCK, todo]].astype(dtype, copy=False)
+            wedge = X[:, :, subsets[:, 0]]
+            wedge *= signed[todo, :, 0]
+            for r in range(1, j + 1):  # in place: two (_BLOCK, S, n_J) arrays at most
+                term = X[:, :, subsets[:, r]]
+                term *= signed[todo, :, r]
+                wedge += term
+            ok = (wedge != 0).any(axis=2)
+            hit = np.flatnonzero(ok.any(axis=0))
+            first = ok[:, hit].argmax(axis=0)
+            pos[todo[hit], j] = start + first
+            W[todo[hit]] = wedge[first, hit]
+            todo = np.delete(todo, hit)
+        found[todo] = False
     return pos, found
 
 
@@ -191,9 +210,10 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     (C, d) its integer coordinates in any basis; candidates come in `_canon`
     order, so (length, index) is the documented tie order.  lambda_i takes the
     first candidate independent of lambda_1..lambda_(i-1).  The test runs on
-    the shortest P candidates of each sample (`_independent`, exact), P
-    growing only for the samples that need more.  None when some sample has
-    fewer than k independent candidates.
+    the shortest P candidates of each sample (`_independent`, exact, on the
+    head's indices into grid, never a (P, S, d) copy), P growing only for
+    the samples that need more.  None when some sample has fewer than k
+    independent candidates.
     """
     C, S = lengths.shape
     if k == 1:
@@ -208,7 +228,7 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
             head = np.take_along_axis(head, np.lexsort((head, sub[head, cols]), axis=0), axis=0)
         else:
             head, edge = np.argsort(sub, axis=0, kind="stable"), np.full(todo.size, np.inf)
-        pos, found = _independent(grid[head], k)
+        pos, found = _independent(grid, head, k)
         picked = head[pos, cols[:, None]]
         # every candidate as short as lambda_k must be in the head
         done = found & (sub[picked[:, -1], cols] < edge)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -465,6 +466,57 @@ def test_minima_near_parallel_matches_loop_reference(case):
         assert got is None
     else:
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("scale", [1, 2**40])
+def test_independent_block_edges_match_loop_reference(scale):
+    # column s of a 512-row head takes its second pick at firsts[s][0] and
+    # its third at firsts[s][1], on both sides of the edges of `ld._BLOCK`-row
+    # blocks; every row in between is dependent on the picks so far.
+    # scale 2^40 puts the wedge test past int64, into Python ints.
+    assert ld._BLOCK == 32
+    firsts = [(31, 32), (32, 33), (33, 63), (63, 64), (64, 65), (65, 511), (1, 31), (5, 65)]
+    rng = np.random.default_rng(12)
+    rows, head = [], []
+    for p1, p2 in firsts:
+        v = scale * np.array([1, -2, 3])
+        u = np.array([2, 1, 0])
+        column = [c * v for c in range(1, p1 + 1)]
+        column += [u] + [a * v + b * u for a, b in rng.integers(-3, 4, size=(p2 - p1 - 1, 2))]
+        column += [np.array([0, 0, 1])]
+        column += list(rng.integers(-5, 6, size=(511 - p2, 3)))
+        head.append(range(len(rows), len(rows) + 512))
+        rows += column
+    grid, head = np.array(rows, dtype=object if scale > 1 else np.int64), np.array(head).T
+    lengths = np.full((len(grid), len(firsts)), np.inf)
+    for s in range(len(firsts)):
+        lengths[head[:, s], s] = np.arange(512)  # head order is (length, index) order
+    pos, found = ld._independent(grid, head, 3)
+    assert found.all()
+    assert pos[:, 1:].tolist() == [list(p) for p in firsts]
+    assert head[pos, np.arange(len(firsts))[:, None]].tolist() == _loop_minima(lengths, grid, 3)
+
+
+def test_minima_memory_without_whole_head_wedges():
+    # 42 samples whose 200 shortest of 1128 candidates are multiples of one
+    # vector: no sample is settled by the first 8 k rows, and the second pass
+    # tests a (512, 42) head of d = 4 rows.  Held whole, its rows and wedges
+    # take about 3 MB; block by block the call stays near its (C, S) arrays.
+    rng = np.random.default_rng(5)
+    C, S, many = 1128, 42, 200
+    grid = rng.integers(-3, 4, size=(C, 4))
+    grid[:many] = rng.integers(1, 40, size=(many, 1)) * np.array([1, -2, 0, 3])
+    grid[np.abs(grid).max(axis=1) == 0, 0] = 1
+    lengths = rng.random((C, S)) + np.where(np.arange(C) < many, 1.0, 2.0)[:, None]
+    want = ld._minima(lengths, grid, 4)
+    tracemalloc.start()
+    try:
+        got = ld._minima(lengths, grid, 4)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want) and (got[:, 1] >= many).all()
+    assert peak < 2.0, f"_minima peaked at {peak:.2f} MiB"
 
 
 def test_polar_lattice():
