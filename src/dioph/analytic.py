@@ -14,8 +14,9 @@ elliptic_log(x, y) carries s^2 = x - e1 forward along the chain
 exp_E walks the same steps backwards from s_N = a_N cot(a_N z), each step
 rational and free of cancellation, and reads x = e1 + s^2 and y off the
 roots (Cremona and Thongjunthug, J. Number Theory 133, 2013).  A second AGM
-gives the imaginary half-period and so the real nome q of the lattice, which
-heights uses for the archimedean local height.  All of it is computed once
+gives the imaginary half-period and so the real nome q of the lattice, and
+-log|q| in closed form, which heights uses for the archimedean local height,
+with its constant term (1/12) log|Delta / q|.  All of it is computed once
 per (a, b, precision) in one cached lattice record.
 
 On one-real-root curves e2, e3 form a complex conjugate pair, so the first
@@ -40,11 +41,15 @@ series with angle halving, on the complement pi/2 - phi past pi/4 (pi from
 libmp.pi_fixed), and elliptic_log ends in atan2(a_N, s_N) from the exact
 ratio a_N^2 / s_N^2 of the walk's integers, by argument halving and a
 Taylor series; x - e1 is taken in integers from x as an exact rational.
-mpf enters only at the boundaries: t reduced mod omega and phi = a_N z,
-the lattice's mpf fields, and the returned values.  As the real nome q
-nears +-1 the q-series of the archimedean local height cancel, and the
-chain, q and the roots' mpf values carry about 6 / |log q| more bits for
-them.
+mpf enters only at the boundaries: the lattice's mpf fields, an argument
+that is not an mpf already, and the returned values.  exp_E reduces t mod
+omega, applies the pole guard and the flip, and forms phi = a_N z on the
+exact dyadic mantissas of t, omega and a_N; x and y come out of the walk's
+integers (y by math.isqrt) with one rounding each.  elliptic_log takes t =
+(omega - atan2(a_N, s_N) / a_N) mod omega in integers, also with one
+rounding.  As the real nome q nears +-1 the q-series of the archimedean
+local height cancel, and the chain, q and the roots' mpf values carry about
+6 / |log q| more bits for them.
 """
 
 from __future__ import annotations
@@ -87,10 +92,14 @@ class EllipticLogValue:
         return float(self.t)
 
 
-def _as_t(value) -> mp.mpf:
+def _mpf_of(value, prec: int) -> mp.mpf:
+    """value as an mpf: an mpf is kept exactly, anything else converted at prec bits."""
     if isinstance(value, EllipticLogValue):
         return value.t
-    return mp.mpf(value)
+    if isinstance(value, mp.mpf):
+        return value
+    with mp.workprec(prec):
+        return mp.mpf(value)
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,12 @@ class _Lattice:
     """Period lattice of y^2 = x^3 + a x + b at one precision, built once.
 
     e1 is the real root on the identity component; on the one-real-root
-    route e2 and e3 are the complex conjugate pair.  q = exp(2 pi i tau) is
-    the real nome of the lattice Z omega + Z omega tau, negative on the
-    one-real-root route.  e1, e2, e3, q and a_end carry prec + 48 + q_guard
-    bits, for the q-series of the archimedean local height.
+    route the other two, e2 and e3, are a complex conjugate pair.  q =
+    exp(2 pi i tau) is the real nome of the lattice Z omega + Z omega tau,
+    negative on the one-real-root route, and lam0 = (1/12) log|Delta / q| is
+    the constant term of the archimedean local height, from -log|q| =
+    2 pi omega' / omega.  e1, q, lam0 and a_end carry prec + 48 + q_guard
+    bits, for the q-series of that height.
 
     The integer fields stand for their value times 2^scale.  (ga2, gb2) is
     the first Gauss pair squared, (e1 - e3, e1 - e2) or, after the complex
@@ -114,11 +125,10 @@ class _Lattice:
     """
 
     e1: mp.mpf
-    e2: Union[mp.mpf, mp.mpc]
-    e3: Union[mp.mpf, mp.mpc]
     route: str  # 'three-real-roots' | 'one-real-root'
     omega: mp.mpf
     q: mp.mpf
+    lam0: mp.mpf
     q_guard: int
     a_end: mp.mpf
     scale: int
@@ -140,6 +150,34 @@ def _div_round(n: int, d: int) -> int:
 def _mpf_at(n: int, scale: int) -> mp.mpf:
     """The mpf n / 2^scale, rounded to the working precision."""
     return mp.ldexp(mp.mpf(n), -scale)
+
+
+def _rounded(n: int, e: int, prec: int) -> mp.mpf:
+    """The mpf n 2^e rounded to nearest at prec bits: one rounding."""
+    return mp.make_mpf(libmp.from_man_exp(n, e, prec, libmp.round_nearest))
+
+
+def _sqrt_rounded(n: int, e: int, prec: int, sign: int) -> mp.mpf:
+    """sign sqrt(n 2^-e) for n >= 0 and sign +-1, correctly rounded to prec bits.
+
+    The integer root carries at least prec + 2 bits; a sticky last bit
+    stands for an inexact remainder, so that its one rounding is the correct
+    rounding of the root.
+    """
+    j = max(0, 2 * prec + 4 - n.bit_length())
+    j += (e + j) & 1
+    r = math.isqrt(n << j)
+    if r * r != n << j:
+        r |= 1
+    return _rounded(sign * r, -((e + j) // 2), prec)
+
+
+def _man_exp(v: mp.mpf, prec: int = 0) -> Tuple[int, int]:
+    """(m, e) with v = m 2^e for a finite mpf v: exactly, or rounded to prec bits."""
+    sign, man, exp, _ = libmp.mpf_pos(v._mpf_, prec, libmp.round_nearest) if prec else v._mpf_
+    if not man and v:
+        raise ValidationError(f"{v} is not finite")
+    return (-man if sign else man), exp
 
 
 def _shift(n: int, k: int) -> int:
@@ -312,18 +350,16 @@ def _lattice_cached(a_str: str, b_str: str, prec: int) -> _Lattice:
     steps, a2_end = _agm_squares(ga2, gb2, prec + 48 + q_guard)
     with mp.workprec(prec + 48 + q_guard):
         e1 = _mpf_at(E1, S)
-        if three_roots:
-            e2, e3 = _mpf_at(E2, S), _mpf_at(E3, S)
-        else:
-            im = mp.sqrt(_mpf_at(v4, S)) / 2
-            e2, e3 = mp.mpc(-e1 / 2, im), mp.mpc(-e1 / 2, -im)
         a_end = mp.sqrt(_mpf_at(a2_end, S))
         omega = mp.pi / a_end
-        q = sign * mp.exp(-2 * mp.pi * mp.sqrt(mp.mpf(a2_end) / dual_end))
+        tau = 2 * mp.pi * mp.sqrt(mp.mpf(a2_end) / dual_end)  # -log|q|
+        q = sign * mp.exp(-tau)
+        lam0 = (mp.log(16 * abs(mp.mpf(disc.numerator) / disc.denominator)) + tau) / 12
     with mp.workprec(prec + 32):
         omega = +omega
-    return _Lattice(e1=e1, e2=e2, e3=e3, route="three-real-roots" if three_roots
-                    else "one-real-root", omega=omega, q=q, q_guard=q_guard, a_end=a_end, scale=S,
+    return _Lattice(e1=e1, route="three-real-roots" if three_roots
+                    else "one-real-root", omega=omega, q=q, lam0=lam0, q_guard=q_guard,
+                    a_end=a_end, scale=S,
                     top=max(ga2, gb2).bit_length(), ga2=ga2, gb2=gb2, steps=steps,
                     e1x3=e1x3, v4=v4, a2_end=a2_end, e1_int=E1)
 
@@ -356,7 +392,8 @@ def _halving_depth(w: int) -> int:
 
     Each halving costs a few products (an isqrt in _atan) and saves about
     w / 2h^2 series terms; sqrt(w) / 4 + 2 timed about fastest among h =
-    3..24 at w = 148 to 2100 on both kernels.
+    3..24 at w = 148 to 2100 on both kernels.  _atan sums its series two
+    terms per product, and there two halvings fewer timed 5-12% faster.
     """
     return math.isqrt(w) // 4 + 2
 
@@ -369,8 +406,13 @@ def _cos_sinc(m: int, e: int, w: int) -> Tuple[int, int]:
     doubled back by cos 2y = 1 - 2 y^2 sinc(y)^2 and sinc 2y = sinc(y)
     cos(y).  Both stay near 1, so the fixed scale 2^w is relative for them,
     and sin x = x sinc x keeps the relative precision of x however small it
-    is.  y^2 is read off m at every level, not doubled up from the smallest.
+    is.  y^2 is read off m at every level, not doubled up from the smallest;
+    m is first cut to w + 16 bits, all the relative precision the result
+    can keep.
     """
+    cut = m.bit_length() - w - 16
+    if cut > 0:
+        m, e = m >> cut, e + cut
     one = 1 << w
     r = max(0, m.bit_length() + e + _halving_depth(w))
     mm = m * m
@@ -424,10 +466,11 @@ def _atan(m: int, e: int, w: int) -> Tuple[int, int]:
     Above 2^-h, x is reduced r times by atan x = 2 atan(x / (1 + sqrt(1 +
     x^2))), each step at least halving it, in fixed point at 2^(w + h)
     with one isqrt; then atan y = y sum_j (-1)^j y^2j / (2j + 1), which
-    needs about w / 2h terms.  Below 2^-h the series takes x as it is, so a
-    tiny x keeps its relative precision.
+    needs about w / 2h terms, summed two at a time in powers of y^4.  Below
+    2^-h the series takes x as it is, so a tiny x keeps its relative
+    precision.
     """
-    h = _halving_depth(w)
+    h = _halving_depth(w) - 2
     wh = w + h
     one = 1 << wh
     r = 0
@@ -437,14 +480,16 @@ def _atan(m: int, e: int, w: int) -> Tuple[int, int]:
             m = (m << wh) // (one + math.isqrt((one << wh) + m * m))
             r += 1
     y2 = _shift(m * m, 2 * e + wh)
-    total = term = one
-    j = 0
+    y4 = y2 * y2 >> wh
+    # sum_j y^4j (1 / (4j + 1) - y^2 / (4j + 3))
+    even = odd = 0
+    term, j = one, 1
     while term:
-        j += 1
-        term = term * y2 >> wh
-        t = term // (2 * j + 1)
-        total += -t if j & 1 else t
-    return m * total, e + r - wh
+        even += term // j
+        odd += term // (j + 2)
+        term = term * y4 >> wh
+        j += 4
+    return m * (even - (odd * y2 >> wh)), e + r - wh
 
 
 def _walk_scale(lat: _Lattice, s2: mp.mpf):
@@ -491,12 +536,18 @@ def _landen_walk(lat: _Lattice, k: int, s: int):
         r2 = math.isqrt(t * t + _shift(lat.v4, lat.scale + 2 * k))
         d = s - _shift(lat.gb2, k)
         s = (2 * d + r2) >> 2 if d >= 0 else 4 * s * _shift(lat.ga2, k) // (r2 - 2 * d)
-    for a2, b2, ab, a2_next in lat.steps:
-        a2, b2, ab = _shift(a2, k), _shift(b2, k), _shift(ab, k)
+    for a2, b2, ab, a2_next in (lat.steps if not k else _shifted_steps(lat, k)):
         r = math.isqrt((s + a2) * (s + b2))
         d = s - ab
-        s = (d + r) >> 1 if d >= 0 else 2 * s * _shift(a2_next, k) // (r - d)
+        s = (d + r) >> 1 if d >= 0 else 2 * s * a2_next // (r - d)
     return k, s
+
+
+def _shifted_steps(lat: _Lattice, k: int):
+    """lat.steps with every constant times 2^k, rounded down."""
+    if k > 0:
+        return [(a2 << k, b2 << k, ab << k, a2n << k) for a2, b2, ab, a2n in lat.steps]
+    return [(a2 >> -k, b2 >> -k, ab >> -k, a2n >> -k) for a2, b2, ab, a2n in lat.steps]
 
 
 def _atan_sqrt(n: int, d: int, t: int, w: int) -> Tuple[int, int]:
@@ -515,15 +566,14 @@ def _atan_sqrt(n: int, d: int, t: int, w: int) -> Tuple[int, int]:
     return (libmp.pi_fixed(w + 8) >> 9) - _shift(m, f + w), -w
 
 
-def _walk_log(lat: _Lattice, k: int, s: int) -> mp.mpf:
-    """z in (0, omega/2] from the start (k, s) of a Landen walk.
+def _walk_angle(lat: _Lattice, k: int, s: int, w: int) -> Tuple[int, int]:
+    """(m, f) with atan2(a_N, s_N) = m 2^f, from the start (k, s) of a Landen walk.
 
-    z = atan2(a_N, s_N) / a_N, the angle from rho^2 = a_N^2 / s_N^2 =
-    a2_end 2^k / s_N^2 in the walk's own integers.
+    The angle is a_N z for z in (0, omega/2], from rho^2 = a_N^2 / s_N^2 =
+    a2_end 2^k / s_N^2 in the walk's own integers, to about 2^-w relative.
     """
     k, s = _landen_walk(lat, k, s)
-    n, f = _atan_sqrt(lat.a2_end, s, k, mp.mp.prec + _TRIG_GUARD)
-    return _mpf_at(n, -f) / lat.a_end
+    return _atan_sqrt(lat.a2_end, s, k, w)
 
 
 def _landen_log(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
@@ -538,15 +588,18 @@ def _landen_log(lat: _Lattice, s2: mp.mpf) -> mp.mpf:
     the same number without cancellation.  On the one-real-root route the
     complex first step has ab = beta and r = |x - e3|.  The steps run on
     integers (_landen_walk), and so does the end angle atan2(a_N, s_N)
-    (_atan_sqrt); only the division by a_N is an mpf.
+    (_walk_angle); only the division by a_N is an mpf.
     """
-    return _walk_log(lat, *_walk_scale(lat, s2))
+    m, f = _walk_angle(lat, *_walk_scale(lat, s2), mp.mp.prec + _TRIG_GUARD)
+    return _mpf_at(m, -f) / lat.a_end
 
 
-def _cot2_walk_start(lat: _Lattice, phi: mp.mpf, w: int):
-    """(k, n): s_N^2 = a_N^2 cot^2 phi = n / 2^(scale + k), n of about lat.top bits."""
-    _, man, exp, _ = phi._mpf_
-    c, ce, s, se = _cos_sin(man, exp, w)
+def _cot2_walk_start(lat: _Lattice, m: int, e: int, w: int):
+    """(k, n): s_N^2 = a_N^2 cot^2 phi = n / 2^(scale + k), n of about lat.top bits.
+
+    phi = m 2^e in (0, pi/2] is exact.
+    """
+    c, ce, s, se = _cos_sin(m, e, w)
     num, den = lat.a2_end * c * c, s * s
     t = lat.top + den.bit_length() - num.bit_length()
     return t - 2 * (ce - se), _ratio(num, den, t)
@@ -574,42 +627,48 @@ def exp_E(curve: RationalCurve, t, precision_bits: int = DEFAULT_PRECISION):
     conjugate.  The walk runs on the integers of the lattice, rescaled by
     s_N^2 as in _landen_log: near 2-torsion s^2 is tiny, and y keeps its
     relative precision.
+
+    Up to the walk's start everything is exact: t mod omega, the pole guard,
+    the flip and phi = a_N z are taken on the dyadic mantissas of t, omega
+    and a_N.  y^2 is exact in the walk's integers, so x and y are each
+    rounded once, to prec + 48 bits.
     """
     prec = precision_bits
     lat = _lattice(curve, prec)
-    om = lat.omega
-    with mp.workprec(prec + 48):
-        tr = mp.mpf(_as_t(t)) % om
-        if min(tr, om - tr) < mp.ldexp(om, -prec // 4):
-            raise PoleProximityError(f"t = {mp.nstr(tr, 10)} too close to the lattice")
-        flip = tr > om / 2
-        z = om - tr if flip else tr
-        k, s = _cot2_walk_start(lat, lat.a_end * z, prec + 48 + _TRIG_GUARD)
-        for a2, b2, ab, a2_next in reversed(lat.steps):
-            s = s * (s + _shift(ab, k)) // (s + _shift(a2_next, k))
-        S = lat.scale + k
-        if lat.route == "one-real-root":
-            s = s * (s + _shift(lat.gb2, k)) // (s + _shift(lat.ga2, k))
-            # y^2 = s^2 |x - e3|^2 = s^2 ((2 s^2 + 3 e1)^2 + 4 Im(e2)^2) / 4
-            t2 = 2 * s + _shift(lat.e1x3, k)
-            y2 = s * (t2 * t2 + _shift(lat.v4, S + k))
-            y = -mp.sqrt(_mpf_at(y2, 3 * S + 2))
-        else:
-            y2 = s * (s + _shift(lat.ga2, k)) * (s + _shift(lat.gb2, k))
-            y = -mp.sqrt(_mpf_at(y2, 3 * S))
-        x = _mpf_at(_shift(lat.e1_int, k) + s, S)
-        if flip:
-            y = -y
-        return +x, +y
+    tm, te = _man_exp(_mpf_of(t, prec + 48))
+    wm, we = _man_exp(lat.omega)
+    e = min(te, we)
+    W = wm << (we - e)
+    r = (tm << (te - e)) % W  # t mod omega, over 2^-e
+    z = min(r, W - r)  # in (0, omega/2] once past the guard
+    if (z << (prec + 3) // 4) < W:
+        with mp.workprec(prec + 48):
+            raise PoleProximityError(f"t = {mp.nstr(mp.ldexp(r, e), 10)} too close to the lattice")
+    am, ae = _man_exp(lat.a_end)
+    k, s = _cot2_walk_start(lat, z * am, e + ae, prec + 48 + _TRIG_GUARD)
+    for a2, b2, ab, a2_next in reversed(lat.steps if not k else _shifted_steps(lat, k)):
+        s = s * (s + ab) // (s + a2_next)
+    S = lat.scale + k
+    if lat.route == "one-real-root":
+        s = s * (s + _shift(lat.gb2, k)) // (s + _shift(lat.ga2, k))
+        # y^2 = s^2 |x - e3|^2 = s^2 ((2 s^2 + 3 e1)^2 + 4 Im(e2)^2) / 4
+        t2 = 2 * s + _shift(lat.e1x3, k)
+        y2, ye = s * (t2 * t2 + _shift(lat.v4, S + k)), 3 * S + 2
+    else:
+        y2, ye = s * (s + _shift(lat.ga2, k)) * (s + _shift(lat.gb2, k)), 3 * S
+    x = _rounded(_shift(lat.e1_int, k) + s, -S, prec + 48)
+    return x, _sqrt_rounded(y2, ye, prec + 48, 1 if 2 * r > W else -1)
 
 
-def _exact(v: mp.mpf) -> Tuple[int, int]:
-    """(n, d) with v = n / d exactly, d a power of 2."""
-    sign, man, exp, _ = v._mpf_
-    if not man and v:
-        raise ValidationError(f"coordinate {v} is not finite")
-    n = -man if sign else man
-    return (n << exp, 1) if exp >= 0 else (n, 1 << -exp)
+def _exact(v, prec: int = 0) -> Tuple[int, int]:
+    """(n, d) with v = n / d, d > 0, for a Fraction or an mpf (d a power of 2).
+
+    Exact, or with an mpf first rounded to prec bits.
+    """
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    n, e = _man_exp(v, prec)
+    return (n << e, 1) if e >= 0 else (n, 1 << -e)
 
 
 def elliptic_log(curve: RationalCurve, pt: PointLike,
@@ -635,22 +694,26 @@ def elliptic_log(curve: RationalCurve, pt: PointLike,
         n, d = pt.x.numerator, pt.x.denominator
         upper, rounded = pt.y > 0, False
     else:
-        x, y = pt
-        with mp.workprec(prec + 48):
-            x, y = mp.mpf(x), mp.mpf(y)
-        n, d = _exact(x)
-        upper, rounded = y > 0, True
+        x, y = (_mpf_of(v, prec + 48) for v in pt)
+        n, d = _exact(x, prec + 48)
+        upper, rounded = _man_exp(y)[0] > 0, True
     k, s = _x_walk_start(lat, n, d, prec, rounded)
-    with mp.workprec(prec + 48):
-        u = _walk_log(lat, k, s)
-        t = om - u if upper else u
-        t = t % om
-        return EllipticLogValue(t=+t, omega=om, precision_bits=prec)
+    # u = atan2(a_N, s_N) / a_N and t = (omega - u) mod omega over 2^-F, with
+    # F such that u keeps w bits, and one rounding
+    w = prec + 48 + _TRIG_GUARD
+    m, f = _walk_angle(lat, k, s, w)
+    am, ae = _man_exp(lat.a_end)
+    wm, we = _man_exp(om)
+    F = max(-we, w + am.bit_length() - m.bit_length() - f + ae)
+    u = _ratio(m, am, f - ae + F)
+    W = wm << (we + F)
+    t = _rounded((W - u if upper else u) % W, -F, prec + 48)
+    return EllipticLogValue(t=t, omega=om, precision_bits=prec)
 
 
 def d_E(curve: RationalCurve, t1, t2, precision_bits: int = DEFAULT_PRECISION) -> mp.mpf:
     """Flat circle metric min_p |t1 - t2 + p*omega|; symmetric, <= omega/2."""
     om = real_period(curve, precision_bits).omega
     with mp.workprec(precision_bits + 32):
-        r = (mp.mpf(_as_t(t1)) - mp.mpf(_as_t(t2))) % om
+        r = (mp.mpf(_mpf_of(t1, mp.mp.prec)) - mp.mpf(_mpf_of(t2, mp.mp.prec))) % om
         return +min(r, om - r)

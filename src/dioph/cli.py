@@ -193,9 +193,7 @@ def _curve_log(args):
 
 def _dirichlet(args):
     A = args.matrix
-    ok, rec = dioph_matrix.dirichlet_check(A, args.Q)
-    with mp.workprec(args.precision_bits):
-        threshold = mp.mpf(args.Q) ** (-mp.mpf(A.n) / A.m)
+    ok, rec, threshold = dioph_matrix.dirichlet_check(A, args.Q)
     report = {
         "m": A.m, "n": A.n, "Q": args.Q, "ok": ok,
         "q": list(rec.q), "p": list(rec.p),
@@ -303,6 +301,29 @@ def _probe(args):
 
 
 # ---------------------------------------------------------------------------
+# argument types that check their value: a bad one is a "dioph: error:" line
+# naming the flag (exit 1), not a traceback deep in a command
+
+
+def _checked(kind, ok, rule: str):
+    """An argparse type: kind(text), rejected with `rule` unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+_SEED = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+_FINITE = _checked(float, math.isfinite, "must be a finite number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "must be a finite number > 0")
+_BASE = _checked(float, lambda v: 1 < v < math.inf, "must be a finite number > 1")
+
+# ---------------------------------------------------------------------------
 # the command table: name -> (arguments, command); the order is the help order
 
 _CURVE = [("--curve", {"required": True}), ("--point", {"default": None})]
@@ -318,23 +339,23 @@ _COMMANDS = {
         ("--liouville", {"action": "store_true",
                          "help": "use the built-in Liouville-type constant"}),
         ("--qmax", {"type": int, "required": True}),
-        ("--base", {"type": float, "default": 2.0}),
+        ("--base", {"type": _BASE, "default": 2.0}),
     ], _exponent),
     "flow": (_MATRIX + [
-        ("--tmax", {"type": float, "required": True}),
-        ("--dt", {"type": float, "required": True}),
-        ("--sigma", {"type": float, "default": None}),
+        ("--tmax", {"type": _POSITIVE, "required": True}),
+        ("--dt", {"type": _POSITIVE, "required": True}),
+        ("--sigma", {"type": _FINITE, "default": None}),
     ], _flow),
     "haw": ([
         ("--matrix", {"default": None}),
         ("--liouville", {"action": "store_true"}),
-        ("--sigma", {"type": float, "required": True}),
+        ("--sigma", {"type": _FINITE, "required": True}),
         ("--rounds", {"type": int, "required": True}),
         ("--bob", {"choices": ["random", "greedy"], "default": "random"}),
-        ("--beta", {"type": float, "default": haw_game.DEFAULT_BETA}),
-        ("--c", {"type": float, "default": haw_game.DEFAULT_C}),
-        ("--rho0", {"type": float, "default": 0.05}),
-        ("--target", {"type": float, "default": None}),
+        ("--beta", {"type": _FINITE, "default": haw_game.DEFAULT_BETA}),
+        ("--c", {"type": _FINITE, "default": haw_game.DEFAULT_C}),
+        ("--rho0", {"type": _FINITE, "default": 0.05}),
+        ("--target", {"type": _FINITE, "default": None}),
     ], _haw),
     "minkowski": ([
         ("--alpha", {"required": True}),
@@ -345,7 +366,7 @@ _COMMANDS = {
         ("--curve", {"required": True}),
         ("--target", {"default": "random"}),
         ("--qmax", {"type": int, "required": True}),
-        ("--base", {"type": float, "default": 2.0}),
+        ("--base", {"type": _BASE, "default": 2.0}),
     ], _weakdirichlet),
     "probe": ([
         ("--H", {"required": True}),
@@ -400,7 +421,7 @@ def _build_parser(env_prec: Optional[str]) -> _Parser:
     parser = _Parser(prog="dioph", description=__doc__)
     common = [
         ("--precision-bits", {"type": int, "default": int(env_prec) if env_prec else 256}),
-        ("--seed", {"type": int, "default": 0}),
+        ("--seed", {"type": _SEED, "default": 0}),
         ("--out", {"type": str, "default": None,
                    "help": "output base path; writes OUT.json and OUT.csv"}),
         ("--format", {"choices": ["csv", "json"], "default": "csv"}),

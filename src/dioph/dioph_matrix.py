@@ -68,6 +68,9 @@ DEFAULT_PRECISION = 256
 # `_CHUNK_ROWS` points at a time, so this bounds time, not memory
 DEFAULT_MAX_ENUM = 30_000_000
 _CHUNK_ROWS = 1 << 17
+# windows [B^k, B^(k+1)) a windowed fit may open: base 1.01 up to q_max = 1e15
+# opens 3,472, and a base at or below 1 would open windows without end
+MAX_WINDOWS = 4096
 
 EntryLike = Union[str, float, int, Fraction, mp.mpf]
 
@@ -557,12 +560,16 @@ def best_approx(A: RealMatrix, gamma=None, Q: int = 1) -> ApproxRecord:
                         exponent_sample=_exponent_sample(float(error), qn))
 
 
-def dirichlet_check(A: RealMatrix, Q: int) -> Tuple[bool, ApproxRecord]:
-    """Best record plus the unconditional test err < Q^(-n/m)."""
+def dirichlet_check(A: RealMatrix, Q: int) -> Tuple[bool, ApproxRecord, mp.mpf]:
+    """(ok, record, threshold): the best record and the unconditional test err < Q^(-n/m).
+
+    The threshold Q^(-n/m) is taken once, at working precision, and returned
+    with the verdict it decided.
+    """
     rec = best_approx(A, None, Q)
     with mp.workprec(A.precision_bits):
         thresh = mp.mpf(Q) ** (-mp.mpf(A.n) / A.m)
-        return bool(rec.error < thresh), rec
+        return bool(rec.error < thresh), rec, thresh
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +623,15 @@ def _windows(base: float, q_max: int):
 
     In exact integer arithmetic (base^k = num^k / den^k), so a power of the
     base opens its own window; lo > hi when the window holds no integer.
+    Raises BudgetExceededError past `MAX_WINDOWS` windows, which is also how
+    a base at or below 1, whose powers never pass q_max, ends.
     """
     num, den = float(base).as_integer_ratio()
     pk, dk, k = 1, 1, 0
     while pk <= q_max * dk:
+        if k == MAX_WINDOWS:
+            raise BudgetExceededError(
+                f"window base {base} opens more than {MAX_WINDOWS} windows up to {q_max}")
         pn, dn = pk * num, dk * den
         yield k, -(-pk // dk), min(-(-pn // dn) - 1, q_max)
         pk, dk, k = pn, dn, k + 1
@@ -634,8 +646,8 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0) -> Ex
     q = 1 with sample -inf.  An exact rational hit reports the +inf
     sentinel.  The budget is that of `best_approx`.
     """
-    if window_base <= 1:
-        raise ValidationError("window_base must be > 1")
+    if not 1 < window_base < math.inf:
+        raise ValidationError("window_base must be a finite number > 1")
     if Q_max < window_base**2:
         raise ValidationError("Q_max must be at least window_base^2")
     B = float(window_base)

@@ -222,6 +222,8 @@ def weak_dirichlet_experiment(config: CurveExperimentConfig) -> WeakDirichletRep
     q_max = config.q_max
     if q_max < 16:
         raise ValidationError("q_max too small for windowed fits")
+    if not 1 < config.windows_base < math.inf:
+        raise ValidationError("windows_base must be a finite number > 1")
     gen, substituted = _effective_generator(curve)
     period = analytic.real_period(curve, prec)
     omega = period.omega

@@ -45,6 +45,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath as mp
+from mpmath import libmp
 
 from . import analytic, ec_core
 from .ec_core import CurvePoint, RationalCurve
@@ -350,7 +351,80 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
         return HeightValue(+value, precision_bits, "limit", tail_estimate=+tail)
 
 
-def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.mpf:
+def _log_of_product(terms) -> mp.mpf:
+    """sum c log(n / d) over terms (n, d, c), by one mp.log at the working precision.
+
+    n and d are positive integers and c is rational.  With L the common
+    denominator of the c, the sum is log(prod (n / d)^(c L)) / L.  An n or
+    d longer than wp + 16 bits, wp the working precision, is cut to that
+    length first, the cut kept as a power of 2, and the exact product is
+    rounded once, to wp + 8 bits.  A power too long to build exactly (a
+    large L) is taken in floating point at wp + 8 bits instead.  Either way
+    the sum moves by under 2^-(wp + 4) (1 + sum |c|).
+    """
+    wp = mp.mp.prec
+    rnd = libmp.round_nearest
+    L = math.lcm(*(c.denominator for _, _, c in terms))
+    num = den = 1
+    shift = 0
+    powers = libmp.fone
+    for n, d, c in terms:
+        k = c.numerator * (L // c.denominator)
+        if k < 0:
+            n, d, k = d, n, -k
+        cut_n, cut_d = n.bit_length() - wp - 16, d.bit_length() - wp - 16
+        if cut_n > 0:
+            n, shift = n >> cut_n, shift + cut_n * k
+        if cut_d > 0:
+            d, shift = d >> cut_d, shift - cut_d * k
+        if k * (n.bit_length() + d.bit_length()) <= 16 * wp:
+            num *= n**k
+            den *= d**k
+        else:
+            power = libmp.mpf_pow_int(libmp.from_rational(n, d, wp + 8, rnd), k, wp + 8, rnd)
+            powers = libmp.mpf_mul(powers, power, wp + 8, rnd)
+    f = wp + 8 + den.bit_length() - num.bit_length()
+    exact = libmp.from_man_exp(analytic._ratio(num, den, f), shift - f, wp + 8, rnd)
+    return mp.log(mp.make_mpf(libmp.mpf_mul(powers, exact, wp, rnd))) / L
+
+
+def _archimedean_terms(curve_int: RationalCurve, x, prec: int):
+    """(wp, c, terms) with lambda_inf(x) = c + sum t log(n / d) over terms (n, d, t).
+
+    c is the lattice constant lam0 = (1/12) log|Delta / q| (over 4 on the
+    egg); every term is a rational in exact numbers or the kernels'
+    integers, good to the working precision wp = prec + 64 + q_guard.  See
+    _lambda_archimedean.
+    """
+    lat = analytic._lattice(curve_int, prec)
+    n, d = analytic._exact(x)
+    terms = []
+    e = 1
+    if lat.route == "three-real-roots" and 2 * ((n << lat.scale) - lat.e1_int * d) + lat.gb2 * d < 0:
+        # on the egg, x < (e1 + e2) / 2: lam(P) = (lam(2P) + (1/2) log 4y^2) / 4, with
+        # 4y^2 and x(2P) exact rationals
+        xq, a, b = Fraction(n, d), curve_int.a, curve_int.b
+        four_y2 = abs(4 * ((xq * xq + a) * xq + b))
+        terms.append((four_y2.numerator, four_y2.denominator, Fraction(1, 8)))
+        x2 = ((xq * xq - a) ** 2 - 8 * b * xq) / four_y2
+        n, d, e = x2.numerator, x2.denominator, 4
+    k, s = analytic._landen_walk(lat, *analytic._x_walk_start(lat, n, d, prec, False))
+    # theta/2 = atan2(a_N, s_N): cos^2(theta/2) = s_N^2 / h and sin^2(theta/2) =
+    # a_N^2 / h, h = a_N^2 + s_N^2, in the walk's integers; sin(theta/2) = sin_g / 2^g
+    an, sn = (lat.a2_end << k, s) if k >= 0 else (lat.a2_end, s << -k)
+    wp = prec + 64 + lat.q_guard
+    g = wp + max(0, (an + sn).bit_length() - an.bit_length()) // 2 + 1
+    sin_g = math.isqrt((an << 2 * g) // (an + sn))
+    sign, qm, qe, _ = lat.q._mpf_
+    theta1, euler = _theta_euler(analytic._shift(-qm if sign else qm, qe + wp),
+                                 ((sn - an) << wp + 1) // (an + sn), wp)
+    # lam = lam0 - log|2 sin(theta/2) theta1 / euler|
+    terms.append((abs(euler) << g, abs(2 * sin_g * theta1), Fraction(1, e)))
+    with mp.workprec(wp):
+        return wp, lat.lam0 / e, terms
+
+
+def _lambda_archimedean(curve_int: RationalCurve, x, prec: int) -> mp.mpf:
     """Archimedean Neron function with hhat normalization, by the q-product.
 
     lam(P) = (1/12) log|Delta/q| - log|2 sin(theta/2)|
@@ -359,7 +433,8 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
     nome q of the lattice (Silverman, Advanced Topics, VI.3.4, plus the
     (1/12) log|Delta| that makes lam(2P) = 4 lam(P) - log|2y(P)|).  A point
     on the egg first doubles onto the identity component by that relation;
-    lam depends on x alone, so the sign of y never enters.
+    lam depends on x alone, so the sign of y never enters.  x is an exact
+    rational, a Fraction or an mpf.
 
     The product is summed as Jacobi's theta_1, with the triangular exponents
     of q, over Euler's pentagonal series for prod (1 - q^n): by the triple
@@ -369,49 +444,32 @@ def _lambda_archimedean(curve_int: RationalCurve, x0: mp.mpf, prec: int) -> mp.m
     an identity of power series in q that holds for q < 0 too.  Both series
     need O(sqrt(prec)) terms where the product needs O(prec), and both run
     on integers (_theta_euler).  theta/2 is the end angle atan2(a_N, s_N)
-    of the Landen walk, so cos(theta/2) and sin(theta/2) need no mpf
-    trigonometry.
+    of the Landen walk, whose start x - e1 is taken from the exact x
+    (analytic._x_walk_start); cos^2(theta/2) is a ratio of the walk's
+    integers and sin(theta/2) an isqrt of one.  (1/12) log|Delta / q| is
+    the lattice constant lam0, from -log|q| = 2 pi omega' / omega, and the
+    other terms, 2 sin(theta/2) theta_1 / euler and on the egg 4y^2, are
+    rationals in the kernels' integers: lam takes one mp.log of their
+    product (_log_of_product).
     """
-    lat = analytic._lattice(curve_int, prec)
-    # near |q| = 1 the series cancel, and theta and q need q_guard more bits
-    with mp.workprec(prec + 48 + lat.q_guard):
-        x = mp.mpf(x0)
-        s2 = x - lat.e1
-        egg = lat.route == "three-real-roots" and x < (lat.e1 + lat.e2) / 2
-        if egg:
-            # 4 y^2 and x(2P) - e1 = ((x - e1)^2 - (e1 - e2)(e1 - e3))^2 / (4 y^2),
-            # from the roots: the forms in a and b cancel when e1 and e2 are close.
-            # Roundoff can graze zero at (e2, 0) and (e3, 0).
-            four_y2 = abs(4 * s2 * (x - lat.e2) * (x - lat.e3))
-            log_2y = mp.log(four_y2) / 2
-            s2 = (s2 * s2 - (lat.e1 - lat.e2) * (lat.e1 - lat.e3)) ** 2 / four_y2
-        # theta/2 = pi z / omega = atan2(a_N, s_N) at the end of the Landen
-        # walk, as omega = pi / a_N: its cosine and sine are algebraic
-        a = lat.a_end
-        k, s_end = analytic._landen_walk(lat, *analytic._walk_scale(lat, max(s2, mp.mpf(0))))
-        s_n = mp.sqrt(analytic._mpf_at(s_end, lat.scale + k))
-        h = mp.hypot(a, s_n)
-        theta1, euler = _theta_euler(lat.q, s_n / h)
-        s = a / h
-        disc = abs(mp.mpf(int(curve_int.discriminant)))
-        lam = mp.log(disc / abs(lat.q)) / 12 - mp.log(abs(2 * s * theta1 / euler))
-        return +((lam + log_2y) / 4) if egg else +lam
+    wp, c, terms = _archimedean_terms(curve_int, x, prec)
+    with mp.workprec(wp):
+        lam = c + _log_of_product(terms)
+    with mp.workprec(wp - 16):
+        return +lam
 
 
-def _theta_euler(q: mp.mpf, c: mp.mpf):
-    """(theta_1 / sin(theta/2), prod_(n>=1) (1 - q^n)) at c = cos(theta/2).
+def _theta_euler(Q: int, D: int, F: int) -> Tuple[int, int]:
+    """(theta_1 / sin(theta/2), prod_(n>=1) (1 - q^n)) over 2^F, for q = Q / 2^F.
 
-    Both series are summed in integers over 2^F, F = working precision + 16,
-    to 2^-(working precision).  theta_1 over sin(theta/2) is
+    D / 2^F = 4 c^2 - 2 at c = cos(theta/2).  Both series are summed in
+    integers over 2^F to 2^-(F - 16).  theta_1 over sin(theta/2) is
     sum_n (-1)^n q^(n(n+1)/2) U_2n(c), with V_n = U_2n(c) =
     sin((2n+1) theta/2) / sin(theta/2) by V_(n+1) = (4c^2 - 2) V_n - V_(n-1),
     so |V_n| <= 2n + 1; the product is Euler's pentagonal series.
     """
-    F = mp.mp.prec + 16
-    tol = 1 << 16  # 2^-(working precision), over 2^F
+    tol = 1 << 16  # 2^-(F - 16), over 2^F
     one = 1 << F
-    Q = int(mp.ldexp(q, F))
-    D = int(mp.ldexp(4 * c * c - 2, F))
     theta1, v_prev, v, qn, qt, n = one, one, D + one, Q, Q, 1
     while abs(qt) * (2 * n + 1) >= tol:
         term = qt * v >> F
@@ -430,7 +488,7 @@ def _theta_euler(q: mp.mpf, c: mp.mpf):
         qk = qk * step >> F
         qpow = qpow * Q >> F
         k += 1
-    return mp.ldexp(theta1, -F), mp.ldexp(euler, -F)
+    return theta1, euler
 
 
 def _valuation(q, p: int):
@@ -457,8 +515,8 @@ def _reduction_data(a: int, b: int):
     return ainvs, u, -48 * a // u**4, tuple((p, _valuation(disc // u**12, p)) for p in primes)
 
 
-def _lambda_p(ainvs, c4: int, p: int, N: int, x: Fraction, y: Fraction) -> Fraction:
-    """lambda_p(P) / log p on a model minimal at p, with N = v_p(Delta).
+def _lambda_ps(ainvs, c4: int, primes, x: Fraction, y: Fraction):
+    """[(p, lambda_p(P) / log p)] over (p, N = v_p(Delta)) in primes, on a minimal model.
 
     Cohen, GTM 138, Algorithm 7.5.7 (Silverman, Math. Comp. 51, 1988, Thm 5.2),
     halved for hhat ~ (1/2) log H(x), and without the (1/12) log|Delta|_p term,
@@ -466,19 +524,30 @@ def _lambda_p(ainvs, c4: int, p: int, N: int, x: Fraction, y: Fraction) -> Fract
     (1/2) max(0, -v(x)); multiplicative reduction -n(N - n)/(2N) with
     n = min(v(psi2), N/2); additive reduction -v(psi2)/3 when
     v(psi3) >= 3 v(psi2), else -v(psi3)/8.  A non-torsion point has psi2 and
-    psi3 nonzero.
+    psi3 nonzero.  psi2 and the partial derivative that decides singular
+    reduction are formed once for all the primes, psi3 only when needed.
     """
     a1, a2, a3, a4, a6 = ainvs
-    psi2 = _valuation(2 * y + a1 * x + a3, p)
-    if psi2 <= 0 or _valuation(3 * x * x + 2 * a2 * x + a4 - a1 * y, p) <= 0:
-        return Fraction(max(0, -_valuation(x, p)), 2)
-    if c4 % p:
-        n = min(Fraction(psi2), Fraction(N, 2))
-        return -n * (N - n) / (2 * N)
-    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    psi3 = _valuation(3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8, p)
-    return Fraction(-psi2, 3) if psi3 >= 3 * psi2 else Fraction(-psi3, 8)
+    psi2 = 2 * y + a1 * x + a3
+    dx = 3 * x * x + 2 * a2 * x + a4 - a1 * y
+    psi3 = None
+    lams = []
+    for p, N in primes:
+        v2 = _valuation(psi2, p)
+        if v2 <= 0 or _valuation(dx, p) <= 0:
+            lams.append((p, Fraction(max(0, -_valuation(x, p)), 2)))
+            continue
+        if c4 % p:
+            n = min(Fraction(v2), Fraction(N, 2))
+            lams.append((p, -n * (N - n) / (2 * N)))
+            continue
+        if psi3 is None:
+            b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+            b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+            psi3 = 3 * x**4 + b2 * x**3 + 3 * b4 * x * x + 3 * b6 * x + b8
+        v3 = _valuation(psi3, p)
+        lams.append((p, Fraction(-v2, 3) if v3 >= 3 * v2 else Fraction(-v3, 8)))
+    return lams
 
 
 def _is_torsion(curve_int: RationalCurve, pt: CurvePoint) -> bool:
@@ -504,10 +573,13 @@ def canonical_height_local(curve: RationalCurve, pt: CurvePoint,
 
     lambda_inf is `_lambda_archimedean` at x(P) on the integral short model,
     which carries (1/12) log|Delta| of that model.  A prime p not dividing
-    Delta gives (1/2) v_p(den x(P)) log p.  Each p | Delta gives `_lambda_p`
+    Delta gives (1/2) v_p(den x(P)) log p.  Each p | Delta gives `_lambda_ps`
     on the global minimal model (`ec_core.minimal_model`); the scaling u to
     that model, with Delta = u^12 Delta', enters once, as -log u, in place of
     the (1/12) log|Delta|_p terms, which cancel by the product formula.
+    Every term but lambda_inf's lattice constant (1/12) log|Delta / q| is a
+    rational multiple of the log of a rational, so one mp.log sums them
+    (`_log_of_product`).
     References: Silverman, "Computing heights on elliptic curves" (Math. Comp.
     51, 1988); Cohen, GTM 138, Algorithms 7.1.3 and 7.5.7.  A torsion point,
     decided exactly first (`_is_torsion`), has height 0.
@@ -523,12 +595,13 @@ def canonical_height_local(curve: RationalCurve, pt: CurvePoint,
     x = pu.x / (u * u) - Fraction(a1 * a1 + 4 * a2, 12)
     y = pu.y / u**3 - (a1 * x + a3) / 2
     den = pu.x.denominator
+    wp, value, terms = _archimedean_terms(cu, pu.x, precision_bits)
+    for p, lam in _lambda_ps(ainvs, c4, primes, x, y):
+        terms.append((p, 1, lam))
+        while den % p == 0:
+            den //= p
+    terms += [(den, 1, Fraction(1, 2)), (1, u, Fraction(1))]
+    with mp.workprec(wp):
+        value += _log_of_product(terms)
     with mp.workprec(precision_bits + 64):
-        value = _lambda_archimedean(cu, mp.mpf(pu.x.numerator) / den, precision_bits)
-        for p, N in primes:
-            lam = _lambda_p(ainvs, c4, p, N, x, y)
-            value += mp.mpf(lam.numerator) / lam.denominator * mp.log(p)
-            while den % p == 0:
-                den //= p
-        value += mp.log(den) / 2 - mp.log(u)
         return HeightValue(+value, precision_bits, "local_decomposition")

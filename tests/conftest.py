@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +20,21 @@ settings.register_profile("dioph-deep", derandomize=True, deadline=None,
                           max_examples=400, database=None)
 settings.load_profile("dioph-deep" if os.environ.get("DIOPH_HYPOTHESIS_PROFILE") == "deep"
                       else "dioph")
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run `seconds`: a hang fails, not stalls."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -128,7 +128,7 @@ def test_criterion_4_dirichlet_floor(capsys):
             Q = 50 if n == 3 else Q
         A = RealMatrix.from_rows(
             [[float(rng.uniform(-3, 3)) for _ in range(n)] for _ in range(m)], 128)
-        ok_one, _ = dirichlet_check(A, Q)
+        ok_one, _, _ = dirichlet_check(A, Q)
         failures += 0 if ok_one else 1
     phi_fit = exponent_estimate(RealMatrix.scalar(PHI_STR, 192), 10**6)
     liou = RealMatrix.scalar(liouville_number(precision_bits=192), 192)

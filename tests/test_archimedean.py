@@ -102,7 +102,8 @@ def _reference_wp_series(c, z, prec):
 def reference_exp(curve, t, om, prec):
     """(wp(z), wp'(z)/2) at z = t mod om, by the Laurent series of wp.
 
-    z is reduced into (0, om/2], halved below om/16 and until the series
+    z is reduced into (0, om/2] from t as given, not from t rounded to the
+    working precision, halved below om/16 and until the series
     converges, and the point is doubled back by the group law; y is negated
     past om/2.  The period om is an argument: near om, x(t) moves by 2^(prec/4)
     times the last bit of om, so two maps are compared on one om.
@@ -110,9 +111,11 @@ def reference_exp(curve, t, om, prec):
     with mp.workprec(prec + 48):
         a, b = _mpf(curve.a), _mpf(curve.b)
         c = _reference_wp_coeffs(a, b, max(48, prec // 3), mp.mp.prec)
-        tr = mp.mpf(t) % om
-        flip = tr > om / 2
-        z = om - tr if flip else tr
+        with mp.workprec(4 * prec + 64):  # t mod om exactly, then z rounded once
+            tr = mp.mpf(t) % om
+            flip = tr > om / 2
+            z = om - tr if flip else tr
+        z = +z
         j = 0
         while z > om / 16 and j < 8:
             z /= 2
@@ -283,9 +286,11 @@ def test_theta_euler_matches_mpf_series(q, c):
     # both sums are taken to 2^-(working precision) absolute: near |q| = 1
     # they cancel far below their terms, so the comparison is absolute
     prec = 256
+    F = prec + 16
     with mp.workprec(prec):
         q, c = mp.mpf(q), mp.mpf(c)
-        got = heights._theta_euler(q, c)
+        Q, D = int(mp.ldexp(q, F)), int(mp.ldexp(4 * c * c - 2, F))
+        got = [mp.ldexp(v, -F) for v in heights._theta_euler(Q, D, F)]
     with mp.workprec(4 * prec):
         ref = _reference_theta_euler(q, c)
     for g, r in zip(got, ref):
@@ -725,3 +730,134 @@ def test_int_walks_match_mpf_reference_walk():
 
     check()
     assert routes == {"three-real-roots", "one-real-root"}
+
+
+# --- the kernels against mpmath at twice the working precision ---------------
+# exp_E and elliptic_log round once at the end and canonical_height_local takes
+# one log; each is asked to match its mpmath reference evaluated at 2 prec to
+# 2^-prec, relative to the size of the value in the lattice's units (omega^-2
+# for x, omega^-3 for y), so that a y next to 2-torsion is held to the scale
+# of the curve, not to its own vanishing size.
+
+TWICE_PRECISIONS = (64, 128, 256)
+
+
+def _within(got, ref, prec, scale=0):
+    with mp.workprec(4 * prec):
+        return abs(got - ref) <= mp.ldexp(max(abs(ref), scale), -prec)
+
+
+def test_exp_E_matches_mpmath_at_twice_precision():
+    """z within j ulps (at prec + 48 bits) of the pole guard or of omega/2, or
+    at u/1000 of the half period; on the flip side t = omega - z.  Below the
+    guard the map raises."""
+    seen = set()
+
+    @given(_integral_curves_through(), st.sampled_from(TWICE_PRECISIONS),
+           st.sampled_from(("pole", "half", "generic")), st.booleans(),
+           st.integers(-4, 4), st.integers(1, 999))
+    def check(curve_point, prec, kind, flip, j, u):
+        curve, _ = curve_point
+        per = analytic.real_period(curve, prec)
+        om = per.omega
+        with mp.workprec(4 * prec + 64):
+            z = {"pole": mp.ldexp(om, -prec // 4), "half": om / 2, "generic": om * u / 2000}[kind]
+            z += j * mp.ldexp(1, mp.mag(z) - prec - 48)
+            t = om - z if flip else z
+        seen.update((per.route, (kind, flip)))
+        if kind == "pole" and j < 0:
+            with pytest.raises(PoleProximityError):
+                analytic.exp_E(curve, t, prec)
+            return
+        x, y = analytic.exp_E(curve, t, prec)
+        xr, yr = reference_exp(curve, t, om, 2 * prec)
+        assert _within(x, xr, prec, om**-2) and _within(y, yr, prec, om**-3)
+
+    check()
+    assert seen >= {"three-real-roots", "one-real-root", ("pole", True), ("half", True),
+                    ("pole", False), ("half", False)}
+
+
+def test_elliptic_log_matches_mpmath_at_twice_precision():
+    """x = e1 + 2^k (1 + |e1|) from next to 2-torsion to far out, both signs of y.
+
+    Within 2^-k of e1, z - omega/2 ~ sqrt(x - e1) turns the 2^-scale error of
+    the exact roots into 2^(k/2 - scale); k >= -96 keeps that below 2^-prec.
+    """
+    routes = set()
+
+    @given(_integral_curves_through(), st.sampled_from(TWICE_PRECISIONS),
+           st.integers(-96, 96), st.booleans())
+    def check(curve_point, prec, k, upper):
+        curve, _ = curve_point
+        lat = analytic._lattice(curve, prec)
+        routes.add(lat.route)
+        e1 = reference_roots(curve, 2 * prec)[0]
+        with mp.workprec(prec + 48):
+            x = e1 + mp.ldexp(1 + abs(e1), k)
+        with mp.workprec(2 * prec + 64):
+            y = mp.sqrt(x**3 + _mpf(curve.a) * x + _mpf(curve.b))
+        got = analytic.elliptic_log(curve, (x, y if upper else -y), prec).t
+        z = reference_log(curve, x, 2 * prec)
+        with mp.workprec(2 * prec + 64):
+            ref = lat.omega - z if upper else z
+        assert _within(got, ref, prec)
+
+    check()
+    assert routes == {"three-real-roots", "one-real-root"}
+
+
+@st.composite
+def _egg_points(draw):
+    """(curve, P) with P on the egg: three real roots and x0 left of the local minimum."""
+    x0 = draw(st.integers(-5, 3))
+    y0 = draw(st.integers(1, 9))
+    a = draw(st.integers(-60, -1))
+    b = y0 * y0 - x0**3 - a * x0
+    assume(4 * a**3 + 27 * b**2 < 0 and (x0 < 0 or 3 * x0 * x0 < -a))
+    return RationalCurve(a=a, b=b), CurvePoint.affine(x0, y0)
+
+
+def _reference_local_height(curve, pt, prec):
+    """hhat(P) as the parts the kernel folds into one log, each its own mp.log at prec.
+
+    lambda_inf from the duplication series (reference_lambda) and the lambda_p
+    rationals of the library on the minimal model, plus (1/2) log den' - log u.
+    """
+    cu, pu, _ = ec_core.integral_model(curve, pt)
+    ainvs, u, c4, primes = heights._reduction_data(int(cu.a), int(cu.b))
+    a1, a2, a3 = ainvs[:3]
+    x = pu.x / (u * u) - Fraction(a1 * a1 + 4 * a2, 12)
+    y = pu.y / u**3 - (a1 * x + a3) / 2
+    den = pu.x.denominator
+    with mp.workprec(prec + 64):
+        total = reference_lambda(cu, _mpf(pu.x), prec)
+        for p, lam in heights._lambda_ps(ainvs, c4, primes, x, y):
+            total += lam.numerator * mp.log(p) / lam.denominator
+            while den % p == 0:
+                den //= p
+        return total + mp.log(den) / 2 - mp.log(u)
+
+
+def test_local_height_matches_mpmath_at_twice_precision():
+    """[n]P for n <= 50 on curves through a small point, and on the egg."""
+    seen = set()
+
+    @given(st.one_of(_integral_curves_through(), _egg_points()),
+           st.sampled_from(TWICE_PRECISIONS), st.integers(1, 50))
+    def check(curve_point, prec, n):
+        curve, P = curve_point
+        nP = ec_core.scalar_mul(curve, n, P)
+        assume(not nP.is_identity)
+        got = heights.canonical_height_local(curve, nP, prec).value
+        if got == 0:  # torsion, decided exactly
+            assert heights._is_torsion(curve, P)
+            return
+        lat = analytic._lattice(curve, prec)
+        seen.add(lat.route)
+        if lat.route == "three-real-roots" and not ec_core.on_identity_component(curve, nP):
+            seen.add("egg")
+        assert _within(got, _reference_local_height(curve, nP, 2 * prec), prec)
+
+    check()
+    assert seen == {"three-real-roots", "one-real-root", "egg"}

@@ -10,6 +10,8 @@ import pytest
 
 from dioph.cli import parse_and_dispatch
 
+from conftest import deadline
+
 
 def run(args):
     return parse_and_dispatch(args)
@@ -309,6 +311,44 @@ def test_entries_beyond_the_float_range_exit_2(tmp_path):
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("dioph: error:"), done.stderr
         assert "float64 range" in lines[0]
+
+
+# each bad value fails in the command table, before any work: exit 1 with one
+# "dioph: error:" line that names the flag, not a traceback or a hang
+BAD_FLAGS = [
+    ("probe", "--seed", "-1"),
+    ("weakdirichlet", "--seed", "-1"),
+    ("haw", "--seed", "-1"),
+    ("weakdirichlet", "--base", "nan"),
+    ("weakdirichlet", "--base", "1"),
+    ("weakdirichlet", "--base", "0.5"),
+    ("exponent", "--base", "inf"),
+    ("flow", "--tmax", "nan"),
+    ("flow", "--dt", "inf"),
+    ("flow", "--dt", "0"),
+    ("haw", "--sigma", "nan"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_FLAGS,
+                         ids=[f"{c} {f} {v}" for c, f, v in BAD_FLAGS])
+def test_bad_numeric_flag_exits_1_naming_the_flag(command, flag, value, curve_file_110160,
+                                                   tmp_path, capsys):
+    one = _matrix_file(tmp_path, "one.json", 1, 1, ["1.6180339887498948482045868"])
+    wide = _matrix_file(tmp_path, "wide.json", 1, 2, ["0.3", "0.7"])
+    argv = {
+        "probe": ["probe", "--H", wide, "--J", one, "--qmax", "20"],
+        "weakdirichlet": ["weakdirichlet", "--curve", curve_file_110160, "--qmax", "100"],
+        "haw": ["haw", "--matrix", one, "--sigma", "3", "--rounds", "4"],
+        "exponent": ["exponent", "--matrix", one, "--qmax", "100"],
+        "flow": ["flow", "--matrix", wide, "--tmax", "2", "--dt", "0.5"],
+    }[command]
+    argv = argv + [flag, value, "--out", str(tmp_path / "out")]
+    with deadline(10):
+        assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"dioph: error: argument {flag}: "), err
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 def test_q_beyond_int64_exits_2(tmp_path):

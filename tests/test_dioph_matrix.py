@@ -5,7 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dioph.dioph_matrix import (RealMatrix, best_approx, build_A_from_HJ,
+from dioph import dioph_matrix
+from dioph.dioph_matrix import (RealMatrix, _windows, best_approx, build_A_from_HJ,
                                 dirichlet_check, exponent_estimate,
                                 liouville_number)
 from dioph.errors import BudgetExceededError, SingularMatrixError, ValidationError
@@ -95,22 +96,22 @@ def test_budget_error():
 
 def test_dirichlet_check_examples():
     A = RealMatrix.scalar(PHI_STR, PREC)
-    ok, rec = dirichlet_check(A, 100)
+    ok, rec, _ = dirichlet_check(A, 100)
     assert ok and float(rec.error) < 0.01
     # rational entries: exact solution at the common denominator (3/8 is
     # binary-representable, so the hit is exact; 3/7 rounds at storage and
     # leaves only the 2^-prec residue, still far under threshold)
     B = RealMatrix.from_rows([["3/8"]], PREC)
-    ok, rec = dirichlet_check(B, 8)
+    ok, rec, _ = dirichlet_check(B, 8)
     assert ok and rec.error == 0 and rec.q == (8,)
     C = RealMatrix.from_rows([["3/7"]], PREC)
-    ok, rec = dirichlet_check(C, 7)
+    ok, rec, _ = dirichlet_check(C, 7)
     assert ok and rec.error < mp.mpf(2) ** -120
     rng = np.random.default_rng(5)
     for _ in range(10):
         M = RealMatrix.from_rows([[float(rng.uniform(-3, 3)) for _ in range(2)]
                                   for _ in range(2)], PREC)
-        ok, _ = dirichlet_check(M, 50)
+        ok, _, _ = dirichlet_check(M, 50)
         assert ok
 
 
@@ -207,3 +208,15 @@ def test_matrix_validation():
         RealMatrix.from_json({"m": 2, "n": 1, "entries": ["1"]})
     with pytest.raises(ValidationError):
         best_approx(RealMatrix.scalar("1", PREC), None, 0)
+
+
+@pytest.mark.parametrize("base", (1.0, 0.5, 1.0000001))
+def test_windows_stop_at_the_window_budget(base):
+    # a base at or below 1 never passes q_max, and one just above 1 takes
+    # tens of millions of windows: both end in BudgetExceededError
+    with pytest.raises(BudgetExceededError):
+        sum(1 for _ in itertools.islice(_windows(base, 10), 10_000))
+
+
+def test_window_budget_admits_base_1_01_to_1e15():
+    assert len(list(_windows(1.01, 10**15))) == 3472 <= dioph_matrix.MAX_WINDOWS

@@ -7,9 +7,9 @@ import pytest
 from dioph import analytic, ec_core, experiments, heights
 from dioph.dioph_matrix import RealMatrix
 from dioph.ec_core import CurvePoint
-from dioph.errors import DegenerateTargetError, ValidationError
+from dioph.errors import BudgetExceededError, DegenerateTargetError, ValidationError
 
-from conftest import PHI_STR
+from conftest import PHI_STR, deadline
 
 PREC = 192
 
@@ -96,6 +96,21 @@ def test_weak_dirichlet_rational_target_point(curve_110160):
     P3 = ec_core.scalar_mul(curve_110160, 3, CurvePoint.affine(5, 8))
     cfg = experiments.CurveExperimentConfig(curve=curve_110160, target_P=P3, q_max=2000)
     with pytest.raises(DegenerateTargetError):
+        experiments.weak_dirichlet_experiment(cfg)
+
+
+@pytest.mark.parametrize("base", (1.0, 0.5, math.nan, math.inf))
+def test_weak_dirichlet_rejects_window_base_not_above_1(curve_110160, base):
+    cfg = experiments.CurveExperimentConfig(curve=curve_110160, q_max=1000, windows_base=base)
+    with deadline(10), pytest.raises(ValidationError, match="windows_base"):
+        experiments.weak_dirichlet_experiment(cfg)
+
+
+def test_weak_dirichlet_window_base_near_1_exits_on_the_window_budget(curve_110160):
+    # 1.0000001^k passes 1000 only at k ~ 7e7: the window budget ends the run
+    cfg = experiments.CurveExperimentConfig(curve=curve_110160, q_max=1000,
+                                            windows_base=1.0000001)
+    with deadline(10), pytest.raises(BudgetExceededError, match="windows"):
         experiments.weak_dirichlet_experiment(cfg)
 
 

@@ -610,3 +610,25 @@ def test_kernel_multiple_torsion(a, b, pt):
     P = CurvePoint.affine(*pt)
     assert heights.canonical_height_local(curve, P, PREC).value == 0
     assert _reference_kernel_multiple(curve, P) == (0, None)
+
+
+def test_log_of_product_matches_separate_logs_for_any_common_denominator():
+    """The one-log sum of canonical_height_local against one mp.log per term.
+
+    Exponent denominators 97, 89 and 83 (multiplicative primes of large
+    v_p(Delta)) make the common denominator about 2^21; the long powers are
+    then taken in floating point, in bounded time.
+    """
+    rng = random.Random(7)
+    terms = [(rng.getrandbits(900) | 1, rng.getrandbits(700) | 1, Fraction(-1, 4)),
+             (rng.getrandbits(80_000) | 1, 1, Fraction(1, 2)),
+             (2, 1, Fraction(-3, 97)), (3, 1, Fraction(5, 89)), (5, 1, Fraction(-7, 83)),
+             (1, 7, Fraction(1))]
+    for chosen in (terms[:2] + terms[-1:], terms):
+        with mp.workprec(320):
+            start = time.perf_counter()
+            got = heights._log_of_product(chosen)
+            assert time.perf_counter() - start < 0.5
+        with mp.workprec(1024):
+            ref = mp.fsum(c.numerator * mp.log(mp.mpf(n) / d) / c.denominator for n, d, c in chosen)
+        assert abs(got - ref) <= mp.ldexp(1, -310) * (1 + abs(ref))
