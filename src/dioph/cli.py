@@ -124,7 +124,10 @@ def _parse_target(text: Optional[str], precision_bits: int):
         return None
     if text.startswith("t:"):
         with mp.workprec(precision_bits):
-            return mp.mpf(text[2:])
+            try:
+                return mp.mpf(text[2:])
+            except ValueError:
+                raise ValidationError(f"target 't:VALUE' needs a number, got {text!r}") from None
     return _affine(text, "target must be 'x,y', 't:VALUE', or 'random'")
 
 
@@ -235,6 +238,10 @@ def _flow(args):
 
 
 def _haw(args):
+    limit = haw_game.max_rounds(args.beta, args.rho0)
+    if args.rounds > limit:
+        raise ValidationError(f"argument --rounds: at most {limit} rounds at --beta {args.beta:g} "
+                              f"and --rho0 {args.rho0:g}, got {args.rounds}")
     outcome = haw_game.run_game(args.matrix, sigma=args.sigma, rounds=args.rounds,
                                 bob_policy=args.bob, seed=args.seed,
                                 beta=args.beta, c=args.c, rho0=args.rho0,
@@ -290,7 +297,7 @@ def _weakdirichlet(args):
 
 
 def _probe(args):
-    schedule = [int(v) for v in args.schedule.split(",")] if args.schedule else \
+    schedule = args.schedule if args.schedule else \
         sorted({max(2, args.qmax // (2**k)) for k in range(5)} | {args.qmax})
     rep = experiments.conjecture_probe(args.H, args.J, xi_samples=args.xi_samples,
                                        Q_schedule=schedule, seed=args.seed,
@@ -318,10 +325,24 @@ def _checked(kind, ok, rule: str):
     return parse
 
 
-_SEED = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+_NATURAL = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+_COUNT = _checked(int, lambda v: v >= 1, "must be a positive integer")
+# mpmath runs on Python ints (no gmpy2): on a 2-core VM, at 2^16 bits the slowest
+# command measured (weakdirichlet --qmax 500) took 10 s, at 2^18 bits over 120 s
+_PRECISION = _checked(int, lambda v: v <= 65536, "must be at most 65536")
 _FINITE = _checked(float, math.isfinite, "must be a finite number")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "must be a finite number > 0")
 _BASE = _checked(float, lambda v: 1 < v < math.inf, "must be a finite number > 1")
+_BETA = _checked(float, lambda v: 0 < v < 1 / 3, "must lie in (0, 1/3)")
+
+
+def _schedule(text: str) -> List[int]:
+    """An argparse type: comma-separated integers."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+
 
 # ---------------------------------------------------------------------------
 # the command table: name -> (arguments, command); the order is the help order
@@ -350,11 +371,11 @@ _COMMANDS = {
         ("--matrix", {"default": None}),
         ("--liouville", {"action": "store_true"}),
         ("--sigma", {"type": _FINITE, "required": True}),
-        ("--rounds", {"type": int, "required": True}),
+        ("--rounds", {"type": _NATURAL, "required": True}),
         ("--bob", {"choices": ["random", "greedy"], "default": "random"}),
-        ("--beta", {"type": _FINITE, "default": haw_game.DEFAULT_BETA}),
-        ("--c", {"type": _FINITE, "default": haw_game.DEFAULT_C}),
-        ("--rho0", {"type": _FINITE, "default": 0.05}),
+        ("--beta", {"type": _BETA, "default": haw_game.DEFAULT_BETA}),
+        ("--c", {"type": _POSITIVE, "default": haw_game.DEFAULT_C}),
+        ("--rho0", {"type": _POSITIVE, "default": 0.05}),
         ("--target", {"type": _FINITE, "default": None}),
     ], _haw),
     "minkowski": ([
@@ -371,9 +392,9 @@ _COMMANDS = {
     "probe": ([
         ("--H", {"required": True}),
         ("--J", {"required": True}),
-        ("--xi-samples", {"type": int, "default": 3}),
+        ("--xi-samples", {"type": _COUNT, "default": 3}),
         ("--qmax", {"type": int, "default": 200}),
-        ("--schedule", {"default": None,
+        ("--schedule", {"type": _schedule, "default": None,
                         "help": "comma-separated Q schedule; default derives from qmax"}),
     ], _probe),
 }
@@ -420,8 +441,8 @@ def _build_parser(env_prec: Optional[str]) -> _Parser:
     """
     parser = _Parser(prog="dioph", description=__doc__)
     common = [
-        ("--precision-bits", {"type": int, "default": int(env_prec) if env_prec else 256}),
-        ("--seed", {"type": _SEED, "default": 0}),
+        ("--precision-bits", {"type": _PRECISION, "default": env_prec or "256"}),
+        ("--seed", {"type": _NATURAL, "default": 0}),
         ("--out", {"type": str, "default": None,
                    "help": "output base path; writes OUT.json and OUT.csv"}),
         ("--format", {"choices": ["csv", "json"], "default": "csv"}),

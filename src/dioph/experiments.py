@@ -43,10 +43,12 @@ from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank
                            _exponent_sample, _LogScore, _ls_slope, _Shells, _shell_argmax,
                            _to_mpf, _windows, best_approx, build_A_from_HJ)
 from .ec_core import CurvePoint, RationalCurve
-from .errors import (CertificateError, DegenerateTargetError, SingularMatrixError,
-                     ValidationError)
+from .errors import (BudgetExceededError, CertificateError, DegenerateTargetError,
+                     SingularMatrixError, ValidationError)
 
 DEFAULT_PRECISION = 256
+# targets xi one `conjecture_probe` samples, each searched at every Q of its schedule
+MAX_XI_SAMPLES = 10_000
 
 
 @dataclass
@@ -332,6 +334,10 @@ def conjecture_probe(H: RealMatrix, J: RealMatrix, xi_samples: int = 3,
     data stay consistent with A being not very well approximable.  Finite
     data can only describe the upper direction, never certify it.
     """
+    if xi_samples < 1:
+        raise ValidationError("xi_samples must be >= 1")
+    if xi_samples > MAX_XI_SAMPLES:
+        raise BudgetExceededError(f"{xi_samples} targets exceed the budget of {MAX_XI_SAMPLES}")
     A = build_A_from_HJ(H, J)
     g, r = A.m, A.n
     if not Q_schedule or any(Q < 1 for Q in Q_schedule):

@@ -44,6 +44,8 @@ from .errors import CertificateError, ValidationError
 DEFAULT_BETA = 0.3
 DEFAULT_C = 0.1
 DT = 0.05  # sample step of the dual flow
+# absolute slack of the game's nesting and deletion checks, in float positions
+SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,13 @@ def derive_strategy(A: RealMatrix, sigma: float, beta: float = DEFAULT_BETA,
         raise ValidationError("strategy derivation is implemented for m = 1")
     if not 0 < beta < 1.0 / 3:
         raise ValidationError("beta must lie in (0, 1/3)")
-    if sigma <= m / n:
+    if not sigma > m / n:
         raise ValidationError("sigma must exceed m/n")
+    if not 0 < c < math.inf:
+        raise ValidationError("c must be a finite number > 0")
+    if not t_max <= lattice_dyn.MAX_T:
+        raise ValidationError(f"the schedule needs the dual flow to t = {t_max:.4g}, past "
+                              f"the float flow's t = {lattice_dyn.MAX_T:g}; lower sigma or c")
     mu = (m / n + sigma) / 2
     th_s = lattice_dyn.theta_sigma(sigma, m, n)
     th_m = lattice_dyn.theta_sigma(mu, m, n)
@@ -275,20 +282,45 @@ def _certificate(A: RealMatrix, gamma: float, stage: Stage) -> dict:
             "min_error": min_err, "threshold": stage.threshold, "pass": bool(ok)}
 
 
+def max_rounds(beta: float, rho0: float) -> int:
+    """The most rounds a float game from radius rho0 can play and still check.
+
+    Bob may shrink the radius by beta each round, to rho0 beta^rounds at
+    worst, and the nesting and deletion checks hold to `SLACK` on positions
+    of size up to 1 + rho0: a radius below SLACK (1 + rho0) is no longer
+    told apart by them.  Past that the float game itself gives out, once the
+    radius nears the resolution of Bob's center (about 5e-17 at the default
+    beta and rho0, after 58 greedy or 65-80 random rounds).
+    """
+    return max(0, math.floor(math.log(rho0 / (SLACK * (1 + rho0))) / -math.log(beta)))
+
+
 def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random",
              seed: int = 0, beta: float = DEFAULT_BETA, c: float = DEFAULT_C,
              rho0: float = 0.05, target: Optional[float] = None,
              params: Optional[StrategyParams] = None) -> HawOutcome:
-    """Play a seeded interval game and verify every triggered-stage certificate."""
+    """Play a seeded interval game and verify every triggered-stage certificate.
+
+    beta must lie in (0, 1/3), rho0 be a finite number > 0 and rounds lie
+    in [0, max_rounds(beta, rho0)], or ValidationError is raised first.
+    """
     if A.m != 1:
         raise ValidationError("run_game is the m = 1 interval implementation")
-    if rounds < 0:
-        raise ValidationError("rounds must be >= 0")
+    if not 0 < beta < 1.0 / 3:
+        raise ValidationError("beta must lie in (0, 1/3)")
+    if not 0 < rho0 < math.inf:
+        raise ValidationError("rho0 must be a finite number > 0")
+    limit = max_rounds(beta, rho0)
+    if not 0 <= rounds <= limit:
+        raise ValidationError(f"rounds must lie in [0, {limit}] at beta = {beta:g} and rho0 = "
+                              f"{rho0:g}, or radii fall below the checks' {SLACK:g} slack")
     if params is None:
-        # schedule deep enough for the radii this game can reach
+        # schedule deep enough for the radii this game can reach; th_m < 1 but
+        # rounds to 1 for a huge sigma, whose schedule is then endless
         th_m = lattice_dyn.theta_sigma((1 / A.n + sigma) / 2, 1, A.n)
         rho_min = rho0 * beta ** (rounds + 2)
-        t_need = max(10.0, math.log(max(2 * c / (beta * rho_min), 2.0)) / (1 / 1 - th_m) + 2)
+        t_need = max(10.0, math.log(max(2 * c / (beta * rho_min), 2.0)) / (1 / 1 - th_m) + 2) \
+            if th_m < 1 else math.inf
         params = derive_strategy(A, sigma, beta=beta, c=c, t_max=t_need)
     rng = pcg64._Generator(seed)
     center0 = float(rng.uniform(0.2, 0.8))
@@ -306,12 +338,12 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
         prev_center, prev_rho = float(state.ball_center[0]), state.ball_radius
         new_center, new_rho = bob_move(state, deletion, bob_policy, rng, target)
         # nesting and radius-ratio invariants
-        if new_rho < state.beta * prev_rho - 1e-12:
+        if new_rho < state.beta * prev_rho - SLACK:
             raise CertificateError("radius shrank faster than beta")
-        if new_center - new_rho < prev_center - prev_rho - 1e-12 or \
-           new_center + new_rho > prev_center + prev_rho + 1e-12:
+        if new_center - new_rho < prev_center - prev_rho - SLACK or \
+           new_center + new_rho > prev_center + prev_rho + SLACK:
             raise CertificateError("ball escaped its predecessor")
-        if abs(new_center - deletion.center) < deletion.halfwidth + new_rho - 1e-12:
+        if abs(new_center - deletion.center) < deletion.halfwidth + new_rho - SLACK:
             raise CertificateError("ball intersects the deleted neighborhood")
         state.ball_center = np.array([new_center])
         state.ball_radius = new_rho
@@ -324,7 +356,7 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
     gamma = float(state.ball_center[0])
     # outcome must avoid every deleted neighborhood
     for row in transcript[1:]:
-        if abs(gamma - row["deletion_center"]) < row["deletion_halfwidth"] - 1e-12:
+        if abs(gamma - row["deletion_center"]) < row["deletion_halfwidth"] - SLACK:
             raise CertificateError("outcome lies in a deleted neighborhood")
     certs = [_certificate(A, gamma, st) for st in triggered_stages]
     all_pass = all(cd["pass"] for cd in certs)

@@ -8,8 +8,8 @@ The two canonical-height routes cross-check each other:
 
   * canonical_height_limit: doubling of the projective x-coordinate,
     hhat = (1/2) lim 4^-k log H(x([2^k]P)).  The integers grow 4x in size
-    per doubling, so they are never built: a certified ladder carries an
-    enclosure [lo, hi] 2^e of them in integers, rounded outward to a fixed
+    per doubling, so they are never built: a certified ladder carries a
+    ball (m +- r) 2^e around each, m and r integers, rounded to a fixed
     working precision after every operation (doubled until every step is
     decided), plus their residues modulo a power of disc^2.  The gcd
     appearing at each doubling divides disc^2 (the resultant of the
@@ -56,6 +56,8 @@ DEFAULT_PRECISION = 256
 DEFAULT_DIGIT_BUDGET = 60_000_000
 # working precision, in bits, of the first run of the doubling ladder
 _START_PRECISION = 256
+# the estimates are doubles divided by 4^k, and 4^512 overflows a double
+_MAX_DOUBLINGS = 511
 # Mazur: a point of E(Q) of finite order has order at most 12
 _MAX_TORSION_ORDER = 12
 
@@ -91,159 +93,85 @@ class _Undecided(Exception):
     """The current working precision cannot decide a step."""
 
 
-def _top_bits(n: int) -> Tuple[int, int]:
-    """(bit length, top 64 bits) of a nonnegative integer."""
-    bl = n.bit_length()
-    return bl, n >> max(bl - 64, 0)
+class _Ball:
+    """The reals (m +- r) 2^e, r >= 0, at a working precision prec.
 
-
-def _outward(lo: int, hi: int, e: int, prec: int) -> "_Enclosure":
-    """[lo, hi] 2^e with lo rounded down and hi up to prec-bit mantissas.
-
-    Each endpoint is rounded on its own, as mpmath's interval arithmetic
-    does, and both are then written over the smaller of their exponents.
-    """
-    sl = abs(lo).bit_length() - prec
-    sh = abs(hi).bit_length() - prec
-    if sl > 0:
-        lo >>= sl
-        if sh > 0:
-            hi = -((-hi) >> sh)
-            if sl > sh:
-                lo <<= sl - sh
-            elif sh > sl:
-                hi <<= sh - sl
-            return _Enclosure(lo, hi, e + min(sl, sh), prec)
-        return _Enclosure(lo << sl, hi, e, prec)
-    if sh > 0:
-        return _Enclosure(lo, -((-hi) >> sh) << sh, e, prec)
-    return _Enclosure(lo, hi, e, prec)
-
-
-def _div_floor(n: int, d: int, prec: int) -> Tuple[int, int]:
-    """(m, f) with m = floor(n 2^f / d) of at least prec bits, for d > 0.
-
-    Floors compose, so m 2^-f rounded down to prec bits is n / d rounded down.
-    """
-    f = max(0, prec + d.bit_length() - abs(n).bit_length() + 1)
-    return (n << f) // d, f
-
-
-class _Enclosure:
-    """The reals [lo, hi] 2^e, lo <= hi integers, at a working precision prec.
-
-    Every operation rounds its exact result outward to prec-bit endpoints,
-    endpoint by endpoint, exactly as mpmath's iv.mpf does at iv.prec, so an
-    enclosure decides the same steps as iv at the same precision.  Python
-    int operands are enclosed first, also rounded outward (mpmath's
-    conversion of an int).  Only what _double_x and the ladder use is here.
+    Every operation rounds its exact result to a midpoint of at most prec
+    bits and widens the radius by the rounding error, so the ball holds
+    every real its operands can give.  Python int operands are exact.  Only
+    what _double_x and the ladder use is here.
     """
 
-    __slots__ = ("lo", "hi", "e", "prec")
+    __slots__ = ("m", "r", "e", "prec")
 
-    def __init__(self, lo: int, hi: int, e: int, prec: int):
-        self.lo, self.hi, self.e, self.prec = lo, hi, e, prec
+    def __init__(self, m: int, r: int, e: int, prec: int):
+        s = (abs(m) | r).bit_length() - prec
+        while s > 0:
+            # m rounded to nearest, and the radius widened by that exact error;
+            # a carry to 2^prec takes one more (exact) pass
+            low = m & ((1 << s) - 1)
+            up = low >> (s - 1)
+            m, r, e = (m >> s) + up, -(-(r + abs(low - (up << s))) >> s), e + s
+            s = (abs(m) | r).bit_length() - prec
+        self.m, self.r, self.e, self.prec = m, r, e, prec
 
-    def _enclose(self, other) -> "_Enclosure":
-        if isinstance(other, _Enclosure):
-            return other
-        return _outward(other, other, 0, self.prec)
-
-    def _add(self, o: "_Enclosure", sign: int) -> "_Enclosure":
-        olo, ohi = (o.lo, o.hi) if sign > 0 else (-o.hi, -o.lo)
+    def __add__(self, o: "_Ball") -> "_Ball":
         # an exact 0 leaves the other term as it is, however far off its exponent
-        if not (o.lo or o.hi):
+        if not (o.m or o.r):
             return self
-        if not (self.lo or self.hi):
-            return _Enclosure(olo, ohi, o.e, self.prec)
+        if self.e < o.e:
+            return o + self
         d = self.e - o.e
-        if d >= 0:
-            return _outward((self.lo << d) + olo, (self.hi << d) + ohi, o.e, self.prec)
-        return _outward(self.lo + (olo << -d), self.hi + (ohi << -d), self.e, self.prec)
+        return _Ball((self.m << d) + o.m, (self.r << d) + o.r, o.e, self.prec)
 
-    def __add__(self, other):
-        return self._add(self._enclose(other), 1)
+    def __sub__(self, o: "_Ball") -> "_Ball":
+        return self + _Ball(-o.m, o.r, o.e, self.prec)
 
-    def __sub__(self, other):
-        return self._add(self._enclose(other), -1)
-
-    def __mul__(self, other):
-        o = self._enclose(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if a >= 0 and c >= 0:
-            lo, hi = a * c, b * d
-        elif b <= 0 and d <= 0:
-            lo, hi = b * d, a * c
-        else:
-            products = (a * c, a * d, b * c, b * d)
-            lo, hi = min(products), max(products)
-        return _outward(lo, hi, self.e + o.e, self.prec)
+    def __mul__(self, o) -> "_Ball":
+        if isinstance(o, _Ball):
+            r = abs(self.m) * o.r + self.r * (abs(o.m) + o.r)
+            return _Ball(self.m * o.m, r, self.e + o.e, self.prec)
+        return _Ball(self.m * o, self.r * abs(o), self.e, self.prec)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n != 2:
-            raise ValueError("only squares are enclosed")
-        a, b = self.lo, self.hi
-        if a >= 0:
-            lo, hi = a * a, b * b
-        elif b <= 0:
-            lo, hi = b * b, a * a
-        else:
-            lo, hi = 0, max(-a, b) ** 2
-        return _outward(lo, hi, 2 * self.e, self.prec)
+    def __pow__(self, n: int) -> "_Ball":  # _double_x only squares
+        return self * self
 
-    def __truediv__(self, other):
-        o = self._enclose(other)
-        if o.lo <= 0:
-            raise ValueError("only positive divisors are enclosed")
-        a, b = self.lo, self.hi
-        if a == b == 0:
-            return self
-        # lo / (the divisor end that makes it smallest), hi likewise
-        lo, f = _div_floor(a, o.hi if a >= 0 else o.lo, self.prec)
-        hi, g = _div_floor(-b, o.lo if b >= 0 else o.hi, self.prec)
-        hi = -hi
-        m = max(f, g)
-        return _outward(lo << (m - f), hi << (m - g), self.e - o.e - m, self.prec)
-
-    def top_bits(self, upper: bool) -> Tuple[int, int]:
-        """_top_bits of hi rounded down (upper) or of lo rounded up, for lo >= 0.
-
-        A large endpoint is an integer already (e >= 0), and its top bits
-        are read off the mantissa without building the integer.
-        """
-        n, e = (self.hi if upper else self.lo), self.e
-        if e < 0:
-            return _top_bits(n >> -e if upper else -((-n) >> -e))
-        bl = n.bit_length()
-        if not n or bl + e <= 64:
-            return _top_bits(n << e)
-        return bl + e, n >> (bl - 64) if bl >= 64 else n << (64 - bl)
-
-    def magnitude(self) -> "_Enclosure":
-        """The enclosure of the absolute values, unrounded (mpmath's mpi_abs)."""
-        a, b = self.lo, self.hi
-        if a >= 0:
-            return self
-        if b <= 0:
-            return _Enclosure(-b, -a, self.e, self.prec)
-        return _Enclosure(0, max(-a, b), self.e, self.prec)
+    def __truediv__(self, g: int) -> "_Ball":
+        """The ball of self / g, for an integer g > 0."""
+        # the quotient to prec + 2 bits, floored (off by rem / g < 1), then rounded
+        f = max(0, self.prec + 2 + g.bit_length() - (abs(self.m) | self.r).bit_length())
+        m, rem = divmod(self.m << f, g)
+        return _Ball(m, -(-(self.r << f) // g) + (rem > 0), self.e - f, self.prec)
 
 
-def _height_bits(p: _Enclosure, q: _Enclosure) -> Tuple[int, int]:
-    """_top_bits of max(|p|, |q|) for the integers enclosed by p and q.
+def _top_bits(n: int, e: int, up: bool) -> Tuple[int, int]:
+    """(bit length, top 64 bits) of n 2^e rounded up or down to an integer, n >= 0.
 
-    Raises _Undecided unless every integer in the enclosure of the maximum
-    has the same bit length and top 64 bits.  Rounding to an integer keeps
-    order, so the maximum's endpoints round to the maxima of the rounded
-    endpoints, and (bit length, top bits) orders as the integers do.
+    For e >= 0 they are read off n without building n 2^e.
     """
-    p, q = p.magnitude(), q.magnitude()
-    bits = max(p.top_bits(False), q.top_bits(False))
-    if bits != max(p.top_bits(True), q.top_bits(True)):
+    if e < 0:
+        n, e = (-(-n >> -e) if up else n >> -e), 0
+    if not n:
+        return 0, 0
+    bl = n.bit_length()
+    k = min(64 - bl, e)
+    return bl + e, n << k if k >= 0 else n >> -k
+
+
+def _height_bits(p: _Ball, q: _Ball) -> Tuple[int, int]:
+    """(bit length, top 64 bits) of max(|p|, |q|) for the integers in the balls p and q.
+
+    Raises _Undecided unless every integer in the ball of the maximum has
+    the same bit length and top 64 bits.  Rounding to an integer keeps
+    order, and (bit length, top bits) orders as the integers do, so it is
+    enough that the least and the greatest integer the balls allow agree.
+    """
+    lo = max(_top_bits(max(abs(v.m) - v.r, 0), v.e, True) for v in (p, q))
+    if lo != max(_top_bits(abs(v.m) + v.r, v.e, False) for v in (p, q)):
         raise _Undecided
-    return bits
+    return lo
 
 
 def _log_of_top_bits(bl: int, top: int) -> float:
@@ -256,7 +184,7 @@ def _log_of_top_bits(bl: int, top: int) -> float:
 def _double_x(a, b, p, q):
     """Projective x-coordinate (fp, fq) of [2]P from x(P) = p/q, gcd not removed.
 
-    Written once for Python ints (the residues) and enclosures.
+    Written once for Python ints (the residues) and balls.
     """
     q2 = q * q
     q3 = q2 * q
@@ -271,7 +199,7 @@ def _ladder(a: int, b: int, x: Fraction, n_max: int, prec: int):
     (p_k, q_k) is the reduced projective x-coordinate of [2^k]P on the
     integral curve y^2 = x^3 + a x + b, where x(P) = x.  None means a
     doubling hit the identity: P is torsion.  Runs at the working precision
-    prec and raises _Undecided when an enclosure is too wide to decide.
+    prec and raises _Undecided when a ball is too wide to decide.
     """
     disc = -16 * (4 * a**3 + 27 * b**2)
     gcd_bound = disc * disc
@@ -279,7 +207,7 @@ def _ladder(a: int, b: int, x: Fraction, n_max: int, prec: int):
     # residues before doubling k are taken modulo gcd_bound^(n_max - k)
     modulus = gcd_bound ** n_max
     rp, rq = x.numerator % modulus, x.denominator % modulus
-    p, q = (_outward(n, n, 0, prec) for n in (x.numerator, x.denominator))
+    p, q = (_Ball(n, 0, 0, prec) for n in (x.numerator, x.denominator))
     estimates = []
     for k in range(n_max + 1):
         bl, top = _height_bits(p, q)
@@ -287,9 +215,9 @@ def _ladder(a: int, b: int, x: Fraction, n_max: int, prec: int):
         if k == n_max:
             return estimates
         fp, fq = _double_x(a, b, p, q)
-        if fq.lo == fq.hi == 0:
+        if not (fq.m or fq.r):
             return None
-        if fq.lo <= 0 <= fq.hi:
+        if abs(fq.m) <= fq.r:
             raise _Undecided
         rfp, rfq = (r % modulus for r in _double_x(a, b, rp, rq))
         g = math.gcd(rfp, rfq, gcd_bound)
@@ -311,23 +239,24 @@ def canonical_height_limit(curve: RationalCurve, pt: CurvePoint, n_max: int = 11
     The pair is never built: its bit length grows 4x per doubling, yet each
     step reads only the bit length and top 64 bits of max(|p|,|q|), and
     the gcd g with disc^2 that the doubling leaves.  So the ladder carries
-    integer enclosures of p and q (_Enclosure), rounded outward to a working
+    midpoint-radius balls of p and q (_Ball), rounded to a working
     precision that is an argument of _ladder, and their exact residues
-    modulo disc^(2(n_max-k)) before doubling k, from which g is exact.  When
-    an enclosure cannot decide a step (the top bits, or the sign of fq), the
-    ladder reruns at twice the precision; at the size of the integers the
-    enclosures are exact, so the result always equals the exact ladder's.
-    The point is torsion only when the enclosure of fq is exactly {0}.  No
-    global precision is read or set.
+    modulo disc^(2(n_max-k)) before doubling k, from which g is exact.
+    When a ball cannot decide a step (the top bits, or
+    the sign of fq), the ladder reruns at twice the precision; at the size
+    of the integers the balls are exact, so the result always equals the
+    exact ladder's.  The point is torsion only when the ball of fq is
+    exactly {0}.  No global precision is read or set.
 
-    `DEFAULT_DIGIT_BUDGET` bounds that working precision, in bits: a run
+    n_max lies in [4, 511] (about 4 s at 511).
+    `DEFAULT_DIGIT_BUDGET` bounds the working precision, in bits: a run
     that would need more raises BudgetExceededError.  Once the precision
     reaches the bit length of the integers every step is decided, so the
     budget bounds the work the ladder really does.
     """
     ec_core._require_on_curve(curve, pt)
-    if n_max < 4:
-        raise ValidationError("n_max must be >= 4")
+    if not 4 <= n_max <= _MAX_DOUBLINGS:
+        raise ValidationError(f"n_max must lie in [4, {_MAX_DOUBLINGS}]")
     if pt.is_identity:
         return HeightValue(mp.mpf(0), precision_bits, "limit", tail_estimate=mp.mpf(0))
     cu, pu, _ = ec_core.integral_model(curve, pt)

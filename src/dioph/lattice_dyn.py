@@ -64,6 +64,12 @@ DEFAULT_MAX_ENUM = 2_000_000
 # profiles (t <= 10, dt = 0.02), median of 7 runs: 0.105 s at span 0.5,
 # 0.094 s at 0.75, 0.068-0.076 s for spans 1-2, 0.106 s at 3, 2.5 s at 5.
 SWEEP_SPAN = 1.0
+# samples per flow profile: a sweep holds one float per
+# candidate vector and sample, and a profile past it ends as a budget error
+# before any array is built
+MAX_SAMPLES = 100_000
+# the sweeps scale by e^t in float64, which overflows past t = 709
+MAX_T = 700.0
 # head rows `_independent` tests at a time: a column stops at the block
 # holding its first independent row, so a few dependent-heavy samples no
 # longer make every sample hold wedges for the whole head
@@ -636,11 +642,22 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
     expanding and contracting block norms agree; the same refinement serves
     the weighted profile e^(r(t)) lambda_1 since the linear weight shifts no
     vertex.  A balance time more than dt from its sample is not used.
+    More than `MAX_SAMPLES` samples raise BudgetExceededError, and a t_max
+    past `MAX_T` or a sigma below m/n raise ValidationError, before any
+    sample is taken.
     """
     A = _as_real_matrix(A)
     m, n = A.m, A.n
-    if dt <= 0 or t_max <= 0:
-        raise ValidationError("need positive dt and t_max")
+    if not (0 < dt < math.inf and 0 < t_max < math.inf):
+        raise ValidationError("need finite positive dt and t_max")
+    if sigma is not None and not m / n <= sigma < math.inf:
+        raise ValidationError("sigma must be a finite number >= m/n")
+    # numpy.arange's length is the ceiling of this quotient
+    if not (t_max + dt / 2) / dt <= MAX_SAMPLES:
+        raise BudgetExceededError(f"a flow sampled every {dt:g} up to t = {t_max:g} has "
+                                  f"more than {MAX_SAMPLES} samples")
+    if t_max > MAX_T:
+        raise ValidationError(f"the float flow runs to t = {MAX_T:g}, not to {t_max:g}")
     times = np.arange(0.0, t_max + dt / 2, dt)
     sweep = _flow_sweep(A, times, m + n)
     lam1 = sweep.lambdas[:, 0]

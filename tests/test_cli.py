@@ -7,6 +7,8 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dioph.cli import parse_and_dispatch
 
@@ -349,6 +351,111 @@ def test_bad_numeric_flag_exits_1_naming_the_flag(command, flag, value, curve_fi
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"dioph: error: argument {flag}: "), err
     assert not os.path.exists(tmp_path / "out.json")
+
+
+# argv that ended in a traceback, a hang or a silent run before each value was
+# checked: every one now exits with a documented code and one "dioph: error:"
+# line, in under 1 s (in process, nothing is computed before the check)
+DEFECT_ARGV = [
+    (["flow", "--matrix", "{WIDE}", "--tmax", "1e300", "--dt", "1e-300"], 2, "samples"),
+    (["flow", "--matrix", "{WIDE}", "--tmax", "2", "--dt", "0.5", "--sigma=-1"], 1, "sigma"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "100"], 1, "--rounds"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "400"], 1, "--rounds"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "700"], 1, "--rounds"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "1000000000"], 1, "--rounds"),
+    (["haw", "--liouville", "--sigma", "1e300", "--rounds", "4"], 1, "sigma"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "4", "--beta", "0"], 1, "--beta"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "4", "--c", "0"], 1, "--c"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "4", "--c", "1e300"], 1, "sigma or c"),
+    (["haw", "--liouville", "--sigma", "3", "--rounds", "4", "--rho0", "0"], 1, "--rho0"),
+    (["curve", "height", "--curve", "{CURVE}", "--precision-bits", "100000000"], 1,
+     "--precision-bits"),
+    (["weakdirichlet", "--curve", "{CURVE}", "--qmax", "100", "--precision-bits",
+      str(2**64)], 1, "--precision-bits"),
+    (["curve", "height", "--curve", "{CURVE}", "--nmax", str(2**64)], 1, "n_max"),
+    (["exponent", "--matrix", "{ONE}", "--qmax", "100", "--base", "1e300"], 1, "Q_max"),
+    (["probe", "--H", "{ONE}", "--J", "{ONE}", "--xi-samples", str(2**64)], 2, "targets"),
+    (["probe", "--H", "{ONE}", "--J", "{ONE}", "--xi-samples", "0"], 1, "--xi-samples"),
+    (["probe", "--H", "{ONE}", "--J", "{ONE}", "--schedule", "5,,20"], 1, "--schedule"),
+    (["weakdirichlet", "--curve", "{CURVE}", "--qmax", "100", "--target", "t:abc"], 1,
+     "t:VALUE"),
+]
+
+
+@pytest.mark.parametrize("argv,code,names", DEFECT_ARGV,
+                         ids=[" ".join(x for x in a if x[0] != "{") for a, _, _ in DEFECT_ARGV])
+def test_defect_argv_exits_with_a_documented_code(argv, code, names, curve_file_110160,
+                                                  tmp_path, capsys):
+    paths = {"{WIDE}": _matrix_file(tmp_path, "wide.json", 1, 2, ["0.3", "0.7"]),
+             "{ONE}": _matrix_file(tmp_path, "one.json", 1, 1, ["0.9223"]),
+             "{CURVE}": curve_file_110160}
+    argv = [paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]
+    with deadline(1):
+        assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dioph: error:") and names in err[0], err
+
+
+# the argv grammar: each command at small sizes, and values for its numeric
+# flags from the edge cases below or a few valid ones
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1.000000000931322574615478515625",
+               "0.999999999068677425384521484375", str(2**64))
+VALID_VALUES = {
+    "--precision-bits": ("64", "300"), "--seed": ("0", "5"), "--nmax": ("4", "12"),
+    "--Q": ("1", "12"), "--qmax": ("9", "300"), "--base": ("1.5", "3"),
+    "--tmax": ("0.5", "3"), "--dt": ("0.1", "1"), "--sigma": ("0.5", "1.5", "3"),
+    "--rounds": ("0", "3"), "--beta": ("0.1", "0.3"), "--c": ("0.05", "1"),
+    "--rho0": ("0.01", "0.5"), "--target": ("0.25",), "--xi-samples": ("1", "2"),
+    "--alpha": ("0.7548776662466927",), "--gamma": ("0.25",),
+}
+GRAMMAR = {
+    "curve verify": (["--curve", "{CURVE}", "--point", "5,8"], ()),
+    "curve height": (["--curve", "{CURVE}", "--nmax", "6"], ("--nmax",)),
+    "curve log": (["--curve", "{CURVE}"], ()),
+    "dirichlet": (["--matrix", "{ONE}", "--Q", "10"], ("--Q",)),
+    "exponent": (["--matrix", "{ONE}", "--qmax", "100", "--base", "3"], ("--qmax", "--base")),
+    "flow": (["--matrix", "{ONE}", "--tmax", "2", "--dt", "0.5"], ("--tmax", "--dt", "--sigma")),
+    "haw": (["--liouville", "--sigma", "3", "--rounds", "4"],
+            ("--sigma", "--rounds", "--beta", "--c", "--rho0", "--target")),
+    "minkowski": (["--alpha", "1.4142135623730951", "--gamma", "0.3", "--qmax", "100"],
+                  ("--alpha", "--gamma", "--qmax")),
+    "weakdirichlet": (["--curve", "{CURVE}", "--qmax", "500"], ("--qmax", "--base")),
+    "probe": (["--H", "{ONE}", "--J", "{ONE}", "--xi-samples", "1", "--qmax", "20"],
+              ("--xi-samples", "--qmax")),
+}
+
+
+@pytest.fixture(scope="module")
+def grammar_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("grammar")
+    curve = d / "curve.json"
+    curve.write_text(json.dumps({"a": "-12", "b": "-1", "generator": ["5", "8"], "rank": 1}))
+    return {"{CURVE}": str(curve), "{ONE}": _matrix_file(d, "one.json", 1, 1, ["0.9223"])}
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(GRAMMAR)))
+    base, flags = GRAMMAR[name]
+    chosen = draw(st.lists(st.sampled_from(flags + ("--precision-bits", "--seed")),
+                           min_size=1, max_size=2, unique=True))
+    values = {f: draw(st.sampled_from(EDGE_VALUES) | st.sampled_from(VALID_VALUES[f]))
+              for f in chosen}
+    kept = [a for i, a in enumerate(base) if a not in values and base[i - 1] not in values]
+    return name.split() + kept + [f"{f}={v}" for f, v in values.items()]
+
+
+@given(_argv())
+def test_argv_grammar_exits_with_a_documented_code(grammar_inputs, argv):
+    """Every drawn argv returns 0, 1, 2 or 3 within 5 s, with one "dioph: error:"
+    line on the codes above 0; any other exception fails the test."""
+    argv = [grammar_inputs.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with deadline(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (len(lines) == 1 and lines[0].startswith("dioph: error:")), lines
 
 
 def test_q_beyond_int64_exits_2(tmp_path):

@@ -195,6 +195,14 @@ def test_conjecture_probe_reduces_to_minkowski(curve_110160):
         assert tgt["dirichlet_floor_ok"]
 
 
+def test_conjecture_probe_target_count():
+    H = RealMatrix.from_rows([["0.9223"]], PREC)
+    with pytest.raises(ValidationError):
+        experiments.conjecture_probe(H, H, xi_samples=0)
+    with pytest.raises(BudgetExceededError):
+        experiments.conjecture_probe(H, H, xi_samples=experiments.MAX_XI_SAMPLES + 1)
+
+
 def test_conjecture_probe_rational_flagged():
     H = RealMatrix.from_rows([["1/2"]], PREC)
     J = RealMatrix.from_rows([["1"]], PREC)

@@ -239,3 +239,23 @@ def test_validation_errors(liouville_A):
     M2 = RealMatrix.from_rows([["0.1"], ["0.2"]], 64)
     with pytest.raises(ValidationError):
         haw_game.run_game(M2, sigma=3.0, rounds=2)
+    # each of these ended in a ZeroDivisionError or OverflowError before the game
+    for kwargs in ({"rho0": 0.0}, {"beta": 0.0}, {"beta": 1e300}, {"c": 0.0}, {"c": 1e300},
+                   {"sigma": 1e300}, {"rounds": 700}):
+        with pytest.raises(ValidationError):
+            haw_game.run_game(liouville_A, **{"sigma": 3.0, "rounds": 4, **kwargs})
+
+
+def test_round_limit_keeps_every_radius_above_the_slack(liouville_A):
+    # at the defaults Bob may shrink the ball to 0.05 * 0.3^20 = 1.7e-12 in 20
+    # rounds, just above the 1e-12 (1 + rho0) the checks resolve; round 21 may not
+    limit = haw_game.max_rounds(haw_game.DEFAULT_BETA, 0.05)
+    assert limit == 20
+    floor = haw_game.SLACK * 1.05
+    assert 0.05 * haw_game.DEFAULT_BETA**limit >= floor > 0.05 * haw_game.DEFAULT_BETA**(limit + 1)
+    for bob in ("random", "greedy"):
+        for seed in range(3):
+            out = haw_game.run_game(liouville_A, sigma=3.0, rounds=limit, bob_policy=bob, seed=seed)
+            assert out.all_certificates_pass
+    with pytest.raises(ValidationError, match=r"rounds must lie in \[0, 20\]"):
+        haw_game.run_game(liouville_A, sigma=3.0, rounds=limit + 1)

@@ -260,34 +260,55 @@ def test_limit_matches_exact_ladder_non_integral_37a1():
         _assert_matches_reference(curve, ec_core.scalar_mul(curve, n, P), 7)
 
 
-_ENDS = st.lists(st.integers(-2**300, 2**300), min_size=2, max_size=2).map(sorted)
+def _top_bits_of(n: int):
+    """(bit length, top 64 bits) of the integer n >= 0, built exactly."""
+    bl = n.bit_length()
+    return bl, n >> max(bl - 64, 0)
 
 
-@given(st.sampled_from((8, 32, 53, 128)), _ENDS, _ENDS, st.integers(-99, 99),
-       st.integers(-99, 99), st.integers(1, 2**70))
-def test_enclosures_round_as_mpmath_intervals(prec, p, q, a, b, g):
-    """The ladder's integer enclosures give mpmath's iv endpoints at the same
-    precision, bit for bit, through every operation of a doubling and its
-    division by g, so they decide the same steps.  The endpoints are drawn
-    apart, so the enclosures straddle 0 and their ends differ in size."""
-    def endpoints(v):
-        return v._mpi_ if hasattr(v, "_mpi_") else tuple(
-            mp.libmp.from_man_exp(n, v.e) for n in (v.lo, v.hi))
+def _holds(ball, n) -> bool:
+    """Whether the ball (m +- r) 2^e holds the rational n."""
+    scale = Fraction(2) ** ball.e
+    return abs(n - ball.m * scale) <= ball.r * scale
 
-    saved = mp.iv.prec
-    mp.iv.prec = prec
-    try:
-        ours = [heights._outward(*p, 0, prec), heights._outward(*q, 0, prec)]
-        theirs = [mp.iv.mpf(p), mp.iv.mpf(q)]
-        for side in (ours, theirs):
-            P, Q = side
-            side += [*heights._double_x(a, b, P, Q), *heights._double_x(a, b, P - Q, P + Q)]
-            side += [v / g for v in side[2:]] + [(P - Q) * (Q - P) ** 2]
-    finally:
-        mp.iv.prec = saved
-    for mine, ref in zip(ours, theirs):
-        got, want = endpoints(mine), endpoints(ref)
-        assert all(mp.libmp.mpf_eq(x, y) for x, y in zip(got, want))
+
+_BIG = st.integers(-2**300, 2**300)
+
+
+@given(st.sampled_from((8, 32, 53, 128)), _BIG,
+       st.one_of(st.integers(-2**9, 2**9), _BIG), st.integers(-99, 99),
+       st.integers(-99, 99), st.integers(1, 2**70), st.integers(1, 2**70))
+def test_ball_enclosures_hold_the_exact_doubling(prec, p, dq, a, b, g, d):
+    """Every operation of _double_x, and the division by a g dividing the
+    operands, gives a ball of at most prec bits that holds the exact
+    integer, and _height_bits of balls either gives the exact top bits or
+    raises _Undecided.  q = p + dq, p - q and p + q make balls that straddle
+    0 or cancel, and operands of different sizes; d need not divide."""
+    def steps(P, Q, div):
+        fp, fq = heights._double_x(a, b, P, Q)
+        sp, sq = heights._double_x(a, b, P - Q, P + Q)
+        return [P, Q, fp, fq, div(P, g), div(Q, g), div(fp, g), div(fq, g), div(sp, g),
+                div(sq, g), P * Q, a * P, (P - Q) ** 2, sp, sq, div(P, d), div(fq, d)]
+
+    exact = steps(g * p, g * (p + dq), Fraction)
+    balls = steps(*(heights._Ball(n, 0, 0, prec) for n in exact[:2]), lambda v, n: v / n)
+    for ball, n in zip(balls, exact):
+        assert _holds(ball, n)
+        assert (abs(ball.m) | ball.r).bit_length() <= prec
+    for i in range(0, 10, 2):
+        try:
+            got = heights._height_bits(balls[i], balls[i + 1])
+        except heights._Undecided:
+            continue
+        assert got == _top_bits_of(int(max(abs(exact[i]), abs(exact[i + 1]))))
+
+
+def test_ball_enclosures_undecided_across_a_power_of_two():
+    # (2^128 - 1 +- 2) 2^10 holds integers of 138 and 139 bits; 2 less, it does not
+    one = heights._Ball(1, 0, 0, 128)
+    with pytest.raises(heights._Undecided):
+        heights._height_bits(heights._Ball(2**128 - 1, 2, 10, 128), one)
+    assert heights._height_bits(heights._Ball(2**128 - 3, 2, 10, 128), one) == (138, 2**64 - 1)
 
 
 def test_limit_precision_escalation(monkeypatch):

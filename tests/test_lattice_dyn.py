@@ -858,6 +858,16 @@ def test_validation():
         ld.LatticeBasis.from_columns(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
         ld.flow_profile(np.zeros((1, 1)), -1.0, 0.1)
+    # past the float horizon, or sigma below m/n, where theta_sigma meets its pole at -1
+    with pytest.raises(ValidationError):
+        ld.flow_profile(np.zeros((1, 1)), 800.0, 1.0)
+    with pytest.raises(ValidationError):
+        ld.flow_profile(np.zeros((1, 1)), 1.0, 0.5, sigma=-1.0)
+    # the sample count is checked before numpy.arange sees it
+    with pytest.raises(BudgetExceededError):
+        ld.flow_profile(np.zeros((1, 1)), 1e300, 1e-300)
+    with pytest.raises(BudgetExceededError):
+        ld.flow_profile(np.zeros((1, 1)), 1.0, 1.0 / ld.MAX_SAMPLES)
     Z = ld.from_matrix(np.zeros((1, 1)))
     with pytest.raises(ValidationError):
         ld.apply_flow(Z, 1.0, 2, 2)
