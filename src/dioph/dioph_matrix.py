@@ -621,27 +621,20 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 def _windows(base: float, q_max: int):
     """(k, lo, hi) for each k with base^k <= q_max: the integers of [base^k, base^(k+1)) up to q_max.
 
-    Exact: lo = ceil(base^k), so a power of the base opens its own window;
-    lo > hi when the window holds no integer.  base^k = num^k / den^k is
-    carried as P / 2^64 with base^k 2^64 in [P, P + err], floored once per
-    window, and num^k / den^k is formed only when that range straddles an
-    integer, so listing the windows is linear in their number.
+    In exact integer arithmetic (base^k = num^k / den^k), so a power of the
+    base opens its own window; lo > hi when the window holds no integer.
     Raises BudgetExceededError past `MAX_WINDOWS` windows, which is also how
     a base at or below 1, whose powers never pass q_max, ends.
     """
     num, den = float(base).as_integer_ratio()
-    P, err, k, lo = 1 << 64, 0, 0, 1
-    while lo <= q_max:
+    pk, dk, k = 1, 1, 0
+    while pk <= q_max * dk:
         if k == MAX_WINDOWS:
             raise BudgetExceededError(
                 f"window base {base} opens more than {MAX_WINDOWS} windows up to {q_max}")
-        # base (P + err) <= num P // den + 1 + ceil(num err / den)
-        P, err = P * num // den, 1 - (-err * num // den)
-        up = -(-P >> 64)
-        if up != -(-(P + err) >> 64):
-            up = -(-num ** (k + 1) // den ** (k + 1))
-        yield k, lo, min(up - 1, q_max)
-        lo, k = up, k + 1
+        pn, dn = pk * num, dk * den
+        yield k, -(-pk // dk), min(-(-pn // dn) - 1, q_max)
+        pk, dk, k = pn, dn, k + 1
 
 
 def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0) -> ExponentFit:

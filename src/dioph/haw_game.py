@@ -44,8 +44,9 @@ from .errors import CertificateError, ValidationError
 DEFAULT_BETA = 0.3
 DEFAULT_C = 0.1
 DT = 0.05  # sample step of the dual flow
-# absolute slack of the game's nesting and deletion checks, in float positions
-SLACK = 1e-12
+# the nesting and deletion checks allow this many float steps of the positions they compare
+SLACK_ULPS = 8
+GREEDY_SHRINK = 0.55  # the greedy Bob's first radius ratio, tried before smaller ones
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def bob_move(state: GameState, deletion: Deletion, policy: str, rng: _Draws,
         # steady shrink toward the target; the center is the projection of the
         # target onto the legal region, so a target inside the deleted strip
         # produces a ball tangent to the strip.
-        for frac in np.linspace(0.55, state.beta, 30):
+        for frac in np.linspace(GREEDY_SHRINK, state.beta, 30):
             rho_new = max(rho * float(frac), state.beta * rho)
             pieces = _legal_intervals(center, rho, deletion, rho_new)
             if pieces:
@@ -282,17 +283,26 @@ def _certificate(A: RealMatrix, gamma: float, stage: Stage) -> dict:
             "min_error": min_err, "threshold": stage.threshold, "pass": bool(ok)}
 
 
-def max_rounds(beta: float, rho0: float) -> int:
-    """The most rounds a float game from radius rho0 can play and still check.
+def _slack(center: float, rho: float) -> float:
+    """`SLACK_ULPS` float steps at the far end of the ball (center, rho)."""
+    return SLACK_ULPS * math.ulp(abs(center) + rho)
 
-    Bob may shrink the radius by beta each round, to rho0 beta^rounds at
-    worst, and the nesting and deletion checks hold to `SLACK` on positions
-    of size up to 1 + rho0: a radius below SLACK (1 + rho0) is no longer
-    told apart by them.  Past that the float game itself gives out, once the
-    radius nears the resolution of Bob's center (about 5e-17 at the default
-    beta and rho0, after 58 greedy or 65-80 random rounds).
+
+def max_rounds(beta: float, rho0: float) -> int:
+    """The most rounds a float game from radius rho0 plays before Bob's ball
+    nears the float step of its center.
+
+    Bob's first center lies in [0.2, 0.8) and his balls nest in the first,
+    so every center is below 0.8 + rho0 and resolved to ulp(0.8 + rho0).
+    The rules let Bob shrink by beta each round; his policies shrink by
+    about sqrt(beta) or less (random by 0.62 in the geometric mean at
+    beta = 0.3, greedy by `GREEDY_SHRINK` while it can).  The limit keeps a
+    ball shrunk by the smaller of the two each round above that step: 56
+    rounds at the defaults, where greedy games ran out of legal balls at
+    59-60 rounds and random ones at 66-81 (seeds 0-5).
     """
-    return max(0, math.floor(math.log(rho0 / (SLACK * (1 + rho0))) / -math.log(beta)))
+    shrink = min(math.sqrt(beta), GREEDY_SHRINK)
+    return max(0, math.floor(math.log(rho0 / math.ulp(0.8 + rho0)) / -math.log(shrink)))
 
 
 def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random",
@@ -301,8 +311,8 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
              params: Optional[StrategyParams] = None) -> HawOutcome:
     """Play a seeded interval game and verify every triggered-stage certificate.
 
-    beta must lie in (0, 1/3), rho0 be a finite number > 0 and rounds lie
-    in [0, max_rounds(beta, rho0)], or ValidationError is raised first.
+    beta must lie in (0, 1/3), rho0 and c be finite numbers > 0 and rounds
+    lie in [0, max_rounds(beta, rho0)], or ValidationError is raised first.
     """
     if A.m != 1:
         raise ValidationError("run_game is the m = 1 interval implementation")
@@ -310,16 +320,20 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
         raise ValidationError("beta must lie in (0, 1/3)")
     if not 0 < rho0 < math.inf:
         raise ValidationError("rho0 must be a finite number > 0")
+    if not 0 < c < math.inf:
+        raise ValidationError("c must be a finite number > 0")
     limit = max_rounds(beta, rho0)
     if not 0 <= rounds <= limit:
-        raise ValidationError(f"rounds must lie in [0, {limit}] at beta = {beta:g} and rho0 = "
-                              f"{rho0:g}, or radii fall below the checks' {SLACK:g} slack")
+        raise ValidationError(f"rounds (--rounds) must lie in [0, {limit}] at beta = {beta:g} "
+                              f"and rho0 = {rho0:g}, where Bob's ball nears the float step of "
+                              f"its center, got {rounds}")
     if params is None:
-        # schedule deep enough for the radii this game can reach; th_m < 1 but
-        # rounds to 1 for a huge sigma, whose schedule is then endless
+        # schedule deep enough for the radii this game can reach, down to
+        # rho0 beta^(rounds + 2), in logs so that no radius underflows; th_m < 1
+        # but rounds to 1 for a huge sigma, whose schedule is then endless
         th_m = lattice_dyn.theta_sigma((1 / A.n + sigma) / 2, 1, A.n)
-        rho_min = rho0 * beta ** (rounds + 2)
-        t_need = max(10.0, math.log(max(2 * c / (beta * rho_min), 2.0)) / (1 / 1 - th_m) + 2) \
+        depth = math.log(2 * c) - math.log(rho0) - (rounds + 3) * math.log(beta)
+        t_need = max(10.0, max(depth, math.log(2.0)) / (1 / 1 - th_m) + 2) \
             if th_m < 1 else math.inf
         params = derive_strategy(A, sigma, beta=beta, c=c, t_max=t_need)
     rng = pcg64._Generator(seed)
@@ -337,13 +351,14 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
                 triggered_stages.append(st)
         prev_center, prev_rho = float(state.ball_center[0]), state.ball_radius
         new_center, new_rho = bob_move(state, deletion, bob_policy, rng, target)
-        # nesting and radius-ratio invariants
-        if new_rho < state.beta * prev_rho - SLACK:
+        # nesting and radius-ratio invariants, to the rounding of positions near the ball
+        slack = _slack(prev_center, prev_rho)
+        if new_rho < state.beta * prev_rho:
             raise CertificateError("radius shrank faster than beta")
-        if new_center - new_rho < prev_center - prev_rho - SLACK or \
-           new_center + new_rho > prev_center + prev_rho + SLACK:
+        if new_center - new_rho < prev_center - prev_rho - slack or \
+           new_center + new_rho > prev_center + prev_rho + slack:
             raise CertificateError("ball escaped its predecessor")
-        if abs(new_center - deletion.center) < deletion.halfwidth + new_rho - SLACK:
+        if abs(new_center - deletion.center) < deletion.halfwidth + new_rho - slack:
             raise CertificateError("ball intersects the deleted neighborhood")
         state.ball_center = np.array([new_center])
         state.ball_radius = new_rho
@@ -356,7 +371,7 @@ def run_game(A: RealMatrix, sigma: float, rounds: int, bob_policy: str = "random
     gamma = float(state.ball_center[0])
     # outcome must avoid every deleted neighborhood
     for row in transcript[1:]:
-        if abs(gamma - row["deletion_center"]) < row["deletion_halfwidth"] - SLACK:
+        if abs(gamma - row["deletion_center"]) < row["deletion_halfwidth"] - _slack(gamma, 0.0):
             raise CertificateError("outcome lies in a deleted neighborhood")
     certs = [_certificate(A, gamma, st) for st in triggered_stages]
     all_pass = all(cd["pass"] for cd in certs)

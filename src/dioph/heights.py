@@ -98,8 +98,7 @@ class _Ball:
 
     Every operation rounds its exact result to a midpoint of at most prec
     bits and widens the radius by the rounding error, so the ball holds
-    every real its operands can give.  Python int operands are exact.  Only
-    what _double_x and the ladder use is here.
+    every real its operands can give; Python int operands are exact.
     """
 
     __slots__ = ("m", "r", "e", "prec")
@@ -135,7 +134,9 @@ class _Ball:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "_Ball":  # _double_x only squares
+    def __pow__(self, n: int) -> "_Ball":
+        if n != 2:
+            raise ValueError("only squares are enclosed")
         return self * self
 
     def __truediv__(self, g: int) -> "_Ball":

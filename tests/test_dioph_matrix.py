@@ -4,8 +4,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dioph import dioph_matrix
 from dioph.dioph_matrix import (RealMatrix, _windows, best_approx, build_A_from_HJ,
@@ -222,24 +220,3 @@ def test_windows_stop_at_the_window_budget(base):
 
 def test_window_budget_admits_base_1_01_to_1e15():
     assert len(list(_windows(1.01, 10**15))) == 3472 <= dioph_matrix.MAX_WINDOWS
-
-
-def _exact_windows(base: float, q_max: int):
-    """The window list from exact powers num^k / den^k (the reference): its
-    integers grow by the bit length of num and den per window."""
-    num, den = float(base).as_integer_ratio()
-    pk, dk, k = 1, 1, 0
-    while pk <= q_max * dk:
-        pn, dn = pk * num, dk * den
-        yield k, -(-pk // dk), min(-(-pn // dn) - 1, q_max)
-        pk, dk, k = pn, dn, k + 1
-
-
-@pytest.mark.parametrize("base", (2.0, 1.5, 1.1, 1.01, 3.0, 1.25, 10.0))
-def test_windows_match_exact_powers(base):
-    assert list(_windows(base, 10**15)) == list(_exact_windows(base, 10**15))
-
-
-@given(st.floats(1.05, 64.0), st.integers(1, 10**18))
-def test_windows_match_exact_powers_random(base, q_max):
-    assert list(_windows(base, q_max)) == list(_exact_windows(base, q_max))

@@ -246,16 +246,39 @@ def test_validation_errors(liouville_A):
             haw_game.run_game(liouville_A, **{"sigma": 3.0, "rounds": 4, **kwargs})
 
 
-def test_round_limit_keeps_every_radius_above_the_slack(liouville_A):
-    # at the defaults Bob may shrink the ball to 0.05 * 0.3^20 = 1.7e-12 in 20
-    # rounds, just above the 1e-12 (1 + rho0) the checks resolve; round 21 may not
-    limit = haw_game.max_rounds(haw_game.DEFAULT_BETA, 0.05)
-    assert limit == 20
-    floor = haw_game.SLACK * 1.05
-    assert 0.05 * haw_game.DEFAULT_BETA**limit >= floor > 0.05 * haw_game.DEFAULT_BETA**(limit + 1)
+def test_round_limit_keeps_bobs_ball_above_the_float_step(liouville_A, monkeypatch):
+    # at the defaults a ball shrunk by sqrt(0.3) = 0.548 each round stays above
+    # ulp(0.8 + 0.05) = 1.1e-16, the step of any center Bob holds, for 56 rounds
+    beta, rho0 = haw_game.DEFAULT_BETA, 0.05
+    limit = haw_game.max_rounds(beta, rho0)
+    assert limit == 56
+    shrink = math.sqrt(beta)
+    assert rho0 * shrink**limit >= math.ulp(0.8 + rho0) > rho0 * shrink**(limit + 1)
+    # the certificates of the deepest stages outgrow best_approx's int64 budget
+    # (exit 2) from 53 greedy rounds on; here only the game's own checks count
+    monkeypatch.setattr(haw_game, "_certificate", lambda A, gamma, stage: {"pass": True})
     for bob in ("random", "greedy"):
         for seed in range(3):
             out = haw_game.run_game(liouville_A, sigma=3.0, rounds=limit, bob_policy=bob, seed=seed)
-            assert out.all_certificates_pass
-    with pytest.raises(ValidationError, match=r"rounds must lie in \[0, 20\]"):
+            assert len(out.transcript) == limit + 1
+    with pytest.raises(ValidationError, match=r"rounds \(--rounds\) must lie in \[0, 56\]"):
         haw_game.run_game(liouville_A, sigma=3.0, rounds=limit + 1)
+
+
+def test_checks_resolve_balls_far_below_1e_12(liouville_A, monkeypatch):
+    # a Bob who moves out of his ball by twice its radius at round 48, where the
+    # greedy radius is about 1e-14, is caught: the checks' slack is a few float
+    # steps of the positions, not a fixed 1e-12
+    play = haw_game.bob_move
+
+    def escaping(state, deletion, policy, rng, target=None):
+        center, rho = play(state, deletion, policy, rng, target)
+        if state.round == 48:
+            assert rho < 1e-13
+            center += 2 * state.ball_radius
+        return center, rho
+
+    monkeypatch.setattr(haw_game, "bob_move", escaping)
+    monkeypatch.setattr(haw_game, "_certificate", lambda A, gamma, stage: {"pass": True})
+    with pytest.raises(CertificateError, match="escaped"):
+        haw_game.run_game(liouville_A, sigma=3.0, rounds=50, bob_policy="greedy")
