@@ -64,9 +64,8 @@ import mpmath as mp
 from mpmath import libmp
 
 from .ec_core import CurvePoint, RationalCurve, on_curve, on_identity_component
-from .errors import ComponentError, PoleProximityError, ValidationError
+from .errors import DEFAULT_PRECISION, ComponentError, PoleProximityError, ValidationError
 
-DEFAULT_PRECISION = 256
 # guard bits of the integer trigonometric kernels over the working precision
 _TRIG_GUARD = 20
 

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 import mpmath as mp
 
 from . import analytic, dioph_matrix, ec_core, experiments, haw_game, heights, lattice_dyn
-from .errors import CertificateError, DiophError, ValidationError
+from .errors import DEFAULT_PRECISION, CertificateError, DiophError, ValidationError
 
 SCHEMA = "dioph-report/1"
 # mpmath runs on Python ints (no gmpy2): on a 2-core VM, at 2^16 bits the slowest
@@ -437,7 +437,7 @@ def _build_parser(env_prec: Optional[str]) -> _Parser:
     """
     parser = _Parser(prog="dioph", description=__doc__)
     common = [
-        ("--precision-bits", {"type": int, "default": env_prec or "256"}),
+        ("--precision-bits", {"type": int, "default": env_prec or DEFAULT_PRECISION}),
         ("--seed", {"type": _NATURAL, "default": 0}),
         ("--out", {"type": str, "default": None,
                    "help": "output base path; writes OUT.json and OUT.csv"}),

@@ -13,8 +13,9 @@ sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
   ints (`_circle_runs`), with no float anywhere.  Its budget is the
   kernel's own, `reduction.CIRCLE_MAX_ENUM` lines walked and points listed
   per search.
-* m + n >= 3: the basis is LLL-reduced in float64 (`_ball_lattice`) and the
-  ball enumerated (`_enumerate_in_radius`).  A float64 score of each
+* m + n >= 3: the lattice is reduced along the diagonal flow
+  (`_ball_lattice`) and the ball enumerated on a basis rebuilt from the
+  exact entries (`_enumerate_in_radius`).  A float64 score of each
   enumerated q picks a shortlist that provably holds every q the search
   can return, and only the shortlist is rescored exactly.  The budget is
   `DEFAULT_MAX_ENUM` points per enumeration box, walked in chunks.
@@ -59,15 +60,19 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import mpmath as mp
 import numpy as np
 
-from .errors import BudgetExceededError, SingularMatrixError, ValidationError
+from .errors import DEFAULT_PRECISION, BudgetExceededError, SingularMatrixError, ValidationError
 from .reduction import (_INT64_MAX, _circle_points, _circle_runs, _enumerate_in_radius,
-                        _int_dtype, _lll, _with_dual_bound)
+                        _int64_transform, _int_dtype, _lattice_basis, _lll, _with_dual_bound)
 
-DEFAULT_PRECISION = 256
 # points per enumeration box of an m + n >= 3 shell search; the box is walked
 # `_CHUNK_ROWS` points at a time, so this bounds time, not memory
 DEFAULT_MAX_ENUM = 30_000_000
 _CHUNK_ROWS = 1 << 17
+# bits the two blocks of `_ball_lattice`'s basis scale apart per step of t,
+# a third of float64's mantissa.  Homogeneous `best_approx` on seven surd
+# shapes, 1 x 2 to 3 x 3, reaches Q = 1e14 with 9 to 26 bits; with 30, 3 x 3
+# and 2 x 3 stop at 1e7 and 1e6, with 34, 2 x 2 and 1 x 3 at 1e4
+LADDER_BITS = 17
 # windows [B^k, B^(k+1)) a windowed fit may open: base 1.01 up to q_max = 1e15
 # opens 3,472, and a base at or below 1 would open windows without end
 MAX_WINDOWS = 4096
@@ -254,25 +259,26 @@ def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
         return mp.mpf(mp.libmp.from_rational(int(err), D, prec, mp.libmp.round_nearest))
 
 
-def _ball_lattice(form, Af: np.ndarray, Q: int, eps: float):
-    """The LLL-reduced lattice of the shell search for one eps and ||q|| <= Q, m + n >= 3.
+def _ball_lattice(form, Q: int, eps: float):
+    """The reduced lattice of the shell search for one eps and ||q|| <= Q, m + n >= 3.
 
     Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, in the form
-    `_enumerate_in_radius` takes.  LLL runs in float64; the reduced columns
-    B T are then rebuilt from the integer T with each entry rounded once
-    from its exact value: at Q = 1.4e7 the float columns drift far enough
-    to lose points at the edge of the ball.
+    `_enumerate_in_radius` takes.  Up to scale this is g_t Lambda_A at
+    t = log(Q/eps) / (1/m + 1/n) (Dani's correspondence), reached in steps
+    of t from 0, the last at the exact scaling (1/eps, 1/Q): each step runs
+    float64 LLL on the basis `reduction._lattice_basis` builds from the
+    integer T carried so far, and the returned columns are built from the last T.
     """
     D, N, _ = form
-    m, n = Af.shape
-    B = np.zeros((m + n, m + n))
-    B[:m, :m] = np.eye(m) / eps
-    B[:m, m:] = Af / eps
-    B[m:, m:] = np.eye(n) / Q
-    _, T = _lll(B)
-    Tp, Tq = T[:m].astype(object), T[m:].astype(object)
-    top = (Tp * D + N.astype(object) @ Tq) / D  # A Tq + Tp, each entry one rounding
-    return _with_dual_bound(np.vstack([top.astype(np.float64) / eps, T[m:] / Q]), T)
+    m, n = N.shape
+    rate = 1 / m + 1 / n  # the blocks scale apart by e^(rate t)
+    step = LADDER_BITS * math.log(2) / rate
+    scales = [(math.exp(t / m), math.exp(-t / n))
+              for t in np.arange(step, math.log(Q / eps) / rate, step).tolist()]
+    T = np.eye(m + n, dtype=object)
+    for a, b in scales + [(1 / Fraction(eps), Fraction(1, Q))]:
+        T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
+    return _with_dual_bound(_lattice_basis(D, N, T, a, b), _int64_transform(T.tolist(), "shell"))
 
 
 def _sup_norm(q: Sequence[int]) -> int:
@@ -285,10 +291,7 @@ class _Shells:
     `min` and `within` are the two modes of the module docstring.  Results
     are (D err, q, p) with D the common denominator of `_exact_form`, so
     errors compare exactly as integers.  Shells lie in ||q|| <= q_max, and
-    q_max must fit int64.  For m = n = 1 every ball is searched exactly in
-    Python ints (`reduction._circle_runs`) within its kernel's budget;
-    otherwise it is enumerated by `_enumerate_in_radius`, every box held to
-    `DEFAULT_MAX_ENUM` points.
+    q_max must fit int64.
     """
 
     def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1):
@@ -321,7 +324,7 @@ class _Shells:
     def _chunks(self, lo: int, hi: int, eps: float):
         """(q, ||q||, float score E) for the ball points of one eps with lo <= ||q|| <= hi."""
         m, n = self.m, self.n
-        reduced = _ball_lattice(self.form, self._Af, hi, eps)
+        reduced = _ball_lattice(self.form, hi, eps)
         target = np.concatenate([self._gf / eps, np.zeros(n)]) if self._gf.any() else None
         for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20,
                                                           DEFAULT_MAX_ENUM, target, _CHUNK_ROWS):

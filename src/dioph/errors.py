@@ -1,5 +1,7 @@
 """Shared exception types; exit_code is what the CLI returns for each class."""
 
+DEFAULT_PRECISION = 256  # bits: every entry point's default, and the CLI's
+
 
 class DiophError(Exception):
     exit_code = 1

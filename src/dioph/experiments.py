@@ -43,10 +43,9 @@ from .dioph_matrix import (ApproxRecord, ExponentFit, RealMatrix, _champion_rank
                            _exponent_sample, _LogScore, _ls_slope, _Shells, _shell_argmax,
                            _to_mpf, _windows, best_approx, build_A_from_HJ)
 from .ec_core import CurvePoint, RationalCurve
-from .errors import (BudgetExceededError, CertificateError, DegenerateTargetError,
-                     SingularMatrixError, ValidationError)
+from .errors import (DEFAULT_PRECISION, BudgetExceededError, CertificateError,
+                     DegenerateTargetError, SingularMatrixError, ValidationError)
 
-DEFAULT_PRECISION = 256
 # targets xi one `conjecture_probe` samples, each searched at every Q of its schedule
 MAX_XI_SAMPLES = 10_000
 

@@ -9,9 +9,10 @@ reject any other m.
 
 The dual flow g_(-t) on the polar of Lambda_A is the primal flow of -A^T
 with the two blocks swapped (`_dual_flow`), so it runs on the one sweep of
-`lattice_dyn`: its shortest vectors are scored exactly from their integer
-coefficients, and the schedule holds out to the depth of long games (t about
-38 for 16 rounds), where float64 bases of this lattice give out.  For a
+`lattice_dyn`: its bases are built from the exact entries and its shortest
+vectors scored exactly from their integer coefficients, so the schedule
+holds out to the depth of long games (t about 38 for 16 rounds), where a
+basis g_t B0 formed in float64 gives out.  For a
 1 x 1 A those vectors are (1, 0) and the convergents of A, read off its
 exact continued fraction, with no lattice reduction or enumeration.
 Deletions are recorded once, in the game's transcript.

@@ -49,9 +49,8 @@ from mpmath import libmp
 
 from . import analytic, ec_core
 from .ec_core import CurvePoint, RationalCurve
-from .errors import BudgetExceededError, ValidationError
+from .errors import DEFAULT_PRECISION, BudgetExceededError, ValidationError
 
-DEFAULT_PRECISION = 256
 # bits of working precision the doubling ladder may rise to
 DEFAULT_DIGIT_BUDGET = 60_000_000
 # working precision, in bits, of the first run of the doubling ladder

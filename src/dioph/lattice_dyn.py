@@ -21,20 +21,16 @@ Along the flow (`flow_profile`, and the dual flow behind
 max(e^(t/m) u, e^(-t/n) w), u = ||A q + p||, w = ||q||, so log lambda_i(t)
 is a lower envelope of tents.  `_flow_sweep` scores one candidate set per
 stretch of samples: each candidate once, u and w exactly from its integer
-coefficients, and its lengths at all the samples are one numpy expression,
-from which `_minima` picks.  No sample is reduced or enumerated on its own.
+coefficients, and its lengths at all the samples are one numpy array
+(`_lengths`, held to `MAX_LENGTHS` entries), from which `_minima` picks.
+No sample is reduced or enumerated on its own.
 For m = n = 1 the candidates are read off the exact continued fraction of A
 (`_cf_sweep`): (1, 0), the convergents of -A with their second-nearest p,
 and for lambda_2 the intermediate fractions at each sample's balance index,
 one set for all samples, with no reduction or enumeration.  For m + n >= 3
-(`_windowed_sweep`) the samples are cut into windows of span `SWEEP_SPAN`.
-The integer transform T of the reduction is carried from window to window
-in Python ints; each basis g_t B0 T is rebuilt from the exact entries at
-working precision, rounded once per entry, and LLL touches it up.  The
-basis at a window's end bounds lambda_k at each of its samples, and so the
-(u, w) box of every vector that can be a minimum anywhere in the window.
-That box is a sup-norm cube at one time, the window's balance time, and one
-enumeration there holds every candidate of the window.
+(`_windowed_sweep`) the samples are cut into windows, each enumerated once
+at its balance time on a basis built from the exact entries and the integer
+transform carried from window to window (`reduction._lattice_basis`).
 """
 
 from __future__ import annotations
@@ -47,12 +43,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Union
 
-import mpmath as mp
 import numpy as np
 
 from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_enumerate_in_radius, _finite, _gram_schmidt, _int_dtype, _lll,
+from .reduction import (_enumerate_in_radius, _gram_schmidt, _int_dtype, _lattice_basis, _lll,
                         _with_dual_bound)
 
 # points per enumeration box of a minima search or flow window; the box is
@@ -64,10 +59,14 @@ DEFAULT_MAX_ENUM = 2_000_000
 # profiles (t <= 10, dt = 0.02), median of 7 runs: 0.105 s at span 0.5,
 # 0.094 s at 0.75, 0.068-0.076 s for spans 1-2, 0.106 s at 3, 2.5 s at 5.
 SWEEP_SPAN = 1.0
-# samples per flow profile: a sweep holds one float per
-# candidate vector and sample, and a profile past it ends as a budget error
-# before any array is built
+# samples per flow profile; a profile past it ends as a budget error before
+# any sample is taken
 MAX_SAMPLES = 100_000
+# candidates x samples one sweep array may hold: a window over it is halved,
+# a 1 x 1 sweep over it is a budget error.  A = 3/10 to t = 10 at dt 0.005
+# (1.2e7 lengths) peaks at 313 MB in 1.7 s (2-core VM); at dt 0.001, 2.5e8
+# lengths took 14 s and 5.8 GB with no budget
+MAX_LENGTHS = 1 << 24
 # the sweeps scale by e^t in float64, which overflows past t = 709
 MAX_T = 700.0
 # head rows `_independent` tests at a time: a column stops at the block
@@ -102,14 +101,10 @@ class LatticeBasis:
 
 def from_matrix(A: Union[RealMatrix, np.ndarray]) -> LatticeBasis:
     """Unimodular lattice with identity blocks and A in the upper right."""
-    arr = A.as_array() if isinstance(A, RealMatrix) else np.asarray(A, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError("A must be a 2-d array")
-    m, n = arr.shape
-    d = m + n
-    B = np.eye(d)
-    B[:m, m:] = arr
-    return LatticeBasis(basis=B, det_abs=1.0)
+    A = _as_real_matrix(A)
+    D, N, _ = _exact_form(A, (Fraction(0),) * A.m, 1)
+    return LatticeBasis(basis=_lattice_basis(D, N, np.eye(A.m + A.n, dtype=object), 1, 1),
+                        det_abs=1.0)
 
 
 def apply_flow(L: LatticeBasis, t: float, m: int, n: int) -> LatticeBasis:
@@ -373,40 +368,28 @@ class _Sweep:
 
 
 def _exact_uw(D: int, N: np.ndarray, coeffs: np.ndarray):
-    """u = ||A q + p|| and w = ||q|| of each row (p, q) of coeffs, each rounded once.
-
-    A = N / D, with N an (m, n) array of Python ints (`_exact_form`).
-    """
+    """u = ||A q + p|| and w = ||q|| of each row (p, q) of coeffs, A = N / D, each rounded once."""
     m = N.shape[0]
     p, q = coeffs[:, :m], coeffs[:, m:]
     bound = (int(np.abs(N).sum(axis=1).max()) * max(int(np.abs(q).max(initial=0)), 1)
              + D * max(int(np.abs(p).max(initial=0)), 1))  # D itself must stay below 2^53
     if coeffs.dtype == object or bound >= 2**53:
-        r = q.astype(object) @ N.T + D * p.astype(object)
-        u = (np.abs(r).max(axis=1) / D).astype(np.float64)  # int / int rounds once
+        u = np.abs(_lattice_basis(D, N, coeffs.T, 1, 1)[:m]).max(axis=0)
     else:
         u = np.abs(q @ N.T.astype(np.int64) + D * p).max(axis=1) / D  # below 2^53: one rounding
     return u, np.abs(q).max(axis=1).astype(np.float64)
 
 
-def _flowed_basis(D: int, N: np.ndarray, T: np.ndarray, t: float, prec: int) -> np.ndarray:
-    """g_t B0 T for the unimodular basis B0 of Lambda_A, A = N / D, and integer T.
-
-    Each entry is formed at working precision from the exact entries of A
-    and rounded once to float, however large T has grown.
-    """
-    m, n = N.shape
-    top = D * T[:m] + N @ T[m:]  # D (T_p + A T_q)
-    with mp.workprec(prec):
-        up = mp.exp(mp.mpf(t) / m) / D
-        down = mp.exp(-mp.mpf(t) / n)
-        rows = [[float(up * int(x)) for x in row] for row in top]
-        rows += [[float(down * int(x)) for x in row] for row in T[m:]]
-    return np.array(rows, dtype=np.float64)
+def _lengths(u: np.ndarray, w: np.ndarray, grow: np.ndarray, shrink: np.ndarray) -> np.ndarray:
+    """(C, S) lengths max(e^(t/m) u, e^(-t/n) w), at most `MAX_LENGTHS` of them."""
+    if len(u) * len(grow) > MAX_LENGTHS:
+        raise BudgetExceededError(f"{len(u)} candidates at {len(grow)} samples exceed "
+                                  f"the budget of {MAX_LENGTHS} lengths")
+    out = np.outer(u, grow)
+    return np.maximum(out, np.outer(w, shrink), out=out)
 
 
-def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carried,
-            prec: int):
+def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carried):
     """The minima of one window of `_flow_sweep` at its sample times ts.
 
     Returns (T, lengths, rows, coeffs, u, w): the transform reduced at the
@@ -416,22 +399,20 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carrie
     """
     m, n = N.shape
     grow, shrink = np.exp(ts / m), np.exp(-ts / n)
-    _, Tl = _lll(_flowed_basis(D, N, T, float(ts[-1]), prec))
-    T = T @ Tl.astype(object)
+    T = T @ _lll(_lattice_basis(D, N, T, grow[-1], shrink[-1]))[1].astype(object)
     # lambda_k(t_s) <= the k-th shortest column of that basis at t_s (they are
     # independent), and <= the longest of the k minima carried from the last window
-    bu, bw = _exact_uw(D, N, T.T)
-    bound = np.sort(np.maximum(np.outer(bu, grow), np.outer(bw, shrink)), axis=0)[k - 1]
+    bound = np.sort(_lengths(*_exact_uw(D, N, T.T), grow, shrink), axis=0)[k - 1]
     if carried is not None:
-        bound = np.minimum(bound, np.maximum(np.outer(carried[0], grow),
-                                             np.outer(carried[1], shrink)).max(axis=0))
+        bound = np.minimum(bound, _lengths(*carried, grow, shrink).max(axis=0))
     bound *= 1 + 1e-9
     u_max, w_max = float((bound / grow).max()), float((bound / shrink).max())
     tau = m * n / (m + n) * math.log(w_max / u_max)
-    R = math.exp(tau / m) * u_max
-    Bred, Tl = _lll(_flowed_basis(D, N, T, tau, prec))
-    T = T @ Tl.astype(object)
-    own = _with_dual_bound(Bred, np.eye(m + n, dtype=np.int64))  # coordinates in Bred
+    a, b = math.exp(tau / m), math.exp(-tau / n)
+    R = a * u_max
+    T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
+    own = _with_dual_bound(_lattice_basis(D, N, T, a, b),
+                           np.eye(m + n, dtype=np.int64))  # coordinates in the rebuilt basis
     reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
@@ -441,7 +422,7 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carrie
         if idx.size:
             grid, coeffs = grid[idx], coeffs[idx]
             u, w = _exact_uw(D, N, coeffs)
-            lengths = np.maximum(np.outer(u, grow), np.outer(w, shrink))
+            lengths = _lengths(u, w, grow, shrink)
             rows = _minima(lengths, grid, k)
             if rows is not None and np.all(lengths[rows[:, -1], cols] * reach <= R):
                 return T, lengths, rows, coeffs, u, w
@@ -454,9 +435,8 @@ def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     1 x 1 matrices read their minima off the continued fraction of A
     (`_cf_sweep`); every other shape is swept window by window
     (`_windowed_sweep`).  A matrix entry beyond the float64 range raises
-    BudgetExceededError.
+    BudgetExceededError (`reduction._lattice_basis`).
     """
-    _finite(A.as_array(), "matrix")
     if A.m == A.n == 1:
         D, N, _ = _exact_form(A, (Fraction(0),), 1)
         return _cf_sweep(D, int(N[0, 0]), np.asarray(times, dtype=np.float64), k)
@@ -523,7 +503,7 @@ def _cf_sweep(D: int, a: int, times: np.ndarray, k: int) -> _Sweep:
         coeffs = np.array(cands, dtype=object).reshape(-1, 2)
         coeffs = coeffs[_canonical(coeffs)]
         u, w = _exact_uw(D, np.array([[a]], dtype=object), coeffs)
-        return coeffs, u, w, np.maximum(np.outer(u, grow), np.outer(w, shrink))
+        return coeffs, u, w, _lengths(u, w, grow, shrink)
 
     coeffs, u, w, lengths = score(list(source))
     if k == 2:
@@ -587,27 +567,29 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     max(e^(t/m) u, e^(-t/n) w) with u = ||A q + p|| and w = ||q||.  The
     samples are cut into windows of span `SWEEP_SPAN`.  In a window the
     transform T, kept in Python ints, gives the basis at its last sample
-    (`_flowed_basis`), and LLL touches it up.  At each sample t_s the k-th
-    shortest of its columns, and the longest of the k minima carried from
-    the last window, bound lambda_k(t_s) by B_s, with u and w exact.  A
-    vector that short at t_s has u <= B_s e^(-t_s/m) and w <= B_s e^(t_s/n).
-    With u_max and w_max the largest of these over the window, the box
-    u <= u_max, w <= w_max is the sup-norm ball of radius R = e^(tau/m) u_max
-    at tau = mn/(m + n) log(w_max/u_max), the time that makes R least.  So
-    the basis is rebuilt and reduced again at tau, and one enumeration of
-    radius R there holds every candidate of the window; T is carried on from
-    tau.  Each candidate is scored once, u and w exactly, and its lengths at
-    all the window's samples are one numpy expression; `_minima` picks the
+    (`reduction._lattice_basis`), and LLL touches it up.  At each sample t_s
+    the k-th shortest of its columns, and the longest of the k minima
+    carried from the last window, bound lambda_k(t_s) by B_s, with u and w
+    exact.  A vector that short at t_s has u <= B_s e^(-t_s/m) and
+    w <= B_s e^(t_s/n).  With u_max and w_max the largest of these over the
+    window, the box u <= u_max, w <= w_max is the sup-norm ball of radius
+    R = e^(tau/m) u_max at tau = mn/(m + n) log(w_max/u_max), the time that
+    makes R least.  So the basis is rebuilt and reduced again at tau, and
+    one enumeration of radius R on the basis rebuilt from that T holds every
+    candidate of the window; T is carried on from tau.  Each candidate is
+    scored once, u and w exactly, and its lengths at all the window's
+    samples are one numpy expression (`_lengths`); `_minima` picks the
     minima.  The window is checked afterwards,
     lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
     sample, and enumerated again at twice the radius if it fails.  A window
-    whose box outgrows `DEFAULT_MAX_ENUM` points is halved, to one sample.
+    whose box outgrows `DEFAULT_MAX_ENUM` points, or whose lengths outgrow
+    `MAX_LENGTHS`, is halved, to one sample.
     """
     m, n = A.m, A.n
     S = len(times)
     D, N, _ = _exact_form(A, (Fraction(0),) * m, 1)
     N = N.astype(object)
-    T = np.eye(m + n, dtype=np.int64).astype(object)
+    T = np.eye(m + n, dtype=object)
     lam = np.empty((S, k))
     first = np.empty((S, m + n), dtype=object)
     u1, w1 = np.empty(S), np.empty(S)
@@ -618,8 +600,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
         while True:
             ts = np.asarray(times[i0:i1], dtype=np.float64)
             try:
-                T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried,
-                                                         A.precision_bits)
+                T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried)
                 break
             except BudgetExceededError:
                 if i1 - i0 == 1:

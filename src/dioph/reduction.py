@@ -4,10 +4,13 @@ All norms are sup-norms.  `_enumerate_in_radius` walks the coefficient box
 |c_i - (B^-1 t)_i| <= ||row_i(B^-1)||_1 * r of a basis B around a target t.
 That dual bound holds for every basis, so completeness comes from it and not
 from the reduction, which only shrinks the box: float64 LLL (`_lll`, Cohen,
-GTM 138, Alg. 2.6.3, O(d) updates per swap).  A box over the budget its
-caller passes (`lattice_dyn.DEFAULT_MAX_ENUM` or `dioph_matrix`'s), a
-transform entry beyond int64, or a float basis or matrix entry beyond
-float64 (`_finite`) raises BudgetExceededError.
+GTM 138, Alg. 2.6.3, O(d) updates per swap).  Every basis of Lambda_A
+reduced or enumerated, by the shell search and the flow windows alike, is
+built by `_lattice_basis` from the exact entries and an integer transform T
+carried in Python ints; LLL's float output is never used.  A box over the
+budget its caller passes (`lattice_dyn.DEFAULT_MAX_ENUM` or
+`dioph_matrix`'s), a transform entry beyond int64, or a basis or matrix
+entry beyond float64 raises BudgetExceededError.
 
 Two integer columns have their own kernel, exact in Python ints:
 `_circle_runs` reduces them by Lagrange-Gauss (`_gauss_reduce`) and solves
@@ -50,13 +53,6 @@ def _int64_transform(T: List[List[int]], name: str) -> np.ndarray:
     return np.array(T, dtype=np.int64)
 
 
-def _finite(X: np.ndarray, what: str) -> np.ndarray:
-    """X, or BudgetExceededError when an entry is beyond the float64 range (inf or nan)."""
-    if not np.isfinite(X).all():
-        raise BudgetExceededError(f"{what} entry beyond the float64 range")
-    return X
-
-
 def _gram_schmidt(B: List[List[float]]):
     """(mu rows, squared norms) of the Gram-Schmidt vectors b*_i of the columns B.
 
@@ -87,8 +83,10 @@ def _lll(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     (ill-conditioned input) the current basis is returned.  A basis entry
     beyond the float64 range raises BudgetExceededError.
     """
-    B = _finite(np.asarray(cols, dtype=np.float64), "basis").T.tolist()
-    d = len(B)
+    B = np.asarray(cols, dtype=np.float64)
+    if not np.isfinite(B).all():
+        raise BudgetExceededError("basis entry beyond the float64 range")
+    B, d = B.T.tolist(), len(B)
     T = np.eye(d, dtype=np.int64).tolist()
     mu, norms = _gram_schmidt(B)
     k, iters = 1, 0
@@ -217,6 +215,23 @@ def _circle_points(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int
     return {(q0 + t * dq,): (abs(X0 + t * dX), (p0 + t * dp,))
             for p0, q0, X0, dp, dq, dX, u, v in runs for t in range(u, v + 1)
             if 2 * (X0 + t * dX) != D}
+
+
+def _lattice_basis(D: int, N: np.ndarray, T: np.ndarray, a, b) -> np.ndarray:
+    """The columns diag(a I_m, b I_n) B0 T, each entry exact until one rounding to float64.
+
+    B0 has columns (e_i, 0) for p and (A e_j, e_j) for q, A = N / D
+    (`_exact_form`); T is any integer transform, and a, b (floats, ints or
+    Fractions) are taken exactly.  An entry beyond float64 raises BudgetExceededError.
+    """
+    m = len(N)
+    T = np.asarray(T, dtype=object)
+    top = D * T[:m] + np.asarray(N, dtype=object) @ T[m:]  # D (T_p + A T_q)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    try:  # int / int rounds once, or overflows
+        return np.vstack([top * an / (D * ad), T[m:] * bn / bd]).astype(np.float64)
+    except OverflowError as e:
+        raise BudgetExceededError("lattice basis entry beyond the float64 range") from e
 
 
 def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):

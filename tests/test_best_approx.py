@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -249,6 +250,82 @@ def test_surd_pair_meets_dirichlet_past_the_old_q_box():
     err = abs(x[0] * rec.q[0] + x[1] * rec.q[1] + rec.p[0])
     assert 0 < rec.q_norm <= Q and err <= Fraction(1, Q**2)
     assert rec.error == dioph_matrix._error_mpf(err.numerator, err.denominator, PREC)
+
+
+_SQUAREFREE = [k for k in range(2, 500) if all(k % (p * p) for p in range(2, 23))]
+
+
+def _surd(draw, k: int, digits: int = 60) -> str:
+    """+-sqrt(k) / j to `digits` digits: for distinct squarefree k, entries that
+    are linearly independent over Q together with 1."""
+    j, sign = draw(st.integers(1, 7)), draw(st.sampled_from([1, -1]))
+    with mp.workprec(4 * digits):
+        return mp.nstr(sign * mp.sqrt(k) / j, digits)
+
+
+_LADDER_Q = st.one_of(st.integers(1, 10**12), st.integers(3, 12).map(lambda e: 10**e))
+
+
+@given(st.data(), _LADDER_Q)
+def test_ladder_diagonal_matches_two_circle_searches(data, Q):
+    # err(q1, q2) = max(||alpha q1||, ||beta q2||) on diag(alpha, beta), so
+    # its minimiser is (q, 0) or (0, q) from the exact 1 x 1 search on alpha
+    # or beta, whichever is better by (error, ||q||, _canon(q))
+    alpha, beta = (_surd(data.draw, data.draw(st.sampled_from(_SQUAREFREE))) for _ in "ab")
+    rec = best_approx(RealMatrix.from_rows([[alpha, "0"], ["0", beta]], PREC), None, Q)
+    a, b = (best_approx(RealMatrix.scalar(x, PREC), None, Q) for x in (alpha, beta))
+    want = min((abs(Fraction(x) * r.q[0] + r.p[0]), r.q_norm, _canon(q), q, p, r.error)
+               for x, r, q, p in ((alpha, a, (a.q[0], 0), (a.p[0], 0)),
+                                  (beta, b, (0, b.q[0]), (0, b.p[0]))))
+    assert (rec.q, rec.p, rec.error) == want[3:]
+
+
+def _exact_inverse(M):
+    """The inverse of a square integer matrix in Fractions, by Gauss-Jordan."""
+    d = len(M)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+            for i, row in enumerate(M)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[d:] for row in rows]
+
+
+@given(st.data(), st.sampled_from([(m, n) for m in (1, 2, 3) for n in (1, 2, 3) if m + n >= 3]),
+       _LADDER_Q, st.integers(0, 40))
+def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
+    # the shell lattice B = diag(1/eps, 1/Q) B0 T reached along the flow:
+    # every coefficient c of a point within 1 + 2^-20 of 0 has
+    # |c_i| <= ||row_i(B^-1)||_1 (1 + 2^-20), exactly in Fractions, and the
+    # integer box the enumerator walks must hold that box
+    m, n = shape
+    ks = data.draw(st.lists(st.sampled_from(_SQUAREFREE), min_size=m * n, max_size=m * n,
+                            unique=True))
+    A = RealMatrix.from_rows([[_surd(data.draw, k, 40) for k in ks[i * n:(i + 1) * n]]
+                              for i in range(m)], PREC)
+    eps = min(float(Q) ** (-n / m) * 2.0**doublings, 1.0)
+    radius = 1 + 2.0**-20
+    reduced = dioph_matrix._ball_lattice(_exact_form(A, (Fraction(0),) * m, Q), Q, eps)
+    boxes = []
+    with mock.patch.object(reduction, "_iter_box_chunks",
+                           lambda lo, hi, rows: boxes.append((lo, hi)) or iter(())):
+        list(reduction._enumerate_in_radius(reduced, radius, math.inf))
+    (lo, hi), = boxes
+    Tinv = _exact_inverse(reduced[1].tolist())
+    # B0^-1 = [[I, -A], [0, I]], scaled on the right by diag(eps, Q)
+    B0inv = [[Fraction(int(i == j)) for j in range(m + n)] for i in range(m + n)]
+    for i in range(m):
+        B0inv[i][m:] = [-x for x in A.exact[i * n:(i + 1) * n]]
+    scale = [Fraction(eps)] * m + [Fraction(Q)] * n
+    for i, trow in enumerate(Tinv):
+        row = [sum(t * B0inv[k][j] for k, t in enumerate(trow)) * scale[j]
+               for j in range(m + n)]
+        half = math.floor(sum(abs(x) for x in row) * Fraction(radius))
+        assert lo[i] <= -half and half <= hi[i], (i, half, lo[i], hi[i])
 
 
 def test_ball_keeps_its_edge_points():

@@ -315,6 +315,36 @@ def test_entries_beyond_the_float_range_exit_2(tmp_path):
         assert "float64 range" in lines[0]
 
 
+with mp.workprec(200):
+    _SURDS = {k: mp.nstr(mp.sqrt(k), 50) for k in (2, 3, 5, 7)}
+# shell searches with m + n >= 3 that reduce along the flow: each exited 2 on
+# an enumeration box over budget while the shell lattice was reduced once
+REACH_ARGV = [
+    ["dirichlet", "--matrix", "{R12}", "--Q", "100000000"],
+    ["dirichlet", "--matrix", "{R12}", "--Q", "1000000000000"],
+    ["dirichlet", "--matrix", "{R13}", "--Q", "100000"],
+    ["dirichlet", "--matrix", "{R22}", "--Q", "100000"],
+    ["exponent", "--matrix", "{R22}", "--qmax", "100000000"],
+    ["probe", "--H", "{H}", "--J", "{J}", "--qmax", "10000"],
+]
+
+
+@pytest.mark.parametrize("argv", REACH_ARGV,
+                         ids=[" ".join(x for x in a if x[0] != "{") for a in REACH_ARGV])
+def test_shell_searches_reach_far_along_the_flow(argv, tmp_path):
+    r = [_SURDS[k] for k in (2, 3, 5, 7)]
+    paths = {"{R12}": _matrix_file(tmp_path, "r12.json", 1, 2, r[:2]),
+             "{R13}": _matrix_file(tmp_path, "r13.json", 1, 3, r[:3]),
+             "{R22}": _matrix_file(tmp_path, "r22.json", 2, 2, r),
+             "{H}": _matrix_file(tmp_path, "H.json", 2, 3, [
+                 "0.3183098861837907", "0.5772156649015329", "1.2020569031595942",
+                 "-0.6931471805599453", "2.718281828459045", "0.1411200080598672"]),
+             "{J}": _matrix_file(tmp_path, "J.json", 2, 2, [
+                 "1.0986122886681098", "0.2718281828459045", "-0.5", "1.6487212707001282"])}
+    with deadline(1):
+        assert run([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")]) == 0
+
+
 # each bad value fails in the command table, before any work: exit 1 with one
 # "dioph: error:" line that names the flag, not a traceback or a hang
 BAD_FLAGS = [

@@ -14,7 +14,7 @@ from dioph import lattice_dyn as ld
 from dioph.dioph_matrix import RealMatrix
 from dioph.errors import BudgetExceededError, SingularMatrixError, ValidationError
 
-from conftest import PHI_STR
+from conftest import PHI_STR, deadline
 
 PHI = float(np.float64(1.6180339887498949))
 
@@ -647,6 +647,33 @@ def test_flow_windows_enumerate_once_in_the_balanced_box(monkeypatch):
     assert len(windows) == 10 and sum(windows) == 501  # no window was halved
     assert len(boxes) == len(windows)
     assert sum(boxes) <= 40_000, sum(boxes)
+
+
+def test_flow_windows_halve_over_the_lengths_budget(monkeypatch):
+    # a window whose candidates x samples pass `MAX_LENGTHS` is halved like
+    # one whose box is over budget, and the minima are unchanged
+    A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772",
+                               "0.2360679774997898"]], 256)
+    windows, window = [], ld._window
+
+    def count(*args):
+        windows.append(len(args[3]))
+        return window(*args)
+
+    monkeypatch.setattr(ld, "_window", count)
+    whole = ld.flow_profile(A, 10.0, 0.02)
+    assert len(windows) == 10
+    windows.clear()
+    monkeypatch.setattr(ld, "MAX_LENGTHS", 10_000)
+    split = ld.flow_profile(A, 10.0, 0.02)
+    assert len(windows) > 10 and np.array_equal(split.lambdas, whole.lambdas)
+
+
+def test_one_by_one_sweep_over_the_lengths_budget_builds_nothing():
+    # A = 3/10 to t = 10 at dt 2e-4 scores 101,702 candidates at 50,001
+    # samples, about 41 GB per float array: a budget error before any is built
+    with deadline(5), pytest.raises(BudgetExceededError, match="lengths"):
+        ld.flow_profile(RealMatrix.scalar("0.3", 64), 10.0, 2e-4)
 
 
 def _same_sweep(a, b):
