@@ -14,11 +14,10 @@ sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
   kernel's own, `reduction.CIRCLE_MAX_ENUM` lines walked and points listed
   per search.
 * m + n >= 3: the lattice is reduced along the diagonal flow
-  (`_ball_lattice`) and the ball enumerated on a basis rebuilt from the
-  exact entries (`_enumerate_in_radius`).  A float64 score of each
-  enumerated q picks a shortlist that provably holds every q the search
-  can return, and only the shortlist is rescored exactly.  The budget is
-  `DEFAULT_MAX_ENUM` points per enumeration box, walked in chunks.
+  (`_ball_lattice`), the ball is enumerated on a basis rebuilt from the
+  exact entries around a centre solved exactly from the integer transform
+  (`_enumerate_in_radius`), and each point is scored exactly.  The budget
+  is `DEFAULT_MAX_ENUM` points per enumeration box, walked in chunks.
 
 The search has two modes:
 
@@ -61,8 +60,9 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DEFAULT_PRECISION, BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_INT64_MAX, _circle_points, _circle_runs, _enumerate_in_radius,
-                        _int64_transform, _int_dtype, _lattice_basis, _lll, _with_dual_bound)
+from .reduction import (_INT64_MAX, _as_int64, _circle_points, _circle_runs,
+                        _enumerate_in_radius, _int_dtype, _int_solve, _lattice_basis, _lll,
+                        _with_dual_bound)
 
 # points per enumeration box of an m + n >= 3 shell search; the box is walked
 # `_CHUNK_ROWS` points at a time, so this bounds time, not memory
@@ -278,7 +278,8 @@ def _ball_lattice(form, Q: int, eps: float):
     T = np.eye(m + n, dtype=object)
     for a, b in scales + [(1 / Fraction(eps), Fraction(1, Q))]:
         T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
-    return _with_dual_bound(_lattice_basis(D, N, T, a, b), _int64_transform(T.tolist(), "shell"))
+    T = _as_int64(T.tolist(), "shell transform")
+    return _with_dual_bound(_lattice_basis(D, N, T, a, b), T)
 
 
 def _sup_norm(q: Sequence[int]) -> int:
@@ -297,14 +298,11 @@ class _Shells:
     def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1):
         if q_max > _INT64_MAX:
             raise BudgetExceededError(f"q_max of {int(q_max).bit_length()} bits leaves int64")
-        gamma_exact = _parse_gamma(gamma, A.m, A.precision_bits)
-        self.form = _exact_form(A, gamma_exact, q_max)
+        self.form = _exact_form(A, _parse_gamma(gamma, A.m, A.precision_bits), q_max)
         self.D = self.form[0]
         self.m, self.n = A.m, A.n
         self.prec = A.precision_bits
         self._circle = A.m == A.n == 1
-        self._Af = A.as_array()
-        self._gf = np.array([float(g) for g in gamma_exact], dtype=np.float64)
 
     def error(self, err: int) -> mp.mpf:
         """err / D correctly rounded to the working precision."""
@@ -316,29 +314,20 @@ class _Shells:
         return kernel(D, int(N[0, 0]), int(G[0]), eps, radius.numerator, radius.denominator,
                       lo, hi)
 
-    def _guard(self, hi: int) -> float:
-        """Bounds |float score - exact error| for every q with ||q|| <= hi."""
-        scale = float(np.abs(self._Af).sum(axis=1).max()) * hi + float(np.abs(self._gf).max()) + 1.0
-        return scale * 2.0**-44
-
     def _chunks(self, lo: int, hi: int, eps: float):
-        """(q, ||q||, float score E) for the ball points of one eps with lo <= ||q|| <= hi."""
-        m, n = self.m, self.n
+        """(q, ||q||, D err, p), all exact, for the ball points of one eps with lo <= ||q|| <= hi."""
+        D, _, G = self.form
         reduced = _ball_lattice(self.form, hi, eps)
-        target = np.concatenate([self._gf / eps, np.zeros(n)]) if self._gf.any() else None
+        # the target's coefficients in B = diag(1/eps, 1/hi) B0 T: T^-1 (G, 0) / D
+        centre = (_int_solve(reduced[1].tolist(), list(G) + [0] * self.n), D) if any(G) else None
         for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20,
-                                                          DEFAULT_MAX_ENUM, target, _CHUNK_ROWS):
-            q = coeffs[:, m:]
+                                                          DEFAULT_MAX_ENUM, centre, _CHUNK_ROWS):
+            q = coeffs[:, self.m:]
             qn = np.abs(q).max(axis=1)
             keep = (qn >= lo) & (qn <= hi)
             if keep.any():
                 q = q[keep]
-                R = q.astype(np.float64) @ self._Af.T - self._gf
-                yield q, qn[keep], np.abs(R - np.rint(R)).max(axis=1)
-
-    def _triple(self, err, q) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-        _, p = _exact_error(self.form, np.array([q], dtype=np.int64))
-        return int(err), tuple(int(v) for v in q), tuple(int(v) for v in p[0])
+                yield (q, qn[keep]) + _exact_error(self.form, q)
 
     def _circle_best(self, lo: int, hi: int, eps: float):
         """(D err, q, p) least in (D err, |q|, q < 0) over the 1 x 1 ball of eps, or None.
@@ -362,27 +351,15 @@ class _Shells:
         return None if best is None else (best[0][0], (best[1],), (best[2],))
 
     def _box_best(self, lo: int, hi: int, eps: float):
-        """(D err, q, p) least in (D err, ||q||, _canon(q)) over the ball of eps, or None.
-
-        Chunks keep a running champion: a float score E(q), within `guard`
-        of err(q), shortlists every q that can tie or beat the best seen, and
-        only the shortlist is rescored exactly.
-        """
-        guard = self._guard(hi)
-        best, emin = None, math.inf
-        for q, qn, E in self._chunks(lo, hi, eps):
-            emin = min(emin, float(E.min()))
-            cand = np.nonzero(E <= emin + 2 * guard)[0]
-            if cand.size == 0:  # an earlier chunk holds something better
-                continue
-            errs, _ = _exact_error(self.form, q[cand])
-            e0 = errs.min()
-            ties = cand[np.nonzero(errs == e0)[0]]
+        """(D err, q, p) least in (D err, ||q||, _canon(q)) over the ball of eps, or None."""
+        best = None  # (key, (D err, q, p))
+        for q, qn, errs, ps in self._chunks(lo, hi, eps):
+            ties = np.nonzero(errs == errs.min())[0]
             i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
-            key = (int(e0), int(qn[i]), _canon(q[i]))
+            key = (int(errs[i]), int(qn[i]), _canon(q[i]))
             if best is None or key < best[0]:
-                best = (key, q[i].copy())
-        return None if best is None else self._triple(best[0][0], best[1])
+                best = (key, (key[0], tuple(q[i].tolist()), tuple(ps[i].tolist())))
+        return None if best is None else best[1]
 
     def min(self, lo: int, hi: int):
         """The exact minimiser (D err, q, p) over lo <= ||q|| <= hi, None for an empty shell."""
@@ -400,17 +377,11 @@ class _Shells:
 
     def _box_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
         """{q: (D err, p)} over the ball points of the shell with err <= radius."""
-        bound = float(radius) + 2 * self._guard(hi)
         found = {}
-        for q, _qn, E in self._chunks(lo, hi, eps):
-            cand = np.nonzero(E <= bound)[0]
-            if cand.size == 0:
-                continue
-            errs, ps = _exact_error(self.form, q[cand])
-            for i, err, p in zip(cand.tolist(), errs.tolist(), ps.tolist()):
-                # a q shows up once per p in the ball; its nearest p is among them
+        for q, _qn, errs, ps in self._chunks(lo, hi, eps):
+            for qi, err, p in zip(q.tolist(), errs.tolist(), ps.tolist()):
                 if err * radius.denominator <= radius.numerator * self.D:
-                    found[tuple(int(v) for v in q[i])] = (int(err), tuple(int(v) for v in p))
+                    found[tuple(qi)] = (err, tuple(p))
         return found
 
     def within(self, lo: int, hi: int, radius: Fraction):

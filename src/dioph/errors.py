@@ -19,6 +19,10 @@ class BudgetExceededError(DiophError):
     exit_code = 2
 
 
+class SizeBudgetError(BudgetExceededError):
+    """A search box or length array outgrew its budget: a smaller search may fit."""
+
+
 class CertificateError(DiophError):
     """A game certificate or internal consistency assertion failed."""
 

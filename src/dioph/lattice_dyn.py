@@ -46,7 +46,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
-from .errors import BudgetExceededError, SingularMatrixError, ValidationError
+from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError, ValidationError
 from .reduction import (_enumerate_in_radius, _gram_schmidt, _int_dtype, _lattice_basis, _lll,
                         _with_dual_bound)
 
@@ -383,8 +383,8 @@ def _exact_uw(D: int, N: np.ndarray, coeffs: np.ndarray):
 def _lengths(u: np.ndarray, w: np.ndarray, grow: np.ndarray, shrink: np.ndarray) -> np.ndarray:
     """(C, S) lengths max(e^(t/m) u, e^(-t/n) w), at most `MAX_LENGTHS` of them."""
     if len(u) * len(grow) > MAX_LENGTHS:
-        raise BudgetExceededError(f"{len(u)} candidates at {len(grow)} samples exceed "
-                                  f"the budget of {MAX_LENGTHS} lengths")
+        raise SizeBudgetError(f"{len(u)} candidates at {len(grow)} samples exceed "
+                              f"the budget of {MAX_LENGTHS} lengths")
     out = np.outer(u, grow)
     return np.maximum(out, np.outer(w, shrink), out=out)
 
@@ -583,7 +583,8 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
     sample, and enumerated again at twice the radius if it fails.  A window
     whose box outgrows `DEFAULT_MAX_ENUM` points, or whose lengths outgrow
-    `MAX_LENGTHS`, is halved, to one sample.
+    `MAX_LENGTHS` (`SizeBudgetError`), is halved, to one sample; any other
+    budget error is raised at once.
     """
     m, n = A.m, A.n
     S = len(times)
@@ -602,7 +603,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
             try:
                 T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried)
                 break
-            except BudgetExceededError:
+            except SizeBudgetError:
                 if i1 - i0 == 1:
                     raise
                 i1 = i0 + (i1 - i0) // 2

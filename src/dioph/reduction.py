@@ -1,16 +1,17 @@
 """Lattice reduction and enumeration: the one kernel of every lattice search.
 
 All norms are sup-norms.  `_enumerate_in_radius` walks the coefficient box
-|c_i - (B^-1 t)_i| <= ||row_i(B^-1)||_1 * r of a basis B around a target t.
-That dual bound holds for every basis, so completeness comes from it and not
+|c_i - (B^-1 t)_i| <= ||row_i(B^-1)||_1 * r of a basis B around a target t,
+whose coefficients B^-1 t the caller gives exactly (`_int_solve`).  That
+dual bound holds for every basis, so completeness comes from it and not
 from the reduction, which only shrinks the box: float64 LLL (`_lll`, Cohen,
 GTM 138, Alg. 2.6.3, O(d) updates per swap).  Every basis of Lambda_A
 reduced or enumerated, by the shell search and the flow windows alike, is
 built by `_lattice_basis` from the exact entries and an integer transform T
 carried in Python ints; LLL's float output is never used.  A box over the
 budget its caller passes (`lattice_dyn.DEFAULT_MAX_ENUM` or
-`dioph_matrix`'s), a transform entry beyond int64, or a basis or matrix
-entry beyond float64 raises BudgetExceededError.
+`dioph_matrix`'s), a transform entry or box centre beyond int64, or a
+basis or matrix entry beyond float64 raises BudgetExceededError.
 
 Two integer columns have their own kernel, exact in Python ints:
 `_circle_runs` reduces them by Lagrange-Gauss (`_gauss_reduce`) and solves
@@ -30,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, SingularMatrixError
+from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 CIRCLE_MAX_ENUM = 1 << 22  # lines walked, and points listed, by one 1 x 1 search
@@ -44,12 +45,11 @@ def _int_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
-def _int64_transform(T: List[List[int]], name: str) -> np.ndarray:
-    """The integer transform T (nested lists) as an int64 array; raises beyond int64."""
+def _as_int64(T: List[List[int]], what: str) -> np.ndarray:
+    """The integers T (nested lists) as an int64 array; raises beyond int64."""
     big = max(abs(x) for row in T for x in row)
     if big > _INT64_MAX:
-        raise BudgetExceededError(
-            f"{name} transform leaves int64 (an entry of {big.bit_length()} bits)")
+        raise BudgetExceededError(f"{what} leaves int64 (an entry of {big.bit_length()} bits)")
     return np.array(T, dtype=np.int64)
 
 
@@ -118,7 +118,7 @@ def _lll(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                 r_i[k] = r_i[k - 1] - c * t
                 r_i[k - 1] = t + e * r_i[k]
         k = max(k - 1, 1)
-    return np.array(B).T.copy(), _int64_transform(T, "LLL").T.copy()
+    return np.array(B).T.copy(), _as_int64(T, "LLL transform").T.copy()
 
 
 def _gauss_reduce(u: Tuple[int, int], v: Tuple[int, int]) -> List[List[int]]:
@@ -167,8 +167,8 @@ def _circle_runs(D: int, N: int, G: int, eps: float, rn: int, rd: int, lo: int, 
     T beyond int64.
     """
     a, b = eps.as_integer_ratio()
-    T = _int64_transform(_gauss_reduce((D * b * hi, 0), (N * b * hi, D * a)),
-                         "Gauss-reduced").tolist()
+    T = _as_int64(_gauss_reduce((D * b * hi, 0), (N * b * hi, D * a)),
+                  "Gauss-reduced transform").tolist()
     cols = [(T[0][j], T[1][j], D * T[0][j] + N * T[1][j]) for j in (0, 1)]  # (p, q, X + G)
     sign = T[0][0] * T[1][1] - T[0][1] * T[1][0]  # det T = +-1
     spans = []
@@ -266,36 +266,60 @@ def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None):
         start = stop
 
 
-def _enumerate_in_radius(reduced, radius: float, max_enum: int,
-                         target: Optional[np.ndarray] = None,
-                         chunk_rows: Optional[int] = None):
-    """Chunks (coeffs, vecs, norms) of the lattice points v with ||v - target|| <= radius.
+def _int_solve(T: List[List[int]], b: List[int]) -> List[int]:
+    """The integer y with T y = b, for T unimodular (det T = +-1), exactly in Python ints.
 
-    `reduced` is `_with_dual_bound`'s result.  coeffs are in the original
-    basis, vecs are v - target.  Without a target the zero vector is left
-    out.  The box |c_i - (B^-1 target)_i| <= ||row_i(B^-1)||_1 * radius is
-    complete for any basis B, so the reduction only shrinks it; each side is
-    widened by 1e-9 (1 + |centre_i|) to cover float error.  The box is walked
-    in lex order, `chunk_rows` points at a time (the whole box in one chunk
-    when None).  A box of more than max_enum points raises.
+    Fraction-free (Bareiss) elimination: each entry stays a minor of (T b),
+    and every division is exact, back substitution too, as y is integral.
+    """
+    d = len(T)
+    M = [[int(x) for x in row] + [int(v)] for row, v in zip(T, b)]
+    prev = 1
+    for k in range(d - 1):
+        M[k:] = sorted(M[k:], key=lambda row: row[k] == 0)  # a nonzero pivot first (stable)
+        for i in range(k + 1, d):
+            M[i] = [(M[k][k] * u - M[i][k] * v) // prev for u, v in zip(M[i], M[k])]
+        prev = M[k][k]
+    y = [0] * d
+    for i in range(d - 1, -1, -1):
+        y[i] = (M[i][d] - sum(M[i][j] * y[j] for j in range(i + 1, d))) // M[i][i]
+    return y
+
+
+def _enumerate_in_radius(reduced, radius: float, max_enum: int,
+                         centre: Optional[Tuple[List[int], int]] = None,
+                         chunk_rows: Optional[int] = None):
+    """Chunks (coeffs, vecs, norms) of the lattice points v with ||v - t|| <= radius.
+
+    `reduced` is `_with_dual_bound`'s result (B, T, ||row_i(B^-1)||_1), and
+    the target t = B c comes as its exact coefficients c = y / D, `centre` =
+    (y, D) in ints; without one t = 0 and the zero vector is left out.
+    coeffs are in the original basis, vecs are v - t.  The box of offsets o
+    from floor(c), |o_i - frac(c_i)| <= ||row_i(B^-1)||_1 * radius widened by
+    1e-9 for the float inverse, is complete for any basis B, and the ball is
+    filtered on (o - frac(c)) B, so no float of t's size is subtracted.  It
+    is walked in lex order, `chunk_rows` points at a time (all at once when
+    None).  A box of more than max_enum points, or a T floor(c) beyond
+    int64, raises.
     """
     Bred, T, inv_l1 = reduced
-    half = inv_l1 * radius
-    center = np.zeros(len(inv_l1)) if target is None else np.linalg.solve(Bred, target)
-    slack = 1e-9 * (1 + np.abs(center))
-    lo = np.ceil(center - half - slack)
-    hi = np.floor(center + half + slack)
+    half = inv_l1 * radius + 1e-9
+    x0, frac = None, np.zeros(len(inv_l1))
+    if centre is not None:  # floor(c) may pass int64; only the point it gives is held
+        y, D = centre
+        x0 = _as_int64([[sum(t * (v // D) for t, v in zip(row, y)) for row in T.tolist()]],
+                       "enumeration box centre")[0]
+        frac = np.array([v % D / D for v in y])
+    lo, hi = np.ceil(frac - half), np.floor(frac + half)
     total = float(np.prod(hi - lo + 1))  # in floats: an unreduced basis can overflow int64
     if not total <= max_enum:
-        raise BudgetExceededError(
+        raise SizeBudgetError(
             f"enumeration box of {total:.0f} points exceeds budget {max_enum}")
     for grid in _iter_box_chunks(lo.astype(np.int64), hi.astype(np.int64), chunk_rows):
-        vecs = grid.astype(np.float64) @ Bred.T
-        if target is not None:
-            vecs -= target
+        vecs = (grid.astype(np.float64) if x0 is None else grid - frac) @ Bred.T
         norms = np.abs(vecs).max(axis=1)
         keep = norms <= radius * (1 + 1e-12)
-        if target is None:
+        if x0 is None:
             keep &= np.abs(grid).max(axis=1) > 0
         coeffs = grid[keep] @ T.T  # back to original-basis coefficients
-        yield coeffs, vecs[keep], norms[keep]
+        yield (coeffs if x0 is None else coeffs + x0), vecs[keep], norms[keep]

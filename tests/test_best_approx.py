@@ -266,18 +266,33 @@ def _surd(draw, k: int, digits: int = 60) -> str:
 _LADDER_Q = st.one_of(st.integers(1, 10**12), st.integers(3, 12).map(lambda e: 10**e))
 
 
-@given(st.data(), _LADDER_Q)
-def test_ladder_diagonal_matches_two_circle_searches(data, Q):
-    # err(q1, q2) = max(||alpha q1||, ||beta q2||) on diag(alpha, beta), so
-    # its minimiser is (q, 0) or (0, q) from the exact 1 x 1 search on alpha
-    # or beta, whichever is better by (error, ||q||, _canon(q))
+# targets: floats (subnormals too, whose common denominator is ~2^1074) and fractions
+_GAMMA = st.one_of(st.floats(-1, 1, allow_nan=False), st.fractions(-1, 1, max_denominator=10**6))
+
+
+@given(st.data(), _LADDER_Q, st.one_of(st.none(), st.tuples(_GAMMA, _GAMMA)))
+def test_ladder_diagonal_matches_two_circle_searches(data, Q, gamma):
+    # err(q1, q2) = max(||alpha q1 - g1||, ||beta q2 - g2||) on diag(alpha, beta),
+    # where q_i = 0 is allowed (error ||g_i||) but q = 0 is not: with e_i the
+    # exact 1 x 1 minimum over 1 <= |q_i| <= Q and f_i = min(e_i, ||g_i||), the
+    # least error is E = min(max(e1, f2), max(f1, e2)), and every q of the 1 x 1
+    # lists of error <= E (0 where ||g_i|| <= E), but q = 0, reaches it
     alpha, beta = (_surd(data.draw, data.draw(st.sampled_from(_SQUAREFREE))) for _ in "ab")
-    rec = best_approx(RealMatrix.from_rows([[alpha, "0"], ["0", beta]], PREC), None, Q)
-    a, b = (best_approx(RealMatrix.scalar(x, PREC), None, Q) for x in (alpha, beta))
-    want = min((abs(Fraction(x) * r.q[0] + r.p[0]), r.q_norm, _canon(q), q, p, r.error)
-               for x, r, q, p in ((alpha, a, (a.q[0], 0), (a.p[0], 0)),
-                                  (beta, b, (0, b.q[0]), (0, b.p[0]))))
-    assert (rec.q, rec.p, rec.error) == want[3:]
+    rec = best_approx(RealMatrix.from_rows([[alpha, "0"], ["0", beta]], PREC), gamma, Q)
+    lists, e, f = [], [], []
+    for x, g in zip((alpha, beta), gamma or (None, None)):
+        shells = dioph_matrix._Shells(RealMatrix.scalar(x, PREC), g, Q)
+        err0, p0 = _exact_error(shells.form, np.zeros((1, 1), dtype=np.int64))
+        lists.append((shells, Fraction(int(err0[0]), shells.D), int(p0[0, 0])))
+        e.append(Fraction(shells.min(1, Q)[0], shells.D))
+        f.append(min(e[-1], lists[-1][1]))
+    E = min(max(e[0], f[1]), max(f[0], e[1]))
+    sides = [[(q[0], p[0]) for _err, q, p in shells.within(1, Q, E)]
+             + ([(0, p0)] if err0 <= E else []) for shells, err0, p0 in lists]
+    q, p = min((((q1, q2), (p1, p2)) for q1, p1 in sides[0] for q2, p2 in sides[1] if q1 or q2),
+               key=lambda qp: (max(map(abs, qp[0])), _canon(qp[0])))
+    assert (rec.q, rec.p) == (q, p)
+    assert rec.error == dioph_matrix._error_mpf(E.numerator, E.denominator, PREC)
 
 
 def _exact_inverse(M):
@@ -299,23 +314,29 @@ def _exact_inverse(M):
        _LADDER_Q, st.integers(0, 40))
 def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
     # the shell lattice B = diag(1/eps, 1/Q) B0 T reached along the flow:
-    # every coefficient c of a point within 1 + 2^-20 of 0 has
-    # |c_i| <= ||row_i(B^-1)||_1 (1 + 2^-20), exactly in Fractions, and the
-    # integer box the enumerator walks must hold that box
+    # every coefficient c of a point within r = 1 + 2^-20 of the target
+    # (gamma/eps, 0), whose coefficients are c0 = T^-1 (gamma, 0), has
+    # |c_i - c0_i| <= ||row_i(B^-1)||_1 r, exactly in Fractions.  The integer
+    # box the enumerator walks around c0 must hold that box, and be at most
+    # one point wider on each side
     m, n = shape
     ks = data.draw(st.lists(st.sampled_from(_SQUAREFREE), min_size=m * n, max_size=m * n,
                             unique=True))
     A = RealMatrix.from_rows([[_surd(data.draw, k, 40) for k in ks[i * n:(i + 1) * n]]
                               for i in range(m)], PREC)
+    gamma = data.draw(st.one_of(st.none(), st.lists(_GAMMA, min_size=m, max_size=m)))
     eps = min(float(Q) ** (-n / m) * 2.0**doublings, 1.0)
     radius = 1 + 2.0**-20
-    reduced = dioph_matrix._ball_lattice(_exact_form(A, (Fraction(0),) * m, Q), Q, eps)
+    D, _, G = form = _exact_form(A, dioph_matrix._parse_gamma(gamma, m, PREC), Q)
+    reduced = dioph_matrix._ball_lattice(form, Q, eps)
+    Tinv = _exact_inverse(reduced[1].tolist())
+    c0 = [sum(t * int(g) for t, g in zip(trow, G)) / D for trow in Tinv]  # (G, 0): first m
     boxes = []
     with mock.patch.object(reduction, "_iter_box_chunks",
                            lambda lo, hi, rows: boxes.append((lo, hi)) or iter(())):
-        list(reduction._enumerate_in_radius(reduced, radius, math.inf))
+        centre = None if gamma is None else ([int(c * D) for c in c0], D)
+        list(reduction._enumerate_in_radius(reduced, radius, math.inf, centre))
     (lo, hi), = boxes
-    Tinv = _exact_inverse(reduced[1].tolist())
     # B0^-1 = [[I, -A], [0, I]], scaled on the right by diag(eps, Q)
     B0inv = [[Fraction(int(i == j)) for j in range(m + n)] for i in range(m + n)]
     for i in range(m):
@@ -324,8 +345,11 @@ def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
     for i, trow in enumerate(Tinv):
         row = [sum(t * B0inv[k][j] for k, t in enumerate(trow)) * scale[j]
                for j in range(m + n)]
-        half = math.floor(sum(abs(x) for x in row) * Fraction(radius))
-        assert lo[i] <= -half and half <= hi[i], (i, half, lo[i], hi[i])
+        half = sum(abs(x) for x in row) * Fraction(radius)
+        first, last = math.ceil(c0[i] - half), math.floor(c0[i] + half)
+        walked = (math.floor(c0[i]) + int(lo[i]), math.floor(c0[i]) + int(hi[i]))
+        assert walked[0] <= first and last <= walked[1], (i, first, last, walked)
+        assert first - walked[0] <= 1 and walked[1] - last <= 1, (i, first, last, walked)
 
 
 def test_ball_keeps_its_edge_points():

@@ -326,6 +326,8 @@ REACH_ARGV = [
     ["dirichlet", "--matrix", "{R22}", "--Q", "100000"],
     ["exponent", "--matrix", "{R22}", "--qmax", "100000000"],
     ["probe", "--H", "{H}", "--J", "{J}", "--qmax", "10000"],
+    # exited 2 on a box of 2e25 points while the target's centre was solved in float
+    ["probe", "--H", "{H}", "--J", "{J}", "--qmax", "100000000000"],
 ]
 
 

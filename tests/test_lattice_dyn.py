@@ -669,6 +669,21 @@ def test_flow_windows_halve_over_the_lengths_budget(monkeypatch):
     assert len(windows) > 10 and np.array_equal(split.lambdas, whole.lambdas)
 
 
+def test_flow_windows_are_not_halved_for_other_budgets(monkeypatch):
+    # an entry beyond float64 fails in every window's first basis, whatever
+    # its length: the error leaves the first window, which is not halved
+    windows, window = [], ld._window
+
+    def count(*args):
+        windows.append(len(args[3]))
+        return window(*args)
+
+    monkeypatch.setattr(ld, "_window", count)
+    with pytest.raises(BudgetExceededError, match="float64 range"):
+        ld.flow_profile(RealMatrix.from_rows([["1e400", "0.5"]], 256), 2.0, 0.02)
+    assert windows == [51]
+
+
 def test_one_by_one_sweep_over_the_lengths_budget_builds_nothing():
     # A = 3/10 to t = 10 at dt 2e-4 scores 101,702 candidates at 50,001
     # samples, about 41 GB per float array: a budget error before any is built

@@ -13,9 +13,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dioph import (analytic, cli, dioph_matrix, ec_core, experiments, haw_game, heights,
-                   lattice_dyn)
+                   lattice_dyn, reduction)
 from dioph.dioph_matrix import RealMatrix, best_approx
 from dioph.errors import BudgetExceededError
 
@@ -95,3 +97,19 @@ def test_budgets_are_module_constants():
                for target in node.targets if isinstance(target, ast.Name)
                and target.id in ("CIRCLE_MAX_ENUM", "CERT_MAX_Q")]
     assert defined == [("reduction.py", "CIRCLE_MAX_ENUM")]
+
+
+@given(st.integers(2, 6), st.permutations(range(6)),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5), st.integers(-2**40, 2**40)),
+                max_size=30),
+       st.lists(st.integers(-2**200, 2**200), min_size=6, max_size=6))
+def test_int_solve_solves_unimodular_systems(d, perm, ops, b):
+    # T: row operations on I, then a row permutation, so zero pivots occur
+    T = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, shift, k in ops:
+        i, j = i % d, (i + shift) % d
+        if i != j:
+            T[i] = [x + k * y for x, y in zip(T[i], T[j])]
+    T = [T[i] for i in perm if i < d]
+    y = reduction._int_solve(T, b[:d])
+    assert [sum(t * v for t, v in zip(row, y)) for row in T] == b[:d]
