@@ -14,10 +14,10 @@ sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
   kernel's own, `reduction.CIRCLE_MAX_ENUM` lines walked and points listed
   per search.
 * m + n >= 3: the lattice is reduced along the diagonal flow
-  (`_ball_lattice`), the ball is enumerated on a basis rebuilt from the
-  exact entries around a centre solved exactly from the integer transform
-  (`_enumerate_in_radius`), and each point is scored exactly.  The budget
-  is `DEFAULT_MAX_ENUM` points per enumeration box, walked in chunks.
+  (`_ball_lattice`), the box of the ball, its bound and centre exact from
+  one integer inverse of the transform, is walked (`_enumerate_in_radius`),
+  and each q of the shell walked is scored exactly: no float decides
+  membership.  The budget is `DEFAULT_MAX_ENUM` points per box.
 
 The search has two modes:
 
@@ -60,9 +60,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DEFAULT_PRECISION, BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_INT64_MAX, _as_int64, _circle_points, _circle_runs,
-                        _enumerate_in_radius, _int_dtype, _int_solve, _lattice_basis, _lll,
-                        _with_dual_bound)
+from .reduction import (_INT64_MAX, _as_int64, _circle_points, _circle_runs, _dual_l1,
+                        _enumerate_in_radius, _int_dtype, _lattice_basis, _lll)
 
 # points per enumeration box of an m + n >= 3 shell search; the box is walked
 # `_CHUNK_ROWS` points at a time, so this bounds time, not memory
@@ -259,15 +258,14 @@ def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
         return mp.mpf(mp.libmp.from_rational(int(err), D, prec, mp.libmp.round_nearest))
 
 
-def _ball_lattice(form, Q: int, eps: float):
-    """The reduced lattice of the shell search for one eps and ||q|| <= Q, m + n >= 3.
+def _ball_lattice(form, Q: int, eps: float) -> np.ndarray:
+    """The int64 transform T reducing the shell lattice of one eps and ||q|| <= Q, m + n >= 3.
 
-    Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, in the form
-    `_enumerate_in_radius` takes.  Up to scale this is g_t Lambda_A at
+    Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, reduced to
+    diag(1/eps, 1/Q) B0 T.  Up to scale this is g_t Lambda_A at
     t = log(Q/eps) / (1/m + 1/n) (Dani's correspondence), reached in steps
     of t from 0, the last at the exact scaling (1/eps, 1/Q): each step runs
-    float64 LLL on the basis `reduction._lattice_basis` builds from the
-    integer T carried so far, and the returned columns are built from the last T.
+    float64 LLL on the basis `reduction._lattice_basis` builds from T.
     """
     D, N, _ = form
     m, n = N.shape
@@ -278,8 +276,7 @@ def _ball_lattice(form, Q: int, eps: float):
     T = np.eye(m + n, dtype=object)
     for a, b in scales + [(1 / Fraction(eps), Fraction(1, Q))]:
         T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
-    T = _as_int64(T.tolist(), "shell transform")
-    return _with_dual_bound(_lattice_basis(D, N, T, a, b), T)
+    return _as_int64(T.tolist(), "shell transform")
 
 
 def _sup_norm(q: Sequence[int]) -> int:
@@ -315,14 +312,19 @@ class _Shells:
                       lo, hi)
 
     def _chunks(self, lo: int, hi: int, eps: float):
-        """(q, ||q||, D err, p), all exact, for the ball points of one eps with lo <= ||q|| <= hi."""
-        D, _, G = self.form
-        reduced = _ball_lattice(self.form, hi, eps)
-        # the target's coefficients in B = diag(1/eps, 1/hi) B0 T: T^-1 (G, 0) / D
-        centre = (_int_solve(reduced[1].tolist(), list(G) + [0] * self.n), D) if any(G) else None
-        for coeffs, _vecs, _norms in _enumerate_in_radius(reduced, 1.0 + 2.0**-20,
-                                                          DEFAULT_MAX_ENUM, centre, _CHUNK_ROWS):
-            q = coeffs[:, self.m:]
+        """(q, ||q||, D err, p), all exact, for the box points of one eps with lo <= ||q|| <= hi.
+
+        The box holds the ball of radius 1 in B = diag(1/eps, 1/hi) B0 T
+        around the target's coefficients T^-1 (G, 0) / D = base + frac / D.
+        """
+        D, N, G = self.form
+        T = _ball_lattice(self.form, hi, eps)
+        Tinv, l1 = _dual_l1(D, N, T, 1 / Fraction(eps), Fraction(1, hi))
+        base, frac = zip(*(divmod(sum(t * int(g) for t, g in zip(row, G)), D) for row in Tinv))
+        Tq = T[self.m:]  # the box is walked from base, whose q is held in int64
+        q0 = _as_int64([(Tq.astype(object) @ base).tolist()], "enumeration box centre")[0]
+        for grid in _enumerate_in_radius(l1, 1, DEFAULT_MAX_ENUM, (frac, D), _CHUNK_ROWS):
+            q = grid @ Tq.T + q0
             qn = np.abs(q).max(axis=1)
             keep = (qn >= lo) & (qn <= hi)
             if keep.any():
@@ -351,7 +353,7 @@ class _Shells:
         return None if best is None else (best[0][0], (best[1],), (best[2],))
 
     def _box_best(self, lo: int, hi: int, eps: float):
-        """(D err, q, p) least in (D err, ||q||, _canon(q)) over the ball of eps, or None."""
+        """(D err, q, p) least in (D err, ||q||, _canon(q)) over the box of eps, or None."""
         best = None  # (key, (D err, q, p))
         for q, qn, errs, ps in self._chunks(lo, hi, eps):
             ties = np.nonzero(errs == errs.min())[0]
@@ -376,13 +378,10 @@ class _Shells:
             eps *= 2
 
     def _box_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
-        """{q: (D err, p)} over the ball points of the shell with err <= radius."""
-        found = {}
-        for q, _qn, errs, ps in self._chunks(lo, hi, eps):
-            for qi, err, p in zip(q.tolist(), errs.tolist(), ps.tolist()):
-                if err * radius.denominator <= radius.numerator * self.D:
-                    found[tuple(qi)] = (err, tuple(p))
-        return found
+        """{q: (D err, p)} over the box points of the shell with err <= radius."""
+        lim = radius.numerator * self.D // radius.denominator  # D err <= D radius, in integers
+        return {tuple(qi): (err, tuple(p)) for q, _qn, errs, ps in self._chunks(lo, hi, eps)
+                for qi, err, p in zip(q.tolist(), errs.tolist(), ps.tolist()) if err <= lim}
 
     def within(self, lo: int, hi: int, radius: Fraction):
         """Every (D err, q, p) with lo <= ||q|| <= hi and err(q) <= radius, by (||q||, _canon(q))."""
@@ -392,6 +391,7 @@ class _Shells:
         radius = min(radius, Fraction(1, 2))  # no error exceeds 1/2
         # radius 0 lists exact hits: any positive eps finds them
         eps = max(float(radius), float(hi) ** (-self.n / self.m) / 1024)
+        eps = eps if eps >= radius else math.nextafter(eps, math.inf)  # so eps >= radius, exactly
         found = (self._on_circle(_circle_points, lo, hi, eps, radius) if self._circle
                  else self._box_within(lo, hi, eps, radius))
         return [(err, q, p) for q, (err, p) in

@@ -1,8 +1,8 @@
 """Lattice diagnostics: Lambda_A, the diagonal flow, minima, and flow profiles.
 
 All norms are sup-norms.  Shortest vectors and minima are found by complete
-enumeration of an LLL-reduced basis; the reduction and the enumerator are
-those of `reduction`, whose module docstring describes them.
+enumeration of an LLL-reduced basis: `reduction`'s kernel walks an exact box,
+and the ball is kept by the float lengths computed here (`_float_ball`).
 
 Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
@@ -47,8 +47,8 @@ import numpy as np
 
 from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
 from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError, ValidationError
-from .reduction import (_enumerate_in_radius, _gram_schmidt, _int_dtype, _lattice_basis, _lll,
-                        _with_dual_bound)
+from .reduction import (_dual_l1, _enumerate_in_radius, _gram_schmidt, _int_dtype, _int_inverse,
+                        _lattice_basis, _lll)
 
 # points per enumeration box of a minima search or flow window; the box is
 # held in memory whole, and a flow window whose box is over budget is halved
@@ -240,6 +240,24 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     return rows
 
 
+def _float_ball(B: np.ndarray, radius: float, l1=None):
+    """(grid, vecs, norms) of the nonzero points of float length <= radius in the exact box.
+
+    l1 = (l, e), ||row_i(B^-1)||_1 = l_i / e, are by default exact from the
+    columns B = K / s, K integral; vecs = B grid in float64, the ball widened by 1 + 1e-12.
+    """
+    if l1 is None:
+        s = max(x.as_integer_ratio()[1] for x in B.flat)
+        adj, det = _int_inverse([[x * s // d for x, d in map(float.as_integer_ratio, row)]
+                                 for row in B.tolist()])
+        l1 = [s * sum(map(abs, row)) for row in adj], abs(det)
+    grid = next(_enumerate_in_radius(l1, radius, DEFAULT_MAX_ENUM))
+    vecs = grid.astype(np.float64) @ B.T
+    norms = np.abs(vecs).max(axis=1)
+    keep = (norms <= radius * (1 + 1e-12)) & (np.abs(grid).max(axis=1) > 0)
+    return grid[keep], vecs[keep], norms[keep]
+
+
 def _lattice_minima(L: LatticeBasis, k: int):
     """(lengths, vecs, coeffs) of the first k greedy minima of one lattice.
 
@@ -252,9 +270,8 @@ def _lattice_minima(L: LatticeBasis, k: int):
     """
     Bred, T = _lll(L.basis)
     radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
-    own = _with_dual_bound(Bred, np.eye(L.dimension, dtype=np.int64))  # coordinates in Bred
     for _ in range(64):
-        grid, vecs, norms = next(_enumerate_in_radius(own, radius, DEFAULT_MAX_ENUM))
+        grid, vecs, norms = _float_ball(Bred, radius)  # coordinates in Bred
         prim = np.nonzero(np.gcd.reduce(grid, axis=1) == 1)[0]
         idx = prim[_canonical(grid[prim] @ T.T)]
         rows = _minima(norms[idx][:, None], grid[idx], k) if idx.size else None
@@ -295,9 +312,9 @@ def shortest_vector_l1(L: LatticeBasis) -> float:
     length is at most R cannot miss anything.
     """
     radius = L.det_abs ** (1.0 / L.dimension) * 1.0000001
-    reduced = _with_dual_bound(*_lll(L.basis))
+    Bred = _lll(L.basis)[0]
     for _ in range(64):
-        _coeffs, vecs, _norms = next(_enumerate_in_radius(reduced, radius, DEFAULT_MAX_ENUM))
+        _grid, vecs, _norms = _float_ball(Bred, radius)
         if vecs.shape[0]:
             best = float(np.abs(vecs).sum(axis=1).min())
             if best <= radius * (1 + 1e-12):
@@ -411,12 +428,11 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carrie
     a, b = math.exp(tau / m), math.exp(-tau / n)
     R = a * u_max
     T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
-    own = _with_dual_bound(_lattice_basis(D, N, T, a, b),
-                           np.eye(m + n, dtype=np.int64))  # coordinates in the rebuilt basis
+    B, l1 = _lattice_basis(D, N, T, a, b), _dual_l1(D, N, T, a, b)[1]  # coordinates in B
     reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
-        grid, _vecs, _norms = next(_enumerate_in_radius(own, R * (1 + 1e-9), DEFAULT_MAX_ENUM))
+        grid, _vecs, _norms = _float_ball(B, R * (1 + 1e-9), l1)
         coeffs = _int_matmul(grid, T)
         idx = _canonical(coeffs)
         if idx.size:

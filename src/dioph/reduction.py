@@ -1,17 +1,18 @@
 """Lattice reduction and enumeration: the one kernel of every lattice search.
 
-All norms are sup-norms.  `_enumerate_in_radius` walks the coefficient box
-|c_i - (B^-1 t)_i| <= ||row_i(B^-1)||_1 * r of a basis B around a target t,
-whose coefficients B^-1 t the caller gives exactly (`_int_solve`).  That
-dual bound holds for every basis, so completeness comes from it and not
-from the reduction, which only shrinks the box: float64 LLL (`_lll`, Cohen,
-GTM 138, Alg. 2.6.3, O(d) updates per swap).  Every basis of Lambda_A
-reduced or enumerated, by the shell search and the flow windows alike, is
-built by `_lattice_basis` from the exact entries and an integer transform T
-carried in Python ints; LLL's float output is never used.  A box over the
-budget its caller passes (`lattice_dyn.DEFAULT_MAX_ENUM` or
-`dioph_matrix`'s), a transform entry or box centre beyond int64, or a
-basis or matrix entry beyond float64 raises BudgetExceededError.
+All norms are sup-norms.  Apart from float64 LLL (`_lll`, Cohen, GTM 138,
+Alg. 2.6.3, O(d) updates per swap) the module is exact integer code.
+`_enumerate_in_radius` walks the box |c_i - t_i| <= ||row_i(B^-1)||_1 * r
+around a target's coefficients t, its ends exact; that dual bound holds
+for every basis B, so completeness comes from it and not from the
+reduction, which only shrinks the box.  The bound and t come from one
+fraction-free inverse (`_int_inverse`): of the transform T of a basis of
+Lambda_A, which `_lattice_basis` builds from the exact entries and T in
+Python ints (`_dual_l1`), or of a dyadic float basis.  The box is walked
+whole; the shell search keeps points by exact error, `lattice_dyn` by
+float length.  A box over its caller's budget, counted in ints, raises
+SizeBudgetError; a transform entry beyond int64, or a basis or matrix
+entry beyond float64, raises BudgetExceededError.
 
 Two integer columns have their own kernel, exact in Python ints:
 `_circle_runs` reduces them by Lagrange-Gauss (`_gauss_reduce`) and solves
@@ -234,92 +235,75 @@ def _lattice_basis(D: int, N: np.ndarray, T: np.ndarray, a, b) -> np.ndarray:
         raise BudgetExceededError("lattice basis entry beyond the float64 range") from e
 
 
-def _with_dual_bound(Bred: np.ndarray, T: np.ndarray):
-    """(Bred, T, ||row_i(Bred^-1)||_1): the form `_enumerate_in_radius` takes."""
-    try:
-        inv = np.linalg.inv(Bred)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError("reduced basis not invertible") from e
-    return Bred, T, np.abs(inv).sum(axis=1)
-
-
 def _iter_box_chunks(lo, hi, chunk_rows: Optional[int] = None):
-    """Yield integer grids (rows, d) covering the box lo <= c <= hi in lex order.
-
-    `chunk_rows` rows at a time, or the whole box at once when None.
-    """
-    lo = [int(v) for v in lo]
-    sides = [int(h) - l + 1 for l, h in zip(lo, hi)]
-    if min(sides) < 1:
-        return
-    total = math.prod(sides)
+    """Integer grids (rows, d) of lo <= c <= hi in lex order, `chunk_rows` rows (or all) at once."""
+    sides = [h - l + 1 for l, h in zip(lo, hi)]
+    total = math.prod(sides) if min(sides) > 0 else 0
     pows = [math.prod(sides[j + 1:]) for j in range(len(sides))]
-    start = 0
-    step = total if chunk_rows is None else chunk_rows
-    while start < total:
-        stop = min(start + step, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        grid = np.empty((stop - start, len(sides)), dtype=np.int64)
+    step = chunk_rows or max(total, 1)
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        grid = np.empty((len(idx), len(sides)), dtype=np.int64)
         for j, (pw, side) in enumerate(zip(pows, sides)):
             np.add((idx // pw) % side, lo[j], out=grid[:, j])
         yield grid
-        start = stop
 
 
-def _int_solve(T: List[List[int]], b: List[int]) -> List[int]:
-    """The integer y with T y = b, for T unimodular (det T = +-1), exactly in Python ints.
+def _int_inverse(K) -> Tuple[List[List[int]], int]:
+    """(adj K, det K) of a square integer matrix K, exactly in Python ints: adj K K = det K I.
 
-    Fraction-free (Bareiss) elimination: each entry stays a minor of (T b),
-    and every division is exact, back substitution too, as y is integral.
+    Fraction-free (Bareiss) elimination of (K | I), all d right-hand sides at
+    once: every division is exact, back substitution too, as det K K^-1 is
+    integral.  A singular K raises SingularMatrixError.
     """
-    d = len(T)
-    M = [[int(x) for x in row] + [int(v)] for row, v in zip(T, b)]
-    prev = 1
-    for k in range(d - 1):
-        M[k:] = sorted(M[k:], key=lambda row: row[k] == 0)  # a nonzero pivot first (stable)
+    d = len(K)
+    M = [[int(x) for x in row] + [int(i == j) for j in range(d)] for i, row in enumerate(K)]
+    prev, sign = 1, 1
+    for k in range(d):
+        pivot = next((i for i in range(k, d) if M[i][k]), None)
+        if pivot is None:
+            raise SingularMatrixError("integer matrix is singular")
+        M[k], M[pivot], sign = M[pivot], M[k], sign if pivot == k else -sign
         for i in range(k + 1, d):
             M[i] = [(M[k][k] * u - M[i][k] * v) // prev for u, v in zip(M[i], M[k])]
-        prev = M[k][k]
-    y = [0] * d
+        prev = M[k][k]  # finally det of the row-swapped K
+    Y = [None] * d  # prev K^-1, from the last row up
     for i in range(d - 1, -1, -1):
-        y[i] = (M[i][d] - sum(M[i][j] * y[j] for j in range(i + 1, d))) // M[i][i]
-    return y
+        Y[i] = [(prev * v - sum(M[i][j] * Y[j][c] for j in range(i + 1, d))) // M[i][i]
+                for c, v in enumerate(M[i][d:])]
+    return [[sign * y for y in row] for row in Y], sign * prev
 
 
-def _enumerate_in_radius(reduced, radius: float, max_enum: int,
-                         centre: Optional[Tuple[List[int], int]] = None,
-                         chunk_rows: Optional[int] = None):
-    """Chunks (coeffs, vecs, norms) of the lattice points v with ||v - t|| <= radius.
+def _dual_l1(D: int, N, T, a, b):
+    """T^-1 and the dual norms (l, e), ||row_i(B^-1)||_1 = l_i / e, of B = `_lattice_basis`'s.
 
-    `reduced` is `_with_dual_bound`'s result (B, T, ||row_i(B^-1)||_1), and
-    the target t = B c comes as its exact coefficients c = y / D, `centre` =
-    (y, D) in ints; without one t = 0 and the zero vector is left out.
-    coeffs are in the original basis, vecs are v - t.  The box of offsets o
-    from floor(c), |o_i - frac(c_i)| <= ||row_i(B^-1)||_1 * radius widened by
-    1e-9 for the float inverse, is complete for any basis B, and the ball is
-    filtered on (o - frac(c)) B, so no float of t's size is subtracted.  It
-    is walked in lex order, `chunk_rows` points at a time (all at once when
-    None).  A box of more than max_enum points, or a T floor(c) beyond
-    int64, raises.
+    B = diag(a I_m, b I_n) B0 T has B^-1 = T^-1 [[I/a, -N/(D b)], [0, I/b]], so
+    only the unimodular T is inverted (`_int_inverse`); a, b are taken exactly.
     """
-    Bred, T, inv_l1 = reduced
-    half = inv_l1 * radius + 1e-9
-    x0, frac = None, np.zeros(len(inv_l1))
-    if centre is not None:  # floor(c) may pass int64; only the point it gives is held
-        y, D = centre
-        x0 = _as_int64([[sum(t * (v // D) for t, v in zip(row, y)) for row in T.tolist()]],
-                       "enumeration box centre")[0]
-        frac = np.array([v % D / D for v in y])
-    lo, hi = np.ceil(frac - half), np.floor(frac + half)
-    total = float(np.prod(hi - lo + 1))  # in floats: an unreduced basis can overflow int64
-    if not total <= max_enum:
-        raise SizeBudgetError(
-            f"enumeration box of {total:.0f} points exceeds budget {max_enum}")
-    for grid in _iter_box_chunks(lo.astype(np.int64), hi.astype(np.int64), chunk_rows):
-        vecs = (grid.astype(np.float64) if x0 is None else grid - frac) @ Bred.T
-        norms = np.abs(vecs).max(axis=1)
-        keep = norms <= radius * (1 + 1e-12)
-        if x0 is None:
-            keep &= np.abs(grid).max(axis=1) > 0
-        coeffs = grid[keep] @ T.T  # back to original-basis coefficients
-        yield (coeffs if x0 is None else coeffs + x0), vecs[keep], norms[keep]
+    m, cols = len(N), [[int(v) for v in c] for c in zip(*N)]  # the columns of N
+    adj, det = _int_inverse(T)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    pl = [sum(map(abs, r[:m])) for r in adj]  # the sign of det T drops out of the norms
+    ql = [sum(abs(D * t - sum(map(int.__mul__, r, c))) for t, c in zip(r[m:], cols)) for r in adj]
+    return ([[det * x for x in r] for r in adj],  # det T = +-1
+            ([p * ad * D * bn + q * bd * an for p, q in zip(pl, ql)], an * D * bn))
+
+
+def _enumerate_in_radius(l1, radius, max_enum, centre=None, chunk_rows: Optional[int] = None):
+    """Integer grids (rows, d) walking the box |c_i - y_i / f| <= radius l_i / e, in lex order.
+
+    With l1 = (l, e) the dual norms ||row_i(B^-1)||_1 = l_i / e of a basis B
+    and centre = (y, f) the target's coefficients (0 when None), the box
+    holds the coefficients of every point within radius of the target; its
+    ends are exact in ints, so it needs no margin.  The caller keeps the
+    points it wants.  A box of more than max_enum points raises SizeBudgetError.
+    """
+    (ls, e), (rn, rd) = l1, radius.as_integer_ratio()
+    y, f = centre or ([0] * len(ls), 1)
+    den = e * rd * f  # the ends are (y_i e rd -+ rn l_i f) / den
+    lo = [-((rn * h * f - c * e * rd) // den) for c, h in zip(y, ls)]
+    hi = [(c * e * rd + rn * h * f) // den for c, h in zip(y, ls)]
+    total = math.prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+    if total > max_enum:
+        raise SizeBudgetError(f"enumeration box of {total} points exceeds budget {max_enum}")
+    yield from _iter_box_chunks(lo, hi, chunk_rows)

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import signal
 from fractions import Fraction
@@ -8,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import settings
 
-from dioph import ec_core
+from dioph import ec_core, reduction
 
 # Property tests draw the same examples on every run, without a deadline and
 # without an example database, so tier-1 stays deterministic and bounded.
@@ -35,6 +36,19 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def walked_boxes(monkeypatch):
+    """The list each box the lattice kernel walks appends its point count to."""
+    boxes, walk = [], reduction._iter_box_chunks
+
+    def spy(lo, hi, *args):
+        boxes.append(math.prod(h - l + 1 for l, h in zip(lo, hi)))
+        return walk(lo, hi, *args)
+
+    monkeypatch.setattr(reduction, "_iter_box_chunks", spy)
+    return boxes
 
 
 @pytest.fixture(autouse=True)

@@ -314,11 +314,10 @@ def _exact_inverse(M):
        _LADDER_Q, st.integers(0, 40))
 def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
     # the shell lattice B = diag(1/eps, 1/Q) B0 T reached along the flow:
-    # every coefficient c of a point within r = 1 + 2^-20 of the target
-    # (gamma/eps, 0), whose coefficients are c0 = T^-1 (gamma, 0), has
+    # every coefficient c of a point within r = 1 of the target (gamma/eps, 0),
+    # whose coefficients are c0 = T^-1 (gamma, 0), has
     # |c_i - c0_i| <= ||row_i(B^-1)||_1 r, exactly in Fractions.  The integer
-    # box the enumerator walks around c0 must hold that box, and be at most
-    # one point wider on each side
+    # box the shell search walks around c0 is exactly that box
     m, n = shape
     ks = data.draw(st.lists(st.sampled_from(_SQUAREFREE), min_size=m * n, max_size=m * n,
                             unique=True))
@@ -326,16 +325,15 @@ def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
                               for i in range(m)], PREC)
     gamma = data.draw(st.one_of(st.none(), st.lists(_GAMMA, min_size=m, max_size=m)))
     eps = min(float(Q) ** (-n / m) * 2.0**doublings, 1.0)
-    radius = 1 + 2.0**-20
-    D, _, G = form = _exact_form(A, dioph_matrix._parse_gamma(gamma, m, PREC), Q)
-    reduced = dioph_matrix._ball_lattice(form, Q, eps)
-    Tinv = _exact_inverse(reduced[1].tolist())
+    shells = dioph_matrix._Shells(A, gamma, Q)
+    D, _, G = shells.form
+    Tinv = _exact_inverse(dioph_matrix._ball_lattice(shells.form, Q, eps).tolist())
     c0 = [sum(t * int(g) for t, g in zip(trow, G)) / D for trow in Tinv]  # (G, 0): first m
     boxes = []
     with mock.patch.object(reduction, "_iter_box_chunks",
-                           lambda lo, hi, rows: boxes.append((lo, hi)) or iter(())):
-        centre = None if gamma is None else ([int(c * D) for c in c0], D)
-        list(reduction._enumerate_in_radius(reduced, radius, math.inf, centre))
+                           lambda lo, hi, rows: boxes.append((lo, hi)) or iter(())), \
+            mock.patch.object(dioph_matrix, "DEFAULT_MAX_ENUM", math.inf):
+        list(shells._chunks(1, Q, eps))
     (lo, hi), = boxes
     # B0^-1 = [[I, -A], [0, I]], scaled on the right by diag(eps, Q)
     B0inv = [[Fraction(int(i == j)) for j in range(m + n)] for i in range(m + n)]
@@ -345,11 +343,10 @@ def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
     for i, trow in enumerate(Tinv):
         row = [sum(t * B0inv[k][j] for k, t in enumerate(trow)) * scale[j]
                for j in range(m + n)]
-        half = sum(abs(x) for x in row) * Fraction(radius)
-        first, last = math.ceil(c0[i] - half), math.floor(c0[i] + half)
-        walked = (math.floor(c0[i]) + int(lo[i]), math.floor(c0[i]) + int(hi[i]))
-        assert walked[0] <= first and last <= walked[1], (i, first, last, walked)
-        assert first - walked[0] <= 1 and walked[1] - last <= 1, (i, first, last, walked)
+        half = sum(abs(x) for x in row)
+        exact = (math.ceil(c0[i] - half), math.floor(c0[i] + half))
+        walked = (math.floor(c0[i]) + lo[i], math.floor(c0[i]) + hi[i])
+        assert walked == exact, (i, exact, walked)
 
 
 def test_ball_keeps_its_edge_points():

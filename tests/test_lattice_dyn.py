@@ -602,51 +602,44 @@ def test_badly_approximable_vs_liouville_growth():
     assert prof2.delta_values.max() > 2.0
 
 
-def test_flow_sweep_halves_windows_over_budget(monkeypatch):
+def test_flow_sweep_halves_windows_over_budget(monkeypatch, walked_boxes):
     # a near-rational entry makes each window's ball long and thin: with a
     # budget below the largest window's box, that window is halved and the
     # minima are unchanged (m + n = 3: 1 x 1 sweeps have no windows)
     from dioph.dioph_matrix import liouville_number
     A = RealMatrix.from_rows([[liouville_number(precision_bits=128), "0.41421356237309515"]], 128)
-    boxes = []
-    enumerate_in_radius = reduction._enumerate_in_radius
+    windows, window = [], ld._window
 
-    def spy(reduced, radius, *args):
-        boxes.append(float(np.prod(2 * np.floor(reduced[2] * radius) + 1)))
-        return enumerate_in_radius(reduced, radius, *args)
+    def count(*args):
+        windows.append(len(args[3]))
+        return window(*args)
 
-    monkeypatch.setattr(ld, "_enumerate_in_radius", spy)
+    monkeypatch.setattr(ld, "_window", count)
     whole = ld.flow_profile(A, 9.0, 0.1)
-    windows, budget = len(boxes), int(0.99 * max(boxes))
-    boxes.clear()
+    opened, budget = len(windows), int(0.99 * max(walked_boxes))
+    windows.clear()
     monkeypatch.setattr(ld, "DEFAULT_MAX_ENUM", budget)
     split = ld.flow_profile(A, 9.0, 0.1)
-    assert len(boxes) > windows
+    assert len(windows) > opened
     assert np.array_equal(split.lambdas, whole.lambdas)
 
 
-def test_flow_windows_enumerate_once_in_the_balanced_box(monkeypatch):
+def test_flow_windows_enumerate_once_in_the_balanced_box(monkeypatch, walked_boxes):
     # the benchmark's 1 x 3 surd profile to t = 10: one enumeration per
     # window, at its balance time, and 23,602 box points over the ten windows
     A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772",
                                "0.2360679774997898"]], 256)
-    boxes, windows = [], []
-    enumerate_in_radius, window = reduction._enumerate_in_radius, ld._window
-
-    def spy(reduced, radius, *args):
-        boxes.append(float(np.prod(2 * np.floor(reduced[2] * radius) + 1)))
-        return enumerate_in_radius(reduced, radius, *args)
+    windows, window = [], ld._window
 
     def count(*args):
         windows.append(len(args[3]))  # the window's sample times
         return window(*args)
 
-    monkeypatch.setattr(ld, "_enumerate_in_radius", spy)
     monkeypatch.setattr(ld, "_window", count)
     ld.flow_profile(A, 10.0, 0.02)
     assert len(windows) == 10 and sum(windows) == 501  # no window was halved
-    assert len(boxes) == len(windows)
-    assert sum(boxes) <= 40_000, sum(boxes)
+    assert len(walked_boxes) == len(windows)
+    assert sum(walked_boxes) <= 40_000, sum(walked_boxes)
 
 
 def test_flow_windows_halve_over_the_lengths_budget(monkeypatch):

@@ -8,6 +8,8 @@ runs; no public function takes one per call.
 
 import ast
 import inspect
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from dioph import (analytic, cli, dioph_matrix, ec_core, experiments, haw_game, heights,
                    lattice_dyn, reduction)
 from dioph.dioph_matrix import RealMatrix, best_approx
-from dioph.errors import BudgetExceededError
+from dioph.errors import BudgetExceededError, SingularMatrixError, SizeBudgetError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "dioph")
@@ -99,17 +101,63 @@ def test_budgets_are_module_constants():
     assert defined == [("reduction.py", "CIRCLE_MAX_ENUM")]
 
 
+def _det(K):
+    """Leibniz's determinant: the oracle of `_int_inverse`."""
+    d = len(K)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(d) for j in range(i + 1, d))
+               * math.prod(K[i][p[i]] for i in range(d))
+               for p in itertools.permutations(range(d)))
+
+
+def _matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
+_ENTRY = st.one_of(st.integers(-2, 2), st.integers(-2**60, 2**60))
+
+
 @given(st.integers(2, 6), st.permutations(range(6)),
        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5), st.integers(-2**40, 2**40)),
                 max_size=30),
-       st.lists(st.integers(-2**200, 2**200), min_size=6, max_size=6))
-def test_int_solve_solves_unimodular_systems(d, perm, ops, b):
-    # T: row operations on I, then a row permutation, so zero pivots occur
-    T = [[int(i == j) for j in range(d)] for i in range(d)]
+       st.lists(st.lists(_ENTRY, min_size=6, max_size=6), min_size=6, max_size=6),
+       st.integers(0, 5), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_int_inverse_is_the_exact_adjugate(d, perm, ops, K, dep, mix):
+    # T: row operations on I, then a row permutation, so zero pivots occur;
+    # T^-1 = det T adj T
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    T = [row[:] for row in eye]
     for i, shift, k in ops:
         i, j = i % d, (i + shift) % d
         if i != j:
             T[i] = [x + k * y for x, y in zip(T[i], T[j])]
     T = [T[i] for i in perm if i < d]
-    y = reduction._int_solve(T, b[:d])
-    assert [sum(t * v for t, v in zip(row, y)) for row in T] == b[:d]
+    adj, det = reduction._int_inverse(T)
+    assert det in (1, -1)
+    assert _matmul(T, [[det * x for x in row] for row in adj]) == eye
+    # a general K: adj K K = det K I, det K by Leibniz; a singular K raises
+    K = [row[:d] for row in K[:d]]
+    singular = [row[:] for row in K]
+    singular[dep % d] = [sum(c * row[j] for c, row in zip(mix, K) if row is not K[dep % d])
+                         for j in range(d)]
+    for M in (K, singular):
+        want = _det(M)
+        if want == 0:
+            with pytest.raises(SingularMatrixError):
+                reduction._int_inverse(M)
+            continue
+        adj, det = reduction._int_inverse(M)
+        assert det == want
+        assert _matmul(adj, M) == [[det * x for x in row] for row in eye]
+
+
+def test_box_budget_is_exact(monkeypatch, walked_boxes):
+    # the budget is compared with the exact count of the box about to be
+    # walked: a budget of the largest box runs, one point less raises
+    A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772"]], 128)
+    rec = best_approx(A, (0.31,), 10_000)
+    most = max(walked_boxes)
+    monkeypatch.setattr(dioph_matrix, "DEFAULT_MAX_ENUM", most)
+    assert best_approx(A, (0.31,), 10_000) == rec
+    monkeypatch.setattr(dioph_matrix, "DEFAULT_MAX_ENUM", most - 1)
+    with pytest.raises(SizeBudgetError, match=f"box of {most} points exceeds budget"):
+        best_approx(A, (0.31,), 10_000)

@@ -97,6 +97,17 @@ def test_shell_search_matches_exact_brute_force(inst):
     _check_against_brute_force(*inst)
 
 
+@pytest.mark.parametrize("rows, radius", [([["1/3", "1/3"]], Fraction(1, 3)),
+                                          ([["1/4", "1/2"]], Fraction(1, 4))])
+def test_within_keeps_the_errors_on_the_balls_edge(rows, radius):
+    # every error here is 0 or at least the radius, and float(1/3) < 1/3: the
+    # ball of eps = float(radius) would miss the q whose error is the radius
+    D, table = _brute_shell(rows, None, 1, 12)
+    listed = sorted((t for t in table if Fraction(t[0], D) <= radius), key=lambda t: _order(t[1]))
+    assert any(Fraction(t[0], D) == radius for t in listed)
+    assert _Shells(RealMatrix.from_rows(rows, PREC), None, 12).within(1, 12, radius) == listed
+
+
 @given(_ENTRY, st.one_of(st.none(), st.lists(_ENTRY, min_size=1, max_size=1)),
        st.integers(1, 300), st.integers(0, 10**6), st.integers(0, 12))
 def test_gauss_reduction_of_circle_lattices(alpha, gamma, hi, pick, doublings):
