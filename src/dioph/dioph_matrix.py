@@ -5,19 +5,12 @@ Every search over q in this package, the 1-D circle searches of
 lo <= ||q||_inf <= hi.  It searches the lattice with basis columns
 (e_i/eps, 0) for p and (A e_j/eps, e_j/hi) for q, whose points within
 sup-distance 1 of the target (gamma/eps, 0) are exactly the (p, q) with
-||q|| <= hi and ||A q + p - gamma|| <= eps.  Both kernels come from
-`reduction`, whose module docstring describes them:
-
-* m = n = 1, the circle problem: the two columns scaled to integers are
-  Gauss-reduced exactly, and the ball is solved line by line in Python
-  ints (`_circle_runs`), with no float anywhere.  Its budget is the
-  kernel's own, `reduction.CIRCLE_MAX_ENUM` lines walked and points listed
-  per search.
-* m + n >= 3: the lattice is reduced along the diagonal flow
-  (`_ball_lattice`), the box of the ball, its bound and centre exact from
-  one integer inverse of the transform, is walked (`_enumerate_in_radius`),
-  and each q of the shell walked is scored exactly: no float decides
-  membership.  The budget is `DEFAULT_MAX_ENUM` points per box.
+||q|| <= hi and ||A q + p - gamma|| <= eps.  Only its reduction depends on
+the shape: exact Lagrange-Gauss for m = n = 1, the circle problem
+(`reduction._circle_lattice`), the diagonal flow for m + n >= 3
+(`_ball_lattice`).  The ball is then solved in runs of points in Python ints
+by `reduction`'s one kernel, with no float deciding membership, within its
+budget `reduction.SHELL_MAX_ENUM` (see that module's docstring).
 
 The search has two modes:
 
@@ -60,13 +53,9 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DEFAULT_PRECISION, BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_INT64_MAX, _as_int64, _circle_points, _circle_runs, _dual_l1,
-                        _enumerate_in_radius, _int_dtype, _lattice_basis, _lll)
+from .reduction import (_INT64_MAX, _canon, _circle_lattice, _int64, _lattice_basis, _lll,
+                        _shell_best, _shell_points)
 
-# points per enumeration box of an m + n >= 3 shell search; the box is walked
-# `_CHUNK_ROWS` points at a time, so this bounds time, not memory
-DEFAULT_MAX_ENUM = 30_000_000
-_CHUNK_ROWS = 1 << 17
 # bits the two blocks of `_ball_lattice`'s basis scale apart per step of t,
 # a third of float64's mantissa.  Homogeneous `best_approx` on seven surd
 # shapes, 1 x 2 to 3 x 3, reaches Q = 1e14 with 9 to 26 bits; with 30, 3 x 3
@@ -193,20 +182,6 @@ def _exponent_sample(error: float, q_norm: int) -> float:
     return -math.log(error) / math.log(q_norm)
 
 
-def _canon(vec: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """Coordinatewise order 0 < 1 < -1 < 2 < -2 ... for lexicographic ties."""
-    return tuple((abs(v), 0 if v >= 0 else 1) for v in vec)
-
-
-def _canon_keys(vecs: np.ndarray) -> tuple:
-    """np.lexsort keys for `_canon`'s order over the rows of an integer array."""
-    keys = []
-    for j in range(vecs.shape[1] - 1, -1, -1):
-        keys.append((vecs[:, j] < 0).astype(np.int8))
-        keys.append(np.abs(vecs[:, j]))
-    return tuple(keys)
-
-
 def _parse_gamma(gamma, m: int, prec: int) -> Tuple[Fraction, ...]:
     """Exact values of the m coordinates of gamma (None or 0 for the origin)."""
     if gamma is None or (isinstance(gamma, (int, float)) and gamma == 0):
@@ -221,35 +196,15 @@ def _parse_gamma(gamma, m: int, prec: int) -> Tuple[Fraction, ...]:
     return vals
 
 
-def _exact_form(A: RealMatrix, gamma: Tuple[Fraction, ...], q_max: int):
+def _exact_form(A: RealMatrix, gamma: Tuple[Fraction, ...]):
     """(D, N, G) with A = N / D and gamma = G / D over one common denominator D.
 
-    N (m, n) and G (m,) are int64 arrays when D (A q - gamma) fits in int64
-    for every ||q|| <= q_max, and arrays of Python ints otherwise.
+    In Python ints: N is m rows of n entries, G a list of m.
     """
     vals = A.exact + tuple(gamma)
     D = math.lcm(*(v.denominator for v in vals))
     nums = [v.numerator * (D // v.denominator) for v in vals]
-    N = [nums[i * A.n:(i + 1) * A.n] for i in range(A.m)]
-    G = nums[A.m * A.n:]
-    bound = max(sum(abs(a) for a in row) * q_max + abs(g) for row, g in zip(N, G)) + 2 * D
-    dtype = _int_dtype(bound)
-    return D, np.array(N, dtype=dtype).reshape(A.m, A.n), np.array(G, dtype=dtype)
-
-
-def _exact_error(form, qs: np.ndarray):
-    """D * err(q) and the nearest p, exactly, for each row q of `qs` (k, n).
-
-    Returns (errs (k,), p (k, m)).  An exact half goes to the smaller p.
-    """
-    D, N, G = form
-    r = qs.astype(N.dtype) @ N.T - G  # D (A q - gamma)
-    fl = r // D
-    rem = r - fl * D  # D * frac(A q - gamma)
-    twice = 2 * rem
-    dev = np.where(twice <= D, rem, D - rem)
-    p = np.where(twice < D, -fl, -fl - 1)
-    return dev.max(axis=1), p
+    return D, [nums[i * A.n:(i + 1) * A.n] for i in range(A.m)], nums[A.m * A.n:]
 
 
 def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
@@ -258,25 +213,27 @@ def _error_mpf(err: int, D: int, prec: int) -> mp.mpf:
         return mp.mpf(mp.libmp.from_rational(int(err), D, prec, mp.libmp.round_nearest))
 
 
-def _ball_lattice(form, Q: int, eps: float) -> np.ndarray:
-    """The int64 transform T reducing the shell lattice of one eps and ||q|| <= Q, m + n >= 3.
+def _ball_lattice(form, Q: int, eps: float):
+    """(T, T^-1) reducing the shell lattice of one eps and ||q|| <= Q, m + n >= 3, in Python ints.
 
     Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, reduced to
     diag(1/eps, 1/Q) B0 T.  Up to scale this is g_t Lambda_A at
     t = log(Q/eps) / (1/m + 1/n) (Dani's correspondence), reached in steps
     of t from 0, the last at the exact scaling (1/eps, 1/Q): each step runs
-    float64 LLL on the basis `reduction._lattice_basis` builds from T.
+    float64 LLL on the basis `reduction._lattice_basis` builds from T, and
+    T^-1 the inverse of each step from the left.  T beyond int64 raises.
     """
     D, N, _ = form
-    m, n = N.shape
+    m, n = len(N), len(N[0])
     rate = 1 / m + 1 / n  # the blocks scale apart by e^(rate t)
     step = LADDER_BITS * math.log(2) / rate
     scales = [(math.exp(t / m), math.exp(-t / n))
               for t in np.arange(step, math.log(Q / eps) / rate, step).tolist()]
-    T = np.eye(m + n, dtype=object)
+    T = Tinv = np.eye(m + n, dtype=object)
     for a, b in scales + [(1 / Fraction(eps), Fraction(1, Q))]:
-        T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
-    return _as_int64(T.tolist(), "shell transform")
+        _, S, Sinv = _lll(_lattice_basis(D, N, T, a, b))
+        T, Tinv = T @ S.astype(object), Sinv @ Tinv
+    return _int64(T.tolist(), "shell transform"), Tinv.tolist()
 
 
 def _sup_norm(q: Sequence[int]) -> int:
@@ -295,93 +252,29 @@ class _Shells:
     def __init__(self, A: RealMatrix, gamma=None, q_max: int = 1):
         if q_max > _INT64_MAX:
             raise BudgetExceededError(f"q_max of {int(q_max).bit_length()} bits leaves int64")
-        self.form = _exact_form(A, _parse_gamma(gamma, A.m, A.precision_bits), q_max)
+        self.form = _exact_form(A, _parse_gamma(gamma, A.m, A.precision_bits))
         self.D = self.form[0]
         self.m, self.n = A.m, A.n
         self.prec = A.precision_bits
-        self._circle = A.m == A.n == 1
+        self._lattice = _circle_lattice if A.m == A.n == 1 else _ball_lattice  # (T, T^-1)
 
     def error(self, err: int) -> mp.mpf:
         """err / D correctly rounded to the working precision."""
         return _error_mpf(err, self.D, self.prec)
-
-    def _on_circle(self, kernel, lo: int, hi: int, eps: float, radius: Fraction):
-        """`kernel` (`_circle_runs` or `_circle_points`) on the 1 x 1 shell's err <= radius."""
-        D, N, G = self.form
-        return kernel(D, int(N[0, 0]), int(G[0]), eps, radius.numerator, radius.denominator,
-                      lo, hi)
-
-    def _chunks(self, lo: int, hi: int, eps: float):
-        """(q, ||q||, D err, p), all exact, for the box points of one eps with lo <= ||q|| <= hi.
-
-        The box holds the ball of radius 1 in B = diag(1/eps, 1/hi) B0 T
-        around the target's coefficients T^-1 (G, 0) / D = base + frac / D.
-        """
-        D, N, G = self.form
-        T = _ball_lattice(self.form, hi, eps)
-        Tinv, l1 = _dual_l1(D, N, T, 1 / Fraction(eps), Fraction(1, hi))
-        base, frac = zip(*(divmod(sum(t * int(g) for t, g in zip(row, G)), D) for row in Tinv))
-        Tq = T[self.m:]  # the box is walked from base, whose q is held in int64
-        q0 = _as_int64([(Tq.astype(object) @ base).tolist()], "enumeration box centre")[0]
-        for grid in _enumerate_in_radius(l1, 1, DEFAULT_MAX_ENUM, (frac, D), _CHUNK_ROWS):
-            q = grid @ Tq.T + q0
-            qn = np.abs(q).max(axis=1)
-            keep = (qn >= lo) & (qn <= hi)
-            if keep.any():
-                q = q[keep]
-                yield (q, qn[keep]) + _exact_error(self.form, q)
-
-    def _circle_best(self, lo: int, hi: int, eps: float):
-        """(D err, q, p) least in (D err, |q|, q < 0) over the 1 x 1 ball of eps, or None.
-
-        On a run X = X0 + t dX and q = q0 + t dq are linear in t, so |X| is
-        least at the integers next to its root or at an end of the run, and
-        where dX = 0 the same holds for |q|: O(1) candidates per run.  The
-        least |X| over the ball is D err(q) of its q, whose nearest p lies
-        in the ball too; at X = D/2 that p is the smaller one, p - 1.
-        """
-        best = None
-        for p0, q0, X0, dp, dq, dX, u, v in self._on_circle(_circle_runs, lo, hi, eps,
-                                                            Fraction(eps)):
-            root = (-X0 // dX) if dX else (-q0 // dq)
-            for t in {u, v, root, root + 1}:
-                if u <= t <= v:
-                    q, X = q0 + t * dq, X0 + t * dX
-                    key = (abs(X), abs(q), q < 0)
-                    if best is None or key < best[0]:
-                        best = (key, q, p0 + t * dp - (2 * X == self.D))
-        return None if best is None else (best[0][0], (best[1],), (best[2],))
-
-    def _box_best(self, lo: int, hi: int, eps: float):
-        """(D err, q, p) least in (D err, ||q||, _canon(q)) over the box of eps, or None."""
-        best = None  # (key, (D err, q, p))
-        for q, qn, errs, ps in self._chunks(lo, hi, eps):
-            ties = np.nonzero(errs == errs.min())[0]
-            i = ties[np.lexsort(_canon_keys(q[ties]) + (qn[ties],))[0]]
-            key = (int(errs[i]), int(qn[i]), _canon(q[i]))
-            if best is None or key < best[0]:
-                best = (key, (key[0], tuple(q[i].tolist()), tuple(ps[i].tolist())))
-        return None if best is None else best[1]
 
     def min(self, lo: int, hi: int):
         """The exact minimiser (D err, q, p) over lo <= ||q|| <= hi, None for an empty shell."""
         lo = max(int(lo), 1)
         if lo > hi:
             return None
-        search = self._circle_best if self._circle else self._box_best
         eps = float(hi) ** (-self.n / self.m)
         while True:
-            best = search(lo, hi, eps)
+            T, Tinv = self._lattice(self.form, hi, eps)
+            best = _shell_best(self.form, T, Tinv, Fraction(eps), lo, hi)
             # every q with err <= eps was in the ball; at eps >= 1/2 every q was
             if eps >= 0.5 or (best is not None and Fraction(best[0], self.D) <= Fraction(eps)):
                 return best
             eps *= 2
-
-    def _box_within(self, lo: int, hi: int, eps: float, radius: Fraction) -> dict:
-        """{q: (D err, p)} over the box points of the shell with err <= radius."""
-        lim = radius.numerator * self.D // radius.denominator  # D err <= D radius, in integers
-        return {tuple(qi): (err, tuple(p)) for q, _qn, errs, ps in self._chunks(lo, hi, eps)
-                for qi, err, p in zip(q.tolist(), errs.tolist(), ps.tolist()) if err <= lim}
 
     def within(self, lo: int, hi: int, radius: Fraction):
         """Every (D err, q, p) with lo <= ||q|| <= hi and err(q) <= radius, by (||q||, _canon(q))."""
@@ -389,13 +282,10 @@ class _Shells:
         if lo > hi:
             return []
         radius = min(radius, Fraction(1, 2))  # no error exceeds 1/2
-        # radius 0 lists exact hits: any positive eps finds them
+        # eps only shapes the reduction: the radius, or a positive one for radius 0
         eps = max(float(radius), float(hi) ** (-self.n / self.m) / 1024)
-        eps = eps if eps >= radius else math.nextafter(eps, math.inf)  # so eps >= radius, exactly
-        found = (self._on_circle(_circle_points, lo, hi, eps, radius) if self._circle
-                 else self._box_within(lo, hi, eps, radius))
-        return [(err, q, p) for q, (err, p) in
-                sorted(found.items(), key=lambda kv: (_sup_norm(kv[0]), _canon(kv[0])))]
+        found = _shell_points(self.form, *self._lattice(self.form, hi, eps), radius, lo, hi)
+        return sorted(found, key=lambda f: (_sup_norm(f[1]), _canon(f[1])))
 
 
 def _shell_argmax(shells: _Shells, lo: int, hi: int, score, radius_for):

@@ -17,8 +17,8 @@ below the first witness take shell minima of |q| d.  So every reported d,
 product and error is exact at working precision, the cost is O(log q_max)
 small lattice searches, each solved exactly in integers on a Lagrange-Gauss
 basis with no float centre or margin, and memory is O(1) in q_max; q_max
-is limited by int64 and by the budget of the 1 x 1 kernel
-(`reduction.CIRCLE_MAX_ENUM`, lines walked and points listed per search),
+is limited by int64 and by the shell search's budget
+(`reduction.SHELL_MAX_ENUM`, outer box points and points scored per search),
 not by memory: `minkowski` and `weakdirichlet` run at q_max = 1e15.
 
 Seeded targets (a random t for `weak_dirichlet_experiment`, the xi of

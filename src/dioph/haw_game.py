@@ -21,8 +21,8 @@ Stages are thinned to those whose hyperplane spacing exceeds the largest
 possible triggered ball plus deleted widths, which is the effective form of
 the "k sufficiently large" hypothesis; each finite game then yields a
 certificate per triggered stage: the exact minimum of the circle error
-below Q_k, found by `best_approx` within the budget of its 1 x 1 kernel
-(`reduction.CIRCLE_MAX_ENUM`).  The dual flow is sampled every `DT` in t.
+below Q_k, found by `best_approx` within the shell search's budget
+(`reduction.SHELL_MAX_ENUM`).  The dual flow is sampled every `DT` in t.
 
 A seeded game draws Bob's first center and his random moves from
 `pcg64._Generator(seed)`, the stream of `numpy.random.default_rng(seed)`

@@ -6,7 +6,7 @@ and the ball is kept by the float lengths computed here (`_float_ball`).
 
 Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
-ties in the documented order (`dioph_matrix._canon`).  Only the half of the
+ties in the documented order (`reduction._canon`).  Only the half of the
 set with a positive first coefficient is kept, since -v never wins a tie
 against v.  Independence is decided exactly in integers: step j keeps the
 exterior product W of the j picks, and a candidate c is independent of them
@@ -45,7 +45,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .dioph_matrix import RealMatrix, _canon_keys, _exact_form
+from .dioph_matrix import RealMatrix, _exact_form
 from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError, ValidationError
 from .reduction import (_dual_l1, _enumerate_in_radius, _gram_schmidt, _int_dtype, _int_inverse,
                         _lattice_basis, _lll)
@@ -102,7 +102,7 @@ class LatticeBasis:
 def from_matrix(A: Union[RealMatrix, np.ndarray]) -> LatticeBasis:
     """Unimodular lattice with identity blocks and A in the upper right."""
     A = _as_real_matrix(A)
-    D, N, _ = _exact_form(A, (Fraction(0),) * A.m, 1)
+    D, N, _ = _exact_form(A, (Fraction(0),) * A.m)
     return LatticeBasis(basis=_lattice_basis(D, N, np.eye(A.m + A.n, dtype=object), 1, 1),
                         det_abs=1.0)
 
@@ -129,6 +129,15 @@ def _int_matmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
     dtype = _int_dtype(int(np.abs(X).max(initial=0)) * max(abs(int(v)) for v in T.flat)
                        * T.shape[1])
     return X.astype(dtype) @ np.asarray(T, dtype=dtype).T
+
+
+def _canon_keys(vecs: np.ndarray) -> tuple:
+    """np.lexsort keys for `reduction._canon`'s order over the rows of an integer array."""
+    keys = []
+    for j in range(vecs.shape[1] - 1, -1, -1):
+        keys.append((vecs[:, j] < 0).astype(np.int8))
+        keys.append(np.abs(vecs[:, j]))
+    return tuple(keys)
 
 
 def _canonical(coeffs: np.ndarray) -> np.ndarray:
@@ -251,7 +260,7 @@ def _float_ball(B: np.ndarray, radius: float, l1=None):
         adj, det = _int_inverse([[x * s // d for x, d in map(float.as_integer_ratio, row)]
                                  for row in B.tolist()])
         l1 = [s * sum(map(abs, row)) for row in adj], abs(det)
-    grid = next(_enumerate_in_radius(l1, radius, DEFAULT_MAX_ENUM))
+    grid = _enumerate_in_radius(l1, radius, DEFAULT_MAX_ENUM)
     vecs = grid.astype(np.float64) @ B.T
     norms = np.abs(vecs).max(axis=1)
     keep = (norms <= radius * (1 + 1e-12)) & (np.abs(grid).max(axis=1) > 0)
@@ -268,7 +277,7 @@ def _lattice_minima(L: LatticeBasis, k: int):
     c v, |c| >= 2, is independent of the picks exactly when v is, and v is
     shorter, so c v is never a greedy minimum.
     """
-    Bred, T = _lll(L.basis)
+    Bred, T, _ = _lll(L.basis)
     radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
     for _ in range(64):
         grid, vecs, norms = _float_ball(Bred, radius)  # coordinates in Bred
@@ -384,16 +393,16 @@ class _Sweep:
     w: np.ndarray  # (S,) ||q|| of that vector
 
 
-def _exact_uw(D: int, N: np.ndarray, coeffs: np.ndarray):
+def _exact_uw(D: int, N, coeffs: np.ndarray):
     """u = ||A q + p|| and w = ||q|| of each row (p, q) of coeffs, A = N / D, each rounded once."""
-    m = N.shape[0]
+    m = len(N)
     p, q = coeffs[:, :m], coeffs[:, m:]
-    bound = (int(np.abs(N).sum(axis=1).max()) * max(int(np.abs(q).max(initial=0)), 1)
+    bound = (max(sum(map(abs, row)) for row in N) * max(int(np.abs(q).max(initial=0)), 1)
              + D * max(int(np.abs(p).max(initial=0)), 1))  # D itself must stay below 2^53
     if coeffs.dtype == object or bound >= 2**53:
         u = np.abs(_lattice_basis(D, N, coeffs.T, 1, 1)[:m]).max(axis=0)
     else:
-        u = np.abs(q @ N.T.astype(np.int64) + D * p).max(axis=1) / D  # below 2^53: one rounding
+        u = np.abs(q @ np.array(N, dtype=np.int64).T + D * p).max(axis=1) / D  # one rounding
     return u, np.abs(q).max(axis=1).astype(np.float64)
 
 
@@ -406,17 +415,20 @@ def _lengths(u: np.ndarray, w: np.ndarray, grow: np.ndarray, shrink: np.ndarray)
     return np.maximum(out, np.outer(w, shrink), out=out)
 
 
-def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carried):
+def _window(D: int, N, transform, ts: np.ndarray, k: int, carried):
     """The minima of one window of `_flow_sweep` at its sample times ts.
 
-    Returns (T, lengths, rows, coeffs, u, w): the transform reduced at the
+    transform is (T, T^-1), carried from the last window.  Returns
+    (transform, lengths, rows, coeffs, u, w): the transform reduced at the
     window's balance time tau, the (C, S) lengths of the scored candidates,
     the (S, k) rows `_minima` picked, and the candidates' coefficients and
     exact u, w.
     """
-    m, n = N.shape
+    m, n = len(N), len(N[0])
     grow, shrink = np.exp(ts / m), np.exp(-ts / n)
-    T = T @ _lll(_lattice_basis(D, N, T, grow[-1], shrink[-1]))[1].astype(object)
+    T, Tinv = transform
+    _, S, Sinv = _lll(_lattice_basis(D, N, T, grow[-1], shrink[-1]))
+    T, Tinv = T @ S.astype(object), Sinv @ Tinv
     # lambda_k(t_s) <= the k-th shortest column of that basis at t_s (they are
     # independent), and <= the longest of the k minima carried from the last window
     bound = np.sort(_lengths(*_exact_uw(D, N, T.T), grow, shrink), axis=0)[k - 1]
@@ -427,8 +439,10 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carrie
     tau = m * n / (m + n) * math.log(w_max / u_max)
     a, b = math.exp(tau / m), math.exp(-tau / n)
     R = a * u_max
-    T = T @ _lll(_lattice_basis(D, N, T, a, b))[1].astype(object)
-    B, l1 = _lattice_basis(D, N, T, a, b), _dual_l1(D, N, T, a, b)[1]  # coordinates in B
+    _, S, Sinv = _lll(_lattice_basis(D, N, T, a, b))
+    T, Tinv = T @ S.astype(object), Sinv @ Tinv
+    B = _lattice_basis(D, N, T, a, b)  # coordinates in B, whose unit ball is (1/a, 1/b)
+    l1 = _dual_l1(D, N, Tinv, 1 / Fraction(a), 1 / Fraction(b))
     reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
@@ -441,7 +455,7 @@ def _window(D: int, N: np.ndarray, T: np.ndarray, ts: np.ndarray, k: int, carrie
             lengths = _lengths(u, w, grow, shrink)
             rows = _minima(lengths, grid, k)
             if rows is not None and np.all(lengths[rows[:, -1], cols] * reach <= R):
-                return T, lengths, rows, coeffs, u, w
+                return (T, Tinv), lengths, rows, coeffs, u, w
         R *= 2
 
 
@@ -454,8 +468,8 @@ def _flow_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     BudgetExceededError (`reduction._lattice_basis`).
     """
     if A.m == A.n == 1:
-        D, N, _ = _exact_form(A, (Fraction(0),), 1)
-        return _cf_sweep(D, int(N[0, 0]), np.asarray(times, dtype=np.float64), k)
+        D, N, _ = _exact_form(A, (Fraction(0),))
+        return _cf_sweep(D, N[0][0], np.asarray(times, dtype=np.float64), k)
     return _windowed_sweep(A, times, k)
 
 
@@ -518,7 +532,7 @@ def _cf_sweep(D: int, a: int, times: np.ndarray, k: int) -> _Sweep:
     def score(cands):
         coeffs = np.array(cands, dtype=object).reshape(-1, 2)
         coeffs = coeffs[_canonical(coeffs)]
-        u, w = _exact_uw(D, np.array([[a]], dtype=object), coeffs)
+        u, w = _exact_uw(D, [[a]], coeffs)
         return coeffs, u, w, _lengths(u, w, grow, shrink)
 
     coeffs, u, w, lengths = score(list(source))
@@ -582,7 +596,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     Along g_t a lattice vector (A q + p, q) has length
     max(e^(t/m) u, e^(-t/n) w) with u = ||A q + p|| and w = ||q||.  The
     samples are cut into windows of span `SWEEP_SPAN`.  In a window the
-    transform T, kept in Python ints, gives the basis at its last sample
+    transform T, kept in Python ints with T^-1, gives the basis at its last sample
     (`reduction._lattice_basis`), and LLL touches it up.  At each sample t_s
     the k-th shortest of its columns, and the longest of the k minima
     carried from the last window, bound lambda_k(t_s) by B_s, with u and w
@@ -592,7 +606,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     R = e^(tau/m) u_max at tau = mn/(m + n) log(w_max/u_max), the time that
     makes R least.  So the basis is rebuilt and reduced again at tau, and
     one enumeration of radius R on the basis rebuilt from that T holds every
-    candidate of the window; T is carried on from tau.  Each candidate is
+    candidate of the window; T and T^-1 are carried on from tau.  Each candidate is
     scored once, u and w exactly, and its lengths at all the window's
     samples are one numpy expression (`_lengths`); `_minima` picks the
     minima.  The window is checked afterwards,
@@ -604,9 +618,8 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     """
     m, n = A.m, A.n
     S = len(times)
-    D, N, _ = _exact_form(A, (Fraction(0),) * m, 1)
-    N = N.astype(object)
-    T = np.eye(m + n, dtype=object)
+    D, N, _ = _exact_form(A, (Fraction(0),) * m)
+    transform = (np.eye(m + n, dtype=object),) * 2
     lam = np.empty((S, k))
     first = np.empty((S, m + n), dtype=object)
     u1, w1 = np.empty(S), np.empty(S)
@@ -617,7 +630,7 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
         while True:
             ts = np.asarray(times[i0:i1], dtype=np.float64)
             try:
-                T, lengths, rows, coeffs, u, w = _window(D, N, T, ts, k, carried)
+                transform, lengths, rows, coeffs, u, w = _window(D, N, transform, ts, k, carried)
                 break
             except SizeBudgetError:
                 if i1 - i0 == 1:

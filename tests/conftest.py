@@ -41,13 +41,13 @@ def deadline(seconds: float):
 @pytest.fixture()
 def walked_boxes(monkeypatch):
     """The list each box the lattice kernel walks appends its point count to."""
-    boxes, walk = [], reduction._iter_box_chunks
+    boxes, walk = [], reduction._box_grid
 
-    def spy(lo, hi, *args):
+    def spy(lo, hi):
         boxes.append(math.prod(h - l + 1 for l, h in zip(lo, hi)))
-        return walk(lo, hi, *args)
+        return walk(lo, hi)
 
-    monkeypatch.setattr(reduction, "_iter_box_chunks", spy)
+    monkeypatch.setattr(reduction, "_box_grid", spy)
     return boxes
 
 

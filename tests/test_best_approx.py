@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -13,9 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dioph import dioph_matrix, reduction
-from dioph.dioph_matrix import (RealMatrix, _canon, _canon_keys, _exact_error, _exact_form,
-                                best_approx)
-from dioph.reduction import _iter_box_chunks
+from dioph.dioph_matrix import RealMatrix, _canon, _exact_form, best_approx
+from dioph.reduction import _box_grid
 from dioph.errors import ValidationError
 
 PREC = 128
@@ -195,17 +193,6 @@ def test_tie_heavy_inputs_against_exact_oracle():
     assert (rec.q, rec.p) == ((0, 1), (-6,))
 
 
-def test_chunked_enumeration_matches_single_chunk(monkeypatch):
-    cases = [([["1/2", "1/2"]], None, 20), ([["2", "6"]], ["3/10"], 12),
-             ([[0.3141, -1.25], [0.77, 2.5]], [0.1, -0.45], 15),
-             ([[1.618033988749895, 0.4142135623730951, 0.7320508075688772]], None, 6)]
-    whole = [best_approx(RealMatrix.from_rows(r, PREC), g, Q) for r, g, Q in cases]
-    monkeypatch.setattr(dioph_matrix, "_CHUNK_ROWS", 7)
-    for (r, g, Q), rec in zip(cases, whole):
-        small = best_approx(RealMatrix.from_rows(r, PREC), g, Q)
-        assert (small.q, small.p, small.error) == (rec.q, rec.p, rec.error)
-
-
 def _last_convergent(x: Fraction, Q: int):
     """(p_k, q_k): the last continued-fraction convergent of x with q_k <= Q.
 
@@ -282,8 +269,10 @@ def test_ladder_diagonal_matches_two_circle_searches(data, Q, gamma):
     lists, e, f = [], [], []
     for x, g in zip((alpha, beta), gamma or (None, None)):
         shells = dioph_matrix._Shells(RealMatrix.scalar(x, PREC), g, Q)
-        err0, p0 = _exact_error(shells.form, np.zeros((1, 1), dtype=np.int64))
-        lists.append((shells, Fraction(int(err0[0]), shells.D), int(p0[0, 0])))
+        D, _, (G,) = shells.form
+        fl, rem = divmod(-G, D)  # q = 0: the nearest p to gamma, the smaller at a half
+        err0, p0 = (rem, -fl) if 2 * rem < D else (D - rem, -fl - 1)
+        lists.append((shells, Fraction(err0, D), p0))
         e.append(Fraction(shells.min(1, Q)[0], shells.D))
         f.append(min(e[-1], lists[-1][1]))
     E = min(max(e[0], f[1]), max(f[0], e[1]))
@@ -327,14 +316,11 @@ def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
     eps = min(float(Q) ** (-n / m) * 2.0**doublings, 1.0)
     shells = dioph_matrix._Shells(A, gamma, Q)
     D, _, G = shells.form
-    Tinv = _exact_inverse(dioph_matrix._ball_lattice(shells.form, Q, eps).tolist())
-    c0 = [sum(t * int(g) for t, g in zip(trow, G)) / D for trow in Tinv]  # (G, 0): first m
-    boxes = []
-    with mock.patch.object(reduction, "_iter_box_chunks",
-                           lambda lo, hi, rows: boxes.append((lo, hi)) or iter(())), \
-            mock.patch.object(dioph_matrix, "DEFAULT_MAX_ENUM", math.inf):
-        list(shells._chunks(1, Q, eps))
-    (lo, hi), = boxes
+    T, kernel_Tinv = dioph_matrix._ball_lattice(shells.form, Q, eps)
+    Tinv = _exact_inverse(T)
+    assert kernel_Tinv == Tinv  # the inverse carried up the ladder is exact
+    c0 = [sum(t * g for t, g in zip(trow, G)) / D for trow in Tinv]  # (G, 0): first m
+    box = reduction._shell_box(shells.form, kernel_Tinv, Fraction(eps), Q)
     # B0^-1 = [[I, -A], [0, I]], scaled on the right by diag(eps, Q)
     B0inv = [[Fraction(int(i == j)) for j in range(m + n)] for i in range(m + n)]
     for i in range(m):
@@ -345,58 +331,56 @@ def test_ladder_box_holds_the_exact_dual_box(data, shape, Q, doublings):
                for j in range(m + n)]
         half = sum(abs(x) for x in row)
         exact = (math.ceil(c0[i] - half), math.floor(c0[i] + half))
-        walked = (math.floor(c0[i]) + lo[i], math.floor(c0[i]) + hi[i])
+        walked = box[i]
         assert walked == exact, (i, exact, walked)
 
 
 def test_ball_keeps_its_edge_points():
     # (p, q) = +-(10328364, -6383280) lies at scaled distance 0.99999926 from 0
     # in the ball of phi at Q = 1.4e7, eps = 4096/Q; float LLL columns
-    # (error about 6e-8 here) lost both, the exact 1 x 1 runs keep them
+    # (error about 6e-8 here) lost both, the exact runs keep them
     phi = "1.6180339887498948482045868343656381177203091798057628621354486227"
     A = RealMatrix.from_rows([[phi]], PREC)
     Q, eps = 14_000_000, 4096 / 14_000_000
     for p, q in ((10328364, -6383280), (-10328364, 6383280)):
         assert abs(A.exact[0] * q + p) <= Fraction(eps) and abs(q) <= Q
-    D, N, G = _exact_form(A, (Fraction(0),), Q)
-    a, b = eps.as_integer_ratio()
-    found = {(p0 + t * dp, q0 + t * dq)
-             for p0, q0, _X0, dp, dq, _dX, u, v in reduction._circle_runs(
-                 D, int(N[0, 0]), int(G[0]), eps, a, b, 1, Q)
-             for t in range(u, v + 1)}
+    form = _exact_form(A, (Fraction(0),))
+    _, runs = reduction._shell_runs(form, *reduction._circle_lattice(form, Q, eps),
+                                    Fraction(eps), 1, Q)
+    found = set()
+    for Y, dY, u, v in runs:
+        for t in range(u, v + 1):
+            _, (q,), (p,) = reduction._point(form, [y + t * dy for y, dy in zip(Y, dY)])
+            found.add((p, q))
     assert {(10328364, -6383280), (-10328364, 6383280)} <= found
 
 
-def test_iter_box_chunks_lex_order():
+def test_box_grid_lex_order():
     lo, hi = [-1, 2, 0], [1, 3, 2]
     expect = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-    for rows in (None, 1, 4, 100):
-        got = [tuple(v) for g in _iter_box_chunks(lo, hi, rows) for v in g.tolist()]
-        assert got == expect
-    assert list(_iter_box_chunks([0, 1], [3, 0])) == []
+    assert [tuple(v) for v in _box_grid(lo, hi).tolist()] == expect
+    assert _box_grid([0, 1], [3, 0]).shape == (0, 2)
 
 
-def test_exact_error_int64_and_object_agree():
-    A = RealMatrix.from_rows([["5/11", "-7/3"], ["0.125", "-2"]], PREC)
+def test_run_kernel_scores_big_entries_exactly():
+    # the common denominator is about 2^81, so D (A q - gamma) passes 2^62 and
+    # 2^64: every (D err, p) the kernel reports agrees with Fractions, and an
+    # exact half (q = (0, 3), (0, 6), (0, 9) in the first row) goes to the smaller p
+    A = RealMatrix.from_rows([[Fraction(5, 11) + Fraction(1, 2**70), "-7/3"],
+                              ["0.125", -2 + Fraction(1, 2**66)]], PREC)
     gamma = (Fraction(1, 2), Fraction(-3, 7))
-    small, big = _exact_form(A, gamma, 10), _exact_form(A, gamma, 2**70)
-    assert small[1].dtype == np.int64 and big[1].dtype == object
-    qs = np.array(list(itertools.product(range(-10, 11), repeat=2)), dtype=np.int64)
-    e1, p1 = _exact_error(small, qs)
-    e2, p2 = _exact_error(big, qs)
-    assert [int(v) for v in e1] == [int(v) for v in e2]
-    assert p1.tolist() == [[int(v) for v in row] for row in p2]
-    # against Fractions, an exact half going to the smaller p
-    D = small[0]
-    for q, e, p in zip(qs.tolist(), e1.tolist(), p1.tolist()):
-        for i in range(2):
-            r = sum(A.exact[2 * i + j] * q[j] for j in range(2)) - gamma[i]
-            assert abs(r + p[i]) <= Fraction(1, 2)
-            if abs(r + p[i]) == Fraction(1, 2):
-                assert r + p[i] == Fraction(-1, 2)  # p is the smaller of the two
-        assert Fraction(e, D) == max(
-            abs(sum(A.exact[2 * i + j] * q[j] for j in range(2)) - gamma[i] + p[i])
-            for i in range(2))
+    shells = dioph_matrix._Shells(A, gamma, 10)
+    assert max(abs(v) for row in shells.form[1] for v in row) > 2**64
+    halves = 0
+    listed = shells.within(1, 10, Fraction(1, 2))
+    assert len(listed) == 21**2 - 1  # radius 1/2 lists the whole shell, each q once
+    for err, q, p in listed + [shells.min(1, 10)]:
+        r = [sum(A.exact[2 * i + j] * q[j] for j in range(2)) - gamma[i] + p[i] for i in range(2)]
+        assert all(abs(x) <= Fraction(1, 2) for x in r)
+        assert Fraction(1, 2) not in r  # the smaller of the two p
+        halves += Fraction(-1, 2) in r
+        assert Fraction(err, shells.D) == max(map(abs, r))
+    assert halves > 0
 
 
 def test_exact_entry_values():
@@ -413,10 +397,3 @@ def test_exact_entry_values():
         RealMatrix.from_rows([[float("inf")]], PREC)
     with pytest.raises(ValidationError):
         best_approx(RealMatrix.scalar("1/3", PREC), [float("nan")], 5)
-
-
-def test_canon_keys_match_canon():
-    vecs = np.array(list(itertools.product(range(-2, 3), repeat=2)), dtype=np.int64)
-    order = np.lexsort(_canon_keys(vecs))
-    assert [tuple(v) for v in vecs[order].tolist()] == sorted(map(tuple, vecs.tolist()),
-                                                              key=_canon)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from dioph import dioph_matrix, reduction
 from dioph import lattice_dyn as ld
-from dioph.dioph_matrix import RealMatrix
+from dioph.dioph_matrix import RealMatrix, _canon
 from dioph.errors import BudgetExceededError, SingularMatrixError, ValidationError
 
 from conftest import PHI_STR, deadline
@@ -232,8 +232,9 @@ def test_lll_dependent_columns(cols, T):
     # a column with b*_k = 0 depends on the ones before it; the swap's update
     # would divide by zero, so Gram-Schmidt is recomputed there instead
     cols = np.array(cols, dtype=np.float64)
-    B, got = reduction._lll(cols)
+    B, got, inv = reduction._lll(cols)
     assert got.dtype == np.int64 and got.tolist() == T
+    assert (got.astype(object) @ inv).tolist() == np.eye(len(T), dtype=int).tolist()
     assert np.array_equal(B, cols @ np.array(T, dtype=np.float64))
     want = _reference_lll(cols)
     assert np.array_equal(B, want[0]) and np.array_equal(got, want[1])
@@ -291,9 +292,10 @@ def _scaled_bases(draw):
 def test_lll_properties(basis):
     cols, spread = basis
     assume(_fraction_det(cols.tolist()) != 0)
-    B, T = reduction._lll(cols)
+    B, T, Tinv = reduction._lll(cols)
     d = len(cols)
     assert T.dtype == np.int64 and abs(_fraction_det(T.tolist())) == 1
+    assert (T.astype(object) @ Tinv).tolist() == np.eye(d, dtype=int).tolist()
     # B is cols @ T up to the rounding of the column operations that built it:
     # row i of every column passes through combinations of row i of cols
     exact = [[sum(Fraction(float(cols[i, l])) * int(T[l, j]) for l in range(d))
@@ -341,7 +343,9 @@ def test_reports_match_reference_reduction(monkeypatch):
 
     def reference(cols):
         calls.append(len(cols))
-        return _reference_lll(cols)
+        B, T = _reference_lll(cols)
+        adj, det = reduction._int_inverse(T.tolist())
+        return B, T, np.array([[det * x for x in row] for row in adj], dtype=object)
 
     for module in (dioph_matrix, ld):
         monkeypatch.setattr(module, "_lll", reference)
@@ -359,7 +363,7 @@ def test_lll_transform_stays_in_int64(X, Z):
         with pytest.raises(BudgetExceededError):
             reduction._lll(cols)
         return
-    B, T = reduction._lll(cols)
+    B, T, _ = reduction._lll(cols)
     assert T.dtype == np.int64 and int(T[0, 2]) == X * Z
     assert np.array_equal(B, np.eye(3)) and np.array_equal(cols @ T.astype(np.float64), B)
 
@@ -517,6 +521,13 @@ def test_minima_memory_without_whole_head_wedges():
         tracemalloc.stop()
     assert np.array_equal(got, want) and (got[:, 1] >= many).all()
     assert peak < 2.0, f"_minima peaked at {peak:.2f} MiB"
+
+
+def test_canon_keys_match_canon():
+    vecs = np.array(list(itertools.product(range(-2, 3), repeat=2)), dtype=np.int64)
+    order = np.lexsort(ld._canon_keys(vecs))
+    assert [tuple(v) for v in vecs[order].tolist()] == sorted(map(tuple, vecs.tolist()),
+                                                              key=_canon)
 
 
 def test_polar_lattice():

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -97,8 +98,10 @@ def test_budgets_are_module_constants():
     defined = [(name, target.id) for name in sorted(os.listdir(PACKAGE)) if name.endswith(".py")
                for node in ast.walk(_tree(name)) if isinstance(node, ast.Assign)
                for target in node.targets if isinstance(target, ast.Name)
-               and target.id in ("CIRCLE_MAX_ENUM", "CERT_MAX_Q")]
-    assert defined == [("reduction.py", "CIRCLE_MAX_ENUM")]
+               and target.id in ("SHELL_MAX_ENUM", "CIRCLE_MAX_ENUM", "DEFAULT_MAX_ENUM",
+                                 "CERT_MAX_Q")]
+    # one budget for every shell search; the other enumeration budget is the minima's
+    assert defined == [("lattice_dyn.py", "DEFAULT_MAX_ENUM"), ("reduction.py", "SHELL_MAX_ENUM")]
 
 
 def _det(K):
@@ -151,13 +154,20 @@ def test_int_inverse_is_the_exact_adjugate(d, perm, ops, K, dep, mix):
 
 
 def test_box_budget_is_exact(monkeypatch, walked_boxes):
-    # the budget is compared with the exact count of the box about to be
-    # walked: a budget of the largest box runs, one point less raises
+    # the budget is compared with the exact count of a search's points, its
+    # outer box and each point scored: a budget of the largest count runs, one
+    # point less raises.  No shell search, of either mode or shape, walks a box grid
     A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772"]], 128)
+    spent, spend = [], reduction._spend
+    monkeypatch.setattr(reduction, "_spend", lambda total: spent.append(total) or spend(total))
     rec = best_approx(A, (0.31,), 10_000)
-    most = max(walked_boxes)
-    monkeypatch.setattr(dioph_matrix, "DEFAULT_MAX_ENUM", most)
+    most = max(spent)
+    for B in (A, RealMatrix.scalar("0.41421356237309515", 128)):
+        dioph_matrix._Shells(B, (0.31,), 10_000).within(1, 10_000, Fraction(1, 10**4))
+    best_approx(RealMatrix.scalar("0.41421356237309515", 128), (0.31,), 10_000)
+    assert walked_boxes == []
+    monkeypatch.setattr(reduction, "SHELL_MAX_ENUM", most)
     assert best_approx(A, (0.31,), 10_000) == rec
-    monkeypatch.setattr(dioph_matrix, "DEFAULT_MAX_ENUM", most - 1)
-    with pytest.raises(SizeBudgetError, match=f"box of {most} points exceeds budget"):
+    monkeypatch.setattr(reduction, "SHELL_MAX_ENUM", most - 1)
+    with pytest.raises(SizeBudgetError, match=f"search of {most} points exceeds budget {most - 1}"):
         best_approx(A, (0.31,), 10_000)

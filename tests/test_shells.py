@@ -159,6 +159,89 @@ def test_circle_kernel_on_skewed_lattices(inst):
     assert shells.within(lo, hi, Fraction(1, 2)) == sorted(table, key=lambda t: _order(t[1]))
 
 
+# ---------------------------------------------------------------------------
+# the run kernel against an exact walk of the q-box
+
+
+def _ball_points(form, radius, lo, hi):
+    """{(p, q)} with lo <= ||q|| <= hi and ||D p + N q - G|| <= D radius: every q walked, p solved."""
+    D, N, G = form
+    out = set()
+    for q in itertools.product(range(-hi, hi + 1), repeat=len(N[0])):
+        if lo <= max(map(abs, q)) <= hi:
+            c = [sum(a * b for a, b in zip(row, q)) - g for row, g in zip(N, G)]  # X = D p + c
+            out.update((p, q) for p in itertools.product(*(
+                range(math.ceil(-radius - Fraction(x, D)), math.floor(radius - Fraction(x, D)) + 1)
+                for x in c)))
+    return out
+
+
+def _kernel_points(form, T, Tinv, radius, lo, hi):
+    """[(p, q)] of every point of every run of `reduction._shell_runs`, p from X = D p + N q - G."""
+    D, N, G = form
+    n = len(T) - len(N)
+    out = []
+    for Y, dY, u, v in reduction._shell_runs(form, T, Tinv, radius, lo, hi)[1]:
+        for t in range(u, v + 1):
+            pt = [y + t * dy for y, dy in zip(Y, dY)]
+            q, X = pt[:n], pt[n:]
+            p = [divmod(x + g - sum(a * b for a, b in zip(row, q)), D) for x, g, row in zip(X, G, N)]
+            assert all(r == 0 for _, r in p)
+            out.append((tuple(k for k, _ in p), tuple(q)))
+    return out
+
+
+_RUN_ENTRY = st.one_of(
+    st.builds(Fraction, st.integers(-13, 13), st.integers(1, 6)),  # rational: long runs
+    st.builds(lambda a, b, k: Fraction(a, b) + Fraction(1, 2**k),
+              st.integers(-13, 13), st.integers(1, 6), st.integers(3, 60)),
+    st.builds(lambda a: Fraction(a, 10**6), st.integers(-3 * 10**6, 3 * 10**6)),
+)
+
+
+@st.composite
+def _run_instances(draw):
+    """(rows, gamma, lo, hi, doublings, radius) of a shell with 2 <= m + n <= 6."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6 - m))
+    hi = draw(st.integers(1, {1: 40, 2: 10, 3: 4, 4: 2, 5: 2}[n]))
+    rows = [[str(draw(_RUN_ENTRY)) for _ in range(n)] for _ in range(m)]
+    gamma = draw(st.one_of(st.none(), st.lists(_RUN_ENTRY.map(str), min_size=m, max_size=m)))
+    radius = draw(st.one_of(st.just(Fraction(0)), st.just(Fraction(1, 2)),
+                            st.fractions(0, Fraction(1, 2), max_denominator=60)))
+    return rows, gamma, draw(st.integers(1, hi)), hi, draw(st.integers(0, 12)), radius
+
+
+@given(_run_instances())
+@example(([["1/2", "1/2"]], None, 1, 20, 0, Fraction(1, 7)))
+@example(([["2", "6"]], ["3/10"], 1, 12, 3, Fraction(0)))
+@example(([[0.3141, -1.25], [0.77, 2.5]], [0.1, -0.45], 1, 15, 2, Fraction(1, 5)))
+@example(([[1.618033988749895, 0.4142135623730951, 0.7320508075688772]], None, 1, 6, 0,
+          Fraction(1, 2)))
+@example(([["1/2", "1/2"], ["0", "1"]], ["1/2", "1/2"], 1, 3, 12, Fraction(1, 2)))  # X_2 = D/2
+def test_run_kernel_matches_exact_box_walk(inst):
+    rows, gamma, lo, hi, doublings, radius = inst
+    A = RealMatrix.from_rows(rows, PREC)
+    shells = _Shells(A, gamma, hi)
+    D, N, G = form = shells.form
+    eps = min(float(hi) ** (-A.n / A.m) * 2.0**doublings, 0.99)
+    T, Tinv = shells._lattice(form, hi, eps)
+    for r in (Fraction(eps), radius):
+        # the runs hold each point of the ball once, and nothing else
+        points = _kernel_points(form, T, Tinv, r, lo, hi)
+        assert len(points) == len(set(points)) and set(points) == _ball_points(form, r, lo, hi)
+    # min: the least (D err, ||q||, _canon(q)) of the ball, its p the nearest
+    _, table = _brute_shell(rows, gamma, lo, hi)
+    ball = [t for t in table if t[0] <= Fraction(eps) * D]
+    best = min(ball, key=lambda t: (t[0],) + _order(t[1])) if ball else None
+    assert reduction._shell_best(form, T, Tinv, Fraction(eps), lo, hi) == best
+    # list: every q of the ball once, with its nearest p
+    listed = reduction._shell_points(form, T, Tinv, radius, lo, hi)
+    assert sorted(listed) == sorted(t for t in table if t[0] <= radius * D)
+    # the whole search, eps doubling included
+    assert shells.min(lo, hi) == min(table, key=lambda t: (t[0],) + _order(t[1]))
+
+
 @given(st.integers(1, 2**40), st.integers(1, 2**200), st.integers(0, 400),
        st.sampled_from([(1, 1, 1), ("6.0983", "0.0511", 2), ("0.37", "3.5", 2)]))
 def test_log_score_estimate_and_radius_bounds(qn, err, bits, chk):
