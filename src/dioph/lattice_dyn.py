@@ -8,13 +8,11 @@ Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
 ties in the documented order (`reduction._canon`).  Only the half of the
 set with a positive first coefficient is kept, since -v never wins a tie
-against v.  Independence is decided exactly in integers: step j keeps the
-exterior product W of the j picks, and a candidate c is independent of them
-exactly when c ^ W != 0.  The test runs over the shortest candidates of all
-samples at once, k steps in all, each a block of rows at a time for the
-samples still searching.  `successive_minima` and
-`shortest_vector` are one sample of it, over the float norms of one reduced
-lattice.
+against v.  Each sample walks its candidates in that order and picks each
+one independent of the picks so far, decided exactly in Python ints by
+fraction-free elimination against echelon rows kept per pick prefix.
+`successive_minima` and `shortest_vector` are one sample of it, over the
+float norms of one reduced lattice.
 
 Along the flow (`flow_profile`, and the dual flow behind
 `haw_game.derive_strategy`) a vector (A q + p, q) has length
@@ -35,8 +33,6 @@ transform carried from window to window (`reduction._lattice_basis`).
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -45,7 +41,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .dioph_matrix import RealMatrix, _exact_form
+from .dioph_matrix import RealMatrix, _exact_form, _ls_slope
 from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError, ValidationError
 from .reduction import (_dual_l1, _enumerate_in_radius, _gram_schmidt, _int_dtype, _int_inverse,
                         _lattice_basis, _lll)
@@ -69,10 +65,6 @@ MAX_SAMPLES = 100_000
 MAX_LENGTHS = 1 << 24
 # the sweeps scale by e^t in float64, which overflows past t = 709
 MAX_T = 700.0
-# head rows `_independent` tests at a time: a column stops at the block
-# holding its first independent row, so a few dependent-heavy samples no
-# longer make every sample hold wedges for the whole head
-_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -151,66 +143,17 @@ def _canonical(coeffs: np.ndarray) -> np.ndarray:
     return keep[np.lexsort(_canon_keys(coeffs[keep]))]
 
 
-@functools.lru_cache(maxsize=None)
-def _wedge_index(d: int, j: int):
-    """Index arrays of c ^ W for c in Z^d and W in its j-th exterior power.
+def _reduce(c: list, echelon: list) -> Optional[tuple]:
+    """c reduced fraction-free against echelon rows (pivot, row): (pivot, row), or None.
 
-    Coordinates are indexed by subsets of range(d) in `itertools.combinations`
-    order.  Coordinate J of c ^ W, |J| = j + 1, is sum_r (-1)^r c[J_r]
-    W[J - J_r]: returns the (n_J, j + 1) arrays of J_r and of the index of
-    J - J_r.
+    Each row is zero at the pivots before its own, so c ends zero at all of
+    them, and is nonzero (not None) exactly when it is independent of them.
     """
-    index = {J: i for i, J in enumerate(itertools.combinations(range(d), j))}
-    subsets = list(itertools.combinations(range(d), j + 1))
-    rest = [[index[J[:r] + J[r + 1:]] for r in range(j + 1)] for J in subsets]
-    return np.array(subsets), np.array(rest)
-
-
-def _independent(grid: np.ndarray, head: np.ndarray, k: int):
-    """Greedy independence down each column of head (P, S): (positions (S, k), found (S,)).
-
-    Column s of head lists rows of grid (C, d), shortest first.  Step j
-    keeps, in every column at once, the exterior product W of the j rows
-    taken so far, and takes the first row c with c ^ W != 0, exactly in
-    integers.  The rows are tested `_BLOCK` at a time and only for the
-    columns still searching, so a column stops at its first such row and
-    no step holds wedges for the whole head.  An entry of W is a j-minor,
-    so by Hadamard every partial sum is below k d^((k - 1)/2) max|c|^k
-    over the head's rows, which picks int64 or Python ints.
-    """
-    P, S = head.shape
-    d = grid.shape[1]
-    used = np.zeros(len(grid), dtype=bool)
-    used[head] = True
-    rows = grid[used]
-    big = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
-    dtype = _int_dtype(k * (math.isqrt(d ** (k - 1)) + 1) * big ** k)
-    W = np.ones((S, 1), dtype=dtype)
-    pos = np.zeros((S, k), dtype=np.int64)
-    found = np.ones(S, dtype=bool)
-    for j in range(k):
-        subsets, rest = _wedge_index(d, j)
-        signed = W[:, rest] * (-1) ** np.arange(j + 1)  # (S, n_J, j + 1)
-        W = np.zeros((S, len(subsets)), dtype=dtype)  # a column that finds nothing keeps 0
-        todo = np.flatnonzero(found)
-        for start in range(0, P, _BLOCK):
-            if not todo.size:
-                break
-            X = grid[head[start:start + _BLOCK, todo]].astype(dtype, copy=False)
-            wedge = X[:, :, subsets[:, 0]]
-            wedge *= signed[todo, :, 0]
-            for r in range(1, j + 1):  # in place: two (_BLOCK, S, n_J) arrays at most
-                term = X[:, :, subsets[:, r]]
-                term *= signed[todo, :, r]
-                wedge += term
-            ok = (wedge != 0).any(axis=2)
-            hit = np.flatnonzero(ok.any(axis=0))
-            first = ok[:, hit].argmax(axis=0)
-            pos[todo[hit], j] = start + first
-            W[todo[hit]] = wedge[first, hit]
-            todo = np.delete(todo, hit)
-        found[todo] = False
-    return pos, found
+    for p, row in echelon:
+        if c[p]:
+            c = [row[p] * x - c[p] * y for x, y in zip(c, row)]
+    g = math.gcd(*c)
+    return (next(j for j, x in enumerate(c) if x), [x // g for x in c]) if g else None
 
 
 def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarray]:
@@ -218,35 +161,47 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
 
     lengths (C, S) holds each candidate's length at each sample and grid
     (C, d) its integer coordinates in any basis; candidates come in `_canon`
-    order, so (length, index) is the documented tie order.  lambda_i takes the
-    first candidate independent of lambda_1..lambda_(i-1).  The test runs on
-    the shortest P candidates of each sample (`_independent`, exact, on the
-    head's indices into grid, never a (P, S, d) copy), P growing only for
-    the samples that need more.  None when some sample has fewer than k
-    independent candidates.
+    order, so (length, index) is the documented tie order.  Each sample walks
+    its candidates in that order and picks each one independent of the
+    picks so far (`_reduce`, exact), until it has k.  Each (pick prefix,
+    candidate) test is made once per call, and a sample whose order matches
+    the last walked sample's up to its k-th pick takes its picks.  Orders
+    open with the rows of an argpartition head shorter than its longest; a
+    walk past them goes on in its sample's whole order, one stable sort,
+    which is quick on a column of ties.  None when some sample has fewer
+    than k independent candidates.
     """
     C, S = lengths.shape
     if k == 1:
         return lengths.argmin(axis=0)[:, None]  # the first of equal minima
-    rows = np.empty((S, k), dtype=np.int64)
-    todo, P = np.arange(S), min(C, 8 * k)
-    while todo.size:
-        sub, cols = lengths[:, todo], np.arange(todo.size)
-        if P < C:
-            head = np.argpartition(sub, P, axis=0)
-            head, edge = head[:P], sub[head[P], cols]
-            head = np.take_along_axis(head, np.lexsort((head, sub[head, cols]), axis=0), axis=0)
-        else:
-            head, edge = np.argsort(sub, axis=0, kind="stable"), np.full(todo.size, np.inf)
-        pos, found = _independent(grid, head, k)
-        picked = head[pos, cols[:, None]]
-        # every candidate as short as lambda_k must be in the head
-        done = found & (sub[picked[:, -1], cols] < edge)
-        if P == C and not done.all():
-            return None
-        rows[todo[done]] = picked[done]
-        todo, P = todo[~done], min(C, 16 * P)
-    return rows
+    cols, P = np.arange(S), min(C, 8 * k)
+    head = np.argpartition(lengths, P - 1, axis=0)[:P]
+    head = np.take_along_axis(head, np.lexsort((head, lengths[head, cols]), axis=0), axis=0)
+    known = (lengths[head, cols] < lengths[head[-1], cols]).sum(axis=0)
+    # leading rows known at sample s that sample s - 1 opens with too
+    same = np.minimum.accumulate(head[:, 1:] == head[:, :-1], axis=0).sum(axis=0)
+    shared = [0] + np.minimum(same, np.minimum(known[1:], known[:-1])).tolist()
+    prefixes = {(): ([], {})}  # picks -> (their echelon rows, {candidate: _reduce of it})
+    out = np.empty((S, k), dtype=np.int64)
+    end = C + 1  # the position after the last walked sample's k-th pick
+    for s in range(S):
+        if shared[s] < end:  # else sample s takes the last walked sample's picks
+            order, picks, end = head[:known[s], s], (), 0
+            echelon, tested = prefixes[picks]
+            while len(picks) < k:
+                if end == len(order):
+                    if end == C:
+                        return None
+                    order = np.argsort(lengths[:, s], kind="stable")
+                c = order.item(end)
+                end += 1
+                if c not in tested:
+                    tested[c] = _reduce(grid[c].tolist(), echelon)
+                if tested[c] is not None:
+                    picks += (c,)
+                    echelon, tested = prefixes.setdefault(picks, (echelon + [tested[c]], {}))
+        out[s] = picks
+    return out
 
 
 def _float_ball(B: np.ndarray, radius: float, l1=None):
@@ -270,7 +225,9 @@ def _float_ball(B: np.ndarray, radius: float, l1=None):
 def _lattice_minima(L: LatticeBasis, k: int):
     """(lengths, vecs, coeffs) of the first k greedy minima of one lattice.
 
-    One sample of `_minima` over the float norms.  The reduced basis has k
+    One sample of `_minima` over the float norms; a ball whose norms nearly
+    all tie at lambda_k, as on A = 2 at t = 6, costs its walk one quick
+    stable sort.  The reduced basis has k
     independent columns, so the k-th shortest bounds lambda_k and is the
     first radius; the radius doubles while the ball holds fewer than k
     independent vectors.  Only primitive vectors are candidates: a multiple
@@ -608,8 +565,10 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     one enumeration of radius R on the basis rebuilt from that T holds every
     candidate of the window; T and T^-1 are carried on from tau.  Each candidate is
     scored once, u and w exactly, and its lengths at all the window's
-    samples are one numpy expression (`_lengths`); `_minima` picks the
-    minima.  The window is checked afterwards,
+    samples are one numpy expression (`_lengths`); `_minima` walks the
+    minima, and a sample whose order agrees with the last one's up to its
+    k-th pick, as most of a window's do, takes that sample's picks.  The
+    window is checked afterwards,
     lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
     sample, and enumerated again at twice the radius if it fails.  A window
     whose box outgrows `DEFAULT_MAX_ENUM` points, or whose lengths outgrow
@@ -697,18 +656,8 @@ def segment_slopes(profile: FlowProfile) -> List[float]:
     A piece needs at least three interior samples to get a slope.
     """
     delta, times = profile.delta_values, profile.times
-    verts = {0, len(times) - 1}
-    for i in range(1, len(times) - 1):
-        if (delta[i] > delta[i - 1] and delta[i] >= delta[i + 1]) or \
-           (delta[i] < delta[i - 1] and delta[i] <= delta[i + 1]):
-            verts.add(i)
-    vs = sorted(verts)
-    slopes = []
-    for a, b in zip(vs[:-1], vs[1:]):
-        # interior samples only: the vertex samples straddle two linear pieces
-        lo, hi = a + 1, b
-        if hi - lo >= 3:
-            t, y = times[lo:hi], delta[lo:hi]
-            slope = float(np.polyfit(t, y, 1)[0])
-            slopes.append(slope)
-    return slopes
+    # the local maxima of Delta are the local minima of -Delta
+    vs = sorted({0, len(times) - 1, *_local_minima_indices(delta), *_local_minima_indices(-delta)})
+    # interior samples only: the vertex samples straddle two linear pieces
+    return [_ls_slope(times[a + 1:b].tolist(), delta[a + 1:b].tolist())
+            for a, b in zip(vs, vs[1:]) if b - a > 3]

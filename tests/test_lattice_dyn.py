@@ -384,8 +384,8 @@ def _loop_minima(lengths, grid, k):
 
 
 def test_minima_matches_loop_reference():
-    # the vectorized greedy of `ld._minima` against one Python step per
-    # candidate in (length, index) order, with Fraction ranks
+    # the walk of `ld._minima` against one Python step per candidate in
+    # (length, index) order, with Fraction ranks
     rng = np.random.default_rng(17)
     outcomes = set()
     for trial in range(150):
@@ -426,6 +426,41 @@ def test_minima_matches_loop_reference():
         assert got.tolist() == want, trial
         # the hard sample's lambda_2 lies beyond all the multiples
         assert max(want[hard]) >= many > 8 * k
+    # flow-shaped: lengths max(e^(t/m) u, e^(-t/n) w) of candidates (p, q)
+    # at 50 to 80 consecutive samples, so the order of one sample is that of
+    # the last one up to a few crossings, which `ld._minima`'s reuse rule
+    # must see.  Few directions and their multiples, and a dyadic A, give
+    # dependent candidates and exact ties.  first_change records where the
+    # orders of consecutive samples first differ against the last sample's
+    # k-th pick: inside its prefix, at the pick itself, or just past it.
+    first_change, rng = set(), np.random.default_rng(29)
+    for trial in range(40):
+        m, n = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        d = m + n
+        k = int(rng.integers(2, d + 1))
+        C, S = int(rng.integers(8, 40)), int(rng.integers(50, 81))
+        base = rng.integers(-2, 3, size=(int(rng.integers(k, d + 1)), d))
+        grid = rng.integers(-2, 3, size=(C, base.shape[0])) @ base
+        grid[np.abs(grid).max(axis=1) == 0, 0] = 1
+        A = rng.integers(-4, 5, size=(m, n)) / 4.0
+        u = np.abs(grid[:, m:] @ A.T + grid[:, :m]).max(axis=1)
+        w = np.abs(grid[:, m:]).max(axis=1).astype(np.float64)
+        ts = float(rng.uniform(0, 2)) + 0.05 * np.arange(S)
+        lengths = np.maximum(np.outer(u, np.exp(ts / m)), np.outer(w, np.exp(-ts / n)))
+        got = ld._minima(lengths, grid, k)
+        want = _loop_minima(lengths, grid, k)
+        if any(x is None for x in want):
+            assert got is None, trial
+            continue
+        assert got.tolist() == want, trial
+        orders = [sorted(range(C), key=lambda i: (lengths[i, s], i)) for s in range(S)]
+        for s in range(1, S):
+            last = orders[s - 1].index(want[s - 1][-1])
+            diff = next((i for i, (a, b) in enumerate(zip(orders[s - 1], orders[s])) if a != b), C)
+            if diff <= last + 1:
+                first_change.add("inside" if diff < last else
+                                 "at the k-th pick" if diff == last else "just past")
+    assert first_change == {"inside", "at the k-th pick", "just past"}
 
 
 def test_minima_near_parallel_rows():
@@ -441,8 +476,7 @@ def _near_parallel_minima(draw):
     """(lengths, grid, k): pairs of rows v and N v + e, N up to 2^40, among small rows.
 
     With e small the pair is nearly parallel, and e = 0 makes it dependent.
-    Large N (from about 2^29 at k = 2) puts the partial-sum bound of the
-    wedge test past int64, so both of `ld._independent`'s integer branches run.
+    Large N puts the products of `ld._minima`'s elimination past int64.
     """
     d = draw(st.integers(2, 4))
     k = draw(st.integers(2, d))
@@ -461,7 +495,7 @@ def _near_parallel_minima(draw):
 
 @given(case=_near_parallel_minima())
 def test_minima_near_parallel_matches_loop_reference(case):
-    # the exact wedge test of `ld._minima` against Fraction ranks, on rows a
+    # the exact independence test of `ld._minima` against Fraction ranks, on rows a
     # float Gram-Schmidt with a relative tolerance takes for dependent
     lengths, grid, k = case
     want = _loop_minima(lengths, grid, k)
@@ -473,12 +507,11 @@ def test_minima_near_parallel_matches_loop_reference(case):
 
 
 @pytest.mark.parametrize("scale", [1, 2**40])
-def test_independent_block_edges_match_loop_reference(scale):
+def test_minima_dependent_runs_match_loop_reference(scale):
     # column s of a 512-row head takes its second pick at firsts[s][0] and
-    # its third at firsts[s][1], on both sides of the edges of `ld._BLOCK`-row
-    # blocks; every row in between is dependent on the picks so far.
-    # scale 2^40 puts the wedge test past int64, into Python ints.
-    assert ld._BLOCK == 32
+    # its third at firsts[s][1], on both sides of 32 and 64, most past the
+    # 8 k = 24 rows of `ld._minima`'s first head; every row in between is
+    # dependent on the picks so far.  scale 2^40 puts the rows past int64.
     firsts = [(31, 32), (32, 33), (33, 63), (63, 64), (64, 65), (65, 511), (1, 31), (5, 65)]
     rng = np.random.default_rng(12)
     rows, head = [], []
@@ -495,17 +528,16 @@ def test_independent_block_edges_match_loop_reference(scale):
     lengths = np.full((len(grid), len(firsts)), np.inf)
     for s in range(len(firsts)):
         lengths[head[:, s], s] = np.arange(512)  # head order is (length, index) order
-    pos, found = ld._independent(grid, head, 3)
-    assert found.all()
-    assert pos[:, 1:].tolist() == [list(p) for p in firsts]
-    assert head[pos, np.arange(len(firsts))[:, None]].tolist() == _loop_minima(lengths, grid, 3)
+    got = ld._minima(lengths, grid, 3)
+    assert got.tolist() == [[head[p, s] for p in (0, *firsts[s])] for s in range(len(firsts))]
+    assert got.tolist() == _loop_minima(lengths, grid, 3)
 
 
 def test_minima_memory_without_whole_head_wedges():
     # 42 samples whose 200 shortest of 1128 candidates are multiples of one
-    # vector: no sample is settled by the first 8 k rows, and the second pass
-    # tests a (512, 42) head of d = 4 rows.  Held whole, its rows and wedges
-    # take about 3 MB; block by block the call stays near its (C, S) arrays.
+    # vector: no sample is settled by the first 8 k rows, and each walks past
+    # 200 dependent rows of d = 4.  Each (prefix, candidate) test is kept
+    # once, so the call stays near its (C, S) arrays.
     rng = np.random.default_rng(5)
     C, S, many = 1128, 42, 200
     grid = rng.integers(-3, 4, size=(C, 4))
