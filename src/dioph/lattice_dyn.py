@@ -1,8 +1,11 @@
 """Lattice diagnostics: Lambda_A, the diagonal flow, minima, and flow profiles.
 
-All norms are sup-norms.  Shortest vectors and minima are found by complete
-enumeration of an LLL-reduced basis: `reduction`'s kernel walks an exact box,
-and the ball is kept by the float lengths computed here (`_float_ball`).
+All norms are sup-norms.  Every ball is listed exactly by `reduction`'s one
+enumeration kernel, `_runs`, and expanded here run by run (`_listed`): a
+float basis as its dyadic integers K = s B times LLL's transform T
+(`_sup_ball`), a flow window as the integer forms q, X = D p + N q and p of
+its exact entries (`reduction._shell_runs`).  Lengths are rounded once, from
+those integers.  Completeness rests on exact boxes, not on the reduction.
 
 Minima are picked from a scored candidate set by one rule (`_minima`):
 lambda_i is the shortest candidate independent of lambda_1..lambda_(i-1),
@@ -12,7 +15,7 @@ against v.  Each sample walks its candidates in that order and picks each
 one independent of the picks so far, decided exactly in Python ints by
 fraction-free elimination against echelon rows kept per pick prefix.
 `successive_minima` and `shortest_vector` are one sample of it, over the
-float norms of one reduced lattice.
+norms of one lattice.
 
 Along the flow (`flow_profile`, and the dual flow behind
 `haw_game.derive_strategy`) a vector (A q + p, q) has length
@@ -27,27 +30,29 @@ For m = n = 1 the candidates are read off the exact continued fraction of A
 and for lambda_2 the intermediate fractions at each sample's balance index,
 one set for all samples, with no reduction or enumeration.  For m + n >= 3
 (`_windowed_sweep`) the samples are cut into windows, each enumerated once
-at its balance time on a basis built from the exact entries and the integer
-transform carried from window to window (`reduction._lattice_basis`).
+at its balance time, on the integer transform carried from window to window
+and reduced there (`reduction._lattice_basis`, `_lll`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .dioph_matrix import RealMatrix, _exact_form, _ls_slope
 from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError, ValidationError
-from .reduction import (_dual_l1, _enumerate_in_radius, _gram_schmidt, _int_dtype, _int_inverse,
-                        _lattice_basis, _lll)
+from .reduction import (_gram_schmidt, _int_inverse, _lattice_basis, _lll, _ratio, _runs,
+                        _shell_runs)
 
-# points per enumeration box of a minima search or flow window; the box is
-# held in memory whole, and a flow window whose box is over budget is halved
+# points per enumeration of a minima search or flow window: its outer box
+# points plus the points it lists, which are held in memory whole.  A flow
+# window over budget is halved
 DEFAULT_MAX_ENUM = 2_000_000
 # t-span of one window of `_windowed_sweep` (m + n >= 3).  Longer windows
 # mean fewer reductions but a box of about e^span times the volume of one
@@ -79,7 +84,8 @@ class LatticeBasis:
         cols = np.asarray(cols, dtype=np.float64)
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise ValidationError("basis must be square")
-        det = float(abs(np.linalg.det(cols)))
+        K, s = _dyadic(cols)
+        det = float(_ratio(abs(_int_inverse(K)[1]), s ** len(K), "determinant"))
         if det < 1e-300:
             raise SingularMatrixError("basis is numerically singular")
         if min(_gram_schmidt(cols.T.tolist())[1]) < sys.float_info.min:
@@ -108,19 +114,25 @@ def apply_flow(L: LatticeBasis, t: float, m: int, n: int) -> LatticeBasis:
 
 
 def polar_lattice(L: LatticeBasis) -> LatticeBasis:
-    """Inverse-transpose basis: vectors pairing integrally with all of L."""
-    try:
-        inv = np.linalg.inv(L.basis)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError("basis not invertible") from e
-    return LatticeBasis.from_columns(inv.T)
+    """Inverse-transpose basis: vectors pairing integrally with all of L.
+
+    B^-1 = s adj(K) / det(K), K = s B (`_dyadic`), each entry rounded once.
+    """
+    K, s = _dyadic(L.basis)
+    adj, det = _int_inverse(K)
+    return LatticeBasis.from_columns(_ratio(np.array(adj, dtype=object).T * s, det))
 
 
-def _int_matmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """X @ T.T for integer arrays: int64 when no entry can overflow, Python ints otherwise."""
-    dtype = _int_dtype(int(np.abs(X).max(initial=0)) * max(abs(int(v)) for v in T.flat)
-                       * T.shape[1])
-    return X.astype(dtype) @ np.asarray(T, dtype=dtype).T
+def _dyadic(B: np.ndarray):
+    """(K, s): the integers K = s B (object array) of a float matrix B, s its largest denominator.
+
+    An entry beyond the float64 range raises BudgetExceededError.
+    """
+    if not np.isfinite(B).all():
+        raise BudgetExceededError("basis entry beyond the float64 range")
+    ratios = [[x.as_integer_ratio() for x in row] for row in B.tolist()]
+    s = max(d for row in ratios for _, d in row)
+    return np.array([[x * (s // d) for x, d in row] for row in ratios], dtype=object), s
 
 
 def _canon_keys(vecs: np.ndarray) -> tuple:
@@ -204,48 +216,72 @@ def _minima(lengths: np.ndarray, grid: np.ndarray, k: int) -> Optional[np.ndarra
     return out
 
 
-def _float_ball(B: np.ndarray, radius: float, l1=None):
-    """(grid, vecs, norms) of the nonzero points of float length <= radius in the exact box.
+def _listed(outer: int, runs, forms: Sequence[int]) -> np.ndarray:
+    """The forms `forms` (indices) of each point of `reduction._runs`'s runs, one row per point.
 
-    l1 = (l, e), ||row_i(B^-1)||_1 = l_i / e, are by default exact from the
-    columns B = K / s, K integral; vecs = B grid in float64, the ball widened by 1 + 1e-12.
+    outer, then each point listed, is spent from `DEFAULT_MAX_ENUM`
+    (SizeBudgetError) before any row is built.  Each run is expanded whole
+    (np.repeat).  Its forms are linear along it, so its ends bound every
+    entry and every step t dY: int64 when they stay below 2^62, Python ints
+    otherwise.
     """
-    if l1 is None:
-        s = max(x.as_integer_ratio()[1] for x in B.flat)
-        adj, det = _int_inverse([[x * s // d for x, d in map(float.as_integer_ratio, row)]
-                                 for row in B.tolist()])
-        l1 = [s * sum(map(abs, row)) for row in adj], abs(det)
-    grid = _enumerate_in_radius(l1, radius, DEFAULT_MAX_ENUM)
-    vecs = grid.astype(np.float64) @ B.T
-    norms = np.abs(vecs).max(axis=1)
-    keep = (norms <= radius * (1 + 1e-12)) & (np.abs(grid).max(axis=1) > 0)
-    return grid[keep], vecs[keep], norms[keep]
+    total, kept = outer, []
+    for run in runs if outer <= DEFAULT_MAX_ENUM else ():
+        total += run[3] - run[2] + 1
+        if total > DEFAULT_MAX_ENUM:
+            break
+        kept.append(run)
+    if total > DEFAULT_MAX_ENUM:
+        raise SizeBudgetError(f"enumeration of {total} points exceeds budget {DEFAULT_MAX_ENUM}")
+    starts = [[Y[j] + u * dY[j] for j in forms] for Y, dY, u, v in kept]
+    ends = [[Y[j] + v * dY[j] for j in forms] for Y, dY, u, v in kept]
+    steps = [[dY[j] if v > u else 0 for j in forms] for Y, dY, u, v in kept]
+    big = max(map(abs, itertools.chain.from_iterable(starts + ends)), default=0)
+    dtype = np.int64 if big < 2**62 else object
+    sizes = np.array([v - u + 1 for *_, u, v in kept], dtype=np.int64)
+    t = np.arange(total - outer) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return (np.repeat(np.array(starts, dtype=dtype).reshape(-1, len(forms)), sizes, axis=0)
+            + t.astype(dtype)[:, None]
+            * np.repeat(np.array(steps, dtype=dtype).reshape(-1, len(forms)), sizes, axis=0))
+
+
+def _sup_ball(L: LatticeBasis, norm, k: int):
+    """(K, s, coeffs): the points v of one float lattice with ||s v|| <= r, exactly.
+
+    K = s L.basis are the dyadic integers of the basis (`_dyadic`) and T is
+    LLL's transform; r is the k-th least norm (max or sum) of the columns of
+    K T.  `reduction._runs` walks the forms K T c, bounded by r, and T c,
+    carried, in the exact box |c_i| <= r ||row_i((K T)^-1)||_1 of one
+    `_int_inverse`.  coeffs holds each point's coefficients T c in L.basis.
+    """
+    K, s = _dyadic(L.basis)
+    T = _lll(L.basis)[1].astype(object)
+    KT = (K @ T).tolist()
+    adj, det = _int_inverse(KT)
+    r, d = sorted(norm(map(abs, col)) for col in zip(*KT))[k - 1], len(K)
+    box = [(-h, h) for h in (r * sum(map(abs, row)) // abs(det) for row in adj)]
+    cols = [list(a) + b for a, b in zip(zip(*KT), T.T.tolist())]
+    return K, s, _listed(*_runs(cols, [0] * (2 * d), box, [r] * d), range(d, 2 * d))
 
 
 def _lattice_minima(L: LatticeBasis, k: int):
     """(lengths, vecs, coeffs) of the first k greedy minima of one lattice.
 
-    One sample of `_minima` over the float norms; a ball whose norms nearly
-    all tie at lambda_k, as on A = 2 at t = 6, costs its walk one quick
-    stable sort.  The reduced basis has k
-    independent columns, so the k-th shortest bounds lambda_k and is the
-    first radius; the radius doubles while the ball holds fewer than k
-    independent vectors.  Only primitive vectors are candidates: a multiple
-    c v, |c| >= 2, is independent of the picks exactly when v is, and v is
-    shorter, so c v is never a greedy minimum.
+    One sample of `_minima` over the exact norms of `_sup_ball`'s points,
+    each rounded once; a ball whose norms nearly all tie at lambda_k, as on
+    A = 2 at t = 6, costs its walk one quick stable sort.  The ball's radius
+    is the k-th shortest column of the reduced basis, so it holds k
+    independent primitive vectors.  Only primitive vectors are candidates: a
+    multiple c v, |c| >= 2, is independent of the picks exactly when v is,
+    and v is shorter, so c v is never a greedy minimum.
     """
-    Bred, T, _ = _lll(L.basis)
-    radius = float(np.sort(np.abs(Bred).max(axis=0))[k - 1]) * (1 + 1e-9)
-    for _ in range(64):
-        grid, vecs, norms = _float_ball(Bred, radius)  # coordinates in Bred
-        prim = np.nonzero(np.gcd.reduce(grid, axis=1) == 1)[0]
-        idx = prim[_canonical(grid[prim] @ T.T)]
-        rows = _minima(norms[idx][:, None], grid[idx], k) if idx.size else None
-        if rows is not None:
-            pick = idx[rows[0]]
-            return [float(v) for v in norms[pick]], vecs[pick].copy(), grid[pick] @ T.T
-        radius *= 2
-    raise BudgetExceededError("successive minima search exceeded radius doublings")
+    K, s, coeffs = _sup_ball(L, max, k)
+    prim = np.nonzero(np.gcd.reduce(coeffs, axis=1) == 1)[0]
+    idx = prim[_canonical(coeffs[prim])]
+    vecs = coeffs[idx].astype(object) @ K.T  # s v, exactly
+    norms = _ratio(np.abs(vecs).max(axis=1), s)
+    pick = _minima(norms[:, None], coeffs[idx], k)[0]
+    return norms[pick].tolist(), _ratio(vecs[pick], s), coeffs[idx[pick]]
 
 
 def shortest_vector(L: LatticeBasis):
@@ -253,8 +289,8 @@ def shortest_vector(L: LatticeBasis):
 
     Returns (vector, coeffs, length).  Ties go to the coefficient vector that
     comes first lexicographically in the coordinatewise order 0, 1, -1, 2, -2,
-    ... (`dioph_matrix._canon`).  The search starts at the shortest reduced
-    basis column and doubles until a nonzero vector is inside.
+    ... (`reduction._canon`).  The ball searched reaches the shortest reduced
+    basis column.
     """
     lengths, vecs, coeffs = _lattice_minima(L, 1)
     return vecs[0], coeffs[0], lengths[0]
@@ -274,19 +310,12 @@ def shortest_vector_l1(L: LatticeBasis) -> float:
     """Shortest nonzero vector in the l1 gauge (the polar of the sup ball).
 
     Complete because the l1 ball of radius R sits inside the sup ball of
-    radius R, so enumerating the sup ball and growing R until the best l1
-    length is at most R cannot miss anything.
+    radius R: the sup ball whose radius is the least l1 length of a reduced
+    basis column holds that column and every vector shorter in l1.
     """
-    radius = L.det_abs ** (1.0 / L.dimension) * 1.0000001
-    Bred = _lll(L.basis)[0]
-    for _ in range(64):
-        _grid, vecs, _norms = _float_ball(Bred, radius)
-        if vecs.shape[0]:
-            best = float(np.abs(vecs).sum(axis=1).min())
-            if best <= radius * (1 + 1e-12):
-                return best
-        radius *= 2
-    raise BudgetExceededError("l1 shortest vector search exceeded radius doublings")
+    K, s, coeffs = _sup_ball(L, sum, 1)
+    lengths = np.abs(coeffs.astype(object) @ K.T).sum(axis=1)  # s ||v||_1, exactly
+    return min(x for x in lengths.tolist() if x) / s
 
 
 def mahler_duality_check(L: LatticeBasis) -> float:
@@ -352,15 +381,9 @@ class _Sweep:
 
 def _exact_uw(D: int, N, coeffs: np.ndarray):
     """u = ||A q + p|| and w = ||q|| of each row (p, q) of coeffs, A = N / D, each rounded once."""
-    m = len(N)
-    p, q = coeffs[:, :m], coeffs[:, m:]
-    bound = (max(sum(map(abs, row)) for row in N) * max(int(np.abs(q).max(initial=0)), 1)
-             + D * max(int(np.abs(p).max(initial=0)), 1))  # D itself must stay below 2^53
-    if coeffs.dtype == object or bound >= 2**53:
-        u = np.abs(_lattice_basis(D, N, coeffs.T, 1, 1)[:m]).max(axis=0)
-    else:
-        u = np.abs(q @ np.array(N, dtype=np.int64).T + D * p).max(axis=1) / D  # one rounding
-    return u, np.abs(q).max(axis=1).astype(np.float64)
+    m, coeffs = len(N), coeffs.astype(object)
+    X = coeffs[:, m:] @ np.array(N, dtype=object).T + D * coeffs[:, :m]  # D (A q + p)
+    return _ratio(np.abs(X).max(axis=1), D), np.abs(coeffs[:, m:]).max(axis=1).astype(np.float64)
 
 
 def _lengths(u: np.ndarray, w: np.ndarray, grow: np.ndarray, shrink: np.ndarray) -> np.ndarray:
@@ -398,19 +421,19 @@ def _window(D: int, N, transform, ts: np.ndarray, k: int, carried):
     R = a * u_max
     _, S, Sinv = _lll(_lattice_basis(D, N, T, a, b))
     T, Tinv = T @ S.astype(object), Sinv @ Tinv
-    B = _lattice_basis(D, N, T, a, b)  # coordinates in B, whose unit ball is (1/a, 1/b)
-    l1 = _dual_l1(D, N, Tinv, 1 / Fraction(a), 1 / Fraction(b))
     reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
-        grid, _vecs, _norms = _float_ball(B, R * (1 + 1e-9), l1)
-        coeffs = _int_matmul(grid, T)
-        idx = _canonical(coeffs)
+        # the ball a ||A q + p|| <= R', b ||q|| <= R', listed as rows (p, q, X = D p + N q)
+        edge = Fraction(R * (1 + 1e-9))
+        runs = _shell_runs((D, N, [0] * m), T, Tinv, edge / Fraction(a), 0, int(edge / Fraction(b)))
+        pts = _listed(*runs, [*range(n + m, n + 2 * m), *range(n + m)])
+        idx = _canonical(pts[:, :m + n])
         if idx.size:
-            grid, coeffs = grid[idx], coeffs[idx]
-            u, w = _exact_uw(D, N, coeffs)
+            coeffs, X = pts[idx, :m + n], pts[idx, m + n:]
+            u, w = _ratio(np.abs(X).max(axis=1), D), np.abs(coeffs[:, m:]).max(axis=1).astype(float)
             lengths = _lengths(u, w, grow, shrink)
-            rows = _minima(lengths, grid, k)
+            rows = _minima(lengths, coeffs, k)
             if rows is not None and np.all(lengths[rows[:, -1], cols] * reach <= R):
                 return (T, Tinv), lengths, rows, coeffs, u, w
         R *= 2
@@ -562,18 +585,19 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
     window, the box u <= u_max, w <= w_max is the sup-norm ball of radius
     R = e^(tau/m) u_max at tau = mn/(m + n) log(w_max/u_max), the time that
     makes R least.  So the basis is rebuilt and reduced again at tau, and
-    one enumeration of radius R on the basis rebuilt from that T holds every
-    candidate of the window; T and T^-1 are carried on from tau.  Each candidate is
-    scored once, u and w exactly, and its lengths at all the window's
+    one exact enumeration of radius R on that T (`reduction._shell_runs`,
+    no target) holds every candidate of the window; T and T^-1 are carried
+    on from tau.  Each candidate is scored once, u and w exactly from its
+    integer forms X = D (A q + p) and q, and its lengths at all the window's
     samples are one numpy expression (`_lengths`); `_minima` walks the
     minima, and a sample whose order agrees with the last one's up to its
     k-th pick, as most of a window's do, takes that sample's picks.  The
     window is checked afterwards,
     lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
     sample, and enumerated again at twice the radius if it fails.  A window
-    whose box outgrows `DEFAULT_MAX_ENUM` points, or whose lengths outgrow
-    `MAX_LENGTHS` (`SizeBudgetError`), is halved, to one sample; any other
-    budget error is raised at once.
+    whose enumeration spends more than `DEFAULT_MAX_ENUM` points (`_listed`),
+    or whose lengths outgrow `MAX_LENGTHS` (`SizeBudgetError`), is halved,
+    to one sample; any other budget error is raised at once.
     """
     m, n = A.m, A.n
     S = len(times)

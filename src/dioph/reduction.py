@@ -4,22 +4,19 @@ All norms are sup-norms.  Apart from float64 LLL (`_lll`, Cohen, GTM 138,
 Alg. 2.6.3, O(d) updates per swap) the module is exact integer code; LLL
 returns T^-1 beside its transform T, from the inverses of its steps.
 
-Every search over q (`dioph_matrix._Shells`) runs one kernel, `_shell_runs`,
-on a transform T reduced by Lagrange-Gauss (`_circle_lattice`, 1 x 1) or by
-LLL along the flow (`dioph_matrix._ball_lattice`).  It walks the exact box of
-the ball's coefficients (`_shell_box`, from T^-1) depth first in Python ints,
-in every coordinate but the longest, whose runs of points it solves by floor
-division: no float decides membership, and no point outside the ball is
-scored.  Its budget, `SHELL_MAX_ENUM`, holds one search's outer box points
-and the points it scores or lists.
-
-`lattice_dyn` walks the whole box |c_i| <= ||row_i(B^-1)||_1 r of a basis
-B (`_enumerate_in_radius`) and keeps points by float length; the bound
-holds for every basis, so completeness does not rest on the reduction.  Its
-ends are exact, from a carried T^-1 (`_dual_l1`) or from one fraction-free
-inverse of a dyadic basis (`_int_inverse`).  A box over its caller's budget
-raises SizeBudgetError; a transform entry beyond int64, or a basis or
-matrix entry beyond float64, raises BudgetExceededError.
+Every enumeration is one walk, `_runs`, of the integer points c of an exact
+box whose integer linear forms satisfy |F_j(c)| <= b_j: depth first in
+Python ints, in every coordinate but the longest, whose runs of points are
+solved by floor division, so no float decides membership.  The searches
+over q (`dioph_matrix._Shells`) and the flow windows of `lattice_dyn` walk
+it through `_shell_runs`, in the box `_shell_box` from T^-1 of a transform
+reduced by Lagrange-Gauss (`_circle_lattice`, 1 x 1) or by LLL along the
+flow; `lattice_dyn`'s minima of a float basis walk it on the basis's dyadic
+integers.  Each caller holds the walk to its budget of outer box points
+plus points scored or listed: `SHELL_MAX_ENUM` for a search,
+`lattice_dyn.DEFAULT_MAX_ENUM` for a listed ball.  A
+transform entry beyond int64, or a basis or matrix entry beyond float64,
+raises BudgetExceededError; a walk over its budget raises SizeBudgetError.
 """
 
 from __future__ import annotations
@@ -34,14 +31,6 @@ from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 SHELL_MAX_ENUM = 1 << 22  # outer box points, and points scored or listed, by one shell search
-
-
-def _int_dtype(bound: int):
-    """The dtype of exact integer arithmetic whose partial sums stay below `bound`.
-
-    int64 when bound < 2^62, Python ints (object) otherwise.
-    """
-    return np.int64 if bound < 2**62 else object
 
 
 def _int64(T: List[List[int]], what: str) -> List[List[int]]:
@@ -163,28 +152,21 @@ def _circle_lattice(form, hi: int, eps: float):
     return T, [[det * w, -det * u], [-det * v, det * t]]
 
 
-def _dual_l1(D: int, N, Tinv, u, w):
-    """(l, e): l_i / e = ||row_i(B^-1)||_1 for B = diag(I_m / u, I_n / w) B0 T, from T^-1.
-
-    So |c_i - c0_i| <= l_i / e over the points within (u, w) of B0 T c0.  B^-1 =
-    T^-1 [[u I, -w N / D], [0, w I]]; u, w (u may be 0) are taken exactly.
-    """
-    m, cols = len(N), list(zip(*N))  # the columns of N
-    (un, ud), (wn, wd) = u.as_integer_ratio(), w.as_integer_ratio()
-    pl = [sum(map(abs, r[:m])) for r in Tinv]
-    ql = [sum(abs(D * t - sum(map(int.__mul__, r, c))) for t, c in zip(r[m:], cols)) for r in Tinv]
-    return [p * un * D * wd + q * wn * ud for p, q in zip(pl, ql)], ud * D * wd
-
-
 def _shell_box(form, Tinv, radius: Fraction, hi: int) -> List[Tuple[int, int]]:
     """(first, last) of each c_i over the points (p, q) = T c with ||X|| <= D radius, ||q|| <= hi.
 
     X = D p + N q - G for form = (D, N, G).  The box is exact: the dual bound
-    l_i / e (`_dual_l1`) around the target's coefficients c0 = T^-1 (G, 0) / D.
+    l_i / e = ||row_i(B^-1)||_1 of B = diag(I_m / radius, I_n / hi) B0 T,
+    B^-1 = T^-1 [[radius I, -hi N / D], [0, hi I]], around the target's
+    coefficients c0 = T^-1 (G, 0) / D.
     """
     D, N, G = form
-    ls, e = _dual_l1(D, N, Tinv, radius, hi)
-    ys = [sum(map(int.__mul__, row, G)) * (e // D) for row in Tinv]  # c0_i e; D divides e
+    m, cols = len(N), list(zip(*N))  # the columns of N
+    un, ud = radius.as_integer_ratio()
+    pl = [sum(map(abs, r[:m])) for r in Tinv]
+    ql = [sum(abs(D * t - sum(map(int.__mul__, r, c))) for t, c in zip(r[m:], cols)) for r in Tinv]
+    ls, e = [p * un * D + q * hi * ud for p, q in zip(pl, ql)], ud * D
+    ys = [sum(map(int.__mul__, row, G)) * ud for row in Tinv]  # c0_i e
     return [(-((l - y) // e), (y + l) // e) for y, l in zip(ys, ls)]
 
 
@@ -199,52 +181,46 @@ def _cut(first: int, last: int, cuts, S) -> Tuple[int, int]:
     return first, last
 
 
-def _shell_runs(form, T, Tinv, radius: Fraction, lo: int, hi: int):
-    """(outer, runs): the points (p, q) = T c with ||X|| <= D radius and lo <= ||q|| <= hi.
+def _runs(cols, S, box, most, lo: int = 0, n: int = 0):
+    """(outer, runs): the points c of box with |F_j(c)| <= most_j for each j < len(most).
 
-    X = D p + N q - G for form = (D, N, G); T, Tinv are lists of ints.  A run
-    (Y, dY, first, last) is the points c + t e_w, first <= t <= last, whose
-    forms (q, X) are Y + t dY.  The box of c (`_shell_box`) is walked depth
-    first, shortest side first, in every coordinate but w, its longest,
-    carrying the forms' partial sums; each range is cut (`_cut`) to what can
-    still meet every constraint.  Each line along w is solved from the
-    constraints and split by ||q|| >= lo.  outer, the box without w, is counted first.
+    The forms F(c) = S + sum_i c_i cols[i] are integers; the forms past
+    len(most) are carried along, not bounded.  box [(first, last)] of c must
+    hold every such point.  A run (Y, dY, first, last) is the points
+    c + t e_w, first <= t <= last, whose forms are Y + t dY.  The box is
+    walked depth first, shortest side first, in every coordinate but w, its
+    longest, carrying the forms' partial sums; each range is cut (`_cut`) to
+    what can still meet every bound.  Each line along w is solved from the
+    bounds and, for lo > 0, split by ||(F_0 .. F_(n-1))|| >= lo.  outer, the
+    count of the box without w, is known before any point is walked.
     """
-    D, N, G = form
-    m, d = len(N), len(T)
-    n = d - m
-    box = _shell_box(form, Tinv, radius, hi)
+    d, bounded = len(box), len(most)
     sides = [b - a + 1 for a, b in box]
     if min(sides) <= 0:
         return 0, iter(())
     w = sides.index(max(sides))
     order = sorted((i for i in range(d) if i != w), key=sides.__getitem__) + [w]
-    count = _spend(math.prod(sides[i] for i in order[:-1]))
-    Tq = T[m:]  # the forms q and X + G = D p + N q, column by column in walk order
-    cols = [[r[i] for r in Tq] + [D * t[i] + sum(x * r[i] for x, r in zip(row, Tq))
-                                  for row, t in zip(N, T)] for i in order]
-    most = [hi] * n + [D * radius.numerator // radius.denominator] * m
+    cols = [cols[i] for i in order]
     least = [-h for h in most]
     # per coordinate in walk order, the cuts least_j <= S_j + x c <= most_j, less what later
-    # coordinates can add, swapped where x < 0; the first range is its box, exact already
+    # coordinates can add, swapped where x < 0
     levels = []
-    for k in range(d - 1, 0, -1):
+    for k in range(d - 1, -1, -1):
         levels.append([(j, x, least[j], most[j]) if x > 0 else (j, x, most[j], least[j])
-                       for j, x in enumerate(cols[k]) if x])
-        if k > 1:
-            a, b = box[order[k]]
-            least = [y - x * (b if x > 0 else a) for y, x in zip(least, cols[k])]
-            most = [y - x * (a if x > 0 else b) for y, x in zip(most, cols[k])]
-    levels = [[]] + levels[::-1]
+                       for j, x in enumerate(cols[k][:bounded]) if x])
+        a, b = box[order[k]]
+        least = [y - x * (b if x > 0 else a) for y, x in zip(least, cols[k])]
+        most = [y - x * (a if x > 0 else b) for y, x in zip(most, cols[k])]
+    levels.reverse()
     dY = cols[-1]
-    inner = [(j, x, 1 - lo, lo - 1) if x > 0 else (j, x, lo - 1, 1 - lo)  # ||q|| < lo
+    inner = [(j, x, 1 - lo, lo - 1) if x > 0 else (j, x, lo - 1, 1 - lo)  # ||F_(<n)|| < lo
              for j, x in enumerate(dY[:n]) if x]
     flat = [j for j in range(n) if not dY[j]]
 
-    def line(S):  # its runs, split around [a, b], where ||q|| < lo
+    def line(S):  # its runs, split around [a, b], where ||F_(<n)|| < lo
         first, last = _cut(*box[w], levels[-1], S)
-        a, b = (_cut(first, last, inner, S) if not flat or max(abs(S[j]) for j in flat) < lo
-                else (last + 1, last))
+        a, b = (_cut(first, last, inner, S)
+                if lo > 0 and (not flat or max(abs(S[j]) for j in flat) < lo) else (last + 1, last))
         return [(S, dY, u, v) for u, v in ((first, min(last, a - 1)), (max(a, b + 1), last))
                 if u <= v]
 
@@ -254,7 +230,24 @@ def _shell_runs(form, T, Tinv, radius: Fraction, lo: int, hi: int):
             S1 = [s + c * x for s, x in zip(S, cols[k])]
             yield from walk(k + 1, S1) if k + 2 < d else line(S1)
 
-    return count, walk(0, [0] * n + [-g for g in G])
+    return math.prod(sides[i] for i in order[:-1]), walk(0, S) if d > 1 else iter(line(S))
+
+
+def _shell_runs(form, T, Tinv, radius: Fraction, lo: int, hi: int):
+    """`_runs` over the points (p, q) = T c with ||X|| <= D radius and lo <= ||q|| <= hi.
+
+    X = D p + N q - G for form = (D, N, G); T, Tinv hold Python ints.  The
+    forms are (q, X, p): q and X bounded, p carried, so no point needs N q.
+    The box is `_shell_box`.  The caller spends outer from its budget.
+    """
+    D, N, G = form
+    Tp, Tq = T[:len(N)], T[len(N):]
+    cols = [[r[i] for r in Tq] + [D * t[i] + sum(x * r[i] for x, r in zip(row, Tq))
+                                  for row, t in zip(N, Tp)] + [t[i] for t in Tp]
+            for i in range(len(T))]
+    most = [hi] * len(Tq) + [D * radius.numerator // radius.denominator] * len(N)
+    return _runs(cols, [0] * len(Tq) + [-g for g in G] + [0] * len(N),
+                 _shell_box(form, Tinv, radius, hi), most, lo, len(Tq))
 
 
 def _spend(total: int) -> int:
@@ -282,12 +275,11 @@ def _near(Y, dY, forms: range, u: int, v: int) -> List[int]:
 
 
 def _point(form, Y):
-    """(D err, q, p) of the point whose forms are Y = (q, X); p_i is the smaller where X_i = D/2."""
-    D, N, G = form
-    n = len(Y) - len(N)
-    q, X = Y[:n], Y[n:]
-    p = [(x + g - sum(map(int.__mul__, row, q))) // D - (2 * x == D) for x, g, row in zip(X, G, N)]
-    return max(map(abs, X)), tuple(q), tuple(p)
+    """(D err, q, p) of the point with forms Y = (q, X, p); p_i is the smaller where X_i = D/2."""
+    D, m = form[0], len(form[1])
+    n = len(Y) - 2 * m
+    X = Y[n:n + m]
+    return max(map(abs, X)), tuple(Y[:n]), tuple(p - (2 * x == D) for x, p in zip(X, Y[n + m:]))
 
 
 def _shell_best(form, T, Tinv, radius: Fraction, lo: int, hi: int):
@@ -302,6 +294,7 @@ def _shell_best(form, T, Tinv, radius: Fraction, lo: int, hi: int):
     X, Q = range(n, d), range(n)
     best, at = None, None
     total, runs = _shell_runs(form, T, Tinv, radius, lo, hi)
+    total = _spend(total)
     for Y, dY, u, v in runs:
         ts = _near(Y, dY, X, u, v)
         total = _spend(total + len(ts))
@@ -327,14 +320,14 @@ def _shell_points(form, T, Tinv, radius: Fraction, lo: int, hi: int) -> list:
     A point with some X_i = D/2 is left out: its q is listed where X_i = -D/2,
     with the smaller p.  Every run is counted (`_spend`) before any is listed.
     """
-    D, n = form[0], len(T) - len(form[1])
+    D, n, d = form[0], len(T) - len(form[1]), len(T)
     total, runs = _shell_runs(form, T, Tinv, radius, lo, hi)
-    kept = []
+    total, kept = _spend(total), []
     for run in runs:
         total = _spend(total + run[3] - run[2] + 1)
         kept.append(run)
     pts = ([y + t * dy for y, dy in zip(Y, dY)] for Y, dY, u, v in kept for t in range(u, v + 1))
-    return [_point(form, pt) for pt in pts if D not in [2 * x for x in pt[n:]]]
+    return [_point(form, pt) for pt in pts if D not in [2 * x for x in pt[n:d]]]
 
 
 def _lattice_basis(D: int, N, T, a, b) -> np.ndarray:
@@ -348,20 +341,18 @@ def _lattice_basis(D: int, N, T, a, b) -> np.ndarray:
     T = np.asarray(T, dtype=object)
     top = D * T[:m] + np.asarray(N, dtype=object) @ T[m:]  # D (T_p + A T_q)
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return np.vstack([_ratio(top * an, D * ad), _ratio(T[m:] * bn, bd)])
+
+
+def _ratio(x, d: int, what: str = "lattice basis entry") -> np.ndarray:
+    """x / d for integers x (an array or one), each entry correctly rounded to float64.
+
+    An entry beyond the float64 range raises BudgetExceededError.
+    """
     try:  # int / int rounds once, or overflows
-        return np.vstack([top * an / (D * ad), T[m:] * bn / bd]).astype(np.float64)
+        return np.asarray(np.asarray(x, dtype=object) / d, dtype=np.float64)
     except OverflowError as e:
-        raise BudgetExceededError("lattice basis entry beyond the float64 range") from e
-
-
-def _box_grid(lo, hi) -> np.ndarray:
-    """The integer grid (rows, d) of lo <= c <= hi in lex order."""
-    sides = [h - l + 1 for l, h in zip(lo, hi)]
-    idx = np.arange(math.prod(sides) if min(sides) > 0 else 0, dtype=np.int64)
-    grid = np.empty((len(idx), len(sides)), dtype=np.int64)
-    for j, side in enumerate(sides):
-        np.add((idx // math.prod(sides[j + 1:])) % side, lo[j], out=grid[:, j])
-    return grid
+        raise BudgetExceededError(f"{what} beyond the float64 range") from e
 
 
 def _int_inverse(K) -> Tuple[List[List[int]], int]:
@@ -387,19 +378,3 @@ def _int_inverse(K) -> Tuple[List[List[int]], int]:
         Y[i] = [(prev * v - sum(M[i][j] * Y[j][c] for j in range(i + 1, d))) // M[i][i]
                 for c, v in enumerate(M[i][d:])]
     return [[sign * y for y in row] for row in Y], sign * prev
-
-
-def _enumerate_in_radius(l1, radius, max_enum) -> np.ndarray:
-    """The integer grid (rows, d) of the box |c_i| <= radius l_i / e, in lex order.
-
-    With l1 = (l, e) the dual norms ||row_i(B^-1)||_1 = l_i / e of a basis B,
-    the box holds the coefficients of every point within radius of 0; its
-    ends are exact in ints, so it needs no margin.  The caller keeps the
-    points it wants.  A box of more than max_enum points raises SizeBudgetError.
-    """
-    (ls, e), (rn, rd) = l1, radius.as_integer_ratio()
-    hi = [rn * h // (e * rd) for h in ls]
-    total = math.prod(2 * h + 1 for h in hi)
-    if total > max_enum:
-        raise SizeBudgetError(f"enumeration box of {total} points exceeds budget {max_enum}")
-    return _box_grid([-h for h in hi], hi)

@@ -1,6 +1,5 @@
 import contextlib
 import json
-import math
 import os
 import signal
 from fractions import Fraction
@@ -9,7 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import settings
 
-from dioph import ec_core, reduction
+from dioph import ec_core, lattice_dyn
 
 # Property tests draw the same examples on every run, without a deadline and
 # without an example database, so tier-1 stays deterministic and bounded.
@@ -40,15 +39,16 @@ def deadline(seconds: float):
 
 @pytest.fixture()
 def walked_boxes(monkeypatch):
-    """The list each box the lattice kernel walks appends its point count to."""
-    boxes, walk = [], reduction._box_grid
+    """Each lattice enumeration's spent count, outer points plus points listed, in call order."""
+    counts, listed = [], lattice_dyn._listed
 
-    def spy(lo, hi):
-        boxes.append(math.prod(h - l + 1 for l, h in zip(lo, hi)))
-        return walk(lo, hi)
+    def spy(outer, runs, forms):
+        points = listed(outer, runs, forms)
+        counts.append(outer + len(points))
+        return points
 
-    monkeypatch.setattr(reduction, "_box_grid", spy)
-    return boxes
+    monkeypatch.setattr(lattice_dyn, "_listed", spy)
+    return counts
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from dioph import dioph_matrix, reduction
 from dioph.dioph_matrix import RealMatrix, _canon, _exact_form, best_approx
-from dioph.reduction import _box_grid
 from dioph.errors import ValidationError
 
 PREC = 128
@@ -353,13 +352,6 @@ def test_ball_keeps_its_edge_points():
             _, (q,), (p,) = reduction._point(form, [y + t * dy for y, dy in zip(Y, dY)])
             found.add((p, q))
     assert {(10328364, -6383280), (-10328364, 6383280)} <= found
-
-
-def test_box_grid_lex_order():
-    lo, hi = [-1, 2, 0], [1, 3, 2]
-    expect = list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-    assert [tuple(v) for v in _box_grid(lo, hi).tolist()] == expect
-    assert _box_grid([0, 1], [3, 0]).shape == (0, 2)
 
 
 def test_run_kernel_scores_big_entries_exactly():

@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, strategies as st
 from dioph import dioph_matrix, reduction
 from dioph import lattice_dyn as ld
 from dioph.dioph_matrix import RealMatrix, _canon
-from dioph.errors import BudgetExceededError, SingularMatrixError, ValidationError
+from dioph.errors import (BudgetExceededError, SingularMatrixError, SizeBudgetError,
+                          ValidationError)
 
 from conftest import PHI_STR, deadline
 
@@ -574,6 +575,24 @@ def test_polar_lattice():
     assert np.allclose(ld.polar_lattice(ld.polar_lattice(L)).basis, L.basis, atol=1e-10)
 
 
+def test_det_and_polar_are_rounded_once():
+    # det and B^-T are the exact rationals of the float basis, each rounded once;
+    # a singular basis and a determinant beyond float64 raise
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 4):
+        B = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        F = [[Fraction(x) for x in row] for row in B.tolist()]
+        adj, det = reduction._int_inverse([[x * 2**1100 for x in row] for row in F])
+        L = ld.LatticeBasis.from_columns(B)
+        assert L.det_abs == float(abs(Fraction(det, 2**(1100 * d))))
+        want = [[float(Fraction(x * 2**1100, det)) for x in row] for row in adj]  # B^-1
+        assert ld.polar_lattice(L).basis.T.tolist() == want
+    with pytest.raises(SingularMatrixError):
+        ld.polar_lattice(ld.LatticeBasis(basis=np.array([[1.0, 2.0], [2.0, 4.0]]), det_abs=0.0))
+    with pytest.raises(BudgetExceededError, match="determinant beyond the float64 range"):
+        ld.LatticeBasis.from_columns(np.diag([1e200, 1e200]))
+
+
 def test_mahler_band():
     assert ld.mahler_duality_check(ld.LatticeBasis.from_columns(np.eye(3))) == pytest.approx(1.0)
     D = ld.LatticeBasis.from_columns(np.diag([2.0, 0.5]))
@@ -669,7 +688,8 @@ def test_flow_sweep_halves_windows_over_budget(monkeypatch, walked_boxes):
 
 def test_flow_windows_enumerate_once_in_the_balanced_box(monkeypatch, walked_boxes):
     # the benchmark's 1 x 3 surd profile to t = 10: one enumeration per
-    # window, at its balance time, and 23,602 box points over the ten windows
+    # window, at its balance time, spending 4,412 points (outer plus listed)
+    # over the ten windows
     A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772",
                                "0.2360679774997898"]], 256)
     windows, window = [], ld._window
@@ -683,6 +703,30 @@ def test_flow_windows_enumerate_once_in_the_balanced_box(monkeypatch, walked_box
     assert len(windows) == 10 and sum(windows) == 501  # no window was halved
     assert len(walked_boxes) == len(windows)
     assert sum(walked_boxes) <= 40_000, sum(walked_boxes)
+
+
+def test_flow_windows_read_p_exactly_where_n_q_passes_int64(monkeypatch):
+    # the benchmark's 1 x 2 surds (D = 2e16) to t = 13: N q passes 2^63 while
+    # X = D p + N q stays near 2^55, so the listing runs in int64 and p, a
+    # carried form, never comes from N q; u and w agree with `_exact_uw`
+    A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772"]], 256)
+    D, N, _ = dioph_matrix._exact_form(A, (Fraction(0),))
+    out, window = [], ld._window
+    monkeypatch.setattr(ld, "_window", lambda *args: out.append(window(*args)) or out[-1])
+    ld.flow_profile(A, 13.0, 0.05)
+    assert max(abs(sum(x * int(v) for x, v in zip(N[0], c[1:])))
+               for *_, coeffs, _u, _w in out for c in coeffs) >= 2**63
+    for *_, coeffs, u, w in out:
+        want_u, want_w = ld._exact_uw(D, N, coeffs)
+        assert np.array_equal(u, want_u) and np.array_equal(w, want_w)
+
+
+def test_rational_flow_fails_fast_on_its_listing_budget():
+    # A = (1/64, 1/2) is rational, so lambda_3 grows like e^t: a one-sample
+    # window near t = 9 lists more than `DEFAULT_MAX_ENUM` points.  The budget
+    # counts points as they are listed, so the error comes in seconds
+    with deadline(10), pytest.raises(SizeBudgetError, match="exceeds budget 2000000"):
+        ld.flow_profile([[0.015625, 0.5]], 9.0, 0.1)
 
 
 def test_flow_windows_halve_over_the_lengths_budget(monkeypatch):
@@ -812,7 +856,7 @@ def test_one_by_one_sweeps_reduce_and_enumerate_nothing(monkeypatch):
         raise AssertionError("the lattice kernel was called")
 
     monkeypatch.setattr(ld, "_lll", forbidden)
-    monkeypatch.setattr(ld, "_enumerate_in_radius", forbidden)
+    monkeypatch.setattr(reduction, "_runs", forbidden)
     ld.flow_profile(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
     ld.flow_profile(RealMatrix.scalar("355/113", 64), 6.0, 0.05)
     haw_game.derive_strategy(RealMatrix.scalar(liouville_number(precision_bits=128), 128),

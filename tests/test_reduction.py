@@ -156,7 +156,8 @@ def test_int_inverse_is_the_exact_adjugate(d, perm, ops, K, dep, mix):
 def test_box_budget_is_exact(monkeypatch, walked_boxes):
     # the budget is compared with the exact count of a search's points, its
     # outer box and each point scored: a budget of the largest count runs, one
-    # point less raises.  No shell search, of either mode or shape, walks a box grid
+    # point less raises.  No shell search, of either mode or shape, spends from the
+    # flow and minima listing's budget
     A = RealMatrix.from_rows([["0.41421356237309515", "0.7320508075688772"]], 128)
     spent, spend = [], reduction._spend
     monkeypatch.setattr(reduction, "_spend", lambda total: spent.append(total) or spend(total))

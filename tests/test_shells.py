@@ -15,8 +15,9 @@ import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dioph import dioph_matrix, experiments, haw_game, reduction
@@ -177,16 +178,19 @@ def _ball_points(form, radius, lo, hi):
 
 
 def _kernel_points(form, T, Tinv, radius, lo, hi):
-    """[(p, q)] of every point of every run of `reduction._shell_runs`, p from X = D p + N q - G."""
+    """[(p, q)] of every point of every run of `reduction._shell_runs`, p from X = D p + N q - G.
+
+    p is also a carried form of each point: it must agree.
+    """
     D, N, G = form
     n = len(T) - len(N)
     out = []
     for Y, dY, u, v in reduction._shell_runs(form, T, Tinv, radius, lo, hi)[1]:
         for t in range(u, v + 1):
             pt = [y + t * dy for y, dy in zip(Y, dY)]
-            q, X = pt[:n], pt[n:]
+            q, X = pt[:n], pt[n:n + len(N)]
             p = [divmod(x + g - sum(a * b for a, b in zip(row, q)), D) for x, g, row in zip(X, G, N)]
-            assert all(r == 0 for _, r in p)
+            assert all(r == 0 for _, r in p) and [k for k, _ in p] == pt[n + len(N):]
             out.append((tuple(k for k, _ in p), tuple(q)))
     return out
 
@@ -240,6 +244,39 @@ def test_run_kernel_matches_exact_box_walk(inst):
     assert sorted(listed) == sorted(t for t in table if t[0] <= radius * D)
     # the whole search, eps doubling included
     assert shells.min(lo, hi) == min(table, key=lambda t: (t[0],) + _order(t[1]))
+
+
+@st.composite
+def _dyadic_balls(draw):
+    """(B, radius): a basis of d <= 4 dyadic columns, B_ij = K_ij / 2^e_ij, and a radius."""
+    d = draw(st.integers(1, 4))
+    B = [[Fraction(draw(st.integers(-9, 9)), 2**draw(st.integers(0, 8))) for _ in range(d)]
+         for _ in range(d)]
+    return B, draw(st.fractions(0, 4, max_denominator=16))
+
+
+@given(_dyadic_balls())
+@example(([[Fraction(1)]], Fraction(5, 2)))
+@example(([[Fraction(1, 256), Fraction(9)], [Fraction(0), Fraction(1, 256)]], Fraction(1, 64)))
+def test_run_kernel_lists_dyadic_balls(inst):
+    # the walker over the integer forms K c, K = s B, bounded by floor(s radius),
+    # with c carried, in a float box widened by one: its runs hold each point
+    # of the ball once, and nothing else, against every point of that box
+    # kept at exact sup norm
+    B, radius = inst
+    cols = np.array(B, dtype=np.float64)
+    assume(abs(np.linalg.det(cols)) > 1e-9)
+    sides = [math.floor(float(radius) * h) + 1 for h in np.abs(np.linalg.inv(cols)).sum(axis=1)]
+    assume(math.prod(2 * h + 1 for h in sides) <= 20_000)
+    d, s = len(B), math.lcm(*(x.denominator for row in B for x in row))
+    forms = [[int(row[i] * s) for row in B] + [int(i == j) for j in range(d)] for i in range(d)]
+    _, runs = reduction._runs(forms, [0] * (2 * d), [(-h, h) for h in sides],
+                              [math.floor(radius * s)] * d)
+    listed = [tuple(y + t * dy for y, dy in zip(Y[d:], dY[d:]))
+              for Y, dY, u, v in runs for t in range(u, v + 1)]
+    want = {x for x in itertools.product(*(range(-h, h + 1) for h in sides))
+            if all(abs(sum(b * c for b, c in zip(row, x))) <= radius for row in B)}
+    assert len(listed) == len(set(listed)) and set(listed) == want
 
 
 @given(st.integers(1, 2**40), st.integers(1, 2**200), st.integers(0, 400),
