@@ -58,6 +58,8 @@ def _load_json_file(path: str) -> dict:
             return json.load(f)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON in {path}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:  # a directory, unreadable, or not UTF-8
+        raise ValidationError(f"cannot read {path}: {e}") from e
 
 
 def _jsonable(x):

@@ -50,10 +50,10 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
-import numpy as np
 
+from .ec_core import _fraction
 from .errors import DEFAULT_PRECISION, BudgetExceededError, SingularMatrixError, ValidationError
-from .reduction import (_INT64_MAX, _canon, _circle_lattice, _int64, _lattice_basis, _lll,
+from .reduction import (_INT64_MAX, _canon, _circle_lattice, _eye, _int64, _reduce_at,
                         _shell_best, _shell_points)
 
 # bits the two blocks of `_ball_lattice`'s basis scale apart per step of t,
@@ -69,12 +69,16 @@ EntryLike = Union[str, float, int, Fraction, mp.mpf]
 
 
 def _to_mpf(v: EntryLike, prec: int) -> mp.mpf:
+    """v at prec bits; anything but a number or a numeric string raises ValidationError."""
     with mp.workprec(prec):
-        if isinstance(v, Fraction):
-            return mp.mpf(v.numerator) / v.denominator
-        if isinstance(v, str):
-            return mp.mpf(v.strip())
-        return mp.mpf(v)
+        try:
+            if isinstance(v, bool):
+                raise TypeError("a boolean")
+            if isinstance(v, Fraction):
+                return mp.mpf(v.numerator) / v.denominator
+            return mp.mpf(v.strip() if isinstance(v, str) else v)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ValidationError(f"not a real number: {v!r}") from e
 
 
 def _to_fraction(v: EntryLike, value: mp.mpf) -> Optional[Fraction]:
@@ -90,7 +94,7 @@ def _to_fraction(v: EntryLike, value: mp.mpf) -> Optional[Fraction]:
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v.strip())
+            return _fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
     raw = v if isinstance(v, mp.mpf) else value
@@ -139,7 +143,7 @@ class RealMatrix:
     @staticmethod
     def from_json(doc: dict, precision_bits: int = DEFAULT_PRECISION) -> "RealMatrix":
         try:
-            m, n, entries = int(doc["m"]), int(doc["n"]), doc["entries"]
+            m, n, entries = int(doc["m"]), int(doc["n"]), list(doc["entries"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"matrix JSON needs m, n, entries: {e}") from e
         if len(entries) != m * n:
@@ -149,9 +153,6 @@ class RealMatrix:
 
     def entry(self, i: int, j: int) -> mp.mpf:
         return self.entries[i * self.n + j]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(e) for e in self.entries], dtype=np.float64).reshape(self.m, self.n)
 
 
 @dataclass(frozen=True)
@@ -219,21 +220,21 @@ def _ball_lattice(form, Q: int, eps: float):
     Columns (e_i/eps, 0) for p and (A e_j/eps, e_j/Q) for q, reduced to
     diag(1/eps, 1/Q) B0 T.  Up to scale this is g_t Lambda_A at
     t = log(Q/eps) / (1/m + 1/n) (Dani's correspondence), reached in steps
-    of t from 0, the last at the exact scaling (1/eps, 1/Q): each step runs
-    float64 LLL on the basis `reduction._lattice_basis` builds from T, and
-    T^-1 the inverse of each step from the left.  T beyond int64 raises.
+    of t from 0, the last at the exact scaling (1/eps, 1/Q): each step is
+    `reduction._reduce_at`, float64 LLL on the basis built from T, with
+    (T, T^-1) carried.  T beyond int64 raises.
     """
     D, N, _ = form
     m, n = len(N), len(N[0])
     rate = 1 / m + 1 / n  # the blocks scale apart by e^(rate t)
     step = LADDER_BITS * math.log(2) / rate
-    scales = [(math.exp(t / m), math.exp(-t / n))
-              for t in np.arange(step, math.log(Q / eps) / rate, step).tolist()]
-    T = Tinv = np.eye(m + n, dtype=object)
+    # t = step, 2 step, ... below log(Q/eps) / rate, as numpy.arange(step, stop, step) spaces them
+    ts = [step + i * step for i in range(math.ceil((math.log(Q / eps) / rate - step) / step))]
+    scales = [(math.exp(t / m), math.exp(-t / n)) for t in ts]
+    transform = (_eye(m + n),) * 2
     for a, b in scales + [(1 / Fraction(eps), Fraction(1, Q))]:
-        _, S, Sinv = _lll(_lattice_basis(D, N, T, a, b))
-        T, Tinv = T @ S.astype(object), Sinv @ Tinv
-    return _int64(T.tolist(), "shell transform"), Tinv.tolist()
+        transform = _reduce_at(D, N, transform, a, b)
+    return _int64(transform[0], "shell transform"), transform[1]
 
 
 def _sup_norm(q: Sequence[int]) -> int:
@@ -452,21 +453,9 @@ def _anchored_slope_estimate(xs: List[float], ys: List[float], log_base: float,
     converges at rate O(1/log Q_max).  The pair set only grows as windows
     extend, so the estimate is monotone nondecreasing in Q_max.
     """
-    if not xs:
-        return math.nan
-    if len(xs) == 1:
-        return samples[0]
-    x0 = xs[0]
-    best = -math.inf
-    for j in range(1, len(xs)):
-        min_gap = max(1.5 * log_base, (xs[j] - x0) * 2 / 3)
-        for i in range(j):
-            dx = xs[j] - xs[i]
-            if dx >= min_gap and dx > 0:
-                best = max(best, (ys[j] - ys[i]) / dx)
-    if best == -math.inf:
-        best = max(samples)
-    return best
+    slopes = [(ys[j] - ys[i]) / (xs[j] - xs[i]) for j in range(1, len(xs)) for i in range(j)
+              if xs[j] - xs[i] >= max(1.5 * log_base, (xs[j] - xs[0]) * 2 / 3)]
+    return max(slopes) if slopes else max(samples, default=math.nan)
 
 
 def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -474,8 +463,7 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     k = len(xs)
     if k < 2:
         return math.nan
-    mx = sum(xs) / k
-    my = sum(ys) / k
+    mx, my = sum(xs) / k, sum(ys) / k
     sxx = sum((x - mx) ** 2 for x in xs)
     if sxx == 0:
         return math.nan
@@ -516,7 +504,6 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0) -> Ex
         raise ValidationError("Q_max must be at least window_base^2")
     B = float(window_base)
     shells = _Shells(A, None, Q_max)
-
     score = _LogScore(shells)
     champions = {}  # k -> (D err, q, p)
     for k, lo, hi in _windows(B, Q_max):
@@ -548,12 +535,10 @@ def exponent_estimate(A: RealMatrix, Q_max: int, window_base: float = 2.0) -> Ex
             ys.append(float(-mp.log(err_exact)))
             samples.append(sample)
     if exact_hit is not None:
-        return ExponentFit(estimate=math.inf, window_maxima=window_maxima,
-                           observed_max=math.inf, exact_hit=exact_hit,
-                           champions=detail_rows)
-    estimate = _anchored_slope_estimate(xs, ys, math.log(B), samples)
-    return ExponentFit(estimate=estimate, window_maxima=window_maxima,
-                       observed_max=max(samples) if samples else math.nan,
+        return ExponentFit(estimate=math.inf, window_maxima=window_maxima, observed_max=math.inf,
+                           exact_hit=exact_hit, champions=detail_rows)
+    return ExponentFit(estimate=_anchored_slope_estimate(xs, ys, math.log(B), samples),
+                       window_maxima=window_maxima, observed_max=max(samples, default=math.nan),
                        champions=detail_rows)
 
 

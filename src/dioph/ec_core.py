@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -21,15 +22,32 @@ RationalLike = Union[Fraction, int, str]
 RHO_STEP_BUDGET = 1 << 20
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), its decimal exponent held to Python's limit on the digits of an int string.
+
+    Fraction builds 10^|e| of "1e<e>" in full, which for e = 99999999 runs for
+    minutes, while an int string past `sys.get_int_max_str_digits()` (4300
+    by default) is refused outright: an exponent past that limit raises
+    ValidationError.  Other malformed text raises ValueError or ZeroDivisionError.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mark, exp = text.lower().rpartition("e")[1:]
+    digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if mark and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ValidationError(f"{text!r} has a decimal exponent beyond {limit}, "
+                              "Python's limit on the digits of an integer string")
+    return Fraction(text.strip())
+
+
 def parse_rational(v: RationalLike) -> Fraction:
-    """Parse an exact rational from a Fraction, int, or 'p/q' string."""
+    """Parse an exact rational from a Fraction, int (not bool), or 'p/q' or decimal string."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v.strip())
+            return _fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(f"not an exact rational: {v!r}") from e
     raise ValidationError(f"not an exact rational: {v!r}")
@@ -201,13 +219,14 @@ def curve_from_json(doc: Union[str, dict]) -> RationalCurve:
             raise ValidationError(f"invalid curve JSON: {e}") from e
     if not isinstance(doc, dict) or "a" not in doc or "b" not in doc:
         raise ValidationError("curve JSON must contain 'a' and 'b'")
-    gen = None
-    if doc.get("generator") is not None:
-        gx, gy = doc["generator"]
-        gen = CurvePoint.affine(parse_rational(gx), parse_rational(gy))
+    gen = doc.get("generator")
+    if gen is not None:
+        if not isinstance(gen, (list, tuple)) or len(gen) != 2:
+            raise ValidationError(f"generator must be a pair [x, y], not {gen!r}")
+        gen = CurvePoint.affine(*gen)
     rank = doc.get("rank")
-    if rank is not None and (not isinstance(rank, int) or rank < 0):
-        raise ValidationError("rank must be a nonnegative integer")
+    if rank is not None and (type(rank) is not int or rank < 0):
+        raise ValidationError(f"rank must be a nonnegative integer, not {rank!r}")
     return RationalCurve(
         a=parse_rational(doc["a"]),
         b=parse_rational(doc["b"]),

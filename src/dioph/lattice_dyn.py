@@ -31,7 +31,7 @@ and for lambda_2 the intermediate fractions at each sample's balance index,
 one set for all samples, with no reduction or enumeration.  For m + n >= 3
 (`_windowed_sweep`) the samples are cut into windows, each enumerated once
 at its balance time, on the integer transform carried from window to window
-and reduced there (`reduction._lattice_basis`, `_lll`).
+and reduced there (`reduction._reduce_at`).
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ import numpy as np
 
 from .dioph_matrix import RealMatrix, _exact_form, _ls_slope
 from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError, ValidationError
-from .reduction import (_gram_schmidt, _int_inverse, _lattice_basis, _lll, _ratio, _runs,
-                        _shell_runs)
+from .reduction import (_eye, _gram_schmidt, _int_inverse, _lattice_basis, _lll, _reduce_at,
+                        _runs, _shell_runs)
 
 # points per enumeration of a minima search or flow window: its outer box
 # points plus the points it lists, which are held in memory whole.  A flow
@@ -101,8 +101,7 @@ def from_matrix(A: Union[RealMatrix, np.ndarray]) -> LatticeBasis:
     """Unimodular lattice with identity blocks and A in the upper right."""
     A = _as_real_matrix(A)
     D, N, _ = _exact_form(A, (Fraction(0),) * A.m)
-    return LatticeBasis(basis=_lattice_basis(D, N, np.eye(A.m + A.n, dtype=object), 1, 1),
-                        det_abs=1.0)
+    return LatticeBasis(basis=np.array(_lattice_basis(D, N, _eye(A.m + A.n), 1, 1)), det_abs=1.0)
 
 
 def apply_flow(L: LatticeBasis, t: float, m: int, n: int) -> LatticeBasis:
@@ -121,6 +120,17 @@ def polar_lattice(L: LatticeBasis) -> LatticeBasis:
     K, s = _dyadic(L.basis)
     adj, det = _int_inverse(K)
     return LatticeBasis.from_columns(_ratio(np.array(adj, dtype=object).T * s, det))
+
+
+def _ratio(x, d: int, what: str = "lattice basis entry") -> np.ndarray:
+    """x / d for integers x (an array or one), each entry correctly rounded to float64.
+
+    An entry beyond the float64 range raises BudgetExceededError.
+    """
+    try:  # int / int rounds once, or overflows
+        return np.asarray(np.asarray(x, dtype=object) / d, dtype=np.float64)
+    except OverflowError as e:
+        raise BudgetExceededError(f"{what} beyond the float64 range") from e
 
 
 def _dyadic(B: np.ndarray):
@@ -255,12 +265,12 @@ def _sup_ball(L: LatticeBasis, norm, k: int):
     `_int_inverse`.  coeffs holds each point's coefficients T c in L.basis.
     """
     K, s = _dyadic(L.basis)
-    T = _lll(L.basis)[1].astype(object)
-    KT = (K @ T).tolist()
+    T = _lll(L.basis.tolist())[1]
+    KT = (K @ np.array(T, dtype=object)).tolist()
     adj, det = _int_inverse(KT)
     r, d = sorted(norm(map(abs, col)) for col in zip(*KT))[k - 1], len(K)
     box = [(-h, h) for h in (r * sum(map(abs, row)) // abs(det) for row in adj)]
-    cols = [list(a) + b for a, b in zip(zip(*KT), T.T.tolist())]
+    cols = [list(a) + list(b) for a, b in zip(zip(*KT), zip(*T))]
     return K, s, _listed(*_runs(cols, [0] * (2 * d), box, [r] * d), range(d, 2 * d))
 
 
@@ -350,11 +360,7 @@ class FlowProfile:
 
 
 def _local_minima_indices(vals: np.ndarray) -> List[int]:
-    out = []
-    for i in range(1, len(vals) - 1):
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            out.append(i)
-    return out
+    return [i for i in range(1, len(vals) - 1) if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]]
 
 
 def balance_time(u: float, w: float, m: int, n: int) -> float:
@@ -379,11 +385,15 @@ class _Sweep:
     w: np.ndarray  # (S,) ||q|| of that vector
 
 
+def _uw(D: int, X: np.ndarray, q: np.ndarray):
+    """u = ||X|| / D and w = ||q|| of the rows of X = D (A q + p) and q, each rounded once."""
+    return _ratio(np.abs(X).max(axis=1), D), np.abs(q).max(axis=1).astype(np.float64)
+
+
 def _exact_uw(D: int, N, coeffs: np.ndarray):
-    """u = ||A q + p|| and w = ||q|| of each row (p, q) of coeffs, A = N / D, each rounded once."""
+    """`_uw` of each row (p, q) of coeffs, A = N / D."""
     m, coeffs = len(N), coeffs.astype(object)
-    X = coeffs[:, m:] @ np.array(N, dtype=object).T + D * coeffs[:, :m]  # D (A q + p)
-    return _ratio(np.abs(X).max(axis=1), D), np.abs(coeffs[:, m:]).max(axis=1).astype(np.float64)
+    return _uw(D, coeffs[:, m:] @ np.array(N, dtype=object).T + D * coeffs[:, :m], coeffs[:, m:])
 
 
 def _lengths(u: np.ndarray, w: np.ndarray, grow: np.ndarray, shrink: np.ndarray) -> np.ndarray:
@@ -406,12 +416,11 @@ def _window(D: int, N, transform, ts: np.ndarray, k: int, carried):
     """
     m, n = len(N), len(N[0])
     grow, shrink = np.exp(ts / m), np.exp(-ts / n)
-    T, Tinv = transform
-    _, S, Sinv = _lll(_lattice_basis(D, N, T, grow[-1], shrink[-1]))
-    T, Tinv = T @ S.astype(object), Sinv @ Tinv
+    transform = _reduce_at(D, N, transform, float(grow[-1]), float(shrink[-1]))
     # lambda_k(t_s) <= the k-th shortest column of that basis at t_s (they are
     # independent), and <= the longest of the k minima carried from the last window
-    bound = np.sort(_lengths(*_exact_uw(D, N, T.T), grow, shrink), axis=0)[k - 1]
+    uw = _exact_uw(D, N, np.array(transform[0], dtype=object).T)
+    bound = np.sort(_lengths(*uw, grow, shrink), axis=0)[k - 1]
     if carried is not None:
         bound = np.minimum(bound, _lengths(*carried, grow, shrink).max(axis=0))
     bound *= 1 + 1e-9
@@ -419,23 +428,23 @@ def _window(D: int, N, transform, ts: np.ndarray, k: int, carried):
     tau = m * n / (m + n) * math.log(w_max / u_max)
     a, b = math.exp(tau / m), math.exp(-tau / n)
     R = a * u_max
-    _, S, Sinv = _lll(_lattice_basis(D, N, T, a, b))
-    T, Tinv = T @ S.astype(object), Sinv @ Tinv
+    transform = _reduce_at(D, N, transform, a, b)
     reach = np.maximum(np.exp((tau - ts) / m), np.exp((ts - tau) / n))
     cols = np.arange(len(ts))
     while True:
         # the ball a ||A q + p|| <= R', b ||q|| <= R', listed as rows (p, q, X = D p + N q)
         edge = Fraction(R * (1 + 1e-9))
-        runs = _shell_runs((D, N, [0] * m), T, Tinv, edge / Fraction(a), 0, int(edge / Fraction(b)))
+        runs = _shell_runs((D, N, [0] * m), *transform, edge / Fraction(a), 0,
+                           int(edge / Fraction(b)))
         pts = _listed(*runs, [*range(n + m, n + 2 * m), *range(n + m)])
         idx = _canonical(pts[:, :m + n])
         if idx.size:
-            coeffs, X = pts[idx, :m + n], pts[idx, m + n:]
-            u, w = _ratio(np.abs(X).max(axis=1), D), np.abs(coeffs[:, m:]).max(axis=1).astype(float)
+            coeffs = pts[idx, :m + n]
+            u, w = _uw(D, pts[idx, m + n:], coeffs[:, m:])
             lengths = _lengths(u, w, grow, shrink)
             rows = _minima(lengths, coeffs, k)
             if rows is not None and np.all(lengths[rows[:, -1], cols] * reach <= R):
-                return (T, Tinv), lengths, rows, coeffs, u, w
+                return transform, lengths, rows, coeffs, u, w
         R *= 2
 
 
@@ -575,34 +584,32 @@ def _windowed_sweep(A: RealMatrix, times: np.ndarray, k: int) -> _Sweep:
 
     Along g_t a lattice vector (A q + p, q) has length
     max(e^(t/m) u, e^(-t/n) w) with u = ||A q + p|| and w = ||q||.  The
-    samples are cut into windows of span `SWEEP_SPAN`.  In a window the
-    transform T, kept in Python ints with T^-1, gives the basis at its last sample
-    (`reduction._lattice_basis`), and LLL touches it up.  At each sample t_s
-    the k-th shortest of its columns, and the longest of the k minima
-    carried from the last window, bound lambda_k(t_s) by B_s, with u and w
-    exact.  A vector that short at t_s has u <= B_s e^(-t_s/m) and
-    w <= B_s e^(t_s/n).  With u_max and w_max the largest of these over the
-    window, the box u <= u_max, w <= w_max is the sup-norm ball of radius
-    R = e^(tau/m) u_max at tau = mn/(m + n) log(w_max/u_max), the time that
-    makes R least.  So the basis is rebuilt and reduced again at tau, and
-    one exact enumeration of radius R on that T (`reduction._shell_runs`,
-    no target) holds every candidate of the window; T and T^-1 are carried
-    on from tau.  Each candidate is scored once, u and w exactly from its
-    integer forms X = D (A q + p) and q, and its lengths at all the window's
-    samples are one numpy expression (`_lengths`); `_minima` walks the
-    minima, and a sample whose order agrees with the last one's up to its
-    k-th pick, as most of a window's do, takes that sample's picks.  The
-    window is checked afterwards,
-    lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R at every
-    sample, and enumerated again at twice the radius if it fails.  A window
-    whose enumeration spends more than `DEFAULT_MAX_ENUM` points (`_listed`),
-    or whose lengths outgrow `MAX_LENGTHS` (`SizeBudgetError`), is halved,
-    to one sample; any other budget error is raised at once.
+    samples are cut into windows of span `SWEEP_SPAN`.  Each window steps
+    the carried (T, T^-1) to its last sample (`reduction._reduce_at`).  At
+    each sample t_s the k-th shortest of the basis columns, and the longest
+    of the k minima carried from the last window, bound lambda_k(t_s) by
+    B_s, with u and w exact.  A vector that short at t_s has
+    u <= B_s e^(-t_s/m) and w <= B_s e^(t_s/n).  With u_max and w_max the
+    largest of these over the window, the box u <= u_max, w <= w_max is the
+    sup-norm ball of radius R = e^(tau/m) u_max at
+    tau = mn/(m + n) log(w_max/u_max), the time that makes R least.  So the
+    window steps again, to tau, and one exact enumeration of radius R on
+    that T (`reduction._shell_runs`, no target) holds every candidate of the
+    window; (T, T^-1) is carried on from tau.  Each candidate is scored
+    once, u and w exactly from its integer forms X = D (A q + p) and q
+    (`_uw`), and its lengths at all the window's samples are one numpy
+    expression (`_lengths`); `_minima` walks the minima, and a sample whose
+    order agrees with the last one's up to its k-th pick, as most of a
+    window's do, takes that sample's picks.  The window is checked
+    afterwards, lambda_k(t_s) max(e^((tau - t_s)/m), e^((t_s - tau)/n)) <= R
+    at every sample, and enumerated again at twice the radius if it fails.
+    A window whose enumeration spends more than `DEFAULT_MAX_ENUM` points
+    (`_listed`), or whose lengths outgrow `MAX_LENGTHS` (`SizeBudgetError`),
+    is halved, to one sample; any other budget error is raised at once.
     """
-    m, n = A.m, A.n
-    S = len(times)
+    m, n, S = A.m, A.n, len(times)
     D, N, _ = _exact_form(A, (Fraction(0),) * m)
-    transform = (np.eye(m + n, dtype=object),) * 2
+    transform = (_eye(m + n),) * 2
     lam = np.empty((S, k))
     first = np.empty((S, m + n), dtype=object)
     u1, w1 = np.empty(S), np.empty(S)
@@ -665,13 +672,11 @@ def flow_profile(A: Union[RealMatrix, np.ndarray], t_max: float, dt: float,
     flags = np.zeros(len(times), dtype=bool)
     flags[kept] = True
     slope = theta_sigma(sigma, m, n) if sigma is not None else None
-    weighted_minima = []
-    if sigma is not None:
-        weighted_minima = [vertex(i) for i in _local_minima_indices(np.exp(slope * times) * lam1)]
+    weighted = [] if sigma is None else _local_minima_indices(np.exp(slope * times) * lam1)
     return FlowProfile(times=times, delta_values=-np.log(lam1), lambdas=sweep.lambdas,
                        minima_times=[vertex(i) for i in kept], minima_indices=kept,
                        is_minimum=flags, m=m, n=n, r_slope=slope,
-                       weighted_minima_times=weighted_minima)
+                       weighted_minima_times=[vertex(i) for i in weighted])
 
 
 def segment_slopes(profile: FlowProfile) -> List[float]:

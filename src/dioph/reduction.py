@@ -1,8 +1,12 @@
 """Lattice reduction and enumeration: the one kernel of every lattice search.
 
-All norms are sup-norms.  Apart from float64 LLL (`_lll`, Cohen, GTM 138,
+All norms are sup-norms, and every matrix is nested lists of Python ints or
+floats, by rows (no numpy).  Apart from float64 LLL (`_lll`, Cohen, GTM 138,
 Alg. 2.6.3, O(d) updates per swap) the module is exact integer code; LLL
-returns T^-1 beside its transform T, from the inverses of its steps.
+returns T^-1 beside its transform T, from the inverses of its steps.  Every
+step along the diagonal flow, of a shell ladder (`dioph_matrix._ball_lattice`)
+or a flow window (`lattice_dyn._window`), is `_reduce_at`: LLL on the basis
+`_lattice_basis` builds from the carried T, then (T, T^-1) carried on.
 
 Every enumeration is one walk, `_runs`, of the integer points c of an exact
 box whose integer linear forms satisfy |F_j(c)| <= b_j: depth first in
@@ -25,11 +29,9 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import BudgetExceededError, SingularMatrixError, SizeBudgetError
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1
 SHELL_MAX_ENUM = 1 << 22  # outer box points, and points scored or listed, by one shell search
 
 
@@ -63,8 +65,8 @@ def _gram_schmidt(B: List[List[float]]):
     return mu, norms
 
 
-def _lll(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LLL on columns; returns (reduced columns, integer transform T, T^-1), reduced = cols @ T.
+def _lll(rows) -> Tuple[List[List[float]], List[List[int]], List[List[int]]]:
+    """LLL on the columns of rows; returns (reduced, T, T^-1) as rows, reduced = rows T.
 
     Cohen, GTM 138, Alg. 2.6.3, Lovasz constant 3/4: only mu and the squared
     Gram-Schmidt norms N_i are kept.  Size reduction changes row k of mu; a
@@ -72,16 +74,15 @@ def _lll(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     place.  If N_k = 0 (dependent columns, or an underflow) the swap
     recomputes Gram-Schmidt.  Columns are Python lists, of floats for the
     basis and of ints for T, so T is checked once, on exit: an entry beyond
-    int64 raises BudgetExceededError.  T^-1 (an object array) is built beside
-    T, each step's inverse a row operation.  After 10000 iterations
-    (ill-conditioned input) the current basis is returned.  A basis entry
-    beyond the float64 range raises BudgetExceededError.
+    int64 raises BudgetExceededError.  T^-1 is built beside T, each step's
+    inverse a row operation.  After 10000 iterations (ill-conditioned input)
+    the current basis is returned.  A basis entry beyond the float64 range
+    raises BudgetExceededError.
     """
-    B = np.asarray(cols, dtype=np.float64)
-    if not np.isfinite(B).all():
+    B, d = [list(map(float, col)) for col in zip(*rows)], len(rows)
+    if not all(map(math.isfinite, (x for col in B for x in col))):
         raise BudgetExceededError("basis entry beyond the float64 range")
-    B, d = B.T.tolist(), len(B)
-    T, U = np.eye(d, dtype=np.int64).tolist(), np.eye(d, dtype=np.int64).tolist()
+    T, U = _eye(d), _eye(d)
     mu, norms = _gram_schmidt(B)
     k, iters = 1, 0
     while k < d and iters < 10000:
@@ -114,8 +115,24 @@ def _lll(cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 r_i[k] = r_i[k - 1] - c * t
                 r_i[k - 1] = t + e * r_i[k]
         k = max(k - 1, 1)
-    return (np.array(B).T.copy(), np.array(_int64(T, "LLL transform"), dtype=np.int64).T.copy(),
-            np.array(U, dtype=object))
+    return [list(r) for r in zip(*B)], [list(r) for r in zip(*_int64(T, "LLL transform"))], U
+
+
+def _eye(d: int) -> List[List[int]]:
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _matmul(X, Y) -> List[List[int]]:
+    """X Y of integer matrices, by rows."""
+    cols = list(zip(*Y))
+    return [[sum(map(int.__mul__, row, col)) for col in cols] for row in X]
+
+
+def _reduce_at(D: int, N, transform, a, b):
+    """(T S, S^-1 T^-1) for transform = (T, T^-1): S reduces `_lattice_basis`(D, N, T, a, b)."""
+    T, Tinv = transform
+    _, S, Sinv = _lll(_lattice_basis(D, N, T, a, b))
+    return _matmul(T, S), _matmul(Sinv, Tinv)
 
 
 def _gauss_reduce(u: Tuple[int, int], v: Tuple[int, int]) -> List[List[int]]:
@@ -330,29 +347,22 @@ def _shell_points(form, T, Tinv, radius: Fraction, lo: int, hi: int) -> list:
     return [_point(form, pt) for pt in pts if D not in [2 * x for x in pt[n:d]]]
 
 
-def _lattice_basis(D: int, N, T, a, b) -> np.ndarray:
-    """The columns diag(a I_m, b I_n) B0 T, each entry exact until one rounding to float64.
+def _lattice_basis(D: int, N, T, a, b) -> List[List[float]]:
+    """The rows of diag(a I_m, b I_n) B0 T, each entry exact until one rounding to float64.
 
     B0 has columns (e_i, 0) for p and (A e_j, e_j) for q, A = N / D
     (`_exact_form`); T is any integer transform, and a, b (floats, ints or
     Fractions) are taken exactly.  An entry beyond float64 raises BudgetExceededError.
     """
-    m = len(N)
-    T = np.asarray(T, dtype=object)
-    top = D * T[:m] + np.asarray(N, dtype=object) @ T[m:]  # D (T_p + A T_q)
+    Tq = T[len(N):]
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-    return np.vstack([_ratio(top * an, D * ad), _ratio(T[m:] * bn, bd)])
-
-
-def _ratio(x, d: int, what: str = "lattice basis entry") -> np.ndarray:
-    """x / d for integers x (an array or one), each entry correctly rounded to float64.
-
-    An entry beyond the float64 range raises BudgetExceededError.
-    """
+    # a ad D (T_p + A T_q), from the rows of T_p and of N T_q
+    top = [[(D * t + x) * an for t, x in zip(*rows)] for rows in zip(T, _matmul(N, Tq))]
     try:  # int / int rounds once, or overflows
-        return np.asarray(np.asarray(x, dtype=object) / d, dtype=np.float64)
+        return ([[x / (D * ad) for x in row] for row in top]
+                + [[x * bn / bd for x in row] for row in Tq])
     except OverflowError as e:
-        raise BudgetExceededError(f"{what} beyond the float64 range") from e
+        raise BudgetExceededError("lattice basis entry beyond the float64 range") from e
 
 
 def _int_inverse(K) -> Tuple[List[List[int]], int]:
@@ -363,7 +373,7 @@ def _int_inverse(K) -> Tuple[List[List[int]], int]:
     integral.  A singular K raises SingularMatrixError.
     """
     d = len(K)
-    M = [[int(x) for x in row] + [int(i == j) for j in range(d)] for i, row in enumerate(K)]
+    M = [[int(x) for x in row] + e for row, e in zip(K, _eye(d))]
     prev, sign = 1, 1
     for k in range(d):
         pivot = next((i for i in range(k, d) if M[i][k]), None)

@@ -428,6 +428,50 @@ def test_defect_argv_exits_with_a_documented_code(argv, code, names, curve_file_
     assert len(err) == 1 and err[0].startswith("dioph: error:") and names in err[0], err
 
 
+# input files that ended in a traceback, a hang or a silent run: a directory, a
+# file that is not UTF-8, a value that is no number or pair (JSON true was read
+# as 1), and a decimal exponent past Python's limit on the digits of an int
+# string, whose exact value 10^|e| took minutes to build.  Each exits 1 with
+# one "dioph: error:" line that names the file, the value or its field, in under 1 s
+_CURVE = {"a": "-12", "b": "-1", "generator": ["5", "8"], "rank": 1}
+BAD_FILES = ([("--matrix", {"m": 1, "n": 1, "entries": [v]}, repr(v))
+              for v in (None, [1], {}, "", "abc", "1/0", True, "1e99999999", "1e-99999999")]
+             + [("--matrix", {"m": 1, "n": 1, "entries": 5}, "entries"),
+                ("--H", {"m": 1, "n": 2, "entries": [True, "0.7"]}, "True"),
+                ("--J", {"m": 1, "n": 1, "entries": ["1e-99999999"]}, "'1e-99999999'")]
+             + [("--curve", dict(_CURVE, a=v), repr(v))
+                for v in (True, "1e99999999", "1e-99999999")]
+             + [("--curve", dict(_CURVE, generator=g), "generator") for g in (5, ["5", "8", "1"])]
+             + [("--curve", dict(_CURVE, rank=True), "rank")]
+             + [(flag, kind, "{PATH}") for flag in ("--matrix", "--J", "--curve")
+                for kind in ("<directory>", "<latin-1>")])
+
+
+@pytest.mark.parametrize("flag,doc,names", BAD_FILES,
+                         ids=[f"{f} {json.dumps(d)}" for f, d, _ in BAD_FILES])
+def test_bad_input_file_exits_1_naming_it(flag, doc, names, curve_file_110160, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if doc == "<directory>":
+        path.mkdir()
+    elif doc == "<latin-1>":
+        path.write_bytes('{"a": "\xe9"}'.encode("latin-1"))
+    else:
+        path.write_text(json.dumps(doc))
+    files = {"--matrix": _matrix_file(tmp_path, "one.json", 1, 1, ["0.9223"]),
+             "--H": _matrix_file(tmp_path, "wide.json", 1, 2, ["0.3", "0.7"]),
+             "--J": _matrix_file(tmp_path, "one.json", 1, 1, ["0.9223"]),
+             "--curve": curve_file_110160, flag: str(path)}
+    argv = {"--matrix": ["dirichlet", "--matrix", files["--matrix"], "--Q", "10"],
+            "--curve": ["curve", "verify", "--curve", files["--curve"]]}.get(
+        flag, ["probe", "--H", files["--H"], "--J", files["--J"], "--qmax", "20"])
+    with deadline(1):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dioph: error:"), err
+    assert names.replace("{PATH}", str(path)) in err[0], err
+    assert not os.path.exists(tmp_path / "out.json")
+
+
 # the argv grammar: each command at small sizes, and values for its numeric
 # flags from the edge cases below or a few valid ones
 EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1.000000000931322574615478515625",

@@ -95,6 +95,15 @@ def _reference_lll(cols, delta=0.75):
     return B, T
 
 
+def _int64_ints(T):
+    """Whether every entry of the rows T is a Python int within int64."""
+    return all(type(x) is int and abs(x) <= 2**63 - 1 for row in T for x in row)
+
+
+def _int_matmul(X, Y):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+
 def _fraction_rank(rows):
     """Rank over Q by Gaussian elimination in Fractions: the oracle for
     the exact independence test of `ld._minima`."""
@@ -219,9 +228,10 @@ def test_lll_matches_reference():
         for t in np.linspace(0.0, 12.0, 25):
             bases.append(ld.apply_flow(L0, float(t), m, n).basis)
     for B in bases:
-        got, want = reduction._lll(B), _reference_lll(B)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.allclose(B @ got[1], got[0], rtol=1e-9, atol=1e-9 * np.abs(B).max())
+        got, want = reduction._lll(B.tolist()), _reference_lll(B)
+        assert got[0] == want[0].tolist() and got[1] == want[1].tolist() and _int64_ints(got[1])
+        assert np.allclose(B @ np.array(got[1], dtype=np.float64), np.array(got[0]), rtol=1e-9,
+                           atol=1e-9 * np.abs(B).max())
 
 
 @pytest.mark.parametrize("cols, T", [
@@ -232,13 +242,13 @@ def test_lll_matches_reference():
 def test_lll_dependent_columns(cols, T):
     # a column with b*_k = 0 depends on the ones before it; the swap's update
     # would divide by zero, so Gram-Schmidt is recomputed there instead
+    B, got, inv = reduction._lll([[float(x) for x in row] for row in cols])
+    assert _int64_ints(got) and got == T
+    assert _int_matmul(got, inv) == np.eye(len(T), dtype=int).tolist()
     cols = np.array(cols, dtype=np.float64)
-    B, got, inv = reduction._lll(cols)
-    assert got.dtype == np.int64 and got.tolist() == T
-    assert (got.astype(object) @ inv).tolist() == np.eye(len(T), dtype=int).tolist()
-    assert np.array_equal(B, cols @ np.array(T, dtype=np.float64))
+    assert B == (cols @ np.array(T, dtype=np.float64)).tolist()
     want = _reference_lll(cols)
-    assert np.array_equal(B, want[0]) and np.array_equal(got, want[1])
+    assert B == want[0].tolist() and got == want[1].tolist()
 
 
 def _fraction_det(rows):
@@ -293,20 +303,20 @@ def _scaled_bases(draw):
 def test_lll_properties(basis):
     cols, spread = basis
     assume(_fraction_det(cols.tolist()) != 0)
-    B, T, Tinv = reduction._lll(cols)
+    B, T, Tinv = reduction._lll(cols.tolist())
     d = len(cols)
-    assert T.dtype == np.int64 and abs(_fraction_det(T.tolist())) == 1
-    assert (T.astype(object) @ Tinv).tolist() == np.eye(d, dtype=int).tolist()
+    assert _int64_ints(T) and abs(_fraction_det(T)) == 1
+    assert _int_matmul(T, Tinv) == np.eye(d, dtype=int).tolist()
     # B is cols @ T up to the rounding of the column operations that built it:
     # row i of every column passes through combinations of row i of cols
-    exact = [[sum(Fraction(float(cols[i, l])) * int(T[l, j]) for l in range(d))
+    exact = [[sum(Fraction(float(cols[i, l])) * T[l][j] for l in range(d))
               for j in range(d)] for i in range(d)]
-    scale = np.abs(cols).max(axis=1) * float(np.abs(T).sum(axis=0).max())
+    scale = np.abs(cols).max(axis=1) * float(np.abs(np.array(T)).sum(axis=0).max())
     for i, j in itertools.product(range(d), repeat=2):
-        assert abs(Fraction(float(B[i, j])) - exact[i][j]) <= 2.0**-40 * scale[i]
+        assert abs(Fraction(B[i][j]) - exact[i][j]) <= 2.0**-40 * scale[i]
     if spread <= 20:
         # size-reduced and Lovasz-reduced, up to the float error of mu and norms
-        mu, norms = _fraction_gram_schmidt(B)
+        mu, norms = _fraction_gram_schmidt(np.array(B))
         tol = Fraction(1, 2**20)
         assert all(abs(mu[i][j]) <= Fraction(1, 2) + tol for i in range(d) for j in range(i))
         for k in range(1, d):
@@ -344,11 +354,12 @@ def test_reports_match_reference_reduction(monkeypatch):
 
     def reference(cols):
         calls.append(len(cols))
-        B, T = _reference_lll(cols)
+        B, T = _reference_lll(np.array(cols, dtype=np.float64))
         adj, det = reduction._int_inverse(T.tolist())
-        return B, T, np.array([[det * x for x in row] for row in adj], dtype=object)
+        return B.tolist(), T.tolist(), [[det * x for x in row] for row in adj]
 
-    for module in (dioph_matrix, ld):
+    # the shell ladders and the flow windows reduce through `reduction._reduce_at`
+    for module in (reduction, ld):
         monkeypatch.setattr(module, "_lll", reference)
     assert reports() == fast
     assert set(calls) == {3, 4, 5, 6}  # the d >= 3 shells, the probe's at d = 5
@@ -359,14 +370,15 @@ def test_lll_transform_stays_in_int64(X, Z):
     # columns e0, (X, 1, 0), (0, Z, 1) reduce to e0, e1, e2 with T[0, 2] = X Z.
     # 2^63 - 2^40 fits int64 though the running bound (X + 1)(Z + 1) on |T|
     # does not, so that step is done exactly; 2^63 would wrap in int64
-    cols = np.array([[1.0, X, 0.0], [0.0, 1.0, Z], [0.0, 0.0, 1.0]])
+    cols = [[1.0, float(X), 0.0], [0.0, 1.0, float(Z)], [0.0, 0.0, 1.0]]
     if X * Z > np.iinfo(np.int64).max:
         with pytest.raises(BudgetExceededError):
             reduction._lll(cols)
         return
     B, T, _ = reduction._lll(cols)
-    assert T.dtype == np.int64 and int(T[0, 2]) == X * Z
-    assert np.array_equal(B, np.eye(3)) and np.array_equal(cols @ T.astype(np.float64), B)
+    assert _int64_ints(T) and T[0][2] == X * Z
+    assert B == np.eye(3).tolist()
+    assert (np.array(cols) @ np.array(T, dtype=np.float64)).tolist() == B
 
 
 def _loop_minima(lengths, grid, k):
@@ -855,8 +867,8 @@ def test_one_by_one_sweeps_reduce_and_enumerate_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the lattice kernel was called")
 
-    monkeypatch.setattr(ld, "_lll", forbidden)
-    monkeypatch.setattr(reduction, "_runs", forbidden)
+    for module, name in ((ld, "_lll"), (reduction, "_lll"), (reduction, "_runs")):
+        monkeypatch.setattr(module, name, forbidden)
     ld.flow_profile(RealMatrix.scalar(PHI_STR, 64), 10.0, 0.02)
     ld.flow_profile(RealMatrix.scalar("355/113", 64), 6.0, 0.05)
     haw_game.derive_strategy(RealMatrix.scalar(liouville_number(precision_bits=128), 128),

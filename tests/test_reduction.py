@@ -71,6 +71,25 @@ def test_reduction_imports_only_errors():
     assert public == []
 
 
+def test_paper_objects_run_without_numpy():
+    # a fresh interpreter that refuses `import numpy` (a meta-path hook) runs
+    # `import dioph`, the matrix searches, the weak Dirichlet experiment and the
+    # local height (tests/numpy_free_smoke.py); the flow diagnostics keep numpy
+    for name in ("reduction.py", "dioph_matrix.py"):
+        nodes = list(ast.walk(_tree(name)))
+        mods = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+        mods += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+        assert "numpy" not in {m.split(".")[0] for m in mods}, name
+    env = dict(os.environ, PYTHONPATH=SRC)
+    smoke = os.path.join(os.path.dirname(os.path.abspath(__file__)), "numpy_free_smoke.py")
+    done = subprocess.run([sys.executable, smoke], capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr
+    done = subprocess.run([sys.executable, "-c", "import sys, dioph.lattice_dyn; "
+                           "print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, env=env)
+    assert done.stdout == "True\n", done.stderr
+
+
 def test_transform_past_the_float_range_is_a_budget_error():
     # the 1 x 1 Gauss branch: A = 10^400 makes T hold 10^400, beyond int64
     # and beyond the largest float, and the message gives its size in bits
